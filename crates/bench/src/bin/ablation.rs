@@ -15,9 +15,7 @@ use std::time::Duration;
 use spl_bench::{print_table, quick_mode, with_report, MEASURE_TIME};
 use spl_generator::fft::{ct_sequence, FftTree, Rule, ALL_RULES};
 use spl_numeric::pseudo_mflops;
-use spl_search::{
-    compile_tree_native, large_search_traced, small_search_traced, NativeEvaluator, SearchConfig,
-};
+use spl_search::{compile_tree_native, EvaluatorPool, NativeEvaluator, Search, SearchConfig};
 use spl_telemetry::{RunReport, Telemetry};
 
 fn mflops(tree: &FftTree, unroll: usize, min_time: Duration) -> f64 {
@@ -49,14 +47,14 @@ fn run(report: &mut RunReport) {
             keep,
             ..Default::default()
         };
-        let mut eval = NativeEvaluator::new(64, min_time);
-        let small =
-            small_search_traced(6, &config, &mut eval, &mut search_tel).expect("small search");
-        let large = large_search_traced(&small, max_log, &config, &mut eval, &mut search_tel)
-            .expect("large search");
+        let mut pool = EvaluatorPool::single(NativeEvaluator::new(64, min_time));
+        let large = Search::new(config)
+            .run(max_log, &mut pool, &mut search_tel)
+            .expect("search")
+            .large;
         winners.push(large.iter().map(|p| p[0].tree.clone()).collect());
-        for (idx, plans) in large.iter().enumerate() {
-            let k = 7 + idx as u32;
+        for plans in &large {
+            let k = plans[0].tree.size().trailing_zeros();
             if !k.is_multiple_of(2) && !quick {
                 continue; // thin out the table
             }

@@ -10,9 +10,7 @@
 //! compile-only experiment, so the full range is cheap).
 
 use spl_bench::{arg_value_parsed, print_table, quick_mode, with_report};
-use spl_search::{
-    compile_tree, large_search_traced, small_search_traced, OpCountEvaluator, SearchConfig,
-};
+use spl_search::{compile_tree, EvaluatorPool, OpCountEvaluator, Search, SearchConfig};
 use spl_telemetry::{RunReport, Telemetry};
 
 fn main() {
@@ -21,18 +19,17 @@ fn main() {
 
 fn run(report: &mut RunReport) {
     let max_log: u32 = arg_value_parsed("--max-log2").unwrap_or(if quick_mode() { 12 } else { 20 });
-    let config = SearchConfig::default();
-    let mut eval = OpCountEvaluator::default();
+    let mut pool = EvaluatorPool::single(OpCountEvaluator::default());
     let mut search_tel = Telemetry::new();
-    let small = small_search_traced(6, &config, &mut eval, &mut search_tel).expect("small search");
-    let large = large_search_traced(&small, max_log, &config, &mut eval, &mut search_tel)
-        .expect("large search");
+    let found = Search::new(SearchConfig::default())
+        .run(max_log, &mut pool, &mut search_tel)
+        .expect("search");
     report.push_section("search", search_tel);
 
     let mut rows = Vec::new();
     let mut base = None;
-    for (idx, plans) in large.iter().enumerate() {
-        let k = 7 + idx as u32;
+    for plans in &found.large {
+        let k = plans[0].tree.size().trailing_zeros();
         let vm = compile_tree(&plans[0].tree, 64).expect("winner compiles");
         let ops = vm.float_ops() + vm.int_ops();
         let base_ops = *base.get_or_insert(ops);

@@ -17,7 +17,7 @@ use spl_bench::{print_table, quick_mode, with_report, workload, MEASURE_TIME};
 use spl_minifft::Codelet;
 use spl_numeric::pseudo_mflops;
 use spl_search::{
-    compile_tree, compile_tree_native, small_search_traced, NativeEvaluator, SearchConfig,
+    compile_tree, compile_tree_native, EvaluatorPool, NativeEvaluator, Search, SearchConfig,
 };
 use spl_telemetry::{RunReport, Telemetry};
 use spl_vm::measure;
@@ -41,11 +41,12 @@ fn run(report: &mut RunReport) {
         MEASURE_TIME
     };
     let max_k = if quick_mode() { 4 } else { 6 };
-    let config = SearchConfig::default();
-    let mut eval = NativeEvaluator::new(64, min_time);
+    let mut pool = EvaluatorPool::single(NativeEvaluator::new(64, min_time));
     let mut search_tel = Telemetry::new();
-    let best =
-        small_search_traced(max_k, &config, &mut eval, &mut search_tel).expect("small search");
+    let best = Search::new(SearchConfig::default())
+        .run(max_k, &mut pool, &mut search_tel)
+        .expect("small search")
+        .small;
     report.push_section("search", search_tel);
 
     let mut rows = Vec::new();

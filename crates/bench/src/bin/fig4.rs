@@ -14,9 +14,7 @@ use std::time::Duration;
 use spl_bench::{arg_value_parsed, print_table, quick_mode, with_report, workload, MEASURE_TIME};
 use spl_minifft::{Plan, PlanMode};
 use spl_numeric::pseudo_mflops;
-use spl_search::{
-    compile_tree_native, large_search_traced, small_search_traced, NativeEvaluator, SearchConfig,
-};
+use spl_search::{compile_tree_native, EvaluatorPool, NativeEvaluator, Search, SearchConfig};
 use spl_telemetry::{RunReport, Telemetry};
 
 fn plan_pseudo_mflops(plan: &Plan, min_time: Duration) -> f64 {
@@ -39,20 +37,18 @@ fn run(report: &mut RunReport) {
     } else {
         MEASURE_TIME
     };
-    let config = SearchConfig::default();
     let mut search_tel = Telemetry::new();
-    eprintln!("searching small sizes (2..64) natively...");
-    let mut eval = NativeEvaluator::new(64, min_time);
-    let small = small_search_traced(6, &config, &mut eval, &mut search_tel).expect("small search");
-    eprintln!("searching large sizes (2^7..2^{max_log}) with 3-best DP...");
-    let large = large_search_traced(&small, max_log, &config, &mut eval, &mut search_tel)
-        .expect("large search");
+    eprintln!("searching 2..64 natively, then 2^7..2^{max_log} with 3-best DP...");
+    let mut pool = EvaluatorPool::single(NativeEvaluator::new(64, min_time));
+    let found = Search::new(SearchConfig::default())
+        .run(max_log, &mut pool, &mut search_tel)
+        .expect("search");
     report.push_section("search", search_tel);
 
     let mut rows = Vec::new();
-    for (idx, plans) in large.iter().enumerate() {
-        let k = 7 + idx as u32;
-        let n = 1usize << k;
+    for plans in &found.large {
+        let n = plans[0].tree.size();
+        let k = n.trailing_zeros();
         let winner = &plans[0];
         let kernel = compile_tree_native(&winner.tree, 64).expect("winner compiles natively");
         let spl = pseudo_mflops(n, kernel.measure(min_time) * 1e6);

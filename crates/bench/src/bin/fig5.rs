@@ -10,9 +10,7 @@
 
 use spl_bench::{arg_value_parsed, print_table, quick_mode, with_report};
 use spl_minifft::{Plan, PlanMode};
-use spl_search::{
-    compile_tree, large_search_traced, small_search_traced, OpCountEvaluator, SearchConfig,
-};
+use spl_search::{compile_tree, EvaluatorPool, OpCountEvaluator, Search, SearchConfig};
 use spl_telemetry::{RunReport, Telemetry};
 
 fn main() {
@@ -24,18 +22,17 @@ fn run(report: &mut RunReport) {
     let max_log: u32 = arg_value_parsed("--max-log2").unwrap_or(if quick { 10 } else { 18 });
     // Plan shapes come from the deterministic op-count DP — memory use
     // depends on the plan structure, not on timing noise.
-    let config = SearchConfig::default();
-    let mut eval = OpCountEvaluator::default();
+    let mut pool = EvaluatorPool::single(OpCountEvaluator::default());
     let mut search_tel = Telemetry::new();
-    let small = small_search_traced(6, &config, &mut eval, &mut search_tel).expect("small search");
-    let large = large_search_traced(&small, max_log, &config, &mut eval, &mut search_tel)
-        .expect("large search");
+    let found = Search::new(SearchConfig::default())
+        .run(max_log, &mut pool, &mut search_tel)
+        .expect("search");
     report.push_section("search", search_tel);
 
     let mut rows = Vec::new();
-    for (idx, plans) in large.iter().enumerate() {
-        let k = 7 + idx as u32;
-        let n = 1usize << k;
+    for plans in &found.large {
+        let n = plans[0].tree.size();
+        let k = n.trailing_zeros();
         let data_bytes = 2 * 2 * n * std::mem::size_of::<f64>(); // x and y
         let vm = compile_tree(&plans[0].tree, 64).expect("winner compiles");
         let spl_bytes = vm.memory_bytes() + data_bytes;

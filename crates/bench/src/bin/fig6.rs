@@ -12,9 +12,7 @@ use spl_bench::{
     arg_value_parsed, print_table, quick_mode, run_fft, run_ifft, with_report, workload,
 };
 use spl_numeric::{reference, relative_rms_error};
-use spl_search::{
-    compile_tree, large_search_traced, small_search_traced, OpCountEvaluator, SearchConfig,
-};
+use spl_search::{compile_tree, EvaluatorPool, OpCountEvaluator, Search, SearchConfig};
 use spl_telemetry::{RunReport, Telemetry};
 
 fn main() {
@@ -24,28 +22,18 @@ fn main() {
 fn run(report: &mut RunReport) {
     let quick = quick_mode();
     let max_log: u32 = arg_value_parsed("--max-log2").unwrap_or(if quick { 10 } else { 18 });
-    let config = SearchConfig::default();
-    let mut eval = OpCountEvaluator::default();
+    let mut pool = EvaluatorPool::single(OpCountEvaluator::default());
     let mut search_tel = Telemetry::new();
-    let small = small_search_traced(6, &config, &mut eval, &mut search_tel).expect("small search");
-    let large = if max_log > 6 {
-        large_search_traced(&small, max_log, &config, &mut eval, &mut search_tel)
-            .expect("large search")
-    } else {
-        Vec::new()
-    };
+    let found = Search::new(SearchConfig::default())
+        .run(max_log, &mut pool, &mut search_tel)
+        .expect("search");
     report.push_section("search", search_tel);
 
     let mut rows = Vec::new();
-    let mut trees: Vec<_> = small.iter().map(|r| r.tree.clone()).collect();
-    trees.extend(large.iter().map(|p| p[0].tree.clone()));
-    for tree in &trees {
-        let n = tree.size();
+    for winner in found.winners() {
+        let n = winner.tree.size();
         let k = n.trailing_zeros();
-        if k > max_log {
-            break;
-        }
-        let vm = compile_tree(tree, 64).expect("tree compiles");
+        let vm = compile_tree(&winner.tree, 64).expect("tree compiles");
         let x = workload(n);
         let y = run_fft(&vm, &x);
         let (err, method) = if k <= 12 {

@@ -3,8 +3,9 @@
 //!
 //! Three phases over the same size range, all against one wisdom DB:
 //!
-//! 1. **exhaustive** — the plain DP search, measuring every candidate
-//!    (the baseline the pruned phases must match to within 5%).
+//! 1. **exhaustive** — the search over an in-memory store with pruning
+//!    off, measuring every candidate (the baseline the pruned phases
+//!    must match to within 5%).
 //! 2. **pruned-cold** — a fresh wisdom DB: the search calibrates the
 //!    cost model from probe measurements, then prunes DP candidates
 //!    (top-K + slack) before anything is compiled or measured.
@@ -27,17 +28,13 @@ use std::time::Duration;
 
 use spl_native::KernelCache;
 use spl_search::{
-    large_search_traced, large_search_wisdom, plan_features, small_search_traced,
-    small_search_wisdom, Evaluator, NativeEvaluator, OpCountEvaluator, Plan, PruneConfig,
-    SearchConfig, SizeResult, WisdomDb, WisdomSession,
+    plan_features, Evaluator, EvaluatorPool, NativeEvaluator, OpCountEvaluator, PruneConfig,
+    Search, SearchConfig, SearchOutcome, WisdomDb,
 };
 
 use spl_bench::{arg_value, arg_value_parsed, print_table, quick_mode, with_report};
 use spl_minifft::estimate::CalibratedModel;
 use spl_telemetry::{RunReport, Telemetry};
-
-/// Small-size search covers 2^1..=2^6, as in the paper.
-const SMALL_K: u32 = 6;
 
 fn make_eval(kind: &str, min_time: Duration) -> Box<dyn Evaluator> {
     match kind {
@@ -57,8 +54,7 @@ fn make_eval(kind: &str, min_time: Duration) -> Box<dyn Evaluator> {
 
 struct Phase {
     name: &'static str,
-    small: Vec<SizeResult>,
-    large: Vec<Vec<Plan>>,
+    found: SearchOutcome,
     measurements: u64,
     cc: u64,
     model: Option<CalibratedModel>,
@@ -74,57 +70,25 @@ fn counters(tel: &Telemetry) -> (u64, u64) {
     )
 }
 
-fn run_exhaustive(
-    max_log: u32,
-    config: &SearchConfig,
-    eval: &mut dyn Evaluator,
-) -> (Phase, Telemetry) {
-    let mut tel = Telemetry::new();
-    let small = small_search_traced(SMALL_K, config, eval, &mut tel).expect("small search");
-    let large = large_search_traced(&small, max_log, config, eval, &mut tel).expect("large search");
-    tel.merge(&eval.drain_telemetry());
-    let (measurements, cc) = counters(&tel);
-    (
-        Phase {
-            name: "exhaustive",
-            small,
-            large,
-            measurements,
-            cc,
-            model: None,
-        },
-        tel,
-    )
-}
-
-fn run_wisdom(
+fn run_phase(
     name: &'static str,
-    db_dir: &std::path::Path,
+    mut search: Search,
     max_log: u32,
-    config: &SearchConfig,
-    eval: &mut dyn Evaluator,
+    eval: Box<dyn Evaluator>,
 ) -> (Phase, Telemetry) {
     let mut tel = Telemetry::new();
-    let db = WisdomDb::open(db_dir).expect("wisdom db");
-    let mut session = WisdomSession::new(db, Some(PruneConfig::default()));
-    let small =
-        small_search_wisdom(SMALL_K, config, eval, &mut tel, &mut session).expect("small search");
-    let large = large_search_wisdom(&small, max_log, config, eval, &mut tel, &mut session)
-        .expect("large search");
-    let model = session.model().cloned();
-    tel.merge(&eval.drain_telemetry());
+    let found = search
+        .run(max_log, &mut EvaluatorPool::single(eval), &mut tel)
+        .expect("search");
     let (measurements, cc) = counters(&tel);
-    (
-        Phase {
-            name,
-            small,
-            large,
-            measurements,
-            cc,
-            model,
-        },
-        tel,
-    )
+    let phase = Phase {
+        name,
+        found,
+        measurements,
+        cc,
+        model: search.model().cloned(),
+    };
+    (phase, tel)
 }
 
 /// Costs are seconds under `--eval native` and op counts under
@@ -160,23 +124,28 @@ fn run(report: &mut RunReport) -> bool {
     if own_db {
         let _ = std::fs::remove_dir_all(&db_dir);
     }
-    let config = SearchConfig::default();
+    let pruned_search = || {
+        Search::new(SearchConfig::default())
+            .with_store(WisdomDb::open(&db_dir).expect("wisdom db"))
+            .with_prune(PruneConfig::default())
+    };
     report.meta("eval", &eval_kind);
     report.meta("max_log", &max_log.to_string());
 
     eprintln!("phase 1/3: exhaustive search to 2^{max_log} ({eval_kind})...");
-    let mut eval = make_eval(&eval_kind, min_time);
-    let (exhaustive, tel) = run_exhaustive(max_log, &config, eval.as_mut());
+    let eval = make_eval(&eval_kind, min_time);
+    let exhaustive_search = Search::new(SearchConfig::default());
+    let (exhaustive, tel) = run_phase("exhaustive", exhaustive_search, max_log, eval);
     report.push_section("exhaustive", tel);
 
     eprintln!("phase 2/3: pruned search, cold wisdom DB...");
-    let mut eval = make_eval(&eval_kind, min_time);
-    let (pruned, tel) = run_wisdom("pruned-cold", &db_dir, max_log, &config, eval.as_mut());
+    let eval = make_eval(&eval_kind, min_time);
+    let (pruned, tel) = run_phase("pruned-cold", pruned_search(), max_log, eval);
     report.push_section("pruned_cold", tel);
 
     eprintln!("phase 3/3: rerun against the warm DB...");
-    let mut eval = make_eval(&eval_kind, min_time);
-    let (warm, tel) = run_wisdom("warm", &db_dir, max_log, &config, eval.as_mut());
+    let eval = make_eval(&eval_kind, min_time);
+    let (warm, tel) = run_phase("warm", pruned_search(), max_log, eval);
     report.push_section("warm", tel);
 
     // Phase summary: the tentpole's claim in one table.
@@ -236,31 +205,8 @@ fn run(report: &mut RunReport) -> bool {
     // the 5% criterion, so the gate judges the sizes the experiment
     // targets (2^10 and up). Deterministic costs gate every size.
     let gate_min_k = if eval_kind == "native" { 10 } else { 1 };
-    let winners = |phase: &Phase| -> Vec<(u32, Plan)> {
-        let mut out: Vec<(u32, Plan)> = phase
-            .small
-            .iter()
-            .enumerate()
-            .map(|(i, r)| {
-                (
-                    i as u32 + 1,
-                    Plan {
-                        tree: r.tree.clone(),
-                        cost: r.cost,
-                    },
-                )
-            })
-            .collect();
-        out.extend(
-            phase
-                .large
-                .iter()
-                .enumerate()
-                .map(|(i, plans)| (SMALL_K + 1 + i as u32, plans[0].clone())),
-        );
-        out
-    };
-    for ((k, exh), (_, prn)) in winners(&exhaustive).into_iter().zip(winners(&pruned)) {
+    for (exh, prn) in (exhaustive.found.winners().into_iter()).zip(pruned.found.winners()) {
+        let k = exh.tree.size().trailing_zeros();
         let same = exh.tree.to_spec() == prn.tree.to_spec();
         let r = if same {
             1.0

@@ -123,6 +123,10 @@ impl<E: Evaluator> Evaluator for FaultyEvaluator<E> {
         self.inner.cost(tree)
     }
 
+    fn label(&self) -> &str {
+        self.inner.label()
+    }
+
     fn drain_telemetry(&mut self) -> Telemetry {
         let mut tel = std::mem::take(&mut self.tel);
         tel.merge(&self.inner.drain_telemetry());

@@ -6,13 +6,22 @@
 //!
 //! * **Small sizes (2…64)** — dynamic programming over all factorizations
 //!   of Equation 10, compiled to straight-line code (full unrolling) and
-//!   timed; the fastest formula per size is kept ([`small_search`]).
+//!   timed; the fastest formula per size is kept.
 //! * **Large sizes (2⁷…2²⁰)** — dynamic programming over binary,
 //!   right-most Cooley–Tukey splits `F_n = (F_r ⊗ I_s) T (I_r ⊗ F_s) L`
 //!   with `r ≤ 64` taken from the small-size winners; a *k-best* variant
 //!   keeps the three best plans per size because "the best formula for
 //!   one size is not necessarily also the best sub-formula for a larger
-//!   size" ([`large_search`]).
+//!   size".
+//!
+//! Both halves are one driver, [`Search`]: `Search::new(config)` is the
+//! exhaustive search over an in-memory store; [`Search::with_store`]
+//! makes it resumable and cross-run (a [`WisdomDb`] directory) and
+//! [`Search::with_prune`] lets the calibrated cost model cut each size's
+//! candidates before anything is compiled. [`Search::run`] takes the
+//! candidates' costs from an [`EvaluatorPool`] — a serial search is a
+//! pool of one ([`EvaluatorPool::single`]) — and puts the small/large
+//! boundary at `config.leaf_max` itself.
 //!
 //! Costs come from an [`Evaluator`]: [`NativeEvaluator`] compiles the
 //! generated C with the host compiler and times real machine code (the
@@ -39,22 +48,20 @@
 //! * The search loops skip candidates whose evaluation fails (counted as
 //!   `search.skipped.<kind>`) and only error when a whole size has no
 //!   surviving candidate.
-//! * [`small_search_journaled`]/[`large_search_journaled`] persist each
-//!   completed size to a CRC-checked append-only journal
-//!   (`spl-resilience`), so a killed search resumes where it stopped.
+//! * Over a [`WisdomDb`] directory every completed size is appended to a
+//!   CRC-checked journal (`spl-resilience`), so a killed search resumes
+//!   where it stopped.
 //! * [`FaultyEvaluator`] injects deterministic faults for testing the
 //!   whole chain.
 //!
 //! # Parallel evaluation
 //!
 //! [`EvaluatorPool`] fans each size's candidates out over a crew of
-//! worker evaluators ([`small_search_parallel`],
-//! [`large_search_parallel`], and the journaled variants). Formula
-//! expansion, compilation, `cc`, and verification run concurrently;
-//! wall-clock timing stays serialized behind a single
-//! [`MeasurementGate`], and per-candidate results are merged back in
-//! candidate order — so with a deterministic evaluator the winners are
-//! bit-identical to the serial search at any job count.
+//! worker evaluators. Formula expansion, compilation, `cc`, and
+//! verification run concurrently; wall-clock timing stays serialized
+//! behind a single [`MeasurementGate`], and per-candidate results are
+//! merged back in candidate order — so with a deterministic evaluator
+//! the winners are bit-identical to the serial search at any job count.
 //! [`NativeEvaluator`] workers can additionally share one
 //! content-addressed compiled-kernel cache
 //! ([`NativeEvaluator::with_kernel_cache`]) so identical generated C is
@@ -64,12 +71,15 @@
 //! # Examples
 //!
 //! ```
-//! use spl_search::{small_search, OpCountEvaluator, SearchConfig};
+//! use spl_search::{EvaluatorPool, OpCountEvaluator, Search, SearchConfig};
+//! use spl_telemetry::Telemetry;
 //!
-//! let mut eval = OpCountEvaluator::default();
-//! let best = small_search(4, &SearchConfig::default(), &mut eval).unwrap();
-//! assert_eq!(best.len(), 4); // sizes 2, 4, 8, 16
-//! assert_eq!(best[2].tree.size(), 8);
+//! let config = SearchConfig { leaf_max: 8, ..SearchConfig::default() };
+//! let mut pool = EvaluatorPool::single(OpCountEvaluator::default());
+//! let found = Search::new(config).run(5, &mut pool, &mut Telemetry::new()).unwrap();
+//! assert_eq!(found.small.len(), 3); // sizes 2, 4, 8: one winner each
+//! assert_eq!(found.large.len(), 2); // sizes 16, 32: up to `keep` plans each
+//! assert_eq!(found.winners()[4].tree.size(), 32);
 //! ```
 
 use std::collections::HashMap;
@@ -86,24 +96,17 @@ use spl_telemetry::Telemetry;
 use spl_vm::{describe_policy, lower, measure, VmProgram, VmState};
 
 mod faults;
-mod journal;
 mod parallel;
 mod resilient;
 mod wisdom;
 
 pub use faults::FaultyEvaluator;
-pub use journal::{
-    config_fingerprint, large_search_journaled, large_search_journaled_parallel,
-    small_search_journaled, small_search_journaled_parallel,
-};
-pub(crate) use parallel::{CostSource, SerialSource};
 pub use parallel::{EvaluatorPool, MeasurementGate, MeasurementToken, WorkerContext};
 pub use resilient::{QuarantineEntry, ResilientEvaluator};
 pub use wisdom::{
-    cc_fingerprint, large_search_wisdom, large_search_wisdom_parallel, machine_fingerprint,
-    plan_features, small_search_wisdom, small_search_wisdom_parallel, transform_key,
-    wisdom_from_string, wisdom_to_string, PruneConfig, WisdomDb, WisdomEntry, WisdomError,
-    WisdomErrorKind, WisdomSession,
+    cc_fingerprint, machine_fingerprint, plan_features, transform_key, wisdom_from_string,
+    wisdom_to_string, PruneConfig, Search, SearchOutcome, WisdomDb, WisdomEntry, WisdomError,
+    WisdomErrorKind,
 };
 
 /// A structured search failure. Every variant carries human-readable
@@ -120,8 +123,8 @@ pub enum SearchError {
     /// A candidate produced numerically wrong output against the dense
     /// reference; the candidate is quarantined, its timing discarded.
     VerificationFailed(String),
-    /// The wisdom journal is unreadable or was written by a different
-    /// search configuration.
+    /// The wisdom database holds a record that passes its CRC but does
+    /// not parse.
     JournalCorrupt(String),
     /// No candidate for a size survived evaluation.
     NoCandidates {
@@ -340,6 +343,14 @@ pub trait Evaluator: Send {
     /// May fail when a candidate cannot be compiled.
     fn cost(&mut self, tree: &FftTree) -> Result<f64, SearchError>;
 
+    /// Names where the costs come from and hence their unit (`native`
+    /// and `vm` are seconds, `opcount` operations). Part of every
+    /// wisdom-store key ([`transform_key`]): costs under different
+    /// labels never meet in one entry, nor does a calibration fitted
+    /// on one prune the other. Wrappers report the evaluator they try
+    /// first.
+    fn label(&self) -> &str;
+
     /// Takes whatever telemetry the evaluator accumulated (timer
     /// repetitions, cache hits, measurement policy), leaving it empty.
     /// Model evaluators keep no telemetry and return an empty set.
@@ -351,6 +362,10 @@ pub trait Evaluator: Send {
 impl Evaluator for Box<dyn Evaluator> {
     fn cost(&mut self, tree: &FftTree) -> Result<f64, SearchError> {
         (**self).cost(tree)
+    }
+
+    fn label(&self) -> &str {
+        (**self).label()
     }
 
     fn drain_telemetry(&mut self) -> Telemetry {
@@ -435,6 +450,10 @@ impl Evaluator for MeasuredEvaluator {
         }
         self.cache.insert(key, m.secs_per_call);
         Ok(m.secs_per_call)
+    }
+
+    fn label(&self) -> &str {
+        "vm"
     }
 
     fn drain_telemetry(&mut self) -> Telemetry {
@@ -581,6 +600,10 @@ impl Evaluator for NativeEvaluator {
         Ok(t)
     }
 
+    fn label(&self) -> &str {
+        "native"
+    }
+
     fn drain_telemetry(&mut self) -> Telemetry {
         let mut tel = std::mem::take(&mut self.tel);
         if let Some(cache) = &self.kernel_cache {
@@ -662,87 +685,19 @@ impl Evaluator for OpCountEvaluator {
         self.cache.insert(key, cost);
         Ok(cost)
     }
+
+    fn label(&self) -> &str {
+        "opcount"
+    }
 }
 
 /// The winner for one transform size.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SizeResult {
     /// The winning factorization.
     pub tree: FftTree,
     /// Its cost under the evaluator.
     pub cost: f64,
-}
-
-/// Dynamic programming over all Equation-10 factorizations for sizes
-/// `2^1 … 2^max_k` (the paper's small-size search). Returns one winner
-/// per size, smallest first.
-///
-/// # Errors
-///
-/// Propagates evaluator failures.
-pub fn small_search(
-    max_k: u32,
-    config: &SearchConfig,
-    eval: &mut dyn Evaluator,
-) -> Result<Vec<SizeResult>, SearchError> {
-    small_search_traced(max_k, config, eval, &mut Telemetry::new())
-}
-
-/// [`small_search`] with telemetry: records a `search.small` span, a
-/// `search.plans_evaluated` counter, and the best-cost trajectory as one
-/// `search.best_cost.<n>` metric per size.
-///
-/// Candidates whose evaluation fails are skipped (counted under
-/// `search.skipped.<kind>`); the search only errors when no candidate
-/// for a size survives.
-///
-/// # Errors
-///
-/// [`SearchError::NoCandidates`] when every candidate of a size failed.
-pub fn small_search_traced(
-    max_k: u32,
-    config: &SearchConfig,
-    eval: &mut dyn Evaluator,
-    tel: &mut Telemetry,
-) -> Result<Vec<SizeResult>, SearchError> {
-    small_search_src(max_k, config, &mut SerialSource(eval), tel)
-}
-
-/// [`small_search_traced`] over an [`EvaluatorPool`]: each size's
-/// candidates are evaluated concurrently by the pool's workers and
-/// merged back in candidate order, so with a deterministic evaluator
-/// the winners are bit-identical to the serial search at any job count.
-///
-/// # Errors
-///
-/// As [`small_search_traced`].
-pub fn small_search_parallel(
-    max_k: u32,
-    config: &SearchConfig,
-    pool: &mut EvaluatorPool,
-    tel: &mut Telemetry,
-) -> Result<Vec<SizeResult>, SearchError> {
-    small_search_src(max_k, config, pool, tel)
-}
-
-/// The small-size DP over any [`CostSource`] (serial or pooled).
-pub(crate) fn small_search_src(
-    max_k: u32,
-    config: &SearchConfig,
-    src: &mut dyn CostSource,
-    tel: &mut Telemetry,
-) -> Result<Vec<SizeResult>, SearchError> {
-    tel.begin_span("search.small");
-    let mut best: Vec<SizeResult> = Vec::new();
-    for k in 1..=max_k {
-        tel.begin_span(&format!("small 2^{k}"));
-        let winner = small_step(k, config, src, tel, &best);
-        tel.end_span();
-        best.push(winner?);
-    }
-    tel.end_span();
-    tel.merge(&src.drain());
-    Ok(best)
 }
 
 /// The candidates of one small-size DP step: the naive leaf plus every
@@ -758,45 +713,8 @@ fn small_candidates(k: u32, config: &SearchConfig, best: &[SizeResult]) -> Vec<F
     candidates
 }
 
-/// One size of the small-size DP: evaluates the leaf and every split of
-/// previous winners, returning the cheapest survivor. Costs may be
-/// computed concurrently, but the winner is chosen by walking the
-/// results in candidate order (strict `<`, earliest wins ties) —
-/// exactly the serial semantics.
-///
-/// # Errors
-///
-/// [`SearchError::NoCandidates`] when every candidate failed.
-fn small_step(
-    k: u32,
-    config: &SearchConfig,
-    src: &mut dyn CostSource,
-    tel: &mut Telemetry,
-    best: &[SizeResult],
-) -> Result<SizeResult, SearchError> {
-    let candidates = small_candidates(k, config, best);
-    let costs = src.batch_costs(&candidates);
-    let mut winner: Option<SizeResult> = None;
-    for (tree, cost) in candidates.into_iter().zip(costs) {
-        let cost = match cost {
-            Ok(c) => c,
-            Err(e) => {
-                tel.add(&format!("search.skipped.{}", e.kind()), 1);
-                continue;
-            }
-        };
-        tel.add("search.plans_evaluated", 1);
-        if winner.as_ref().is_none_or(|w| cost < w.cost) {
-            winner = Some(SizeResult { tree, cost });
-        }
-    }
-    let winner = winner.ok_or(SearchError::NoCandidates { n: 1usize << k })?;
-    tel.set_metric(&format!("search.best_cost.{}", 1usize << k), winner.cost);
-    Ok(winner)
-}
-
 /// One retained plan in the large-size k-best DP.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Plan {
     /// The factorization tree.
     pub tree: FftTree,
@@ -804,131 +722,6 @@ pub struct Plan {
     pub cost: f64,
 }
 
-/// The k-best dynamic program for large sizes `2^(small_max_k+1) …
-/// 2^max_log` (the paper's Section 4.2). `small` must hold the small-size
-/// winners from [`small_search`]; splits are binary, right-most, with the
-/// left factor a small-size winner (≤ `config.leaf_max`).
-///
-/// Returns, for each size `2^k` with `k` in
-/// `small_max_k+1 ..= max_log`, the retained plans sorted best-first.
-///
-/// # Errors
-///
-/// Propagates evaluator failures.
-///
-/// # Panics
-///
-/// Panics if `small` does not cover sizes up to `config.leaf_max`.
-pub fn large_search(
-    small: &[SizeResult],
-    max_log: u32,
-    config: &SearchConfig,
-    eval: &mut dyn Evaluator,
-) -> Result<Vec<Vec<Plan>>, SearchError> {
-    large_search_traced(small, max_log, config, eval, &mut Telemetry::new())
-}
-
-/// [`large_search`] with telemetry: records a `search.large` span, a
-/// `search.plans_evaluated` counter, the number of retained plans, and
-/// one `search.best_cost.<n>` metric per size.
-///
-/// Candidates whose evaluation fails are skipped (counted under
-/// `search.skipped.<kind>`); the search only errors when no candidate
-/// for a size survives.
-///
-/// # Errors
-///
-/// [`SearchError::NoCandidates`] when every candidate of a size failed.
-///
-/// # Panics
-///
-/// Panics if `small` does not cover sizes up to `config.leaf_max`.
-pub fn large_search_traced(
-    small: &[SizeResult],
-    max_log: u32,
-    config: &SearchConfig,
-    eval: &mut dyn Evaluator,
-    tel: &mut Telemetry,
-) -> Result<Vec<Vec<Plan>>, SearchError> {
-    large_search_src(small, max_log, config, &mut SerialSource(eval), tel)
-}
-
-/// [`large_search_traced`] over an [`EvaluatorPool`] (see
-/// [`small_search_parallel`] for the determinism contract).
-///
-/// # Errors
-///
-/// As [`large_search_traced`].
-///
-/// # Panics
-///
-/// Panics if `small` does not cover sizes up to `config.leaf_max`.
-pub fn large_search_parallel(
-    small: &[SizeResult],
-    max_log: u32,
-    config: &SearchConfig,
-    pool: &mut EvaluatorPool,
-    tel: &mut Telemetry,
-) -> Result<Vec<Vec<Plan>>, SearchError> {
-    large_search_src(small, max_log, config, pool, tel)
-}
-
-/// The large-size k-best DP over any [`CostSource`].
-pub(crate) fn large_search_src(
-    small: &[SizeResult],
-    max_log: u32,
-    config: &SearchConfig,
-    src: &mut dyn CostSource,
-    tel: &mut Telemetry,
-) -> Result<Vec<Vec<Plan>>, SearchError> {
-    tel.begin_span("search.large");
-    let small_max_k = small.len() as u32;
-    let mut kbest = seed_kbest(small, config);
-    let mut out = Vec::new();
-    for k in (small_max_k + 1)..=max_log {
-        tel.begin_span(&format!("large 2^{k}"));
-        let plans = large_step(k, config, src, tel, &kbest);
-        tel.end_span();
-        let plans = plans?;
-        kbest.insert(k, plans.clone());
-        out.push(plans);
-    }
-    tel.end_span();
-    tel.merge(&src.drain());
-    Ok(out)
-}
-
-/// Builds the k-best table seeded from the small-size winners
-/// (`kbest[k]` holds plans for size `2^k`).
-///
-/// # Panics
-///
-/// Panics if `small` does not cover sizes up to `config.leaf_max`.
-fn seed_kbest(small: &[SizeResult], config: &SearchConfig) -> HashMap<u32, Vec<Plan>> {
-    assert!(
-        (1usize << small.len() as u32) >= config.leaf_max,
-        "small results must cover the leaf sizes"
-    );
-    let mut kbest: HashMap<u32, Vec<Plan>> = HashMap::new();
-    for (i, r) in small.iter().enumerate() {
-        kbest.insert(
-            i as u32 + 1,
-            vec![Plan {
-                tree: r.tree.clone(),
-                cost: r.cost,
-            }],
-        );
-    }
-    kbest
-}
-
-/// One size of the large-size k-best DP: evaluates every rightmost
-/// binary split over the retained sub-plans and keeps the `config.keep`
-/// cheapest survivors, sorted best-first.
-///
-/// # Errors
-///
-/// [`SearchError::NoCandidates`] when every candidate failed.
 /// The candidates of one large-size k-best DP step: every rightmost
 /// binary split over the retained sub-plans, in the canonical order the
 /// retained set depends on.
@@ -957,40 +750,6 @@ fn large_candidates(
         }
     }
     candidates
-}
-
-fn large_step(
-    k: u32,
-    config: &SearchConfig,
-    src: &mut dyn CostSource,
-    tel: &mut Telemetry,
-    kbest: &HashMap<u32, Vec<Plan>>,
-) -> Result<Vec<Plan>, SearchError> {
-    let n = 1usize << k;
-    let candidates = large_candidates(k, config, kbest);
-    let costs = src.batch_costs(&candidates);
-    let mut plans: Vec<Plan> = Vec::new();
-    for (tree, cost) in candidates.into_iter().zip(costs) {
-        let cost = match cost {
-            Ok(c) => c,
-            Err(e) => {
-                tel.add(&format!("search.skipped.{}", e.kind()), 1);
-                continue;
-            }
-        };
-        tel.add("search.plans_evaluated", 1);
-        plans.push(Plan { tree, cost });
-    }
-    // Stable sort over a stable candidate order: equal costs keep their
-    // serial relative order, so the truncation below is deterministic.
-    plans.sort_by(|a, b| a.cost.total_cmp(&b.cost));
-    plans.truncate(config.keep);
-    if plans.is_empty() {
-        return Err(SearchError::NoCandidates { n });
-    }
-    tel.add("search.plans_kept", plans.len() as u64);
-    tel.set_metric(&format!("search.best_cost.{n}"), plans[0].cost);
-    Ok(plans)
 }
 
 // ---------------------------------------------------------------------
@@ -1127,10 +886,20 @@ mod tests {
         assert!(compile_tree_batched(&tree, 0, 64).is_err());
     }
 
+    /// The op-count search to `2^max_log`, serial and untraced.
+    fn opcount_search(config: &SearchConfig, max_log: u32) -> SearchOutcome {
+        Search::new(config.clone())
+            .run(
+                max_log,
+                &mut EvaluatorPool::single(OpCountEvaluator::default()),
+                &mut Telemetry::new(),
+            )
+            .unwrap()
+    }
+
     #[test]
     fn small_search_returns_correct_ffts() {
-        let mut eval = OpCountEvaluator::default();
-        let best = small_search(5, &SearchConfig::default(), &mut eval).unwrap();
+        let best = opcount_search(&SearchConfig::default(), 5).small;
         assert_eq!(best.len(), 5);
         for (k, r) in best.iter().enumerate() {
             assert_eq!(r.tree.size(), 1 << (k + 1));
@@ -1141,8 +910,7 @@ mod tests {
     #[test]
     fn small_search_prefers_fast_algorithms() {
         // For size 32 the naive leaf costs O(n^2); any split wins.
-        let mut eval = OpCountEvaluator::default();
-        let best = small_search(5, &SearchConfig::default(), &mut eval).unwrap();
+        let best = opcount_search(&SearchConfig::default(), 5).small;
         assert!(matches!(best[4].tree, FftTree::Node { .. }));
         // O(n log n)-ish op count.
         assert!(best[4].cost < 3_000.0, "cost {}", best[4].cost);
@@ -1154,11 +922,10 @@ mod tests {
             leaf_max: 8,
             ..Default::default()
         };
-        let mut eval = OpCountEvaluator::default();
-        let small = small_search(3, &config, &mut eval).unwrap();
-        let large = large_search(&small, 6, &config, &mut eval).unwrap();
-        assert_eq!(large.len(), 3); // sizes 16, 32, 64
-        for (i, plans) in large.iter().enumerate() {
+        let found = opcount_search(&config, 6);
+        assert_eq!(found.small.len(), 3); // sizes 2, 4, 8
+        assert_eq!(found.large.len(), 3); // sizes 16, 32, 64
+        for (i, plans) in found.large.iter().enumerate() {
             assert!(!plans.is_empty() && plans.len() <= config.keep);
             for p in plans {
                 assert_eq!(p.tree.size(), 1 << (i + 4));
@@ -1169,6 +936,15 @@ mod tests {
             }
             check_tree_is_fft(&plans[0].tree);
         }
+        let sizes: Vec<usize> = found.winners().iter().map(|w| w.tree.size()).collect();
+        assert_eq!(sizes, [2, 4, 8, 16, 32, 64]);
+    }
+
+    #[test]
+    fn boundary_follows_leaf_max_and_max_log() {
+        // Below the leaf size there is no large search at all.
+        let found = opcount_search(&SearchConfig::default(), 4);
+        assert_eq!((found.small.len(), found.large.len()), (4, 0));
     }
 
     #[test]
@@ -1179,10 +955,7 @@ mod tests {
             leaf_max: 8,
             ..Default::default()
         };
-        let mut eval = OpCountEvaluator::default();
-        let small = small_search(3, &config, &mut eval).unwrap();
-        let large = large_search(&small, 7, &config, &mut eval).unwrap();
-        for plans in &large {
+        for plans in &opcount_search(&config, 7).large {
             for p in plans {
                 if let FftTree::Node { left, .. } = &p.tree {
                     assert!(left.size() <= config.leaf_max);
@@ -1239,8 +1012,7 @@ mod tests {
 
     #[test]
     fn wisdom_round_trips() {
-        let mut eval = OpCountEvaluator::default();
-        let best = small_search(5, &SearchConfig::default(), &mut eval).unwrap();
+        let best = opcount_search(&SearchConfig::default(), 5).small;
         let text = wisdom_to_string(&best);
         let back = wisdom_from_string(&text).unwrap();
         assert_eq!(back.len(), best.len());
@@ -1316,9 +1088,12 @@ mod tests {
 
     #[test]
     fn search_records_telemetry() {
-        let mut eval = MeasuredEvaluator::new(64, Duration::from_millis(1));
+        let mut pool = EvaluatorPool::single(MeasuredEvaluator::new(64, Duration::from_millis(1)));
         let mut tel = Telemetry::new();
-        let best = small_search_traced(3, &SearchConfig::default(), &mut eval, &mut tel).unwrap();
+        let best = Search::new(SearchConfig::default())
+            .run(3, &mut pool, &mut tel)
+            .unwrap()
+            .small;
         assert_eq!(best.len(), 3);
         // Candidates per size: 1 (F2) + 2 (F4) + 3 (F8).
         assert_eq!(tel.counter("search.plans_evaluated"), Some(6));
@@ -1332,7 +1107,7 @@ mod tests {
         assert!(tel.counter("timer.warmup_reps").unwrap() >= 1);
         assert!(tel.metric("timer.min_time_secs").is_some());
         // Draining left the evaluator with a fresh policy-only set.
-        assert!(eval.drain_telemetry().counter("timer.reps").is_none());
+        assert!(pool.drain_telemetry().counter("timer.reps").is_none());
     }
 
     #[test]
@@ -1361,10 +1136,7 @@ mod tests {
             keep: 2,
             ..Default::default()
         };
-        let mut eval = OpCountEvaluator::default();
-        let small = small_search(4, &config, &mut eval).unwrap();
-        let large = large_search(&small, 8, &config, &mut eval).unwrap();
-        for plans in &large {
+        for plans in &opcount_search(&config, 8).large {
             assert!(plans.len() <= 2);
         }
     }

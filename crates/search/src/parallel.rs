@@ -62,31 +62,6 @@ pub struct WorkerContext {
     pub gate: MeasurementGate,
 }
 
-/// Where the DP loops get candidate costs from: either a plain serial
-/// evaluator or an [`EvaluatorPool`]. Batch-shaped so the pool can
-/// schedule a whole size's candidates at once.
-pub(crate) trait CostSource {
-    /// Costs for `trees`, index-aligned with the input.
-    fn batch_costs(&mut self, trees: &[FftTree]) -> Vec<Result<f64, SearchError>>;
-
-    /// Takes accumulated telemetry (see [`Evaluator::drain_telemetry`]).
-    fn drain(&mut self) -> Telemetry;
-}
-
-/// Adapts a `&mut dyn Evaluator` to the batch interface: candidates are
-/// evaluated one after the other, in order — the historical behavior.
-pub(crate) struct SerialSource<'a>(pub &'a mut dyn Evaluator);
-
-impl CostSource for SerialSource<'_> {
-    fn batch_costs(&mut self, trees: &[FftTree]) -> Vec<Result<f64, SearchError>> {
-        trees.iter().map(|t| self.0.cost(t)).collect()
-    }
-
-    fn drain(&mut self) -> Telemetry {
-        self.0.drain_telemetry()
-    }
-}
-
 /// A worker's share of a batch: `(candidate index, result)` pairs.
 type WorkerResults = Vec<(usize, Result<f64, SearchError>)>;
 
@@ -97,8 +72,9 @@ type WorkerResults = Vec<(usize, Result<f64, SearchError>)>;
 /// handed to [`EvaluatorPool::new`], so per-evaluator state (memo
 /// caches, telemetry) is never contended. Batches are distributed by
 /// work-stealing (an atomic next-candidate index) and the results are
-/// merged in candidate order. A pool of one worker degenerates to the
-/// serial search, with no threads spawned.
+/// merged in candidate order. A pool of one worker
+/// ([`EvaluatorPool::single`]) is the serial search: no threads spawned,
+/// candidates evaluated one after the other.
 pub struct EvaluatorPool {
     workers: Vec<Box<dyn Evaluator>>,
     tel: Telemetry,
@@ -125,6 +101,19 @@ impl EvaluatorPool {
             workers,
             tel: Telemetry::new(),
         }
+    }
+
+    /// The serial pool: one worker, the given evaluator.
+    pub fn single(evaluator: impl Evaluator + 'static) -> EvaluatorPool {
+        EvaluatorPool {
+            workers: vec![Box::new(evaluator)],
+            tel: Telemetry::new(),
+        }
+    }
+
+    /// The workers' [`Evaluator::label`] (the factory builds them alike).
+    pub fn label(&self) -> &str {
+        self.workers[0].label()
     }
 
     /// Number of workers.
@@ -193,35 +182,21 @@ impl EvaluatorPool {
     }
 }
 
-impl CostSource for EvaluatorPool {
-    fn batch_costs(&mut self, trees: &[FftTree]) -> Vec<Result<f64, SearchError>> {
-        self.costs(trees)
-    }
-
-    fn drain(&mut self) -> Telemetry {
-        self.drain_telemetry()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{
-        small_search_parallel, small_search_traced, FaultyEvaluator, OpCountEvaluator,
-        SearchConfig, SizeResult,
-    };
+    use crate::{FaultyEvaluator, OpCountEvaluator, Search, SearchConfig, SizeResult};
     use spl_generator::fft::Rule;
 
     fn opcount_pool(jobs: usize) -> EvaluatorPool {
         EvaluatorPool::new(jobs, |_| Box::new(OpCountEvaluator::default()))
     }
 
-    fn assert_same_winners(a: &[SizeResult], b: &[SizeResult]) {
-        assert_eq!(a.len(), b.len());
-        for (x, y) in a.iter().zip(b) {
-            assert_eq!(x.tree, y.tree);
-            assert_eq!(x.cost.to_bits(), y.cost.to_bits());
-        }
+    fn winners(pool: &mut EvaluatorPool) -> Vec<SizeResult> {
+        Search::new(SearchConfig::default())
+            .run(6, pool, &mut Telemetry::new())
+            .unwrap()
+            .winners()
     }
 
     #[test]
@@ -243,14 +218,9 @@ mod tests {
 
     #[test]
     fn parallel_small_search_is_bit_identical_to_serial() {
-        let config = SearchConfig::default();
-        let mut eval = OpCountEvaluator::default();
-        let serial = small_search_traced(6, &config, &mut eval, &mut Telemetry::new()).unwrap();
+        let serial = winners(&mut EvaluatorPool::single(OpCountEvaluator::default()));
         for jobs in [1, 2, 4] {
-            let mut pool = opcount_pool(jobs);
-            let parallel =
-                small_search_parallel(6, &config, &mut pool, &mut Telemetry::new()).unwrap();
-            assert_same_winners(&serial, &parallel);
+            assert_eq!(serial, winners(&mut opcount_pool(jobs)));
         }
     }
 
@@ -258,7 +228,6 @@ mod tests {
     fn parallel_search_under_keyed_faults_matches_serial_at_many_seeds() {
         // Keyed fault injection draws per candidate, not per call order,
         // so the same candidates fault no matter how many workers raced.
-        let config = SearchConfig::default();
         for seed in [3u64, 17, 99, 2026] {
             let mk = || -> Box<dyn Evaluator> {
                 Box::new(FaultyEvaluator::keyed(
@@ -267,13 +236,9 @@ mod tests {
                     0.3,
                 ))
             };
-            let mut serial_pool = EvaluatorPool::new(1, |_| mk());
-            let serial =
-                small_search_parallel(6, &config, &mut serial_pool, &mut Telemetry::new()).unwrap();
-            let mut pool = EvaluatorPool::new(4, |_| mk());
-            let parallel =
-                small_search_parallel(6, &config, &mut pool, &mut Telemetry::new()).unwrap();
-            assert_same_winners(&serial, &parallel);
+            let serial = winners(&mut EvaluatorPool::new(1, |_| mk()));
+            let parallel = winners(&mut EvaluatorPool::new(4, |_| mk()));
+            assert_eq!(serial, parallel);
         }
     }
 

@@ -125,6 +125,10 @@ impl Evaluator for ResilientEvaluator {
         }))
     }
 
+    fn label(&self) -> &str {
+        self.tiers.first().map_or("none", |(_, eval)| eval.label())
+    }
+
     fn drain_telemetry(&mut self) -> Telemetry {
         let mut tel = std::mem::take(&mut self.tel);
         for (_, eval) in &mut self.tiers {
@@ -137,7 +141,7 @@ impl Evaluator for ResilientEvaluator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{small_search, SearchConfig};
+    use crate::{EvaluatorPool, Search, SearchConfig};
     use spl_generator::fft::Rule;
 
     /// A tier that always fails with a fixed error.
@@ -146,6 +150,10 @@ mod tests {
     impl Evaluator for Failing {
         fn cost(&mut self, _tree: &FftTree) -> Result<f64, SearchError> {
             Err(self.0.clone())
+        }
+
+        fn label(&self) -> &str {
+            "failing"
         }
     }
 
@@ -210,13 +218,15 @@ mod tests {
 
     #[test]
     fn search_completes_through_degraded_chain() {
-        let mut eval = ResilientEvaluator::new()
+        let eval = ResilientEvaluator::new()
             .tier(
                 "flaky",
                 Box::new(Failing(SearchError::CompileFailed("cc died".into()))),
             )
             .tier("opcount", Box::new(OpCountEvaluator::default()));
-        let best = small_search(4, &SearchConfig::default(), &mut eval).unwrap();
-        assert_eq!(best.len(), 4);
+        let found = Search::new(SearchConfig::default())
+            .run(4, &mut EvaluatorPool::single(eval), &mut Telemetry::new())
+            .unwrap();
+        assert_eq!(found.small.len(), 4);
     }
 }

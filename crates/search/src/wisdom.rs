@@ -1,40 +1,46 @@
-//! The cross-run wisdom database and the model-pruned DP drivers.
+//! The wisdom database and the one search driver over it.
 //!
 //! Flat wisdom text (`size: spec` lines) records *what* won but not
-//! *where* or *under which compiler*, so it cannot be merged across
-//! runs, jobs, or machines. [`WisdomDb`] replaces it with a keyed,
-//! persistent, mergeable store: every entry is keyed by
-//! `(transform, size, cc fingerprint, machine fingerprint)` and carries
-//! the retained plans with their measured costs. The store is one
-//! CRC-framed append-only journal (`spl-resilience`) guarded by an
-//! `flock` lockfile, so concurrent `splsearch --jobs` runs and other
-//! processes append winners safely; merge is best-cost-wins and
-//! commutative, so every reader converges to the same entries no matter
-//! the append order. Entries whose fingerprints do not match the
-//! current toolchain/machine are kept but not trusted: they seed
-//! regression checks instead of being served as winners.
+//! *where*, *under which compiler* or *by which cost*, so it cannot be
+//! merged across runs, jobs, or machines; it remains as the import and
+//! export format. [`WisdomDb`] is the store: every entry is keyed by
+//! `(transform, size, cc fingerprint, machine fingerprint)` — the
+//! transform component ([`transform_key`]) names the search
+//! configuration and the evaluator — and carries the retained plans
+//! with their measured costs. On disk it is one CRC-framed append-only
+//! journal (`spl-resilience`) guarded by an `flock` lockfile, so
+//! concurrent `splsearch --jobs` runs and other processes append
+//! winners safely; merge is best-cost-wins and commutative, so every
+//! reader converges to the same entries no matter the append order.
+//! Entries whose fingerprints do not match the current
+//! toolchain/machine are kept but not trusted: they seed regression
+//! checks instead of being served as winners.
 //!
 //! On-disk schema (one payload per journal record):
 //!
 //! ```text
 //! entry <transform> <n> <cc_fp> <machine_fp> | <cost_bits> <spec> | ...
-//! calib <machine_fp> <cc_fp> <rel_rms_bits> <c0_bits> ... <c5_bits>
+//! calib <machine_fp> <cc_fp> <evaluator> <rel_rms_bits> <c0_bits> ... <c5_bits>
 //! ```
 //!
-//! Costs are exact `f64` bit patterns (as in the search journal); a
-//! cost of `0.0` marks an entry imported from flat wisdom that has not
-//! been re-measured yet. Unknown record types are skipped (forward
-//! compatibility), torn tails are healed by the journal layer.
+//! Costs are exact `f64` bit patterns, so a resumed run reproduces the
+//! original DP decisions bit-for-bit; a cost of `0.0` marks an entry
+//! imported from flat wisdom that has not been re-measured yet. Unknown
+//! record types, and `calib` records from before the evaluator was part
+//! of their key, are skipped; torn tails are healed by the journal
+//! layer. [`WisdomDb::in_memory`] is the same store without the
+//! directory: what a search that persists nothing runs over.
 //!
-//! The second half of this module is the **pruned search**:
-//! [`small_search_wisdom`] / [`large_search_wisdom`] run the same DP as
-//! the plain drivers but (1) reuse trusted measured DB entries without
-//! evaluating anything, (2) rank the candidate set with a
-//! [`CalibratedModel`] fitted once per machine from a handful of probe
-//! measurements (stored in the DB), measuring only the top-K plus
-//! anything within a slack factor of the modeled best, and (3) fall
-//! back to the full measurement when the model is unconfident or the
-//! pruned winner regresses against a DB-recorded prior winner.
+//! The second half of this module is [`Search`], the paper's Section 4
+//! DP. Per size it (1) reuses a trusted measured store entry without
+//! evaluating anything — which is how a killed search resumes and how a
+//! rerun costs nothing; otherwise (2) with [`Search::with_prune`] ranks
+//! the candidate set with a [`CalibratedModel`] fitted once per machine
+//! and evaluator from a handful of probe measurements (kept in the
+//! store), measuring only the top-K plus anything within a slack factor
+//! of the modeled best, and (3) falls back to the full measurement when
+//! the model is unconfident or the pruned winner regresses against a
+//! recorded prior winner; without pruning it measures every candidate.
 
 use std::collections::HashMap;
 use std::error::Error;
@@ -48,8 +54,8 @@ use spl_resilience::{FileLock, Journal, JournalError};
 use spl_telemetry::Telemetry;
 
 use crate::{
-    compile_sexp_for_search, large_candidates, seed_kbest, small_candidates, CostSource, Evaluator,
-    EvaluatorPool, Plan, SearchConfig, SearchError, SerialSource, SizeResult,
+    compile_sexp_for_search, large_candidates, small_candidates, EvaluatorPool, Plan, SearchConfig,
+    SearchError, SizeResult,
 };
 
 // ---------------------------------------------------------------------
@@ -197,13 +203,15 @@ pub fn machine_fingerprint() -> &'static str {
     })
 }
 
-/// The transform component of a DB key: the transform family plus the
-/// search configuration that produced the plans, so winners from
-/// incompatible searches never shadow each other. Contains no spaces
-/// (it is one token of a journal record).
-pub fn transform_key(config: &SearchConfig) -> String {
+/// The transform component of a DB key: the transform family, the
+/// search configuration that produced the plans and the
+/// [`Evaluator::label`](crate::Evaluator::label) that priced them, so
+/// winners from incompatible searches never shadow each other and op
+/// counts are never served as seconds. Contains no spaces (it is one
+/// token of a journal record).
+pub fn transform_key(config: &SearchConfig, evaluator: &str) -> String {
     format!(
-        "fft/{:?}-l{}-k{}-u{}",
+        "fft/{:?}-l{}-k{}-u{}-{evaluator}",
         config.rule, config.leaf_max, config.keep, config.unroll_threshold
     )
 }
@@ -340,31 +348,57 @@ fn format_entry(e: &WisdomEntry) -> String {
     out
 }
 
-/// Parses `calib <machine_fp> <cc_fp> <rel_rms_bits> <c0_bits> ...`.
-fn parse_calib(payload: &str) -> Result<(String, String, CalibratedModel), SearchError> {
-    let bad = || SearchError::JournalCorrupt(format!("wisdom db: malformed calib {payload:?}"));
-    let fields: Vec<&str> = payload.split_whitespace().collect();
-    if fields.len() != 3 + 1 + NUM_FEATURES || fields[0] != "calib" {
-        return Err(bad());
-    }
-    let machine_fp = fields[1].to_string();
-    let cc_fp = fields[2].to_string();
-    let rel_rms = parse_cost_bits(fields[3])?;
-    let mut coeffs = [0.0f64; NUM_FEATURES];
-    for (i, c) in coeffs.iter_mut().enumerate() {
-        *c = parse_cost_bits(fields[4 + i])?;
-    }
-    Ok((
-        machine_fp,
-        cc_fp,
-        CalibratedModel::from_parts(coeffs, rel_rms),
-    ))
+/// Which fitted model a `calib` record holds: costs only transfer
+/// between equal machines, compilers and evaluators.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+struct CalibKey {
+    machine_fp: String,
+    cc_fp: String,
+    evaluator: String,
 }
 
-fn format_calib(machine_fp: &str, cc_fp: &str, model: &CalibratedModel) -> String {
+impl CalibKey {
+    fn current(evaluator: &str) -> CalibKey {
+        CalibKey {
+            machine_fp: machine_fingerprint().to_string(),
+            cc_fp: cc_fingerprint().to_string(),
+            evaluator: evaluator.to_string(),
+        }
+    }
+}
+
+/// Parses `calib <machine_fp> <cc_fp> <evaluator> <rel_rms_bits>
+/// <c0_bits> ...`. `None` for a record one field short: it was written
+/// before the evaluator was part of the key, and matches no search now.
+fn parse_calib(payload: &str) -> Result<Option<(CalibKey, CalibratedModel)>, SearchError> {
+    let bad = || SearchError::JournalCorrupt(format!("wisdom db: malformed calib {payload:?}"));
+    let fields: Vec<&str> = payload.split_whitespace().collect();
+    if fields.len() == 3 + 1 + NUM_FEATURES {
+        return Ok(None);
+    }
+    if fields.len() != 4 + 1 + NUM_FEATURES || fields[0] != "calib" {
+        return Err(bad());
+    }
+    let key = CalibKey {
+        machine_fp: fields[1].to_string(),
+        cc_fp: fields[2].to_string(),
+        evaluator: fields[3].to_string(),
+    };
+    let rel_rms = parse_cost_bits(fields[4])?;
+    let mut coeffs = [0.0f64; NUM_FEATURES];
+    for (i, c) in coeffs.iter_mut().enumerate() {
+        *c = parse_cost_bits(fields[5 + i])?;
+    }
+    Ok(Some((key, CalibratedModel::from_parts(coeffs, rel_rms))))
+}
+
+fn format_calib(key: &CalibKey, model: &CalibratedModel) -> String {
     use std::fmt::Write as _;
     let mut out = format!(
-        "calib {machine_fp} {cc_fp} {:016x}",
+        "calib {} {} {} {:016x}",
+        key.machine_fp,
+        key.cc_fp,
+        key.evaluator,
         model.rel_rms().to_bits()
     );
     for c in model.coeffs() {
@@ -377,9 +411,10 @@ fn format_calib(machine_fp: &str, cc_fp: &str, model: &CalibratedModel) -> Strin
 /// for the on-disk schema and merge semantics.
 #[derive(Debug)]
 pub struct WisdomDb {
-    dir: PathBuf,
+    /// `None` for [`WisdomDb::in_memory`]: nothing is read or appended.
+    dir: Option<PathBuf>,
     entries: HashMap<EntryKey, WisdomEntry>,
-    calibrations: HashMap<(String, String), CalibratedModel>,
+    calibrations: HashMap<CalibKey, CalibratedModel>,
     tel: Telemetry,
 }
 
@@ -394,40 +429,38 @@ impl WisdomDb {
         std::fs::create_dir_all(dir)
             .map_err(|e| SearchError::Other(format!("creating {}: {e}", dir.display())))?;
         let mut db = WisdomDb {
-            dir: dir.to_path_buf(),
-            entries: HashMap::new(),
-            calibrations: HashMap::new(),
-            tel: Telemetry::new(),
+            dir: Some(dir.to_path_buf()),
+            ..WisdomDb::in_memory()
         };
         db.reload()?;
         Ok(db)
     }
 
-    /// The database directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
-    fn journal_path(&self) -> PathBuf {
-        self.dir.join("db.journal")
-    }
-
-    fn lock_path(&self) -> PathBuf {
-        self.dir.join("db.lock")
+    /// An empty store that lives and dies with this value: same
+    /// lookups, merge order and counters, no directory.
+    pub fn in_memory() -> WisdomDb {
+        WisdomDb {
+            dir: None,
+            entries: HashMap::new(),
+            calibrations: HashMap::new(),
+            tel: Telemetry::new(),
+        }
     }
 
     /// Re-reads the journal from disk, replacing the in-memory view
-    /// with the merged result (picks up other processes' appends).
+    /// with the merged result (picks up other processes' appends). An
+    /// in-memory store has nothing to re-read and keeps what it holds.
     ///
     /// # Errors
     ///
     /// As [`WisdomDb::open`].
     pub fn reload(&mut self) -> Result<(), SearchError> {
+        let Some(dir) = &self.dir else { return Ok(()) };
         // The lock serializes against writers: `Journal::open` heals a
         // torn tail by rewriting the file, which must never race an
         // append in another process.
-        let _lock = FileLock::acquire_or_noop(&self.lock_path());
-        let (_, loaded) = Journal::open(&self.journal_path()).map_err(jerr)?;
+        let _lock = FileLock::acquire_or_noop(&dir.join("db.lock"));
+        let (_, loaded) = Journal::open(&dir.join("db.journal")).map_err(jerr)?;
         if loaded.dropped > 0 {
             self.tel
                 .add("wisdom.db.dropped_records", loaded.dropped as u64);
@@ -445,13 +478,16 @@ impl WisdomDb {
         if payload.starts_with("entry ") {
             let e = parse_entry(payload)?;
             self.merge_in_memory(e);
-        } else if payload.starts_with("calib ") {
-            let (machine_fp, cc_fp, model) = parse_calib(payload)?;
-            self.calibrations.insert((machine_fp, cc_fp), model);
-        } else {
-            // Unknown record type: a newer writer's schema. Skip it.
-            self.tel.add("wisdom.db.unknown_records", 1);
+            return Ok(());
         }
+        if payload.starts_with("calib ") {
+            if let Some((key, model)) = parse_calib(payload)? {
+                self.calibrations.insert(key, model);
+                return Ok(());
+            }
+        }
+        // Unknown record type: another writer's schema. Skip it.
+        self.tel.add("wisdom.db.unknown_records", 1);
         Ok(())
     }
 
@@ -468,8 +504,9 @@ impl WisdomDb {
     }
 
     fn append(&mut self, payload: &str) -> Result<(), SearchError> {
-        let _lock = FileLock::acquire_or_noop(&self.lock_path());
-        let (mut journal, _) = Journal::open(&self.journal_path()).map_err(jerr)?;
+        let Some(dir) = &self.dir else { return Ok(()) };
+        let _lock = FileLock::acquire_or_noop(&dir.join("db.lock"));
+        let (mut journal, _) = Journal::open(&dir.join("db.journal")).map_err(jerr)?;
         journal.append(payload).map_err(jerr)
     }
 
@@ -625,33 +662,27 @@ impl WisdomDb {
         wisdom_to_string(&results)
     }
 
-    /// The calibrated cost model stored for the current fingerprints.
-    pub fn calibration(&self) -> Option<&CalibratedModel> {
-        self.calibrations.get(&(
-            machine_fingerprint().to_string(),
-            cc_fingerprint().to_string(),
-        ))
+    /// The calibrated cost model stored for the current fingerprints
+    /// and the given [`Evaluator::label`](crate::Evaluator::label).
+    pub fn calibration(&self, evaluator: &str) -> Option<&CalibratedModel> {
+        self.calibrations.get(&CalibKey::current(evaluator))
     }
 
-    /// Persists a calibrated model for the current fingerprints.
+    /// Persists a calibrated model for the current fingerprints and the
+    /// evaluator whose costs it was fitted on.
     ///
     /// # Errors
     ///
     /// I/O failures.
-    pub fn store_calibration(&mut self, model: &CalibratedModel) -> Result<(), SearchError> {
-        self.append(&format_calib(
-            machine_fingerprint(),
-            cc_fingerprint(),
-            model,
-        ))?;
+    pub fn store_calibration(
+        &mut self,
+        evaluator: &str,
+        model: &CalibratedModel,
+    ) -> Result<(), SearchError> {
+        let key = CalibKey::current(evaluator);
+        self.append(&format_calib(&key, model))?;
         self.tel.add("wisdom.db.calibrations_stored", 1);
-        self.calibrations.insert(
-            (
-                machine_fingerprint().to_string(),
-                cc_fingerprint().to_string(),
-            ),
-            model.clone(),
-        );
+        self.calibrations.insert(key, model.clone());
         Ok(())
     }
 
@@ -677,7 +708,7 @@ impl WisdomDb {
 }
 
 // ---------------------------------------------------------------------
-// Model-pruned DP drivers
+// The search driver
 // ---------------------------------------------------------------------
 
 /// How aggressively the calibrated model prunes each size's candidate
@@ -703,54 +734,152 @@ impl Default for PruneConfig {
 /// DB prior triggers the full-measurement fallback.
 const REGRESSION_SLACK: f64 = 1.05;
 
-/// A wisdom-DB-backed search session: owns the database plus the
-/// fitted cost model and per-tree feature cache shared by the small and
-/// large DP drivers.
+/// What [`Search::run`] found.
+#[derive(Debug, Clone, PartialEq)]
+pub struct SearchOutcome {
+    /// One winner per size `2^1 … min(config.leaf_max, 2^max_log)`,
+    /// smallest first (the Equation-10 DP).
+    pub small: Vec<SizeResult>,
+    /// The retained plans, best first, of each larger size up to
+    /// `2^max_log`, smallest size first (the k-best right-most DP).
+    pub large: Vec<Vec<Plan>>,
+}
+
+impl SearchOutcome {
+    /// The best plan of every size searched, smallest first — what
+    /// [`wisdom_to_string`] prints.
+    pub fn winners(&self) -> Vec<SizeResult> {
+        let large = self.large.iter().map(|plans| SizeResult {
+            tree: plans[0].tree.clone(),
+            cost: plans[0].cost,
+        });
+        self.small.iter().cloned().chain(large).collect()
+    }
+}
+
+/// The search: a configuration, the store it reads and records to, and
+/// (with pruning) the fitted cost model and per-tree feature cache.
+///
+/// `Search::new(config)` measures every candidate and persists nothing;
+/// [`Search::with_store`] and [`Search::with_prune`] change one of those
+/// each. Where the costs come from — which evaluator, how many workers,
+/// what faults — is the [`EvaluatorPool`] handed to [`Search::run`].
 #[derive(Debug)]
-pub struct WisdomSession {
+pub struct Search {
+    config: SearchConfig,
     db: WisdomDb,
     prune: Option<PruneConfig>,
     model: Option<CalibratedModel>,
     features: HashMap<String, Option<PlanFeatures>>,
 }
 
-impl WisdomSession {
-    /// A session over an open database. `prune` enables model-based
-    /// candidate pruning (calibrating on first use if the DB has no
-    /// stored model for this machine).
-    pub fn new(db: WisdomDb, prune: Option<PruneConfig>) -> Self {
-        let model = db.calibration().cloned();
-        WisdomSession {
-            db,
-            prune,
-            model,
+impl Search {
+    /// The exhaustive search over an empty in-memory store.
+    pub fn new(config: SearchConfig) -> Self {
+        Search {
+            config,
+            db: WisdomDb::in_memory(),
+            prune: None,
+            model: None,
             features: HashMap::new(),
         }
     }
 
-    /// The underlying database.
-    pub fn db(&self) -> &WisdomDb {
-        &self.db
+    /// Reads from and records to `db`: sizes it already holds under this
+    /// configuration, evaluator, compiler and machine are reused without
+    /// measuring, every size completed is appended to it at once.
+    pub fn with_store(mut self, db: WisdomDb) -> Self {
+        self.db = db;
+        self
     }
 
-    /// The underlying database, mutably.
-    pub fn db_mut(&mut self) -> &mut WisdomDb {
-        &mut self.db
+    /// Prunes each size's candidates with the calibrated model, fitting
+    /// it on first use when the store holds none for this machine and
+    /// evaluator.
+    pub fn with_prune(mut self, prune: PruneConfig) -> Self {
+        self.prune = Some(prune);
+        self
     }
 
-    /// Consumes the session, returning the database.
-    pub fn into_db(self) -> WisdomDb {
-        self.db
-    }
-
-    /// The fitted model, if calibration has run (or was loaded).
+    /// The model the latest [`Search::run`] pruned with, if it had one.
     pub fn model(&self) -> Option<&CalibratedModel> {
         self.model.as_ref()
     }
 
-    /// Takes accumulated session + database telemetry.
-    pub fn drain_telemetry(&mut self) -> Telemetry {
-        self.db.drain_telemetry()
+    /// Searches sizes `2^1 … 2^max_log`: dynamic programming over all
+    /// Equation-10 splits up to `config.leaf_max` (one winner per size),
+    /// then the k-best DP over binary right-most splits whose left
+    /// factor is one of those winners (paper Section 4.2).
+    ///
+    /// Each size's candidates are evaluated by the pool's workers and
+    /// merged back in candidate order; the survivors are stable-sorted
+    /// by cost, so with a deterministic evaluator the winners are
+    /// bit-identical at any job count. Candidates whose evaluation fails
+    /// are skipped (`search.skipped.<kind>`).
+    ///
+    /// Telemetry: spans `search.small` (with `search.calibration` inside
+    /// it when a model is fitted) and `search.large`, one nested span
+    /// per size, `search.plans_evaluated`, `search.plans_kept`, one
+    /// `search.best_cost.<n>` metric per size, and everything the pool
+    /// and the store counted.
+    ///
+    /// # Errors
+    ///
+    /// [`SearchError::NoCandidates`] when every candidate of a size
+    /// failed; store I/O failures.
+    pub fn run(
+        &mut self,
+        max_log: u32,
+        pool: &mut EvaluatorPool,
+        tel: &mut Telemetry,
+    ) -> Result<SearchOutcome, SearchError> {
+        let transform = transform_key(&self.config, pool.label());
+        let small_max_k = self.config.leaf_max.trailing_zeros().min(max_log);
+
+        tel.begin_span("search.small");
+        self.ensure_model(pool, tel)?;
+        let mut small: Vec<SizeResult> = Vec::new();
+        for k in 1..=small_max_k {
+            tel.begin_span(&format!("small 2^{k}"));
+            let candidates = small_candidates(k, &self.config, &small);
+            let plans = self.step(1usize << k, &candidates, 1, pool, tel, &transform);
+            tel.end_span();
+            let best = plans?.swap_remove(0);
+            small.push(SizeResult {
+                tree: best.tree,
+                cost: best.cost,
+            });
+        }
+        tel.end_span();
+
+        let mut large = Vec::new();
+        if max_log > small_max_k {
+            tel.begin_span("search.large");
+            // `kbest[k]` holds the retained plans of size `2^k`.
+            let mut kbest: HashMap<u32, Vec<Plan>> = HashMap::new();
+            for (k, r) in (1..).zip(&small) {
+                let plan = Plan {
+                    tree: r.tree.clone(),
+                    cost: r.cost,
+                };
+                kbest.insert(k, vec![plan]);
+            }
+            for k in (small_max_k + 1)..=max_log {
+                tel.begin_span(&format!("large 2^{k}"));
+                let candidates = large_candidates(k, &self.config, &kbest);
+                let keep = self.config.keep;
+                let plans = self.step(1usize << k, &candidates, keep, pool, tel, &transform);
+                tel.end_span();
+                let plans = plans?;
+                tel.add("search.plans_kept", plans.len() as u64);
+                kbest.insert(k, plans.clone());
+                large.push(plans);
+            }
+            tel.end_span();
+        }
+        tel.merge(&pool.drain_telemetry());
+        tel.merge(&self.db.drain_telemetry());
+        Ok(SearchOutcome { small, large })
     }
 
     /// Features of a candidate from the compiled (not measured!)
@@ -758,36 +887,32 @@ impl WisdomSession {
     /// `vm.fuse.*` / `vm.lsr.*` / `vm.vec.*` counters. Pure Rust
     /// compilation — no `cc`, no timing. `None` when the candidate
     /// does not compile (it will then never be pruned away).
-    fn features(&mut self, tree: &FftTree, unroll: usize) -> Option<PlanFeatures> {
+    fn features(&mut self, tree: &FftTree) -> Option<PlanFeatures> {
         let key = tree.describe();
         if let Some(f) = self.features.get(&key) {
             return *f;
         }
-        let f = compute_features(tree, unroll);
+        let f = plan_features(tree, self.config.unroll_threshold);
         self.features.insert(key, f);
         f
     }
 
-    /// Fits (or loads) the calibrated model if pruning is requested and
-    /// no model is available yet. Probe measurements go through the
-    /// same cost source as the search and are counted under
-    /// `search.calibration.*`.
+    /// Loads the model stored for this pool's evaluator, or — when
+    /// pruning is requested and the store has none — fits one. Probe
+    /// measurements go through the same pool as the search and are
+    /// counted under `search.calibration.*`.
     fn ensure_model(
         &mut self,
-        config: &SearchConfig,
-        src: &mut dyn CostSource,
+        pool: &mut EvaluatorPool,
         tel: &mut Telemetry,
     ) -> Result<(), SearchError> {
+        self.model = self.db.calibration(pool.label()).cloned();
         if self.prune.is_none() || self.model.is_some() {
             return Ok(());
         }
-        if let Some(m) = self.db.calibration() {
-            self.model = Some(m.clone());
-            return Ok(());
-        }
         tel.begin_span("search.calibration");
-        let probes = probe_trees(config);
-        let costs = src.batch_costs(&probes);
+        let probes = probe_trees(&self.config);
+        let costs = pool.costs(&probes);
         let mut samples = Vec::new();
         for (tree, cost) in probes.iter().zip(costs) {
             let c = match cost {
@@ -797,7 +922,7 @@ impl WisdomSession {
                     continue;
                 }
             };
-            if let Some(f) = self.features(tree, config.unroll_threshold) {
+            if let Some(f) = self.features(tree) {
                 samples.push((f, c));
             }
         }
@@ -805,7 +930,7 @@ impl WisdomSession {
         match CalibratedModel::fit(&samples) {
             Some(m) => {
                 tel.set_metric("search.calibration.rel_rms", m.rel_rms());
-                self.db.store_calibration(&m)?;
+                self.db.store_calibration(pool.label(), &m)?;
                 self.model = Some(m);
             }
             None => tel.add("search.calibration.unfit", 1),
@@ -821,7 +946,6 @@ impl WisdomSession {
     fn prune_selection(
         &mut self,
         candidates: &[FftTree],
-        unroll: usize,
         tel: &mut Telemetry,
     ) -> Option<Vec<usize>> {
         let pc = self.prune?;
@@ -838,7 +962,7 @@ impl WisdomSession {
         let preds: Vec<Option<f64>> = candidates
             .iter()
             .map(|t| {
-                let f = self.features(t, unroll)?;
+                let f = self.features(t)?;
                 let model = self.model.as_ref()?;
                 Some(model.predict(&f))
             })
@@ -875,6 +999,77 @@ impl WisdomSession {
         );
         Some(keep)
     }
+
+    /// One DP step against the store: reuse a trusted measured entry,
+    /// measure an unmeasured import, or run the (possibly pruned)
+    /// candidate evaluation with the prior-winner regression fallback.
+    /// Returns the `keep` cheapest surviving plans, best first, and
+    /// records them to the store. The sort is stable over the canonical
+    /// candidate order, so of equal costs the earliest candidate wins.
+    fn step(
+        &mut self,
+        n: usize,
+        candidates: &[FftTree],
+        keep: usize,
+        pool: &mut EvaluatorPool,
+        tel: &mut Telemetry,
+        transform: &str,
+    ) -> Result<Vec<Plan>, SearchError> {
+        if let Some(e) = self.db.lookup(transform, n) {
+            if e.measured() {
+                tel.add("wisdom.db.reused_sizes", 1);
+                tel.set_metric(&format!("search.best_cost.{n}"), e.best().cost);
+                return Ok(e.plans);
+            }
+            // An unmeasured flat import: trust the plan, measure only it.
+            let trees: Vec<FftTree> = e.plans.iter().map(|p| p.tree.clone()).collect();
+            let mut plans = measure_selected(&trees, None, pool, tel);
+            if !plans.is_empty() {
+                plans.sort_by(|a, b| a.cost.total_cmp(&b.cost));
+                plans.truncate(keep);
+                tel.add("wisdom.db.imports_measured", 1);
+                tel.set_metric(&format!("search.best_cost.{n}"), plans[0].cost);
+                self.db.record(transform, n, &plans)?;
+                return Ok(plans);
+            }
+            // Every imported plan failed here: fall through to the search.
+        }
+        let pick = self.prune_selection(candidates, tel);
+        let mut plans = measure_selected(candidates, pick.as_deref(), pool, tel);
+        if pick.is_some() {
+            // Regression check against a DB-recorded prior winner (stale
+            // fingerprints — its plan is credible, its cost is not): if the
+            // re-measured prior beats the pruned winner by more than the
+            // slack, the model misjudged this size; fall back to the full
+            // candidate set (already-measured candidates replay from the
+            // evaluator's memo cache).
+            let prior = self
+                .db
+                .lookup_stale(transform, n)
+                .map(|e| e.best().tree.clone())
+                .filter(|t| !plans.iter().any(|p| &p.tree == t));
+            if let Some(ptree) = prior {
+                let pruned_best = plans.iter().map(|p| p.cost).fold(f64::INFINITY, f64::min);
+                let extra = measure_selected(std::slice::from_ref(&ptree), None, pool, tel);
+                if let Some(p) = extra.into_iter().next() {
+                    if p.cost * REGRESSION_SLACK < pruned_best {
+                        tel.add("search.prune.fallbacks", 1);
+                        plans = measure_selected(candidates, None, pool, tel);
+                    } else {
+                        plans.push(p);
+                    }
+                }
+            }
+        }
+        plans.sort_by(|a, b| a.cost.total_cmp(&b.cost));
+        plans.truncate(keep);
+        if plans.is_empty() {
+            return Err(SearchError::NoCandidates { n });
+        }
+        tel.set_metric(&format!("search.best_cost.{n}"), plans[0].cost);
+        self.db.record(transform, n, &plans)?;
+        Ok(plans)
+    }
 }
 
 /// [`PlanFeatures`] of a candidate tree from pure-Rust compilation (no
@@ -883,10 +1078,6 @@ impl WisdomSession {
 /// candidate does not compile. Public for tooling (the `wisdomexp`
 /// estimate-vs-measured report); the search caches these per session.
 pub fn plan_features(tree: &FftTree, unroll: usize) -> Option<PlanFeatures> {
-    compute_features(tree, unroll)
-}
-
-fn compute_features(tree: &FftTree, unroll: usize) -> Option<PlanFeatures> {
     let unit = compile_sexp_for_search(
         &tree.to_sexp(),
         unroll,
@@ -950,14 +1141,14 @@ fn radix_chain(k: u32, step: u32, leaf_exp: u32, config: &SearchConfig) -> FftTr
 fn measure_selected(
     candidates: &[FftTree],
     pick: Option<&[usize]>,
-    src: &mut dyn CostSource,
+    pool: &mut EvaluatorPool,
     tel: &mut Telemetry,
 ) -> Vec<Plan> {
     let subset: Vec<FftTree> = match pick {
         Some(idx) => idx.iter().map(|&i| candidates[i].clone()).collect(),
         None => candidates.to_vec(),
     };
-    let costs = src.batch_costs(&subset);
+    let costs = pool.costs(&subset);
     let mut plans = Vec::new();
     for (tree, cost) in subset.into_iter().zip(costs) {
         match cost {
@@ -971,253 +1162,20 @@ fn measure_selected(
     plans
 }
 
-/// One DP step against the DB: reuse a trusted measured entry, measure
-/// an unmeasured import, or run the (possibly pruned) candidate
-/// evaluation with the prior-winner regression fallback. Returns the
-/// surviving plans sorted best-first (stable over candidate order) and
-/// records them to the DB.
-#[allow(clippy::too_many_arguments)]
-fn step_wisdom(
-    n: usize,
-    candidates: &[FftTree],
-    keep: usize,
-    config: &SearchConfig,
-    src: &mut dyn CostSource,
-    tel: &mut Telemetry,
-    session: &mut WisdomSession,
-    transform: &str,
-) -> Result<Vec<Plan>, SearchError> {
-    if let Some(e) = session.db.lookup(transform, n) {
-        if e.measured() {
-            tel.add("wisdom.db.reused_sizes", 1);
-            tel.set_metric(&format!("search.best_cost.{n}"), e.best().cost);
-            return Ok(e.plans);
-        }
-        // An unmeasured flat import: trust the plan, measure only it.
-        let mut plans = measure_selected(&e.plans_trees(), None, src, tel);
-        if !plans.is_empty() {
-            plans.sort_by(|a, b| a.cost.total_cmp(&b.cost));
-            plans.truncate(keep);
-            tel.add("wisdom.db.imports_measured", 1);
-            tel.set_metric(&format!("search.best_cost.{n}"), plans[0].cost);
-            session.db.record(transform, n, &plans)?;
-            return Ok(plans);
-        }
-        // Every imported plan failed here: fall through to the search.
-    }
-    let pick = session.prune_selection(candidates, config.unroll_threshold, tel);
-    let mut plans = measure_selected(candidates, pick.as_deref(), src, tel);
-    if pick.is_some() {
-        // Regression check against a DB-recorded prior winner (stale
-        // fingerprints — its plan is credible, its cost is not): if the
-        // re-measured prior beats the pruned winner by more than the
-        // slack, the model misjudged this size; fall back to the full
-        // candidate set (already-measured candidates replay from the
-        // evaluator's memo cache).
-        let prior = session
-            .db
-            .lookup_stale(transform, n)
-            .map(|e| e.best().tree.clone())
-            .filter(|t| !plans.iter().any(|p| &p.tree == t));
-        if let Some(ptree) = prior {
-            let pruned_best = plans.iter().map(|p| p.cost).fold(f64::INFINITY, f64::min);
-            let extra = measure_selected(std::slice::from_ref(&ptree), None, src, tel);
-            if let Some(p) = extra.into_iter().next() {
-                if p.cost * REGRESSION_SLACK < pruned_best {
-                    tel.add("search.prune.fallbacks", 1);
-                    plans = measure_selected(candidates, None, src, tel);
-                } else {
-                    plans.push(p);
-                }
-            }
-        }
-    }
-    plans.sort_by(|a, b| a.cost.total_cmp(&b.cost));
-    plans.truncate(keep);
-    if plans.is_empty() {
-        return Err(SearchError::NoCandidates { n });
-    }
-    tel.set_metric(&format!("search.best_cost.{n}"), plans[0].cost);
-    session.db.record(transform, n, &plans)?;
-    Ok(plans)
-}
-
-impl WisdomEntry {
-    fn plans_trees(&self) -> Vec<FftTree> {
-        self.plans.iter().map(|p| p.tree.clone()).collect()
-    }
-}
-
-/// [`crate::small_search_traced`] against a [`WisdomSession`]: trusted
-/// DB entries are reused without measuring, unmeasured imports are
-/// measured directly, and (with pruning enabled) the calibrated model
-/// cuts the candidate set before any kernel is compiled. Every
-/// completed size is recorded back to the DB.
-///
-/// # Errors
-///
-/// As [`crate::small_search_traced`], plus DB I/O failures.
-pub fn small_search_wisdom(
-    max_k: u32,
-    config: &SearchConfig,
-    eval: &mut dyn Evaluator,
-    tel: &mut Telemetry,
-    session: &mut WisdomSession,
-) -> Result<Vec<SizeResult>, SearchError> {
-    small_search_wisdom_src(max_k, config, &mut SerialSource(eval), tel, session)
-}
-
-/// [`small_search_wisdom`] over an [`EvaluatorPool`] (see
-/// [`crate::small_search_parallel`] for the determinism contract).
-///
-/// # Errors
-///
-/// As [`small_search_wisdom`].
-pub fn small_search_wisdom_parallel(
-    max_k: u32,
-    config: &SearchConfig,
-    pool: &mut EvaluatorPool,
-    tel: &mut Telemetry,
-    session: &mut WisdomSession,
-) -> Result<Vec<SizeResult>, SearchError> {
-    small_search_wisdom_src(max_k, config, pool, tel, session)
-}
-
-fn small_search_wisdom_src(
-    max_k: u32,
-    config: &SearchConfig,
-    src: &mut dyn CostSource,
-    tel: &mut Telemetry,
-    session: &mut WisdomSession,
-) -> Result<Vec<SizeResult>, SearchError> {
-    tel.begin_span("search.small");
-    session.ensure_model(config, src, tel)?;
-    let transform = transform_key(config);
-    let mut best: Vec<SizeResult> = Vec::new();
-    for k in 1..=max_k {
-        tel.begin_span(&format!("small 2^{k}"));
-        let candidates = small_candidates(k, config, &best);
-        let plans = step_wisdom(
-            1usize << k,
-            &candidates,
-            1,
-            config,
-            src,
-            tel,
-            session,
-            &transform,
-        );
-        tel.end_span();
-        let plans = plans?;
-        best.push(SizeResult {
-            tree: plans[0].tree.clone(),
-            cost: plans[0].cost,
-        });
-    }
-    tel.end_span();
-    tel.merge(&src.drain());
-    tel.merge(&session.drain_telemetry());
-    Ok(best)
-}
-
-/// [`crate::large_search_traced`] against a [`WisdomSession`] (see
-/// [`small_search_wisdom`]). Each size's full k-best plan list is
-/// reused from / recorded to the DB.
-///
-/// # Errors
-///
-/// As [`crate::large_search_traced`], plus DB I/O failures.
-///
-/// # Panics
-///
-/// Panics if `small` does not cover sizes up to `config.leaf_max`.
-pub fn large_search_wisdom(
-    small: &[SizeResult],
-    max_log: u32,
-    config: &SearchConfig,
-    eval: &mut dyn Evaluator,
-    tel: &mut Telemetry,
-    session: &mut WisdomSession,
-) -> Result<Vec<Vec<Plan>>, SearchError> {
-    large_search_wisdom_src(
-        small,
-        max_log,
-        config,
-        &mut SerialSource(eval),
-        tel,
-        session,
-    )
-}
-
-/// [`large_search_wisdom`] over an [`EvaluatorPool`].
-///
-/// # Errors
-///
-/// As [`large_search_wisdom`].
-///
-/// # Panics
-///
-/// Panics if `small` does not cover sizes up to `config.leaf_max`.
-pub fn large_search_wisdom_parallel(
-    small: &[SizeResult],
-    max_log: u32,
-    config: &SearchConfig,
-    pool: &mut EvaluatorPool,
-    tel: &mut Telemetry,
-    session: &mut WisdomSession,
-) -> Result<Vec<Vec<Plan>>, SearchError> {
-    large_search_wisdom_src(small, max_log, config, pool, tel, session)
-}
-
-fn large_search_wisdom_src(
-    small: &[SizeResult],
-    max_log: u32,
-    config: &SearchConfig,
-    src: &mut dyn CostSource,
-    tel: &mut Telemetry,
-    session: &mut WisdomSession,
-) -> Result<Vec<Vec<Plan>>, SearchError> {
-    tel.begin_span("search.large");
-    session.ensure_model(config, src, tel)?;
-    let transform = transform_key(config);
-    let small_max_k = small.len() as u32;
-    let mut kbest = seed_kbest(small, config);
-    let mut out = Vec::new();
-    for k in (small_max_k + 1)..=max_log {
-        tel.begin_span(&format!("large 2^{k}"));
-        let candidates = large_candidates(k, config, &kbest);
-        let plans = step_wisdom(
-            1usize << k,
-            &candidates,
-            config.keep,
-            config,
-            src,
-            tel,
-            session,
-            &transform,
-        );
-        tel.end_span();
-        let plans = plans?;
-        tel.add("search.plans_kept", plans.len() as u64);
-        kbest.insert(k, plans.clone());
-        out.push(plans);
-    }
-    tel.end_span();
-    tel.merge(&src.drain());
-    tel.merge(&session.drain_telemetry());
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{large_search, small_search, OpCountEvaluator};
+    use crate::{Evaluator, OpCountEvaluator};
     use std::path::PathBuf;
 
     fn tmp_dir(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("spl_wisdom_db_{}_{name}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         dir
+    }
+
+    fn opcount_pool() -> EvaluatorPool {
+        EvaluatorPool::single(OpCountEvaluator::default())
     }
 
     fn plan(spec: &str, cost: f64) -> Plan {
@@ -1336,97 +1294,109 @@ mod tests {
     }
 
     #[test]
-    fn calibration_round_trips() {
+    fn calibration_round_trips_per_evaluator() {
         let dir = tmp_dir("calib");
         let mut db = WisdomDb::open(&dir).unwrap();
-        assert!(db.calibration().is_none());
+        assert!(db.calibration("vm").is_none());
         let model = CalibratedModel::from_parts([0.5, 1.5, -2.0, 3.0, 0.0, 1.0], 0.125);
-        db.store_calibration(&model).unwrap();
-        assert_eq!(db.calibration(), Some(&model));
+        db.store_calibration("vm", &model).unwrap();
+        assert_eq!(db.calibration("vm"), Some(&model));
+        assert!(db.calibration("opcount").is_none());
         drop(db);
         let db = WisdomDb::open(&dir).unwrap();
-        assert_eq!(db.calibration(), Some(&model));
+        assert_eq!(db.calibration("vm"), Some(&model));
+        assert!(db.calibration("opcount").is_none());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn wisdom_search_matches_plain_and_reuses_on_rerun() {
+    fn stored_search_matches_in_memory_and_reuses_on_rerun() {
         let dir = tmp_dir("search");
         let config = SearchConfig {
             leaf_max: 8,
             ..SearchConfig::default()
         };
-        let mut eval = OpCountEvaluator::default();
-        let plain_small = small_search(3, &config, &mut eval).unwrap();
-        let plain_large = large_search(&plain_small, 6, &config, &mut eval).unwrap();
+        let mut plain_tel = Telemetry::new();
+        let plain = Search::new(config.clone())
+            .run(6, &mut opcount_pool(), &mut plain_tel)
+            .unwrap();
 
-        let db = WisdomDb::open(&dir).unwrap();
-        let mut session = WisdomSession::new(db, None);
         let mut tel = Telemetry::new();
-        let small = small_search_wisdom(
-            3,
-            &config,
-            &mut OpCountEvaluator::default(),
-            &mut tel,
-            &mut session,
-        )
-        .unwrap();
-        let large = large_search_wisdom(
-            &small,
-            6,
-            &config,
-            &mut OpCountEvaluator::default(),
-            &mut tel,
-            &mut session,
-        )
-        .unwrap();
-        for (a, b) in small.iter().zip(&plain_small) {
-            assert_eq!(a.tree, b.tree);
-            assert_eq!(a.cost, b.cost);
-        }
-        for (a, b) in large.iter().zip(&plain_large) {
-            assert_eq!(a.len(), b.len());
-            for (x, y) in a.iter().zip(b) {
-                assert_eq!(x.tree, y.tree);
-                assert_eq!(x.cost, y.cost);
-            }
-        }
+        let stored = Search::new(config.clone())
+            .with_store(WisdomDb::open(&dir).unwrap())
+            .run(6, &mut opcount_pool(), &mut tel)
+            .unwrap();
+        assert_eq!(stored, plain);
+        assert_eq!(
+            tel.counter("search.plans_evaluated"),
+            plain_tel.counter("search.plans_evaluated")
+        );
 
-        // A second session over the same DB reuses every size: zero
-        // evaluations.
-        let mut session = WisdomSession::new(WisdomDb::open(&dir).unwrap(), None);
+        // A second search over the same directory reuses every size:
+        // zero evaluations, the same plans and costs.
         let mut tel2 = Telemetry::new();
-        let small2 = small_search_wisdom(
-            3,
-            &config,
-            &mut OpCountEvaluator::default(),
-            &mut tel2,
-            &mut session,
-        )
-        .unwrap();
-        let large2 = large_search_wisdom(
-            &small2,
-            6,
-            &config,
-            &mut OpCountEvaluator::default(),
-            &mut tel2,
-            &mut session,
-        )
-        .unwrap();
+        let again = Search::new(config)
+            .with_store(WisdomDb::open(&dir).unwrap())
+            .run(6, &mut opcount_pool(), &mut tel2)
+            .unwrap();
         assert_eq!(tel2.counter("search.plans_evaluated"), None);
         assert_eq!(tel2.counter("wisdom.db.reused_sizes"), Some(6));
-        for (a, b) in small2.iter().zip(&plain_small) {
-            assert_eq!(a.tree, b.tree);
-        }
-        for (a, b) in large2.iter().zip(&plain_large) {
-            assert_eq!(a[0].tree, b[0].tree);
-        }
+        assert_eq!(again, plain);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// Op counts scaled to look like seconds, under a label of its own.
+    struct Scaled(OpCountEvaluator);
+
+    impl Evaluator for Scaled {
+        fn cost(&mut self, tree: &FftTree) -> Result<f64, SearchError> {
+            Ok(self.0.cost(tree)? * 1e-9)
+        }
+
+        fn label(&self) -> &str {
+            "scaled"
+        }
+    }
+
     #[test]
-    fn pruned_wisdom_search_calibrates_and_matches_opcount_winners() {
-        let dir = tmp_dir("pruned");
+    fn two_evaluators_share_a_store_without_reusing_each_other() {
+        // In either order: the second evaluator finds none of the
+        // first's entries (nor its calibration), measures everything
+        // itself, and reports costs in its own unit.
+        let config = SearchConfig {
+            leaf_max: 8,
+            ..SearchConfig::default()
+        };
+        let pools: [fn() -> EvaluatorPool; 2] = [opcount_pool, || {
+            EvaluatorPool::single(Scaled(OpCountEvaluator::default()))
+        }];
+        for order in [[0, 1], [1, 0]] {
+            let mut search = Search::new(config.clone()).with_prune(PruneConfig::default());
+            let mut evaluated = Vec::new();
+            for i in order {
+                let mut tel = Telemetry::new();
+                let found = search.run(6, &mut pools[i](), &mut tel).unwrap();
+                assert_eq!(tel.counter("wisdom.db.reused_sizes"), None, "{order:?}");
+                assert_eq!(tel.counter("wisdom.db.hits"), None, "{order:?}");
+                assert!(tel.counter("search.calibration.probes").unwrap() > 0);
+                evaluated.push(tel.counter("search.plans_evaluated").unwrap());
+                let ops = OpCountEvaluator::default()
+                    .cost(&found.small[0].tree)
+                    .unwrap();
+                let unit = [1.0, 1e-9][i];
+                assert_eq!(found.small[0].cost, ops * unit, "{order:?}");
+            }
+            assert_eq!(evaluated[0], evaluated[1], "{order:?}");
+            // Each evaluator does find its own entries again.
+            let mut tel = Telemetry::new();
+            search.run(6, &mut pools[order[0]](), &mut tel).unwrap();
+            assert_eq!(tel.counter("wisdom.db.reused_sizes"), Some(6));
+            assert_eq!(tel.counter("search.calibration.probes"), None);
+        }
+    }
+
+    #[test]
+    fn pruned_search_calibrates_and_matches_exhaustive_winners() {
         // Small leaves keep every compiled probe/candidate tiny so the
         // test stays fast in debug builds.
         let config = SearchConfig {
@@ -1434,51 +1404,32 @@ mod tests {
             ..SearchConfig::default()
         };
         let mut plain_tel = Telemetry::new();
-        let mut eval = OpCountEvaluator::default();
-        let plain_small =
-            crate::small_search_traced(4, &config, &mut eval, &mut plain_tel).unwrap();
-        let plain_large =
-            crate::large_search_traced(&plain_small, 7, &config, &mut eval, &mut plain_tel)
-                .unwrap();
+        let plain = Search::new(config.clone())
+            .run(7, &mut opcount_pool(), &mut plain_tel)
+            .unwrap();
 
-        let db = WisdomDb::open(&dir).unwrap();
-        let mut session = WisdomSession::new(db, Some(PruneConfig::default()));
+        let mut search = Search::new(config).with_prune(PruneConfig::default());
         let mut tel = Telemetry::new();
-        let small = small_search_wisdom(
-            4,
-            &config,
-            &mut OpCountEvaluator::default(),
-            &mut tel,
-            &mut session,
-        )
-        .unwrap();
-        let large = large_search_wisdom(
-            &small,
-            7,
-            &config,
-            &mut OpCountEvaluator::default(),
-            &mut tel,
-            &mut session,
-        )
-        .unwrap();
+        let pruned = search.run(7, &mut opcount_pool(), &mut tel).unwrap();
         // Dynamic-op costs are exactly linear in the dynamic-op feature,
         // so calibration fits tightly and pruning keeps the true winners.
-        let model = session.model().expect("calibrated");
+        let model = search.model().expect("calibrated");
         assert!(model.confident(), "rel_rms={}", model.rel_rms());
         assert!(tel.counter("search.calibration.probes").unwrap() >= 8);
         assert!(tel.counter("search.prune.skipped").unwrap_or(0) > 0);
-        for (a, b) in small.iter().zip(&plain_small) {
-            assert_eq!(a.tree, b.tree, "small winners must survive pruning");
-        }
-        for (a, b) in large.iter().zip(&plain_large) {
-            assert_eq!(a[0].tree, b[0].tree, "large winners must survive pruning");
-        }
+        let trees = |found: &SearchOutcome| -> Vec<FftTree> {
+            found.winners().into_iter().map(|w| w.tree).collect()
+        };
+        assert_eq!(
+            trees(&pruned),
+            trees(&plain),
+            "winners must survive pruning"
+        );
         // Fewer evaluations than the exhaustive search at these sizes
         // (probe measurements are counted separately).
         let exhaustive = plain_tel.counter("search.plans_evaluated").unwrap();
         let pruned = tel.counter("search.plans_evaluated").unwrap();
         assert!(pruned < exhaustive, "pruned {pruned} vs {exhaustive}");
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -1488,37 +1439,30 @@ mod tests {
             leaf_max: 8,
             ..SearchConfig::default()
         };
-        let transform = transform_key(&config);
         let mut db = WisdomDb::open(&dir).unwrap();
         // Deliberately import a non-winning plan for size 8.
-        db.import_flat("2: 2\n4: (ct 2 2)\n8: (ct 4 2)\n", &transform)
-            .unwrap();
-        let mut session = WisdomSession::new(db, None);
-        let mut tel = Telemetry::new();
-        let small = small_search_wisdom(
-            3,
-            &config,
-            &mut OpCountEvaluator::default(),
-            &mut tel,
-            &mut session,
+        db.import_flat(
+            "2: 2\n4: (ct 2 2)\n8: (ct 4 2)\n",
+            &transform_key(&config, "opcount"),
         )
         .unwrap();
+        let mut tel = Telemetry::new();
+        let small = Search::new(config.clone())
+            .with_store(db)
+            .run(3, &mut opcount_pool(), &mut tel)
+            .unwrap()
+            .small;
         // The imported plan was trusted: measured as-is, not re-searched.
         assert_eq!(small[2].tree.to_spec(), "(ct 4 2)");
         assert!(small[2].cost > 0.0, "import must be re-measured");
         assert_eq!(tel.counter("wisdom.db.imports_measured"), Some(3));
         assert_eq!(tel.counter("search.plans_evaluated"), Some(3));
-        // The measurement was recorded: a fresh session reuses it.
-        let mut session = WisdomSession::new(WisdomDb::open(&dir).unwrap(), None);
+        // The measurement was recorded: a fresh search reuses it.
         let mut tel2 = Telemetry::new();
-        small_search_wisdom(
-            3,
-            &config,
-            &mut OpCountEvaluator::default(),
-            &mut tel2,
-            &mut session,
-        )
-        .unwrap();
+        Search::new(config)
+            .with_store(WisdomDb::open(&dir).unwrap())
+            .run(3, &mut opcount_pool(), &mut tel2)
+            .unwrap();
         assert_eq!(tel2.counter("search.plans_evaluated"), None);
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -1536,15 +1480,19 @@ mod tests {
     fn unknown_record_types_are_skipped() {
         let dir = tmp_dir("unknown");
         {
-            let db = WisdomDb::open(&dir).unwrap();
-            let (mut journal, _) = Journal::open(&db.journal_path()).unwrap();
+            WisdomDb::open(&dir).unwrap();
+            let (mut journal, _) = Journal::open(&dir.join("db.journal")).unwrap();
             journal.append("future v2 something").unwrap();
+            // A calibration from before the evaluator was in its key.
+            let zero = format!("{:016x}", 0f64.to_bits());
+            let old = format!("calib m c {}", vec![zero; 1 + NUM_FEATURES].join(" "));
+            journal.append(&old).unwrap();
         }
         let mut db = WisdomDb::open(&dir).unwrap();
         assert!(db.is_empty());
         assert_eq!(
             db.drain_telemetry().counter("wisdom.db.unknown_records"),
-            Some(1)
+            Some(2)
         );
         db.record("fft/t", 4, &[plan("(ct 2 2)", 1.0)]).unwrap();
         db.reload().unwrap();

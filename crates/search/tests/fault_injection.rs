@@ -5,10 +5,19 @@
 //! primary, still find exactly the plans a fault-free search finds.
 
 use spl_search::{
-    large_search, large_search_traced, small_search, small_search_traced, FaultyEvaluator,
-    OpCountEvaluator, ResilientEvaluator, SearchConfig,
+    Evaluator, EvaluatorPool, FaultyEvaluator, OpCountEvaluator, ResilientEvaluator, Search,
+    SearchConfig, SearchError, SearchOutcome,
 };
 use spl_telemetry::Telemetry;
+
+/// The default-configuration search to `2^max_log` with `eval`.
+fn search(
+    max_log: u32,
+    eval: impl Evaluator + 'static,
+    tel: &mut Telemetry,
+) -> Result<SearchOutcome, SearchError> {
+    Search::new(SearchConfig::default()).run(max_log, &mut EvaluatorPool::single(eval), tel)
+}
 
 /// A degradation chain whose primary tier injects faults at `rate` and
 /// whose fallback is the same deterministic cost model, so degraded
@@ -28,17 +37,14 @@ fn faulty_chain(seed: u64, rate: f64) -> ResilientEvaluator {
 
 #[test]
 fn search_to_1024_survives_injected_faults_at_several_seeds() {
-    let config = SearchConfig::default();
-    let mut clean = OpCountEvaluator::default();
-    let clean_small = small_search(6, &config, &mut clean).unwrap();
-    let clean_large = large_search(&clean_small, 10, &config, &mut clean).unwrap();
+    let clean = search(10, OpCountEvaluator::default(), &mut Telemetry::new()).unwrap();
+    let (clean_small, clean_large) = (clean.small, clean.large);
 
     let mut total_quarantined = 0;
     for seed in [1u64, 7, 42, 1234] {
-        let mut eval = faulty_chain(seed, 0.25);
         let mut tel = Telemetry::new();
-        let small = small_search_traced(6, &config, &mut eval, &mut tel).unwrap();
-        let large = large_search_traced(&small, 10, &config, &mut eval, &mut tel).unwrap();
+        let SearchOutcome { small, large } =
+            search(10, faulty_chain(seed, 0.25), &mut tel).unwrap();
 
         assert_eq!(small.len(), 6); // sizes 2..64
         assert_eq!(large.len(), 4); // sizes 128..1024
@@ -66,11 +72,8 @@ fn search_to_1024_survives_injected_faults_at_several_seeds() {
 
 #[test]
 fn injected_faults_are_classified_in_telemetry() {
-    let config = SearchConfig::default();
-    let mut eval = faulty_chain(99, 0.5);
     let mut tel = Telemetry::new();
-    let small = small_search_traced(6, &config, &mut eval, &mut tel).unwrap();
-    large_search_traced(&small, 9, &config, &mut eval, &mut tel).unwrap();
+    search(9, faulty_chain(99, 0.5), &mut tel).unwrap();
     let failures = tel.counter("search.failures.timeout").unwrap_or(0)
         + tel.counter("search.failures.kernel_crashed").unwrap_or(0)
         + tel
@@ -88,8 +91,7 @@ fn injected_faults_are_classified_in_telemetry() {
 fn search_survives_even_a_fully_faulty_primary_tier() {
     // The primary tier fails on every single call; the search must
     // complete purely on the fallback.
-    let config = SearchConfig::default();
-    let mut eval = ResilientEvaluator::new()
+    let eval = ResilientEvaluator::new()
         .tier(
             "dead",
             Box::new(FaultyEvaluator::with_rates(
@@ -102,7 +104,7 @@ fn search_survives_even_a_fully_faulty_primary_tier() {
         )
         .tier("opcount", Box::new(OpCountEvaluator::default()));
     let mut tel = Telemetry::new();
-    let small = small_search_traced(5, &config, &mut eval, &mut tel).unwrap();
+    let small = search(5, eval, &mut tel).unwrap().small;
     assert_eq!(small.len(), 5);
     assert_eq!(
         tel.counter("search.degradations"),
@@ -115,8 +117,7 @@ fn search_survives_even_a_fully_faulty_primary_tier() {
 fn exhausted_chain_skips_candidates_and_reports_no_candidates() {
     // Every tier always fails: each candidate is skipped, and the search
     // ends with a structured NoCandidates error — not a panic.
-    let config = SearchConfig::default();
-    let mut eval = ResilientEvaluator::new().tier(
+    let eval = ResilientEvaluator::new().tier(
         "dead",
         Box::new(FaultyEvaluator::with_rates(
             OpCountEvaluator::default(),
@@ -127,10 +128,7 @@ fn exhausted_chain_skips_candidates_and_reports_no_candidates() {
         )),
     );
     let mut tel = Telemetry::new();
-    let err = small_search_traced(4, &config, &mut eval, &mut tel).unwrap_err();
-    assert!(
-        matches!(err, spl_search::SearchError::NoCandidates { n: 2 }),
-        "{err}"
-    );
+    let err = search(4, eval, &mut tel).unwrap_err();
+    assert!(matches!(err, SearchError::NoCandidates { n: 2 }), "{err}");
     assert!(tel.counter("search.skipped.exhausted").unwrap_or(0) > 0);
 }

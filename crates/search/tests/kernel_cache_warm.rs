@@ -14,7 +14,7 @@ use std::time::Duration;
 use spl_generator::fft::{FftTree, Rule};
 use spl_native::KernelCache;
 use spl_search::{
-    small_search, Evaluator, EvaluatorPool, NativeEvaluator, OpCountEvaluator, SearchConfig,
+    Evaluator, EvaluatorPool, NativeEvaluator, OpCountEvaluator, Search, SearchConfig,
 };
 use spl_telemetry::Telemetry;
 
@@ -25,8 +25,11 @@ fn pinned_candidates(max_k: u32) -> Vec<FftTree> {
         leaf_max: 1 << max_k,
         ..Default::default()
     };
-    let mut eval = OpCountEvaluator::default();
-    let best = small_search(max_k, &config, &mut eval).expect("op-count search");
+    let mut pool = EvaluatorPool::single(OpCountEvaluator::default());
+    let best = Search::new(config)
+        .run(max_k, &mut pool, &mut Telemetry::new())
+        .expect("op-count search")
+        .small;
     let mut out = Vec::new();
     for k in 1..=max_k {
         out.push(FftTree::leaf(1usize << k));

@@ -12,7 +12,7 @@ use std::path::Path;
 use std::process::Command;
 
 use spl_search::{
-    small_search, transform_key, OpCountEvaluator, SearchConfig, WisdomDb, WisdomSession,
+    transform_key, EvaluatorPool, OpCountEvaluator, Search, SearchConfig, SearchOutcome, WisdomDb,
 };
 use spl_telemetry::Telemetry;
 
@@ -28,7 +28,16 @@ fn config() -> SearchConfig {
     }
 }
 
-/// Worker mode: run a wisdom-backed small search into the shared DB.
+/// The op-count search to `2^max_log` over `db`.
+fn search_into(db: WisdomDb, max_log: u32) -> SearchOutcome {
+    let mut pool = EvaluatorPool::single(OpCountEvaluator::default());
+    Search::new(config())
+        .with_store(db)
+        .run(max_log, &mut pool, &mut Telemetry::new())
+        .unwrap()
+}
+
+/// Worker mode: run a search into the shared DB.
 /// Runs only when spawned by the parent test below.
 #[test]
 fn wisdom_worker_searches_shared_db() {
@@ -36,11 +45,7 @@ fn wisdom_worker_searches_shared_db() {
         return; // not in worker mode: nothing to do
     };
     let max_k: u32 = max_k.parse().unwrap();
-    let db = WisdomDb::open(Path::new(&dir)).unwrap();
-    let mut session = WisdomSession::new(db, None);
-    let mut eval = OpCountEvaluator::default();
-    let mut tel = Telemetry::new();
-    spl_search::small_search_wisdom(max_k, &config(), &mut eval, &mut tel, &mut session).unwrap();
+    search_into(WisdomDb::open(Path::new(&dir)).unwrap(), max_k);
 }
 
 #[test]
@@ -72,9 +77,8 @@ fn two_processes_converge_to_identical_best_entries() {
     // A fresh DB instance (cold memory, journal replayed from disk)
     // must hold exactly the deterministic winners a local search finds.
     let mut db = WisdomDb::open(&dir).unwrap();
-    let key = transform_key(&config());
-    let mut eval = OpCountEvaluator::default();
-    let reference = small_search(6, &config(), &mut eval).unwrap();
+    let key = transform_key(&config(), "opcount");
+    let reference = search_into(WisdomDb::in_memory(), 6).winners();
     assert_eq!(reference.len(), 6);
     for want in &reference {
         let n = want.tree.size();

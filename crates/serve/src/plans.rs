@@ -84,17 +84,41 @@ impl std::fmt::Display for ServeError {
 
 impl std::error::Error for ServeError {}
 
-/// A [`NativeKernel`] shared across worker threads.
+/// A [`NativeKernel`] shared across worker threads, entered by one of
+/// them at a time.
 ///
-/// SAFETY rationale: the kernel entry point is pure straight-line code
-/// over its argument buffers (generated C with no globals, no
-/// allocation, no locks), the dlopen handle is only used again at drop,
-/// and drop runs once when the last `Arc` goes away. Concurrent `run`
-/// calls from several workers are therefore safe.
-struct SharedKernel(NativeKernel);
+/// The generated C keeps a looped kernel's temporaries in `static`
+/// arrays (`spl-compiler`'s `codegen.rs`: automatic ones would overflow
+/// the stack at large sizes), so the entry point is *not* re-entrant:
+/// two workers inside the same kernel corrupt each other's transform.
+/// Every run therefore holds `running`.
+struct SharedKernel {
+    kernel: NativeKernel,
+    running: Mutex<()>,
+}
 
+// SAFETY: `NativeKernel` is `!Send`/`!Sync` only for its raw dlopen
+// handle and entry pointer. The entry point allocates nothing and
+// touches three things: its argument buffers (each caller's own), the
+// shared object's constant twiddle tables (read-only), and its static
+// temporaries, which `running` gives to one caller at a time — `with`
+// is the only way to `kernel`. The handle itself is only used again at
+// drop, which runs once, on whichever thread lets go of the last `Arc`.
 unsafe impl Send for SharedKernel {}
 unsafe impl Sync for SharedKernel {}
+
+impl SharedKernel {
+    /// Runs `f` on the kernel with no other worker inside it. (The
+    /// promotion run forks and would be safe without the lock — the
+    /// child has its own copy of the statics — but where there is no
+    /// fork it runs in-process.)
+    fn with<R>(&self, f: impl FnOnce(&NativeKernel) -> R) -> R {
+        // The lock guards no Rust data, only exclusivity, and the C
+        // entry point cannot unwind: a poisoned lock is still a lock.
+        let _running = self.running.lock().unwrap_or_else(|e| e.into_inner());
+        f(&self.kernel)
+    }
+}
 
 /// Where one plan's native fast path currently stands.
 enum NativeTier {
@@ -404,7 +428,11 @@ impl PlanStore {
         };
         let key = NativeKernel::cache_key(&unit, &self.opts.build).ok();
         match result {
-            Ok(kernel) => (NativeTier::Untested(Arc::new(SharedKernel(kernel))), key),
+            Ok(kernel) => {
+                let running = Mutex::new(());
+                let shared = SharedKernel { kernel, running };
+                (NativeTier::Untested(Arc::new(shared)), key)
+            }
             Err(_) => {
                 self.count("spld.native.compile_failures");
                 (NativeTier::Missing, None)
@@ -441,7 +469,7 @@ impl PlanStore {
             }
         }
         if trusted {
-            kernel.0.run(x, y);
+            kernel.with(|k| k.run(x, y));
             self.count("spld.tier.native");
             return Some(());
         }
@@ -459,7 +487,7 @@ impl PlanStore {
     ) -> Option<()> {
         let mut expected = vec![0.0; plan.vm.n_out];
         plan.run_vm(x, &mut expected);
-        match kernel.0.run_sandboxed(x, y, self.opts.sandbox_timeout) {
+        match kernel.with(|k| k.run_sandboxed(x, y, self.opts.sandbox_timeout)) {
             Ok(()) if y == expected.as_slice() => {
                 let mut tier = plan.native.lock().unwrap();
                 if matches!(&*tier, NativeTier::Untested(_) | NativeTier::Trusted(_)) {

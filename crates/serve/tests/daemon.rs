@@ -274,6 +274,51 @@ fn deadlines_cancel_rather_than_serve_late() {
 }
 
 #[test]
+fn two_clients_on_one_looped_native_kernel_get_bitwise_vm_answers() {
+    // Generated C keeps a looped kernel's temporaries in statics, and the
+    // workers share one kernel per size: two requests for the same size
+    // inside it at once used to corrupt each other (nearly half of these
+    // replies came back wrong). Batching is off so that both workers take
+    // the native tier, request after request, on the same kernel.
+    const N: usize = 1024;
+    const REQUESTS: usize = 400;
+    let config = ServerConfig {
+        workers: 2,
+        batch_max: 1,
+        ..ServerConfig::default()
+    };
+    let daemon = TestDaemon::start("reentrant", config);
+    // Promote the kernel first, so the race below is native against native.
+    let x = sample_input(N, 70);
+    match daemon.client().transform(N, None, &x).expect("transform") {
+        Response::Transformed { data, .. } => assert_bits_eq(&data, &expected_vm(N, &x)),
+        other => panic!("warm-up answered {other:?}"),
+    }
+    let barrier = Barrier::new(2);
+    std::thread::scope(|scope| {
+        for salt in [71u64, 72] {
+            let mut client = daemon.client();
+            let barrier = &barrier;
+            scope.spawn(move || {
+                let x = sample_input(N, salt);
+                let want = expected_vm(N, &x);
+                barrier.wait();
+                for _ in 0..REQUESTS {
+                    match client.transform(N, None, &x).expect("transform") {
+                        Response::Transformed { tier, data } => {
+                            assert_eq!(tier, Tier::Native);
+                            assert_bits_eq(&data, &want);
+                        }
+                        other => panic!("client {salt} answered {other:?}"),
+                    }
+                }
+            });
+        }
+    });
+    daemon.shut_down();
+}
+
+#[test]
 fn batching_fuses_concurrent_same_size_requests() {
     let config = ServerConfig {
         workers: 1,

@@ -10,7 +10,8 @@ use std::time::Duration;
 use spl::generator::fft::enumerate_trees;
 use spl::generator::fft::Rule;
 use spl::numeric::pseudo_mflops;
-use spl::search::{compile_tree_native, small_search, NativeEvaluator, SearchConfig};
+use spl::search::{compile_tree_native, EvaluatorPool, NativeEvaluator, Search, SearchConfig};
+use spl::telemetry::Telemetry;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // How big is the space the search walks? (Equation 10 trees.)
@@ -24,12 +25,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     println!("\nrunning measured dynamic programming (native execution) ...");
-    let config = SearchConfig::default();
-    let mut eval = NativeEvaluator::new(64, Duration::from_millis(10));
-    let best = small_search(6, &config, &mut eval)?;
+    // One driver for every search: this one is serial (a pool of one
+    // evaluator), untraced (a throw-away telemetry sink) and keeps
+    // nothing (the default in-memory store).
+    let mut pool = EvaluatorPool::single(NativeEvaluator::new(64, Duration::from_millis(10)));
+    let found = Search::new(SearchConfig::default()).run(6, &mut pool, &mut Telemetry::new())?;
 
     println!("\n{:<4} {:>12} {:<24} formula", "N", "pMFLOPS", "shape");
-    for r in &best {
+    for r in &found.small {
         let n = r.tree.size();
         let kernel = compile_tree_native(&r.tree, 64)?;
         let t = kernel.measure(Duration::from_millis(10));

@@ -4,10 +4,10 @@
 //! Runs the paper's dynamic-programming search (small sizes by
 //! Equation 10, large sizes by k-best binary splits) under a
 //! fault-tolerant evaluation chain, and prints the winning plans as
-//! wisdom text. With `--journal` the search persists every completed
-//! size to a crash-safe journal and resumes from it after a kill; with
-//! `--faulty` it injects deterministic faults to exercise the
-//! degradation path end-to-end.
+//! wisdom text. With `--wisdom-db` the search persists every completed
+//! size to a crash-safe store, resumes from it after a kill and reuses
+//! it across runs; with `--faulty` it injects deterministic faults to
+//! exercise the degradation path end-to-end.
 //!
 //! Candidate evaluation is parallel (`--jobs`, defaulting to the
 //! machine's parallelism): compilation, `cc`, and verification fan out
@@ -25,11 +25,9 @@ use std::time::Duration;
 
 use spl::native::KernelCache;
 use spl::search::{
-    large_search_journaled_parallel, large_search_parallel, large_search_wisdom_parallel,
-    small_search_journaled_parallel, small_search_parallel, small_search_wisdom_parallel,
     Evaluator, EvaluatorPool, FaultyEvaluator, MeasuredEvaluator, NativeEvaluator,
-    OpCountEvaluator, PruneConfig, ResilientEvaluator, SearchConfig, SizeResult, WisdomDb,
-    WisdomSession, WorkerContext,
+    OpCountEvaluator, PruneConfig, ResilientEvaluator, Search, SearchConfig, WisdomDb,
+    WorkerContext,
 };
 use spl::telemetry::cli::ReportOptions;
 use spl::telemetry::out;
@@ -60,20 +58,17 @@ usage: splsearch [options]
   --min-time <ms>    measurement budget per candidate (default 10)
   --eval-timeout <s> sandbox timeout per candidate kernel (default 30)
   --no-verify        skip dense-reference verification of candidates
-  --journal <file>   crash-safe wisdom journal: resume completed sizes
-                     from it, append new ones as they finish (large-size
-                     records go to <file>.large)
-  --wisdom-db <dir>  keyed, mergeable wisdom database: reuse winners
-                     recorded under the current compiler + machine
-                     fingerprints, record new ones, and share the store
-                     safely with concurrent searches (mutually exclusive
-                     with --journal); enables cost-model pruning unless
-                     --no-prune is given
+  --wisdom-db <dir>  crash-safe, mergeable wisdom database: reuse winners
+                     recorded under the current configuration, evaluator,
+                     compiler and machine, append each size as it
+                     finishes (a killed search resumes), share the store
+                     safely with concurrent searches; enables cost-model
+                     pruning unless --no-prune is given
   --prune[=K]        prune each size's candidates with the calibrated
                      cost model before compiling anything: measure the
                      top-K (default 3) plus everything within the slack
-                     factor of the modeled best (requires --wisdom-db,
-                     which stores the calibration)
+                     factor of the modeled best (--wisdom-db keeps the
+                     calibration; without it every run calibrates)
   --no-prune         measure every candidate even with --wisdom-db
   --faulty <seed>    inject deterministic faults at the primary
                      evaluation tier, degrading failed candidates to the
@@ -99,7 +94,6 @@ struct Options {
     min_time: Duration,
     eval_timeout: Duration,
     verify: bool,
-    journal: Option<PathBuf>,
     wisdom_db: Option<PathBuf>,
     prune: Option<bool>,
     prune_top_k: usize,
@@ -120,7 +114,6 @@ impl Default for Options {
             min_time: Duration::from_millis(10),
             eval_timeout: Duration::from_secs(30),
             verify: true,
-            journal: None,
             wisdom_db: None,
             prune: None,
             prune_top_k: PruneConfig::default().top_k,
@@ -177,10 +170,6 @@ fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
                 None => return Err("--eval-timeout requires seconds".into()),
             },
             "--no-verify" => opts.verify = false,
-            "--journal" => match it.next() {
-                Some(path) => opts.journal = Some(PathBuf::from(path)),
-                None => return Err("--journal requires a file path".into()),
-            },
             "--wisdom-db" => match it.next() {
                 Some(dir) => opts.wisdom_db = Some(PathBuf::from(dir)),
                 None => return Err("--wisdom-db requires a directory path".into()),
@@ -211,12 +200,6 @@ fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
             "-h" | "--help" => return Ok(None),
             other => return Err(format!("unknown option {other} (try --help)")),
         }
-    }
-    if opts.journal.is_some() && opts.wisdom_db.is_some() {
-        return Err("--journal and --wisdom-db are mutually exclusive".into());
-    }
-    if opts.prune == Some(true) && opts.wisdom_db.is_none() {
-        return Err("--prune requires --wisdom-db (the DB stores the calibration)".into());
     }
     Ok(Some(opts))
 }
@@ -295,7 +278,6 @@ fn main() -> ExitCode {
         None => Arc::new(KernelCache::in_memory()),
     };
 
-    let small_max_k = opts.config.leaf_max.trailing_zeros().min(opts.max_log);
     let mut tel = Telemetry::new();
     tel.set("search.jobs", jobs as u64);
     // Root of the hierarchical trace: everything below nests under it,
@@ -305,73 +287,24 @@ fn main() -> ExitCode {
     let mut pool = EvaluatorPool::new(jobs, |ctx| build_evaluator(&opts, ctx, &cache));
     tel.end_span();
 
+    let mut search = Search::new(opts.config.clone());
+    if let Some(dir) = &opts.wisdom_db {
+        match WisdomDb::open(dir) {
+            Ok(db) => search = search.with_store(db),
+            Err(e) => return fail(&format!("opening wisdom db {}: {e}", dir.display())),
+        }
+    }
     // With --wisdom-db, pruning defaults to on; --no-prune turns it off.
-    let mut session = match &opts.wisdom_db {
-        Some(dir) => {
-            let db = match WisdomDb::open(dir) {
-                Ok(db) => db,
-                Err(e) => return fail(&format!("opening wisdom db {}: {e}", dir.display())),
-            };
-            let prune = match opts.prune {
-                Some(false) => None,
-                _ => Some(PruneConfig {
-                    top_k: opts.prune_top_k,
-                    ..PruneConfig::default()
-                }),
-            };
-            Some(WisdomSession::new(db, prune))
-        }
-        None => None,
-    };
-
-    let small = match (&opts.journal, &mut session) {
-        (Some(path), _) => {
-            small_search_journaled_parallel(small_max_k, &opts.config, &mut pool, &mut tel, path)
-        }
-        (None, Some(session)) => {
-            small_search_wisdom_parallel(small_max_k, &opts.config, &mut pool, &mut tel, session)
-        }
-        (None, None) => small_search_parallel(small_max_k, &opts.config, &mut pool, &mut tel),
-    };
-    let small = match small {
-        Ok(s) => s,
+    let prune = opts.prune.unwrap_or(opts.wisdom_db.is_some());
+    if prune {
+        search = search.with_prune(PruneConfig {
+            top_k: opts.prune_top_k,
+            ..PruneConfig::default()
+        });
+    }
+    let winners = match search.run(opts.max_log, &mut pool, &mut tel) {
+        Ok(found) => found.winners(),
         Err(e) => return fail(&e.to_string()),
-    };
-
-    let large = if opts.max_log > small_max_k {
-        let result = match (&opts.journal, &mut session) {
-            (Some(path), _) => {
-                let large_path = path.with_extension(match path.extension() {
-                    Some(ext) => format!("{}.large", ext.to_string_lossy()),
-                    None => "large".to_string(),
-                });
-                large_search_journaled_parallel(
-                    &small,
-                    opts.max_log,
-                    &opts.config,
-                    &mut pool,
-                    &mut tel,
-                    &large_path,
-                )
-            }
-            (None, Some(session)) => large_search_wisdom_parallel(
-                &small,
-                opts.max_log,
-                &opts.config,
-                &mut pool,
-                &mut tel,
-                session,
-            ),
-            (None, None) => {
-                large_search_parallel(&small, opts.max_log, &opts.config, &mut pool, &mut tel)
-            }
-        };
-        match result {
-            Ok(l) => l,
-            Err(e) => return fail(&e.to_string()),
-        }
-    } else {
-        Vec::new()
     };
 
     // Cache activity not yet drained through any evaluator (take
@@ -380,11 +313,6 @@ fn main() -> ExitCode {
     tel.end_span(); // splsearch
 
     // One winner per size, small sizes first, as wisdom text.
-    let mut winners: Vec<SizeResult> = small;
-    winners.extend(large.iter().map(|plans| SizeResult {
-        tree: plans[0].tree.clone(),
-        cost: plans[0].cost,
-    }));
     let wisdom = spl::search::wisdom_to_string(&winners);
     out!("{wisdom}");
     for w in &winners {
@@ -411,14 +339,9 @@ fn main() -> ExitCode {
     }
     if let Some(dir) = &opts.wisdom_db {
         report.meta("wisdom_db", &dir.display().to_string());
-        report.meta(
-            "prune",
-            &match (opts.prune, opts.prune_top_k) {
-                (Some(false), _) => "off".to_string(),
-                (_, k) => format!("top{k}"),
-            },
-        );
     }
+    let top_k = format!("top{}", opts.prune_top_k);
+    report.meta("prune", if prune { &top_k } else { "off" });
     if let Some(seed) = opts.faulty {
         report.meta("faulty_seed", &seed.to_string());
         report.meta("fault_rate", &opts.fault_rate.to_string());

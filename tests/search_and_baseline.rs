@@ -6,8 +6,22 @@
 use spl::generator::fft::FftTree;
 use spl::minifft::{Plan, PlanMode};
 use spl::numeric::{reference, relative_rms_error, Complex};
-use spl::search::{compile_tree, large_search, small_search, OpCountEvaluator, SearchConfig};
+use spl::search::{
+    compile_tree, EvaluatorPool, OpCountEvaluator, Search, SearchConfig, SearchOutcome, WisdomDb,
+};
+use spl::telemetry::Telemetry;
 use spl::vm::VmState;
+
+/// The deterministic op-count search to `2^max_log` over `search`'s store.
+fn opcount_search(mut search: Search, max_log: u32, tel: &mut Telemetry) -> SearchOutcome {
+    let mut pool = EvaluatorPool::single(OpCountEvaluator::default());
+    search.run(max_log, &mut pool, tel).unwrap()
+}
+
+fn default_search(max_log: u32) -> SearchOutcome {
+    let search = Search::new(SearchConfig::default());
+    opcount_search(search, max_log, &mut Telemetry::new())
+}
 
 fn workload(n: usize) -> Vec<Complex> {
     (0..n)
@@ -25,16 +39,14 @@ fn run_tree(tree: &FftTree) -> Vec<Complex> {
 
 #[test]
 fn full_search_to_4096_produces_correct_ffts() {
-    let config = SearchConfig::default();
-    let mut eval = OpCountEvaluator::default();
-    let small = small_search(6, &config, &mut eval).unwrap();
-    let large = large_search(&small, 12, &config, &mut eval).unwrap();
-    for r in &small {
+    let found = default_search(12);
+    assert_eq!((found.small.len(), found.large.len()), (6, 6));
+    for r in &found.small {
         let got = run_tree(&r.tree);
         let want = reference::dft(&workload(r.tree.size()));
         assert!(relative_rms_error(&got, &want) < 1e-10);
     }
-    for plans in &large {
+    for plans in &found.large {
         let tree = &plans[0].tree;
         let got = run_tree(tree);
         let want = reference::dft(&workload(tree.size()));
@@ -48,11 +60,8 @@ fn full_search_to_4096_produces_correct_ffts() {
 
 #[test]
 fn spl_and_minifft_agree_numerically() {
-    let config = SearchConfig::default();
-    let mut eval = OpCountEvaluator::default();
-    let small = small_search(6, &config, &mut eval).unwrap();
-    let large = large_search(&small, 9, &config, &mut eval).unwrap();
-    let tree = &large.last().unwrap()[0].tree;
+    let found = default_search(9);
+    let tree = &found.large.last().unwrap()[0].tree;
     let n = tree.size();
     assert_eq!(n, 512);
     let x = workload(n);
@@ -83,11 +92,7 @@ fn minifft_both_modes_agree() {
 fn accuracy_holds_at_moderate_sizes() {
     // The Figure 6 methodology at test scale: compensated reference below
     // 2^10, round-trip beyond.
-    let config = SearchConfig::default();
-    let mut eval = OpCountEvaluator::default();
-    let small = small_search(6, &config, &mut eval).unwrap();
-    let large = large_search(&small, 10, &config, &mut eval).unwrap();
-    for plans in &large {
+    for plans in &default_search(10).large {
         let tree = &plans[0].tree;
         let n = tree.size();
         let x = workload(n);
@@ -96,4 +101,33 @@ fn accuracy_holds_at_moderate_sizes() {
         let err = relative_rms_error(&got, &want);
         assert!(err < 1e-13 * (n as f64).sqrt(), "n={n}: err {err}");
     }
+}
+
+#[test]
+fn search_resumes_from_a_wisdom_db_directory() {
+    // The persistent store is the search's only resume mechanism: a
+    // second process over the same directory evaluates nothing and
+    // returns the same plans at the same costs, bit for bit.
+    let dir = std::env::temp_dir().join(format!("spl_root_db_resume_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let config = SearchConfig {
+        leaf_max: 8,
+        ..SearchConfig::default()
+    };
+    let stored = || Search::new(config.clone()).with_store(WisdomDb::open(&dir).unwrap());
+
+    let mut cold_tel = Telemetry::new();
+    let cold = opcount_search(stored(), 6, &mut cold_tel);
+    assert!(cold_tel.counter("search.plans_evaluated").unwrap() > 0);
+    assert_eq!(cold_tel.counter("wisdom.db.records_written"), Some(6));
+
+    let mut warm_tel = Telemetry::new();
+    let warm = opcount_search(stored(), 6, &mut warm_tel);
+    assert_eq!(warm_tel.counter("search.plans_evaluated"), None);
+    assert_eq!(warm_tel.counter("wisdom.db.reused_sizes"), Some(6));
+    assert_eq!(warm, cold);
+    // And it agrees with a search that persists nothing.
+    let plain = opcount_search(Search::new(config.clone()), 6, &mut Telemetry::new());
+    assert_eq!(plain, cold);
+    let _ = std::fs::remove_dir_all(&dir);
 }
