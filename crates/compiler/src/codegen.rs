@@ -64,30 +64,43 @@ pub fn emit(name: &str, prog: &IProgram, opts: &CodegenOptions) -> String {
 // Shared helpers
 // ---------------------------------------------------------------------
 
-fn fmt_f64(v: f64, fortran: bool) -> String {
-    let mut s = format!("{v:?}"); // shortest round-trip
+/// Appends the literal for `v` to `buf`.
+fn write_f64(buf: &mut String, v: f64, fortran: bool) {
+    let start = buf.len();
+    let _ = write!(buf, "{v:?}"); // shortest round-trip
     if fortran {
-        if let Some(pos) = s.find(['e', 'E']) {
-            s.replace_range(pos..=pos, "d");
-        } else {
-            s.push_str("d0");
+        match buf[start..].find(['e', 'E']) {
+            Some(pos) => buf.replace_range(start + pos..=start + pos, "d"),
+            None => buf.push_str("d0"),
         }
     }
-    s
+}
+
+/// Appends the literal for `c` to `buf`.
+fn write_const(buf: &mut String, c: Complex, complex_code: bool, fortran: bool, peephole: bool) {
+    if complex_code {
+        buf.push('(');
+        write_f64(buf, c.re, fortran);
+        buf.push(',');
+        write_f64(buf, c.im, fortran);
+        buf.push(')');
+    } else {
+        debug_assert!(c.is_real());
+        let parens = c.re < 0.0 && peephole;
+        if parens {
+            buf.push('(');
+        }
+        write_f64(buf, c.re, fortran);
+        if parens {
+            buf.push(')');
+        }
+    }
 }
 
 fn fmt_const(c: Complex, complex_code: bool, fortran: bool, peephole: bool) -> String {
-    if complex_code {
-        format!("({},{})", fmt_f64(c.re, fortran), fmt_f64(c.im, fortran))
-    } else {
-        debug_assert!(c.is_real());
-        let s = fmt_f64(c.re, fortran);
-        if c.re < 0.0 && peephole {
-            format!("({s})")
-        } else {
-            s
-        }
-    }
+    let mut s = String::new();
+    write_const(&mut s, c, complex_code, fortran, peephole);
+    s
 }
 
 struct Emit<'a> {
@@ -100,15 +113,36 @@ struct Emit<'a> {
 
 impl Emit<'_> {
     fn line(&mut self, s: &str) {
+        self.open_line();
+        self.buf.push_str(s);
+        self.buf.push('\n');
+    }
+
+    /// Starts a line: the margin (Fortran's six columns) and the indent.
+    fn open_line(&mut self) {
         let pad = if self.fortran { 6 } else { 0 };
-        let _ = writeln!(
-            self.buf,
-            "{:pad$}{:ind$}{s}",
-            "",
-            "",
-            pad = pad,
-            ind = self.indent * 2
-        );
+        let _ = write!(self.buf, "{:w$}", "", w = pad + self.indent * 2);
+    }
+
+    /// One line of a table initializer: `lead`, then the literals of
+    /// `chunk` separated by `sep`, then `tail` — streamed into the
+    /// buffer, since tables are most of the text of a large transform.
+    fn table_line(&mut self, lead: &str, chunk: &[Complex], sep: &str, tail: &str) {
+        let complex_code = self.opts.codetype == DataType::Complex;
+        self.open_line();
+        self.buf.push_str(lead);
+        for (k, c) in chunk.iter().enumerate() {
+            if k > 0 {
+                self.buf.push_str(sep);
+            }
+            if self.fortran {
+                write_const(&mut self.buf, *c, complex_code, true, false);
+            } else {
+                write_f64(&mut self.buf, c.re, false);
+            }
+        }
+        self.buf.push_str(tail);
+        self.buf.push('\n');
     }
 
     fn affine(&self, a: &Affine, base_one: bool) -> String {
@@ -202,8 +236,8 @@ impl Emit<'_> {
     }
 
     fn body(&mut self) {
-        let instrs = self.prog.instrs.clone();
-        for ins in &instrs {
+        let prog = self.prog;
+        for ins in &prog.instrs {
             match ins {
                 Instr::DoStart { var, lo, hi, .. } => {
                     if self.fortran {
@@ -310,15 +344,11 @@ fn emit_fortran(name: &str, prog: &IProgram, opts: &CodegenOptions) -> String {
     }
     for (t, table) in prog.tables.iter().enumerate() {
         e.line(&format!("{scalar_ty} d{t}({})", table.len()));
-        let vals: Vec<String> = table
-            .iter()
-            .map(|c| fmt_const(*c, complex_code, true, false))
-            .collect();
-        for (k, chunk) in vals.chunks(4).enumerate() {
+        for (k, chunk) in table.chunks(4).enumerate() {
             if k == 0 {
-                e.line(&format!("data d{t} /{}", chunk.join(",")));
+                e.table_line(&format!("data d{t} /"), chunk, ",", "");
             } else {
-                e.line(&format!("     . ,{}", chunk.join(",")));
+                e.table_line("     . ,", chunk, ",", "");
             }
         }
         e.line("     . /");
@@ -349,10 +379,9 @@ fn emit_c(name: &str, prog: &IProgram, opts: &CodegenOptions) -> String {
     e.line("{");
     e.indent = 1;
     for (t, table) in prog.tables.iter().enumerate() {
-        let vals: Vec<String> = table.iter().map(|c| fmt_f64(c.re, false)).collect();
         e.line(&format!("static const double d{t}[{}] = {{", table.len()));
-        for chunk in vals.chunks(4) {
-            e.line(&format!("  {},", chunk.join(", ")));
+        for chunk in table.chunks(4) {
+            e.table_line("  ", chunk, ", ", ",");
         }
         e.line("};");
     }
@@ -397,6 +426,12 @@ fn collect_loop_vars(prog: &IProgram) -> Vec<String> {
 mod tests {
     use super::*;
     use spl_icode::{Affine, LoopVar};
+
+    fn fmt_f64(v: f64, fortran: bool) -> String {
+        let mut s = String::new();
+        write_f64(&mut s, v, fortran);
+        s
+    }
 
     fn butterfly_prog() -> IProgram {
         let at = |kind, i| {

@@ -12,14 +12,13 @@
 //!
 //! # Complexity
 //!
-//! Several passes trade asymptotics for simplicity: value numbering's
-//! `invalidate` scans the tracked-place table on every vector write,
-//! DCE is a whole-program fixpoint, and forward substitution restarts
-//! its scan after each applied fix when loops are present. On the sizes
-//! the compiler actually produces (a few thousand instructions for a
-//! 2²⁰ plan with 64-point unrolled leaves) the full optimization
-//! pipeline measures in the tens of milliseconds, so none of these are
-//! worth their smarter replacements yet.
+//! Every pass is (near-)linear in the block: value numbering
+//! invalidates through its own place tables, forward substitution
+//! answers its safety conditions from a position index by binary
+//! search, and no pass clones or compares the constant tables. DCE is
+//! still a whole-program fixpoint (one round per link of the longest
+//! dead chain). `docs/PASSES.md` states the invariants;
+//! `tests/pass_scaling.rs` holds the passes to them.
 
 use std::collections::HashSet;
 
@@ -60,7 +59,8 @@ pub fn optimize_with_stats(prog: &IProgram) -> Result<(IProgram, OptStats), Comp
 /// Single-pass value numbering: constant folding, algebraic
 /// simplification, copy propagation, and CSE.
 pub fn value_number(prog: &IProgram) -> IProgram {
-    passes::value_number::value_number_counted(prog, &mut OptStats::default(), true)
+    let new = passes::value_number::value_number_counted(prog, &mut OptStats::default(), true);
+    passes::rewritten(prog, new)
 }
 
 /// Sinks the definition of a scalar register into a later copy of it:
@@ -72,7 +72,9 @@ pub fn value_number(prog: &IProgram) -> IProgram {
 /// [`CompileError::MalformedIcode`] when the input violates the i-code
 /// structural contract.
 pub fn forward_substitute(prog: &IProgram) -> Result<IProgram, CompileError> {
-    passes::forward_substitute::forward_substitute_counted(prog, &mut OptStats::default())
+    let new =
+        passes::forward_substitute::forward_substitute_counted(prog, &mut OptStats::default())?;
+    Ok(passes::rewritten(prog, new))
 }
 
 /// Iteratively removes arithmetic instructions whose destination is never
@@ -83,7 +85,8 @@ pub fn forward_substitute(prog: &IProgram) -> Result<IProgram, CompileError> {
 /// [`CompileError::MalformedIcode`] when the provenance map is non-empty
 /// but misaligned with the instruction list.
 pub fn dce(prog: &IProgram) -> Result<IProgram, CompileError> {
-    passes::dce::dce_counted(prog, &mut OptStats::default())
+    let new = passes::dce::dce_counted(prog, &mut OptStats::default())?;
+    Ok(passes::rewritten(prog, new))
 }
 
 /// Renumbers `$f`/`$r` registers densely and drops unused temps and

@@ -5,9 +5,9 @@
 
 use std::collections::HashMap;
 
-use spl_icode::{IProgram, Instr, Place, Value, VecKind, VecRef};
+use spl_icode::{IProgram, Instr, Place, Value, VecKind};
 
-use super::{OptStats, Pass, PassResult};
+use super::{for_each_read, OptStats, Pass, PassResult};
 use crate::error::CompileError;
 
 /// The compaction pass; see [`compact`].
@@ -25,117 +25,106 @@ impl Pass for Compact {
 
     fn run(&self, prog: &mut IProgram, _stats: &mut OptStats) -> Result<PassResult, CompileError> {
         super::check_prov_alignment(self.name(), prog)?;
-        let new = compact(prog);
-        Ok(super::replace_if_changed(prog, new))
+        Ok(if compact_in_place(prog) {
+            PassResult::Changed
+        } else {
+            PassResult::Unchanged
+        })
     }
 }
 
 /// Renumbers `$f`/`$r` registers densely and drops unused temps and
 /// tables.
 pub(crate) fn compact(prog: &IProgram) -> IProgram {
-    let mut f_map: HashMap<u32, u32> = HashMap::new();
-    let mut r_map: HashMap<u32, u32> = HashMap::new();
-    let mut t_map: HashMap<u32, u32> = HashMap::new();
-    let mut tbl_map: HashMap<u32, u32> = HashMap::new();
+    let mut out = prog.clone();
+    compact_in_place(&mut out);
+    out
+}
 
-    let note_place = |p: &Place,
-                      f_map: &mut HashMap<u32, u32>,
-                      r_map: &mut HashMap<u32, u32>,
-                      t_map: &mut HashMap<u32, u32>,
-                      tbl_map: &mut HashMap<u32, u32>| {
-        match p {
-            Place::F(k) => {
-                let n = f_map.len() as u32;
-                f_map.entry(*k).or_insert(n);
-            }
-            Place::R(k) => {
-                let n = r_map.len() as u32;
-                r_map.entry(*k).or_insert(n);
-            }
-            Place::Vec(v) => match v.kind {
-                VecKind::Temp(t) => {
-                    let n = t_map.len() as u32;
-                    t_map.entry(t).or_insert(n);
-                }
-                VecKind::Table(t) => {
-                    let n = tbl_map.len() as u32;
-                    tbl_map.entry(t).or_insert(n);
-                }
-                _ => {}
-            },
+/// Old id -> new id, in order of first use.
+#[derive(Default)]
+struct Renumbering(HashMap<u32, u32>);
+
+impl Renumbering {
+    fn note(&mut self, old: u32) {
+        let n = self.0.len() as u32;
+        self.0.entry(old).or_insert(n);
+    }
+
+    fn is_identity_over(&self, count: usize) -> bool {
+        self.0.len() == count && self.0.iter().all(|(old, new)| old == new)
+    }
+
+    /// The entries of `items` that are in use, at their new ids.
+    fn gather<T: Default>(&self, items: &mut [T]) -> Vec<T> {
+        let mut out: Vec<T> = (0..self.0.len()).map(|_| T::default()).collect();
+        for (&old, &new) in &self.0 {
+            out[new as usize] = std::mem::take(&mut items[old as usize]);
         }
+        out
+    }
+}
+
+/// [`compact`] on the program itself (tables move, they are not
+/// copied); reports whether anything changed.
+fn compact_in_place(prog: &mut IProgram) -> bool {
+    let (mut f_map, mut r_map) = (Renumbering::default(), Renumbering::default());
+    let (mut t_map, mut tbl_map) = (Renumbering::default(), Renumbering::default());
+    let mut note = |p: &Place| match p {
+        Place::F(k) => f_map.note(*k),
+        Place::R(k) => r_map.note(*k),
+        Place::Vec(v) => match v.kind {
+            VecKind::Temp(t) => t_map.note(t),
+            VecKind::Table(t) => tbl_map.note(t),
+            _ => {}
+        },
     };
-    fn walk_values(v: &Value, f: &mut dyn FnMut(&Place)) {
+    for ins in &prog.instrs {
+        if let Some(dst) = ins.dst() {
+            note(dst);
+        }
+        for_each_read(ins, &mut note);
+    }
+    if f_map.is_identity_over(prog.n_f as usize)
+        && r_map.is_identity_over(prog.n_r as usize)
+        && t_map.is_identity_over(prog.temps.len())
+        && tbl_map.is_identity_over(prog.tables.len())
+    {
+        return false;
+    }
+    let remap_place = |p: &mut Place| match p {
+        Place::F(k) => *k = f_map.0[k],
+        Place::R(k) => *k = r_map.0[k],
+        Place::Vec(v) => match &mut v.kind {
+            VecKind::Temp(t) => *t = t_map.0[t],
+            VecKind::Table(t) => *t = tbl_map.0[t],
+            _ => {}
+        },
+    };
+    fn remap_value(v: &mut Value, f: &dyn Fn(&mut Place)) {
         match v {
             Value::Place(p) => f(p),
-            Value::Intrinsic(_, args) => args.iter().for_each(|a| walk_values(a, f)),
+            Value::Intrinsic(_, args) => args.iter_mut().for_each(|a| remap_value(a, f)),
             _ => {}
         }
     }
-    for ins in &prog.instrs {
-        if let Some(dst) = ins.dst() {
-            note_place(dst, &mut f_map, &mut r_map, &mut t_map, &mut tbl_map);
-        }
-        ins.for_each_value(&mut |v| {
-            walk_values(v, &mut |p| {
-                note_place(p, &mut f_map, &mut r_map, &mut t_map, &mut tbl_map)
-            });
-        });
-    }
-    let remap_place = |p: &Place| -> Place {
-        match p {
-            Place::F(k) => Place::F(f_map[k]),
-            Place::R(k) => Place::R(r_map[k]),
-            Place::Vec(v) => Place::Vec(VecRef {
-                kind: match v.kind {
-                    VecKind::Temp(t) => VecKind::Temp(t_map[&t]),
-                    VecKind::Table(t) => VecKind::Table(tbl_map[&t]),
-                    other => other,
-                },
-                idx: v.idx.clone(),
-            }),
-        }
-    };
-    fn remap_value(v: &Value, f: &dyn Fn(&Place) -> Place) -> Value {
-        match v {
-            Value::Place(p) => Value::Place(f(p)),
-            Value::Intrinsic(name, args) => Value::Intrinsic(
-                name.clone(),
-                args.iter().map(|a| remap_value(a, f)).collect(),
-            ),
-            other => other.clone(),
+    for ins in &mut prog.instrs {
+        match ins {
+            Instr::Bin { dst, a, b, .. } => {
+                remap_place(dst);
+                remap_value(a, &remap_place);
+                remap_value(b, &remap_place);
+            }
+            Instr::Un { dst, a, .. } => {
+                remap_place(dst);
+                remap_value(a, &remap_place);
+            }
+            _ => {}
         }
     }
-    let mut out = prog.clone();
-    out.instrs = prog
-        .instrs
-        .iter()
-        .map(|ins| match ins {
-            Instr::Bin { op, dst, a, b } => Instr::Bin {
-                op: *op,
-                dst: remap_place(dst),
-                a: remap_value(a, &remap_place),
-                b: remap_value(b, &remap_place),
-            },
-            Instr::Un { op, dst, a } => Instr::Un {
-                op: *op,
-                dst: remap_place(dst),
-                a: remap_value(a, &remap_place),
-            },
-            other => other.clone(),
-        })
-        .collect();
-    out.n_f = f_map.len() as u32;
-    out.n_r = r_map.len() as u32;
-    let mut temps = vec![0usize; t_map.len()];
-    for (&old, &new) in &t_map {
-        temps[new as usize] = prog.temps[old as usize];
-    }
-    out.temps = temps;
-    let mut tables = vec![Vec::new(); tbl_map.len()];
-    for (&old, &new) in &tbl_map {
-        tables[new as usize] = prog.tables[old as usize].clone();
-    }
-    out.tables = tables;
-    out
+    prog.n_f = f_map.0.len() as u32;
+    prog.n_r = r_map.0.len() as u32;
+    prog.temps = t_map.gather(&mut prog.temps);
+    prog.tables = tbl_map.gather(&mut prog.tables);
+    true
 }

@@ -5,9 +5,9 @@
 
 use std::collections::HashSet;
 
-use spl_icode::{IProgram, Instr, Place, Value, VecKind, VecRef};
+use spl_icode::{IProgram, Instr, Place, VecKind, VecRef};
 
-use super::{pkey, OptStats, PKey, Pass, PassResult};
+use super::{for_each_read, scalar_id, OptStats, Pass, PassResult, Rewritten, ScalarId};
 use crate::error::CompileError;
 
 /// The dead-code-elimination pass; see [`dce_counted`].
@@ -27,11 +27,14 @@ impl Pass for Dce {
     fn run(&self, prog: &mut IProgram, stats: &mut OptStats) -> Result<PassResult, CompileError> {
         super::check_prov_alignment(self.name(), prog)?;
         let new = dce_counted(prog, stats)?;
-        Ok(super::replace_if_changed(prog, new))
+        Ok(super::install(prog, new))
     }
 }
 
-pub(crate) fn dce_counted(prog: &IProgram, stats: &mut OptStats) -> Result<IProgram, CompileError> {
+pub(crate) fn dce_counted(
+    prog: &IProgram,
+    stats: &mut OptStats,
+) -> Result<Rewritten, CompileError> {
     let initial = prog.instrs.len();
     let mut instrs = prog.instrs.clone();
     // The provenance mask below walks `prov` and `instrs` in lockstep, so
@@ -48,12 +51,23 @@ pub(crate) fn dce_counted(prog: &IProgram, stats: &mut OptStats) -> Result<IProg
     let mut prov = prog.prov_slice().to_vec();
     loop {
         // Whole-program read sets (position-insensitive: sound for loops).
-        let mut scalar_reads: HashSet<PKey> = HashSet::new();
+        let mut scalar_reads: HashSet<ScalarId> = HashSet::new();
         let mut elem_reads: HashSet<(VecKind, i64)> = HashSet::new();
+        // Vectors read at some constant / some symbolic subscript.
+        let mut const_reads: HashSet<VecKind> = HashSet::new();
         let mut sym_reads: HashSet<VecKind> = HashSet::new();
         for ins in &instrs {
-            ins.for_each_value(&mut |v| {
-                collect_reads(v, &mut scalar_reads, &mut elem_reads, &mut sym_reads);
+            for_each_read(ins, &mut |p| match p {
+                Place::Vec(vr) => match vr.idx.as_const() {
+                    Some(c) => {
+                        elem_reads.insert((vr.kind, c));
+                        const_reads.insert(vr.kind);
+                    }
+                    None => {
+                        sym_reads.insert(vr.kind);
+                    }
+                },
+                scalar => scalar_reads.extend(scalar_id(scalar)),
             });
         }
         let live = |dst: &Place| -> bool {
@@ -61,7 +75,9 @@ pub(crate) fn dce_counted(prog: &IProgram, stats: &mut OptStats) -> Result<IProg
                 Place::Vec(VecRef {
                     kind: VecKind::Out, ..
                 }) => true,
-                Place::F(_) | Place::R(_) => scalar_reads.contains(&pkey(dst)),
+                Place::F(_) | Place::R(_) => {
+                    scalar_id(dst).is_some_and(|id| scalar_reads.contains(&id))
+                }
                 Place::Vec(v) => {
                     if sym_reads.contains(&v.kind) {
                         return true;
@@ -71,7 +87,7 @@ pub(crate) fn dce_counted(prog: &IProgram, stats: &mut OptStats) -> Result<IProg
                         None => {
                             // Symbolic write: live if any element of the
                             // vector is read.
-                            elem_reads.iter().any(|(k, _)| *k == v.kind)
+                            const_reads.contains(&v.kind)
                         }
                     }
                 }
@@ -126,35 +142,5 @@ pub(crate) fn dce_counted(prog: &IProgram, stats: &mut OptStats) -> Result<IProg
         }
     }
     stats.dce_removed += (initial - instrs.len()) as u64;
-    let mut out = prog.clone();
-    out.instrs = instrs;
-    out.prov = prov;
-    Ok(out)
-}
-
-fn collect_reads(
-    v: &Value,
-    scalars: &mut HashSet<PKey>,
-    elems: &mut HashSet<(VecKind, i64)>,
-    syms: &mut HashSet<VecKind>,
-) {
-    match v {
-        Value::Place(p @ (Place::F(_) | Place::R(_))) => {
-            scalars.insert(pkey(p));
-        }
-        Value::Place(Place::Vec(vr)) => match vr.idx.as_const() {
-            Some(c) => {
-                elems.insert((vr.kind, c));
-            }
-            None => {
-                syms.insert(vr.kind);
-            }
-        },
-        Value::Intrinsic(_, args) => {
-            for a in args {
-                collect_reads(a, scalars, elems, syms);
-            }
-        }
-        _ => {}
-    }
+    Ok((instrs, prov))
 }

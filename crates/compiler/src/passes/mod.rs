@@ -50,34 +50,36 @@ use std::collections::HashSet;
 use std::path::PathBuf;
 use std::time::Instant;
 
-use spl_icode::{IProgram, Place, VecKind};
+use spl_icode::{IProgram, Instr, Place, Value};
 
 use crate::error::CompileError;
 use crate::OptLevel;
 
 // ---------------------------------------------------------------------
-// Shared identity helpers (used by value numbering and DCE)
+// Shared table helpers (value numbering, forward substitution, DCE)
 // ---------------------------------------------------------------------
 
-/// Structural identity of a [`Place`] for hash tables: scalar registers
-/// by id, vector elements by kind and affine subscript.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub(crate) enum PKey {
-    F(u32),
-    R(u32),
-    Vec(VecKind, i64, Vec<(i64, u32)>),
+/// Identity of a scalar register in the passes' tables: `(is $f, id)`.
+pub(crate) type ScalarId = (bool, u32);
+
+pub(crate) fn scalar_id(p: &Place) -> Option<ScalarId> {
+    match p {
+        Place::F(k) => Some((true, *k)),
+        Place::R(k) => Some((false, *k)),
+        Place::Vec(_) => None,
+    }
 }
 
-pub(crate) fn pkey(p: &Place) -> PKey {
-    match p {
-        Place::F(k) => PKey::F(*k),
-        Place::R(k) => PKey::R(*k),
-        Place::Vec(v) => PKey::Vec(
-            v.kind,
-            v.idx.c,
-            v.idx.terms.iter().map(|&(c, lv)| (c, lv.0)).collect(),
-        ),
+/// Visits every place an instruction reads, intrinsic arguments included.
+pub(crate) fn for_each_read(ins: &Instr, f: &mut dyn FnMut(&Place)) {
+    fn walk(v: &Value, f: &mut dyn FnMut(&Place)) {
+        match v {
+            Value::Place(p) => f(p),
+            Value::Intrinsic(_, args) => args.iter().for_each(|a| walk(a, f)),
+            _ => {}
+        }
     }
+    ins.for_each_value(&mut |v| walk(v, f));
 }
 
 // ---------------------------------------------------------------------
@@ -141,14 +143,30 @@ pub trait Pass {
     fn run(&self, prog: &mut IProgram, stats: &mut OptStats) -> Result<PassResult, CompileError>;
 }
 
-/// Replaces `*prog` with `new` when they differ; the standard way for a
-/// pass computed functionally to report [`PassResult`].
-pub(crate) fn replace_if_changed(prog: &mut IProgram, new: IProgram) -> PassResult {
-    if *prog == new {
+/// What a pass that only rewrites code produces: the new instruction
+/// list and its provenance map. Everything else in an [`IProgram`] —
+/// megabytes of constant tables for a large transform — stays where it
+/// is, neither cloned nor compared.
+pub(crate) type Rewritten = (Vec<Instr>, Vec<u32>);
+
+/// Installs a pass's output in `prog`, reporting whether it differs.
+pub(crate) fn install(prog: &mut IProgram, (instrs, prov): Rewritten) -> PassResult {
+    if prog.instrs == instrs && prog.prov == prov {
         PassResult::Unchanged
     } else {
-        *prog = new;
+        prog.instrs = instrs;
+        prog.prov = prov;
         PassResult::Changed
+    }
+}
+
+/// `prog` with a pass's output in place of its code (the functional
+/// form behind [`crate::optimize`]'s one-pass entry points).
+pub(crate) fn rewritten(prog: &IProgram, (instrs, prov): Rewritten) -> IProgram {
+    IProgram {
+        instrs,
+        prov,
+        ..prog.clone()
     }
 }
 

@@ -9,7 +9,7 @@ use super::{OptStats, Pass, PassResult};
 use crate::error::CompileError;
 
 /// The scalarization pass, wrapping
-/// [`crate::unroll::scalarize_with_stats`].
+/// [`crate::unroll::scalarize_with_stats`]'s in-place worker.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Scalarize;
 
@@ -24,11 +24,12 @@ impl Pass for Scalarize {
 
     fn run(&self, prog: &mut IProgram, stats: &mut OptStats) -> Result<PassResult, CompileError> {
         super::check_prov_alignment(self.name(), prog)?;
-        let (new, ustats) = crate::unroll::scalarize_with_stats(prog);
-        let result = super::replace_if_changed(prog, new);
-        if result == PassResult::Changed {
-            stats.temps_scalarized += ustats.temps_scalarized;
+        let before = (prog.n_f, prog.temps.clone());
+        let ustats = crate::unroll::scalarize_in_place(prog);
+        if (prog.n_f, &prog.temps) == (before.0, &before.1) {
+            return Ok(PassResult::Unchanged);
         }
-        Ok(result)
+        stats.temps_scalarized += ustats.temps_scalarized;
+        Ok(PassResult::Changed)
     }
 }

@@ -44,7 +44,7 @@ use std::collections::HashSet;
 
 use spl_icode::{Affine, IProgram, Instr, LoopVar, Place, Value, VecRef};
 
-use super::{check_prov_alignment, replace_if_changed, OptStats, Pass, PassResult};
+use super::{check_prov_alignment, OptStats, Pass, PassResult};
 use crate::error::CompileError;
 
 /// The vector lowering pass; see the module docs.
@@ -66,13 +66,12 @@ impl Pass for Vectorize {
         // program reproduces the same set (idempotence).
         let marks = analyze(prog);
         let fresh = marks.iter().filter(|m| !prog.vec_loops.contains(m)).count() as u64;
-        let mut new = prog.clone();
-        new.vec_loops = marks;
-        let r = replace_if_changed(prog, new);
-        if r == PassResult::Changed {
-            stats.loops_vectorized += fresh;
+        if prog.vec_loops == marks {
+            return Ok(PassResult::Unchanged);
         }
-        Ok(r)
+        prog.vec_loops = marks;
+        stats.loops_vectorized += fresh;
+        Ok(PassResult::Changed)
     }
 }
 

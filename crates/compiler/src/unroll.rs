@@ -554,6 +554,15 @@ pub fn scalarize(prog: &IProgram) -> IProgram {
 
 /// [`scalarize`], also counting the scalar registers introduced.
 pub fn scalarize_with_stats(prog: &IProgram) -> (IProgram, UnrollStats) {
+    let mut out = prog.clone();
+    let stats = scalarize_in_place(&mut out);
+    (out, stats)
+}
+
+/// [`scalarize_with_stats`] on the program itself: the constant tables
+/// of a large transform are neither copied nor compared. The program
+/// changed exactly when `n_f` or `temps` did.
+pub(crate) fn scalarize_in_place(prog: &mut IProgram) -> UnrollStats {
     // Pass 1: find temps accessed only with constant subscripts.
     let mut const_only: Vec<bool> = prog.temps.iter().map(|_| true).collect();
     let mark = |vr: &VecRef, const_only: &mut Vec<bool>| {
@@ -587,8 +596,7 @@ pub fn scalarize_with_stats(prog: &IProgram) -> (IProgram, UnrollStats) {
         }
         p.clone()
     };
-    let mut out = prog.clone();
-    for ins in &mut out.instrs {
+    for ins in &mut prog.instrs {
         match ins {
             Instr::Bin { dst, a, b, .. } => {
                 *dst = rewrite_place(dst, &mut map, &mut next_f);
@@ -602,19 +610,18 @@ pub fn scalarize_with_stats(prog: &IProgram) -> (IProgram, UnrollStats) {
             _ => {}
         }
     }
-    out.n_f = next_f;
+    prog.n_f = next_f;
     // Shrink fully-scalarized temps to zero length (they are never
     // addressed any more).
     for (t, only) in const_only.iter().enumerate() {
         if *only {
-            out.temps[t] = 0;
+            prog.temps[t] = 0;
         }
     }
-    let stats = UnrollStats {
+    UnrollStats {
         temps_scalarized: map.len() as u64,
         ..Default::default()
-    };
-    (out, stats)
+    }
 }
 
 fn visit_vecs(ins: &Instr, f: &mut dyn FnMut(&VecRef)) {

@@ -125,9 +125,11 @@ fn corpus_vector_and_forced_scalar_runs_are_bit_identical() {
     for path in &entries {
         let label = path.file_name().unwrap().to_string_lossy().into_owned();
         let src = std::fs::read_to_string(path).unwrap();
+        // Comments and `#` directives out: this test wants each file's
+        // formula as `compile_formula_str` compiles it (loops kept).
         let formula: String = src
             .lines()
-            .filter(|l| !l.trim_start().starts_with(';'))
+            .filter(|l| !l.trim_start().starts_with([';', '#']))
             .collect();
         let mut compiler = Compiler::new();
         let unit = compiler

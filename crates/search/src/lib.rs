@@ -90,6 +90,7 @@ use std::time::Duration;
 
 use spl_compiler::{Compiler, CompilerOptions, OptLevel};
 use spl_generator::fft::{rightmost_splits, FftTree, Rule};
+use spl_minifft::estimate::PlanFeatures;
 use spl_native::{BuildOptions, CacheOutcome, KernelCache, NativeError};
 use spl_numeric::Complex;
 use spl_telemetry::Telemetry;
@@ -104,9 +105,8 @@ pub use faults::FaultyEvaluator;
 pub use parallel::{EvaluatorPool, MeasurementGate, MeasurementToken, WorkerContext};
 pub use resilient::{QuarantineEntry, ResilientEvaluator};
 pub use wisdom::{
-    cc_fingerprint, machine_fingerprint, plan_features, transform_key, wisdom_from_string,
-    wisdom_to_string, PruneConfig, Search, SearchOutcome, WisdomDb, WisdomEntry, WisdomError,
-    WisdomErrorKind,
+    cc_fingerprint, machine_fingerprint, transform_key, wisdom_from_string, wisdom_to_string,
+    PruneConfig, Search, SearchOutcome, WisdomDb, WisdomEntry, WisdomError, WisdomErrorKind,
 };
 
 /// A structured search failure. Every variant carries human-readable
@@ -224,13 +224,55 @@ impl Default for SearchConfig {
 ///
 /// Propagates compiler and lowering failures.
 pub fn compile_tree(tree: &FftTree, unroll_threshold: usize) -> Result<VmProgram, SearchError> {
-    let unit = compile_sexp_for_search(
-        &tree.to_sexp(),
-        unroll_threshold,
-        spl_frontend::ast::DataType::Complex,
-    )
-    .map_err(|e| SearchError::CompileFailed(format!("compiling {}: {e}", tree.describe())))?;
-    lower(&unit.program).map_err(|e| SearchError::CompileFailed(e.to_string()))
+    compile_tree_featured(tree, unroll_threshold).map(|(vm, _)| vm)
+}
+
+/// [`compile_tree`], also handing out the cost-model features the
+/// compile produced on the way (the unit's dynamic operation count and
+/// the lowering's resolve statistics), so that nothing that wants both a
+/// runnable program and its features compiles the tree twice.
+fn compile_tree_featured(
+    tree: &FftTree,
+    unroll_threshold: usize,
+) -> Result<(VmProgram, PlanFeatures), SearchError> {
+    let unit = compile_unit_for_tree(tree, unroll_threshold)?;
+    let vm = lower(&unit.program).map_err(|e| SearchError::CompileFailed(e.to_string()))?;
+    let features = unit_features(tree, &unit, &vm);
+    Ok((vm, features))
+}
+
+/// [`PlanFeatures`] of a compiled candidate: problem size, dynamic
+/// operation count, and the VM lowering's `vm.fuse.*` / `vm.lsr.*` /
+/// `vm.vec.*` counters.
+fn unit_features(
+    tree: &FftTree,
+    unit: &spl_compiler::CompiledUnit,
+    vm: &VmProgram,
+) -> PlanFeatures {
+    let (fused_ops, loop_overhead, vec_ops) = match vm.resolve_stats() {
+        Some(rs) => (
+            (rs.fused_muladd + rs.fused_negfold + rs.fused_butterfly) as f64,
+            (rs.cursors + rs.strength_reduced_steps + rs.hoisted_terms) as f64,
+            rs.vec_ops as f64,
+        ),
+        None => (0.0, 0.0, 0.0),
+    };
+    PlanFeatures {
+        n: tree.size() as f64,
+        dynamic_ops: unit.program.dynamic_op_count() as f64,
+        fused_ops,
+        loop_overhead,
+        vec_ops,
+    }
+}
+
+/// [`PlanFeatures`] of a candidate tree from pure-Rust compilation (no
+/// `cc`, no timing). `None` when the candidate does not compile. Public
+/// for tooling (the `wisdomexp` estimate-vs-measured report); the search
+/// asks the evaluator that measured a tree first
+/// ([`Evaluator::plan_features`]) and caches the answers per session.
+pub fn plan_features(tree: &FftTree, unroll: usize) -> Option<PlanFeatures> {
+    compile_tree_featured(tree, unroll).ok().map(|(_, f)| f)
 }
 
 /// Compiles `I_m ⊗ A` for a factorization tree `A`: one program that
@@ -357,11 +399,23 @@ pub trait Evaluator: Send {
     fn drain_telemetry(&mut self) -> Telemetry {
         Telemetry::new()
     }
+
+    /// The cost-model features of a tree this evaluator has compiled at
+    /// `unroll_threshold`, when it kept them: calibration reuses the
+    /// compile a measurement already paid for instead of compiling every
+    /// probe a second time. `None` sends the caller to [`plan_features`].
+    fn plan_features(&self, _tree: &FftTree, _unroll_threshold: usize) -> Option<PlanFeatures> {
+        None
+    }
 }
 
 impl Evaluator for Box<dyn Evaluator> {
     fn cost(&mut self, tree: &FftTree) -> Result<f64, SearchError> {
         (**self).cost(tree)
+    }
+
+    fn plan_features(&self, tree: &FftTree, unroll_threshold: usize) -> Option<PlanFeatures> {
+        (**self).plan_features(tree, unroll_threshold)
     }
 
     fn label(&self) -> &str {
@@ -371,6 +425,19 @@ impl Evaluator for Box<dyn Evaluator> {
     fn drain_telemetry(&mut self) -> Telemetry {
         (**self).drain_telemetry()
     }
+}
+
+/// Looks a tree up among the features an evaluator kept while compiling
+/// at `compiled_at`; a request for another threshold is another program.
+fn kept_features(
+    kept: &HashMap<String, PlanFeatures>,
+    compiled_at: usize,
+    tree: &FftTree,
+    unroll_threshold: usize,
+) -> Option<PlanFeatures> {
+    (compiled_at == unroll_threshold)
+        .then(|| kept.get(&tree.describe()).copied())
+        .flatten()
 }
 
 /// Times each candidate on the VM (the paper's measured search).
@@ -387,6 +454,7 @@ pub struct MeasuredEvaluator {
     verify: bool,
     gate: MeasurementGate,
     cache: HashMap<String, f64>,
+    features: HashMap<String, PlanFeatures>,
     tel: Telemetry,
 }
 
@@ -401,6 +469,7 @@ impl MeasuredEvaluator {
             verify: true,
             gate: MeasurementGate::new(),
             cache: HashMap::new(),
+            features: HashMap::new(),
             tel,
         }
     }
@@ -428,7 +497,8 @@ impl Evaluator for MeasuredEvaluator {
             self.tel.add("search.eval_cache_hits", 1);
             return Ok(c);
         }
-        let vm = compile_tree(tree, self.unroll_threshold)?;
+        let (vm, features) = compile_tree_featured(tree, self.unroll_threshold)?;
+        self.features.insert(key.clone(), features);
         if self.verify && tree.size() <= VERIFY_MAX_SIZE {
             let x = verification_input(tree.size());
             let flat = spl_vm::convert::interleave(&x);
@@ -454,6 +524,15 @@ impl Evaluator for MeasuredEvaluator {
 
     fn label(&self) -> &str {
         "vm"
+    }
+
+    fn plan_features(&self, tree: &FftTree, unroll_threshold: usize) -> Option<PlanFeatures> {
+        kept_features(
+            &self.features,
+            self.unroll_threshold,
+            tree,
+            unroll_threshold,
+        )
     }
 
     fn drain_telemetry(&mut self) -> Telemetry {
@@ -482,6 +561,7 @@ pub struct NativeEvaluator {
     gate: MeasurementGate,
     kernel_cache: Option<Arc<KernelCache>>,
     cache: HashMap<String, f64>,
+    features: HashMap<String, PlanFeatures>,
     tel: Telemetry,
 }
 
@@ -500,6 +580,7 @@ impl NativeEvaluator {
             gate: MeasurementGate::new(),
             kernel_cache: None,
             cache: HashMap::new(),
+            features: HashMap::new(),
             tel,
         }
     }
@@ -547,11 +628,18 @@ impl NativeEvaluator {
         &mut self,
         tree: &FftTree,
     ) -> Result<(spl_native::NativeKernel, Option<String>), SearchError> {
-        let Some(cache) = &self.kernel_cache else {
-            return compile_tree_native_with(tree, self.unroll_threshold, &self.build)
-                .map(|k| (k, None));
-        };
         let unit = compile_unit_for_tree(tree, self.unroll_threshold)?;
+        // The features want the VM lowering's counters: a few percent of
+        // the compile above, nothing beside the `cc` run below.
+        if let Ok(vm) = lower(&unit.program) {
+            self.features
+                .insert(tree.describe(), unit_features(tree, &unit, &vm));
+        }
+        let Some(cache) = &self.kernel_cache else {
+            return spl_native::NativeKernel::compile_with(&unit, &self.build)
+                .map(|k| (k, None))
+                .map_err(native_err);
+        };
         let key = spl_native::NativeKernel::cache_key(&unit, &self.build).map_err(native_err)?;
         let (kernel, outcome) = spl_native::NativeKernel::compile_cached(&unit, &self.build, cache)
             .map_err(native_err)?;
@@ -602,6 +690,15 @@ impl Evaluator for NativeEvaluator {
 
     fn label(&self) -> &str {
         "native"
+    }
+
+    fn plan_features(&self, tree: &FftTree, unroll_threshold: usize) -> Option<PlanFeatures> {
+        kept_features(
+            &self.features,
+            self.unroll_threshold,
+            tree,
+            unroll_threshold,
+        )
     }
 
     fn drain_telemetry(&mut self) -> Telemetry {

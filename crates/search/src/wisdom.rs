@@ -54,7 +54,7 @@ use spl_resilience::{FileLock, Journal, JournalError};
 use spl_telemetry::Telemetry;
 
 use crate::{
-    compile_sexp_for_search, large_candidates, small_candidates, EvaluatorPool, Plan, SearchConfig,
+    large_candidates, plan_features, small_candidates, EvaluatorPool, Plan, SearchConfig,
     SearchError, SizeResult,
 };
 
@@ -886,13 +886,32 @@ impl Search {
     /// program: dynamic op count plus the resolved engine's
     /// `vm.fuse.*` / `vm.lsr.*` / `vm.vec.*` counters. Pure Rust
     /// compilation — no `cc`, no timing. `None` when the candidate
-    /// does not compile (it will then never be pruned away).
-    fn features(&mut self, tree: &FftTree) -> Option<PlanFeatures> {
+    /// does not compile (it will then never be pruned away). A tree
+    /// that `measured_by` has just measured was compiled there already:
+    /// the evaluator that did it hands the features out
+    /// (`search.features.reused`); any other tree costs a compile of its
+    /// own (`search.features.compiled`).
+    fn features(
+        &mut self,
+        tree: &FftTree,
+        measured_by: Option<&EvaluatorPool>,
+        tel: &mut Telemetry,
+    ) -> Option<PlanFeatures> {
         let key = tree.describe();
         if let Some(f) = self.features.get(&key) {
             return *f;
         }
-        let f = plan_features(tree, self.config.unroll_threshold);
+        let unroll = self.config.unroll_threshold;
+        let f = match measured_by.and_then(|pool| pool.plan_features(tree, unroll)) {
+            Some(f) => {
+                tel.add("search.features.reused", 1);
+                Some(f)
+            }
+            None => {
+                tel.add("search.features.compiled", 1);
+                plan_features(tree, unroll)
+            }
+        };
         self.features.insert(key, f);
         f
     }
@@ -922,7 +941,7 @@ impl Search {
                     continue;
                 }
             };
-            if let Some(f) = self.features(tree) {
+            if let Some(f) = self.features(tree, Some(pool), tel) {
                 samples.push((f, c));
             }
         }
@@ -962,7 +981,7 @@ impl Search {
         let preds: Vec<Option<f64>> = candidates
             .iter()
             .map(|t| {
-                let f = self.features(t)?;
+                let f = self.features(t, None, tel)?;
                 let model = self.model.as_ref()?;
                 Some(model.predict(&f))
             })
@@ -1070,37 +1089,6 @@ impl Search {
         self.db.record(transform, n, &plans)?;
         Ok(plans)
     }
-}
-
-/// [`PlanFeatures`] of a candidate tree from pure-Rust compilation (no
-/// `cc`, no timing): dynamic op count plus the resolved engine's
-/// `vm.fuse.*` / `vm.lsr.*` / `vm.vec.*` counters. `None` when the
-/// candidate does not compile. Public for tooling (the `wisdomexp`
-/// estimate-vs-measured report); the search caches these per session.
-pub fn plan_features(tree: &FftTree, unroll: usize) -> Option<PlanFeatures> {
-    let unit = compile_sexp_for_search(
-        &tree.to_sexp(),
-        unroll,
-        spl_frontend::ast::DataType::Complex,
-    )
-    .ok()?;
-    let dynamic_ops = unit.program.dynamic_op_count() as f64;
-    let vm = spl_vm::lower(&unit.program).ok()?;
-    let (fused_ops, loop_overhead, vec_ops) = match vm.resolve_stats() {
-        Some(rs) => (
-            (rs.fused_muladd + rs.fused_negfold + rs.fused_butterfly) as f64,
-            (rs.cursors + rs.strength_reduced_steps + rs.hoisted_terms) as f64,
-            rs.vec_ops as f64,
-        ),
-        None => (0.0, 0.0, 0.0),
-    };
-    Some(PlanFeatures {
-        n: tree.size() as f64,
-        dynamic_ops,
-        fused_ops,
-        loop_overhead,
-        vec_ops,
-    })
 }
 
 /// The calibration probe set: leaves across the codelet range plus
@@ -1430,6 +1418,47 @@ mod tests {
         let exhaustive = plain_tel.counter("search.plans_evaluated").unwrap();
         let pruned = tel.counter("search.plans_evaluated").unwrap();
         assert!(pruned < exhaustive, "pruned {pruned} vs {exhaustive}");
+    }
+
+    #[test]
+    fn calibration_takes_features_from_the_compile_that_measured_the_probe() {
+        let config = SearchConfig {
+            leaf_max: 4,
+            ..SearchConfig::default()
+        };
+        let unroll = config.unroll_threshold;
+        let quick = std::time::Duration::from_micros(20);
+        let mut pool = EvaluatorPool::new(2, |ctx| {
+            Box::new(crate::ResilientEvaluator::new().tier(
+                "vm",
+                Box::new(crate::MeasuredEvaluator::new(unroll, quick).with_gate(ctx.gate.clone())),
+            ))
+        });
+        let mut search = Search::new(config.clone()).with_prune(PruneConfig::default());
+        let mut tel = Telemetry::new();
+        search.run(3, &mut pool, &mut tel).unwrap();
+        // Every probe was compiled exactly once, by the worker that
+        // timed it; only unmeasured candidates compile for the model.
+        let probes = tel.counter("search.calibration.probes").unwrap();
+        assert!(probes > 0);
+        assert_eq!(tel.counter("search.features.reused"), Some(probes));
+        // What the evaluator hands out is what a compile of its own
+        // would have found, and only for the threshold it compiled at.
+        for tree in probe_trees(&config) {
+            let handed = pool.plan_features(&tree, unroll).expect("measured probe");
+            assert_eq!(
+                Some(handed),
+                plan_features(&tree, unroll),
+                "{}",
+                tree.describe()
+            );
+            assert_eq!(pool.plan_features(&tree, unroll + 1), None);
+        }
+        // The op-count model never lowers a candidate: nothing to hand out.
+        let probe = &probe_trees(&config)[0];
+        let mut model = opcount_pool();
+        model.costs(std::slice::from_ref(probe));
+        assert_eq!(model.plan_features(probe, unroll), None);
     }
 
     #[test]
