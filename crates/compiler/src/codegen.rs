@@ -362,6 +362,11 @@ fn emit_fortran(name: &str, prog: &IProgram, opts: &CodegenOptions) -> String {
 // C
 // ---------------------------------------------------------------------
 
+/// The C subroutine. `y` and `x` are `restrict`: a caller must pass
+/// buffers that do not overlap, as the VM and the dense oracle already
+/// require (generated code writes outputs long before its last read of
+/// an input), and the C compiler may then keep the loads and stores of a
+/// loop body in registers across each other.
 fn emit_c(name: &str, prog: &IProgram, opts: &CodegenOptions) -> String {
     let mut e = Emit {
         prog,
@@ -371,9 +376,9 @@ fn emit_c(name: &str, prog: &IProgram, opts: &CodegenOptions) -> String {
         indent: 0,
     };
     let args = if opts.io_params {
-        "(double *y, const double *x, long yofs, long xofs, long ystr, long xstr)"
+        "(double *restrict y, const double *restrict x, long yofs, long xofs, long ystr, long xstr)"
     } else {
-        "(double *y, const double *x)"
+        "(double *restrict y, const double *restrict x)"
     };
     e.line(&format!("void {name}{args}"));
     e.line("{");
@@ -477,7 +482,7 @@ mod tests {
             ..Default::default()
         };
         let src = emit("f2", &butterfly_prog(), &opts);
-        assert!(src.contains("void f2(double *y, const double *x)"));
+        assert!(src.contains("void f2(double *restrict y, const double *restrict x)"));
         assert!(src.contains("y[0] = x[0] + x[1];"));
         assert!(src.contains("y[1] = x[0] - x[1];"));
     }

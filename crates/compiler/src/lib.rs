@@ -50,7 +50,7 @@ use spl_frontend::ast::{DataType, DirectiveState, Item, Language, Unroll};
 use spl_frontend::sexp::Sexp;
 use spl_icode::IProgram;
 use spl_telemetry::{Stopwatch, Telemetry};
-use spl_templates::{expand_formula, ExpandOptions, TemplateTable};
+use spl_templates::{expand_formula_with_stats, ExpandOptions, TemplateTable};
 
 pub use codegen::CodegenOptions;
 pub use error::CompileError;
@@ -320,8 +320,14 @@ impl Compiler {
             max_steps: self.opts.limits.max_expand_steps,
         };
         let sw = Stopwatch::start();
-        let mut prog = expand_formula(&sexp, &self.table, &expand_opts)?;
+        let (mut prog, xstats) = expand_formula_with_stats(&sexp, &self.table, &expand_opts)?;
         self.telemetry.record_span("expand", sw.elapsed());
+        self.telemetry.add("templates.fold.perm", xstats.fold_perm);
+        self.telemetry.add("templates.fold.diag", xstats.fold_diag);
+        self.telemetry.add(
+            "templates.compose.materialized",
+            xstats.compose_materialized,
+        );
         // Phase 3: restructuring.
         let sw = Stopwatch::start();
         let (unrolled, ustats) =
@@ -602,7 +608,7 @@ mod tests {
         });
         let unit = c.compile_formula_str("(F 4)").unwrap();
         let src = unit.emit();
-        assert!(src.contains("void sub1(double *y, const double *x)"));
+        assert!(src.contains("void sub1(double *restrict y, const double *restrict x)"));
     }
 
     #[test]

@@ -1,7 +1,10 @@
 //! Dead code elimination: iteratively removes arithmetic instructions
 //! whose destination is never read (output-vector writes are always
 //! live), then prunes empty loops. The read sets are whole-program and
-//! position-insensitive, which is sound in the presence of loops.
+//! position-insensitive, which is sound in the presence of loops. A
+//! scalar's read by an instruction that writes the same scalar does not
+//! count: `$r0 = 2 * $r0` keeps nothing alive but itself, and a chain
+//! that only feeds itself goes with it.
 
 use std::collections::HashSet;
 
@@ -57,6 +60,7 @@ pub(crate) fn dce_counted(
         let mut const_reads: HashSet<VecKind> = HashSet::new();
         let mut sym_reads: HashSet<VecKind> = HashSet::new();
         for ins in &instrs {
+            let own = ins.dst().and_then(scalar_id);
             for_each_read(ins, &mut |p| match p {
                 Place::Vec(vr) => match vr.idx.as_const() {
                     Some(c) => {
@@ -67,7 +71,7 @@ pub(crate) fn dce_counted(
                         sym_reads.insert(vr.kind);
                     }
                 },
-                scalar => scalar_reads.extend(scalar_id(scalar)),
+                scalar => scalar_reads.extend(scalar_id(scalar).filter(|&id| Some(id) != own)),
             });
         }
         let live = |dst: &Place| -> bool {
@@ -143,4 +147,92 @@ pub(crate) fn dce_counted(
     }
     stats.dce_removed += (initial - instrs.len()) as u64;
     Ok((instrs, prov))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use spl_icode::{Affine, BinOp, LoopVar, UnOp, Value};
+
+    /// What unrolling a twiddle loop around a live outer loop leaves once
+    /// the intrinsic is a table reference and value numbering has reused
+    /// the register: an integer chain read by nothing but itself.
+    #[test]
+    fn self_feeding_integer_chain_is_removed() {
+        let i = LoopVar(0);
+        let at = |kind| {
+            Place::Vec(VecRef {
+                kind,
+                idx: Affine::var(i),
+            })
+        };
+        let prog = IProgram {
+            instrs: vec![
+                Instr::DoStart {
+                    var: i,
+                    lo: 0,
+                    hi: 7,
+                    unroll: false,
+                },
+                Instr::Un {
+                    op: UnOp::Copy,
+                    dst: Place::R(0),
+                    a: Value::LoopIdx(i),
+                },
+                Instr::Bin {
+                    op: BinOp::Mul,
+                    dst: Place::R(0),
+                    a: Value::Int(2),
+                    b: Value::Place(Place::R(0)),
+                },
+                Instr::Un {
+                    op: UnOp::Copy,
+                    dst: at(VecKind::Out),
+                    a: Value::Place(at(VecKind::In)),
+                },
+                Instr::DoEnd,
+            ],
+            n_in: 8,
+            n_out: 8,
+            n_r: 1,
+            n_loop: 1,
+            ..IProgram::empty()
+        };
+        let mut stats = OptStats::default();
+        let (instrs, _) = dce_counted(&prog, &mut stats).unwrap();
+        assert_eq!(stats.dce_removed, 2);
+        assert_eq!(instrs.len(), 3, "{instrs:?}");
+        assert!(instrs.iter().all(|ins| ins.dst() != Some(&Place::R(0))));
+
+        // A second reader keeps the chain.
+        let mut live = prog.clone();
+        live.instrs.insert(
+            3,
+            Instr::Un {
+                op: UnOp::Copy,
+                dst: Place::R(1),
+                a: Value::Place(Place::R(0)),
+            },
+        );
+        live.instrs.insert(
+            4,
+            Instr::Un {
+                op: UnOp::Copy,
+                dst: at(VecKind::Temp(0)),
+                a: Value::Place(Place::R(1)),
+            },
+        );
+        live.instrs.insert(
+            5,
+            Instr::Un {
+                op: UnOp::Copy,
+                dst: at(VecKind::Out),
+                a: Value::Place(at(VecKind::Temp(0))),
+            },
+        );
+        live.n_r = 2;
+        live.temps = vec![8];
+        let (instrs, _) = dce_counted(&live, &mut OptStats::default()).unwrap();
+        assert_eq!(instrs.len(), live.instrs.len());
+    }
 }

@@ -7,8 +7,10 @@
 //! platform's native compiler and timing the resulting machine code.
 //! This crate does exactly that on the host: a [`CompiledUnit`]'s C
 //! output is written to a temporary file, compiled with the system C
-//! compiler (`cc -O2 -shared -fPIC`), loaded with `dlopen`, and invoked
-//! through its `void name(double *y, const double *x)` entry point.
+//! compiler (`cc -O2 -ffp-contract=off -shared -fPIC`), loaded with
+//! `dlopen`, and invoked
+//! through its `void name(double *restrict y, const double *restrict x)`
+//! entry point.
 //!
 //! Because a timing search compiles and runs thousands of generated
 //! kernels, every external step is fault-contained:
@@ -74,7 +76,12 @@ const RTLD_NOW: c_int = 2;
 /// The fixed `cc` command line (before `-o` and the file paths). Part
 /// of the kernel-cache key: changing these flags invalidates every
 /// cached object.
-pub(crate) const CC_FLAGS: &[&str] = &["-O2", "-shared", "-fPIC"];
+///
+/// `-ffp-contract=off`: a `cc` that fuses `a*b+c` by default (any target
+/// with FMA in its baseline) rounds once where the VM rounds twice, and
+/// every kernel then fails the bitwise promotion run and is served by
+/// the VM instead.
+pub(crate) const CC_FLAGS: &[&str] = &["-O2", "-ffp-contract=off", "-shared", "-fPIC"];
 
 /// The entry-point symbol used by [`NativeKernel::compile_cached`].
 /// Cached objects share one canonical name so byte-identical kernels
@@ -194,8 +201,7 @@ struct TempArtifacts {
 }
 
 impl TempArtifacts {
-    fn new(stem: &str) -> TempArtifacts {
-        let dir = std::env::temp_dir();
+    fn new(dir: &Path, stem: &str) -> TempArtifacts {
         TempArtifacts {
             c_path: dir.join(format!("{stem}.c")),
             so_path: dir.join(format!("{stem}.so")),
@@ -284,8 +290,8 @@ impl NativeKernel {
         );
         let (handle, sym, so_path, c_path) = build_and_load(&name, &c_src, opts)?;
         // SAFETY: the symbol has the C ABI signature
-        // `void name(double *y, const double *x)` by construction of the
-        // emitter.
+        // `void name(double *restrict y, const double *restrict x)` by
+        // construction of the emitter.
         let entry: extern "C" fn(*mut f64, *const f64) = unsafe { std::mem::transmute(sym) };
         Ok(NativeKernel {
             handle,
@@ -324,8 +330,8 @@ impl NativeKernel {
             cache.insert(&key, bytes);
         }
         // SAFETY: the symbol has the C ABI signature
-        // `void name(double *y, const double *x)` by construction of the
-        // emitter.
+        // `void name(double *restrict y, const double *restrict x)` by
+        // construction of the emitter.
         let entry: extern "C" fn(*mut f64, *const f64) = unsafe { std::mem::transmute(sym) };
         Ok((
             NativeKernel {
@@ -380,7 +386,7 @@ impl NativeKernel {
     /// files), then loaded exactly like a freshly built object. The
     /// kernel owns the temp file and removes it on drop.
     fn load_cached(bytes: &[u8], unit: &CompiledUnit) -> Result<NativeKernel, NativeError> {
-        let tmp = TempArtifacts::new(&fresh_stem());
+        let tmp = TempArtifacts::new(&std::env::temp_dir(), &fresh_stem());
         std::fs::write(&tmp.so_path, bytes)
             .map_err(|e| NativeError::Io(format!("writing {}: {e}", tmp.so_path.display())))?;
         let (handle, sym) = load_object(&tmp.so_path, CACHED_SYMBOL)?;
@@ -523,8 +529,8 @@ impl Drop for NativeKernel {
 
 /// A natively compiled subroutine with the paper's Section 3.5
 /// offset/stride parameters:
-/// `void name(double *y, const double *x, long yofs, long xofs,
-/// long ystr, long xstr)`, strides and offsets counted in *logical
+/// `void name(double *restrict y, const double *restrict x, long yofs,
+/// long xofs, long ystr, long xstr)`, strides and offsets counted in *logical
 /// elements* of the generated code (real words for real-typed code).
 pub struct NativeIoKernel {
     handle: *mut c_void,
@@ -692,7 +698,17 @@ fn build_and_load(
     c_src: &str,
     opts: &BuildOptions,
 ) -> Result<(*mut c_void, *mut c_void, PathBuf, PathBuf), NativeError> {
-    let tmp = TempArtifacts::new(&fresh_stem());
+    build_and_load_in(&std::env::temp_dir(), name, c_src, opts)
+}
+
+/// [`build_and_load`] with the `.c`/`.so` pair placed in `dir`.
+fn build_and_load_in(
+    dir: &Path,
+    name: &str,
+    c_src: &str,
+    opts: &BuildOptions,
+) -> Result<(*mut c_void, *mut c_void, PathBuf, PathBuf), NativeError> {
+    let tmp = TempArtifacts::new(dir, &fresh_stem());
     std::fs::write(&tmp.c_path, c_src)
         .map_err(|e| NativeError::Io(format!("writing {}: {e}", tmp.c_path.display())))?;
     run_cc(&tmp.c_path, &tmp.so_path, opts)?;
@@ -863,11 +879,13 @@ mod tests {
 
     #[test]
     fn compile_failure_cleans_temp_artifacts_and_clips_stderr() {
-        // Force a cc failure through the public path by emitting a unit,
-        // then compiling its C with a corrupted entry name via the
-        // internal plumbing (the emitter itself never produces bad C).
-        let before = count_spl_temps();
-        let err = build_and_load(
+        // The emitter itself never produces bad C: hand the internal
+        // plumbing some. Its artifacts go to a directory of the test's
+        // own, so that other tests' kernels coming and going in the
+        // shared temp directory are not counted.
+        let dir = artifact_dir("broken");
+        let err = build_and_load_in(
+            &dir,
             "broken",
             "void broken(double *y, const double *x) { this is not C; }",
             &BuildOptions::default(),
@@ -880,40 +898,54 @@ mod tests {
             }
             other => panic!("expected CompileFailed, got {other:?}"),
         }
-        assert_eq!(count_spl_temps(), before, "temp artifacts leaked");
+        assert_eq!(
+            leftovers(&dir),
+            Vec::<String>::new(),
+            "temp artifacts leaked"
+        );
     }
 
     #[test]
     fn cc_timeout_is_classified_and_cleaned_up() {
         // A 0-budget build can never finish: the runner must kill cc,
         // classify the failure, and leave no artifacts behind.
-        let before = count_spl_temps();
+        let dir = artifact_dir("slowbuild");
         let opts = BuildOptions {
             cc_timeout: Duration::from_millis(0),
             retry: RetryPolicy::none(),
         };
-        let err = build_and_load(
+        let err = build_and_load_in(
+            &dir,
             "slowbuild",
             "void slowbuild(double *y, const double *x) { y[0] = x[0]; }",
             &opts,
         )
         .unwrap_err();
         assert!(matches!(err, NativeError::CompileTimeout(_)), "got {err:?}");
-        assert_eq!(count_spl_temps(), before, "temp artifacts leaked");
+        assert_eq!(
+            leftovers(&dir),
+            Vec::<String>::new(),
+            "temp artifacts leaked"
+        );
     }
 
-    fn count_spl_temps() -> usize {
-        std::fs::read_dir(std::env::temp_dir())
-            .map(|rd| {
-                rd.filter_map(|e| e.ok())
-                    .filter(|e| {
-                        let pid = std::process::id().to_string();
-                        let name = e.file_name().to_string_lossy().to_string();
-                        name.starts_with(&format!("spl_native_{pid}_"))
-                    })
-                    .count()
-            })
-            .unwrap_or(0)
+    /// An empty directory for one test's `.c`/`.so` pairs.
+    fn artifact_dir(test: &str) -> PathBuf {
+        let dir =
+            std::env::temp_dir().join(format!("spl_native_test_{}_{test}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
+    /// What is left in `dir`, which is then removed.
+    fn leftovers(dir: &Path) -> Vec<String> {
+        let names = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        let _ = std::fs::remove_dir_all(dir);
+        names
     }
 
     #[test]

@@ -71,10 +71,10 @@ pub const STARTUP_SPL: &str = r#"
         $out(n_-1-$i0) = $in($i0)
    end))
 
-; (compose A B) -- matrix product: apply B, then A, through a temporary.
-(template (compose A_ B_) [A_.in_size == B_.out_size]
-  ( B_( $in, $t0, 0, 0, 1, 1 )
-    A_( $t0, $out, 0, 0, 1, 1 )))
+; (compose A ... Z) has no template: the expander applies the factors
+; right to left through two alternating temporaries, after folding the
+; L and T factors of the chain into the tensor stage beside them. A user
+; template matching a compose still overrides that.
 
 ; (tensor (I m) A) -- block repetition over contiguous sub-vectors.
 (template (tensor (I m_) A_) [m_>=1]
@@ -118,7 +118,7 @@ mod tests {
     #[test]
     fn startup_file_parses() {
         let ts = startup_templates();
-        assert_eq!(ts.len(), 10);
+        assert_eq!(ts.len(), 9);
     }
 
     #[test]

@@ -105,6 +105,21 @@ impl Default for ExpandOptions {
     }
 }
 
+/// Work counters for one expansion, reported through the telemetry layer
+/// (`templates.*` counters in `splc --stats`). Every factor of every
+/// multi-factor `compose` lands in exactly one of the three.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ExpandStats {
+    /// Stride permutations folded into a neighbouring tensor stage's
+    /// gather or scatter index.
+    pub fold_perm: u64,
+    /// Twiddle diagonals folded into a neighbouring tensor stage's loads
+    /// or stores.
+    pub fold_diag: u64,
+    /// Compose factors expanded as a sweep of their own, between buffers.
+    pub compose_materialized: u64,
+}
+
 /// Expands a formula into an i-code program using the template table.
 ///
 /// # Errors
@@ -117,6 +132,19 @@ pub fn expand_formula(
     table: &TemplateTable,
     opts: &ExpandOptions,
 ) -> Result<IProgram, ExpandError> {
+    expand_formula_with_stats(sexp, table, opts).map(|(p, _)| p)
+}
+
+/// [`expand_formula`], also reporting what the compose fold did.
+///
+/// # Errors
+///
+/// Same failure modes as [`expand_formula`].
+pub fn expand_formula_with_stats(
+    sexp: &Sexp,
+    table: &TemplateTable,
+    opts: &ExpandOptions,
+) -> Result<(IProgram, ExpandStats), ExpandError> {
     let resolved = resolve_defines(sexp, &opts.defines);
     let resolved = binarize(&resolved);
     let (rows, cols) = shape_of(&resolved, table)?;
@@ -135,6 +163,7 @@ pub fn expand_formula(
         prov: Vec::new(),
         prov_nodes: Vec::new(),
         cur_node: ProvNode::ROOT,
+        stats: ExpandStats::default(),
     };
     let params = Params {
         in_base: VecKind::In,
@@ -168,7 +197,7 @@ pub fn expand_formula(
     };
     prog.validate()
         .map_err(|e| ExpandError::Invalid(format!("generated invalid i-code: {e}")))?;
-    Ok(prog)
+    Ok((prog, ex.stats))
 }
 
 /// Substitutes `define`d names (in definition order), wrapping bodies
@@ -194,10 +223,11 @@ pub fn resolve_defines(sexp: &Sexp, defines: &[(String, Sexp, bool)]) -> Sexp {
 
 /// Right-associates n-ary `tensor`/`direct-sum` into binary nests, as the
 /// paper's parser does. N-ary `compose` is left intact: the expander
-/// implements it natively with two ping-pong buffers, so a chain of `k`
-/// factors needs 2 temporaries instead of the `k−1` a binarized nest
-/// would allocate (binary composes still go through the template, and a
-/// user template matching the full n-ary pattern still wins).
+/// implements it natively (see the `compose` module): it folds the `L`
+/// and `T` factors of the chain into the tensor stages beside them and
+/// runs what is left through two alternating buffers, instead of the
+/// `k−1` a binarized nest would allocate. A user template matching the
+/// compose still wins.
 ///
 /// A degenerate unary application — `(tensor A)`, `(direct-sum A)`,
 /// `(compose A)` — collapses to `A`, matching the dense reference
@@ -274,16 +304,16 @@ fn write_label(sexp: &Sexp, budget: usize, out: &mut String) {
 /// The six implicit parameters of a template instance, plus the sizes and
 /// the unroll flag.
 #[derive(Debug, Clone)]
-struct Params {
-    in_base: VecKind,
-    out_base: VecKind,
-    in_off: Affine,
-    out_off: Affine,
-    in_stride: i64,
-    out_stride: i64,
-    in_size: usize,
-    out_size: usize,
-    unroll: bool,
+pub(crate) struct Params {
+    pub(crate) in_base: VecKind,
+    pub(crate) out_base: VecKind,
+    pub(crate) in_off: Affine,
+    pub(crate) out_off: Affine,
+    pub(crate) in_stride: i64,
+    pub(crate) out_stride: i64,
+    pub(crate) in_size: usize,
+    pub(crate) out_size: usize,
+    pub(crate) unroll: bool,
 }
 
 /// Per-template-instance name maps.
@@ -303,12 +333,12 @@ enum Ctx {
     Num,
 }
 
-struct Expander<'t> {
-    table: &'t TemplateTable,
+pub(crate) struct Expander<'t> {
+    pub(crate) table: &'t TemplateTable,
     threshold: Option<usize>,
-    instrs: Vec<Instr>,
-    n_f: u32,
-    n_r: u32,
+    pub(crate) instrs: Vec<Instr>,
+    pub(crate) n_f: u32,
+    pub(crate) n_r: u32,
     n_loop: u32,
     /// Max subscript observed per temp id (-1 = untouched).
     temp_max: Vec<i64>,
@@ -327,6 +357,7 @@ struct Expander<'t> {
     prov_nodes: Vec<ProvNode>,
     /// Id of the formula node currently expanding.
     cur_node: u32,
+    pub(crate) stats: ExpandStats,
 }
 
 impl Expander<'_> {
@@ -336,7 +367,17 @@ impl Expander<'_> {
         self.prov.resize(self.instrs.len(), id);
     }
 
-    fn expand(&mut self, sexp: &Sexp, params: Params) -> Result<(), ExpandError> {
+    pub(crate) fn expand(&mut self, sexp: &Sexp, params: Params) -> Result<(), ExpandError> {
+        self.in_node(sexp, |ex| ex.expand_inner(sexp, params))
+    }
+
+    /// The single recursion gateway: runs `body` as the expansion of the
+    /// formula node `sexp`, under the depth and step budgets.
+    pub(crate) fn in_node(
+        &mut self,
+        sexp: &Sexp,
+        body: impl FnOnce(&mut Self) -> Result<(), ExpandError>,
+    ) -> Result<(), ExpandError> {
         self.depth += 1;
         if self.depth > self.max_depth {
             self.depth -= 1;
@@ -352,10 +393,10 @@ impl Expander<'_> {
                 self.max_steps
             )));
         }
-        // Provenance bookkeeping around the single recursion gateway:
-        // instructions the *parent* emitted since its last flush belong
-        // to the parent; everything emitted inside (including by this
-        // node after its children return) belongs to this node.
+        // Provenance bookkeeping: instructions the *parent* emitted since
+        // its last flush belong to the parent; everything emitted inside
+        // (including by this node after its children return) belongs to
+        // this node.
         self.flush_prov();
         let parent = self.cur_node;
         let id = self.prov_nodes.len() as u32;
@@ -364,11 +405,38 @@ impl Expander<'_> {
             parent,
         });
         self.cur_node = id;
-        let r = self.expand_inner(sexp, params);
+        let r = body(self);
         self.flush_prov();
         self.cur_node = parent;
         self.depth -= 1;
         r
+    }
+
+    /// Whether a sub-formula with `in_size` inputs has its loops fully
+    /// unrolled: inherited from the enclosing formula, or by `-B`.
+    pub(crate) fn unrolls(&self, inherited: bool, in_size: usize) -> bool {
+        inherited || self.threshold.is_some_and(|b| in_size <= b)
+    }
+
+    /// Opens `do var = lo, hi` over a fresh loop variable.
+    pub(crate) fn open_loop(&mut self, lo: i64, hi: i64, unroll: bool) -> LoopVar {
+        let lv = LoopVar(self.n_loop);
+        self.n_loop += 1;
+        self.loop_ranges.insert(lv, (lo, hi));
+        self.instrs.push(Instr::DoStart {
+            var: lv,
+            lo,
+            hi,
+            unroll,
+        });
+        lv
+    }
+
+    /// Allocates a temp of a known exact size.
+    pub(crate) fn alloc_sized_temp(&mut self, size: usize) -> u32 {
+        let gid = self.temp_max.len() as u32;
+        self.temp_max.push(size as i64 - 1);
+        gid
     }
 
     fn expand_inner(&mut self, sexp: &Sexp, mut params: Params) -> Result<(), ExpandError> {
@@ -380,11 +448,7 @@ impl Expander<'_> {
             params.unroll = true;
             return self.expand(inner, params);
         }
-        if let Some(b) = self.threshold {
-            if params.in_size <= b {
-                params.unroll = true;
-            }
-        }
+        params.unroll = self.unrolls(params.unroll, params.in_size);
         if let Some((def, bindings)) = self.table.find(sexp)? {
             let def = def.clone();
             return self.instantiate(&def, &bindings, &params);
@@ -400,100 +464,15 @@ impl Expander<'_> {
     }
 
     /// The non-head parts of a native form's list, or a typed error.
-    fn list_parts<'s>(&self, sexp: &'s Sexp, what: &str) -> Result<&'s [Sexp], ExpandError> {
+    pub(crate) fn list_parts<'s>(
+        &self,
+        sexp: &'s Sexp,
+        what: &str,
+    ) -> Result<&'s [Sexp], ExpandError> {
         match sexp.as_list() {
             Some(items) if !items.is_empty() => Ok(&items[1..]),
             _ => Err(ExpandError::Shape(format!("{what} must be a form: {sexp}"))),
         }
-    }
-
-    /// N-ary compose with ping-pong buffers: `A₁·A₂·…·A_k` applies the
-    /// factors right to left through two alternating temporaries, so a
-    /// chain of any length needs at most two buffers (a right-nested
-    /// binary expansion would allocate `k−1`). Binary composes normally
-    /// match the built-in template before reaching this fallback.
-    fn native_compose(&mut self, sexp: &Sexp, params: Params) -> Result<(), ExpandError> {
-        let factors = self.list_parts(sexp, "compose")?;
-        if factors.is_empty() {
-            return Err(ExpandError::Shape("empty compose".into()));
-        }
-        if factors.len() == 1 {
-            return self.expand(&factors[0], params);
-        }
-        let shapes = factors
-            .iter()
-            .map(|f| shape_of(f, self.table))
-            .collect::<Result<Vec<_>, _>>()?;
-        for w in shapes.windows(2) {
-            if w[0].1 != w[1].0 {
-                return Err(ExpandError::Shape(format!(
-                    "compose shape mismatch in {sexp}"
-                )));
-            }
-        }
-        let k = factors.len();
-        // Application order: factors[k-1] first. Application j (0-based,
-        // j < k-1) produces an intermediate that lands in buffer j % 2.
-        let mut buf_size = [0usize; 2];
-        for j in 0..k - 1 {
-            let factor_idx = k - 1 - j;
-            buf_size[j % 2] = buf_size[j % 2].max(shapes[factor_idx].0);
-        }
-        let bufs = [
-            self.alloc_sized_temp(buf_size[0]),
-            self.alloc_sized_temp(buf_size[1]),
-        ];
-        for j in 0..k {
-            let factor_idx = k - 1 - j;
-            let (rows, cols) = shapes[factor_idx];
-            let (in_base, in_off, in_stride, in_size) = if j == 0 {
-                (
-                    params.in_base,
-                    params.in_off.clone(),
-                    params.in_stride,
-                    params.in_size,
-                )
-            } else {
-                (
-                    VecKind::Temp(bufs[(j - 1) % 2]),
-                    Affine::constant(0),
-                    1,
-                    cols,
-                )
-            };
-            let (out_base, out_off, out_stride, out_size) = if j == k - 1 {
-                (
-                    params.out_base,
-                    params.out_off.clone(),
-                    params.out_stride,
-                    params.out_size,
-                )
-            } else {
-                (VecKind::Temp(bufs[j % 2]), Affine::constant(0), 1, rows)
-            };
-            self.expand(
-                &factors[factor_idx],
-                Params {
-                    in_base,
-                    out_base,
-                    in_off,
-                    out_off,
-                    in_stride,
-                    out_stride,
-                    in_size,
-                    out_size,
-                    unroll: params.unroll,
-                },
-            )?;
-        }
-        Ok(())
-    }
-
-    /// Allocates a temp of a known exact size.
-    fn alloc_sized_temp(&mut self, size: usize) -> u32 {
-        let gid = self.temp_max.len() as u32;
-        self.temp_max.push(size as i64 - 1);
-        gid
     }
 
     // ------------------------------------------------------------------
@@ -533,16 +512,8 @@ impl Expander<'_> {
                         skip_depth = 1;
                         continue;
                     }
-                    let lv = LoopVar(self.n_loop);
-                    self.n_loop += 1;
-                    self.loop_ranges.insert(lv, (lo, hi));
+                    let lv = self.open_loop(lo, hi, params.unroll);
                     frame.loops.push((var.clone(), lv));
-                    self.instrs.push(Instr::DoStart {
-                        var: lv,
-                        lo,
-                        hi,
-                        unroll: params.unroll,
-                    });
                 }
                 TemplateStmt::End => {
                     if frame.loops.pop().is_none() {

@@ -22,7 +22,9 @@
 //! * template expansion ([`expand`]) — recursive instantiation of i-code
 //!   bodies, threading the six implicit parameters `$in, $out,
 //!   $in_offset, $out_offset, $in_stride, $out_stride` through
-//!   sub-formula calls.
+//!   sub-formula calls; `compose` is expanded natively, folding the
+//!   stride permutations and twiddle diagonals of a chain into the
+//!   tensor stage beside them (the paper's composite templates).
 //!
 //! # Examples
 //!
@@ -41,12 +43,14 @@
 //! ```
 
 pub mod builtin;
+mod compose;
 pub mod expand;
 pub mod shape;
 pub mod table;
 
 pub use expand::{
-    expand_formula, ExpandError, ExpandOptions, DEFAULT_EXPAND_DEPTH, DEFAULT_EXPAND_STEPS,
+    expand_formula, expand_formula_with_stats, ExpandError, ExpandOptions, ExpandStats,
+    DEFAULT_EXPAND_DEPTH, DEFAULT_EXPAND_STEPS,
 };
 pub use table::{Bindings, TemplateTable};
 

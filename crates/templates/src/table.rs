@@ -23,6 +23,8 @@ pub struct Bindings {
 #[derive(Debug, Clone, Default)]
 pub struct TemplateTable {
     templates: Vec<TemplateDef>,
+    /// How many of the oldest templates came from the startup file.
+    builtin: usize,
 }
 
 impl TemplateTable {
@@ -43,7 +45,16 @@ impl TemplateTable {
         for def in crate::builtin::startup_templates() {
             t.add(def);
         }
+        t.builtin = t.templates.len();
         t
+    }
+
+    /// Whether `def` (as returned by [`find`](Self::find) on this table)
+    /// is one of the startup file's templates rather than a user's.
+    pub fn is_builtin(&self, def: &TemplateDef) -> bool {
+        self.templates[..self.builtin]
+            .as_ptr_range()
+            .contains(&std::ptr::from_ref(def))
     }
 
     /// Appends a template; it takes precedence over all earlier ones.

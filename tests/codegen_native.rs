@@ -62,6 +62,48 @@ fn native_c_matches_vm_across_shapes() {
     }
 }
 
+/// The emitted C promises the C compiler non-overlapping buffers, and
+/// what `cc` makes of that promise is still the VM's output bit for bit
+/// — straight-line code and loop code with folded `L`/`T` alike.
+#[test]
+fn restrict_qualified_kernels_match_the_vm_bitwise() {
+    let split = |r: usize, s: usize| {
+        let n = r * s;
+        format!(
+            "(compose (tensor (F {r}) (I {s})) (T {n} {s}) (tensor (I {r}) (F {s})) (L {n} {r}))"
+        )
+    };
+    for (src, threshold) in [(split(4, 4), 64), (split(8, 16), 8), (split(16, 8), 16)] {
+        let mut compiler = Compiler::with_options(CompilerOptions {
+            unroll_threshold: Some(threshold),
+            language_override: Some(Language::C),
+            ..Default::default()
+        });
+        let sexp = spl::frontend::parser::parse_formula(&src).unwrap();
+        let unit = compiler.compile_sexp(&sexp, &directives()).unwrap();
+        let c = unit.emit();
+        assert!(
+            c.contains("(double *restrict y, const double *restrict x)"),
+            "{src}: signature lost its restrict qualifiers:\n{}",
+            c.lines().next().unwrap_or_default()
+        );
+        let kernel = NativeKernel::compile(&unit).unwrap();
+        let vm = lower(&unit.program).unwrap();
+        let x = spl::vm::convert::interleave(&workload(unit.logical_input_len()));
+        let mut y_native = vec![0.0; kernel.n_out];
+        let mut y_vm = vec![0.0; vm.n_out];
+        kernel.run(&x, &mut y_native);
+        vm.run(&x, &mut y_vm, &mut VmState::new(&vm));
+        for (k, (a, b)) in y_native.iter().zip(&y_vm).enumerate() {
+            assert_eq!(
+                a.to_bits(),
+                b.to_bits(),
+                "{src}: word {k}: native {a} vs vm {b}"
+            );
+        }
+    }
+}
+
 #[test]
 fn native_fft_is_correct_at_all_opt_levels() {
     let src = "(compose (tensor (F 2) (I 4)) (T 8 4) (tensor (I 2) (F 4)) (L 8 2))";

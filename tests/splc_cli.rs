@@ -43,7 +43,7 @@ fn emits_fortran_by_default() {
 fn emits_c_on_request() {
     let (out, _, ok) = splc(&["--language", "c", "-B", "32"], FFT4);
     assert!(ok);
-    assert!(out.contains("void fft4(double *y, const double *x)"));
+    assert!(out.contains("void fft4(double *restrict y, const double *restrict x)"));
 }
 
 #[test]
