@@ -4,10 +4,12 @@
 //! them are byte-identical: shared subtrees recur across sizes, and a
 //! rerun of the same search recompiles everything. The cache keys each
 //! kernel by the *content* that determines the machine code — the
-//! emitted C source, the [`BuildOptions`], the `cc` command line, and
-//! the `cc` version — so a hit is guaranteed to be the same object `cc`
-//! would have produced, and any change to compiler or flags invalidates
-//! the entry automatically.
+//! emitted C source, the [`BuildOptions`], and the effective `cc`
+//! command line ([`cc_command_line`]: flags, ISA tokens, `cc` version)
+//! — so a hit is guaranteed to be the same object `cc` would have
+//! produced, any change to compiler or flags invalidates the entry
+//! automatically, and a directory shared with a host of another vector
+//! level never hands this one code it cannot execute.
 //!
 //! Two layers:
 //!
@@ -44,7 +46,7 @@ use spl_resilience::crc32::crc32;
 use spl_resilience::{FileLock, Journal};
 use spl_telemetry::Telemetry;
 
-use crate::{BuildOptions, NativeError, CC_FLAGS};
+use crate::{cc_command_line, BuildOptions, NativeError};
 
 /// Bound on in-memory entries; a full small-search to 2^10 uses well
 /// under a hundred distinct kernels, so this is a leak guard, not a
@@ -179,19 +181,23 @@ impl KernelCache {
         })
     }
 
-    /// The content key for one compilation: 128 hash bits over the
-    /// emitted C source, the build options, the fixed `cc` command
-    /// line, and the `cc` version banner. Anything that could change
-    /// the produced object changes the key.
+    /// The content key for one compilation on this host: 128 hash bits
+    /// over the emitted C source, the build options, and the effective
+    /// `cc` command line. Anything that could change the produced
+    /// object changes the key.
     pub fn key(c_src: &str, opts: &BuildOptions) -> String {
-        let mut text = String::with_capacity(c_src.len() + 128);
+        Self::key_for(c_src, opts, cc_command_line())
+    }
+
+    /// [`KernelCache::key`] under an explicit command line (a
+    /// [`CcTarget::command_line`](crate::CcTarget::command_line)).
+    pub fn key_for(c_src: &str, opts: &BuildOptions, cc_line: &str) -> String {
+        let mut text = String::with_capacity(c_src.len() + 256);
         text.push_str(c_src);
         text.push('\u{1f}');
         text.push_str(&format!("{opts:?}"));
         text.push('\u{1f}');
-        text.push_str(&CC_FLAGS.join(" "));
-        text.push('\u{1f}');
-        text.push_str(cc_version());
+        text.push_str(cc_line);
         format!(
             "{:016x}{:016x}",
             fnv1a(0xcbf2_9ce4_8422_2325, text.as_bytes()),

@@ -7,8 +7,10 @@
 //! platform's native compiler and timing the resulting machine code.
 //! This crate does exactly that on the host: a [`CompiledUnit`]'s C
 //! output is written to a temporary file, compiled with the system C
-//! compiler (`cc -O2 -ffp-contract=off -shared -fPIC`), loaded with
-//! `dlopen`, and invoked
+//! compiler (`cc -O2 -ffp-contract=off -shared -fPIC` plus the host's
+//! widest FMA-free vector ISA, `-mavx2 -mno-fma` where the CPU has it —
+//! the [`target`] module derives the line and explains why it is never
+//! `-march=native`), loaded with `dlopen`, and invoked
 //! through its `void name(double *restrict y, const double *restrict x)`
 //! entry point.
 //!
@@ -17,7 +19,8 @@
 //!
 //! * `cc` runs under a configurable wall-clock timeout with bounded
 //!   retry + backoff ([`BuildOptions`]); a hung compiler is killed and
-//!   reported as [`NativeError::CompileTimeout`].
+//!   reported as [`NativeError::CompileTimeout`]. A `cc` that rejects the
+//!   ISA tokens is retried once at baseline and the process stays there.
 //! * Temporary `.c`/`.so` artifacts are cleaned up on **every** path —
 //!   success (on kernel drop), compile failure, load failure, timeout —
 //!   via an RAII guard, and `cc` diagnostics are truncated to a sane
@@ -62,8 +65,10 @@ use spl_resilience::command::CommandError;
 use spl_resilience::{run_command_with_timeout, run_isolated, RetryPolicy, SandboxError};
 
 pub mod cache;
+pub mod target;
 
 pub use cache::{CacheOutcome, KernelCache};
+pub use target::{cc_command_line, isa_tokens, CcTarget};
 
 extern "C" {
     fn dlopen(filename: *const c_char, flag: c_int) -> *mut c_void;
@@ -72,16 +77,6 @@ extern "C" {
 }
 
 const RTLD_NOW: c_int = 2;
-
-/// The fixed `cc` command line (before `-o` and the file paths). Part
-/// of the kernel-cache key: changing these flags invalidates every
-/// cached object.
-///
-/// `-ffp-contract=off`: a `cc` that fuses `a*b+c` by default (any target
-/// with FMA in its baseline) rounds once where the VM rounds twice, and
-/// every kernel then fails the bitwise promotion run and is served by
-/// the VM instead.
-pub(crate) const CC_FLAGS: &[&str] = &["-O2", "-ffp-contract=off", "-shared", "-fPIC"];
 
 /// The entry-point symbol used by [`NativeKernel::compile_cached`].
 /// Cached objects share one canonical name so byte-identical kernels
@@ -191,9 +186,8 @@ fn clip_stderr(stderr: &[u8]) -> String {
 
 /// RAII guard that deletes the temporary `.c`/`.so` pair on drop, so no
 /// failure path — compile error, timeout, load failure, panic — can
-/// leak artifacts into the shared temp directory. Ownership is handed
-/// to the kernel (which deletes them on its own drop) via
-/// [`TempArtifacts::into_paths`].
+/// leak artifacts into the shared temp directory. A successful
+/// [`TempArtifacts::load`] hands the files to the [`Loaded`] object.
 struct TempArtifacts {
     c_path: PathBuf,
     so_path: PathBuf,
@@ -209,10 +203,36 @@ impl TempArtifacts {
         }
     }
 
-    /// Defuses the guard, transferring cleanup duty to the caller.
-    fn into_paths(mut self) -> (PathBuf, PathBuf) {
+    /// `dlopen`s the `.so` and resolves `name` in it.
+    fn load(mut self, name: &str) -> Result<Loaded, NativeError> {
+        let so_c = CString::new(self.so_path.to_string_lossy().as_bytes())
+            .map_err(|_| NativeError::Io("bad path".into()))?;
+        let name_c =
+            CString::new(name.as_bytes()).map_err(|_| NativeError::Io("bad name".into()))?;
+        // SAFETY: loading an object this crate built (directly or via the
+        // kernel cache); symbol looked up by name.
+        let (handle, sym) = unsafe {
+            let handle = dlopen(so_c.as_ptr(), RTLD_NOW);
+            if handle.is_null() {
+                return Err(NativeError::LoadFailed(format!(
+                    "dlopen {} failed",
+                    self.so_path.display()
+                )));
+            }
+            let sym = dlsym(handle, name_c.as_ptr());
+            if sym.is_null() {
+                dlclose(handle);
+                return Err(NativeError::LoadFailed(format!("symbol {name} not found")));
+            }
+            (handle, sym)
+        };
         self.armed = false;
-        (self.so_path.clone(), self.c_path.clone())
+        Ok(Loaded {
+            handle,
+            sym,
+            so_path: std::mem::take(&mut self.so_path),
+            c_path: std::mem::take(&mut self.c_path),
+        })
     }
 }
 
@@ -225,19 +245,58 @@ impl Drop for TempArtifacts {
     }
 }
 
+/// A `dlopen`ed object, the entry symbol resolved in it, and the temp
+/// files behind it. Dropping it unloads the object and removes them.
+struct Loaded {
+    handle: *mut c_void,
+    sym: *mut c_void,
+    so_path: PathBuf,
+    c_path: PathBuf,
+}
+
+impl Drop for Loaded {
+    fn drop(&mut self) {
+        // SAFETY: handle came from a successful dlopen and is unloaded
+        // exactly once.
+        unsafe {
+            dlclose(self.handle);
+        }
+        let _ = std::fs::remove_file(&self.so_path);
+        let _ = std::fs::remove_file(&self.c_path);
+    }
+}
+
+/// The C text of `unit` with entry point `name` — the one emit behind
+/// every build path.
+fn c_source(unit: &CompiledUnit, name: &str, io_params: bool) -> Result<String, NativeError> {
+    if unit.program.complex {
+        return Err(NativeError::Unsupported(
+            "C output requires real-typed code (set #codetype real)".into(),
+        ));
+    }
+    Ok(codegen::emit(
+        name,
+        &unit.program,
+        &CodegenOptions {
+            language: Language::C,
+            codetype: DataType::Real,
+            peephole: false,
+            io_params,
+        },
+    ))
+}
+
 /// A natively compiled, loaded SPL subroutine.
 ///
 /// Dropping the kernel unloads the shared object and removes its
 /// temporary files.
 pub struct NativeKernel {
-    handle: *mut c_void,
     entry: extern "C" fn(*mut f64, *const f64),
     /// Input length in `f64` words.
     pub n_in: usize,
     /// Output length in `f64` words.
     pub n_out: usize,
-    so_path: PathBuf,
-    c_path: PathBuf,
+    lib: Loaded,
 }
 
 impl fmt::Debug for NativeKernel {
@@ -245,7 +304,7 @@ impl fmt::Debug for NativeKernel {
         f.debug_struct("NativeKernel")
             .field("n_in", &self.n_in)
             .field("n_out", &self.n_out)
-            .field("so_path", &self.so_path)
+            .field("so_path", &self.lib.so_path)
             .finish()
     }
 }
@@ -272,41 +331,27 @@ impl NativeKernel {
         unit: &CompiledUnit,
         opts: &BuildOptions,
     ) -> Result<NativeKernel, NativeError> {
-        if unit.program.complex {
-            return Err(NativeError::Unsupported(
-                "C output requires real-typed code (set #codetype real)".into(),
-            ));
-        }
+        Self::compile_for(unit, opts, CcTarget::host())
+    }
+
+    /// [`NativeKernel::compile_with`] for an explicit target line
+    /// (tests of the ISA fallback; everything else builds for the host).
+    #[doc(hidden)]
+    pub fn compile_for(
+        unit: &CompiledUnit,
+        opts: &BuildOptions,
+        target: &CcTarget,
+    ) -> Result<NativeKernel, NativeError> {
         let name = sanitize(&unit.name);
-        let c_src = codegen::emit(
-            &name,
-            &unit.program,
-            &CodegenOptions {
-                language: Language::C,
-                codetype: DataType::Real,
-                peephole: false,
-                io_params: false,
-            },
-        );
-        let (handle, sym, so_path, c_path) = build_and_load(&name, &c_src, opts)?;
-        // SAFETY: the symbol has the C ABI signature
-        // `void name(double *restrict y, const double *restrict x)` by
-        // construction of the emitter.
-        let entry: extern "C" fn(*mut f64, *const f64) = unsafe { std::mem::transmute(sym) };
-        Ok(NativeKernel {
-            handle,
-            entry,
-            n_in: unit.program.n_in,
-            n_out: unit.program.n_out,
-            so_path,
-            c_path,
-        })
+        let c_src = c_source(unit, &name, false)?;
+        let lib = build_and_load(&std::env::temp_dir(), &name, &c_src, opts, target)?;
+        Ok(Self::from_loaded(lib, unit))
     }
 
     /// [`NativeKernel::compile_with`] through a content-addressed
     /// [`KernelCache`]: the emitted C (with a canonical entry-point
-    /// name) is hashed together with the build options and `cc`
-    /// version, and a hit loads the previously built shared object
+    /// name) is hashed together with the build options and the `cc`
+    /// command line, and a hit loads the previously built shared object
     /// instead of invoking `cc`. Returns the kernel plus where it came
     /// from ([`CacheOutcome`]).
     ///
@@ -319,31 +364,29 @@ impl NativeKernel {
         opts: &BuildOptions,
         cache: &KernelCache,
     ) -> Result<(NativeKernel, CacheOutcome), NativeError> {
-        let (c_src, key) = Self::cached_source_and_key(unit, opts)?;
+        let c_src = c_source(unit, CACHED_SYMBOL, false)?;
+        let target = CcTarget::host();
+        let line = target.command_line();
+        let mut key = KernelCache::key_for(&c_src, opts, line);
         if let Some((bytes, outcome)) = cache.lookup(&key) {
-            let kernel = Self::load_cached(&bytes, unit)?;
-            return Ok((kernel, outcome));
+            // The bytes go to a fresh uniquely named temp `.so` (dlopen
+            // works on files) and load like a freshly built object.
+            let tmp = TempArtifacts::new(&std::env::temp_dir(), &fresh_stem());
+            std::fs::write(&tmp.so_path, bytes.as_slice())
+                .map_err(|e| NativeError::Io(format!("writing {}: {e}", tmp.so_path.display())))?;
+            return Ok((Self::from_loaded(tmp.load(CACHED_SYMBOL)?, unit), outcome));
         }
         cache.count_cc_invocation();
-        let (handle, sym, so_path, c_path) = build_and_load(CACHED_SYMBOL, &c_src, opts)?;
-        if let Ok(bytes) = std::fs::read(&so_path) {
+        let lib = build_and_load(&std::env::temp_dir(), CACHED_SYMBOL, &c_src, opts, target)?;
+        if target.command_line() != line {
+            // This build fell back to baseline: file it under the line
+            // that produced it.
+            key = KernelCache::key_for(&c_src, opts, target.command_line());
+        }
+        if let Ok(bytes) = std::fs::read(&lib.so_path) {
             cache.insert(&key, bytes);
         }
-        // SAFETY: the symbol has the C ABI signature
-        // `void name(double *restrict y, const double *restrict x)` by
-        // construction of the emitter.
-        let entry: extern "C" fn(*mut f64, *const f64) = unsafe { std::mem::transmute(sym) };
-        Ok((
-            NativeKernel {
-                handle,
-                entry,
-                n_in: unit.program.n_in,
-                n_out: unit.program.n_out,
-                so_path,
-                c_path,
-            },
-            CacheOutcome::Miss,
-        ))
+        Ok((Self::from_loaded(lib, unit), CacheOutcome::Miss))
     }
 
     /// The [`KernelCache`] key [`NativeKernel::compile_cached`] uses for
@@ -355,53 +398,23 @@ impl NativeKernel {
     ///
     /// Fails like `compile_cached` on complex-typed units.
     pub fn cache_key(unit: &CompiledUnit, opts: &BuildOptions) -> Result<String, NativeError> {
-        Self::cached_source_and_key(unit, opts).map(|(_, key)| key)
+        c_source(unit, CACHED_SYMBOL, false).map(|c_src| KernelCache::key(&c_src, opts))
     }
 
-    fn cached_source_and_key(
-        unit: &CompiledUnit,
-        opts: &BuildOptions,
-    ) -> Result<(String, String), NativeError> {
-        if unit.program.complex {
-            return Err(NativeError::Unsupported(
-                "C output requires real-typed code (set #codetype real)".into(),
-            ));
-        }
-        let c_src = codegen::emit(
-            CACHED_SYMBOL,
-            &unit.program,
-            &CodegenOptions {
-                language: Language::C,
-                codetype: DataType::Real,
-                peephole: false,
-                io_params: false,
-            },
-        );
-        let key = KernelCache::key(&c_src, opts);
-        Ok((c_src, key))
-    }
-
-    /// Materializes a cached object image as a loaded kernel: the bytes
-    /// are written to a fresh uniquely named temp `.so` (dlopen works on
-    /// files), then loaded exactly like a freshly built object. The
-    /// kernel owns the temp file and removes it on drop.
-    fn load_cached(bytes: &[u8], unit: &CompiledUnit) -> Result<NativeKernel, NativeError> {
-        let tmp = TempArtifacts::new(&std::env::temp_dir(), &fresh_stem());
-        std::fs::write(&tmp.so_path, bytes)
-            .map_err(|e| NativeError::Io(format!("writing {}: {e}", tmp.so_path.display())))?;
-        let (handle, sym) = load_object(&tmp.so_path, CACHED_SYMBOL)?;
-        let (so_path, c_path) = tmp.into_paths();
-        // SAFETY: cached objects are built by `compile_cached` from the
-        // emitter's C, so the symbol has the same C ABI signature.
-        let entry: extern "C" fn(*mut f64, *const f64) = unsafe { std::mem::transmute(sym) };
-        Ok(NativeKernel {
-            handle,
+    /// The one place a resolved symbol becomes a callable entry point.
+    fn from_loaded(lib: Loaded, unit: &CompiledUnit) -> NativeKernel {
+        // SAFETY: every object reaching here was built — just now, or
+        // earlier into the kernel cache, whose key covers the C text —
+        // from `c_source(unit, _, false)`, and the emitter gives that
+        // entry point the C ABI signature
+        // `void name(double *restrict y, const double *restrict x)`.
+        let entry: extern "C" fn(*mut f64, *const f64) = unsafe { std::mem::transmute(lib.sym) };
+        NativeKernel {
             entry,
             n_in: unit.program.n_in,
             n_out: unit.program.n_out,
-            so_path,
-            c_path,
-        })
+            lib,
+        }
     }
 
     /// Runs the kernel: `y = f(x)`.
@@ -515,32 +528,18 @@ fn sandbox_to_native(e: SandboxError) -> NativeError {
     }
 }
 
-impl Drop for NativeKernel {
-    fn drop(&mut self) {
-        // SAFETY: handle came from a successful dlopen and is unloaded
-        // exactly once.
-        unsafe {
-            dlclose(self.handle);
-        }
-        let _ = std::fs::remove_file(&self.so_path);
-        let _ = std::fs::remove_file(&self.c_path);
-    }
-}
-
 /// A natively compiled subroutine with the paper's Section 3.5
 /// offset/stride parameters:
 /// `void name(double *restrict y, const double *restrict x, long yofs,
 /// long xofs, long ystr, long xstr)`, strides and offsets counted in *logical
 /// elements* of the generated code (real words for real-typed code).
 pub struct NativeIoKernel {
-    handle: *mut c_void,
     entry: extern "C" fn(*mut f64, *const f64, i64, i64, i64, i64),
     /// Logical input length (number of strided elements consumed).
     pub n_in: usize,
     /// Logical output length.
     pub n_out: usize,
-    so_path: PathBuf,
-    c_path: PathBuf,
+    _lib: Loaded,
 }
 
 impl fmt::Debug for NativeIoKernel {
@@ -571,33 +570,19 @@ impl NativeIoKernel {
         unit: &CompiledUnit,
         opts: &BuildOptions,
     ) -> Result<NativeIoKernel, NativeError> {
-        if unit.program.complex {
-            return Err(NativeError::Unsupported(
-                "C output requires real-typed code (set #codetype real)".into(),
-            ));
-        }
         let name = sanitize(&unit.name);
-        let c_src = codegen::emit(
-            &name,
-            &unit.program,
-            &CodegenOptions {
-                language: Language::C,
-                codetype: DataType::Real,
-                peephole: false,
-                io_params: true,
-            },
-        );
-        let (handle, sym, so_path, c_path) = build_and_load(&name, &c_src, opts)?;
-        // SAFETY: the symbol was emitted with exactly this C signature.
+        let c_src = c_source(unit, &name, true)?;
+        let lib = build_and_load(&std::env::temp_dir(), &name, &c_src, opts, CcTarget::host())?;
+        // SAFETY: the symbol was emitted with exactly this C signature;
+        // its `long` parameters are `i64` on every 64-bit Linux target
+        // this crate's dlopen path supports (LP64).
         let entry: extern "C" fn(*mut f64, *const f64, i64, i64, i64, i64) =
-            unsafe { std::mem::transmute(sym) };
+            unsafe { std::mem::transmute(lib.sym) };
         Ok(NativeIoKernel {
-            handle,
             entry,
             n_in: unit.program.n_in,
             n_out: unit.program.n_out,
-            so_path,
-            c_path,
+            _lib: lib,
         })
     }
 
@@ -640,14 +625,25 @@ impl NativeIoKernel {
     }
 }
 
-impl Drop for NativeIoKernel {
-    fn drop(&mut self) {
-        // SAFETY: handle came from a successful dlopen, unloaded once.
-        unsafe {
-            dlclose(self.handle);
+/// Builds for `target`: with its ISA tokens, and when `cc` fails with
+/// them, once more without. No probe compile tells a `cc` that knows
+/// the tokens from one that does not — the first build finds out, and
+/// only a baseline build that *succeeds* blames them: bad C fails both
+/// times and downgrades nothing.
+fn run_cc(
+    c_path: &Path,
+    so_path: &Path,
+    opts: &BuildOptions,
+    target: &CcTarget,
+) -> Result<(), NativeError> {
+    let isa = target.isa();
+    match cc_once(c_path, so_path, opts, isa) {
+        Err(NativeError::CompileFailed(_)) if !isa.is_empty() => {
+            cc_once(c_path, so_path, opts, &[])?;
+            target.downgrade();
+            Ok(())
         }
-        let _ = std::fs::remove_file(&self.so_path);
-        let _ = std::fs::remove_file(&self.c_path);
+        done => done,
     }
 }
 
@@ -655,12 +651,18 @@ impl Drop for NativeIoKernel {
 /// Spawn failures and timeouts are retried with backoff (the machine
 /// may be briefly overloaded); compile *errors* are deterministic and
 /// fail immediately.
-fn run_cc(c_path: &PathBuf, so_path: &PathBuf, opts: &BuildOptions) -> Result<(), NativeError> {
+fn cc_once(
+    c_path: &Path,
+    so_path: &Path,
+    opts: &BuildOptions,
+    isa: &[&str],
+) -> Result<(), NativeError> {
     let attempts = opts.retry.attempts.max(1);
     let mut last: Option<NativeError> = None;
     for attempt in 0..attempts {
         let mut cmd = Command::new("cc");
-        cmd.args(CC_FLAGS).arg("-o").arg(so_path).arg(c_path);
+        cmd.args(target::CC_FLAGS).args(isa);
+        cmd.arg("-o").arg(so_path).arg(c_path);
         match run_command_with_timeout(&mut cmd, opts.cc_timeout) {
             Ok(out) if out.status.success() => return Ok(()),
             Ok(out) => {
@@ -691,30 +693,21 @@ fn run_cc(c_path: &PathBuf, so_path: &PathBuf, opts: &BuildOptions) -> Result<()
     Err(last.unwrap_or_else(|| NativeError::Io("cc never ran".into())))
 }
 
-/// Shared cc + dlopen plumbing. The temp artifacts are owned by an RAII
-/// guard until the very end, so every early return cleans up.
+/// Shared cc + dlopen plumbing, with the `.c`/`.so` pair placed in
+/// `dir`. The temp artifacts are owned by an RAII guard until the very
+/// end, so every early return cleans up.
 fn build_and_load(
-    name: &str,
-    c_src: &str,
-    opts: &BuildOptions,
-) -> Result<(*mut c_void, *mut c_void, PathBuf, PathBuf), NativeError> {
-    build_and_load_in(&std::env::temp_dir(), name, c_src, opts)
-}
-
-/// [`build_and_load`] with the `.c`/`.so` pair placed in `dir`.
-fn build_and_load_in(
     dir: &Path,
     name: &str,
     c_src: &str,
     opts: &BuildOptions,
-) -> Result<(*mut c_void, *mut c_void, PathBuf, PathBuf), NativeError> {
+    target: &CcTarget,
+) -> Result<Loaded, NativeError> {
     let tmp = TempArtifacts::new(dir, &fresh_stem());
     std::fs::write(&tmp.c_path, c_src)
         .map_err(|e| NativeError::Io(format!("writing {}: {e}", tmp.c_path.display())))?;
-    run_cc(&tmp.c_path, &tmp.so_path, opts)?;
-    let (handle, sym) = load_object(&tmp.so_path, name)?;
-    let (so_path, c_path) = tmp.into_paths();
-    Ok((handle, sym, so_path, c_path))
+    run_cc(&tmp.c_path, &tmp.so_path, opts, target)?;
+    tmp.load(name)
 }
 
 /// A collision-free temp-file stem: pid + counter + a timestamp
@@ -728,32 +721,6 @@ fn fresh_stem() -> String {
         .map(|d| d.subsec_nanos())
         .unwrap_or(0);
     format!("spl_native_{}_{}_{nonce}", std::process::id(), id)
-}
-
-/// `dlopen`s the shared object and resolves `name` in it.
-fn load_object(so_path: &Path, name: &str) -> Result<(*mut c_void, *mut c_void), NativeError> {
-    let so_c = CString::new(so_path.to_string_lossy().as_bytes())
-        .map_err(|_| NativeError::Io("bad path".into()))?;
-    let name_c = CString::new(name.as_bytes()).map_err(|_| NativeError::Io("bad name".into()))?;
-    // SAFETY: loading an object this crate built (directly or via the
-    // kernel cache); symbol looked up by name. The `long` parameters of
-    // the io-params signature are transmuted to `i64`, which matches on
-    // every 64-bit Linux target this crate's dlopen path supports (LP64).
-    unsafe {
-        let handle = dlopen(so_c.as_ptr(), RTLD_NOW);
-        if handle.is_null() {
-            return Err(NativeError::LoadFailed(format!(
-                "dlopen {} failed",
-                so_path.display()
-            )));
-        }
-        let sym = dlsym(handle, name_c.as_ptr());
-        if sym.is_null() {
-            dlclose(handle);
-            return Err(NativeError::LoadFailed(format!("symbol {name} not found")));
-        }
-        Ok((handle, sym))
-    }
 }
 
 fn sanitize(name: &str) -> String {
@@ -884,13 +851,15 @@ mod tests {
         // own, so that other tests' kernels coming and going in the
         // shared temp directory are not counted.
         let dir = artifact_dir("broken");
-        let err = build_and_load_in(
+        let err = build_and_load(
             &dir,
             "broken",
             "void broken(double *y, const double *x) { this is not C; }",
             &BuildOptions::default(),
+            CcTarget::host(),
         )
-        .unwrap_err();
+        .err()
+        .unwrap();
         match &err {
             NativeError::CompileFailed(msg) => {
                 assert!(msg.len() <= MAX_STDERR_CHARS + 64, "stderr not clipped");
@@ -914,13 +883,15 @@ mod tests {
             cc_timeout: Duration::from_millis(0),
             retry: RetryPolicy::none(),
         };
-        let err = build_and_load_in(
+        let err = build_and_load(
             &dir,
             "slowbuild",
             "void slowbuild(double *y, const double *x) { y[0] = x[0]; }",
             &opts,
+            CcTarget::host(),
         )
-        .unwrap_err();
+        .err()
+        .unwrap();
         assert!(matches!(err, NativeError::CompileTimeout(_)), "got {err:?}");
         assert_eq!(
             leftovers(&dir),

@@ -177,12 +177,19 @@ fn fnv64(s: &str) -> u64 {
     h
 }
 
-/// Fingerprint of the host C compiler (hash of `cc --version`'s first
-/// line). DB entries recorded under a different compiler are kept but
-/// not trusted.
+/// Fingerprint of how this host builds native kernels: a hash of
+/// [`spl_native::cc_command_line`] (flags, ISA tokens, `cc` version
+/// banner), the same text the kernel cache keys on. DB entries recorded
+/// under a different compiler *or different flags* are kept but not
+/// trusted: a cost measured on SSE2 code says little about AVX2 code.
 pub fn cc_fingerprint() -> &'static str {
     static FP: OnceLock<String> = OnceLock::new();
-    FP.get_or_init(|| format!("{:016x}", fnv64(spl_native::cache::cc_version())))
+    FP.get_or_init(|| cc_fingerprint_of(spl_native::cc_command_line()))
+}
+
+/// [`cc_fingerprint`] of an arbitrary command line.
+fn cc_fingerprint_of(cc_line: &str) -> String {
+    format!("{:016x}", fnv64(cc_line))
 }
 
 /// Fingerprint of the machine (arch, OS, CPU model, core count) —
@@ -1246,6 +1253,33 @@ mod tests {
             db.lookup("fft/t", 8).unwrap().best().tree.to_spec(),
             "(ct 4 2)"
         );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn db_entries_recorded_under_another_cc_line_are_kept_but_not_trusted() {
+        // Same compiler, same machine; only a flag differs.
+        let line = spl_native::cc_command_line();
+        assert_eq!(cc_fingerprint(), cc_fingerprint_of(line));
+        let old_fp = cc_fingerprint_of(&line.replace(" -ffp-contract=off", ""));
+        assert_ne!(old_fp, cc_fingerprint());
+
+        let dir = tmp_dir("stale_flags");
+        let mut db = WisdomDb::open(&dir).unwrap();
+        db.record_with(
+            "fft/t",
+            8,
+            &[plan("(ct 2 4)", 1.0)],
+            &old_fp,
+            machine_fingerprint(),
+        )
+        .unwrap();
+        assert!(db.lookup("fft/t", 8).is_none(), "stale must not be trusted");
+        assert_eq!(db.lookup_stale("fft/t", 8).expect("kept").cc_fp, old_fp);
+        drop(db);
+        let mut db = WisdomDb::open(&dir).unwrap();
+        assert_eq!(db.len(), 1, "kept across a reopen");
+        assert!(db.lookup("fft/t", 8).is_none());
         let _ = std::fs::remove_dir_all(&dir);
     }
 

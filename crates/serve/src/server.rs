@@ -604,6 +604,7 @@ impl Server {
     pub fn stats_text(&self) -> String {
         let mut tel = self.tel.lock().unwrap();
         tel.merge(&self.store.drain_telemetry());
+        spl_native::CcTarget::host().report(&mut tel);
         let ring = self.latencies.lock().unwrap();
         if !ring.is_empty() {
             let mut sorted: Vec<u64> = ring.iter().copied().collect();

@@ -97,7 +97,7 @@ fn main() -> ExitCode {
         }
     }
 
-    let report = run(&cfg);
+    let mut report = run(&cfg);
     outln!(
         "splfuzz: {} cases (seed {}): {} agree-ok, {} agree-reject, {} skipped, {} bug class{}{}",
         report.total(),
@@ -134,6 +134,11 @@ fn main() -> ExitCode {
     rep.meta("seed", &cfg.seed.to_string());
     rep.meta("count", &cfg.count.to_string());
     rep.meta("bug_classes", &report.bugs.len().to_string());
+    if cfg.oracle.native {
+        let target = spl::native::CcTarget::host();
+        rep.meta("native.isa", &target.isa_label());
+        target.report(&mut report.telemetry);
+    }
     rep.push_section("fuzz", report.telemetry);
     if let Err(e) = reporting.finish(&rep) {
         return fail(&e);

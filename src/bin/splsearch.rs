@@ -334,6 +334,11 @@ fn main() -> ExitCode {
     report.meta("eval", &opts.eval);
     report.meta("jobs", &jobs.to_string());
     report.meta("verify", if opts.verify { "on" } else { "off" });
+    if matches!(opts.eval.as_str(), "resilient" | "native") {
+        let target = spl::native::CcTarget::host();
+        target.report(&mut tel);
+        report.meta("native.isa", &target.isa_label());
+    }
     if let Some(dir) = &opts.kernel_cache {
         report.meta("kernel_cache", &dir.display().to_string());
     }

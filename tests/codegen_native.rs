@@ -5,8 +5,10 @@
 
 use spl::compiler::{Compiler, CompilerOptions, OptLevel};
 use spl::frontend::ast::{DataType, DirectiveState, Language};
-use spl::native::NativeKernel;
+use spl::generator::fft::FftTree;
+use spl::native::{isa_tokens, BuildOptions, CcTarget, KernelCache, NativeKernel};
 use spl::numeric::{reference, relative_rms_error, Complex};
+use spl::telemetry::Telemetry;
 use spl::vm::{lower, VmState};
 
 fn directives() -> DirectiveState {
@@ -218,4 +220,165 @@ fn emitted_c_for_every_f16_factorization_compiles_and_agrees() {
             tree.describe()
         );
     }
+}
+
+/// The plans the benchmark runs whose size passes `sizes`, compiled as
+/// it compiles them.
+fn benchmark_plans(sizes: impl Fn(usize) -> bool) -> Vec<(usize, spl::compiler::CompiledUnit)> {
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/benchmark/plans.wisdom");
+    let text = std::fs::read_to_string(path).unwrap();
+    text.lines()
+        .filter(|l| !l.starts_with('#') && !l.trim().is_empty())
+        .map(|line| line.split_once(':').expect("size: spec"))
+        .map(|(n, spec)| (n.trim().parse::<usize>().unwrap(), spec))
+        .filter(|(n, _)| sizes(*n))
+        .map(|(n, spec)| {
+            let tree = FftTree::from_spec(spec.trim()).unwrap();
+            let mut compiler = Compiler::with_options(CompilerOptions {
+                unroll_threshold: Some(64),
+                language_override: Some(Language::C),
+                ..Default::default()
+            });
+            let unit = compiler
+                .compile_formula_str(&tree.to_sexp().to_string())
+                .unwrap();
+            (n, unit)
+        })
+        .collect()
+}
+
+/// `len` doubles in [-1, 1) from a 64-bit LCG.
+fn seeded(seed: u64, len: usize) -> Vec<f64> {
+    let mut s = seed;
+    (0..len)
+        .map(|_| {
+            s = s
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (s >> 11) as f64 / (1u64 << 52) as f64 - 1.0
+        })
+        .collect()
+}
+
+/// `kernel` against the resolved VM on two seeded inputs, bit for bit: a
+/// fused multiply-add or a reassociation anywhere in what `cc` made of
+/// the target line shows here, as it would at spld's promotion gate.
+fn assert_bitwise_vm(what: &str, unit: &spl::compiler::CompiledUnit, kernel: &NativeKernel) {
+    let vm = lower(&unit.program).unwrap();
+    let mut st = VmState::new(&vm);
+    for seed in [1, 0x5eed] {
+        let x = seeded(seed, kernel.n_in);
+        let mut y_native = vec![0.0; kernel.n_out];
+        let mut y_vm = vec![0.0; vm.n_out];
+        kernel.run(&x, &mut y_native);
+        vm.run(&x, &mut y_vm, &mut st);
+        let diff = y_native
+            .iter()
+            .zip(&y_vm)
+            .position(|(a, b)| a.to_bits() != b.to_bits());
+        assert_eq!(
+            diff,
+            None,
+            "{what}, seed {seed}: first differing word, built by `{}`",
+            CcTarget::host().command_line()
+        );
+    }
+}
+
+fn benchmark_plans_match_the_vm(sizes: impl Fn(usize) -> bool) {
+    for (n, unit) in benchmark_plans(sizes) {
+        let kernel = NativeKernel::compile(&unit).unwrap();
+        assert_bitwise_vm(&format!("plan {n}"), &unit, &kernel);
+    }
+}
+
+#[test]
+fn benchmark_plans_on_the_host_target_line_match_the_vm_bitwise() {
+    benchmark_plans_match_the_vm(|n| n <= 1 << 14);
+}
+
+#[test]
+#[ignore = "2^16: about 3 s of cc"]
+fn benchmark_plan_65536_on_the_host_target_line_matches_the_vm_bitwise() {
+    benchmark_plans_match_the_vm(|n| n > 1 << 14);
+}
+
+#[test]
+fn isa_selection_is_total_and_never_admits_a_fused_multiply_add() {
+    let avx2: &[&str] = &["-mavx2", "-mno-fma"];
+    let avx: &[&str] = &["-mavx", "-mno-fma"];
+    let none: &[&str] = &[];
+    // (avx, avx2) -> tokens on x86-64; every other architecture: none.
+    let x86_64 = [
+        ((false, false), none),
+        ((true, false), avx),
+        ((true, true), avx2),
+        ((false, true), avx2),
+    ];
+    for arch in ["x86_64", "aarch64", "riscv64", ""] {
+        for ((has_avx, has_avx2), on_x86_64) in x86_64 {
+            let got = isa_tokens(arch, has_avx, has_avx2);
+            let want = if arch == "x86_64" { on_x86_64 } else { none };
+            assert_eq!(got, want, "{arch} avx={has_avx} avx2={has_avx2}");
+            assert_eq!(
+                got.iter().any(|t| t.starts_with("-mavx")),
+                got.contains(&"-mno-fma"),
+                "{got:?}: -mno-fma rides with every -mavx*"
+            );
+            for t in got {
+                assert!(
+                    !t.starts_with("-march=") && *t != "-mfma" && !t.starts_with("-mavx512"),
+                    "{got:?}"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn kernel_cache_key_separates_isa_levels() {
+    let c = "void spl_kernel(double *restrict y, const double *restrict x) { y[0] = x[0]; }";
+    let opts = BuildOptions::default();
+    let line = |avx, avx2| {
+        CcTarget::with_isa_tokens(isa_tokens("x86_64", avx, avx2))
+            .command_line()
+            .to_string()
+    };
+    let keys = [line(true, true), line(true, false), line(false, false)]
+        .map(|l| KernelCache::key_for(c, &opts, &l));
+    assert_ne!(keys[0], keys[1], "avx2 vs avx");
+    assert_ne!(keys[1], keys[2], "avx vs baseline");
+    assert_ne!(keys[0], keys[2], "avx2 vs baseline");
+    assert_eq!(
+        KernelCache::key(c, &opts),
+        KernelCache::key_for(c, &opts, spl::native::cc_command_line()),
+        "the host key is the key under the host's line"
+    );
+}
+
+#[test]
+fn cc_that_rejects_the_isa_tokens_falls_back_to_baseline_once() {
+    let target = CcTarget::with_isa_tokens(&["-mno-such-isa"]);
+    let (_, unit) = benchmark_plans(|n| n == 256).remove(0); // loop code
+    let opts = BuildOptions::default();
+    let first = NativeKernel::compile_for(&unit, &opts, &target).unwrap();
+    assert_bitwise_vm("fallback build", &unit, &first);
+    assert_eq!(target.fallbacks(), 1);
+    assert!(!target.command_line().contains("-mno-such-isa"));
+    // Downgraded for good: the next build starts at baseline, so there
+    // is nothing to retry and nothing more to count.
+    let second = NativeKernel::compile_for(&unit, &opts, &target).unwrap();
+    assert_bitwise_vm("build after the fallback", &unit, &second);
+    let mut tel = Telemetry::new();
+    target.report(&mut tel);
+    assert_eq!(tel.counter("native.isa.fallback"), Some(1));
+    assert_eq!(
+        tel.notes()[0],
+        (
+            "native.isa".to_string(),
+            "baseline (fallback from no-such-isa)".to_string()
+        )
+    );
+    // The host's own line is untouched by another target's trouble.
+    assert_eq!(CcTarget::host().fallbacks(), 0);
 }
