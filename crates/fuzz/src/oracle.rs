@@ -328,16 +328,11 @@ impl Oracle {
             Ok(Err(_)) => return None,
             Ok(Ok(u)) => u,
         };
-        let mut prog = match quiet_catch(|| spl_vm::lower(&unit.program)) {
+        let prog = match quiet_catch(|| spl_vm::lower(&unit.program)) {
             Err(p) => return bug(BugClass::Panic, p),
             Ok(Err(_)) => return None,
             Ok(Ok(p)) => p,
         };
-        // The engine cross-checks below demand bit-exactness, which
-        // only the never-fused mode guarantees; pin FMA off so a
-        // future default flip cannot silently weaken this stage. (FMA
-        // accuracy has its own ULP-bound test in `spl-vm`.)
-        prog.set_fma(false);
         if prog.n_out != 2 * want.len() || prog.n_in % 2 != 0 {
             return bug(
                 BugClass::EngineMismatch,

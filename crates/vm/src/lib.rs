@@ -12,15 +12,17 @@
 //! formulas — which is what the paper's experiments compare — is
 //! preserved (see DESIGN.md, substitution 1).
 //!
-//! Execution has two engines. [`lower`] first builds the flat op
-//! array (the *reference executor*, kept as the checked baseline),
-//! then tries to *resolve* it into a fused, strength-reduced engine
-//! (see [`resolved`]): peephole fusion produces multiply–add,
-//! negate-folded, and butterfly macro-ops, and every operand becomes
-//! a precomputed cursor into one unified arena, advanced by constant
-//! strides at loop latches. [`VmProgram::run`] routes to the resolved
-//! engine when resolution succeeded (bit-identical to the reference
-//! executor by construction) and falls back otherwise.
+//! There is one engine and one oracle. [`lower`] first builds the flat
+//! op array, which the *reference executor* runs op by op — the checked
+//! baseline every differential test compares against — then tries to
+//! *resolve* it into the fused, strength-reduced engine (see
+//! [`resolved`]): peephole fusion produces multiply–add, negate-folded,
+//! and butterfly macro-ops, and every operand becomes a precomputed
+//! cursor into one unified arena, advanced by constant strides at loop
+//! latches. [`VmProgram::run`] and [`VmProgram::run_profiled`] are that
+//! engine's single executor with and without a profiling probe; `run`
+//! falls back to the reference executor only for the programs the
+//! resolver declines.
 //!
 //! # Examples
 //!
@@ -48,6 +50,6 @@ pub mod simd;
 pub mod timer;
 
 pub use profile::{LoopBlock, NodeCost, VmProfile};
-pub use program::{lower, VmError, VmProgram, VmState, FMA_MAX_ULPS};
+pub use program::{lower, VmError, VmProgram, VmState};
 pub use resolved::ResolveStats;
 pub use timer::{describe_policy, measure, measure_reference, measure_with_reps, Measurement};

@@ -1,11 +1,14 @@
 //! Profiled-execution reports for the resolved engine.
 //!
 //! [`crate::VmProgram::run_profiled`] executes a resolved program
-//! through a separate instrumented interpreter (the unprofiled hot
-//! path is untouched) and returns a [`VmProfile`]: dynamic per-op-class
-//! counts, flop counts, fused-macro-op utilization, per-loop-block
-//! iteration and wall-time figures, and — when the program carries
-//! formula-node provenance — per-node self time, ops, and flops.
+//! through the executor `run` uses, compiled over a probe that records
+//! instead of one that does nothing, and returns a [`VmProfile`]:
+//! dynamic per-op-class counts, flop counts, fused-macro-op
+//! utilization, per-loop-block iteration and wall-time figures, and —
+//! when the program carries formula-node provenance — per-node self
+//! time, ops, and flops. The op classes are the discriminants of the
+//! engine's float kinds (`resolved::Arith`), the four integer ops, and
+//! the float kinds again for their lane-wide form.
 //!
 //! Node attribution uses *telescoping* timestamps: the clock is read
 //! only when execution crosses from one formula node to another, and
@@ -278,8 +281,8 @@ impl VmProfile {
 }
 
 /// Builds the node-cost table from raw per-id accumulators and the
-/// provenance node table (crate-internal; called by the profiled
-/// interpreter).
+/// provenance node table (crate-internal; called by the profiling
+/// probe).
 pub(crate) fn build_nodes(
     prov_nodes: &[ProvNode],
     self_ns: &[u128],

@@ -55,14 +55,6 @@ impl fmt::Display for VmError {
 
 impl Error for VmError {}
 
-/// Documented worst-case drift of FMA mode from never-fused
-/// execution, in ULPs per output element, for the transform sizes
-/// the VM test corpus pins (n ≤ 64). Fusing drops one rounding per
-/// multiply–add, and the drift compounds across butterfly stages —
-/// but stays far below this bound in practice; the
-/// `fma_stays_within_documented_ulp_bound` test enforces it.
-pub const FMA_MAX_ULPS: u64 = 64;
-
 /// A runtime address: `base + Σ coeff·loop[slot]`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Addr {
@@ -294,23 +286,6 @@ impl VmProgram {
         self.resolved.as_ref().err().map(|u| u.0)
     }
 
-    /// Enables hardware fused multiply–add for the fused macro-ops.
-    ///
-    /// Off by default: single-rounding FMA is faster on FMA-capable
-    /// targets but **not bit-identical** to the reference executor
-    /// (and slower where `f64::mul_add` falls back to libm). The
-    /// differential harnesses therefore pin FMA off; with it on,
-    /// outputs may drift from the never-fused result by up to
-    /// [`FMA_MAX_ULPS`] ULPs per element (each fusion removes one
-    /// rounding, and the drift compounds across butterfly stages).
-    /// The vector path is also skipped in FMA mode — the lane
-    /// backends never fuse.
-    pub fn set_fma(&mut self, on: bool) {
-        if let Ok(rp) = &mut self.resolved {
-            rp.set_fma(on);
-        }
-    }
-
     /// Executes the program through the resolved engine when
     /// available, else through the reference executor.
     ///
@@ -344,13 +319,11 @@ impl VmProgram {
     /// the program carries formula-node provenance — per-node self
     /// time and flops.
     ///
-    /// This is a separate instrumented interpreter; the unprofiled
-    /// [`VmProgram::run`] hot path is untouched. Returns `None` when
-    /// the program fell back to the reference executor.
-    ///
-    /// Output and state are updated exactly as by [`VmProgram::run`]
-    /// (the profiled interpreter executes the same resolved ops in
-    /// the same order, so results are bit-identical).
+    /// This is the executor [`VmProgram::run`] uses, compiled with its
+    /// probe hooks filled in instead of empty — the same ops through
+    /// the same SIMD lanes — so output and state are updated exactly
+    /// as by `run`, bit for bit. Returns `None` when the program fell
+    /// back to the reference executor.
     pub fn run_profiled(&self, x: &[f64], y: &mut [f64], st: &mut VmState) -> Option<VmProfile> {
         let rp = self.resolved.as_ref().ok()?;
         assert_eq!(x.len(), self.n_in, "input length mismatch");
@@ -1208,61 +1181,6 @@ mod tests {
     }
 
     #[test]
-    fn fma_mode_is_opt_in_and_still_close() {
-        let src = "(compose (tensor (F 2) (I 4)) (T 8 4) (tensor (I 2) (F 4)) (L 8 2))";
-        let mut vm = compile(src, CompilerOptions::default());
-        let x: Vec<f64> = (0..vm.n_in).map(|i| ((i as f64) * 0.31).cos()).collect();
-        let mut y_plain = vec![0.0; vm.n_out];
-        vm.run(&x, &mut y_plain, &mut VmState::new(&vm));
-        vm.set_fma(true);
-        let mut y_fma = vec![0.0; vm.n_out];
-        vm.run(&x, &mut y_fma, &mut VmState::new(&vm));
-        for (a, b) in y_fma.iter().zip(&y_plain) {
-            assert!((a - b).abs() <= 1e-12 * b.abs().max(1.0), "{a} vs {b}");
-        }
-    }
-
-    /// Distance between two finite doubles in units in the last place,
-    /// via the standard monotone mapping of the IEEE bit patterns.
-    fn ulp_distance(a: f64, b: f64) -> u64 {
-        fn ordered(x: f64) -> i64 {
-            let bits = x.to_bits() as i64;
-            if bits < 0 {
-                i64::MIN.wrapping_sub(bits)
-            } else {
-                bits
-            }
-        }
-        ordered(a).abs_diff(ordered(b))
-    }
-
-    #[test]
-    fn fma_stays_within_documented_ulp_bound() {
-        // FMA-on output must stay within FMA_MAX_ULPS of never-fused
-        // output — the bound set_fma's docs promise and the fuzz
-        // harness relies on when it pins FMA off for bit-exactness.
-        for src in [
-            "(compose (tensor (F 2) (I 4)) (T 8 4) (tensor (I 2) (F 4)) (L 8 2))",
-            "(compose (tensor (F 4) (I 4)) (T 16 4) (tensor (I 4) (F 4)) (L 16 4))",
-        ] {
-            let mut vm = compile(src, CompilerOptions::default());
-            let x: Vec<f64> = (0..vm.n_in).map(|i| ((i as f64) * 0.47).sin()).collect();
-            let mut y_plain = vec![0.0; vm.n_out];
-            vm.run(&x, &mut y_plain, &mut VmState::new(&vm));
-            vm.set_fma(true);
-            let mut y_fma = vec![0.0; vm.n_out];
-            vm.run(&x, &mut y_fma, &mut VmState::new(&vm));
-            for (i, (a, b)) in y_fma.iter().zip(&y_plain).enumerate() {
-                let d = ulp_distance(*a, *b);
-                assert!(
-                    d <= crate::program::FMA_MAX_ULPS,
-                    "{src}: output {i} drifts {d} ULPs ({a} vs {b})"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn float_and_int_op_counts_are_split() {
         // Unoptimized code keeps $r bookkeeping; the split counters
         // must not blend it into the float arithmetic count.
@@ -1512,6 +1430,30 @@ mod tests {
         assert_eq!(y_new, y_ref);
     }
 
+    /// Body executions of every loop in one call, in program order: a
+    /// loop's own trip count times those of the loops around it.
+    fn static_loop_iterations(vm: &VmProgram) -> Vec<u64> {
+        let mut around = vec![1u64];
+        let mut per_loop = Vec::new();
+        for op in vm.code() {
+            match op {
+                Op::LoopStart { lo, end_pc, .. } => {
+                    let Op::LoopEnd { hi, .. } = &vm.code()[*end_pc] else {
+                        unreachable!("end_pc points at the LoopEnd");
+                    };
+                    let n = around.last().unwrap() * (hi - lo + 1).max(0) as u64;
+                    per_loop.push(n);
+                    around.push(n);
+                }
+                Op::LoopEnd { .. } => {
+                    around.pop();
+                }
+                _ => {}
+            }
+        }
+        per_loop
+    }
+
     #[test]
     fn profiled_run_counts_vector_lane_ops() {
         let _g = force_scalar_lock();
@@ -1523,13 +1465,17 @@ mod tests {
         assert!(vm.resolve_stats().unwrap().vec_loops > 0);
         let x: Vec<f64> = (0..vm.n_in).map(|i| (i as f64 * 0.11).sin()).collect();
         let mut y = vec![0.0; vm.n_out];
+        let mut y_run = vec![0.0; vm.n_out];
         let mut y_ref = vec![0.0; vm.n_out];
-        let prof = vm
-            .run_profiled(&x, &mut y, &mut VmState::new(&vm))
-            .expect("resolved");
+        // One state for the profiled and the plain run: they are the
+        // same executor, so neither leaves anything the other trips on.
+        let mut st = VmState::new(&vm);
+        let prof = vm.run_profiled(&x, &mut y, &mut st).expect("resolved");
+        vm.run(&x, &mut y_run, &mut st);
         vm.run_reference(&x, &mut y_ref, &mut VmState::new(&vm));
-        for (a, b) in y.iter().zip(&y_ref) {
-            assert_eq!(a.to_bits(), b.to_bits(), "profiled vector run diverged");
+        for i in 0..vm.n_out {
+            assert_eq!(y[i].to_bits(), y_run[i].to_bits(), "profiled vs run");
+            assert_eq!(y[i].to_bits(), y_ref[i].to_bits(), "profiled vs reference");
         }
         assert!(
             prof.vector_lane_ops() > 0,
@@ -1541,12 +1487,44 @@ mod tests {
         // totals, just binned into the scalar classes.
         crate::simd::set_force_scalar(true);
         let mut y2 = vec![0.0; vm.n_out];
-        let prof_scalar = vm
-            .run_profiled(&x, &mut y2, &mut VmState::new(&vm))
-            .expect("resolved");
+        let prof_scalar = vm.run_profiled(&x, &mut y2, &mut st).expect("resolved");
         crate::simd::set_force_scalar(false);
         assert_eq!(prof_scalar.vector_lane_ops(), 0);
         assert_eq!(prof.float_ops(), prof_scalar.float_ops());
         assert_eq!(prof.flops(), prof_scalar.flops());
+        // Chunked or not, a loop is charged its whole trip count.
+        let want = static_loop_iterations(&vm);
+        for (p, how) in [(&prof, "vector"), (&prof_scalar, "forced scalar")] {
+            let got: Vec<u64> = p.loops.iter().map(|l| l.iterations).collect();
+            assert_eq!(got, want, "{how}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "arena state mismatch")]
+    fn state_of_a_smaller_program_is_refused() {
+        let small = compile("(F 2)", CompilerOptions::default());
+        let big = compile("(F 8)", CompilerOptions::default());
+        let mut y = vec![0.0; big.n_out];
+        big.run(&vec![1.0; big.n_in], &mut y, &mut VmState::new(&small));
+    }
+
+    #[test]
+    fn state_with_another_cursor_count_is_refused_before_any_op_runs() {
+        let small = compile("(F 2)", CompilerOptions::default());
+        let big = compile("(F 8)", CompilerOptions::default());
+        // Large enough in every dimension, so only the cursor file can
+        // give it away.
+        let mut st = VmState::new(&big);
+        assert_ne!(st.cur.len(), VmState::new(&small).cur.len());
+        let before = st.arena.clone();
+        let mut y = vec![0.0; small.n_out];
+        let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            small.run(&vec![1.0; small.n_in], &mut y, &mut st)
+        }))
+        .expect_err("mismatched state must not run");
+        let msg = panic.downcast_ref::<String>().expect("assert message");
+        assert!(msg.contains("cursor state mismatch"), "{msg}");
+        assert_eq!(st.arena, before, "not even the input was copied in");
     }
 }

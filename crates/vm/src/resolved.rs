@@ -9,9 +9,9 @@
 //!    fusion (`t = a·b; d = t ± c` or `d = c − t` becomes one
 //!    macro-op), and butterfly pairing (`d1 = a + b; d2 = a − b`
 //!    becomes one macro-op that reads each operand once). Every
-//!    rewrite preserves the exact sequence of f64 roundings, so fused
-//!    execution is bit-identical to the reference executor (see
-//!    [`ResolvedProgram::set_fma`] for the one documented exception).
+//!    rewrite preserves the exact sequence of f64 roundings — a
+//!    multiply–add is two roundings, never a hardware FMA — so fused
+//!    execution is bit-identical to the reference executor.
 //! 2. **Loop strength reduction**: every operand becomes a *cursor* —
 //!    an index into one unified `f64` arena holding the `$f`
 //!    registers, constant tables, immediates, input, output, and
@@ -36,19 +36,31 @@
 //!    as lane-wide macro-ops. Execution then runs `width()` iterations
 //!    per chunk through [`crate::simd`], falling back to the scalar
 //!    body for the remainder (and entirely, when the fallback is
-//!    forced or FMA mode is on). Vector execution performs the exact
-//!    same IEEE-754 operations as scalar execution, so it stays
-//!    bit-identical to the reference executor. Hints that fail
-//!    re-verification are silently demoted (counted in
-//!    `vm.vec.demoted`) — the mark is advisory, never trusted.
+//!    forced). Vector execution performs the exact same IEEE-754
+//!    operations as scalar execution, so it stays bit-identical to the
+//!    reference executor. Hints that fail re-verification are silently
+//!    demoted (counted in `vm.vec.demoted`) — the mark is advisory,
+//!    never trusted.
+//!
+//! One vocabulary, one executor: the ten float kinds are the [`Arith`]
+//! enum, and a float op at every level — out of fusion, over cursors,
+//! lane-wide — is the same [`FloatOp`] with a different operand type.
+//! The node walk, the chunk executor and the two dispatches on the
+//! kind are generic over a [`Probe`]: `run` instantiates them with
+//! [`NoProbe`] (hooks that compile to nothing), `run_profiled` with
+//! [`ProfBuf`], so a profile is by construction a profile of the code
+//! that serves, SIMD lanes included.
 
 use std::collections::{HashMap, HashSet};
+use std::ops::Range;
 use std::time::Instant;
 
 use spl_icode::{BinOp, ProvNode};
 use spl_telemetry::Telemetry;
 
-use crate::profile::{build_nodes, LoopBlock, VmProfile, N_OP_CLASSES, VEC_CLASS_BASE};
+use crate::profile::{
+    build_nodes, LoopBlock, VmProfile, N_OP_CLASSES, OP_CLASS_FLOPS, VEC_CLASS_BASE,
+};
 use crate::program::{Addr, Dst, ISrc, Op, Src, VmProgram, VmState};
 use crate::simd::{self, Lanes, MAX_VEC_WIDTH};
 
@@ -98,7 +110,108 @@ impl ResolveStats {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Unsupported(pub(crate) &'static str);
 
-/// An integer operand of a rare-path resolved op.
+// ---------------------------------------------------------------------------
+// The op vocabulary.
+// ---------------------------------------------------------------------------
+
+/// The float operation kinds. The discriminant is the kind's profile
+/// class — its slot in [`crate::profile::OP_CLASS_NAMES`] — and
+/// [`VEC_CLASS_BASE`] + discriminant is the class of its lane-wide
+/// form.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Arith {
+    Add,
+    Sub,
+    Mul,
+    Div,
+    Copy,
+    Neg,
+    /// `d = a·b + c` (two roundings).
+    MulAdd,
+    /// `d = a·b − c`.
+    MulSub,
+    /// `d = c − a·b`.
+    NegMulAdd,
+    /// `d1 = a + b; d2 = a − b` with one read of each operand.
+    Butterfly,
+}
+
+impl Arith {
+    /// `(destinations, sources)` the kind takes; at least one of each.
+    const fn arity(self) -> (usize, usize) {
+        match self {
+            Arith::Add | Arith::Sub | Arith::Mul | Arith::Div => (1, 2),
+            Arith::Copy | Arith::Neg => (1, 1),
+            Arith::MulAdd | Arith::MulSub | Arith::NegMulAdd => (1, 3),
+            Arith::Butterfly => (2, 2),
+        }
+    }
+}
+
+/// One float op over destinations `D` and sources `S`: `&Dst`/`&Src`
+/// out of fusion, cursor indices (`u32`) in [`RNode::Float`],
+/// [`VOperand`]s in a [`VecPlan`]. Slots past the kind's arity hold
+/// copies of slot 0 and are never read.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct FloatOp<D, S> {
+    kind: Arith,
+    d: [D; 2],
+    s: [S; 3],
+}
+
+/// One operand of a [`FloatOp`], as [`FloatOp::map`] hands it out.
+enum Operand<D, S> {
+    Src(S),
+    Dst(D),
+}
+
+impl<D: Copy, S: Copy> FloatOp<D, S> {
+    /// Builds an op from exactly the operands its kind takes.
+    fn new(kind: Arith, d: &[D], s: &[S]) -> Self {
+        debug_assert_eq!((d.len(), s.len()), kind.arity());
+        let mut op = FloatOp {
+            kind,
+            d: [d[0]; 2],
+            s: [s[0]; 3],
+        };
+        op.d[..d.len()].copy_from_slice(d);
+        op.s[..s.len()].copy_from_slice(s);
+        op
+    }
+
+    fn dsts(&self) -> &[D] {
+        &self.d[..self.kind.arity().0]
+    }
+
+    fn srcs(&self) -> &[S] {
+        &self.s[..self.kind.arity().1]
+    }
+
+    /// The same op over operands `f` makes of this one's. `f` sees the
+    /// sources first, then the destinations, each in slot order, and
+    /// never a padded slot: a visit may allocate a cursor or emit a
+    /// spill node that must precede the op.
+    fn map<T: Copy, E>(
+        &self,
+        mut f: impl FnMut(Operand<D, S>) -> Result<T, E>,
+    ) -> Result<FloatOp<T, T>, E> {
+        let mut s = [f(Operand::Src(self.s[0]))?; 3];
+        for (to, &from) in s.iter_mut().zip(self.srcs()).skip(1) {
+            *to = f(Operand::Src(from))?;
+        }
+        let mut d = [f(Operand::Dst(self.d[0]))?; 2];
+        for (to, &from) in d.iter_mut().zip(self.dsts()).skip(1) {
+            *to = f(Operand::Dst(from))?;
+        }
+        Ok(FloatOp {
+            kind: self.kind,
+            d,
+            s,
+        })
+    }
+}
+
+/// An integer operand of an [`IntOp`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum RI {
     Const(i64),
@@ -106,68 +219,12 @@ enum RI {
     Loop(u32),
 }
 
-/// A resolved operation. All `u32` float operands are *cursor*
-/// indices; the cursor holds the current arena cell of the operand.
+/// The rare ops of unoptimized code: `$r` arithmetic, and spills of
+/// integer state into a scratch cell a float op then reads.
 #[derive(Debug, Clone, PartialEq)]
-enum ROp {
-    Add {
-        d: u32,
-        a: u32,
-        b: u32,
-    },
-    Sub {
-        d: u32,
-        a: u32,
-        b: u32,
-    },
-    Mul {
-        d: u32,
-        a: u32,
-        b: u32,
-    },
-    Div {
-        d: u32,
-        a: u32,
-        b: u32,
-    },
-    Copy {
-        d: u32,
-        a: u32,
-    },
-    Neg {
-        d: u32,
-        a: u32,
-    },
-    /// `d = a·b + c`.
-    MulAdd {
-        d: u32,
-        a: u32,
-        b: u32,
-        c: u32,
-    },
-    /// `d = a·b − c`.
-    MulSub {
-        d: u32,
-        a: u32,
-        b: u32,
-        c: u32,
-    },
-    /// `d = c − a·b`.
-    NegMulAdd {
-        d: u32,
-        a: u32,
-        b: u32,
-        c: u32,
-    },
-    /// `d1 = a + b; d2 = a − b` with one read of each operand.
-    Butterfly {
-        d1: u32,
-        d2: u32,
-        a: u32,
-        b: u32,
-    },
+enum IntOp {
     /// Spills `r[r_idx] as f64` into the scratch cell behind cursor
-    /// `d` (rare, unoptimized code only).
+    /// `d`.
     RToCell {
         d: u32,
         r_idx: u32,
@@ -177,23 +234,39 @@ enum ROp {
         d: u32,
         slot: u32,
     },
-    IntBin {
+    Bin {
         op: BinOp,
         dst: u32,
         a: RI,
         b: RI,
     },
-    IntUn {
+    Un {
         neg: bool,
         dst: u32,
         a: RI,
     },
 }
 
+impl IntOp {
+    /// Profile class: the slots between the scalar and the lane-wide
+    /// float classes.
+    fn class(&self) -> usize {
+        match self {
+            IntOp::RToCell { .. } => 10,
+            IntOp::LoopToCell { .. } => 11,
+            IntOp::Bin { .. } => 12,
+            IntOp::Un { .. } => 13,
+        }
+    }
+}
+
 /// A node of the block-structured program.
 #[derive(Debug, Clone, PartialEq)]
 enum RNode {
-    Op(ROp),
+    /// A float op over cursors; each cursor holds the current arena
+    /// cell of its operand.
+    Float(FloatOp<u32, u32>),
+    Int(IntOp),
     /// A counted loop; its body is `nodes[self+1 .. end]`.
     Loop {
         /// Trip count (0 for a zero-trip loop: body skipped).
@@ -222,100 +295,29 @@ enum RNode {
 /// from a per-entry heap buffer.
 const MAX_LANE_CELLS: usize = 2048;
 
-/// Lane-register count up to which the chunk executors use a fixed
+/// Lane-register count up to which the chunk executor uses a fixed
 /// stack buffer instead of allocating.
 const SMALL_LANE_CELLS: usize = 64;
 
-/// Where a lane-wide operand's lanes come from.
+/// Where the lanes of a lane-wide operand live.
 #[derive(Debug, Clone, Copy, PartialEq)]
-enum VSrc {
-    /// Lane `l` reads `arena[cur[c] + l·s]`; `s == 0` broadcasts a
-    /// loop-invariant cell (constant, read-only `$f` register, or
-    /// invariant subscript).
+enum VOperand {
+    /// Lane `l` is `arena[cur[c] + l·s]`. A source with `s == 0`
+    /// broadcasts a loop-invariant cell (constant, read-only `$f`
+    /// register, or invariant subscript); destinations always have
+    /// `s ≥ 1`.
     Mem { c: u32, s: i64 },
     /// An iteration-private `$f` register promoted to a lane register.
     Lane(u16),
-}
-
-/// Where a lane-wide result goes (same encoding as [`VSrc`]; memory
-/// destinations always have `s ≥ 1`).
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum VDst {
-    /// Lane `l` writes `arena[cur[c] + l·s]`.
-    Mem { c: u32, s: i64 },
-    /// An iteration-private `$f` register promoted to a lane register.
-    Lane(u16),
-}
-
-/// A lane-wide macro-op: the vector counterpart of the float [`ROp`]s,
-/// executing one scalar op across `W` consecutive iterations at once.
-#[derive(Debug, Clone, PartialEq)]
-enum VecOp {
-    Add {
-        d: VDst,
-        a: VSrc,
-        b: VSrc,
-    },
-    Sub {
-        d: VDst,
-        a: VSrc,
-        b: VSrc,
-    },
-    Mul {
-        d: VDst,
-        a: VSrc,
-        b: VSrc,
-    },
-    Div {
-        d: VDst,
-        a: VSrc,
-        b: VSrc,
-    },
-    Copy {
-        d: VDst,
-        a: VSrc,
-    },
-    Neg {
-        d: VDst,
-        a: VSrc,
-    },
-    /// `d = a·b + c` (two roundings, like the scalar non-FMA path).
-    MulAdd {
-        d: VDst,
-        a: VSrc,
-        b: VSrc,
-        c: VSrc,
-    },
-    /// `d = a·b − c`.
-    MulSub {
-        d: VDst,
-        a: VSrc,
-        b: VSrc,
-        c: VSrc,
-    },
-    /// `d = c − a·b`.
-    NegMulAdd {
-        d: VDst,
-        a: VSrc,
-        b: VSrc,
-        c: VSrc,
-    },
-    /// `d1 = a + b; d2 = a − b`.
-    Butterfly {
-        d1: VDst,
-        d2: VDst,
-        a: VSrc,
-        b: VSrc,
-    },
 }
 
 /// A verified lane-wide execution plan for one counted loop: the body
-/// re-expressed as [`VecOp`]s, executed op-major over chunks of `W`
-/// consecutive iterations. Additive — the scalar body nodes stay in
+/// re-expressed over [`VOperand`]s, executed op-major over chunks of
+/// `W` consecutive iterations. Additive — the scalar body nodes stay in
 /// place for remainder iterations and the forced-scalar fallback.
 #[derive(Debug, Clone, PartialEq, Default)]
 struct VecPlan {
-    ops: Vec<VecOp>,
+    ops: Vec<FloatOp<VOperand, VOperand>>,
     /// Formula-node provenance per vector op (parallel to `ops`, or
     /// empty when the program carries none).
     prov: Vec<u32>,
@@ -331,8 +333,8 @@ struct VecPlan {
 pub(crate) struct ResolvedProgram {
     nodes: Vec<RNode>,
     /// Formula-node provenance per resolved node (parallel to `nodes`,
-    /// or empty when the program carries none). Read only by the
-    /// profiled interpreter.
+    /// or empty when the program carries none). Read only through a
+    /// [`Probe`].
     node_prov: Vec<u32>,
     /// Flat `(cursor, delta)` stride table, sliced per loop.
     steps: Vec<(u32, i64)>,
@@ -350,13 +352,9 @@ pub(crate) struct ResolvedProgram {
     /// Whether loop-variable values are observable (via `LoopF` /
     /// integer ops); if not, latches skip maintaining them.
     track_loops: bool,
-    /// Use hardware fused multiply–add for the MulAdd family. Off by
-    /// default: single-rounding FMA is *not* bit-identical to the
-    /// reference executor.
-    fma: bool,
     /// Minimum `$r` / loop-variable state sizes this program touches;
-    /// checked once per [`ResolvedProgram::run`] so the unchecked hot
-    /// loop cannot be handed an undersized state.
+    /// checked once per run so the hot loop cannot be handed an
+    /// undersized state.
     need_r: usize,
     need_loop: usize,
     /// Verified lane-wide plans, indexed by `RNode::Loop::vec`.
@@ -364,13 +362,40 @@ pub(crate) struct ResolvedProgram {
     stats: ResolveStats,
 }
 
+/// What the executor reports while it runs. [`NoProbe`] makes every
+/// hook an empty inline function, so the instantiation `run` uses
+/// carries no trace of them; [`ProfBuf`] builds a [`VmProfile`].
+/// `prov` is the formula node the reported code was expanded from
+/// (`u32::MAX`: none).
+trait Probe {
+    /// A scalar node of profile class `class` is about to execute.
+    fn op(&mut self, prov: u32, class: usize);
+    /// A lane-wide op is about to execute `w` iterations at once.
+    fn vec_op(&mut self, prov: u32, kind: Arith, w: usize);
+    /// A loop header was reached.
+    fn loop_enter(&mut self, prov: u32);
+    /// The innermost open loop, headed by node `node`, ran all `trips`
+    /// iterations.
+    fn loop_exit(&mut self, node: usize, trips: u64);
+}
+
+/// The probe of an unprofiled run.
+struct NoProbe;
+
+impl Probe for NoProbe {
+    #[inline(always)]
+    fn op(&mut self, _: u32, _: usize) {}
+    #[inline(always)]
+    fn vec_op(&mut self, _: u32, _: Arith, _: usize) {}
+    #[inline(always)]
+    fn loop_enter(&mut self, _: u32) {}
+    #[inline(always)]
+    fn loop_exit(&mut self, _: usize, _: u64) {}
+}
+
 impl ResolvedProgram {
     pub(crate) fn stats(&self) -> &ResolveStats {
         &self.stats
-    }
-
-    pub(crate) fn set_fma(&mut self, on: bool) {
-        self.fma = on;
     }
 
     /// Builds a fresh arena with tables and immediates preset.
@@ -391,46 +416,106 @@ impl ResolvedProgram {
     /// across calls (inside the arena), input and output are copied
     /// through the arena windows each call.
     pub(crate) fn run(&self, x: &[f64], y: &mut [f64], st: &mut VmState) {
-        // These checks are what makes the unchecked indexing in
-        // `exec_op` sound: the cursor table must be exactly ours (the
-        // `copy_from_slice` enforces equal length), the arena at least
-        // as large as every validated cursor range, and the integer
-        // state big enough for every register this program names.
+        self.run_with(x, y, st, || NoProbe);
+    }
+
+    /// [`ResolvedProgram::run`] — the same code, instantiated over
+    /// [`ProfBuf`] — returning the collected [`VmProfile`]; see
+    /// [`crate::VmProgram::run_profiled`].
+    pub(crate) fn run_profiled(
+        &self,
+        x: &[f64],
+        y: &mut [f64],
+        st: &mut VmState,
+        prov_nodes: &[ProvNode],
+    ) -> VmProfile {
+        let n_ids = if self.node_prov.is_empty() {
+            0
+        } else {
+            prov_nodes.len()
+        };
+        self.run_with(x, y, st, || ProfBuf::new(n_ids))
+            .finish(prov_nodes)
+    }
+
+    /// One run under the probe `start` makes — once the state is
+    /// loaded, so that a probe with a clock starts it at the first op,
+    /// not at the input copy.
+    ///
+    /// The unchecked indexing of the executor (`get!`/`put!`,
+    /// `ld!`/`st!`) rests on three facts, each a `debug_assert!` at
+    /// the access itself, so a debug build is a bounds-checked run:
+    ///
+    /// 1. the checks below — `st.cur` has exactly this program's
+    ///    cursor count, the arena at least `arena_len` cells, and the
+    ///    integer state (which stays bounds-checked: it is cold)
+    ///    covers every `$r` and loop slot the program names;
+    /// 2. `Builder::mem` rejects any operand whose reachable address
+    ///    box leaves its region — exact, since counted loops reach
+    ///    every bound combination — and fixed cells are in range by
+    ///    construction, so every cursor *value* at a dereference is a
+    ///    cell of the arena;
+    /// 3. lane `l` of a lane-wide operand is the address scalar
+    ///    iteration `t + l` dereferences through the same cursor, and
+    ///    chunks run only with `W` full iterations left.
+    fn run_with<P: Probe>(
+        &self,
+        x: &[f64],
+        y: &mut [f64],
+        st: &mut VmState,
+        start: impl FnOnce() -> P,
+    ) -> P {
         assert!(st.arena.len() >= self.arena_len, "arena state mismatch");
         assert!(st.r.len() >= self.need_r, "register state mismatch");
         assert!(st.loops.len() >= self.need_loop, "loop state mismatch");
+        assert_eq!(
+            st.cur.len(),
+            self.init_cursors.len(),
+            "cursor state mismatch"
+        );
         st.cur.copy_from_slice(&self.init_cursors);
         st.arena[self.in_off..self.in_off + self.n_in].copy_from_slice(x);
         // The reference executor lets accumulations read back the
         // caller's output buffer, so copy it in as well.
         st.arena[self.out_off..self.out_off + self.n_out].copy_from_slice(y);
-        {
-            let VmState {
-                arena,
-                cur,
-                r,
-                loops,
-                ..
-            } = st;
-            self.exec(0, self.nodes.len(), arena, cur, r, loops);
-        }
+        let mut probe = start();
+        self.exec(
+            0..self.nodes.len(),
+            &mut st.arena,
+            &mut st.cur,
+            &mut st.r,
+            &mut st.loops,
+            &mut probe,
+        );
         y.copy_from_slice(&st.arena[self.out_off..self.out_off + self.n_out]);
+        probe
     }
 
-    fn exec(
+    #[inline(always)]
+    fn prov(&self, node: usize) -> u32 {
+        self.node_prov.get(node).copied().unwrap_or(u32::MAX)
+    }
+
+    fn exec<P: Probe>(
         &self,
-        lo: usize,
-        hi: usize,
+        nodes: Range<usize>,
         arena: &mut [f64],
         cur: &mut [i64],
         r: &mut [i64],
         loops: &mut [i64],
+        probe: &mut P,
     ) {
-        let mut i = lo;
-        while i < hi {
+        let mut i = nodes.start;
+        while i < nodes.end {
             match &self.nodes[i] {
-                RNode::Op(op) => {
-                    self.exec_op(op, arena, cur, r, loops);
+                RNode::Float(op) => {
+                    probe.op(self.prov(i), op.kind as usize);
+                    exec_float(op, arena, cur);
+                    i += 1;
+                }
+                RNode::Int(op) => {
+                    probe.op(self.prov(i), op.class());
+                    exec_int(op, arena, cur, r, loops);
                     i += 1;
                 }
                 RNode::Loop {
@@ -441,16 +526,16 @@ impl ResolvedProgram {
                     steps,
                     vec,
                 } => {
+                    probe.loop_enter(self.prov(i));
                     let end = *end as usize;
                     let stp = &self.steps[steps.0 as usize..steps.1 as usize];
-                    // Lane-wide chunks first. FMA mode stays scalar:
-                    // the vector path reproduces the two-rounding
-                    // scalar sequence, not the fused one.
+                    // Lane-wide chunks first, the scalar body for
+                    // whatever they leave.
                     let done = match vec {
-                        Some(p) if !self.fma => {
-                            run_chunks(&self.vec_plans[*p as usize], *trips, stp, arena, cur)
+                        Some(p) => {
+                            run_chunks(&self.vec_plans[*p as usize], *trips, stp, arena, cur, probe)
                         }
-                        _ => 0,
+                        None => 0,
                     };
                     if self.track_loops {
                         // Mirror the reference executor exactly: the
@@ -458,7 +543,7 @@ impl ResolvedProgram {
                         // is left at `hi` (not `hi+1`) afterwards.
                         for t in done..*trips {
                             loops[*var as usize] = l0 + t as i64;
-                            self.exec(i + 1, end, arena, cur, r, loops);
+                            self.exec(i + 1..end, arena, cur, r, loops, probe);
                             for &(k, d) in stp {
                                 cur[k as usize] += d;
                             }
@@ -472,222 +557,104 @@ impl ResolvedProgram {
                         }
                     } else {
                         for _ in done..*trips {
-                            self.exec(i + 1, end, arena, cur, r, loops);
+                            self.exec(i + 1..end, arena, cur, r, loops, probe);
                             for &(k, d) in stp {
                                 cur[k as usize] += d;
                             }
                         }
                     }
+                    probe.loop_exit(i, *trips);
                     i = end;
                 }
             }
         }
     }
+}
 
-    /// Executes one resolved op.
-    ///
-    /// Float operands use unchecked indexing — this is the engine's
-    /// whole point, and it is sound by resolve-time validation:
-    /// every cursor index is `< init_cursors.len()` by construction
-    /// (`run` pins `cur` to exactly that length), and every cursor
-    /// *value* at a dereference point lies inside its region because
-    /// `Builder::mem` rejects any address whose reachable box (the
-    /// interval over all enclosing loop ranges — exact, since counted
-    /// loops execute every bound combination) leaves the region, and
-    /// fixed/const/scratch cells are in-range by construction. `run`
-    /// asserts the arena is at least `arena_len`. Integer state (`r`,
-    /// `loops`) stays bounds-checked: it is cold and its indices come
-    /// from the lowered program rather than the resolver.
-    #[inline(always)]
-    fn exec_op(&self, op: &ROp, arena: &mut [f64], cur: &mut [i64], r: &mut [i64], loops: &[i64]) {
-        macro_rules! get {
-            ($k:expr) => {
-                // SAFETY: see the method comment.
-                unsafe { *arena.get_unchecked(*cur.get_unchecked(*$k as usize) as usize) }
-            };
-        }
-        macro_rules! put {
-            ($k:expr, $v:expr) => {{
-                let v = $v;
-                // SAFETY: see the method comment.
-                unsafe { *arena.get_unchecked_mut(*cur.get_unchecked(*$k as usize) as usize) = v }
-            }};
-        }
-        macro_rules! ri {
-            ($s:expr) => {
-                match $s {
-                    RI::Const(c) => *c,
-                    RI::R(k) => r[*k as usize],
-                    RI::Loop(k) => loops[*k as usize],
-                }
-            };
-        }
-        match op {
-            ROp::Add { d, a, b } => put!(d, get!(a) + get!(b)),
-            ROp::Sub { d, a, b } => put!(d, get!(a) - get!(b)),
-            ROp::Mul { d, a, b } => put!(d, get!(a) * get!(b)),
-            ROp::Div { d, a, b } => put!(d, get!(a) / get!(b)),
-            ROp::Copy { d, a } => put!(d, get!(a)),
-            ROp::Neg { d, a } => put!(d, -get!(a)),
-            ROp::MulAdd { d, a, b, c } => {
-                let v = if self.fma {
-                    get!(a).mul_add(get!(b), get!(c))
-                } else {
-                    get!(a) * get!(b) + get!(c)
-                };
-                put!(d, v);
-            }
-            ROp::MulSub { d, a, b, c } => {
-                let v = if self.fma {
-                    get!(a).mul_add(get!(b), -get!(c))
-                } else {
-                    get!(a) * get!(b) - get!(c)
-                };
-                put!(d, v);
-            }
-            ROp::NegMulAdd { d, a, b, c } => {
-                let v = if self.fma {
-                    (-get!(a)).mul_add(get!(b), get!(c))
-                } else {
-                    get!(c) - get!(a) * get!(b)
-                };
-                put!(d, v);
-            }
-            ROp::Butterfly { d1, d2, a, b } => {
-                let av = get!(a);
-                let bv = get!(b);
-                put!(d1, av + bv);
-                put!(d2, av - bv);
-            }
-            ROp::RToCell { d, r_idx } => put!(d, r[*r_idx as usize] as f64),
-            ROp::LoopToCell { d, slot } => put!(d, loops[*slot as usize] as f64),
-            ROp::IntBin { op, dst, a, b } => {
-                let av = ri!(a);
-                let bv = ri!(b);
-                r[*dst as usize] = match op {
-                    BinOp::Add => av + bv,
-                    BinOp::Sub => av - bv,
-                    BinOp::Mul => av * bv,
-                    BinOp::Div => av / bv,
-                };
-            }
-            ROp::IntUn { neg, dst, a } => {
-                let av = ri!(a);
-                r[*dst as usize] = if *neg { -av } else { av };
-            }
+/// Executes one float op over cursors. Sound by the three facts on
+/// [`ResolvedProgram::run_with`].
+#[inline(always)]
+fn exec_float(op: &FloatOp<u32, u32>, arena: &mut [f64], cur: &[i64]) {
+    macro_rules! cell {
+        ($k:expr) => {{
+            let k = *$k as usize;
+            debug_assert!(k < cur.len(), "cursor {k} of {}", cur.len());
+            // SAFETY: fact 1 — cursor indices are below the pinned
+            // cursor count.
+            let at = unsafe { *cur.get_unchecked(k) };
+            debug_assert!(
+                at >= 0 && (at as usize) < arena.len(),
+                "cursor {k} at cell {at} of {}",
+                arena.len()
+            );
+            at as usize
+        }};
+    }
+    macro_rules! get {
+        ($k:expr) => {{
+            let at = cell!($k);
+            // SAFETY: fact 2 — the cursor's value is an arena cell.
+            unsafe { *arena.get_unchecked(at) }
+        }};
+    }
+    macro_rules! put {
+        ($k:expr, $v:expr) => {{
+            let v = $v;
+            let at = cell!($k);
+            // SAFETY: fact 2.
+            unsafe { *arena.get_unchecked_mut(at) = v }
+        }};
+    }
+    // Operands bound by reference: an arm loads only what it reads.
+    let [d, d2] = &op.d;
+    let [a, b, c] = &op.s;
+    match op.kind {
+        Arith::Add => put!(d, get!(a) + get!(b)),
+        Arith::Sub => put!(d, get!(a) - get!(b)),
+        Arith::Mul => put!(d, get!(a) * get!(b)),
+        Arith::Div => put!(d, get!(a) / get!(b)),
+        Arith::Copy => put!(d, get!(a)),
+        Arith::Neg => put!(d, -get!(a)),
+        Arith::MulAdd => put!(d, get!(a) * get!(b) + get!(c)),
+        Arith::MulSub => put!(d, get!(a) * get!(b) - get!(c)),
+        Arith::NegMulAdd => put!(d, get!(c) - get!(a) * get!(b)),
+        Arith::Butterfly => {
+            let av = get!(a);
+            let bv = get!(b);
+            put!(d, av + bv);
+            put!(d2, av - bv);
         }
     }
+}
 
-    /// Executes the program through a separate instrumented
-    /// interpreter and returns the collected [`VmProfile`]; see
-    /// [`crate::VmProgram::run_profiled`]. State contract and results
-    /// are identical to [`ResolvedProgram::run`] — the same resolved
-    /// ops execute in the same order.
-    pub(crate) fn run_profiled(
-        &self,
-        x: &[f64],
-        y: &mut [f64],
-        st: &mut VmState,
-        prov_nodes: &[ProvNode],
-    ) -> VmProfile {
-        assert!(st.arena.len() >= self.arena_len, "arena state mismatch");
-        assert!(st.r.len() >= self.need_r, "register state mismatch");
-        assert!(st.loops.len() >= self.need_loop, "loop state mismatch");
-        st.cur.copy_from_slice(&self.init_cursors);
-        st.arena[self.in_off..self.in_off + self.n_in].copy_from_slice(x);
-        st.arena[self.out_off..self.out_off + self.n_out].copy_from_slice(y);
-        let n_ids = if self.node_prov.is_empty() {
-            0
-        } else {
-            prov_nodes.len()
-        };
-        let mut pb = ProfBuf::new(n_ids);
-        {
-            let VmState {
-                arena,
-                cur,
-                r,
-                loops,
-                ..
-            } = st;
-            self.exec_profiled(0, self.nodes.len(), arena, cur, r, loops, &mut pb);
+/// Executes one integer or spill op. Bounds-checked throughout: these
+/// run in unoptimized code only, and their `$r`/loop indices come from
+/// the lowered program rather than the resolver.
+fn exec_int(op: &IntOp, arena: &mut [f64], cur: &[i64], r: &mut [i64], loops: &[i64]) {
+    let ri = |s: &RI, r: &[i64]| match s {
+        RI::Const(c) => *c,
+        RI::R(k) => r[*k as usize],
+        RI::Loop(k) => loops[*k as usize],
+    };
+    match op {
+        IntOp::RToCell { d, r_idx } => {
+            arena[cur[*d as usize] as usize] = r[*r_idx as usize] as f64;
         }
-        y.copy_from_slice(&st.arena[self.out_off..self.out_off + self.n_out]);
-        pb.finish(prov_nodes)
-    }
-
-    /// The instrumented mirror of [`ResolvedProgram::exec`]: same
-    /// control flow and op dispatch, plus telescoping formula-node
-    /// attribution, op-class counting, and per-loop figures.
-    #[allow(clippy::too_many_arguments)]
-    fn exec_profiled(
-        &self,
-        lo: usize,
-        hi: usize,
-        arena: &mut [f64],
-        cur: &mut [i64],
-        r: &mut [i64],
-        loops: &mut [i64],
-        pb: &mut ProfBuf,
-    ) {
-        let mut i = lo;
-        while i < hi {
-            let p = self.node_prov.get(i).copied().unwrap_or(u32::MAX);
-            match &self.nodes[i] {
-                RNode::Op(op) => {
-                    pb.attribute(p);
-                    pb.count(op);
-                    self.exec_op(op, arena, cur, r, loops);
-                    i += 1;
-                }
-                RNode::Loop {
-                    trips,
-                    var,
-                    lo: l0,
-                    end,
-                    steps,
-                    vec,
-                } => {
-                    pb.attribute(p);
-                    let end = *end as usize;
-                    let stp = &self.steps[steps.0 as usize..steps.1 as usize];
-                    let t0 = Instant::now();
-                    pb.depth += 1;
-                    // Mirror the plain engine's chunking (at the same
-                    // active width) so vector-op counts and
-                    // attribution reflect real vector execution. The
-                    // software lanes below are bit-identical to both
-                    // the SIMD and the scalar path.
-                    let w = simd::width();
-                    let done = match vec {
-                        Some(pl) if !self.fma && w >= 2 => profiled_chunks(
-                            &self.vec_plans[*pl as usize],
-                            *trips,
-                            w,
-                            stp,
-                            arena,
-                            cur,
-                            pb,
-                        ),
-                        _ => 0,
-                    };
-                    for t in done..*trips {
-                        if self.track_loops {
-                            loops[*var as usize] = l0 + t as i64;
-                        }
-                        self.exec_profiled(i + 1, end, arena, cur, r, loops, pb);
-                        for &(k, d) in stp {
-                            cur[k as usize] += d;
-                        }
-                    }
-                    if self.track_loops && done == *trips && *trips > 0 {
-                        loops[*var as usize] = l0 + (*trips - 1) as i64;
-                    }
-                    pb.depth -= 1;
-                    pb.loop_done(i, pb.depth, *trips, t0.elapsed().as_nanos());
-                    i = end;
-                }
-            }
+        IntOp::LoopToCell { d, slot } => {
+            arena[cur[*d as usize] as usize] = loops[*slot as usize] as f64;
+        }
+        IntOp::Bin { op, dst, a, b } => {
+            let (av, bv) = (ri(a, r), ri(b, r));
+            r[*dst as usize] = match op {
+                BinOp::Add => av + bv,
+                BinOp::Sub => av - bv,
+                BinOp::Mul => av * bv,
+                BinOp::Div => av / bv,
+            };
+        }
+        IntOp::Un { neg, dst, a } => {
+            let av = ri(a, r);
+            r[*dst as usize] = if *neg { -av } else { av };
         }
     }
 }
@@ -700,25 +667,26 @@ impl ResolvedProgram {
 /// active SIMD backend allows and returns how many iterations were
 /// covered (0 when no backend is active or the fallback is forced —
 /// the caller then runs everything through the scalar body).
-fn run_chunks(
+fn run_chunks<P: Probe>(
     plan: &VecPlan,
     trips: u64,
     stp: &[(u32, i64)],
     arena: &mut [f64],
     cur: &mut [i64],
+    probe: &mut P,
 ) -> u64 {
     match simd::active() {
         simd::Backend::Scalar => 0,
         #[cfg(target_arch = "x86_64")]
-        simd::Backend::Sse2 => chunks_generic::<simd::Sse2>(plan, trips, stp, arena, cur),
+        simd::Backend::Sse2 => chunks_generic::<simd::Sse2, P>(plan, trips, stp, arena, cur, probe),
         #[cfg(target_arch = "x86_64")]
         simd::Backend::Avx => {
             // SAFETY: `Backend::Avx` is only reported when runtime
             // detection confirmed AVX support.
-            unsafe { chunks_avx(plan, trips, stp, arena, cur) }
+            unsafe { chunks_avx(plan, trips, stp, arena, cur, probe) }
         }
         #[cfg(target_arch = "aarch64")]
-        simd::Backend::Neon => chunks_generic::<simd::Neon>(plan, trips, stp, arena, cur),
+        simd::Backend::Neon => chunks_generic::<simd::Neon, P>(plan, trips, stp, arena, cur, probe),
     }
 }
 
@@ -730,30 +698,32 @@ fn run_chunks(
 /// The CPU must support AVX.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx")]
-unsafe fn chunks_avx(
+unsafe fn chunks_avx<P: Probe>(
     plan: &VecPlan,
     trips: u64,
     stp: &[(u32, i64)],
     arena: &mut [f64],
     cur: &mut [i64],
+    probe: &mut P,
 ) -> u64 {
-    chunks_generic::<simd::Avx>(plan, trips, stp, arena, cur)
+    chunks_generic::<simd::Avx, P>(plan, trips, stp, arena, cur, probe)
 }
 
-/// Executes `trips / W` full chunks op-major: each [`VecOp`] runs `W`
-/// consecutive iterations at once, then the latch strides advance by
-/// `W` steps. Plan verification guarantees op-major order is
+/// Executes `trips / W` full chunks op-major: each lane-wide op runs
+/// `W` consecutive iterations at once, then the latch strides advance
+/// by `W` steps. Plan verification guarantees op-major order is
 /// observably identical to iteration order (no loop-carried values,
 /// no memory conflicts at lane distance), and every lane performs the
 /// exact scalar IEEE-754 op — so the result is bit-identical to
 /// scalar execution.
 #[inline(always)]
-fn chunks_generic<L: Lanes>(
+fn chunks_generic<L: Lanes, P: Probe>(
     plan: &VecPlan,
     trips: u64,
     stp: &[(u32, i64)],
     arena: &mut [f64],
     cur: &mut [i64],
+    probe: &mut P,
 ) -> u64 {
     let w = L::W as u64;
     let chunks = trips / w;
@@ -770,14 +740,11 @@ fn chunks_generic<L: Lanes>(
         &mut big
     };
     for _ in 0..chunks {
-        for op in &plan.ops {
-            // SAFETY: lane `l` of a `Mem` operand dereferences exactly
-            // the address the scalar iteration `t + l` of this chunk
-            // dereferences through the same cursor (the lane stride is
-            // the cursor's per-iteration latch stride), and chunks only
-            // run with `W` full iterations remaining — so every lane
-            // address is one resolve-time bounds validation already
-            // covered (see `exec_op`).
+        for (j, op) in plan.ops.iter().enumerate() {
+            probe.vec_op(plan.prov.get(j).copied().unwrap_or(u32::MAX), op.kind, L::W);
+            // SAFETY: fact 3 on `ResolvedProgram::run_with` — `chunks`
+            // counts only full chunks, so every lane address is one
+            // the scalar iterations of this chunk dereference.
             unsafe { exec_vec_op::<L>(op, lanes, arena, cur) };
         }
         for &(k, d) in stp {
@@ -794,25 +761,49 @@ fn chunks_generic<L: Lanes>(
     chunks * w
 }
 
-/// Executes one lane-wide macro-op.
+/// `true` when the `w` lanes at `base + l·s` all lie inside an arena
+/// of `len` cells, whichever way `s` points.
+fn lanes_in_bounds(base: i64, s: i64, w: usize, len: usize) -> bool {
+    let last = base + (w as i64 - 1) * s;
+    base.min(last) >= 0 && (base.max(last) as usize) < len
+}
+
+/// Executes one lane-wide op.
 ///
 /// # Safety
 ///
-/// Every `Mem` lane address must be in bounds (see the call-site
-/// comment in [`chunks_generic`]); lane-register ids index `lanes`
-/// by plan construction.
+/// `W` full iterations of the planned loop must remain (fact 3 on
+/// [`ResolvedProgram::run_with`]); lane-register ids index `lanes` by
+/// plan construction.
 #[inline(always)]
-unsafe fn exec_vec_op<L: Lanes>(op: &VecOp, lanes: &mut [L::V], arena: &mut [f64], cur: &[i64]) {
+unsafe fn exec_vec_op<L: Lanes>(
+    op: &FloatOp<VOperand, VOperand>,
+    lanes: &mut [L::V],
+    arena: &mut [f64],
+    cur: &[i64],
+) {
+    macro_rules! base {
+        ($c:expr, $s:expr) => {{
+            debug_assert!((*$c as usize) < cur.len());
+            let base = *cur.get_unchecked(*$c as usize);
+            debug_assert!(
+                lanes_in_bounds(base, *$s, L::W, arena.len()),
+                "{} lanes from cell {base} by {} in {}",
+                L::W,
+                $s,
+                arena.len()
+            );
+            base as isize
+        }};
+    }
     macro_rules! ld {
         ($s:expr) => {
             match $s {
-                VSrc::Mem { c, s } => L::load(
-                    arena
-                        .as_ptr()
-                        .offset(*cur.get_unchecked(*c as usize) as isize),
-                    *s,
-                ),
-                VSrc::Lane(k) => *lanes.get_unchecked(*k as usize),
+                VOperand::Mem { c, s } => L::load(arena.as_ptr().offset(base!(c, s)), *s),
+                VOperand::Lane(k) => {
+                    debug_assert!((*k as usize) < lanes.len());
+                    *lanes.get_unchecked(*k as usize)
+                }
             }
         };
     }
@@ -820,155 +811,38 @@ unsafe fn exec_vec_op<L: Lanes>(op: &VecOp, lanes: &mut [L::V], arena: &mut [f64
         ($d:expr, $v:expr) => {{
             let v = $v;
             match $d {
-                VDst::Mem { c, s } => L::store(
-                    arena
-                        .as_mut_ptr()
-                        .offset(*cur.get_unchecked(*c as usize) as isize),
-                    *s,
-                    v,
-                ),
-                VDst::Lane(k) => *lanes.get_unchecked_mut(*k as usize) = v,
+                VOperand::Mem { c, s } => L::store(arena.as_mut_ptr().offset(base!(c, s)), *s, v),
+                VOperand::Lane(k) => {
+                    debug_assert!((*k as usize) < lanes.len());
+                    *lanes.get_unchecked_mut(*k as usize) = v
+                }
             }
         }};
     }
-    match op {
-        VecOp::Add { d, a, b } => st!(d, L::add(ld!(a), ld!(b))),
-        VecOp::Sub { d, a, b } => st!(d, L::sub(ld!(a), ld!(b))),
-        VecOp::Mul { d, a, b } => st!(d, L::mul(ld!(a), ld!(b))),
-        VecOp::Div { d, a, b } => st!(d, L::div(ld!(a), ld!(b))),
-        VecOp::Copy { d, a } => st!(d, ld!(a)),
-        VecOp::Neg { d, a } => st!(d, L::neg(ld!(a))),
-        VecOp::MulAdd { d, a, b, c } => st!(d, L::add(L::mul(ld!(a), ld!(b)), ld!(c))),
-        VecOp::MulSub { d, a, b, c } => st!(d, L::sub(L::mul(ld!(a), ld!(b)), ld!(c))),
-        VecOp::NegMulAdd { d, a, b, c } => st!(d, L::sub(ld!(c), L::mul(ld!(a), ld!(b)))),
-        VecOp::Butterfly { d1, d2, a, b } => {
+    // By reference — copying the operand arrays out (80 bytes per
+    // lane-op) measurably slows the width-4 loop.
+    let [d, d2] = &op.d;
+    let [a, b, c] = &op.s;
+    match op.kind {
+        Arith::Add => st!(d, L::add(ld!(a), ld!(b))),
+        Arith::Sub => st!(d, L::sub(ld!(a), ld!(b))),
+        Arith::Mul => st!(d, L::mul(ld!(a), ld!(b))),
+        Arith::Div => st!(d, L::div(ld!(a), ld!(b))),
+        Arith::Copy => st!(d, ld!(a)),
+        Arith::Neg => st!(d, L::neg(ld!(a))),
+        Arith::MulAdd => st!(d, L::add(L::mul(ld!(a), ld!(b)), ld!(c))),
+        Arith::MulSub => st!(d, L::sub(L::mul(ld!(a), ld!(b)), ld!(c))),
+        Arith::NegMulAdd => st!(d, L::sub(ld!(c), L::mul(ld!(a), ld!(b)))),
+        Arith::Butterfly => {
             let av = ld!(a);
             let bv = ld!(b);
-            st!(d1, L::add(av, bv));
+            st!(d, L::add(av, bv));
             st!(d2, L::sub(av, bv));
         }
     }
 }
 
-/// The profiled mirror of [`chunks_generic`]: same chunking at the
-/// caller-supplied width, but through checked software lanes, with
-/// per-op provenance attribution and vector op-class counting. Lane
-/// arithmetic is plain f64, which is bit-identical to the SIMD
-/// backends by their contract.
-#[allow(clippy::too_many_arguments)]
-fn profiled_chunks(
-    plan: &VecPlan,
-    trips: u64,
-    w: usize,
-    stp: &[(u32, i64)],
-    arena: &mut [f64],
-    cur: &mut [i64],
-    pb: &mut ProfBuf,
-) -> u64 {
-    let chunks = trips / w as u64;
-    if chunks == 0 {
-        return 0;
-    }
-    let has_prov = !plan.prov.is_empty();
-    let mut lanes = vec![[0.0f64; MAX_VEC_WIDTH]; plan.lane_cells.len()];
-    for _ in 0..chunks {
-        for (j, op) in plan.ops.iter().enumerate() {
-            pb.attribute(if has_prov { plan.prov[j] } else { u32::MAX });
-            pb.count_vec(op, w);
-            soft_vec_op(op, w, &mut lanes, arena, cur);
-        }
-        for &(k, d) in stp {
-            cur[k as usize] += d * w as i64;
-        }
-    }
-    for (k, &cell) in plan.lane_cells.iter().enumerate() {
-        arena[cur[cell as usize] as usize] = lanes[k][w - 1];
-    }
-    chunks * w as u64
-}
-
-fn soft_ld(s: &VSrc, l: usize, lanes: &[[f64; MAX_VEC_WIDTH]], arena: &[f64], cur: &[i64]) -> f64 {
-    match s {
-        VSrc::Mem { c, s } => arena[(cur[*c as usize] + l as i64 * s) as usize],
-        VSrc::Lane(k) => lanes[*k as usize][l],
-    }
-}
-
-fn soft_st(
-    d: &VDst,
-    l: usize,
-    v: f64,
-    lanes: &mut [[f64; MAX_VEC_WIDTH]],
-    arena: &mut [f64],
-    cur: &[i64],
-) {
-    match d {
-        VDst::Mem { c, s } => arena[(cur[*c as usize] + l as i64 * s) as usize] = v,
-        VDst::Lane(k) => lanes[*k as usize][l] = v,
-    }
-}
-
-/// One lane-wide macro-op over software lanes, lane by lane (safe:
-/// plan verification rejects any cross-lane conflict within an op).
-fn soft_vec_op(
-    op: &VecOp,
-    w: usize,
-    lanes: &mut [[f64; MAX_VEC_WIDTH]],
-    arena: &mut [f64],
-    cur: &[i64],
-) {
-    for l in 0..w {
-        match op {
-            VecOp::Add { d, a, b } => {
-                let v = soft_ld(a, l, lanes, arena, cur) + soft_ld(b, l, lanes, arena, cur);
-                soft_st(d, l, v, lanes, arena, cur);
-            }
-            VecOp::Sub { d, a, b } => {
-                let v = soft_ld(a, l, lanes, arena, cur) - soft_ld(b, l, lanes, arena, cur);
-                soft_st(d, l, v, lanes, arena, cur);
-            }
-            VecOp::Mul { d, a, b } => {
-                let v = soft_ld(a, l, lanes, arena, cur) * soft_ld(b, l, lanes, arena, cur);
-                soft_st(d, l, v, lanes, arena, cur);
-            }
-            VecOp::Div { d, a, b } => {
-                let v = soft_ld(a, l, lanes, arena, cur) / soft_ld(b, l, lanes, arena, cur);
-                soft_st(d, l, v, lanes, arena, cur);
-            }
-            VecOp::Copy { d, a } => {
-                let v = soft_ld(a, l, lanes, arena, cur);
-                soft_st(d, l, v, lanes, arena, cur);
-            }
-            VecOp::Neg { d, a } => {
-                let v = -soft_ld(a, l, lanes, arena, cur);
-                soft_st(d, l, v, lanes, arena, cur);
-            }
-            VecOp::MulAdd { d, a, b, c } => {
-                let v = soft_ld(a, l, lanes, arena, cur) * soft_ld(b, l, lanes, arena, cur)
-                    + soft_ld(c, l, lanes, arena, cur);
-                soft_st(d, l, v, lanes, arena, cur);
-            }
-            VecOp::MulSub { d, a, b, c } => {
-                let v = soft_ld(a, l, lanes, arena, cur) * soft_ld(b, l, lanes, arena, cur)
-                    - soft_ld(c, l, lanes, arena, cur);
-                soft_st(d, l, v, lanes, arena, cur);
-            }
-            VecOp::NegMulAdd { d, a, b, c } => {
-                let v = soft_ld(c, l, lanes, arena, cur)
-                    - soft_ld(a, l, lanes, arena, cur) * soft_ld(b, l, lanes, arena, cur);
-                soft_st(d, l, v, lanes, arena, cur);
-            }
-            VecOp::Butterfly { d1, d2, a, b } => {
-                let av = soft_ld(a, l, lanes, arena, cur);
-                let bv = soft_ld(b, l, lanes, arena, cur);
-                soft_st(d1, l, av + bv, lanes, arena, cur);
-                soft_st(d2, l, av - bv, lanes, arena, cur);
-            }
-        }
-    }
-}
-
-/// Accumulators of the profiled interpreter.
+/// The [`Probe`] of a profiled run: accumulates a [`VmProfile`].
 struct ProfBuf {
     op_counts: [u64; N_OP_CLASSES],
     /// Per-provenance-id self time / flops / op counts (empty when
@@ -982,8 +856,8 @@ struct ProfBuf {
     /// Timestamp of the last attribution transition.
     last: Instant,
     start: Instant,
-    /// Current loop-nesting depth.
-    depth: u32,
+    /// Entry times of the loops currently open, outermost first.
+    open: Vec<Instant>,
     /// Loop-header node index → (depth, entries, iterations, wall_ns).
     loops: HashMap<usize, (u32, u64, u64, u128)>,
 }
@@ -1000,7 +874,7 @@ impl ProfBuf {
             cur_attr: u32::MAX,
             last: now,
             start: now,
-            depth: 0,
+            open: Vec::new(),
             loops: HashMap::new(),
         }
     }
@@ -1011,19 +885,12 @@ impl ProfBuf {
     /// left — so self times sum exactly to the total by construction.
     fn attribute(&mut self, p: u32) {
         if p != self.cur_attr {
-            let now = Instant::now();
-            let dt = (now - self.last).as_nanos();
-            match self.node_ns.get_mut(self.cur_attr as usize) {
-                Some(slot) => *slot += dt,
-                None => self.unattributed_ns += dt,
-            }
-            self.last = now;
+            self.flush();
             self.cur_attr = p;
         }
     }
 
-    /// Credits the open interval to the current node and stops the
-    /// clock.
+    /// Credits the open interval to the current node and restarts it.
     fn flush(&mut self) {
         let now = Instant::now();
         let dt = (now - self.last).as_nanos();
@@ -1034,62 +901,14 @@ impl ProfBuf {
         self.last = now;
     }
 
-    fn count(&mut self, op: &ROp) {
-        let class = match op {
-            ROp::Add { .. } => 0,
-            ROp::Sub { .. } => 1,
-            ROp::Mul { .. } => 2,
-            ROp::Div { .. } => 3,
-            ROp::Copy { .. } => 4,
-            ROp::Neg { .. } => 5,
-            ROp::MulAdd { .. } => 6,
-            ROp::MulSub { .. } => 7,
-            ROp::NegMulAdd { .. } => 8,
-            ROp::Butterfly { .. } => 9,
-            ROp::RToCell { .. } => 10,
-            ROp::LoopToCell { .. } => 11,
-            ROp::IntBin { .. } => 12,
-            ROp::IntUn { .. } => 13,
-        };
-        self.op_counts[class] += 1;
+    /// Counts `n` executions of `class` against the current node.
+    fn count(&mut self, class: usize, n: u64) {
+        self.op_counts[class] += n;
         let id = self.cur_attr as usize;
         if id < self.node_ops.len() {
-            self.node_ops[id] += 1;
-            self.node_flops[id] += crate::profile::OP_CLASS_FLOPS[class];
+            self.node_ops[id] += n;
+            self.node_flops[id] += n * OP_CLASS_FLOPS[class];
         }
-    }
-
-    /// Counts one lane-wide op executed at width `w`. Vector classes
-    /// count *lanes* (one per covered iteration), so totals across a
-    /// run equal the scalar run's op and flop totals — only the class
-    /// binning moves.
-    fn count_vec(&mut self, op: &VecOp, w: usize) {
-        let class = VEC_CLASS_BASE
-            + match op {
-                VecOp::Add { .. } => 0,
-                VecOp::Sub { .. } => 1,
-                VecOp::Mul { .. } => 2,
-                VecOp::Div { .. } => 3,
-                VecOp::Copy { .. } => 4,
-                VecOp::Neg { .. } => 5,
-                VecOp::MulAdd { .. } => 6,
-                VecOp::MulSub { .. } => 7,
-                VecOp::NegMulAdd { .. } => 8,
-                VecOp::Butterfly { .. } => 9,
-            };
-        self.op_counts[class] += w as u64;
-        let id = self.cur_attr as usize;
-        if id < self.node_ops.len() {
-            self.node_ops[id] += w as u64;
-            self.node_flops[id] += w as u64 * crate::profile::OP_CLASS_FLOPS[class];
-        }
-    }
-
-    fn loop_done(&mut self, node: usize, depth: u32, trips: u64, wall_ns: u128) {
-        let e = self.loops.entry(node).or_insert((depth, 0, 0, 0));
-        e.1 += 1;
-        e.2 += trips;
-        e.3 += wall_ns;
     }
 
     fn finish(mut self, prov_nodes: &[ProvNode]) -> VmProfile {
@@ -1124,18 +943,48 @@ impl ProfBuf {
     }
 }
 
+impl Probe for ProfBuf {
+    fn op(&mut self, prov: u32, class: usize) {
+        self.attribute(prov);
+        self.count(class, 1);
+    }
+
+    /// Lane-wide classes count *lanes* (one per covered iteration), so
+    /// totals across a run equal the scalar run's op and flop totals —
+    /// only the class binning moves.
+    fn vec_op(&mut self, prov: u32, kind: Arith, w: usize) {
+        self.attribute(prov);
+        self.count(VEC_CLASS_BASE + kind as usize, w as u64);
+    }
+
+    fn loop_enter(&mut self, prov: u32) {
+        self.attribute(prov);
+        self.open.push(Instant::now());
+    }
+
+    fn loop_exit(&mut self, node: usize, trips: u64) {
+        let t0 = self.open.pop().expect("loop_exit pairs with loop_enter");
+        let wall_ns = t0.elapsed().as_nanos();
+        let depth = self.open.len() as u32;
+        let e = self.loops.entry(node).or_insert((depth, 0, 0, 0));
+        e.1 += 1;
+        e.2 += trips;
+        e.3 += wall_ns;
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Fusion: flat Op stream → fused op stream.
 // ---------------------------------------------------------------------------
 
-/// An op after peephole fusion, still at the symbolic operand level.
-#[derive(Debug, Clone)]
-enum FOp {
-    Plain(Op),
-    MulAdd { dst: Dst, a: Src, b: Src, c: Src },
-    MulSub { dst: Dst, a: Src, b: Src, c: Src },
-    NegMulAdd { dst: Dst, a: Src, b: Src, c: Src },
-    Butterfly { d1: Dst, d2: Dst, a: Src, b: Src },
+/// An op after peephole fusion, still at the symbolic operand level:
+/// float ops in the shared vocabulary over the lowered program's own
+/// operands, everything else — loop structure and integer bookkeeping
+/// — passed through.
+#[derive(Debug, Clone, Copy)]
+enum FOp<'a> {
+    Float(FloatOp<&'a Dst, &'a Src>),
+    Pass(&'a Op),
 }
 
 /// Counts reads of each `$f` register across the whole program.
@@ -1187,26 +1036,17 @@ fn dsts_alias(x: &Dst, y: &Dst) -> bool {
     }
 }
 
-fn writes_of(f: &FOp) -> Vec<&Dst> {
+fn writes_of<'f, 'a>(f: &'f FOp<'a>) -> &'f [&'a Dst] {
     match f {
-        FOp::Plain(Op::Bin { dst, .. }) | FOp::Plain(Op::Un { dst, .. }) => vec![dst],
-        FOp::MulAdd { dst, .. } | FOp::MulSub { dst, .. } | FOp::NegMulAdd { dst, .. } => {
-            vec![dst]
-        }
-        FOp::Butterfly { d1, d2, .. } => vec![d1, d2],
-        FOp::Plain(_) => vec![],
+        FOp::Float(op) => op.dsts(),
+        FOp::Pass(_) => &[],
     }
 }
 
-fn reads_of(f: &FOp) -> Vec<&Src> {
+fn reads_of<'f, 'a>(f: &'f FOp<'a>) -> &'f [&'a Src] {
     match f {
-        FOp::Plain(Op::Bin { a, b, .. }) => vec![a, b],
-        FOp::Plain(Op::Un { a, .. }) => vec![a],
-        FOp::MulAdd { a, b, c, .. }
-        | FOp::MulSub { a, b, c, .. }
-        | FOp::NegMulAdd { a, b, c, .. } => vec![a, b, c],
-        FOp::Butterfly { a, b, .. } => vec![a, b],
-        FOp::Plain(_) => vec![],
+        FOp::Float(op) => op.srcs(),
+        FOp::Pass(_) => &[],
     }
 }
 
@@ -1214,13 +1054,7 @@ fn reads_of(f: &FOp) -> Vec<&Src> {
 /// (whose register/loop-variable effects the float alias model does
 /// not track).
 fn is_barrier(f: &FOp) -> bool {
-    matches!(
-        f,
-        FOp::Plain(Op::LoopStart { .. })
-            | FOp::Plain(Op::LoopEnd { .. })
-            | FOp::Plain(Op::IntBin { .. })
-            | FOp::Plain(Op::IntUn { .. })
-    )
+    matches!(f, FOp::Pass(_))
 }
 
 /// `true` when the op at `p` can be moved to the end of `out` (fused
@@ -1229,11 +1063,9 @@ fn is_barrier(f: &FOp) -> bool {
 /// Register-as-float reads are safe to move because `$r` and loop
 /// variables only change at barrier ops, which bound the window.
 fn can_pull(out: &[FOp], p: usize) -> bool {
-    let pw = writes_of(&out[p]);
-    let pr = reads_of(&out[p]);
+    let (pw, pr) = (writes_of(&out[p]), reads_of(&out[p]));
     out[p + 1..].iter().all(|m| {
-        let mw = writes_of(m);
-        let mr = reads_of(m);
+        let (mw, mr) = (writes_of(m), reads_of(m));
         pw.iter()
             .all(|w| mr.iter().all(|s| alias_free(w, s)) && mw.iter().all(|x| !dsts_alias(w, x)))
             && pr.iter().all(|r| mw.iter().all(|w| alias_free(w, r)))
@@ -1248,15 +1080,11 @@ const FUSE_WINDOW: usize = 8;
 
 /// Candidate producer positions in `out`, nearest first, bounded by
 /// the window and never crossing a barrier.
-fn window_positions(out: &[FOp]) -> Vec<usize> {
-    let mut v = Vec::new();
-    for q in (0..out.len()).rev().take(FUSE_WINDOW) {
-        if is_barrier(&out[q]) {
-            break;
-        }
-        v.push(q);
-    }
-    v
+fn window_positions<'o>(out: &'o [FOp<'o>]) -> impl Iterator<Item = usize> + 'o {
+    (0..out.len())
+        .rev()
+        .take(FUSE_WINDOW)
+        .take_while(|&q| !is_barrier(&out[q]))
 }
 
 /// The peephole fusion pass: one forward sweep that, at each emitted
@@ -1268,7 +1096,7 @@ fn window_positions(out: &[FOp]) -> Vec<usize> {
 /// `prov` is per-input-op formula-node provenance (empty or parallel
 /// to `code`); the returned second vector carries it over per fused
 /// op, a fused macro-op inheriting its *consumer's* node.
-fn fuse(code: &[Op], prov: &[u32], stats: &mut ResolveStats) -> (Vec<FOp>, Vec<u32>) {
+fn fuse<'a>(code: &'a [Op], prov: &[u32], stats: &mut ResolveStats) -> (Vec<FOp<'a>>, Vec<u32>) {
     let reads = count_f_reads(code);
     let single = |k: &u32| reads.get(k).copied().unwrap_or(0) == 1;
     let has_prov = prov.len() == code.len();
@@ -1277,24 +1105,37 @@ fn fuse(code: &[Op], prov: &[u32], stats: &mut ResolveStats) -> (Vec<FOp>, Vec<u
 
     for (pc, op) in code.iter().enumerate() {
         let cur_prov = if has_prov { prov[pc] } else { 0 };
-        let mut cur = op.clone();
+        let mut cur = match op {
+            Op::Bin { op, dst, a, b } => {
+                let kind = match op {
+                    BinOp::Add => Arith::Add,
+                    BinOp::Sub => Arith::Sub,
+                    BinOp::Mul => Arith::Mul,
+                    BinOp::Div => Arith::Div,
+                };
+                FloatOp::new(kind, &[dst], &[a, b])
+            }
+            Op::Un { neg, dst, a } => {
+                FloatOp::new(if *neg { Arith::Neg } else { Arith::Copy }, &[dst], &[a])
+            }
+            _ => {
+                out.push(FOp::Pass(op));
+                provs.push(cur_prov);
+                continue;
+            }
+        };
 
         // Negate folding: t = −s; …; d = x ± t → d = x ∓ s (the
         // remaining case (−s) − y has no single-op equivalent). The
         // rewrite feeds the butterfly/muladd attempts below.
-        if let Op::Bin {
-            op: bop @ (BinOp::Add | BinOp::Sub),
-            dst,
-            a,
-            b,
-        } = &cur
-        {
+        if let Arith::Add | Arith::Sub = cur.kind {
+            let [a, b, _] = cur.s;
             let mut folded = None;
             for q in window_positions(&out) {
-                let FOp::Plain(Op::Un {
-                    neg: true,
-                    dst: Dst::F(k),
-                    a: s,
+                let FOp::Float(FloatOp {
+                    kind: Arith::Neg,
+                    d: [Dst::F(k), _],
+                    s: [s, ..],
                 }) = &out[q]
                 else {
                     continue;
@@ -1302,25 +1143,17 @@ fn fuse(code: &[Op], prov: &[u32], stats: &mut ResolveStats) -> (Vec<FOp>, Vec<u
                 if !single(k) || !can_pull(&out, q) {
                     continue;
                 }
-                let repl = match (bop, a, b) {
+                let repl = match (cur.kind, a, b) {
                     // x + (−s) = x − s
-                    (BinOp::Add, x, Src::F(j)) if j == k => Some((BinOp::Sub, x.clone())),
+                    (Arith::Add, x, Src::F(j)) if j == k => Some((Arith::Sub, x)),
                     // (−s) + y = y − s
-                    (BinOp::Add, Src::F(j), y) if j == k => Some((BinOp::Sub, y.clone())),
+                    (Arith::Add, Src::F(j), y) if j == k => Some((Arith::Sub, y)),
                     // x − (−s) = x + s
-                    (BinOp::Sub, x, Src::F(j)) if j == k => Some((BinOp::Add, x.clone())),
+                    (Arith::Sub, x, Src::F(j)) if j == k => Some((Arith::Add, x)),
                     _ => None,
                 };
-                if let Some((op2, other)) = repl {
-                    folded = Some((
-                        q,
-                        Op::Bin {
-                            op: op2,
-                            dst: dst.clone(),
-                            a: other,
-                            b: s.clone(),
-                        },
-                    ));
+                if let Some((kind, other)) = repl {
+                    folded = Some((q, FloatOp::new(kind, &[cur.d[0]], &[other, *s])));
                     break;
                 }
             }
@@ -1335,44 +1168,25 @@ fn fuse(code: &[Op], prov: &[u32], stats: &mut ResolveStats) -> (Vec<FOp>, Vec<u
         // Butterfly: d1 = a + b; …; d2 = a − b over structurally
         // identical operands. The pulled add must not have clobbered
         // an operand the sub re-reads.
-        if let Op::Bin {
-            op: BinOp::Sub,
-            dst: d2,
-            a,
-            b,
-        } = &cur
-        {
-            let mut hit = None;
-            for q in window_positions(&out) {
-                if let FOp::Plain(Op::Bin {
-                    op: BinOp::Add,
-                    dst: d1,
-                    a: a2,
-                    b: b2,
-                }) = &out[q]
-                {
-                    if a2 == a
-                        && b2 == b
-                        && alias_free(d1, a)
-                        && alias_free(d1, b)
-                        && can_pull(&out, q)
-                    {
-                        hit = Some(q);
-                        break;
-                    }
-                }
-            }
+        if cur.kind == Arith::Sub {
+            let [a, b, _] = cur.s;
+            let hit = window_positions(&out).find(|&q| {
+                matches!(
+                    &out[q],
+                    FOp::Float(FloatOp { kind: Arith::Add, d: [d1, _], s: [a2, b2, _] })
+                        if *a2 == a && *b2 == b && alias_free(d1, a) && alias_free(d1, b)
+                ) && can_pull(&out, q)
+            });
             if let Some(q) = hit {
-                let FOp::Plain(Op::Bin { dst: d1, .. }) = out.remove(q) else {
-                    unreachable!("window candidate was a plain add");
+                let FOp::Float(add) = out.remove(q) else {
+                    unreachable!("window candidate was an add");
                 };
                 provs.remove(q);
-                out.push(FOp::Butterfly {
-                    d1,
-                    d2: d2.clone(),
-                    a: a.clone(),
-                    b: b.clone(),
-                });
+                out.push(FOp::Float(FloatOp::new(
+                    Arith::Butterfly,
+                    &[add.d[0], cur.d[0]],
+                    &[a, b],
+                )));
                 provs.push(cur_prov);
                 stats.fused_butterfly += 1;
                 continue;
@@ -1381,18 +1195,13 @@ fn fuse(code: &[Op], prov: &[u32], stats: &mut ResolveStats) -> (Vec<FOp>, Vec<u
 
         // Multiply–add: t = a·b; …; d = t ± c or d = c − t, where t
         // is an `$f` register with exactly one reader.
-        if let Op::Bin {
-            op: bop @ (BinOp::Add | BinOp::Sub),
-            dst,
-            a,
-            b,
-        } = &cur
-        {
+        if let Arith::Add | Arith::Sub = cur.kind {
+            let [a, b, _] = cur.s;
             let mut hit = None;
             for q in window_positions(&out) {
-                if let FOp::Plain(Op::Bin {
-                    op: BinOp::Mul,
-                    dst: Dst::F(k),
+                if let FOp::Float(FloatOp {
+                    kind: Arith::Mul,
+                    d: [Dst::F(k), _],
                     ..
                 }) = &out[q]
                 {
@@ -1410,43 +1219,31 @@ fn fuse(code: &[Op], prov: &[u32], stats: &mut ResolveStats) -> (Vec<FOp>, Vec<u
                 }
             }
             if let Some((q, t_is_left)) = hit {
-                let FOp::Plain(Op::Bin { a: ma, b: mb, .. }) = out.remove(q) else {
-                    unreachable!("window candidate was a plain mul");
+                let FOp::Float(mul) = out.remove(q) else {
+                    unreachable!("window candidate was a mul");
                 };
                 provs.remove(q);
-                let c = if t_is_left { b.clone() } else { a.clone() };
-                let dst = dst.clone();
-                out.push(match (bop, t_is_left) {
+                let kind = match (cur.kind, t_is_left) {
                     // t + c and c + t
-                    (BinOp::Add, _) => FOp::MulAdd {
-                        dst,
-                        a: ma,
-                        b: mb,
-                        c,
-                    },
+                    (Arith::Add, _) => Arith::MulAdd,
                     // t − c
-                    (BinOp::Sub, true) => FOp::MulSub {
-                        dst,
-                        a: ma,
-                        b: mb,
-                        c,
-                    },
+                    (_, true) => Arith::MulSub,
                     // c − t
-                    (BinOp::Sub, false) => FOp::NegMulAdd {
-                        dst,
-                        a: ma,
-                        b: mb,
-                        c,
-                    },
-                    _ => unreachable!("bop is add or sub"),
-                });
+                    (_, false) => Arith::NegMulAdd,
+                };
+                let c = if t_is_left { b } else { a };
+                out.push(FOp::Float(FloatOp::new(
+                    kind,
+                    &[cur.d[0]],
+                    &[mul.s[0], mul.s[1], c],
+                )));
                 provs.push(cur_prov);
                 stats.fused_muladd += 1;
                 continue;
             }
         }
 
-        out.push(FOp::Plain(cur));
+        out.push(FOp::Float(cur));
         provs.push(cur_prov);
     }
     debug_assert_eq!(out.len(), provs.len());
@@ -1523,6 +1320,10 @@ struct Builder {
     vec_plans: Vec<VecPlan>,
     frames: Vec<Frame>,
     track_loops: bool,
+    /// `$r` registers / loop slots the program names so far (highest
+    /// index + 1).
+    need_r: usize,
+    need_loop: usize,
     // Region offsets and lengths.
     f_off: usize,
     table_off: usize,
@@ -1565,6 +1366,8 @@ impl Builder {
             vec_plans: Vec::new(),
             frames: Vec::new(),
             track_loops: false,
+            need_r: 0,
+            need_loop: 0,
             f_off,
             table_off,
             in_off,
@@ -1718,6 +1521,14 @@ impl Builder {
         Ok(cursor)
     }
 
+    fn use_r(&mut self, k: u32) {
+        self.need_r = self.need_r.max(k as usize + 1);
+    }
+
+    fn use_loop(&mut self, slot: u32) {
+        self.need_loop = self.need_loop.max(slot as usize + 1);
+    }
+
     /// Resolves a source operand, emitting spill ops for the rare
     /// register-as-float reads.
     fn src(&mut self, s: &Src) -> Result<u32, Unsupported> {
@@ -1729,16 +1540,18 @@ impl Builder {
             Src::F(k) => self.fixed(self.f_off + *k as usize),
             Src::Const(v) => self.const_cell(*v),
             Src::RF(k) => {
+                self.use_r(*k);
                 let cell = self.alloc_cell();
                 let c = self.fixed(cell)?;
-                self.push_node(RNode::Op(ROp::RToCell { d: c, r_idx: *k }));
+                self.push_node(RNode::Int(IntOp::RToCell { d: c, r_idx: *k }));
                 Ok(c)
             }
             Src::LoopF(k) => {
                 self.track_loops = true;
+                self.use_loop(*k);
                 let cell = self.alloc_cell();
                 let c = self.fixed(cell)?;
-                self.push_node(RNode::Op(ROp::LoopToCell { d: c, slot: *k }));
+                self.push_node(RNode::Int(IntOp::LoopToCell { d: c, slot: *k }));
                 Ok(c)
             }
         }
@@ -1755,9 +1568,13 @@ impl Builder {
     fn ri(&mut self, s: &ISrc) -> RI {
         match s {
             ISrc::Const(c) => RI::Const(*c),
-            ISrc::R(k) => RI::R(*k),
+            ISrc::R(k) => {
+                self.use_r(*k);
+                RI::R(*k)
+            }
             ISrc::Loop(k) => {
                 self.track_loops = true;
+                self.use_loop(*k);
                 RI::Loop(*k)
             }
         }
@@ -1768,8 +1585,8 @@ impl Builder {
     /// `None` — demoting the hint to scalar execution — unless lane
     /// safety is provable from the resolved cursors alone:
     ///
-    /// * every body node is a float macro-op (no integer ops, spills,
-    ///   or nested loops — so the body reads neither `$r` nor loop
+    /// * every body node is a float op (no integer ops, spills, or
+    ///   nested loops — so the body reads neither `$r` nor loop
     ///   variables);
     /// * every written `$f` cell is iteration-private (written before
     ///   any read in op order) and every read-only `$f`/immediate cell
@@ -1784,7 +1601,7 @@ impl Builder {
         if trips < 2 {
             return None;
         }
-        let body = &self.nodes[frame.node_idx + 1..];
+        let first = frame.node_idx + 1;
         let stride = |terms: &[(i64, u32)]| -> i64 {
             terms
                 .iter()
@@ -1806,76 +1623,61 @@ impl Builder {
             outer: Vec<(i64, u32)>,
             write: bool,
         }
-        // Pass 1: classify operand roles and collect strided accesses.
+        // Re-express the body over lane-wide operands, classifying
+        // each cursor's role as it is met (sources before destinations
+        // within an op) and collecting the strided accesses. A role,
+        // once given, is final: a broadcast cell written later is
+        // loop-carried and demotes the loop.
         let mut lane_of: HashMap<u32, u16> = HashMap::new();
         let mut lane_cells: Vec<u32> = Vec::new();
         let mut broadcast: HashSet<u32> = HashSet::new();
         let mut mems: Vec<MemUse> = Vec::new();
-        for node in body {
-            let RNode::Op(op) = node else {
-                return None; // nested loop
+        let mut ops = Vec::with_capacity(self.nodes.len() - first);
+        for node in &self.nodes[first..] {
+            let RNode::Float(op) = node else {
+                return None; // nested loop, `$r` arithmetic, or spill
             };
-            let (reads, writes): (Vec<u32>, Vec<u32>) = match op {
-                ROp::Add { d, a, b }
-                | ROp::Sub { d, a, b }
-                | ROp::Mul { d, a, b }
-                | ROp::Div { d, a, b } => (vec![*a, *b], vec![*d]),
-                ROp::Copy { d, a } | ROp::Neg { d, a } => (vec![*a], vec![*d]),
-                ROp::MulAdd { d, a, b, c }
-                | ROp::MulSub { d, a, b, c }
-                | ROp::NegMulAdd { d, a, b, c } => (vec![*a, *b, *c], vec![*d]),
-                ROp::Butterfly { d1, d2, a, b } => (vec![*a, *b], vec![*d1, *d2]),
-                ROp::RToCell { .. }
-                | ROp::LoopToCell { .. }
-                | ROp::IntBin { .. }
-                | ROp::IntUn { .. } => return None,
-            };
-            for c in reads {
+            let lane_wide = op.map(|o| {
+                let (c, write) = match o {
+                    Operand::Src(c) => (c, false),
+                    Operand::Dst(c) => (c, true),
+                };
                 match &self.cursor_meta[c as usize] {
-                    CursorMeta::Fixed => {
-                        if !lane_of.contains_key(&c) {
-                            broadcast.insert(c);
-                        }
-                    }
-                    CursorMeta::Mem { region, terms } => mems.push(MemUse {
-                        cursor: c,
-                        region: *region,
-                        s: stride(terms),
-                        outer: outer(terms),
-                        write: false,
-                    }),
-                }
-            }
-            for c in writes {
-                match &self.cursor_meta[c as usize] {
-                    CursorMeta::Fixed => {
-                        if broadcast.contains(&c) {
-                            // Read before first write: loop-carried.
-                            return None;
-                        }
-                        if let std::collections::hash_map::Entry::Vacant(e) = lane_of.entry(c) {
-                            if lane_cells.len() >= MAX_LANE_CELLS {
-                                return None;
-                            }
-                            e.insert(lane_cells.len() as u16);
-                            lane_cells.push(c);
-                        }
-                    }
                     CursorMeta::Mem { region, terms } => {
                         let s = stride(terms);
-                        if s < 1 {
-                            return None; // stationary or backward write
+                        if write && s < 1 {
+                            return Err(()); // stationary or backward write
                         }
                         mems.push(MemUse {
                             cursor: c,
                             region: *region,
                             s,
                             outer: outer(terms),
-                            write: true,
+                            write,
                         });
+                        Ok(VOperand::Mem { c, s })
+                    }
+                    CursorMeta::Fixed => {
+                        if let Some(&k) = lane_of.get(&c) {
+                            return Ok(VOperand::Lane(k));
+                        }
+                        if !write {
+                            broadcast.insert(c);
+                            return Ok(VOperand::Mem { c, s: 0 });
+                        }
+                        // First write: a lane register, unless the cell
+                        // was read before it (loop-carried).
+                        if broadcast.contains(&c) || lane_cells.len() >= MAX_LANE_CELLS {
+                            return Err(());
+                        }
+                        let k = lane_cells.len() as u16;
+                        lane_of.insert(c, k);
+                        lane_cells.push(c);
+                        Ok(VOperand::Lane(k))
                     }
                 }
-            }
+            });
+            ops.push(lane_wide.ok()?);
         }
         // The full address interval an access can take across the open
         // loop nest: cursor init values already include every var's
@@ -1937,91 +1739,11 @@ impl Builder {
                 }
             }
         }
-        // Pass 2: re-express the body as lane-wide macro-ops.
-        let to_src = |c: u32| -> VSrc {
-            match &self.cursor_meta[c as usize] {
-                CursorMeta::Fixed => match lane_of.get(&c) {
-                    Some(&k) => VSrc::Lane(k),
-                    None => VSrc::Mem { c, s: 0 },
-                },
-                CursorMeta::Mem { terms, .. } => VSrc::Mem {
-                    c,
-                    s: stride(terms),
-                },
-            }
+        let prov = if self.has_prov {
+            self.node_prov[first..].to_vec()
+        } else {
+            Vec::new()
         };
-        let to_dst = |c: u32| -> VDst {
-            match &self.cursor_meta[c as usize] {
-                CursorMeta::Fixed => VDst::Lane(lane_of[&c]),
-                CursorMeta::Mem { terms, .. } => VDst::Mem {
-                    c,
-                    s: stride(terms),
-                },
-            }
-        };
-        let mut ops = Vec::with_capacity(body.len());
-        let mut prov = Vec::with_capacity(if self.has_prov { body.len() } else { 0 });
-        for (j, node) in body.iter().enumerate() {
-            let RNode::Op(op) = node else { unreachable!() };
-            ops.push(match op {
-                ROp::Add { d, a, b } => VecOp::Add {
-                    d: to_dst(*d),
-                    a: to_src(*a),
-                    b: to_src(*b),
-                },
-                ROp::Sub { d, a, b } => VecOp::Sub {
-                    d: to_dst(*d),
-                    a: to_src(*a),
-                    b: to_src(*b),
-                },
-                ROp::Mul { d, a, b } => VecOp::Mul {
-                    d: to_dst(*d),
-                    a: to_src(*a),
-                    b: to_src(*b),
-                },
-                ROp::Div { d, a, b } => VecOp::Div {
-                    d: to_dst(*d),
-                    a: to_src(*a),
-                    b: to_src(*b),
-                },
-                ROp::Copy { d, a } => VecOp::Copy {
-                    d: to_dst(*d),
-                    a: to_src(*a),
-                },
-                ROp::Neg { d, a } => VecOp::Neg {
-                    d: to_dst(*d),
-                    a: to_src(*a),
-                },
-                ROp::MulAdd { d, a, b, c } => VecOp::MulAdd {
-                    d: to_dst(*d),
-                    a: to_src(*a),
-                    b: to_src(*b),
-                    c: to_src(*c),
-                },
-                ROp::MulSub { d, a, b, c } => VecOp::MulSub {
-                    d: to_dst(*d),
-                    a: to_src(*a),
-                    b: to_src(*b),
-                    c: to_src(*c),
-                },
-                ROp::NegMulAdd { d, a, b, c } => VecOp::NegMulAdd {
-                    d: to_dst(*d),
-                    a: to_src(*a),
-                    b: to_src(*b),
-                    c: to_src(*c),
-                },
-                ROp::Butterfly { d1, d2, a, b } => VecOp::Butterfly {
-                    d1: to_dst(*d1),
-                    d2: to_dst(*d2),
-                    a: to_src(*a),
-                    b: to_src(*b),
-                },
-                _ => unreachable!("pass 1 rejected non-float ops"),
-            });
-            if self.has_prov {
-                prov.push(self.node_prov[frame.node_idx + 1 + j]);
-            }
-        }
         Some(VecPlan {
             ops,
             prov,
@@ -2043,8 +1765,8 @@ pub(crate) fn resolve(prog: &VmProgram) -> Result<ResolvedProgram, Unsupported> 
         let mut stack = Vec::new();
         for (idx, fop) in fused.iter().enumerate() {
             match fop {
-                FOp::Plain(Op::LoopStart { .. }) => stack.push(idx),
-                FOp::Plain(Op::LoopEnd { hi, .. }) => {
+                FOp::Pass(Op::LoopStart { .. }) => stack.push(idx),
+                FOp::Pass(Op::LoopEnd { hi, .. }) => {
                     let start = stack.pop().ok_or(Unsupported("malformed loop structure"))?;
                     hi_at.insert(start, *hi);
                 }
@@ -2063,7 +1785,14 @@ pub(crate) fn resolve(prog: &VmProgram) -> Result<ResolvedProgram, Unsupported> 
             b.cur_prov = fprov[idx];
         }
         match fop {
-            FOp::Plain(Op::LoopStart { var, lo, vec, .. }) => {
+            FOp::Float(op) => {
+                let op = op.map(|o| match o {
+                    Operand::Src(s) => b.src(s),
+                    Operand::Dst(d) => b.dst(d),
+                })?;
+                b.push_node(RNode::Float(op));
+            }
+            FOp::Pass(Op::LoopStart { var, lo, vec, .. }) => {
                 if b.frames.iter().any(|f| f.var == *var) {
                     // Shadowed loop variables would need scoped
                     // cursor contexts; fall back instead.
@@ -2078,6 +1807,7 @@ pub(crate) fn resolve(prog: &VmProgram) -> Result<ResolvedProgram, Unsupported> 
                     u64::try_from(hi as i128 - *lo as i128 + 1)
                         .map_err(|_| Unsupported("trip-count overflow"))?
                 };
+                b.use_loop(*var);
                 b.frames.push(Frame {
                     node_idx: b.nodes.len(),
                     var: *var,
@@ -2096,7 +1826,7 @@ pub(crate) fn resolve(prog: &VmProgram) -> Result<ResolvedProgram, Unsupported> 
                     vec: None,
                 });
             }
-            FOp::Plain(Op::LoopEnd { .. }) => {
+            FOp::Pass(Op::LoopEnd { .. }) => {
                 let frame = b
                     .frames
                     .pop()
@@ -2133,107 +1863,28 @@ pub(crate) fn resolve(prog: &VmProgram) -> Result<ResolvedProgram, Unsupported> 
                     *vec = vec_idx;
                 }
             }
-            FOp::Plain(Op::Bin { op, dst, a, b: rhs }) => {
-                let ca = b.src(a)?;
-                let cb = b.src(rhs)?;
-                let cd = b.dst(dst)?;
-                b.push_node(RNode::Op(match op {
-                    BinOp::Add => ROp::Add {
-                        d: cd,
-                        a: ca,
-                        b: cb,
-                    },
-                    BinOp::Sub => ROp::Sub {
-                        d: cd,
-                        a: ca,
-                        b: cb,
-                    },
-                    BinOp::Mul => ROp::Mul {
-                        d: cd,
-                        a: ca,
-                        b: cb,
-                    },
-                    BinOp::Div => ROp::Div {
-                        d: cd,
-                        a: ca,
-                        b: cb,
-                    },
-                }));
-            }
-            FOp::Plain(Op::Un { neg, dst, a }) => {
-                let ca = b.src(a)?;
-                let cd = b.dst(dst)?;
-                b.push_node(RNode::Op(if *neg {
-                    ROp::Neg { d: cd, a: ca }
-                } else {
-                    ROp::Copy { d: cd, a: ca }
-                }));
-            }
-            FOp::Plain(Op::IntBin { op, dst, a, b: rhs }) => {
+            FOp::Pass(Op::IntBin { op, dst, a, b: rhs }) => {
                 let a = b.ri(a);
                 let rhs = b.ri(rhs);
-                b.push_node(RNode::Op(ROp::IntBin {
+                b.use_r(*dst);
+                b.push_node(RNode::Int(IntOp::Bin {
                     op: *op,
                     dst: *dst,
                     a,
                     b: rhs,
                 }));
             }
-            FOp::Plain(Op::IntUn { neg, dst, a }) => {
+            FOp::Pass(Op::IntUn { neg, dst, a }) => {
                 let a = b.ri(a);
-                b.push_node(RNode::Op(ROp::IntUn {
+                b.use_r(*dst);
+                b.push_node(RNode::Int(IntOp::Un {
                     neg: *neg,
                     dst: *dst,
                     a,
                 }));
             }
-            FOp::MulAdd { dst, a, b: m, c } => {
-                let ca = b.src(a)?;
-                let cb = b.src(m)?;
-                let cc = b.src(c)?;
-                let cd = b.dst(dst)?;
-                b.push_node(RNode::Op(ROp::MulAdd {
-                    d: cd,
-                    a: ca,
-                    b: cb,
-                    c: cc,
-                }));
-            }
-            FOp::MulSub { dst, a, b: m, c } => {
-                let ca = b.src(a)?;
-                let cb = b.src(m)?;
-                let cc = b.src(c)?;
-                let cd = b.dst(dst)?;
-                b.push_node(RNode::Op(ROp::MulSub {
-                    d: cd,
-                    a: ca,
-                    b: cb,
-                    c: cc,
-                }));
-            }
-            FOp::NegMulAdd { dst, a, b: m, c } => {
-                let ca = b.src(a)?;
-                let cb = b.src(m)?;
-                let cc = b.src(c)?;
-                let cd = b.dst(dst)?;
-                b.push_node(RNode::Op(ROp::NegMulAdd {
-                    d: cd,
-                    a: ca,
-                    b: cb,
-                    c: cc,
-                }));
-            }
-            FOp::Butterfly { d1, d2, a, b: rhs } => {
-                let ca = b.src(a)?;
-                let cb = b.src(rhs)?;
-                let cd1 = b.dst(d1)?;
-                let cd2 = b.dst(d2)?;
-                b.push_node(RNode::Op(ROp::Butterfly {
-                    d1: cd1,
-                    d2: cd2,
-                    a: ca,
-                    b: cb,
-                }));
+            FOp::Pass(Op::Bin { .. } | Op::Un { .. }) => {
+                unreachable!("fusion puts every float op in the shared vocabulary")
             }
         }
     }
@@ -2242,41 +1893,6 @@ pub(crate) fn resolve(prog: &VmProgram) -> Result<ResolvedProgram, Unsupported> 
     }
     let mut stats = b.stats;
     stats.cursors = b.init.len() as u64;
-    let (mut need_r, mut need_loop) = (0usize, 0usize);
-    for node in &b.nodes {
-        let (rs, ls): (&[u32], &[u32]) = match node {
-            RNode::Loop { var, .. } => (&[], std::slice::from_ref(var)),
-            RNode::Op(ROp::RToCell { r_idx, .. }) => (std::slice::from_ref(r_idx), &[]),
-            RNode::Op(ROp::LoopToCell { slot, .. }) => (&[], std::slice::from_ref(slot)),
-            RNode::Op(ROp::IntBin { dst, a, b, .. }) => {
-                need_r = need_r.max(*dst as usize + 1);
-                for s in [a, b] {
-                    match s {
-                        RI::R(k) => need_r = need_r.max(*k as usize + 1),
-                        RI::Loop(k) => need_loop = need_loop.max(*k as usize + 1),
-                        RI::Const(_) => {}
-                    }
-                }
-                (&[], &[])
-            }
-            RNode::Op(ROp::IntUn { dst, a, .. }) => {
-                need_r = need_r.max(*dst as usize + 1);
-                match a {
-                    RI::R(k) => need_r = need_r.max(*k as usize + 1),
-                    RI::Loop(k) => need_loop = need_loop.max(*k as usize + 1),
-                    RI::Const(_) => {}
-                }
-                (&[], &[])
-            }
-            RNode::Op(_) => (&[], &[]),
-        };
-        for &k in rs {
-            need_r = need_r.max(k as usize + 1);
-        }
-        for &k in ls {
-            need_loop = need_loop.max(k as usize + 1);
-        }
-    }
     Ok(ResolvedProgram {
         node_prov: if b.has_prov && b.node_prov.len() == b.nodes.len() {
             b.node_prov
@@ -2293,10 +1909,94 @@ pub(crate) fn resolve(prog: &VmProgram) -> Result<ResolvedProgram, Unsupported> 
         out_off: b.out_off,
         n_out: b.n_out,
         track_loops: b.track_loops,
-        fma: false,
-        need_r,
-        need_loop,
+        need_r: b.need_r,
+        need_loop: b.need_loop,
         vec_plans: b.vec_plans,
         stats,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::profile::OP_CLASS_NAMES;
+
+    /// Every kind, in discriminant order, with the `(dsts, srcs)` and
+    /// flop count the profile tables are laid out for.
+    const KINDS: [(Arith, (usize, usize), u64); 10] = [
+        (Arith::Add, (1, 2), 1),
+        (Arith::Sub, (1, 2), 1),
+        (Arith::Mul, (1, 2), 1),
+        (Arith::Div, (1, 2), 1),
+        (Arith::Copy, (1, 1), 0),
+        (Arith::Neg, (1, 1), 1),
+        (Arith::MulAdd, (1, 3), 2),
+        (Arith::MulSub, (1, 3), 2),
+        (Arith::NegMulAdd, (1, 3), 2),
+        (Arith::Butterfly, (2, 2), 2),
+    ];
+
+    #[test]
+    fn arith_discriminants_index_the_profile_tables() {
+        for (slot, (kind, (nd, ns), flops)) in KINDS.into_iter().enumerate() {
+            assert_eq!(kind as usize, slot, "{kind:?}");
+            let name = format!("{kind:?}").to_lowercase();
+            assert_eq!(OP_CLASS_NAMES[slot], name);
+            assert_eq!(OP_CLASS_NAMES[VEC_CLASS_BASE + slot], format!("v{name}"));
+            assert_eq!(OP_CLASS_FLOPS[slot], flops, "{name}");
+            assert_eq!(OP_CLASS_FLOPS[VEC_CLASS_BASE + slot], flops, "v{name}");
+            let op = FloatOp::new(kind, &[7u8, 8][..nd], &[1u8, 2, 3][..ns]);
+            assert_eq!((op.dsts().len(), op.srcs().len()), (nd, ns), "{name}");
+        }
+        // The lane-wide classes fill the table to its end, and the four
+        // integer classes sit between the two float blocks.
+        assert_eq!(VEC_CLASS_BASE + KINDS.len(), N_OP_CLASSES);
+        let spill = IntOp::RToCell { d: 0, r_idx: 0 };
+        assert_eq!(spill.class(), KINDS.len());
+        let un = IntOp::Un {
+            neg: false,
+            dst: 0,
+            a: RI::Const(0),
+        };
+        assert_eq!(un.class(), VEC_CLASS_BASE - 1);
+    }
+
+    #[test]
+    fn map_visits_sources_then_destinations_and_no_padding() {
+        for (kind, (nd, ns), _) in KINDS {
+            let op = FloatOp::new(kind, &[10u8, 11][..nd], &[1u8, 2, 3][..ns]);
+            let mut seen = Vec::new();
+            let mapped = op
+                .map(|o| {
+                    let v = match o {
+                        Operand::Src(s) => s,
+                        Operand::Dst(d) => d,
+                    };
+                    seen.push(v);
+                    Ok::<_, ()>(u32::from(v) * 2)
+                })
+                .unwrap();
+            let want: Vec<u8> = [1, 2, 3][..ns]
+                .iter()
+                .chain(&[10, 11][..nd])
+                .copied()
+                .collect();
+            assert_eq!(seen, want, "{kind:?}");
+            assert_eq!(mapped.kind, kind);
+            assert_eq!(mapped.srcs(), &[2u32, 4, 6][..ns]);
+            assert_eq!(mapped.dsts(), &[20u32, 22][..nd]);
+        }
+        // The first failure stops the walk: nothing after it is visited.
+        let op = FloatOp::new(Arith::MulAdd, &[9u8], &[1u8, 2, 3]);
+        let mut visits = 0;
+        let r = op.map(|_| {
+            visits += 1;
+            if visits == 2 {
+                Err("second")
+            } else {
+                Ok(0u32)
+            }
+        });
+        assert_eq!((r, visits), (Err("second"), 2));
+    }
 }

@@ -95,20 +95,6 @@ pub(crate) fn override_lock() -> std::sync::MutexGuard<'static, ()> {
     LOCK.lock().unwrap_or_else(|p| p.into_inner())
 }
 
-fn max_width() -> usize {
-    let w = MAX_WIDTH.load(Ordering::Relaxed);
-    if w != 0 {
-        return w;
-    }
-    static ENV: OnceLock<usize> = OnceLock::new();
-    *ENV.get_or_init(|| {
-        std::env::var("SPL_VM_MAX_WIDTH")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(0)
-    })
-}
-
 /// The backend the hardware supports, detected once and cached.
 fn detected() -> Backend {
     static DET: OnceLock<Backend> = OnceLock::new();
@@ -132,14 +118,14 @@ fn detected() -> Backend {
 }
 
 /// The backend the engine will use right now: the detected one,
-/// narrowed by [`set_max_width`] / `SPL_VM_MAX_WIDTH`, or
-/// [`Backend::Scalar`] when the fallback is forced.
+/// narrowed by [`set_max_width`], or [`Backend::Scalar`] when the
+/// fallback is forced.
 pub fn active() -> Backend {
     if force_scalar() {
         return Backend::Scalar;
     }
     let det = detected();
-    let cap = max_width();
+    let cap = MAX_WIDTH.load(Ordering::Relaxed);
     if cap == 0 {
         return det;
     }

@@ -52,12 +52,42 @@ pub fn describe_policy(tel: &mut Telemetry, min_time: Duration) {
 /// mis-calibrated) program cannot pin the measurement loop for minutes.
 pub const DEFAULT_MAX_REPS: u64 = 1 << 22;
 
+/// Everything a timing loop calls per repetition: `run` over a
+/// deterministic pseudo-random input (so every candidate in a search
+/// sees identical data) with buffers and state reused across calls,
+/// matching how generated library code is used. One call has already
+/// been made when this returns, so cold caches, lazy page faults, and
+/// table initialization don't bias the first timed repetition.
+fn warmed_up<'a>(
+    prog: &'a VmProgram,
+    run: impl Fn(&VmProgram, &[f64], &mut [f64], &mut VmState) + 'a,
+) -> impl FnMut() + 'a {
+    let x: Vec<f64> = (0..prog.n_in)
+        .map(|i| ((i as f64) * 0.7311).sin())
+        .collect();
+    let mut y = vec![0.0f64; prog.n_out];
+    let mut st = VmState::new(prog);
+    let mut call = move || run(prog, &x, &mut y, &mut st);
+    call();
+    call
+}
+
+/// The adaptive measurement of `call`, which has been warmed up once.
+fn adaptive(call: impl FnMut(), min_time: Duration, max_reps: u64) -> Measurement {
+    // The calibration call inside the counted timer also runs the
+    // program but is not part of the average; `run.reps` is exactly the
+    // timed-loop count, so the reported reps agrees with the divisor of
+    // `secs_per_call`. The calibration call is a second warm-up.
+    let run = spl_numeric::metrics::time_adaptive_counted(min_time, max_reps, call);
+    Measurement {
+        secs_per_call: run.secs_per_call,
+        reps: run.reps,
+        warmup_reps: 1 + run.untimed_calls,
+    }
+}
+
 /// Times a program with an adaptive repetition count until at least
 /// `min_time` has elapsed, capped at [`DEFAULT_MAX_REPS`] repetitions.
-///
-/// The input is a deterministic pseudo-random vector (so every candidate
-/// in a search sees identical data), and the same buffers are reused
-/// across repetitions, matching how generated library code is used.
 pub fn measure(prog: &VmProgram, min_time: Duration) -> Measurement {
     measure_capped(prog, min_time, DEFAULT_MAX_REPS)
 }
@@ -66,69 +96,33 @@ pub fn measure(prog: &VmProgram, min_time: Duration) -> Measurement {
 /// stops at `max_reps` even if `min_time` has not elapsed, so one
 /// degenerate candidate cannot stall a long search.
 pub fn measure_capped(prog: &VmProgram, min_time: Duration, max_reps: u64) -> Measurement {
-    let x: Vec<f64> = (0..prog.n_in)
-        .map(|i| ((i as f64) * 0.7311).sin())
-        .collect();
-    let mut y = vec![0.0f64; prog.n_out];
-    let mut st = VmState::new(prog);
-    // One untimed warm-up call so cold caches, lazy page faults, and
-    // table initialization don't bias the first timed repetition.
-    prog.run(&x, &mut y, &mut st);
-    // The calibration call inside the counted timer also runs the
-    // program but is not part of the average; `run.reps` is exactly the
-    // timed-loop count, so the reported reps agrees with the divisor of
-    // `secs_per_call`. The calibration call is a second warm-up.
-    let run = spl_numeric::metrics::time_adaptive_counted(min_time, max_reps, || {
-        prog.run(&x, &mut y, &mut st);
-    });
-    Measurement {
-        secs_per_call: run.secs_per_call,
-        reps: run.reps,
-        warmup_reps: 1 + run.untimed_calls,
-    }
+    adaptive(warmed_up(prog, VmProgram::run), min_time, max_reps)
 }
 
 /// Like [`measure`], but forcing execution through the op-at-a-time
 /// reference executor even when the program resolved. This is the
 /// "old engine" baseline of the `vmbench` old-vs-new comparison.
 pub fn measure_reference(prog: &VmProgram, min_time: Duration) -> Measurement {
-    let x: Vec<f64> = (0..prog.n_in)
-        .map(|i| ((i as f64) * 0.7311).sin())
-        .collect();
-    let mut y = vec![0.0f64; prog.n_out];
-    let mut st = VmState::new(prog);
-    prog.run_reference(&x, &mut y, &mut st);
-    let run = spl_numeric::metrics::time_adaptive_counted(min_time, DEFAULT_MAX_REPS, || {
-        prog.run_reference(&x, &mut y, &mut st);
-    });
-    Measurement {
-        secs_per_call: run.secs_per_call,
-        reps: run.reps,
-        warmup_reps: 1 + run.untimed_calls,
-    }
+    adaptive(
+        warmed_up(prog, VmProgram::run_reference),
+        min_time,
+        DEFAULT_MAX_REPS,
+    )
 }
 
 /// Times a program with a fixed repetition count (used by tests and by
-/// the search when a cheap, deterministic-cost estimate is enough).
-///
-/// Like the adaptive path, one untimed warm-up call runs first so a
-/// cold first call (page faults, table initialization) does not bias
-/// short fixed-rep estimates.
+/// the search when a cheap, deterministic-cost estimate is enough),
+/// after the same single warm-up call as the adaptive path.
 pub fn measure_with_reps(prog: &VmProgram, reps: u64) -> Measurement {
-    let x: Vec<f64> = (0..prog.n_in)
-        .map(|i| ((i as f64) * 0.7311).sin())
-        .collect();
-    let mut y = vec![0.0f64; prog.n_out];
-    let mut st = VmState::new(prog);
-    prog.run(&x, &mut y, &mut st);
+    let mut call = warmed_up(prog, VmProgram::run);
+    let reps = reps.max(1);
     let start = Instant::now();
-    for _ in 0..reps.max(1) {
-        prog.run(&x, &mut y, &mut st);
+    for _ in 0..reps {
+        call();
     }
-    let total = start.elapsed();
     Measurement {
-        secs_per_call: total.as_secs_f64() / reps.max(1) as f64,
-        reps: reps.max(1),
+        secs_per_call: start.elapsed().as_secs_f64() / reps as f64,
+        reps,
         warmup_reps: 1,
     }
 }
