@@ -1,296 +1,53 @@
-//! The analytic cost model behind [`PlanMode::Estimate`], plus the
-//! calibrated model the search tier fits from measured probes.
+//! The analytic cost model behind [`PlanMode::Estimate`].
 //!
 //! FFTW's estimate mode ranks plans without running them; ours charges
 //! floating-point work plus penalties for strided access (which grows
 //! with the left radix, punishing cache-hostile column passes) and for
 //! recursion overhead. The constants are deliberately crude — the paper's
 //! Figure 4 shows `FFTW estimate` losing to measured plans, and that gap
-//! is exactly what a crude model reproduces. All of them live in
-//! [`CostCoefficients`] so calibration has a single place to override
-//! them; the defaults reproduce the historical behaviour bit-for-bit.
-//!
-//! [`CalibratedModel`] is the other half: a linear model over features
-//! that the resolved VM engine reports per compiled plan (dynamic op
-//! counts plus the `vm.fuse.*` / `vm.lsr.*` / `vm.vec.*` counters),
-//! fitted by least squares from a handful of measured probe plans. The
-//! search tier uses it to rank DP candidates before compiling anything.
+//! is exactly what a crude model reproduces.
 //!
 //! [`PlanMode::Estimate`]: crate::planner::PlanMode::Estimate
 
 use crate::planner::PlanNode;
 
-/// The tunable constants of the analytic cost model, gathered in one
-/// struct so tests and calibration never chase magic numbers through
-/// the formulas. `CostCoefficients::default()` matches the historical
-/// hard-coded values exactly.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CostCoefficients {
-    /// Flops charged per `n log2 n` point of a codelet (default 5.0).
-    pub flop: f64,
-    /// Fixed overhead per codelet invocation (default 8.0).
-    pub codelet_overhead: f64,
-    /// Twiddle-multiply cost per point of a split (default 6.0).
-    pub twiddle: f64,
-    /// Strided-access penalty per point per `log2(radix)` (default 0.75).
-    pub stride: f64,
-}
-
-impl Default for CostCoefficients {
-    fn default() -> Self {
-        CostCoefficients {
-            flop: 5.0,
-            codelet_overhead: 8.0,
-            twiddle: 6.0,
-            stride: 0.75,
-        }
-    }
-}
+/// Flops charged per `n log2 n` point of a codelet.
+const FLOP: f64 = 5.0;
+/// Fixed overhead per codelet invocation.
+const CODELET_OVERHEAD: f64 = 8.0;
+/// Twiddle-multiply cost per point of a split.
+const TWIDDLE: f64 = 6.0;
+/// Strided-access penalty per point per `log2(radix)`.
+const STRIDE: f64 = 0.75;
 
 /// Modeled cost (arbitrary units, comparable across candidates of the
-/// same size) of executing a plan node once, under the default
-/// coefficients.
+/// same size) of executing a plan node once.
 pub fn node_cost(node: &PlanNode) -> f64 {
-    node_cost_with(node, &CostCoefficients::default())
-}
-
-/// [`node_cost`] under explicit coefficients.
-pub fn node_cost_with(node: &PlanNode, co: &CostCoefficients) -> f64 {
     match node {
-        PlanNode::Leaf(c) => codelet_cost_with(c.n(), co),
+        PlanNode::Leaf(c) => codelet_cost(c.n()),
         PlanNode::Split { r, s, child, .. } => {
             let n = (r * s) as f64;
-            let child_cost = node_cost_with(child, co);
+            let child_cost = node_cost(child);
             // r recursions over the child + s column transforms of size
             // r + twiddle multiplies + strided-access penalty.
             (*r as f64) * child_cost
-                + (*s as f64) * codelet_cost_with(*r, co)
-                + co.twiddle * n
-                + stride_penalty_with(*r, co) * n
+                + (*s as f64) * codelet_cost(*r)
+                + TWIDDLE * n
+                + stride_penalty(*r) * n
         }
     }
 }
 
-/// Modeled codelet cost: ~`flop · n log2 n` with a small constant
-/// overhead per invocation, under the default coefficients.
+/// Modeled codelet cost: ~`FLOP · n log2 n` with a small constant
+/// overhead per invocation.
 pub fn codelet_cost(n: usize) -> f64 {
-    codelet_cost_with(n, &CostCoefficients::default())
-}
-
-/// [`codelet_cost`] under explicit coefficients.
-pub fn codelet_cost_with(n: usize, co: &CostCoefficients) -> f64 {
     let nf = n as f64;
-    co.flop * nf * nf.log2() + co.codelet_overhead
+    FLOP * nf * nf.log2() + CODELET_OVERHEAD
 }
 
 /// Extra cost per point for gathering a column at stride `r`.
-fn stride_penalty_with(r: usize, co: &CostCoefficients) -> f64 {
-    co.stride * (r as f64).log2()
-}
-
-/// Number of features (including the intercept) in [`PlanFeatures::vector`].
-pub const NUM_FEATURES: usize = 6;
-
-/// Per-plan features extracted from the compiled program: the dynamic
-/// op count from icode plus the optimization counters the resolved VM
-/// engine reports. The search tier fills these in; minifft only does
-/// the arithmetic, so this crate stays dependency-free.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct PlanFeatures {
-    /// Transform size the plan computes.
-    pub n: f64,
-    /// Dynamic scalar op count of the lowered program.
-    pub dynamic_ops: f64,
-    /// Fused ops: `vm.fuse.muladd + vm.fuse.negfold + vm.fuse.butterfly`.
-    pub fused_ops: f64,
-    /// Loop bookkeeping: `vm.lsr.cursors + vm.lsr.steps + vm.lsr.hoisted_terms`.
-    pub loop_overhead: f64,
-    /// Vector work: `vm.vec.ops` (lane-wide ops after vector lowering).
-    pub vec_ops: f64,
-}
-
-impl PlanFeatures {
-    /// The regression feature vector: an intercept, the raw counters,
-    /// and an `n log2 n` term so the model can express the classic
-    /// FFT work curve even when counters saturate.
-    pub fn vector(&self) -> [f64; NUM_FEATURES] {
-        let nlogn = if self.n > 1.0 {
-            self.n * self.n.log2()
-        } else {
-            0.0
-        };
-        [
-            1.0,
-            self.dynamic_ops,
-            self.fused_ops,
-            self.loop_overhead,
-            self.vec_ops,
-            nlogn,
-        ]
-    }
-}
-
-/// Threshold on relative RMS training error above which a fitted model
-/// is not trusted to prune candidates.
-const CONFIDENCE_REL_RMS: f64 = 0.35;
-
-/// A linear cost model `cost ≈ coeffs · features`, fitted by ridge-
-/// regularized least squares from measured probe plans. Stored per
-/// machine fingerprint in the wisdom DB and reused across runs.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CalibratedModel {
-    coeffs: [f64; NUM_FEATURES],
-    rel_rms: f64,
-}
-
-impl CalibratedModel {
-    /// Fit from `(features, measured cost)` samples. Returns `None`
-    /// when there are too few samples to determine the coefficients or
-    /// the normal equations are singular beyond what ridge damping
-    /// rescues.
-    pub fn fit(samples: &[(PlanFeatures, f64)]) -> Option<CalibratedModel> {
-        if samples.len() < NUM_FEATURES + 2 {
-            return None;
-        }
-        // The raw columns differ by orders of magnitude (an intercept of
-        // 1 next to op counts in the tens of thousands) and measured
-        // costs can be nanoseconds, so the raw normal equations are
-        // catastrophically ill-conditioned. Normalize every column and
-        // the response to unit scale, solve, then fold the scales back
-        // into the coefficients.
-        let mut col_scale = [0.0f64; NUM_FEATURES];
-        let mut y_scale = 0.0f64;
-        for (f, y) in samples {
-            let v = f.vector();
-            for (s, x) in col_scale.iter_mut().zip(v.iter()) {
-                *s = s.max(x.abs());
-            }
-            y_scale = y_scale.max(y.abs());
-        }
-        for s in col_scale.iter_mut() {
-            if *s == 0.0 {
-                *s = 1.0;
-            }
-        }
-        if y_scale == 0.0 {
-            y_scale = 1.0;
-        }
-        // Normal equations A'A x = A'y with a small ridge term scaled
-        // to the diagonal so collinear probe sets stay solvable.
-        let mut ata = [[0.0f64; NUM_FEATURES]; NUM_FEATURES];
-        let mut aty = [0.0f64; NUM_FEATURES];
-        for (f, y) in samples {
-            let v = f.vector();
-            let ys = y / y_scale;
-            for i in 0..NUM_FEATURES {
-                let vi = v[i] / col_scale[i];
-                aty[i] += vi * ys;
-                for j in 0..NUM_FEATURES {
-                    ata[i][j] += vi * v[j] / col_scale[j];
-                }
-            }
-        }
-        for (i, row) in ata.iter_mut().enumerate() {
-            row[i] += 1e-8 * row[i].max(1.0);
-        }
-        let mut coeffs = solve(&mut ata, &mut aty)?;
-        for (c, s) in coeffs.iter_mut().zip(col_scale.iter()) {
-            *c *= y_scale / s;
-        }
-        let model = CalibratedModel {
-            coeffs,
-            rel_rms: 0.0,
-        };
-        // Relative RMS of the training residuals gauges confidence.
-        let mut sq = 0.0;
-        let mut used = 0usize;
-        for (f, y) in samples {
-            if *y <= 0.0 {
-                continue;
-            }
-            let rel = (model.predict(f) - y) / y;
-            sq += rel * rel;
-            used += 1;
-        }
-        if used == 0 {
-            return None;
-        }
-        let rel_rms = (sq / used as f64).sqrt();
-        if !rel_rms.is_finite() {
-            return None;
-        }
-        Some(CalibratedModel { coeffs, rel_rms })
-    }
-
-    /// Rebuild a model from stored coefficients (the wisdom-DB load path).
-    pub fn from_parts(coeffs: [f64; NUM_FEATURES], rel_rms: f64) -> CalibratedModel {
-        CalibratedModel { coeffs, rel_rms }
-    }
-
-    /// Predicted cost for a candidate plan.
-    pub fn predict(&self, f: &PlanFeatures) -> f64 {
-        let v = f.vector();
-        self.coeffs.iter().zip(v.iter()).map(|(c, x)| c * x).sum()
-    }
-
-    /// Whether the fit is tight enough to trust for pruning.
-    pub fn confident(&self) -> bool {
-        self.rel_rms < CONFIDENCE_REL_RMS
-    }
-
-    /// The fitted coefficients (for persistence).
-    pub fn coeffs(&self) -> &[f64; NUM_FEATURES] {
-        &self.coeffs
-    }
-
-    /// Relative RMS training error (for persistence and reporting).
-    pub fn rel_rms(&self) -> f64 {
-        self.rel_rms
-    }
-}
-
-/// Solve the `NUM_FEATURES × NUM_FEATURES` system in place by Gaussian
-/// elimination with partial pivoting.
-fn solve(
-    a: &mut [[f64; NUM_FEATURES]; NUM_FEATURES],
-    b: &mut [f64; NUM_FEATURES],
-) -> Option<[f64; NUM_FEATURES]> {
-    let n = NUM_FEATURES;
-    for col in 0..n {
-        let mut pivot = col;
-        for row in col + 1..n {
-            if a[row][col].abs() > a[pivot][col].abs() {
-                pivot = row;
-            }
-        }
-        if a[pivot][col].abs() < 1e-12 {
-            return None;
-        }
-        a.swap(col, pivot);
-        b.swap(col, pivot);
-        for row in col + 1..n {
-            let (head, tail) = a.split_at_mut(row);
-            let pivot_row = &head[col];
-            let cur = &mut tail[0];
-            let factor = cur[col] / pivot_row[col];
-            for (dst, src) in cur[col..].iter_mut().zip(&pivot_row[col..]) {
-                *dst -= factor * src;
-            }
-            b[row] -= factor * b[col];
-        }
-    }
-    let mut x = [0.0f64; NUM_FEATURES];
-    for col in (0..n).rev() {
-        let mut acc = b[col];
-        for k in col + 1..n {
-            acc -= a[col][k] * x[k];
-        }
-        x[col] = acc / a[col][col];
-        if !x[col].is_finite() {
-            return None;
-        }
-    }
-    Some(x)
+fn stride_penalty(r: usize) -> f64 {
+    STRIDE * (r as f64).log2()
 }
 
 #[cfg(test)]
@@ -306,22 +63,6 @@ mod tests {
     }
 
     #[test]
-    fn default_coefficients_match_historical_constants() {
-        let co = CostCoefficients::default();
-        assert_eq!(co.flop, 5.0);
-        assert_eq!(co.codelet_overhead, 8.0);
-        assert_eq!(co.twiddle, 6.0);
-        assert_eq!(co.stride, 0.75);
-        // The formulas under default coefficients reproduce the old
-        // hand-expanded expressions.
-        for n in [2usize, 4, 8, 64] {
-            let nf = n as f64;
-            assert_eq!(codelet_cost(n), 5.0 * nf * nf.log2() + 8.0);
-            assert_eq!(codelet_cost(n), codelet_cost_with(n, &co));
-        }
-    }
-
-    #[test]
     fn leaf_cheaper_than_needless_split_at_codelet_sizes() {
         // For n = 64 a direct codelet must beat a (2, 32) split.
         let leaf = PlanNode::Leaf(Codelet::new(64));
@@ -333,14 +74,6 @@ mod tests {
             child: std::rc::Rc::new(PlanNode::Leaf(Codelet::new(32))),
         };
         assert!(node_cost(&leaf) < node_cost(&split));
-        // Doubling the stride penalty must not change the leaf's cost
-        // but must make the split strictly worse.
-        let heavy = CostCoefficients {
-            stride: 1.5,
-            ..CostCoefficients::default()
-        };
-        assert_eq!(node_cost_with(&leaf, &heavy), node_cost(&leaf));
-        assert!(node_cost_with(&split, &heavy) > node_cost(&split));
     }
 
     #[test]
@@ -349,96 +82,5 @@ mod tests {
             let plan = crate::planner::Plan::new(n, PlanMode::Estimate);
             assert_eq!(plan.describe(), n.to_string(), "n={n}");
         }
-    }
-
-    fn synth_features(i: usize) -> PlanFeatures {
-        let n = (1usize << (4 + i % 6)) as f64;
-        PlanFeatures {
-            n,
-            dynamic_ops: 5.2 * n * n.log2() + (i as f64) * 3.0,
-            fused_ops: 0.4 * n + (i % 3) as f64,
-            loop_overhead: 1.5 * n.log2() * ((i % 4) + 1) as f64,
-            vec_ops: if i.is_multiple_of(2) { 0.25 * n } else { 0.0 },
-        }
-    }
-
-    #[test]
-    fn calibrated_model_recovers_linear_ground_truth() {
-        let truth = [3.0, 0.8, -1.2, 2.5, 0.5, 1.1];
-        let samples: Vec<(PlanFeatures, f64)> = (0..24)
-            .map(|i| {
-                let f = synth_features(i);
-                let v = f.vector();
-                let y: f64 = v.iter().zip(&truth).map(|(a, b)| a * b).sum();
-                (f, y)
-            })
-            .collect();
-        let model = CalibratedModel::fit(&samples).expect("fit");
-        assert!(model.confident(), "rel_rms={}", model.rel_rms());
-        // Ridge damping plus near-collinear features costs a little
-        // exactness; within half a percent is plenty for pruning.
-        for (f, y) in &samples {
-            let p = model.predict(f);
-            assert!((p - y).abs() <= 5e-3 * y.abs().max(1.0), "{p} vs {y}");
-        }
-    }
-
-    #[test]
-    fn calibrated_model_fits_wall_clock_scale_costs() {
-        // Native costs are seconds — around 1e-7..1e-3 against feature
-        // columns in the thousands. The raw normal equations are
-        // hopeless at that scale; the normalized solve must still
-        // recover a tight fit (this is a regression test: the unscaled
-        // solver returned training residuals ~100x the response).
-        let samples: Vec<(PlanFeatures, f64)> = (0..24)
-            .map(|i| {
-                let f = synth_features(i);
-                let v = f.vector();
-                let truth = [2e-8, 3.1e-10, -4e-10, 9e-10, 2e-10, 5.5e-10];
-                let y: f64 = v.iter().zip(&truth).map(|(a, b)| a * b).sum();
-                // 2% multiplicative noise, deterministic.
-                let y = y * (1.0 + 0.02 * (((i * 37) % 7) as f64 - 3.0) / 3.0);
-                (f, y)
-            })
-            .collect();
-        let model = CalibratedModel::fit(&samples).expect("fit");
-        assert!(model.confident(), "rel_rms={}", model.rel_rms());
-        assert!(model.rel_rms() < 0.05, "rel_rms={}", model.rel_rms());
-    }
-
-    #[test]
-    fn calibrated_model_rejects_tiny_sample_sets() {
-        let samples: Vec<(PlanFeatures, f64)> = (0..NUM_FEATURES + 1)
-            .map(|i| (synth_features(i), 100.0 + i as f64))
-            .collect();
-        assert!(CalibratedModel::fit(&samples).is_none());
-    }
-
-    #[test]
-    fn calibrated_model_flags_noisy_fits_as_unconfident() {
-        // Costs that ignore the features entirely and swing wildly
-        // leave a large relative residual — the model must say so.
-        let samples: Vec<(PlanFeatures, f64)> = (0..24)
-            .map(|i| {
-                let f = synth_features(i);
-                let y = if i % 2 == 0 { 1.0 } else { 1000.0 };
-                (f, y)
-            })
-            .collect();
-        let model = CalibratedModel::fit(&samples).expect("fit");
-        assert!(!model.confident(), "rel_rms={}", model.rel_rms());
-    }
-
-    #[test]
-    fn calibrated_model_round_trips_through_parts() {
-        let truth = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0];
-        let model = CalibratedModel::from_parts(truth, 0.1);
-        assert_eq!(model.coeffs(), &truth);
-        assert_eq!(model.rel_rms(), 0.1);
-        assert!(model.confident());
-        let f = synth_features(3);
-        let v = f.vector();
-        let want: f64 = v.iter().zip(&truth).map(|(a, b)| a * b).sum();
-        assert!((model.predict(&f) - want).abs() < 1e-12);
     }
 }

@@ -11,7 +11,7 @@ use spl_generator::fft::FftTree;
 use spl_numeric::rng::Rng;
 use spl_telemetry::Telemetry;
 
-use crate::{Evaluator, PlanFeatures, SearchError};
+use crate::{Evaluator, SearchError};
 
 /// Where a fault roll comes from.
 ///
@@ -125,10 +125,6 @@ impl<E: Evaluator> Evaluator for FaultyEvaluator<E> {
 
     fn label(&self) -> &str {
         self.inner.label()
-    }
-
-    fn plan_features(&self, tree: &FftTree, unroll_threshold: usize) -> Option<PlanFeatures> {
-        self.inner.plan_features(tree, unroll_threshold)
     }
 
     fn drain_telemetry(&mut self) -> Telemetry {

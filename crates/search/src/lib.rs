@@ -15,13 +15,12 @@
 //!   size".
 //!
 //! Both halves are one driver, [`Search`]: `Search::new(config)` is the
-//! exhaustive search over an in-memory store; [`Search::with_store`]
-//! makes it resumable and cross-run (a [`WisdomDb`] directory) and
-//! [`Search::with_prune`] lets the calibrated cost model cut each size's
-//! candidates before anything is compiled. [`Search::run`] takes the
-//! candidates' costs from an [`EvaluatorPool`] — a serial search is a
-//! pool of one ([`EvaluatorPool::single`]) — and puts the small/large
-//! boundary at `config.leaf_max` itself.
+//! search over an in-memory store; [`Search::with_store`] makes it
+//! resumable and cross-run (a [`WisdomDb`] directory). Every candidate
+//! of a size the store does not answer is measured. [`Search::run`]
+//! takes the candidates' costs from an [`EvaluatorPool`] — a serial
+//! search is a pool of one ([`EvaluatorPool::single`]) — and puts the
+//! small/large boundary at `config.leaf_max` itself.
 //!
 //! Costs come from an [`Evaluator`]: [`NativeEvaluator`] compiles the
 //! generated C with the host compiler and times real machine code (the
@@ -90,7 +89,6 @@ use std::time::Duration;
 
 use spl_compiler::{Compiler, CompilerOptions, OptLevel};
 use spl_generator::fft::{rightmost_splits, FftTree, Rule};
-use spl_minifft::estimate::PlanFeatures;
 use spl_native::{BuildOptions, CacheOutcome, KernelCache, NativeError};
 use spl_numeric::Complex;
 use spl_telemetry::Telemetry;
@@ -106,7 +104,7 @@ pub use parallel::{EvaluatorPool, MeasurementGate, MeasurementToken, WorkerConte
 pub use resilient::{QuarantineEntry, ResilientEvaluator};
 pub use wisdom::{
     cc_fingerprint, machine_fingerprint, transform_key, wisdom_from_string, wisdom_to_string,
-    PruneConfig, Search, SearchOutcome, WisdomDb, WisdomEntry, WisdomError, WisdomErrorKind,
+    Search, SearchOutcome, WisdomDb, WisdomEntry, WisdomError, WisdomErrorKind,
 };
 
 /// A structured search failure. Every variant carries human-readable
@@ -224,55 +222,8 @@ impl Default for SearchConfig {
 ///
 /// Propagates compiler and lowering failures.
 pub fn compile_tree(tree: &FftTree, unroll_threshold: usize) -> Result<VmProgram, SearchError> {
-    compile_tree_featured(tree, unroll_threshold).map(|(vm, _)| vm)
-}
-
-/// [`compile_tree`], also handing out the cost-model features the
-/// compile produced on the way (the unit's dynamic operation count and
-/// the lowering's resolve statistics), so that nothing that wants both a
-/// runnable program and its features compiles the tree twice.
-fn compile_tree_featured(
-    tree: &FftTree,
-    unroll_threshold: usize,
-) -> Result<(VmProgram, PlanFeatures), SearchError> {
     let unit = compile_unit_for_tree(tree, unroll_threshold)?;
-    let vm = lower(&unit.program).map_err(|e| SearchError::CompileFailed(e.to_string()))?;
-    let features = unit_features(tree, &unit, &vm);
-    Ok((vm, features))
-}
-
-/// [`PlanFeatures`] of a compiled candidate: problem size, dynamic
-/// operation count, and the VM lowering's `vm.fuse.*` / `vm.lsr.*` /
-/// `vm.vec.*` counters.
-fn unit_features(
-    tree: &FftTree,
-    unit: &spl_compiler::CompiledUnit,
-    vm: &VmProgram,
-) -> PlanFeatures {
-    let (fused_ops, loop_overhead, vec_ops) = match vm.resolve_stats() {
-        Some(rs) => (
-            (rs.fused_muladd + rs.fused_negfold + rs.fused_butterfly) as f64,
-            (rs.cursors + rs.strength_reduced_steps + rs.hoisted_terms) as f64,
-            rs.vec_ops as f64,
-        ),
-        None => (0.0, 0.0, 0.0),
-    };
-    PlanFeatures {
-        n: tree.size() as f64,
-        dynamic_ops: unit.program.dynamic_op_count() as f64,
-        fused_ops,
-        loop_overhead,
-        vec_ops,
-    }
-}
-
-/// [`PlanFeatures`] of a candidate tree from pure-Rust compilation (no
-/// `cc`, no timing). `None` when the candidate does not compile. Public
-/// for tooling (the `wisdomexp` estimate-vs-measured report); the search
-/// asks the evaluator that measured a tree first
-/// ([`Evaluator::plan_features`]) and caches the answers per session.
-pub fn plan_features(tree: &FftTree, unroll: usize) -> Option<PlanFeatures> {
-    compile_tree_featured(tree, unroll).ok().map(|(_, f)| f)
+    lower(&unit.program).map_err(|e| SearchError::CompileFailed(e.to_string()))
 }
 
 /// Compiles `I_m ⊗ A` for a factorization tree `A`: one program that
@@ -388,9 +339,8 @@ pub trait Evaluator: Send {
     /// Names where the costs come from and hence their unit (`native`
     /// and `vm` are seconds, `opcount` operations). Part of every
     /// wisdom-store key ([`transform_key`]): costs under different
-    /// labels never meet in one entry, nor does a calibration fitted
-    /// on one prune the other. Wrappers report the evaluator they try
-    /// first.
+    /// labels never meet in one entry. Wrappers report the evaluator
+    /// they try first.
     fn label(&self) -> &str;
 
     /// Takes whatever telemetry the evaluator accumulated (timer
@@ -399,23 +349,11 @@ pub trait Evaluator: Send {
     fn drain_telemetry(&mut self) -> Telemetry {
         Telemetry::new()
     }
-
-    /// The cost-model features of a tree this evaluator has compiled at
-    /// `unroll_threshold`, when it kept them: calibration reuses the
-    /// compile a measurement already paid for instead of compiling every
-    /// probe a second time. `None` sends the caller to [`plan_features`].
-    fn plan_features(&self, _tree: &FftTree, _unroll_threshold: usize) -> Option<PlanFeatures> {
-        None
-    }
 }
 
 impl Evaluator for Box<dyn Evaluator> {
     fn cost(&mut self, tree: &FftTree) -> Result<f64, SearchError> {
         (**self).cost(tree)
-    }
-
-    fn plan_features(&self, tree: &FftTree, unroll_threshold: usize) -> Option<PlanFeatures> {
-        (**self).plan_features(tree, unroll_threshold)
     }
 
     fn label(&self) -> &str {
@@ -425,19 +363,6 @@ impl Evaluator for Box<dyn Evaluator> {
     fn drain_telemetry(&mut self) -> Telemetry {
         (**self).drain_telemetry()
     }
-}
-
-/// Looks a tree up among the features an evaluator kept while compiling
-/// at `compiled_at`; a request for another threshold is another program.
-fn kept_features(
-    kept: &HashMap<String, PlanFeatures>,
-    compiled_at: usize,
-    tree: &FftTree,
-    unroll_threshold: usize,
-) -> Option<PlanFeatures> {
-    (compiled_at == unroll_threshold)
-        .then(|| kept.get(&tree.describe()).copied())
-        .flatten()
 }
 
 /// Times each candidate on the VM (the paper's measured search).
@@ -454,7 +379,6 @@ pub struct MeasuredEvaluator {
     verify: bool,
     gate: MeasurementGate,
     cache: HashMap<String, f64>,
-    features: HashMap<String, PlanFeatures>,
     tel: Telemetry,
 }
 
@@ -469,7 +393,6 @@ impl MeasuredEvaluator {
             verify: true,
             gate: MeasurementGate::new(),
             cache: HashMap::new(),
-            features: HashMap::new(),
             tel,
         }
     }
@@ -497,8 +420,7 @@ impl Evaluator for MeasuredEvaluator {
             self.tel.add("search.eval_cache_hits", 1);
             return Ok(c);
         }
-        let (vm, features) = compile_tree_featured(tree, self.unroll_threshold)?;
-        self.features.insert(key.clone(), features);
+        let vm = compile_tree(tree, self.unroll_threshold)?;
         if self.verify && tree.size() <= VERIFY_MAX_SIZE {
             let x = verification_input(tree.size());
             let flat = spl_vm::convert::interleave(&x);
@@ -524,15 +446,6 @@ impl Evaluator for MeasuredEvaluator {
 
     fn label(&self) -> &str {
         "vm"
-    }
-
-    fn plan_features(&self, tree: &FftTree, unroll_threshold: usize) -> Option<PlanFeatures> {
-        kept_features(
-            &self.features,
-            self.unroll_threshold,
-            tree,
-            unroll_threshold,
-        )
     }
 
     fn drain_telemetry(&mut self) -> Telemetry {
@@ -561,7 +474,6 @@ pub struct NativeEvaluator {
     gate: MeasurementGate,
     kernel_cache: Option<Arc<KernelCache>>,
     cache: HashMap<String, f64>,
-    features: HashMap<String, PlanFeatures>,
     tel: Telemetry,
 }
 
@@ -580,7 +492,6 @@ impl NativeEvaluator {
             gate: MeasurementGate::new(),
             kernel_cache: None,
             cache: HashMap::new(),
-            features: HashMap::new(),
             tel,
         }
     }
@@ -629,12 +540,6 @@ impl NativeEvaluator {
         tree: &FftTree,
     ) -> Result<(spl_native::NativeKernel, Option<String>), SearchError> {
         let unit = compile_unit_for_tree(tree, self.unroll_threshold)?;
-        // The features want the VM lowering's counters: a few percent of
-        // the compile above, nothing beside the `cc` run below.
-        if let Ok(vm) = lower(&unit.program) {
-            self.features
-                .insert(tree.describe(), unit_features(tree, &unit, &vm));
-        }
         let Some(cache) = &self.kernel_cache else {
             return spl_native::NativeKernel::compile_with(&unit, &self.build)
                 .map(|k| (k, None))
@@ -690,15 +595,6 @@ impl Evaluator for NativeEvaluator {
 
     fn label(&self) -> &str {
         "native"
-    }
-
-    fn plan_features(&self, tree: &FftTree, unroll_threshold: usize) -> Option<PlanFeatures> {
-        kept_features(
-            &self.features,
-            self.unroll_threshold,
-            tree,
-            unroll_threshold,
-        )
     }
 
     fn drain_telemetry(&mut self) -> Telemetry {
@@ -913,8 +809,8 @@ pub fn wht_search(
     Ok(best)
 }
 
-// Wisdom (flat plan persistence, the keyed database, and the pruned DP
-// drivers) lives in the `wisdom` module; the flat-format helpers
+// Wisdom (flat plan persistence, the keyed database, and the DP
+// driver) lives in the `wisdom` module; the flat-format helpers
 // `wisdom_to_string` / `wisdom_from_string` are re-exported above.
 
 #[cfg(test)]

@@ -22,7 +22,7 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use spl_generator::fft::FftTree;
 use spl_telemetry::Telemetry;
 
-use crate::{Evaluator, PlanFeatures, SearchError};
+use crate::{Evaluator, SearchError};
 
 /// The shared measurement token: whoever holds it may run wall-clock
 /// timing. Cloning yields a handle to the *same* gate.
@@ -114,14 +114,6 @@ impl EvaluatorPool {
     /// The workers' [`Evaluator::label`] (the factory builds them alike).
     pub fn label(&self) -> &str {
         self.workers[0].label()
-    }
-
-    /// The features of a tree some worker compiled while measuring it
-    /// ([`Evaluator::plan_features`]).
-    pub fn plan_features(&self, tree: &FftTree, unroll_threshold: usize) -> Option<PlanFeatures> {
-        self.workers
-            .iter()
-            .find_map(|w| w.plan_features(tree, unroll_threshold))
     }
 
     /// Number of workers.

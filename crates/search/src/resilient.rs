@@ -11,7 +11,7 @@
 use spl_generator::fft::FftTree;
 use spl_telemetry::Telemetry;
 
-use crate::{Evaluator, NativeEvaluator, OpCountEvaluator, PlanFeatures, SearchError};
+use crate::{Evaluator, NativeEvaluator, OpCountEvaluator, SearchError};
 
 /// A candidate whose output failed dense-reference verification,
 /// recorded for the run report.
@@ -127,12 +127,6 @@ impl Evaluator for ResilientEvaluator {
 
     fn label(&self) -> &str {
         self.tiers.first().map_or("none", |(_, eval)| eval.label())
-    }
-
-    fn plan_features(&self, tree: &FftTree, unroll_threshold: usize) -> Option<PlanFeatures> {
-        self.tiers
-            .iter()
-            .find_map(|(_, eval)| eval.plan_features(tree, unroll_threshold))
     }
 
     fn drain_telemetry(&mut self) -> Telemetry {

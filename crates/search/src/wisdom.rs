@@ -13,34 +13,30 @@
 //! winners safely; merge is best-cost-wins and commutative, so every
 //! reader converges to the same entries no matter the append order.
 //! Entries whose fingerprints do not match the current
-//! toolchain/machine are kept but not trusted: they seed regression
-//! checks instead of being served as winners.
+//! toolchain/machine are kept but not trusted: [`WisdomDb::lookup`]
+//! never serves them, and [`WisdomDb::export_flat`] ranks them below
+//! trusted ones.
 //!
 //! On-disk schema (one payload per journal record):
 //!
 //! ```text
 //! entry <transform> <n> <cc_fp> <machine_fp> | <cost_bits> <spec> | ...
-//! calib <machine_fp> <cc_fp> <evaluator> <rel_rms_bits> <c0_bits> ... <c5_bits>
 //! ```
 //!
 //! Costs are exact `f64` bit patterns, so a resumed run reproduces the
 //! original DP decisions bit-for-bit; a cost of `0.0` marks an entry
 //! imported from flat wisdom that has not been re-measured yet. Unknown
-//! record types, and `calib` records from before the evaluator was part
-//! of their key, are skipped; torn tails are healed by the journal
-//! layer. [`WisdomDb::in_memory`] is the same store without the
+//! record types (another writer's schema, and the `calib` records older
+//! versions of this one wrote) are skipped; torn tails are healed by the
+//! journal layer. [`WisdomDb::in_memory`] is the same store without the
 //! directory: what a search that persists nothing runs over.
 //!
 //! The second half of this module is [`Search`], the paper's Section 4
-//! DP. Per size it (1) reuses a trusted measured store entry without
-//! evaluating anything — which is how a killed search resumes and how a
-//! rerun costs nothing; otherwise (2) with [`Search::with_prune`] ranks
-//! the candidate set with a [`CalibratedModel`] fitted once per machine
-//! and evaluator from a handful of probe measurements (kept in the
-//! store), measuring only the top-K plus anything within a slack factor
-//! of the modeled best, and (3) falls back to the full measurement when
-//! the model is unconfident or the pruned winner regresses against a
-//! recorded prior winner; without pruning it measures every candidate.
+//! DP over measured costs. Per size it (1) reuses a trusted measured
+//! store entry without evaluating anything — which is how a killed
+//! search resumes and how a rerun costs nothing; else (2) measures only
+//! the plans of an unmeasured flat import; else (3) measures every
+//! candidate.
 
 use std::collections::HashMap;
 use std::error::Error;
@@ -49,13 +45,11 @@ use std::path::{Path, PathBuf};
 use std::sync::OnceLock;
 
 use spl_generator::fft::FftTree;
-use spl_minifft::estimate::{CalibratedModel, PlanFeatures, NUM_FEATURES};
 use spl_resilience::{FileLock, Journal, JournalError};
 use spl_telemetry::Telemetry;
 
 use crate::{
-    large_candidates, plan_features, small_candidates, EvaluatorPool, Plan, SearchConfig,
-    SearchError, SizeResult,
+    large_candidates, small_candidates, EvaluatorPool, Plan, SearchConfig, SearchError, SizeResult,
 };
 
 // ---------------------------------------------------------------------
@@ -355,65 +349,6 @@ fn format_entry(e: &WisdomEntry) -> String {
     out
 }
 
-/// Which fitted model a `calib` record holds: costs only transfer
-/// between equal machines, compilers and evaluators.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-struct CalibKey {
-    machine_fp: String,
-    cc_fp: String,
-    evaluator: String,
-}
-
-impl CalibKey {
-    fn current(evaluator: &str) -> CalibKey {
-        CalibKey {
-            machine_fp: machine_fingerprint().to_string(),
-            cc_fp: cc_fingerprint().to_string(),
-            evaluator: evaluator.to_string(),
-        }
-    }
-}
-
-/// Parses `calib <machine_fp> <cc_fp> <evaluator> <rel_rms_bits>
-/// <c0_bits> ...`. `None` for a record one field short: it was written
-/// before the evaluator was part of the key, and matches no search now.
-fn parse_calib(payload: &str) -> Result<Option<(CalibKey, CalibratedModel)>, SearchError> {
-    let bad = || SearchError::JournalCorrupt(format!("wisdom db: malformed calib {payload:?}"));
-    let fields: Vec<&str> = payload.split_whitespace().collect();
-    if fields.len() == 3 + 1 + NUM_FEATURES {
-        return Ok(None);
-    }
-    if fields.len() != 4 + 1 + NUM_FEATURES || fields[0] != "calib" {
-        return Err(bad());
-    }
-    let key = CalibKey {
-        machine_fp: fields[1].to_string(),
-        cc_fp: fields[2].to_string(),
-        evaluator: fields[3].to_string(),
-    };
-    let rel_rms = parse_cost_bits(fields[4])?;
-    let mut coeffs = [0.0f64; NUM_FEATURES];
-    for (i, c) in coeffs.iter_mut().enumerate() {
-        *c = parse_cost_bits(fields[5 + i])?;
-    }
-    Ok(Some((key, CalibratedModel::from_parts(coeffs, rel_rms))))
-}
-
-fn format_calib(key: &CalibKey, model: &CalibratedModel) -> String {
-    use std::fmt::Write as _;
-    let mut out = format!(
-        "calib {} {} {} {:016x}",
-        key.machine_fp,
-        key.cc_fp,
-        key.evaluator,
-        model.rel_rms().to_bits()
-    );
-    for c in model.coeffs() {
-        let _ = write!(out, " {:016x}", c.to_bits());
-    }
-    out
-}
-
 /// The keyed, persistent, mergeable wisdom store. See the module docs
 /// for the on-disk schema and merge semantics.
 #[derive(Debug)]
@@ -421,7 +356,6 @@ pub struct WisdomDb {
     /// `None` for [`WisdomDb::in_memory`]: nothing is read or appended.
     dir: Option<PathBuf>,
     entries: HashMap<EntryKey, WisdomEntry>,
-    calibrations: HashMap<CalibKey, CalibratedModel>,
     tel: Telemetry,
 }
 
@@ -449,7 +383,6 @@ impl WisdomDb {
         WisdomDb {
             dir: None,
             entries: HashMap::new(),
-            calibrations: HashMap::new(),
             tel: Telemetry::new(),
         }
     }
@@ -473,7 +406,6 @@ impl WisdomDb {
                 .add("wisdom.db.dropped_records", loaded.dropped as u64);
         }
         self.entries.clear();
-        self.calibrations.clear();
         for rec in &loaded.records {
             self.absorb(rec)?;
         }
@@ -486,12 +418,6 @@ impl WisdomDb {
             let e = parse_entry(payload)?;
             self.merge_in_memory(e);
             return Ok(());
-        }
-        if payload.starts_with("calib ") {
-            if let Some((key, model)) = parse_calib(payload)? {
-                self.calibrations.insert(key, model);
-                return Ok(());
-            }
         }
         // Unknown record type: another writer's schema. Skip it.
         self.tel.add("wisdom.db.unknown_records", 1);
@@ -535,30 +461,6 @@ impl WisdomDb {
                 None
             }
         }
-    }
-
-    /// The best stale entry (matching transform and size, *different*
-    /// fingerprints) for a size. Stale plans are kept but not trusted:
-    /// callers may re-measure them as regression checks, never serve
-    /// their recorded costs.
-    pub fn lookup_stale(&mut self, transform: &str, n: usize) -> Option<WisdomEntry> {
-        let best = self
-            .entries
-            .values()
-            .filter(|e| {
-                e.transform == transform
-                    && e.n == n
-                    && (e.cc_fp != cc_fingerprint() || e.machine_fp != machine_fingerprint())
-            })
-            .fold(None::<&WisdomEntry>, |acc, e| match acc {
-                Some(cur) if !entry_beats(e, cur) => Some(cur),
-                _ => Some(e),
-            })
-            .cloned();
-        if best.is_some() {
-            self.tel.add("wisdom.db.stale_hits", 1);
-        }
-        best
     }
 
     /// Records plans (best first) for a size under the current
@@ -669,30 +571,6 @@ impl WisdomDb {
         wisdom_to_string(&results)
     }
 
-    /// The calibrated cost model stored for the current fingerprints
-    /// and the given [`Evaluator::label`](crate::Evaluator::label).
-    pub fn calibration(&self, evaluator: &str) -> Option<&CalibratedModel> {
-        self.calibrations.get(&CalibKey::current(evaluator))
-    }
-
-    /// Persists a calibrated model for the current fingerprints and the
-    /// evaluator whose costs it was fitted on.
-    ///
-    /// # Errors
-    ///
-    /// I/O failures.
-    pub fn store_calibration(
-        &mut self,
-        evaluator: &str,
-        model: &CalibratedModel,
-    ) -> Result<(), SearchError> {
-        let key = CalibKey::current(evaluator);
-        self.append(&format_calib(&key, model))?;
-        self.tel.add("wisdom.db.calibrations_stored", 1);
-        self.calibrations.insert(key, model.clone());
-        Ok(())
-    }
-
     /// All merged entries, in unspecified order.
     pub fn entries(&self) -> impl Iterator<Item = &WisdomEntry> {
         self.entries.values()
@@ -718,29 +596,6 @@ impl WisdomDb {
 // The search driver
 // ---------------------------------------------------------------------
 
-/// How aggressively the calibrated model prunes each size's candidate
-/// set before anything is compiled or measured.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PruneConfig {
-    /// Always measure the `top_k` model-ranked candidates.
-    pub top_k: usize,
-    /// Also measure anything modeled within this factor of the best.
-    pub slack: f64,
-}
-
-impl Default for PruneConfig {
-    fn default() -> Self {
-        PruneConfig {
-            top_k: 3,
-            slack: 1.15,
-        }
-    }
-}
-
-/// A pruned winner more than this factor slower than a re-measured
-/// DB prior triggers the full-measurement fallback.
-const REGRESSION_SLACK: f64 = 1.05;
-
 /// What [`Search::run`] found.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SearchOutcome {
@@ -764,31 +619,24 @@ impl SearchOutcome {
     }
 }
 
-/// The search: a configuration, the store it reads and records to, and
-/// (with pruning) the fitted cost model and per-tree feature cache.
+/// The search: a configuration and the store it reads and records to.
 ///
 /// `Search::new(config)` measures every candidate and persists nothing;
-/// [`Search::with_store`] and [`Search::with_prune`] change one of those
-/// each. Where the costs come from — which evaluator, how many workers,
-/// what faults — is the [`EvaluatorPool`] handed to [`Search::run`].
+/// [`Search::with_store`] changes the latter. Where the costs come from
+/// — which evaluator, how many workers, what faults — is the
+/// [`EvaluatorPool`] handed to [`Search::run`].
 #[derive(Debug)]
 pub struct Search {
     config: SearchConfig,
     db: WisdomDb,
-    prune: Option<PruneConfig>,
-    model: Option<CalibratedModel>,
-    features: HashMap<String, Option<PlanFeatures>>,
 }
 
 impl Search {
-    /// The exhaustive search over an empty in-memory store.
+    /// The search over an empty in-memory store.
     pub fn new(config: SearchConfig) -> Self {
         Search {
             config,
             db: WisdomDb::in_memory(),
-            prune: None,
-            model: None,
-            features: HashMap::new(),
         }
     }
 
@@ -798,19 +646,6 @@ impl Search {
     pub fn with_store(mut self, db: WisdomDb) -> Self {
         self.db = db;
         self
-    }
-
-    /// Prunes each size's candidates with the calibrated model, fitting
-    /// it on first use when the store holds none for this machine and
-    /// evaluator.
-    pub fn with_prune(mut self, prune: PruneConfig) -> Self {
-        self.prune = Some(prune);
-        self
-    }
-
-    /// The model the latest [`Search::run`] pruned with, if it had one.
-    pub fn model(&self) -> Option<&CalibratedModel> {
-        self.model.as_ref()
     }
 
     /// Searches sizes `2^1 … 2^max_log`: dynamic programming over all
@@ -824,8 +659,7 @@ impl Search {
     /// bit-identical at any job count. Candidates whose evaluation fails
     /// are skipped (`search.skipped.<kind>`).
     ///
-    /// Telemetry: spans `search.small` (with `search.calibration` inside
-    /// it when a model is fitted) and `search.large`, one nested span
+    /// Telemetry: spans `search.small` and `search.large`, one nested span
     /// per size, `search.plans_evaluated`, `search.plans_kept`, one
     /// `search.best_cost.<n>` metric per size, and everything the pool
     /// and the store counted.
@@ -844,7 +678,6 @@ impl Search {
         let small_max_k = self.config.leaf_max.trailing_zeros().min(max_log);
 
         tel.begin_span("search.small");
-        self.ensure_model(pool, tel)?;
         let mut small: Vec<SizeResult> = Vec::new();
         for k in 1..=small_max_k {
             tel.begin_span(&format!("small 2^{k}"));
@@ -889,146 +722,8 @@ impl Search {
         Ok(SearchOutcome { small, large })
     }
 
-    /// Features of a candidate from the compiled (not measured!)
-    /// program: dynamic op count plus the resolved engine's
-    /// `vm.fuse.*` / `vm.lsr.*` / `vm.vec.*` counters. Pure Rust
-    /// compilation — no `cc`, no timing. `None` when the candidate
-    /// does not compile (it will then never be pruned away). A tree
-    /// that `measured_by` has just measured was compiled there already:
-    /// the evaluator that did it hands the features out
-    /// (`search.features.reused`); any other tree costs a compile of its
-    /// own (`search.features.compiled`).
-    fn features(
-        &mut self,
-        tree: &FftTree,
-        measured_by: Option<&EvaluatorPool>,
-        tel: &mut Telemetry,
-    ) -> Option<PlanFeatures> {
-        let key = tree.describe();
-        if let Some(f) = self.features.get(&key) {
-            return *f;
-        }
-        let unroll = self.config.unroll_threshold;
-        let f = match measured_by.and_then(|pool| pool.plan_features(tree, unroll)) {
-            Some(f) => {
-                tel.add("search.features.reused", 1);
-                Some(f)
-            }
-            None => {
-                tel.add("search.features.compiled", 1);
-                plan_features(tree, unroll)
-            }
-        };
-        self.features.insert(key, f);
-        f
-    }
-
-    /// Loads the model stored for this pool's evaluator, or — when
-    /// pruning is requested and the store has none — fits one. Probe
-    /// measurements go through the same pool as the search and are
-    /// counted under `search.calibration.*`.
-    fn ensure_model(
-        &mut self,
-        pool: &mut EvaluatorPool,
-        tel: &mut Telemetry,
-    ) -> Result<(), SearchError> {
-        self.model = self.db.calibration(pool.label()).cloned();
-        if self.prune.is_none() || self.model.is_some() {
-            return Ok(());
-        }
-        tel.begin_span("search.calibration");
-        let probes = probe_trees(&self.config);
-        let costs = pool.costs(&probes);
-        let mut samples = Vec::new();
-        for (tree, cost) in probes.iter().zip(costs) {
-            let c = match cost {
-                Ok(c) => c,
-                Err(_) => {
-                    tel.add("search.calibration.probe_failures", 1);
-                    continue;
-                }
-            };
-            if let Some(f) = self.features(tree, Some(pool), tel) {
-                samples.push((f, c));
-            }
-        }
-        tel.add("search.calibration.probes", samples.len() as u64);
-        match CalibratedModel::fit(&samples) {
-            Some(m) => {
-                tel.set_metric("search.calibration.rel_rms", m.rel_rms());
-                self.db.store_calibration(pool.label(), &m)?;
-                self.model = Some(m);
-            }
-            None => tel.add("search.calibration.unfit", 1),
-        }
-        tel.end_span();
-        Ok(())
-    }
-
-    /// Ranks candidates with the model and picks the indices to
-    /// measure: the top-K plus anything within the slack factor of the
-    /// modeled best. `None` means "measure everything" (pruning off,
-    /// model unconfident, or nothing to prune).
-    fn prune_selection(
-        &mut self,
-        candidates: &[FftTree],
-        tel: &mut Telemetry,
-    ) -> Option<Vec<usize>> {
-        let pc = self.prune?;
-        if candidates.len() <= pc.top_k {
-            return None;
-        }
-        let confident = self.model.as_ref().is_some_and(|m| m.confident());
-        if !confident {
-            if self.model.is_some() {
-                tel.add("search.prune.unconfident", 1);
-            }
-            return None;
-        }
-        let preds: Vec<Option<f64>> = candidates
-            .iter()
-            .map(|t| {
-                let f = self.features(t, None, tel)?;
-                let model = self.model.as_ref()?;
-                Some(model.predict(&f))
-            })
-            .collect();
-        let mut ranked: Vec<(usize, f64)> = preds
-            .iter()
-            .enumerate()
-            .filter_map(|(i, p)| p.map(|p| (i, p)))
-            .collect();
-        ranked.sort_by(|a, b| a.1.total_cmp(&b.1));
-        let best = ranked.first().map_or(f64::INFINITY, |r| r.1);
-        let mut keep: Vec<usize> = ranked
-            .iter()
-            .enumerate()
-            .filter(|(rank, (_, p))| *rank < pc.top_k || *p <= best * pc.slack)
-            .map(|(_, (i, _))| *i)
-            .collect();
-        // A candidate the model cannot score is never pruned away.
-        keep.extend(
-            preds
-                .iter()
-                .enumerate()
-                .filter(|(_, p)| p.is_none())
-                .map(|(i, _)| i),
-        );
-        keep.sort_unstable();
-        if keep.len() >= candidates.len() {
-            return None;
-        }
-        tel.add("search.prune.kept", keep.len() as u64);
-        tel.add(
-            "search.prune.skipped",
-            (candidates.len() - keep.len()) as u64,
-        );
-        Some(keep)
-    }
-
     /// One DP step against the store: reuse a trusted measured entry,
-    /// measure an unmeasured import, or run the (possibly pruned)
-    /// candidate evaluation with the prior-winner regression fallback.
+    /// measure an unmeasured import, or measure every candidate.
     /// Returns the `keep` cheapest surviving plans, best first, and
     /// records them to the store. The sort is stable over the canonical
     /// candidate order, so of equal costs the earliest candidate wins.
@@ -1041,52 +736,26 @@ impl Search {
         tel: &mut Telemetry,
         transform: &str,
     ) -> Result<Vec<Plan>, SearchError> {
-        if let Some(e) = self.db.lookup(transform, n) {
-            if e.measured() {
+        let imported = match self.db.lookup(transform, n) {
+            Some(e) if e.measured() => {
                 tel.add("wisdom.db.reused_sizes", 1);
                 tel.set_metric(&format!("search.best_cost.{n}"), e.best().cost);
                 return Ok(e.plans);
             }
             // An unmeasured flat import: trust the plan, measure only it.
-            let trees: Vec<FftTree> = e.plans.iter().map(|p| p.tree.clone()).collect();
-            let mut plans = measure_selected(&trees, None, pool, tel);
-            if !plans.is_empty() {
-                plans.sort_by(|a, b| a.cost.total_cmp(&b.cost));
-                plans.truncate(keep);
-                tel.add("wisdom.db.imports_measured", 1);
-                tel.set_metric(&format!("search.best_cost.{n}"), plans[0].cost);
-                self.db.record(transform, n, &plans)?;
-                return Ok(plans);
+            Some(e) => {
+                let trees: Vec<FftTree> = e.plans.into_iter().map(|p| p.tree).collect();
+                measure(&trees, pool, tel)
             }
-            // Every imported plan failed here: fall through to the search.
-        }
-        let pick = self.prune_selection(candidates, tel);
-        let mut plans = measure_selected(candidates, pick.as_deref(), pool, tel);
-        if pick.is_some() {
-            // Regression check against a DB-recorded prior winner (stale
-            // fingerprints — its plan is credible, its cost is not): if the
-            // re-measured prior beats the pruned winner by more than the
-            // slack, the model misjudged this size; fall back to the full
-            // candidate set (already-measured candidates replay from the
-            // evaluator's memo cache).
-            let prior = self
-                .db
-                .lookup_stale(transform, n)
-                .map(|e| e.best().tree.clone())
-                .filter(|t| !plans.iter().any(|p| &p.tree == t));
-            if let Some(ptree) = prior {
-                let pruned_best = plans.iter().map(|p| p.cost).fold(f64::INFINITY, f64::min);
-                let extra = measure_selected(std::slice::from_ref(&ptree), None, pool, tel);
-                if let Some(p) = extra.into_iter().next() {
-                    if p.cost * REGRESSION_SLACK < pruned_best {
-                        tel.add("search.prune.fallbacks", 1);
-                        plans = measure_selected(candidates, None, pool, tel);
-                    } else {
-                        plans.push(p);
-                    }
-                }
-            }
-        }
+            None => Vec::new(),
+        };
+        let mut plans = if imported.is_empty() {
+            // Nothing imported, or every imported plan failed here.
+            measure(candidates, pool, tel)
+        } else {
+            tel.add("wisdom.db.imports_measured", 1);
+            imported
+        };
         plans.sort_by(|a, b| a.cost.total_cmp(&b.cost));
         plans.truncate(keep);
         if plans.is_empty() {
@@ -1098,58 +767,20 @@ impl Search {
     }
 }
 
-/// The calibration probe set: leaves across the codelet range plus
-/// radix-2 and radix-4 right-expanded chains up to 2^10, spanning both
-/// unrolled straight-line code and looped splits.
-fn probe_trees(config: &SearchConfig) -> Vec<FftTree> {
-    let mut probes = Vec::new();
-    let leaf_exp = config.leaf_max.trailing_zeros().max(1);
-    for k in 1..=leaf_exp {
-        if (1usize << k) <= config.leaf_max {
-            probes.push(FftTree::leaf(1usize << k));
-        }
-    }
-    for k in (leaf_exp + 1)..=(leaf_exp + 3) {
-        probes.push(radix_chain(k, 1, leaf_exp, config));
-        if k >= leaf_exp + 2 {
-            probes.push(radix_chain(k, 2, leaf_exp, config));
-        }
-    }
-    probes
-}
-
-fn radix_chain(k: u32, step: u32, leaf_exp: u32, config: &SearchConfig) -> FftTree {
-    if k <= leaf_exp {
-        return FftTree::leaf(1usize << k);
-    }
-    let step = step.min(k - 1);
-    FftTree::node(
-        config.rule,
-        FftTree::leaf(1usize << step),
-        radix_chain(k - step, step, leaf_exp, config),
-    )
-}
-
-/// Measures the selected candidate indices (all of them when `pick` is
-/// `None`), returning surviving plans in candidate order. Failures are
-/// skipped and counted, successes counted under `search.plans_evaluated`.
-fn measure_selected(
-    candidates: &[FftTree],
-    pick: Option<&[usize]>,
-    pool: &mut EvaluatorPool,
-    tel: &mut Telemetry,
-) -> Vec<Plan> {
-    let subset: Vec<FftTree> = match pick {
-        Some(idx) => idx.iter().map(|&i| candidates[i].clone()).collect(),
-        None => candidates.to_vec(),
-    };
-    let costs = pool.costs(&subset);
+/// Measures every tree, returning surviving plans in candidate order.
+/// Failures are skipped and counted, successes counted under
+/// `search.plans_evaluated`.
+fn measure(trees: &[FftTree], pool: &mut EvaluatorPool, tel: &mut Telemetry) -> Vec<Plan> {
+    let costs = pool.costs(trees);
     let mut plans = Vec::new();
-    for (tree, cost) in subset.into_iter().zip(costs) {
+    for (tree, cost) in trees.iter().zip(costs) {
         match cost {
-            Ok(c) => {
+            Ok(cost) => {
                 tel.add("search.plans_evaluated", 1);
-                plans.push(Plan { tree, cost: c });
+                plans.push(Plan {
+                    tree: tree.clone(),
+                    cost,
+                });
             }
             Err(e) => tel.add(&format!("search.skipped.{}", e.kind()), 1),
         }
@@ -1244,8 +875,8 @@ mod tests {
         db.record_with("fft/t", 8, &[plan("(ct 2 4)", 1.0)], "deadbeef", "cafebabe")
             .unwrap();
         assert!(db.lookup("fft/t", 8).is_none(), "stale must not be trusted");
-        let stale = db.lookup_stale("fft/t", 8).expect("stale visible");
-        assert_eq!(stale.cc_fp, "deadbeef");
+        let kept: Vec<&str> = db.entries().map(|e| e.cc_fp.as_str()).collect();
+        assert_eq!(kept, ["deadbeef"], "stale must be kept");
         // A trusted entry for the same size coexists under its own key.
         db.record("fft/t", 8, &[plan("(ct 4 2)", 2.0)]).unwrap();
         assert_eq!(db.len(), 2);
@@ -1275,7 +906,8 @@ mod tests {
         )
         .unwrap();
         assert!(db.lookup("fft/t", 8).is_none(), "stale must not be trusted");
-        assert_eq!(db.lookup_stale("fft/t", 8).expect("kept").cc_fp, old_fp);
+        let kept: Vec<&str> = db.entries().map(|e| e.cc_fp.as_str()).collect();
+        assert_eq!(kept, [old_fp.as_str()], "stale must be kept");
         drop(db);
         let mut db = WisdomDb::open(&dir).unwrap();
         assert_eq!(db.len(), 1, "kept across a reopen");
@@ -1312,22 +944,6 @@ mod tests {
             ),
             other => panic!("expected wisdom error, got {other}"),
         }
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn calibration_round_trips_per_evaluator() {
-        let dir = tmp_dir("calib");
-        let mut db = WisdomDb::open(&dir).unwrap();
-        assert!(db.calibration("vm").is_none());
-        let model = CalibratedModel::from_parts([0.5, 1.5, -2.0, 3.0, 0.0, 1.0], 0.125);
-        db.store_calibration("vm", &model).unwrap();
-        assert_eq!(db.calibration("vm"), Some(&model));
-        assert!(db.calibration("opcount").is_none());
-        drop(db);
-        let db = WisdomDb::open(&dir).unwrap();
-        assert_eq!(db.calibration("vm"), Some(&model));
-        assert!(db.calibration("opcount").is_none());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1383,8 +999,8 @@ mod tests {
     #[test]
     fn two_evaluators_share_a_store_without_reusing_each_other() {
         // In either order: the second evaluator finds none of the
-        // first's entries (nor its calibration), measures everything
-        // itself, and reports costs in its own unit.
+        // first's entries, measures everything itself, and reports costs
+        // in its own unit.
         let config = SearchConfig {
             leaf_max: 8,
             ..SearchConfig::default()
@@ -1393,14 +1009,13 @@ mod tests {
             EvaluatorPool::single(Scaled(OpCountEvaluator::default()))
         }];
         for order in [[0, 1], [1, 0]] {
-            let mut search = Search::new(config.clone()).with_prune(PruneConfig::default());
+            let mut search = Search::new(config.clone());
             let mut evaluated = Vec::new();
             for i in order {
                 let mut tel = Telemetry::new();
                 let found = search.run(6, &mut pools[i](), &mut tel).unwrap();
                 assert_eq!(tel.counter("wisdom.db.reused_sizes"), None, "{order:?}");
                 assert_eq!(tel.counter("wisdom.db.hits"), None, "{order:?}");
-                assert!(tel.counter("search.calibration.probes").unwrap() > 0);
                 evaluated.push(tel.counter("search.plans_evaluated").unwrap());
                 let ops = OpCountEvaluator::default()
                     .cost(&found.small[0].tree)
@@ -1413,86 +1028,7 @@ mod tests {
             let mut tel = Telemetry::new();
             search.run(6, &mut pools[order[0]](), &mut tel).unwrap();
             assert_eq!(tel.counter("wisdom.db.reused_sizes"), Some(6));
-            assert_eq!(tel.counter("search.calibration.probes"), None);
         }
-    }
-
-    #[test]
-    fn pruned_search_calibrates_and_matches_exhaustive_winners() {
-        // Small leaves keep every compiled probe/candidate tiny so the
-        // test stays fast in debug builds.
-        let config = SearchConfig {
-            leaf_max: 16,
-            ..SearchConfig::default()
-        };
-        let mut plain_tel = Telemetry::new();
-        let plain = Search::new(config.clone())
-            .run(7, &mut opcount_pool(), &mut plain_tel)
-            .unwrap();
-
-        let mut search = Search::new(config).with_prune(PruneConfig::default());
-        let mut tel = Telemetry::new();
-        let pruned = search.run(7, &mut opcount_pool(), &mut tel).unwrap();
-        // Dynamic-op costs are exactly linear in the dynamic-op feature,
-        // so calibration fits tightly and pruning keeps the true winners.
-        let model = search.model().expect("calibrated");
-        assert!(model.confident(), "rel_rms={}", model.rel_rms());
-        assert!(tel.counter("search.calibration.probes").unwrap() >= 8);
-        assert!(tel.counter("search.prune.skipped").unwrap_or(0) > 0);
-        let trees = |found: &SearchOutcome| -> Vec<FftTree> {
-            found.winners().into_iter().map(|w| w.tree).collect()
-        };
-        assert_eq!(
-            trees(&pruned),
-            trees(&plain),
-            "winners must survive pruning"
-        );
-        // Fewer evaluations than the exhaustive search at these sizes
-        // (probe measurements are counted separately).
-        let exhaustive = plain_tel.counter("search.plans_evaluated").unwrap();
-        let pruned = tel.counter("search.plans_evaluated").unwrap();
-        assert!(pruned < exhaustive, "pruned {pruned} vs {exhaustive}");
-    }
-
-    #[test]
-    fn calibration_takes_features_from_the_compile_that_measured_the_probe() {
-        let config = SearchConfig {
-            leaf_max: 4,
-            ..SearchConfig::default()
-        };
-        let unroll = config.unroll_threshold;
-        let quick = std::time::Duration::from_micros(20);
-        let mut pool = EvaluatorPool::new(2, |ctx| {
-            Box::new(crate::ResilientEvaluator::new().tier(
-                "vm",
-                Box::new(crate::MeasuredEvaluator::new(unroll, quick).with_gate(ctx.gate.clone())),
-            ))
-        });
-        let mut search = Search::new(config.clone()).with_prune(PruneConfig::default());
-        let mut tel = Telemetry::new();
-        search.run(3, &mut pool, &mut tel).unwrap();
-        // Every probe was compiled exactly once, by the worker that
-        // timed it; only unmeasured candidates compile for the model.
-        let probes = tel.counter("search.calibration.probes").unwrap();
-        assert!(probes > 0);
-        assert_eq!(tel.counter("search.features.reused"), Some(probes));
-        // What the evaluator hands out is what a compile of its own
-        // would have found, and only for the threshold it compiled at.
-        for tree in probe_trees(&config) {
-            let handed = pool.plan_features(&tree, unroll).expect("measured probe");
-            assert_eq!(
-                Some(handed),
-                plan_features(&tree, unroll),
-                "{}",
-                tree.describe()
-            );
-            assert_eq!(pool.plan_features(&tree, unroll + 1), None);
-        }
-        // The op-count model never lowers a candidate: nothing to hand out.
-        let probe = &probe_trees(&config)[0];
-        let mut model = opcount_pool();
-        model.costs(std::slice::from_ref(probe));
-        assert_eq!(model.plan_features(probe, unroll), None);
     }
 
     #[test]
@@ -1543,23 +1079,32 @@ mod tests {
     fn unknown_record_types_are_skipped() {
         let dir = tmp_dir("unknown");
         {
-            WisdomDb::open(&dir).unwrap();
+            let mut db = WisdomDb::open(&dir).unwrap();
+            db.record("fft/t", 8, &[plan("(ct 2 4)", 2.0)]).unwrap();
             let (mut journal, _) = Journal::open(&dir.join("db.journal")).unwrap();
             journal.append("future v2 something").unwrap();
-            // A calibration from before the evaluator was in its key.
-            let zero = format!("{:016x}", 0f64.to_bits());
-            let old = format!("calib m c {}", vec![zero; 1 + NUM_FEATURES].join(" "));
-            journal.append(&old).unwrap();
+            // The two calibration records older versions wrote: before
+            // and after the evaluator became part of their key.
+            let words = vec![format!("{:016x}", 0.5f64.to_bits()); 7].join(" ");
+            journal.append(&format!("calib m c {words}")).unwrap();
+            journal.append(&format!("calib m c vm {words}")).unwrap();
         }
         let mut db = WisdomDb::open(&dir).unwrap();
-        assert!(db.is_empty());
+        assert_eq!(db.len(), 1);
         assert_eq!(
             db.drain_telemetry().counter("wisdom.db.unknown_records"),
-            Some(2)
+            Some(3)
         );
         db.record("fft/t", 4, &[plan("(ct 2 2)", 1.0)]).unwrap();
         db.reload().unwrap();
-        assert_eq!(db.len(), 1);
+        assert_eq!(
+            db.lookup("fft/t", 8).expect("recorded before").best().cost,
+            2.0
+        );
+        assert_eq!(
+            db.lookup("fft/t", 4).expect("recorded after").best().cost,
+            1.0
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

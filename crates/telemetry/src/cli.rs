@@ -217,7 +217,12 @@ pub fn render_stats(tel: &Telemetry) -> String {
     if !tel.metrics().is_empty() {
         let _ = writeln!(out, "metrics:");
         for (name, value) in tel.metrics() {
-            let _ = writeln!(out, "  {name:<36} {value:>12.6}");
+            // Six decimals would print a sub-millisecond cost as zeros.
+            let _ = if *value != 0.0 && value.abs() < 1e-3 {
+                writeln!(out, "  {name:<36} {value:>12.6e}")
+            } else {
+                writeln!(out, "  {name:<36} {value:>12.6}")
+            };
         }
     }
     if !tel.notes().is_empty() {
@@ -290,5 +295,22 @@ mod tests {
         assert!(table.contains("pass counters:"));
         assert!(table.contains("metrics:"));
         assert!(table.contains("notes:"));
+    }
+
+    #[test]
+    fn stats_table_keeps_the_digits_of_small_metrics() {
+        let mut tel = Telemetry::new();
+        tel.set_metric("search.best_cost.2", 3.16e-8);
+        tel.set_metric("median", 1.5);
+        tel.set_metric("nothing", 0.0);
+        let table = render_stats(&tel);
+        let value = |name: &str| {
+            let line = table.lines().find(|l| l.contains(name)).unwrap();
+            line.split_whitespace().nth(1).unwrap().to_string()
+        };
+        assert_eq!(value("search.best_cost.2"), "3.160000e-8");
+        assert_eq!(value("search.best_cost.2").parse::<f64>(), Ok(3.16e-8));
+        assert_eq!(value("median"), "1.500000");
+        assert_eq!(value("nothing"), "0.000000");
     }
 }

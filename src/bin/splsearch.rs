@@ -26,8 +26,7 @@ use std::time::Duration;
 use spl::native::KernelCache;
 use spl::search::{
     Evaluator, EvaluatorPool, FaultyEvaluator, MeasuredEvaluator, NativeEvaluator,
-    OpCountEvaluator, PruneConfig, ResilientEvaluator, Search, SearchConfig, WisdomDb,
-    WorkerContext,
+    OpCountEvaluator, ResilientEvaluator, Search, SearchConfig, WisdomDb, WorkerContext,
 };
 use spl::telemetry::cli::ReportOptions;
 use spl::telemetry::out;
@@ -62,14 +61,7 @@ usage: splsearch [options]
                      recorded under the current configuration, evaluator,
                      compiler and machine, append each size as it
                      finishes (a killed search resumes), share the store
-                     safely with concurrent searches; enables cost-model
-                     pruning unless --no-prune is given
-  --prune[=K]        prune each size's candidates with the calibrated
-                     cost model before compiling anything: measure the
-                     top-K (default 3) plus everything within the slack
-                     factor of the modeled best (--wisdom-db keeps the
-                     calibration; without it every run calibrates)
-  --no-prune         measure every candidate even with --wisdom-db
+                     safely with concurrent searches
   --faulty <seed>    inject deterministic faults at the primary
                      evaluation tier, degrading failed candidates to the
                      operation-count model (faults are keyed per
@@ -95,8 +87,6 @@ struct Options {
     eval_timeout: Duration,
     verify: bool,
     wisdom_db: Option<PathBuf>,
-    prune: Option<bool>,
-    prune_top_k: usize,
     faulty: Option<u64>,
     fault_rate: f64,
     wisdom_out: Option<String>,
@@ -115,8 +105,6 @@ impl Default for Options {
             eval_timeout: Duration::from_secs(30),
             verify: true,
             wisdom_db: None,
-            prune: None,
-            prune_top_k: PruneConfig::default().top_k,
             faulty: None,
             fault_rate: 0.1,
             wisdom_out: None,
@@ -174,17 +162,6 @@ fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
                 Some(dir) => opts.wisdom_db = Some(PathBuf::from(dir)),
                 None => return Err("--wisdom-db requires a directory path".into()),
             },
-            "--prune" => opts.prune = Some(true),
-            "--no-prune" => opts.prune = Some(false),
-            prune_k if prune_k.starts_with("--prune=") => {
-                match prune_k["--prune=".len()..].parse::<usize>() {
-                    Ok(k) if k >= 1 => {
-                        opts.prune = Some(true);
-                        opts.prune_top_k = k;
-                    }
-                    _ => return Err("--prune=K requires an integer K >= 1".into()),
-                }
-            }
             "--faulty" => match it.next().and_then(|v| v.parse().ok()) {
                 Some(seed) => opts.faulty = Some(seed),
                 None => return Err("--faulty requires an integer seed".into()),
@@ -294,14 +271,6 @@ fn main() -> ExitCode {
             Err(e) => return fail(&format!("opening wisdom db {}: {e}", dir.display())),
         }
     }
-    // With --wisdom-db, pruning defaults to on; --no-prune turns it off.
-    let prune = opts.prune.unwrap_or(opts.wisdom_db.is_some());
-    if prune {
-        search = search.with_prune(PruneConfig {
-            top_k: opts.prune_top_k,
-            ..PruneConfig::default()
-        });
-    }
     let winners = match search.run(opts.max_log, &mut pool, &mut tel) {
         Ok(found) => found.winners(),
         Err(e) => return fail(&e.to_string()),
@@ -345,8 +314,6 @@ fn main() -> ExitCode {
     if let Some(dir) = &opts.wisdom_db {
         report.meta("wisdom_db", &dir.display().to_string());
     }
-    let top_k = format!("top{}", opts.prune_top_k);
-    report.meta("prune", if prune { &top_k } else { "off" });
     if let Some(seed) = opts.faulty {
         report.meta("faulty_seed", &seed.to_string());
         report.meta("fault_rate", &opts.fault_rate.to_string());
