@@ -72,7 +72,7 @@ impl ChaosInjector {
     }
 
     /// Rolls the latency die for one request; `Some(delay)` means the
-    /// worker should sleep `delay` before executing.
+    /// executor should sleep `delay` before executing.
     pub fn latency(&self) -> Option<Duration> {
         self.roll(self.config.p_latency)
             .then_some(self.config.latency)

@@ -6,8 +6,8 @@ use std::path::Path;
 use std::time::Duration;
 
 use crate::protocol::{
-    encode_request, parse_response, read_frame, write_frame, ProtocolError, Request, Response,
-    KIND_DFT,
+    encode_request, encode_transform, parse_response, read_frame, write_frame, ProtocolError,
+    Request, Response,
 };
 
 /// A connected client over any framed byte stream.
@@ -46,12 +46,9 @@ impl<S: Read + Write> Client<S> {
         deadline: Option<Duration>,
         data: &[f64],
     ) -> Result<Response, ProtocolError> {
-        self.call(&Request::Transform {
-            kind: KIND_DFT,
-            n,
-            deadline_ms: deadline.map(|d| (d.as_millis().max(1)) as u32),
-            data: data.to_vec(),
-        })
+        let deadline_ms = deadline.map(|d| (d.as_millis().max(1)) as u32);
+        write_frame(&mut self.stream, &encode_transform(n, deadline_ms, data))?;
+        self.read_response()
     }
 
     /// The `health` verb.

@@ -84,13 +84,13 @@ impl std::fmt::Display for ServeError {
 
 impl std::error::Error for ServeError {}
 
-/// A [`NativeKernel`] shared across worker threads, entered by one of
-/// them at a time.
+/// A [`NativeKernel`] shared across the executing connection threads,
+/// entered by one of them at a time.
 ///
 /// The generated C keeps a looped kernel's temporaries in `static`
 /// arrays (`spl-compiler`'s `codegen.rs`: automatic ones would overflow
 /// the stack at large sizes), so the entry point is *not* re-entrant:
-/// two workers inside the same kernel corrupt each other's transform.
+/// two threads inside the same kernel corrupt each other's transform.
 /// Every run therefore holds `running`.
 struct SharedKernel {
     kernel: NativeKernel,
@@ -108,7 +108,7 @@ unsafe impl Send for SharedKernel {}
 unsafe impl Sync for SharedKernel {}
 
 impl SharedKernel {
-    /// Runs `f` on the kernel with no other worker inside it. (The
+    /// Runs `f` on the kernel with no other thread inside it. (The
     /// promotion run forks and would be safe without the lock — the
     /// child has its own copy of the statics — but where there is no
     /// fork it runs in-process.)

@@ -30,7 +30,7 @@
 //! only the frame length is big-endian, following the usual
 //! network-framing convention.
 
-use std::io::{self, Read, Write};
+use std::io::{self, IoSlice, Read, Write};
 
 /// Hard bound on one frame's payload (8 MiB ≈ a size-2¹⁹ complex
 /// transform). Larger lengths are rejected before any allocation.
@@ -75,7 +75,7 @@ impl Tier {
 
 /// Why a frame or payload was rejected. Every variant is a *typed*
 /// error the daemon answers (where the stream allows) and logs — a
-/// malformed client must never panic or wedge a worker.
+/// malformed client must never panic or wedge the daemon.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ProtocolError {
     /// The stream ended mid-frame (client disconnected).
@@ -292,9 +292,24 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> Result<(), ProtocolErr
             claimed: payload.len() as u64,
         });
     }
+    // Prefix and payload leave in one vectored write: sent as two, the
+    // peer is woken by the prefix, blocks again for the payload and is
+    // woken a second time. `sent` counts bytes of the prefix + payload
+    // sequence the sink has accepted; a short write resumes from there.
     let len = (payload.len() as u32).to_be_bytes();
-    w.write_all(&len).map_err(io_error)?;
-    w.write_all(payload).map_err(io_error)?;
+    let mut sent = 0;
+    while sent < len.len() + payload.len() {
+        let bufs = [
+            IoSlice::new(&len[sent.min(len.len())..]),
+            IoSlice::new(&payload[sent.saturating_sub(len.len())..]),
+        ];
+        match w.write_vectored(&bufs) {
+            Ok(0) => return Err(io_error(io::ErrorKind::WriteZero.into())),
+            Ok(k) => sent += k,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(io_error(e)),
+        }
+    }
     w.flush().map_err(io_error)
 }
 
@@ -383,17 +398,26 @@ pub fn encode_request(req: &Request) -> Vec<u8> {
             deadline_ms,
             data,
         } => {
-            let mut out = Vec::with_capacity(14 + data.len() * 8);
-            out.push(b'T');
-            out.push(*kind);
-            out.extend_from_slice(&(*n as u64).to_le_bytes());
-            out.extend_from_slice(&deadline_ms.unwrap_or(0).to_le_bytes());
-            for v in data {
-                out.extend_from_slice(&v.to_le_bytes());
-            }
+            let mut out = encode_transform(*n, *deadline_ms, data);
+            out[1] = *kind;
             out
         }
     }
+}
+
+/// Encodes a complex-DFT transform request straight from the caller's
+/// samples: the payload [`encode_request`] builds for the same
+/// [`Request::Transform`], without a `Request` to own a copy of `data`.
+pub fn encode_transform(n: usize, deadline_ms: Option<u32>, data: &[f64]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(14 + data.len() * 8);
+    out.push(b'T');
+    out.push(KIND_DFT);
+    out.extend_from_slice(&(n as u64).to_le_bytes());
+    out.extend_from_slice(&deadline_ms.unwrap_or(0).to_le_bytes());
+    for v in data {
+        out.extend_from_slice(&v.to_le_bytes());
+    }
+    out
 }
 
 /// Encodes a response into a frame payload.
@@ -525,6 +549,118 @@ mod tests {
         assert_eq!(read_frame(&mut r).unwrap(), b"hello");
         assert_eq!(read_frame(&mut r).unwrap(), vec![0xff; 3]);
         assert_eq!(read_frame_or_eof(&mut r).unwrap(), None);
+    }
+
+    /// A sink that takes at most `step` bytes per call — across the
+    /// buffers of a vectored write, as a socket does — and, when
+    /// `interrupt` is set, fails every other call with `Interrupted`.
+    struct Trickle {
+        got: Vec<u8>,
+        step: usize,
+        interrupt: bool,
+        calls: usize,
+    }
+
+    impl Trickle {
+        fn new(step: usize, interrupt: bool) -> Trickle {
+            Trickle {
+                got: Vec::new(),
+                step,
+                interrupt,
+                calls: 0,
+            }
+        }
+    }
+
+    impl Write for Trickle {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.write_vectored(&[IoSlice::new(buf)])
+        }
+
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
+            self.calls += 1;
+            if self.interrupt && self.calls % 2 == 1 {
+                return Err(io::ErrorKind::Interrupted.into());
+            }
+            let mut left = self.step;
+            for buf in bufs {
+                let k = buf.len().min(left);
+                self.got.extend_from_slice(&buf[..k]);
+                left -= k;
+            }
+            Ok(self.step - left)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// A sink with `write` alone: the default `write_vectored` hands it
+    /// the first non-empty buffer only.
+    struct WriteOnly(Vec<u8>);
+
+    impl Write for WriteOnly {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            let k = buf.len().min(3);
+            self.0.extend_from_slice(&buf[..k]);
+            Ok(k)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_frame_the_sink_accepts_whole_is_one_write() {
+        let mut sink = Trickle::new(usize::MAX, false);
+        write_frame(&mut sink, &[7u8; 1024]).unwrap();
+        assert_eq!(sink.calls, 1, "prefix and payload must leave together");
+        assert_eq!(read_frame(&mut sink.got.as_slice()).unwrap(), [7u8; 1024]);
+    }
+
+    #[test]
+    fn short_and_interrupted_writes_still_deliver_the_frame() {
+        for len in [1usize, 1 << 10, 256 << 10] {
+            let payload: Vec<u8> = (0..len).map(|i| (i * 31 % 251) as u8).collect();
+            for (step, interrupt) in [(1, false), (3, false), (7, false), (5, true)] {
+                let mut sink = Trickle::new(step, interrupt);
+                write_frame(&mut sink, &payload).unwrap();
+                let mut r = sink.got.as_slice();
+                assert_eq!(read_frame(&mut r).unwrap(), payload, "step {step}");
+                assert!(r.is_empty(), "step {step}: bytes after the frame");
+            }
+            let mut sink = WriteOnly(Vec::new());
+            write_frame(&mut sink, &payload).unwrap();
+            assert_eq!(read_frame(&mut sink.0.as_slice()).unwrap(), payload);
+        }
+    }
+
+    #[test]
+    fn a_sink_that_accepts_nothing_is_an_io_error() {
+        let mut sink = Trickle::new(0, false);
+        assert!(matches!(
+            write_frame(&mut sink, b"x"),
+            Err(ProtocolError::Io(_))
+        ));
+    }
+
+    #[test]
+    fn encode_transform_is_byte_identical_to_encode_request() {
+        let data: Vec<f64> = (0..16).map(|i| i as f64 * -0.75).collect();
+        for deadline_ms in [None, Some(250)] {
+            let req = Request::Transform {
+                kind: KIND_DFT,
+                n: 8,
+                deadline_ms,
+                data: data.clone(),
+            };
+            assert_eq!(
+                encode_transform(8, deadline_ms, &data),
+                encode_request(&req)
+            );
+        }
     }
 
     #[test]

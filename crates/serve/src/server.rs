@@ -1,14 +1,19 @@
-//! The daemon proper: admission, batching workers, deadlines, drain.
+//! The daemon proper: admission, batching, deadlines, drain.
 //!
-//! Connection threads parse frames and *admit* transform jobs into one
-//! bounded queue; `workers` threads pop jobs, opportunistically gather
-//! queued same-size jobs into an `I_m ⊗ A` batch, execute through the
-//! [`PlanStore`] degradation chain, and send each reply back over a
-//! per-job channel. Robustness decisions, in one place:
+//! Connection threads parse frames, *admit* transform jobs into one
+//! bounded queue — and execute them: there is no worker pool. A job's
+//! *owner*, the thread that admitted it, stays until the job's reply
+//! slot is filled; while fewer than `workers` batches are executing it
+//! pops the *front* job (its own or an older one), opportunistically
+//! gathers queued same-size jobs into an `I_m ⊗ A` batch, executes
+//! through the [`PlanStore`] degradation chain and fills each job's
+//! slot; otherwise it parks. A lone client is answered by the thread
+//! that read its request: no hand-off, no futex call. Robustness
+//! decisions, in one place:
 //!
 //! * **Backpressure** — a full queue sheds with an explicit
 //!   [`Response::Overloaded`]; nothing is silently dropped.
-//! * **Deadlines** — checked at admission, again when a worker picks
+//! * **Deadlines** — checked at admission, again when an executor picks
 //!   the job up (an expired job is *cancelled*, never executed), and
 //!   implicitly bounded by the client's own frame read.
 //! * **Drain** — the `drain` verb stops admissions (new transforms get
@@ -22,9 +27,8 @@
 use std::collections::VecDeque;
 use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::mpsc;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use spl_telemetry::cli::render_stats;
@@ -49,13 +53,13 @@ pub struct ServerConfig {
     /// learned by concurrent `splsearch --wisdom-db` runs become
     /// servable without a restart.
     pub wisdom_db: Option<PathBuf>,
-    /// Worker threads executing transforms.
+    /// Bound on concurrent executions (by connection threads: no pool).
     pub workers: usize,
     /// Bounded admission-queue capacity; beyond it requests shed.
     pub queue_cap: usize,
     /// Largest batch one dispatch may gather (1 disables batching).
     pub batch_max: usize,
-    /// How long a worker holding one job waits for same-size company
+    /// How long an executor holding one job waits for same-size company
     /// before dispatching (0 = only batch what is already queued).
     pub batch_window: Duration,
     /// `-B` unrolling threshold for plan compilation.
@@ -92,13 +96,48 @@ struct Job {
     data: Vec<f64>,
     deadline: Option<Instant>,
     admitted: Instant,
-    reply: mpsc::Sender<Response>,
+    /// Where the job's executor leaves the reply for the job's owner.
+    reply: Arc<Mutex<Option<Response>>>,
 }
 
+#[derive(Default)]
 struct QueueState {
     jobs: VecDeque<Job>,
+    /// No new admissions (drain or stop); queued work still finishes.
     draining: bool,
-    stopped: bool,
+    /// Batches executing right now, at most `config.workers`.
+    executing: usize,
+    /// Threads inside a wait on `Server::changed`.
+    waiting: usize,
+    peak_depth: usize,
+}
+
+/// One execution slot and the batch that holds it. Dropping it — on
+/// return or on a panic out of the kernel path — answers every job of
+/// the batch still without a reply with an internal error, and only
+/// then takes the queue lock to free the slot and wake the parked: an
+/// owner that misses its reply under that lock is counted in `waiting`.
+struct ExecutionSlot<'a> {
+    server: &'a Server,
+    jobs: Vec<Job>,
+}
+
+impl Drop for ExecutionSlot<'_> {
+    fn drop(&mut self) {
+        // Must not panic; behind a poisoned lock no one is left to wake.
+        for job in &self.jobs {
+            if let Ok(mut reply) = job.reply.lock() {
+                reply.get_or_insert_with(|| Response::Error {
+                    class: b'i',
+                    message: "the executor panicked before answering".into(),
+                });
+            }
+        }
+        if let Ok(mut q) = self.server.queue.lock() {
+            q.executing -= 1;
+            self.server.wake_parked(&q);
+        }
+    }
 }
 
 /// Latency ring: enough samples for stable p50/p99 without unbounded
@@ -111,11 +150,8 @@ pub struct Server {
     store: PlanStore,
     chaos: Option<ChaosInjector>,
     queue: Mutex<QueueState>,
-    /// Signals workers that the queue gained a job (or stopped).
-    available: Condvar,
-    /// Signals the drainer that the queue may have emptied.
-    idle: Condvar,
-    in_flight: AtomicUsize,
+    /// Wakes the parked: a job was pushed or an execution slot came free.
+    changed: Condvar,
     /// Accept loops exit when set.
     shutdown: AtomicBool,
     tel: Mutex<Telemetry>,
@@ -145,31 +181,13 @@ impl Server {
             config,
             store,
             chaos,
-            queue: Mutex::new(QueueState {
-                jobs: VecDeque::new(),
-                draining: false,
-                stopped: false,
-            }),
-            available: Condvar::new(),
-            idle: Condvar::new(),
-            in_flight: AtomicUsize::new(0),
+            queue: Mutex::default(),
+            changed: Condvar::new(),
             shutdown: AtomicBool::new(false),
             tel: Mutex::new(Telemetry::new()),
             latencies: Mutex::new(VecDeque::with_capacity(LATENCY_RING)),
             started: Instant::now(),
         }))
-    }
-
-    /// Spawns the worker pool. Idempotent enough for one call per
-    /// daemon; callers hold the `JoinHandle`s if they want to join
-    /// after [`Server::is_shut_down`].
-    pub fn start_workers(self: &Arc<Server>) -> Vec<std::thread::JoinHandle<()>> {
-        (0..self.config.workers.max(1))
-            .map(|_| {
-                let server = Arc::clone(self);
-                std::thread::spawn(move || server.worker_loop())
-            })
-            .collect()
     }
 
     /// Serves a Unix socket at `path` until drained: binds (replacing a
@@ -184,7 +202,6 @@ impl Server {
         let _ = std::fs::remove_file(path);
         let listener = UnixListener::bind(path)?;
         listener.set_nonblocking(true)?;
-        let workers = self.start_workers();
         let mut conns = Vec::new();
         while !self.shutdown.load(Ordering::SeqCst) {
             match listener.accept() {
@@ -212,24 +229,16 @@ impl Server {
         for c in conns {
             let _ = c.join();
         }
-        for w in workers {
-            let _ = w.join();
-        }
         let _ = std::fs::remove_file(path);
         Ok(())
     }
 
     /// Serves exactly one connection over any byte stream (`--stdio`
-    /// mode and in-process tests), spawning and joining the worker pool
-    /// around it.
+    /// mode and in-process tests) on the calling thread.
     pub fn serve_stream(self: &Arc<Server>, r: &mut impl Read, w: &mut impl Write) {
-        let workers = self.start_workers();
         self.serve_connection(r, w);
         // One-shot service: when the single client is done, stop.
         self.stop();
-        for t in workers {
-            let _ = t.join();
-        }
     }
 
     /// Whether drain (or stop) has completed.
@@ -237,14 +246,12 @@ impl Server {
         self.shutdown.load(Ordering::SeqCst)
     }
 
-    /// Stops workers and accept loops without waiting for queued work
-    /// (used after a connection-driven drain, and by tests).
+    /// Refuses further admissions and stops the accept loop without
+    /// waiting for queued work, which its owners still finish (used
+    /// after a connection-driven drain, and by tests).
     pub fn stop(&self) {
-        let mut q = self.queue.lock().unwrap();
-        q.stopped = true;
-        drop(q);
+        self.queue.lock().unwrap().draining = true;
         self.shutdown.store(true, Ordering::SeqCst);
-        self.available.notify_all();
     }
 
     /// The per-connection read-dispatch-reply loop. Protocol errors are
@@ -353,8 +360,12 @@ impl Server {
         }
     }
 
-    /// Admission control: deadline bookkeeping, drain refusal, bounded
-    /// queue with explicit shedding — then block on the reply channel.
+    /// Admission control — deadline bookkeeping, drain refusal, bounded
+    /// queue with explicit shedding — then the owner loop, until the job
+    /// is answered. Every queued job has its owner in that loop, and an
+    /// owner parks only while `workers` batches are executing or the
+    /// queue is empty (its job is inside a batch), so a slot release
+    /// finds an empty queue or an owner to wake: no job is stranded.
     fn admit(&self, n: usize, data: Vec<f64>, deadline_ms: Option<u32>) -> Response {
         self.count("spld.requests");
         if data.len() != 2 * n {
@@ -365,101 +376,83 @@ impl Server {
         }
         let admitted = Instant::now();
         let deadline = deadline_ms.map(|ms| admitted + Duration::from_millis(u64::from(ms)));
-        let (tx, rx) = mpsc::channel();
-        {
-            let mut q = self.queue.lock().unwrap();
-            if q.draining || q.stopped {
-                return Response::Draining;
-            }
-            if q.jobs.len() >= self.config.queue_cap {
-                self.count("spld.shed");
-                return Response::Overloaded;
-            }
-            q.jobs.push_back(Job {
-                n,
-                data,
-                deadline,
-                admitted,
-                reply: tx,
-            });
-            let depth = q.jobs.len();
-            drop(q);
-            self.tel
-                .lock()
-                .unwrap()
-                .set_metric("spld.queue.peak_depth", depth as f64);
-            self.available.notify_one();
+        let reply = Arc::new(Mutex::new(None));
+        let mut q = self.queue.lock().unwrap();
+        if q.draining {
+            return Response::Draining;
         }
-        // The worker owns the job now; it always sends exactly one
-        // reply (even for cancelled deadlines), so a disconnected
-        // channel is a daemon bug surfaced as an internal error.
-        match rx.recv() {
-            Ok(resp) => resp,
-            Err(_) => Response::Error {
-                class: b'i',
-                message: "worker dropped the reply channel".into(),
-            },
+        if q.jobs.len() >= self.config.queue_cap {
+            self.count("spld.shed");
+            return Response::Overloaded;
+        }
+        q.jobs.push_back(Job {
+            n,
+            data,
+            deadline,
+            admitted,
+            reply: Arc::clone(&reply),
+        });
+        q.peak_depth = q.peak_depth.max(q.jobs.len());
+        self.wake_parked(&q);
+        loop {
+            if let Some(response) = reply.lock().unwrap().take() {
+                return response;
+            }
+            if q.executing >= self.config.workers.max(1) || q.jobs.is_empty() {
+                q = self.park(q);
+                continue;
+            }
+            // Counted while the queue lock is held, so drain never observes
+            // "queue empty, nothing executing" between a pop and its execution.
+            q.executing += 1;
+            let first = q.jobs.pop_front().expect("checked non-empty");
+            let jobs = self.gather_batch(q, first);
+            let slot = ExecutionSlot { server: self, jobs };
+            self.execute_batch(&slot.jobs);
+            drop(slot);
+            q = self.queue.lock().unwrap();
         }
     }
 
-    /// The drain handshake: stop admissions, wake everyone, wait for
-    /// the queue and in-flight work to empty.
+    /// `notify_all`, unless nobody is parked: a notify is a futex call
+    /// either way, and one client never parks. Skipping it on any other
+    /// ground loses wake-ups (V runs T's older job, a third answers V's).
+    fn wake_parked(&self, q: &QueueState) {
+        if q.waiting > 0 {
+            self.changed.notify_all();
+        }
+    }
+
+    /// Waits for the next push or slot release, counted in `waiting`.
+    fn park<'a>(&self, mut q: MutexGuard<'a, QueueState>) -> MutexGuard<'a, QueueState> {
+        q.waiting += 1;
+        q = self.changed.wait(q).unwrap();
+        q.waiting -= 1;
+        q
+    }
+
+    /// The drain handshake: stop admissions, wake everyone, wait for the
+    /// queue and the executing batches to empty (a slot release wakes us).
     fn drain(&self) {
         let mut q = self.queue.lock().unwrap();
         q.draining = true;
-        self.available.notify_all();
-        while !q.jobs.is_empty() || self.in_flight.load(Ordering::SeqCst) > 0 {
-            let (guard, _) = self
-                .idle
-                .wait_timeout(q, Duration::from_millis(50))
-                .unwrap();
-            q = guard;
+        self.wake_parked(&q);
+        while !q.jobs.is_empty() || q.executing > 0 {
+            q = self.park(q);
         }
         self.count("spld.drains");
-    }
-
-    fn worker_loop(self: &Arc<Server>) {
-        loop {
-            let batch = {
-                let mut q = self.queue.lock().unwrap();
-                loop {
-                    if let Some(first) = q.jobs.pop_front() {
-                        // Counted while the queue lock is held, so drain
-                        // never observes "queue empty, nothing in
-                        // flight" between a pop and its execution.
-                        self.in_flight.fetch_add(1, Ordering::SeqCst);
-                        break self.gather_batch(q, first);
-                    }
-                    if q.stopped || (q.draining && self.in_flight.load(Ordering::SeqCst) == 0) {
-                        self.idle.notify_all();
-                        return;
-                    }
-                    let (guard, _) = self
-                        .available
-                        .wait_timeout(q, Duration::from_millis(100))
-                        .unwrap();
-                    q = guard;
-                }
-            };
-            let size = batch.len();
-            self.execute_batch(batch);
-            self.in_flight.fetch_sub(size, Ordering::SeqCst);
-            self.idle.notify_all();
-        }
     }
 
     /// Greedy same-size batch gathering: everything already queued for
     /// the first job's size (up to `batch_max`), plus — when a batch
     /// window is configured — a short wait for more company.
-    fn gather_batch(&self, mut q: std::sync::MutexGuard<'_, QueueState>, first: Job) -> Vec<Job> {
+    fn gather_batch(&self, mut q: MutexGuard<'_, QueueState>, first: Job) -> Vec<Job> {
         let n = first.n;
         let mut batch = vec![first];
         loop {
             while batch.len() < self.config.batch_max {
                 if let Some(pos) = q.jobs.iter().position(|j| j.n == n) {
-                    let job = q.jobs.remove(pos).expect("position is in range");
-                    self.in_flight.fetch_add(1, Ordering::SeqCst);
-                    batch.push(job);
+                    batch.push(q.jobs.remove(pos).expect("position is in range"));
                 } else {
                     break;
                 }
@@ -467,7 +460,6 @@ impl Server {
             if batch.len() >= self.config.batch_max
                 || self.config.batch_window.is_zero()
                 || q.draining
-                || q.stopped
             {
                 return batch;
             }
@@ -480,15 +472,15 @@ impl Server {
             if batch.len() > 1 || !deadline_ok {
                 return batch;
             }
+            q.waiting += 1;
             let (guard, timeout) = self
-                .available
+                .changed
                 .wait_timeout(q, self.config.batch_window)
                 .unwrap();
             q = guard;
+            q.waiting -= 1;
             if let Some(pos) = q.jobs.iter().position(|j| j.n == n) {
-                let job = q.jobs.remove(pos).expect("position is in range");
-                self.in_flight.fetch_add(1, Ordering::SeqCst);
-                batch.push(job);
+                batch.push(q.jobs.remove(pos).expect("position is in range"));
             }
             if timeout.timed_out() {
                 return batch;
@@ -497,16 +489,16 @@ impl Server {
     }
 
     /// Executes one gathered batch end to end and replies per job.
-    fn execute_batch(self: &Arc<Server>, batch: Vec<Job>) {
+    fn execute_batch(&self, batch: &[Job]) {
         // Cancellation: jobs whose deadline passed while queued are
         // answered (never executed), and drop out of the batch.
         let now = Instant::now();
-        let (expired, live): (Vec<Job>, Vec<Job>) = batch
-            .into_iter()
+        let (expired, live): (Vec<&Job>, Vec<&Job>) = batch
+            .iter()
             .partition(|j| j.deadline.is_some_and(|d| d <= now));
         for job in expired {
             self.count("spld.deadline.missed");
-            let _ = job.reply.send(Response::DeadlineExceeded);
+            *job.reply.lock().unwrap() = Some(Response::DeadlineExceeded);
         }
         if live.is_empty() {
             return;
@@ -518,11 +510,13 @@ impl Server {
             }
         }
         let n = live[0].n;
+        #[cfg(test)]
+        assert_ne!(n, tests::PANICKING_SIZE, "test hook: a kernel path panics");
         let plan = match self.store.entry(n) {
             Ok(plan) => plan,
             Err(err) => {
                 for job in live {
-                    let _ = job.reply.send(Response::Error {
+                    *job.reply.lock().unwrap() = Some(Response::Error {
                         class: err.class(),
                         message: err.to_string(),
                     });
@@ -595,14 +589,16 @@ impl Server {
             }
             ring.push_back(elapsed.as_micros() as u64);
         }
-        let _ = job.reply.send(response);
+        *job.reply.lock().unwrap() = Some(response);
     }
 
     /// The `stats` verb body: merged daemon + plan-store + kernel-cache
     /// telemetry rendered as the standard `--stats` table (script-
     /// friendly counter lines).
     pub fn stats_text(&self) -> String {
+        let peak_depth = self.queue.lock().unwrap().peak_depth;
         let mut tel = self.tel.lock().unwrap();
+        tel.set_metric("spld.queue.peak_depth", peak_depth as f64);
         tel.merge(&self.store.drain_telemetry());
         spl_native::CcTarget::host().report(&mut tel);
         let ring = self.latencies.lock().unwrap();
@@ -642,3 +638,6 @@ fn load_wisdom_sources(config: &ServerConfig, store: &PlanStore) -> Result<usize
     }
     Ok(sizes)
 }
+
+#[cfg(test)]
+mod tests;

@@ -112,7 +112,8 @@ impl TestDaemon {
             .filter_map(|line| {
                 let mut it = line.split_whitespace();
                 match (it.next(), it.next()) {
-                    (Some(k), Some(v)) if k == key => v.parse().ok(),
+                    // Metrics print as decimals (`2.000000`).
+                    (Some(k), Some(v)) if k == key => v.parse::<f64>().ok().map(|v| v as u64),
                     _ => None,
                 }
             })
@@ -226,13 +227,124 @@ fn overload_sheds_with_explicit_reply() {
     assert!(ok >= 2, "the queue still serves: {results:?}");
     assert_eq!(shed + ok, clients, "every request answered explicitly");
     let mut client = daemon.client();
+    // A lone request afterwards (depth 1) must not overwrite the peak.
+    let x = sample_input(4, 99);
+    match client.transform(4, None, &x).expect("transform") {
+        Response::Transformed { data, .. } => assert_bits_eq(&data, &expected_vm(4, &x)),
+        other => panic!("lone request answered {other:?}"),
+    }
     let stats = match client.stats().expect("stats") {
         Response::Text(t) => t,
         other => panic!("stats answered {other:?}"),
     };
     assert_eq!(daemon.counter(&stats, "spld.shed"), shed as u64);
+    assert_eq!(daemon.counter(&stats, "spld.queue.peak_depth"), 2);
     drop(client);
     daemon.shut_down();
+}
+
+#[test]
+fn workers_bound_concurrent_executions() {
+    // Connection threads execute, but only `workers` of them at a time:
+    // four requests that cannot batch, one slot, 30 ms each.
+    let latency = Duration::from_millis(30);
+    let config = ServerConfig {
+        workers: 1,
+        batch_max: 1,
+        chaos: Some(ChaosConfig {
+            seed: 19,
+            p_kernel_fault: 0.0,
+            p_latency: 1.0,
+            latency,
+        }),
+        ..ServerConfig::default()
+    };
+    let daemon = TestDaemon::start("bound", vm_only(config));
+    let sizes = [4usize, 8, 16, 32];
+    let barrier = Barrier::new(sizes.len());
+    let started = std::time::Instant::now();
+    std::thread::scope(|scope| {
+        for n in sizes {
+            let mut client = daemon.client();
+            let barrier = &barrier;
+            scope.spawn(move || {
+                let x = sample_input(n, n as u64);
+                let want = expected_vm(n, &x);
+                barrier.wait();
+                match client.transform(n, None, &x).expect("transform") {
+                    Response::Transformed { data, .. } => assert_bits_eq(&data, &want),
+                    other => panic!("size {n} answered {other:?}"),
+                }
+            });
+        }
+    });
+    let wall = started.elapsed();
+    assert!(
+        wall >= latency * sizes.len() as u32,
+        "four 30 ms executions through one slot took {wall:?}"
+    );
+    daemon.shut_down();
+}
+
+#[test]
+fn no_reply_is_lost_when_owners_execute_each_others_jobs() {
+    // With two slots and six owners a thread regularly executes an older
+    // job than its own while a third thread answers that one: a wake-up
+    // skipped on slot release parks its owner for ever — unless a later
+    // push happens to wake it, so the clients send in rounds and a round's
+    // last replies have no later push to rescue them; the injected delay
+    // makes executions outlast the spread of a round's arrivals, so owners
+    // do park. The body runs on a thread of its own so that this one can
+    // give up on a hang.
+    const CLIENTS: u64 = 6;
+    const REQUESTS: usize = 300;
+    const SIZES: [usize; 3] = [8, 16, 32];
+    let (done, finished) = std::sync::mpsc::channel();
+    let body = std::thread::spawn(move || {
+        let config = ServerConfig {
+            workers: 2,
+            batch_max: 1,
+            chaos: Some(ChaosConfig {
+                seed: 23,
+                p_kernel_fault: 0.0,
+                p_latency: 1.0,
+                latency: Duration::from_micros(200),
+            }),
+            ..ServerConfig::default()
+        };
+        let daemon = TestDaemon::start("wakeups", vm_only(config));
+        let barrier = Barrier::new(CLIENTS as usize);
+        std::thread::scope(|scope| {
+            for salt in 0..CLIENTS {
+                let mut client = daemon.client();
+                let barrier = &barrier;
+                scope.spawn(move || {
+                    let cases = SIZES.map(|n| {
+                        let x = sample_input(n, 200 + salt);
+                        let want = expected_vm(n, &x);
+                        (n, x, want)
+                    });
+                    for i in 0..REQUESTS {
+                        barrier.wait();
+                        let (n, x, want) = &cases[(i + salt as usize) % SIZES.len()];
+                        match client.transform(*n, None, x).expect("transform") {
+                            Response::Transformed { data, .. } => assert_bits_eq(&data, want),
+                            other => panic!("client {salt} request {i} answered {other:?}"),
+                        }
+                    }
+                });
+            }
+        });
+        daemon.shut_down();
+        let _ = done.send(());
+    });
+    match finished.recv_timeout(Duration::from_secs(60)) {
+        Err(std::sync::mpsc::RecvTimeoutError::Timeout) => {
+            panic!("a reply was lost: six clients still waiting after 60 s")
+        }
+        // Done, or the body panicked and dropped the sender: join says which.
+        _ => body.join().expect("test body"),
+    }
 }
 
 #[test]

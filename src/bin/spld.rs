@@ -28,7 +28,8 @@ serving state:
                     --wisdom-db); the W control verb re-reads it live
 
 capacity:
-  --workers <n>         worker threads (default 2)
+  --workers <n>         concurrent executions: connection threads run the
+                        transforms themselves, <n> at a time (default 2)
   --queue-cap <n>       admission queue bound; beyond it requests get
                         an explicit OVERLOADED reply (default 64)
   --batch-max <n>       max same-size requests fused into one
