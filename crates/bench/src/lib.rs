@@ -17,14 +17,10 @@
 
 use std::time::Duration;
 
-use spl_generator::fft::FftTree;
-use spl_numeric::{pseudo_mflops, Complex};
-use spl_search::{compile_tree, SearchError};
+use spl_numeric::Complex;
 use spl_telemetry::cli::ReportOptions;
 use spl_telemetry::{RunReport, Stopwatch};
-use spl_vm::{measure, VmProgram, VmState};
-
-pub mod harness;
+use spl_vm::{VmProgram, VmState};
 
 /// Default minimum measurement time per data point.
 pub const MEASURE_TIME: Duration = Duration::from_millis(20);
@@ -81,7 +77,7 @@ pub fn with_report(tool: &str, f: impl FnOnce(&mut RunReport)) {
 }
 
 /// Parses a `--flag value` style option from `std::env::args`.
-pub fn arg_value(name: &str) -> Option<String> {
+fn arg_value(name: &str) -> Option<String> {
     let args: Vec<String> = std::env::args().collect();
     args.iter()
         .position(|a| a == name)
@@ -91,8 +87,8 @@ pub fn arg_value(name: &str) -> Option<String> {
 
 /// Like [`arg_value`], but parses the value into `T` and makes an
 /// unparsable value a **hard error** (exit 2). A silent `.ok()`
-/// fallback here would let a typo'd `--min-median-speedup 2.O`
-/// disable a CI gate without anyone noticing.
+/// fallback here would let a typo'd `--max-log2 1O` run the default
+/// sweep without anyone noticing.
 pub fn arg_value_parsed<T: std::str::FromStr>(name: &str) -> Option<T> {
     arg_value(name).map(|v| match v.parse() {
         Ok(x) => x,
@@ -117,19 +113,6 @@ pub fn workload(n: usize) -> Vec<Complex> {
     (0..n)
         .map(|_| Complex::new(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)))
         .collect()
-}
-
-/// Compiles a tree and measures it, returning pseudo-MFLOPS
-/// (`5·N·log₂N / t_µs`, paper Section 4.1).
-///
-/// # Errors
-///
-/// Propagates compilation failures.
-pub fn tree_pseudo_mflops(tree: &FftTree, min_time: Duration) -> Result<f64, SearchError> {
-    let n = tree.size();
-    let vm = compile_tree(tree, 64)?;
-    let m = measure(&vm, min_time);
-    Ok(pseudo_mflops(n, m.micros_per_call()))
 }
 
 /// Runs a compiled SPL FFT on a complex vector.
@@ -186,18 +169,12 @@ pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
 mod tests {
     use super::*;
     use spl_generator::fft::{FftTree, Rule};
+    use spl_search::compile_tree;
 
     #[test]
     fn workload_is_deterministic() {
         assert_eq!(workload(8), workload(8));
         assert_ne!(workload(8), workload(16)[..8].to_vec());
-    }
-
-    #[test]
-    fn tree_measurement_works() {
-        let t = FftTree::node(Rule::CooleyTukey, FftTree::leaf(2), FftTree::leaf(2));
-        let mflops = tree_pseudo_mflops(&t, Duration::from_millis(3)).unwrap();
-        assert!(mflops > 0.0);
     }
 
     #[test]

@@ -162,7 +162,6 @@ impl Default for BuildOptions {
                 attempts: 2,
                 base_delay: Duration::from_millis(100),
                 max_delay: Duration::from_secs(1),
-                jitter: spl_resilience::Jitter::None,
             },
         }
     }

@@ -13,10 +13,8 @@
 //!   atomic tmp+rename rewrites; the search persists its "wisdom"
 //!   (FFTW-style saved plans) through it so a killed search resumes from
 //!   the last completed size.
-//! * [`retry`] — bounded retry with exponential backoff (plus optional
-//!   seeded decorrelated jitter, so a fleet of workers retrying the
-//!   same outage doesn't stampede in lockstep) for flaky external steps
-//!   (spawning the host C compiler, filesystem races).
+//! * [`retry`] — a bounded retry budget with exponential backoff for
+//!   flaky external steps (spawning the host C compiler).
 //! * [`lockfile`] — advisory whole-file locks (`flock`) so multiple
 //!   processes can share on-disk state (e.g. a kernel cache directory)
 //!   without corrupting each other's writes.
@@ -41,5 +39,5 @@ pub mod sandbox;
 pub use command::{run_command_with_timeout, CommandError};
 pub use journal::{Journal, JournalError, LoadedJournal};
 pub use lockfile::FileLock;
-pub use retry::{with_backoff, Jitter, RetryPolicy};
+pub use retry::RetryPolicy;
 pub use sandbox::{run_isolated, SandboxError};

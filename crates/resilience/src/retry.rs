@@ -1,49 +1,25 @@
-//! Bounded retry with exponential backoff and optional decorrelated
-//! jitter.
+//! A bounded retry budget with exponential backoff.
 //!
-//! The zero-jitter path ([`Jitter::None`]) sleeps pure exponential
-//! delays and is fully deterministic — tests and journal replays rely
-//! on that. Long-running daemons should enable
-//! [`Jitter::Decorrelated`]: when N workers all hit the same outage
-//! (say, `cc` temporarily unavailable) at once, pure exponential
-//! backoff has them retrying in lockstep forever; decorrelated jitter
-//! spreads each worker's retries over `[base_delay, 3·previous]`
-//! (clamped to `max_delay`), so the stampede decays instead of
-//! repeating.
+//! [`RetryPolicy`] says how many times to attempt a flaky operation and
+//! how long to wait after each failure; the caller owns the loop, since
+//! only it can tell a transient failure (a spawn error, a timeout) from
+//! a deterministic one that retrying would reproduce. The delays are
+//! pure doubling — no randomization — so a run under a given policy is
+//! reproducible.
 
 use std::time::Duration;
 
-/// Where retry delays come from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Jitter {
-    /// Pure exponential backoff: deterministic, used by tests and
-    /// anywhere reproducibility matters.
-    None,
-    /// AWS-style decorrelated jitter seeded by the given value: each
-    /// delay is drawn uniformly from `[base_delay, 3·previous_delay]`
-    /// and clamped to `max_delay`. Equal seeds give identical delay
-    /// sequences, so even the jittered path is replayable.
-    Decorrelated {
-        /// SplitMix64 seed for the delay stream.
-        seed: u64,
-    },
-}
-
 /// How many times to attempt a flaky operation and how long to wait
-/// between attempts (the delay doubles per retry, capped at
-/// [`max_delay`](RetryPolicy::max_delay); with
-/// [`Jitter::Decorrelated`] each delay is drawn from the decorrelated
-/// jitter distribution instead).
+/// between attempts: the delay doubles per retry, capped at
+/// [`max_delay`](RetryPolicy::max_delay).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryPolicy {
-    /// Total attempts (1 = no retries). Clamped to at least 1.
+    /// Total attempts (1 = no retries). Callers clamp to at least 1.
     pub attempts: u32,
     /// Delay before the first retry.
     pub base_delay: Duration,
     /// Upper bound on any single delay.
     pub max_delay: Duration,
-    /// Delay randomization (defaults to [`Jitter::None`]).
-    pub jitter: Jitter,
 }
 
 impl Default for RetryPolicy {
@@ -52,61 +28,7 @@ impl Default for RetryPolicy {
             attempts: 3,
             base_delay: Duration::from_millis(50),
             max_delay: Duration::from_secs(2),
-            jitter: Jitter::None,
         }
-    }
-}
-
-/// A freestanding SplitMix64 step, kept local so this crate stays
-/// dependency-free.
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
-/// The stateful delay stream of one retry loop. [`Jitter::None`]
-/// reproduces the classic doubling sequence; decorrelated jitter keeps
-/// the previous delay as its state.
-#[derive(Debug)]
-pub struct DelayStream {
-    policy: RetryPolicy,
-    rng_state: Option<u64>,
-    prev: Option<Duration>,
-    attempt: u32,
-}
-
-impl DelayStream {
-    /// The delay to sleep after the next failed attempt. Every returned
-    /// delay lies in `[base_delay, max_delay]` (or is zero when
-    /// `base_delay` is zero).
-    pub fn next_delay(&mut self) -> Duration {
-        let d = match self.rng_state.as_mut() {
-            None => self.policy.delay_after(self.attempt),
-            Some(state) => {
-                let lo = self.policy.base_delay;
-                // Decorrelated jitter: uniform in [base, 3 * previous].
-                let hi = self
-                    .prev
-                    .unwrap_or(lo)
-                    .saturating_mul(3)
-                    .min(self.policy.max_delay)
-                    .max(lo);
-                let span = hi.saturating_sub(lo).as_nanos() as u64;
-                let draw = if span == 0 {
-                    0
-                } else {
-                    splitmix64(state) % (span + 1)
-                };
-                lo + Duration::from_nanos(draw)
-            }
-        };
-        let d = d.min(self.policy.max_delay);
-        self.prev = Some(d);
-        self.attempt += 1;
-        d
     }
 }
 
@@ -117,120 +39,19 @@ impl RetryPolicy {
             attempts: 1,
             base_delay: Duration::ZERO,
             max_delay: Duration::ZERO,
-            jitter: Jitter::None,
         }
     }
 
-    /// This policy with decorrelated jitter enabled under `seed`.
-    pub fn with_jitter(mut self, seed: u64) -> Self {
-        self.jitter = Jitter::Decorrelated { seed };
-        self
-    }
-
-    /// The deterministic (zero-jitter) delay to sleep after failed
-    /// attempt `attempt` (0-based).
+    /// The delay to sleep after failed attempt `attempt` (0-based).
     pub fn delay_after(&self, attempt: u32) -> Duration {
         let factor = 1u32 << attempt.min(16);
         (self.base_delay * factor).min(self.max_delay)
     }
-
-    /// The delay stream [`with_backoff`] sleeps through for this
-    /// policy — public so tests (and capacity planning) can inspect the
-    /// exact delays without sleeping through them.
-    pub fn delays(&self) -> DelayStream {
-        DelayStream {
-            policy: *self,
-            rng_state: match self.jitter {
-                Jitter::None => None,
-                Jitter::Decorrelated { seed } => Some(seed),
-            },
-            prev: None,
-            attempt: 0,
-        }
-    }
-}
-
-/// Runs `f` up to `policy.attempts` times, sleeping between failures
-/// with exponential backoff (decorrelated-jittered when the policy says
-/// so). `f` receives the 0-based attempt index. Returns the first
-/// success or the last error.
-///
-/// # Errors
-///
-/// Returns the error of the final attempt when every attempt fails.
-pub fn with_backoff<T, E>(
-    policy: &RetryPolicy,
-    mut f: impl FnMut(u32) -> Result<T, E>,
-) -> Result<T, E> {
-    let attempts = policy.attempts.max(1);
-    let mut delays = policy.delays();
-    let mut last = None;
-    for attempt in 0..attempts {
-        match f(attempt) {
-            Ok(v) => return Ok(v),
-            Err(e) => {
-                last = Some(e);
-                if attempt + 1 < attempts {
-                    let d = delays.next_delay();
-                    if !d.is_zero() {
-                        std::thread::sleep(d);
-                    }
-                }
-            }
-        }
-    }
-    Err(last.expect("at least one attempt ran"))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn fast() -> RetryPolicy {
-        RetryPolicy {
-            attempts: 4,
-            base_delay: Duration::ZERO,
-            max_delay: Duration::ZERO,
-            jitter: Jitter::None,
-        }
-    }
-
-    #[test]
-    fn succeeds_first_try_without_retrying() {
-        let mut calls = 0;
-        let r: Result<i32, &str> = with_backoff(&fast(), |_| {
-            calls += 1;
-            Ok(7)
-        });
-        assert_eq!(r, Ok(7));
-        assert_eq!(calls, 1);
-    }
-
-    #[test]
-    fn retries_until_success() {
-        let mut calls = 0;
-        let r: Result<i32, &str> = with_backoff(&fast(), |attempt| {
-            calls += 1;
-            if attempt < 2 {
-                Err("flaky")
-            } else {
-                Ok(42)
-            }
-        });
-        assert_eq!(r, Ok(42));
-        assert_eq!(calls, 3);
-    }
-
-    #[test]
-    fn gives_up_after_budget() {
-        let mut calls = 0;
-        let r: Result<(), String> = with_backoff(&fast(), |a| {
-            calls += 1;
-            Err(format!("attempt {a}"))
-        });
-        assert_eq!(r, Err("attempt 3".to_string()));
-        assert_eq!(calls, 4);
-    }
 
     #[test]
     fn delays_double_and_cap() {
@@ -238,7 +59,6 @@ mod tests {
             attempts: 5,
             base_delay: Duration::from_millis(10),
             max_delay: Duration::from_millis(35),
-            jitter: Jitter::None,
         };
         assert_eq!(p.delay_after(0), Duration::from_millis(10));
         assert_eq!(p.delay_after(1), Duration::from_millis(20));
@@ -247,98 +67,10 @@ mod tests {
     }
 
     #[test]
-    fn zero_jitter_stream_matches_delay_after() {
-        let p = RetryPolicy {
-            attempts: 6,
-            base_delay: Duration::from_millis(10),
-            max_delay: Duration::from_millis(300),
-            jitter: Jitter::None,
-        };
-        let mut stream = p.delays();
-        for attempt in 0..5 {
-            assert_eq!(stream.next_delay(), p.delay_after(attempt));
-        }
-    }
-
-    #[test]
-    fn attempts_clamped_to_one() {
-        let p = RetryPolicy {
-            attempts: 0,
-            ..fast()
-        };
-        let mut calls = 0;
-        let _: Result<(), ()> = with_backoff(&p, |_| {
-            calls += 1;
-            Err(())
-        });
-        assert_eq!(calls, 1);
-    }
-
-    #[test]
-    fn jittered_delays_stay_within_bounds() {
-        let p = RetryPolicy {
-            attempts: 32,
-            base_delay: Duration::from_millis(10),
-            max_delay: Duration::from_millis(200),
-            jitter: Jitter::None,
-        }
-        .with_jitter(42);
-        let mut stream = p.delays();
-        let mut prev = p.base_delay;
-        for i in 0..64 {
-            let d = stream.next_delay();
-            assert!(d >= p.base_delay, "delay {i} below base: {d:?}");
-            assert!(d <= p.max_delay, "delay {i} above cap: {d:?}");
-            // Decorrelated invariant: bounded by 3x the previous delay
-            // (clamped to the policy window).
-            let hi = prev.saturating_mul(3).min(p.max_delay).max(p.base_delay);
-            assert!(d <= hi, "delay {i} {d:?} exceeds 3x previous {prev:?}");
-            prev = d;
-        }
-    }
-
-    #[test]
-    fn jitter_is_seeded_and_varies() {
-        let p = RetryPolicy {
-            attempts: 8,
-            base_delay: Duration::from_millis(5),
-            max_delay: Duration::from_secs(1),
-            jitter: Jitter::None,
-        };
-        let seq = |seed: u64| -> Vec<Duration> {
-            let mut s = p.with_jitter(seed).delays();
-            (0..16).map(|_| s.next_delay()).collect()
-        };
-        // Equal seeds replay byte-identically.
-        assert_eq!(seq(7), seq(7));
-        // Distinct seeds decorrelate: two workers retrying the same
-        // outage no longer share a delay schedule.
-        assert_ne!(seq(7), seq(8));
-        // And the draws are not all equal (actual randomization).
-        let s = seq(7);
-        assert!(s.iter().any(|d| d != &s[0]), "{s:?}");
-    }
-
-    #[test]
-    fn with_backoff_works_under_jitter() {
-        // Tiny delays so the test sleeps microseconds, not seconds.
-        let p = RetryPolicy {
-            attempts: 4,
-            base_delay: Duration::from_nanos(100),
-            max_delay: Duration::from_nanos(500),
-            jitter: Jitter::None,
-        }
-        .with_jitter(99);
-        let mut calls = 0;
-        let r: Result<u32, &str> = with_backoff(&p, |attempt| {
-            calls += 1;
-            if attempt < 3 {
-                Err("flaky")
-            } else {
-                Ok(attempt)
-            }
-        });
-        assert_eq!(r, Ok(3));
-        assert_eq!(calls, 4);
+    fn none_is_one_attempt_and_no_sleep() {
+        let p = RetryPolicy::none();
+        assert_eq!(p.attempts, 1);
+        assert_eq!(p.delay_after(0), Duration::ZERO);
+        assert_eq!(p.delay_after(31), Duration::ZERO);
     }
 }

@@ -202,8 +202,13 @@ impl Server {
         let _ = std::fs::remove_file(path);
         let listener = UnixListener::bind(path)?;
         listener.set_nonblocking(true)?;
-        let mut conns = Vec::new();
+        let mut conns: Vec<std::thread::JoinHandle<()>> = Vec::new();
         while !self.shutdown.load(Ordering::SeqCst) {
+            // A finished thread keeps its stack mapped until its handle
+            // is joined or dropped: holding every handle until shutdown
+            // would grow the daemon by one stack per connection it ever
+            // accepted. Live ones stay, and are joined below.
+            conns.retain(|c| !c.is_finished());
             match listener.accept() {
                 Ok((stream, _)) => {
                     // An idle client must not pin its connection thread

@@ -52,4 +52,4 @@ pub mod timer;
 pub use profile::{LoopBlock, NodeCost, VmProfile};
 pub use program::{lower, VmError, VmProgram, VmState};
 pub use resolved::ResolveStats;
-pub use timer::{describe_policy, measure, measure_reference, measure_with_reps, Measurement};
+pub use timer::{describe_policy, measure, measure_with_reps, Measurement};

@@ -22,7 +22,7 @@
 //! [`Backend::Scalar`] and the engine runs every loop through the
 //! ordinary scalar body path.
 
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::OnceLock;
 
 /// The widest lane count any backend exposes (AVX: 4 × f64). Plan
@@ -74,20 +74,8 @@ pub fn set_force_scalar(on: bool) {
     FORCE_SCALAR.store(on, Ordering::Relaxed);
 }
 
-/// Lane-width cap applied on top of detection (0 = uncapped).
-static MAX_WIDTH: AtomicUsize = AtomicUsize::new(0);
-
-/// Caps the lane width [`active`] may pick: `Some(2)` demotes AVX to
-/// the width-2 baseline backend, `Some(1)` (or less) forces scalar,
-/// `None` removes the cap. `vmbench` uses this to measure every
-/// width the hardware supports; bit-exactness makes flipping it
-/// mid-process benign.
-pub fn set_max_width(w: Option<usize>) {
-    MAX_WIDTH.store(w.unwrap_or(0), Ordering::Relaxed);
-}
-
 /// Serializes tests (across the crate) that flip the process-wide
-/// overrides above, so concurrent tests cannot observe each other's
+/// override above, so concurrent tests cannot observe each other's
 /// settings.
 #[cfg(test)]
 pub(crate) fn override_lock() -> std::sync::MutexGuard<'static, ()> {
@@ -117,26 +105,14 @@ fn detected() -> Backend {
     })
 }
 
-/// The backend the engine will use right now: the detected one,
-/// narrowed by [`set_max_width`], or [`Backend::Scalar`] when the
-/// fallback is forced.
+/// The backend the engine will use right now: the detected one, or
+/// [`Backend::Scalar`] when the fallback is forced.
 pub fn active() -> Backend {
     if force_scalar() {
-        return Backend::Scalar;
+        Backend::Scalar
+    } else {
+        detected()
     }
-    let det = detected();
-    let cap = MAX_WIDTH.load(Ordering::Relaxed);
-    if cap == 0 {
-        return det;
-    }
-    if cap < 2 {
-        return Backend::Scalar;
-    }
-    #[cfg(target_arch = "x86_64")]
-    if det == Backend::Avx && cap < 4 {
-        return Backend::Sse2;
-    }
-    det
 }
 
 /// The active lane width in f64 elements: 0 (no vector path), 2, or 4.
@@ -468,18 +444,6 @@ mod tests {
         assert_eq!(active(), Backend::Scalar);
         assert_eq!(width(), 0);
         set_force_scalar(before);
-    }
-
-    #[test]
-    fn max_width_caps_the_backend() {
-        let _g = override_lock();
-        set_max_width(Some(1));
-        assert_eq!(active(), Backend::Scalar);
-        set_max_width(Some(2));
-        assert!(width() <= 2);
-        set_max_width(None);
-        let full = width();
-        assert!(full == 0 || full >= 2);
     }
 
     #[cfg(target_arch = "x86_64")]

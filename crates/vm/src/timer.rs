@@ -52,22 +52,20 @@ pub fn describe_policy(tel: &mut Telemetry, min_time: Duration) {
 /// mis-calibrated) program cannot pin the measurement loop for minutes.
 pub const DEFAULT_MAX_REPS: u64 = 1 << 22;
 
-/// Everything a timing loop calls per repetition: `run` over a
-/// deterministic pseudo-random input (so every candidate in a search
-/// sees identical data) with buffers and state reused across calls,
-/// matching how generated library code is used. One call has already
-/// been made when this returns, so cold caches, lazy page faults, and
-/// table initialization don't bias the first timed repetition.
-fn warmed_up<'a>(
-    prog: &'a VmProgram,
-    run: impl Fn(&VmProgram, &[f64], &mut [f64], &mut VmState) + 'a,
-) -> impl FnMut() + 'a {
+/// Everything a timing loop calls per repetition: [`VmProgram::run`]
+/// over a deterministic pseudo-random input (so every candidate in a
+/// search sees identical data) with buffers and state reused across
+/// calls, matching how generated library code is used. One call has
+/// already been made when this returns, so cold caches, lazy page
+/// faults, and table initialization don't bias the first timed
+/// repetition.
+fn warmed_up(prog: &VmProgram) -> impl FnMut() + '_ {
     let x: Vec<f64> = (0..prog.n_in)
         .map(|i| ((i as f64) * 0.7311).sin())
         .collect();
     let mut y = vec![0.0f64; prog.n_out];
     let mut st = VmState::new(prog);
-    let mut call = move || run(prog, &x, &mut y, &mut st);
+    let mut call = move || prog.run(&x, &mut y, &mut st);
     call();
     call
 }
@@ -96,25 +94,14 @@ pub fn measure(prog: &VmProgram, min_time: Duration) -> Measurement {
 /// stops at `max_reps` even if `min_time` has not elapsed, so one
 /// degenerate candidate cannot stall a long search.
 pub fn measure_capped(prog: &VmProgram, min_time: Duration, max_reps: u64) -> Measurement {
-    adaptive(warmed_up(prog, VmProgram::run), min_time, max_reps)
-}
-
-/// Like [`measure`], but forcing execution through the op-at-a-time
-/// reference executor even when the program resolved. This is the
-/// "old engine" baseline of the `vmbench` old-vs-new comparison.
-pub fn measure_reference(prog: &VmProgram, min_time: Duration) -> Measurement {
-    adaptive(
-        warmed_up(prog, VmProgram::run_reference),
-        min_time,
-        DEFAULT_MAX_REPS,
-    )
+    adaptive(warmed_up(prog), min_time, max_reps)
 }
 
 /// Times a program with a fixed repetition count (used by tests and by
 /// the search when a cheap, deterministic-cost estimate is enough),
 /// after the same single warm-up call as the adaptive path.
 pub fn measure_with_reps(prog: &VmProgram, reps: u64) -> Measurement {
-    let mut call = warmed_up(prog, VmProgram::run);
+    let mut call = warmed_up(prog);
     let reps = reps.max(1);
     let start = Instant::now();
     for _ in 0..reps {

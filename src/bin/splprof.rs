@@ -1,7 +1,7 @@
 //! `splprof` — deep profiling of compiled SPL programs.
 //!
-//! Compiles a formula (or the fixed radix-8 FFT benchmark plan of
-//! `vmbench`), executes it through the VM's *profiled* resolved engine,
+//! Compiles a formula (or a fixed radix-8 FFT plan of size 2^k),
+//! executes it through the VM's *profiled* resolved engine,
 //! and reports where the time went: a hot-spot table over dynamic op
 //! classes, per-formula-node time/flop attribution (exact by
 //! telescoping — node self times sum to the whole instrumented run),
@@ -26,8 +26,7 @@ use spl::vm::{VmProfile, VmProgram, VmState};
 const USAGE: &str = "\
 usage: splprof [options]
 
-  --size <k>     profile the fixed radix-8 FFT of size 2^k (default 8),
-                 the same plan vmbench times
+  --size <k>     profile the fixed radix-8 FFT of size 2^k (default 8)
   --formula <file>
                  profile the first formula in <file> instead
   --unroll <n>   fully unroll sub-formulas with input size <= n
@@ -50,7 +49,7 @@ fn fail(msg: &str) -> ExitCode {
     ExitCode::FAILURE
 }
 
-/// The fixed radix-8 factorization of 2^k (kept in sync with vmbench).
+/// The fixed radix-8 factorization of 2^k.
 fn factors(k: u32) -> Vec<usize> {
     let mut rem = k;
     let mut f = Vec::new();
@@ -159,7 +158,7 @@ fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
     Ok(Some(o))
 }
 
-/// Builds the program to profile: either the vmbench plan for 2^k or
+/// Builds the program to profile: either the radix-8 plan for 2^k or
 /// the first formula of a source file.
 fn build_program(o: &Options) -> Result<(VmProgram, String, Option<f64>), String> {
     match &o.formula {
