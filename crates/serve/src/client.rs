@@ -6,8 +6,8 @@ use std::path::Path;
 use std::time::Duration;
 
 use crate::protocol::{
-    encode_request, encode_transform, parse_response, read_frame, write_frame, ProtocolError,
-    Request, Response,
+    encode_request, parse_response, read_frame, transform_head, write_frame, write_samples_frame,
+    ProtocolError, Request, Response,
 };
 
 /// A connected client over any framed byte stream.
@@ -33,7 +33,8 @@ impl<S: Read + Write> Client<S> {
     }
 
     /// Applies the size-`n` complex DFT to `data` (`2n` interleaved
-    /// samples), with an optional deadline.
+    /// samples), with an optional deadline. The request is sent from
+    /// `data` itself, not from an encoded copy of it.
     ///
     /// # Errors
     ///
@@ -47,7 +48,7 @@ impl<S: Read + Write> Client<S> {
         data: &[f64],
     ) -> Result<Response, ProtocolError> {
         let deadline_ms = deadline.map(|d| (d.as_millis().max(1)) as u32);
-        write_frame(&mut self.stream, &encode_transform(n, deadline_ms, data))?;
+        write_samples_frame(&mut self.stream, &transform_head(n, deadline_ms), data)?;
         self.read_response()
     }
 

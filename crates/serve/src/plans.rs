@@ -143,6 +143,11 @@ pub struct PlanEntry {
     /// The factorization this plan executes.
     pub tree: FftTree,
     vm: Arc<VmProgram>,
+    /// Execution states of `vm` between runs, one per run that has ever
+    /// been concurrent with another: building one copies the program's
+    /// tables and zeroes its temporaries, more memory than the run's own
+    /// input and output.
+    vm_states: Mutex<Vec<VmState>>,
     native: Mutex<NativeTier>,
     /// Cache key of the native kernel, for quarantine eviction.
     cache_key: Option<String>,
@@ -155,9 +160,16 @@ impl PlanEntry {
     }
 
     /// Runs the trusted VM tier: always available once the plan exists.
+    /// The run takes an idle execution state, or builds one, and leaves
+    /// it for the next (a run that panics loses its state, no more).
     pub fn run_vm(&self, x: &[f64], y: &mut [f64]) {
-        let mut st = VmState::new(&self.vm);
+        // The lock is held for a pop or a push, never across a run, and
+        // the list is valid between any two of those: poison is no news.
+        let idle = || self.vm_states.lock().unwrap_or_else(|e| e.into_inner());
+        let popped = idle().pop();
+        let mut st = popped.unwrap_or_else(|| VmState::new(&self.vm));
         self.vm.run(x, y, &mut st);
+        idle().push(st);
     }
 }
 
@@ -312,6 +324,7 @@ impl PlanStore {
             n,
             tree,
             vm: Arc::new(vm),
+            vm_states: Mutex::default(),
             native: Mutex::new(native),
             cache_key,
         });
@@ -322,33 +335,56 @@ impl PlanStore {
         Ok(plan)
     }
 
-    /// Executes one request through the degradation chain. The reply is
-    /// bit-identical to the plan's VM output whichever tier serves it.
+    /// Executes one request through the degradation chain, from the
+    /// caller's `x` into the caller's `y`: nothing is allocated for the
+    /// samples, which is what lets a connection serve every request out
+    /// of the same two buffers. `y` is bit-identical to the plan's VM
+    /// output whichever tier the returned [`Tier`] names.
     ///
     /// # Errors
     ///
-    /// Only when even the VM tier cannot run (an internal bug).
+    /// [`ServeError::Internal`] when `x` or `y` is not of the plan's
+    /// input or output length (`y` is then untouched).
+    pub fn run_single_into(
+        &self,
+        plan: &PlanEntry,
+        x: &[f64],
+        y: &mut [f64],
+        chaos: Option<&ChaosInjector>,
+    ) -> Result<Tier, ServeError> {
+        if x.len() != plan.vm.n_in || y.len() != plan.vm.n_out {
+            return Err(ServeError::Internal(format!(
+                "input length {} and output length {} for plan n_in {} n_out {}",
+                x.len(),
+                y.len(),
+                plan.vm.n_in,
+                plan.vm.n_out
+            )));
+        }
+        Ok(match self.try_native(plan, x, y, chaos) {
+            Some(()) => Tier::Native,
+            None => {
+                plan.run_vm(x, y);
+                Tier::Vm
+            }
+        })
+    }
+
+    /// [`run_single_into`](PlanStore::run_single_into) a fresh output
+    /// vector: for callers that have no buffer to reuse.
+    ///
+    /// # Errors
+    ///
+    /// As `run_single_into`.
     pub fn run_single(
         &self,
         plan: &PlanEntry,
         x: &[f64],
         chaos: Option<&ChaosInjector>,
     ) -> Result<(Vec<f64>, Tier), ServeError> {
-        if x.len() != plan.vm.n_in {
-            return Err(ServeError::Internal(format!(
-                "input length {} for plan n_in {}",
-                x.len(),
-                plan.vm.n_in
-            )));
-        }
         let mut y = vec![0.0; plan.vm.n_out];
-        match self.try_native(plan, x, &mut y, chaos) {
-            Some(()) => Ok((y, Tier::Native)),
-            None => {
-                plan.run_vm(x, &mut y);
-                Ok((y, Tier::Vm))
-            }
-        }
+        let tier = self.run_single_into(plan, x, &mut y, chaos)?;
+        Ok((y, tier))
     }
 
     /// Executes `m` same-size requests (`xs` = inputs back to back) as

@@ -29,8 +29,24 @@
 //! Numbers are little-endian (host-order on every supported target);
 //! only the frame length is big-endian, following the usual
 //! network-framing convention.
+//!
+//! # How samples move
+//!
+//! A little-endian `f64` on the wire is an `f64` in memory, so samples
+//! are never converted one by one: all four codec functions
+//! ([`encode_transform`], [`encode_response`], [`parse_request`],
+//! [`parse_response`]) copy them in bulk through a byte view of the
+//! `[f64]` (`as_bytes` / `as_bytes_mut`, the crate's two `unsafe`
+//! lines besides the kernel handle), and the vectored writer
+//! (`write_samples_frame`) and the daemon's reader (`read_request`)
+//! hand that view to the socket, so the samples are not copied in user
+//! space at all. The one thing a big-endian host would add is the byte
+//! swap `to_wire` / `from_wire` apply around the view — `u64::to_le` /
+//! `from_le`, which compile to nothing where host order is wire order;
+//! there is one code path, not one per endianness.
 
-use std::io::{self, IoSlice, Read, Write};
+use std::borrow::Cow;
+use std::io::{self, IoSlice, IoSliceMut, Read, Write};
 
 /// Hard bound on one frame's payload (8 MiB ≈ a size-2¹⁹ complex
 /// transform). Larger lengths are rejected before any allocation.
@@ -217,18 +233,20 @@ pub enum Response {
 pub fn read_frame(r: &mut impl Read) -> Result<Vec<u8>, ProtocolError> {
     let mut len = [0u8; 4];
     read_exact_or(r, &mut len)?;
-    let len = u32::from_be_bytes(len) as usize;
-    if len == 0 {
-        return Err(ProtocolError::EmptyFrame);
-    }
-    if len > MAX_FRAME {
-        return Err(ProtocolError::Oversized {
-            claimed: len as u64,
-        });
-    }
-    let mut payload = vec![0u8; len];
+    let mut payload = vec![0u8; frame_len(len)?];
     read_exact_or(r, &mut payload)?;
     Ok(payload)
+}
+
+/// The payload length a prefix announces, within the frame bounds.
+fn frame_len(prefix: [u8; 4]) -> Result<usize, ProtocolError> {
+    match u32::from_be_bytes(prefix) as usize {
+        0 => Err(ProtocolError::EmptyFrame),
+        len if len > MAX_FRAME => Err(ProtocolError::Oversized {
+            claimed: len as u64,
+        }),
+        len => Ok(len),
+    }
 }
 
 /// Like [`read_frame`], but a clean EOF *before any byte of the length
@@ -243,6 +261,18 @@ pub fn read_frame(r: &mut impl Read) -> Result<Vec<u8>, ProtocolError> {
 /// a frame is still an [`Io`](ProtocolError::Io) error (the offset is
 /// lost).
 pub fn read_frame_or_eof(r: &mut impl Read) -> Result<Option<Vec<u8>>, ProtocolError> {
+    let Some(len) = read_len_or_eof(r)? else {
+        return Ok(None);
+    };
+    let mut payload = vec![0u8; len];
+    read_exact_or(r, &mut payload)?;
+    Ok(Some(payload))
+}
+
+/// The length prefix of the next frame, checked against the frame
+/// bounds; `Ok(None)` and [`ProtocolError::IdleTimeout`] as in
+/// [`read_frame_or_eof`].
+fn read_len_or_eof(r: &mut impl Read) -> Result<Option<usize>, ProtocolError> {
     let mut len = [0u8; 4];
     let mut filled = 0;
     while filled < len.len() {
@@ -263,18 +293,77 @@ pub fn read_frame_or_eof(r: &mut impl Read) -> Result<Option<Vec<u8>>, ProtocolE
             Err(e) => return Err(io_error(e)),
         }
     }
-    let len = u32::from_be_bytes(len) as usize;
-    if len == 0 {
-        return Err(ProtocolError::EmptyFrame);
+    frame_len(len).map(Some)
+}
+
+/// What [`read_request`] found in one frame.
+#[derive(Debug, PartialEq)]
+pub(crate) enum Incoming {
+    /// A transform whose `2n` samples now sit at the front of the
+    /// caller's input buffer.
+    Transform {
+        /// Transform size (number of complex points).
+        n: usize,
+        /// Per-request deadline in milliseconds (`None` = no deadline).
+        deadline_ms: Option<u32>,
+    },
+    /// Any other verb, as [`parse_request`] reads it.
+    Control(Request),
+}
+
+/// Verb, kind, size and deadline of a transform request: what precedes
+/// its samples.
+const TRANSFORM_HEAD: usize = 14;
+
+/// The daemon's reader: the next frame, with a transform's samples read
+/// from the stream *into `input`* instead of into a payload that is
+/// then parsed into a second vector. After the length prefix the whole
+/// frame is taken with one vectored read — the fixed transform head
+/// into a stack array, everything after it into `input`'s bytes — and
+/// only then judged, so every refusal that is
+/// [`recoverable`](ProtocolError::recoverable) leaves the stream on a
+/// frame boundary. Verdicts are those of [`read_frame_or_eof`] followed
+/// by [`parse_request`], error for error (the tests hold the two
+/// against each other).
+///
+/// `input` only grows (and keeps its contents beyond the frame's own
+/// samples): bounding what a connection keeps is the caller's business.
+pub(crate) fn read_request(
+    r: &mut impl Read,
+    input: &mut Vec<f64>,
+) -> Result<Option<Incoming>, ProtocolError> {
+    let Some(len) = read_len_or_eof(r)? else {
+        return Ok(None);
+    };
+    let mut head = [0u8; TRANSFORM_HEAD];
+    let head_len = len.min(TRANSFORM_HEAD);
+    let body_len = len - head_len;
+    let room = body_len.div_ceil(8);
+    if input.len() < room {
+        input.resize(room, 0.0);
     }
-    if len > MAX_FRAME {
-        return Err(ProtocolError::Oversized {
-            claimed: len as u64,
-        });
+    let body = &mut as_bytes_mut(input)[..body_len];
+    let mut got = 0;
+    while got < len {
+        let mut parts = [
+            IoSliceMut::new(&mut head[got.min(head_len)..head_len]),
+            IoSliceMut::new(&mut body[got.saturating_sub(head_len)..]),
+        ];
+        match r.read_vectored(&mut parts) {
+            Ok(0) => return Err(ProtocolError::Truncated),
+            Ok(k) => got += k,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(io_error(e)),
+        }
     }
-    let mut payload = vec![0u8; len];
-    read_exact_or(r, &mut payload)?;
-    Ok(Some(payload))
+    let head = &head[..head_len];
+    if head[0] != b'T' {
+        // Control verbs carry nothing: the verb byte decides.
+        return parse_request(head).map(|request| Some(Incoming::Control(request)));
+    }
+    let (n, deadline_ms) = check_transform_head(&head[1..], body_len)?;
+    from_wire(&mut input[..2 * n]);
+    Ok(Some(Incoming::Transform { n, deadline_ms }))
 }
 
 /// Writes one length-prefixed frame.
@@ -284,25 +373,50 @@ pub fn read_frame_or_eof(r: &mut impl Read) -> Result<Option<Vec<u8>>, ProtocolE
 /// [`ProtocolError::Io`] on transport failure; payloads over
 /// [`MAX_FRAME`] are a caller bug reported as `Oversized`.
 pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> Result<(), ProtocolError> {
-    if payload.is_empty() {
+    write_parts(w, payload, &[])
+}
+
+/// Writes one frame whose payload is `head` followed by `samples` in
+/// wire order — a transform request or an OK transform reply — from
+/// where the samples lie: the frame [`write_frame`] would send for the
+/// encoded payload, without building that payload.
+///
+/// # Errors
+///
+/// As [`write_frame`].
+pub(crate) fn write_samples_frame(
+    w: &mut impl Write,
+    head: &[u8],
+    samples: &[f64],
+) -> Result<(), ProtocolError> {
+    write_parts(w, head, as_bytes(&to_wire(samples)))
+}
+
+/// One frame, its payload given in two parts.
+fn write_parts(w: &mut impl Write, head: &[u8], tail: &[u8]) -> Result<(), ProtocolError> {
+    let payload_len = head.len() + tail.len();
+    if payload_len == 0 {
         return Err(ProtocolError::EmptyFrame);
     }
-    if payload.len() > MAX_FRAME {
+    if payload_len > MAX_FRAME {
         return Err(ProtocolError::Oversized {
-            claimed: payload.len() as u64,
+            claimed: payload_len as u64,
         });
     }
     // Prefix and payload leave in one vectored write: sent as two, the
     // peer is woken by the prefix, blocks again for the payload and is
     // woken a second time. `sent` counts bytes of the prefix + payload
     // sequence the sink has accepted; a short write resumes from there.
-    let len = (payload.len() as u32).to_be_bytes();
+    let len = (payload_len as u32).to_be_bytes();
+    let parts = [&len[..], head, tail];
     let mut sent = 0;
-    while sent < len.len() + payload.len() {
-        let bufs = [
-            IoSlice::new(&len[sent.min(len.len())..]),
-            IoSlice::new(&payload[sent.saturating_sub(len.len())..]),
-        ];
+    while sent < len.len() + payload_len {
+        let mut skip = sent;
+        let bufs = parts.map(|part| {
+            let k = skip.min(part.len());
+            skip -= k;
+            IoSlice::new(&part[k..])
+        });
         match w.write_vectored(&bufs) {
             Ok(0) => return Err(io_error(io::ErrorKind::WriteZero.into())),
             Ok(k) => sent += k,
@@ -311,6 +425,53 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> Result<(), ProtocolErr
         }
     }
     w.flush().map_err(io_error)
+}
+
+/// The bytes of `samples`, in host order.
+fn as_bytes(samples: &[f64]) -> &[u8] {
+    // SAFETY: the view covers exactly the slice's own memory
+    // (`size_of_val` bytes from its pointer, for its lifetime), `u8`
+    // has no alignment requirement, and an `f64` has no padding: every
+    // one of its bytes is initialised.
+    unsafe { std::slice::from_raw_parts(samples.as_ptr().cast(), std::mem::size_of_val(samples)) }
+}
+
+/// The bytes of `samples`, writable: whatever lands there is a sample.
+fn as_bytes_mut(samples: &mut [f64]) -> &mut [u8] {
+    // SAFETY: as `as_bytes`, and the exclusive borrow is handed on, not
+    // duplicated; any eight bytes are a valid `f64`, so no write through
+    // the view can leave the slice holding an invalid value.
+    unsafe {
+        std::slice::from_raw_parts_mut(samples.as_mut_ptr().cast(), std::mem::size_of_val(samples))
+    }
+}
+
+/// `samples` as the wire wants their bytes: themselves on a
+/// little-endian host, a byte-swapped copy on a big-endian one.
+fn to_wire(samples: &[f64]) -> Cow<'_, [f64]> {
+    if cfg!(target_endian = "little") {
+        Cow::Borrowed(samples)
+    } else {
+        let swap = |v: &f64| f64::from_bits(v.to_bits().to_le());
+        Cow::Owned(samples.iter().map(swap).collect())
+    }
+}
+
+/// Turns samples whose bytes came off the wire into host order, in
+/// place (nothing to do on a little-endian host).
+fn from_wire(samples: &mut [f64]) {
+    for v in samples {
+        *v = f64::from_bits(u64::from_le(v.to_bits()));
+    }
+}
+
+/// A vector of the samples whose wire bytes are `body` (a multiple of
+/// eight long).
+fn samples_from_wire(body: &[u8]) -> Vec<f64> {
+    let mut samples = vec![0.0; body.len() / 8];
+    as_bytes_mut(&mut samples).copy_from_slice(body);
+    from_wire(&mut samples);
+    samples
 }
 
 fn read_exact_or(r: &mut impl Read, buf: &mut [u8]) -> Result<(), ProtocolError> {
@@ -346,16 +507,34 @@ pub fn parse_request(payload: &[u8]) -> Result<Request, ProtocolError> {
 }
 
 fn parse_transform(rest: &[u8]) -> Result<Request, ProtocolError> {
-    // kind(1) + n(8) + deadline(4)
-    if rest.len() < 13 {
+    let fixed = rest.len().min(TRANSFORM_HEAD - 1);
+    let (n, deadline_ms) = check_transform_head(&rest[..fixed], rest.len() - fixed)?;
+    Ok(Request::Transform {
+        kind: KIND_DFT,
+        n,
+        deadline_ms,
+        data: samples_from_wire(&rest[fixed..]),
+    })
+}
+
+/// Validates a transform request from what follows its verb byte —
+/// `head`, as much of kind(1) + n(8) + deadline(4) as the frame held —
+/// and the number of bytes after that. The one place the checks and
+/// their order live: [`parse_request`] and [`read_request`] both come
+/// through here.
+fn check_transform_head(
+    head: &[u8],
+    body_len: usize,
+) -> Result<(usize, Option<u32>), ProtocolError> {
+    if head.len() < TRANSFORM_HEAD - 1 {
         return Err(ProtocolError::ShortHeader);
     }
-    let kind = rest[0];
+    let kind = head[0];
     if kind != KIND_DFT {
         return Err(ProtocolError::BadKind(kind));
     }
-    let n = u64::from_le_bytes(rest[1..9].try_into().expect("8 bytes"));
-    let deadline_ms = u32::from_le_bytes(rest[9..13].try_into().expect("4 bytes"));
+    let n = u64::from_le_bytes(head[1..9].try_into().expect("8 bytes"));
+    let deadline_ms = u32::from_le_bytes(head[9..13].try_into().expect("4 bytes"));
     // 2n f64 samples must fit the remaining payload exactly. Guard the
     // multiplication: a hostile n must not overflow before the check.
     let samples = n
@@ -365,24 +544,13 @@ fn parse_transform(rest: &[u8]) -> Result<Request, ProtocolError> {
     if n == 0 {
         return Err(ProtocolError::BadSize(0));
     }
-    let body = &rest[13..];
-    let expected = (samples as usize) * 8;
-    if body.len() != expected {
+    if body_len != (samples as usize) * 8 {
         return Err(ProtocolError::LengthMismatch {
             expected: samples as usize,
-            got: body.len(),
+            got: body_len,
         });
     }
-    let data = body
-        .chunks_exact(8)
-        .map(|c| f64::from_le_bytes(c.try_into().expect("8 bytes")))
-        .collect();
-    Ok(Request::Transform {
-        kind,
-        n: n as usize,
-        deadline_ms: (deadline_ms != 0).then_some(deadline_ms),
-        data,
-    })
+    Ok((n as usize, (deadline_ms != 0).then_some(deadline_ms)))
 }
 
 /// Encodes a request into a frame payload.
@@ -409,15 +577,20 @@ pub fn encode_request(req: &Request) -> Vec<u8> {
 /// samples: the payload [`encode_request`] builds for the same
 /// [`Request::Transform`], without a `Request` to own a copy of `data`.
 pub fn encode_transform(n: usize, deadline_ms: Option<u32>, data: &[f64]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(14 + data.len() * 8);
-    out.push(b'T');
-    out.push(KIND_DFT);
-    out.extend_from_slice(&(n as u64).to_le_bytes());
-    out.extend_from_slice(&deadline_ms.unwrap_or(0).to_le_bytes());
-    for v in data {
-        out.extend_from_slice(&v.to_le_bytes());
-    }
+    let mut out = Vec::with_capacity(TRANSFORM_HEAD + data.len() * 8);
+    out.extend_from_slice(&transform_head(n, deadline_ms));
+    out.extend_from_slice(as_bytes(&to_wire(data)));
     out
+}
+
+/// What precedes the samples of a complex-DFT transform request.
+pub(crate) fn transform_head(n: usize, deadline_ms: Option<u32>) -> [u8; TRANSFORM_HEAD] {
+    let mut head = [0u8; TRANSFORM_HEAD];
+    head[0] = b'T';
+    head[1] = KIND_DFT;
+    head[2..10].copy_from_slice(&(n as u64).to_le_bytes());
+    head[10..].copy_from_slice(&deadline_ms.unwrap_or(0).to_le_bytes());
+    head
 }
 
 /// Encodes a response into a frame payload.
@@ -427,9 +600,7 @@ pub fn encode_response(resp: &Response) -> Vec<u8> {
             let mut out = Vec::with_capacity(2 + data.len() * 8);
             out.push(b'K');
             out.push(tier.to_byte());
-            for v in data {
-                out.extend_from_slice(&v.to_le_bytes());
-            }
+            out.extend_from_slice(as_bytes(&to_wire(data)));
             out
         }
         Response::Text(text) => {
@@ -482,10 +653,7 @@ pub fn parse_response(payload: &[u8]) -> Result<Response, ProtocolError> {
                     got: body.len(),
                 });
             }
-            let data = body
-                .chunks_exact(8)
-                .map(|c| f64::from_le_bytes(c.try_into().expect("8 bytes")))
-                .collect();
+            let data = samples_from_wire(body);
             Ok(Response::Transformed { tier, data })
         }
         other => Err(ProtocolError::BadVerb(other)),
@@ -656,11 +824,402 @@ mod tests {
                 deadline_ms,
                 data: data.clone(),
             };
-            assert_eq!(
-                encode_transform(8, deadline_ms, &data),
-                encode_request(&req)
-            );
+            let payload = encode_transform(8, deadline_ms, &data);
+            assert_eq!(payload, encode_request(&req));
+            // The vectored form puts the frame of that payload on the wire.
+            let (mut framed, mut vectored) = (Vec::new(), Vec::new());
+            write_frame(&mut framed, &payload).unwrap();
+            write_samples_frame(&mut vectored, &transform_head(8, deadline_ms), &data).unwrap();
+            assert_eq!(vectored, framed);
         }
+    }
+
+    #[test]
+    fn a_samples_frame_survives_short_and_interrupted_writes() {
+        let data: Vec<f64> = (0..2048).map(|i| (i as f64 * 0.37).sin()).collect();
+        let reply = Response::Transformed {
+            tier: Tier::Native,
+            data: data.clone(),
+        };
+        let mut framed = Vec::new();
+        write_frame(&mut framed, &encode_response(&reply)).unwrap();
+        // Steps that end inside the prefix, the head and the samples.
+        for (step, interrupt) in [(1, false), (5, false), (4099, false), (3, true)] {
+            let mut sink = Trickle::new(step, interrupt);
+            write_samples_frame(&mut sink, b"Kn", &data).unwrap();
+            assert_eq!(sink.got, framed, "step {step}");
+        }
+        let mut sink = WriteOnly(Vec::new());
+        write_samples_frame(&mut sink, b"Kn", &data).unwrap();
+        assert_eq!(sink.0, framed);
+        let mut sink = Trickle::new(usize::MAX, false);
+        write_samples_frame(&mut sink, b"Kn", &data).unwrap();
+        assert_eq!(
+            sink.calls, 1,
+            "prefix, head and samples must leave together"
+        );
+    }
+
+    /// Samples a bulk copy could only get right by copying bits: NaNs
+    /// with payloads (quiet, signalling, negative), −0.0, subnormals,
+    /// infinities, and the extremes.
+    fn awkward_samples() -> Vec<f64> {
+        let mut v: Vec<f64> = [
+            0x7ff8_dead_beef_0001u64,
+            0x7ff0_0000_0000_0001,
+            0xfff8_0000_0000_0000,
+            0xffff_ffff_ffff_ffff,
+            0x8000_0000_0000_0000,
+            0x0000_0000_0000_0001,
+            0x800f_ffff_ffff_ffff,
+            0x0102_0304_0506_0708,
+        ]
+        .into_iter()
+        .map(f64::from_bits)
+        .collect();
+        v.extend([
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::MAX,
+            f64::MIN_POSITIVE,
+        ]);
+        v.extend([0.0, 1.0, -2.5, std::f64::consts::PI]);
+        v
+    }
+
+    fn bits(samples: &[f64]) -> Vec<u64> {
+        samples.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// The wire bytes of `samples`, one `to_le_bytes` at a time.
+    fn per_element_bytes(samples: &[f64]) -> Vec<u8> {
+        samples.iter().flat_map(|v| v.to_le_bytes()).collect()
+    }
+
+    #[test]
+    fn bulk_codec_is_bitwise_the_per_element_codec() {
+        let data = awkward_samples();
+        let n = data.len() / 2;
+        let wire = per_element_bytes(&data);
+        let one_by_one: Vec<u64> = wire
+            .chunks_exact(8)
+            .map(|c| f64::from_le_bytes(c.try_into().unwrap()).to_bits())
+            .collect();
+        assert_eq!(one_by_one, bits(&data));
+
+        // encode_transform / parse_request
+        let mut request = vec![b'T', KIND_DFT];
+        request.extend_from_slice(&(n as u64).to_le_bytes());
+        request.extend_from_slice(&7u32.to_le_bytes());
+        request.extend_from_slice(&wire);
+        assert_eq!(encode_transform(n, Some(7), &data), request);
+        match parse_request(&request).unwrap() {
+            Request::Transform {
+                n: got_n,
+                deadline_ms,
+                data: got,
+                ..
+            } => {
+                assert_eq!((got_n, deadline_ms), (n, Some(7)));
+                assert_eq!(bits(&got), one_by_one);
+            }
+            other => panic!("parsed {other:?}"),
+        }
+
+        // encode_response / parse_response
+        let mut reply = vec![b'K', b'v'];
+        reply.extend_from_slice(&wire);
+        let encoded = encode_response(&Response::Transformed {
+            tier: Tier::Vm,
+            data: data.clone(),
+        });
+        assert_eq!(encoded, reply);
+        match parse_response(&reply).unwrap() {
+            Response::Transformed { tier, data: got } => {
+                assert_eq!(tier, Tier::Vm);
+                assert_eq!(bits(&got), one_by_one);
+            }
+            other => panic!("parsed {other:?}"),
+        }
+
+        // The byte views themselves, both directions, at an odd offset
+        // into a larger buffer (a reply is the front of a grown one).
+        assert_eq!(as_bytes(&data[1..]), &wire[8..]);
+        let mut into = vec![f64::NAN; data.len() + 3];
+        as_bytes_mut(&mut into[2..2 + data.len()]).copy_from_slice(&wire);
+        assert_eq!(bits(&into[2..2 + data.len()]), one_by_one);
+        assert!(into[..2]
+            .iter()
+            .chain(&into[2 + data.len()..])
+            .all(|v| v.is_nan()));
+    }
+
+    /// A source that yields at most `step` bytes per call — across the
+    /// buffers of a vectored read when `vectored`, else into the first
+    /// non-empty one, as `Read`'s default does — and, when `interrupt`
+    /// is set, fails every other call with `Interrupted`.
+    struct TrickleRead<'a> {
+        data: &'a [u8],
+        step: usize,
+        vectored: bool,
+        interrupt: bool,
+        calls: usize,
+    }
+
+    impl<'a> TrickleRead<'a> {
+        fn new(data: &'a [u8], step: usize, vectored: bool, interrupt: bool) -> Self {
+            TrickleRead {
+                data,
+                step,
+                vectored,
+                interrupt,
+                calls: 0,
+            }
+        }
+    }
+
+    impl Read for TrickleRead<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            self.read_vectored(&mut [IoSliceMut::new(buf)])
+        }
+
+        fn read_vectored(&mut self, bufs: &mut [IoSliceMut<'_>]) -> io::Result<usize> {
+            self.calls += 1;
+            if self.interrupt && self.calls % 2 == 1 {
+                return Err(io::ErrorKind::Interrupted.into());
+            }
+            let mut left = self.step;
+            for buf in bufs.iter_mut() {
+                let k = buf.len().min(left).min(self.data.len());
+                buf[..k].copy_from_slice(&self.data[..k]);
+                self.data = &self.data[k..];
+                left -= k;
+                if k > 0 && !self.vectored {
+                    break;
+                }
+            }
+            Ok(self.step - left)
+        }
+    }
+
+    /// `len ‖ payload`, the length as given (it may lie).
+    fn raw_frame(len: u32, payload: &[u8]) -> Vec<u8> {
+        let mut frame = len.to_be_bytes().to_vec();
+        frame.extend_from_slice(payload);
+        frame
+    }
+
+    fn framed(payload: &[u8]) -> Vec<u8> {
+        raw_frame(payload.len() as u32, payload)
+    }
+
+    /// A transform payload with every field settable to nonsense: `body`
+    /// bytes of samples follow the header whatever `n` says.
+    fn transform_payload(kind: u8, n: u64, deadline_ms: u32, body: usize) -> Vec<u8> {
+        let mut payload = vec![b'T', kind];
+        payload.extend_from_slice(&n.to_le_bytes());
+        payload.extend_from_slice(&deadline_ms.to_le_bytes());
+        payload.extend((0..body).map(|i| (i * 29 % 253) as u8));
+        payload
+    }
+
+    /// Frames a daemon must answer the way it always has: valid
+    /// transforms, every refused header, control verbs with and without
+    /// trailing bytes, and the lengths that end a connection.
+    fn reader_corpus() -> Vec<(&'static str, Vec<u8>)> {
+        let valid = |n: usize, deadline_ms| {
+            let data: Vec<f64> = (0..2 * n).map(|i| (i as f64 * 0.61).cos() * 3.0).collect();
+            framed(&encode_transform(n, deadline_ms, &data))
+        };
+        let awkward = awkward_samples();
+        let mut corpus = vec![
+            ("valid n=1", valid(1, None)),
+            ("valid n=64 with a deadline", valid(64, Some(250))),
+            ("valid n=16384", valid(16384, None)),
+            (
+                "valid, awkward samples",
+                framed(&encode_transform(awkward.len() / 2, None, &awkward)),
+            ),
+            (
+                "bad kind, full body",
+                framed(&transform_payload(b'Q', 4, 0, 64)),
+            ),
+            ("n = 0", framed(&transform_payload(KIND_DFT, 0, 0, 0))),
+            (
+                "n = 0 with a body",
+                framed(&transform_payload(KIND_DFT, 0, 0, 32)),
+            ),
+            (
+                "n = 2^63",
+                framed(&transform_payload(KIND_DFT, 1 << 63, 0, 16)),
+            ),
+            (
+                "n beyond a frame",
+                framed(&transform_payload(KIND_DFT, 1 << 20, 0, 16)),
+            ),
+            (
+                "short header, 13 bytes",
+                framed(&transform_payload(KIND_DFT, 4, 0, 0)[..13]),
+            ),
+            ("short header, verb alone", framed(b"T")),
+            ("bad kind in a short header", framed(b"TQ")),
+            ("health", framed(b"H")),
+            ("health with 20 trailing bytes", framed(&[b'H'; 21])),
+            ("stats with a long tail", framed(&[b'S'; 4000])),
+            ("drain", framed(b"D")),
+            ("reload", framed(b"W")),
+            ("unknown verb", framed(&[b'Z', 1, 2, 3])),
+            ("unknown verb, long", framed(&[0xee; 777])),
+            (
+                "truncated body",
+                raw_frame(14 + 64, &transform_payload(KIND_DFT, 4, 0, 40)),
+            ),
+            ("truncated header", raw_frame(14 + 64, b"TF\x04")),
+            ("zero length", raw_frame(0, b"")),
+            ("oversized length", raw_frame(MAX_FRAME as u32 + 1, b"T")),
+        ];
+        for (label, body) in [
+            ("one byte short", 63),
+            ("one byte long", 65),
+            ("a sample short", 56),
+            ("a sample long", 72),
+        ] {
+            corpus.push((label, framed(&transform_payload(KIND_DFT, 4, 9, body))));
+        }
+        corpus
+    }
+
+    /// What a reader made of one frame: the request (samples as bits, so
+    /// NaNs compare), end of stream, or the typed error.
+    type Verdict = Result<Option<(Request, Vec<u64>)>, ProtocolError>;
+
+    /// The reader the daemon used to have: a payload vector, parsed into
+    /// a request that owns a second one.
+    fn read_by_parsing(r: &mut impl Read) -> Verdict {
+        let Some(payload) = read_frame_or_eof(r)? else {
+            return Ok(None);
+        };
+        let mut request = parse_request(&payload)?;
+        let sample_bits = match &mut request {
+            Request::Transform { data, .. } => bits(&std::mem::take(data)),
+            _ => Vec::new(),
+        };
+        Ok(Some((request, sample_bits)))
+    }
+
+    /// The reader it has: samples land in `input`.
+    fn read_in_place(r: &mut impl Read, input: &mut Vec<f64>) -> Verdict {
+        Ok(match read_request(r, input)? {
+            None => None,
+            Some(Incoming::Control(request)) => Some((request, Vec::new())),
+            Some(Incoming::Transform { n, deadline_ms }) => {
+                let request = Request::Transform {
+                    kind: KIND_DFT,
+                    n,
+                    deadline_ms,
+                    data: Vec::new(),
+                };
+                Some((request, bits(&input[..2 * n])))
+            }
+        })
+    }
+
+    #[test]
+    fn the_in_place_reader_judges_every_frame_as_parsing_does() {
+        let follower: Vec<f64> = (0..16).map(|i| i as f64 - 7.5).collect();
+        let follower_frame = framed(&encode_transform(8, Some(3), &follower));
+        let sources: [(usize, bool, bool); 6] = [
+            (usize::MAX, true, false),
+            (1, true, false),
+            (7, true, false),
+            (5, false, false),
+            (usize::MAX, false, true),
+            (11, true, true),
+        ];
+        // One input buffer for the whole corpus, as one connection has:
+        // what an earlier frame left in it must never show.
+        let mut input = Vec::new();
+        for (label, frame) in reader_corpus() {
+            // A frame cut short ends its stream: nothing can follow it.
+            let mut stream = frame.clone();
+            if !label.starts_with("truncated") {
+                stream.extend_from_slice(&follower_frame);
+            }
+            let want = read_by_parsing(&mut stream.as_slice());
+            let served = matches!(want, Ok(Some((Request::Transform { .. }, _))));
+            assert_eq!(served, label.starts_with("valid"), "{label}: {want:?}");
+            if label.starts_with("truncated") {
+                assert_eq!(want, Err(ProtocolError::Truncated), "{label}");
+            }
+            for (step, vectored, interrupt) in sources {
+                let case =
+                    format!("{label}, step {step}, vectored {vectored}, interrupt {interrupt}");
+                let mut old = TrickleRead::new(&stream, step, vectored, interrupt);
+                assert_eq!(read_by_parsing(&mut old), want, "{case}: the old reader");
+                let mut new = TrickleRead::new(&stream, step, vectored, interrupt);
+                assert_eq!(read_in_place(&mut new, &mut input), want, "{case}");
+                if want.as_ref().is_err_and(|e| !e.recoverable()) {
+                    continue;
+                }
+                // The frame was consumed, no more and no less: the next
+                // one reads, and then the stream ends cleanly.
+                assert_eq!(new.data.len(), follower_frame.len(), "{case}");
+                match read_in_place(&mut new, &mut input) {
+                    Ok(Some((
+                        Request::Transform {
+                            n: 8,
+                            deadline_ms: Some(3),
+                            ..
+                        },
+                        got,
+                    ))) => {
+                        assert_eq!(got, bits(&follower), "{case}: the follower's samples")
+                    }
+                    other => panic!("{case}: the follower read as {other:?}"),
+                }
+                assert_eq!(read_in_place(&mut new, &mut input), Ok(None), "{case}");
+            }
+        }
+        // The largest frame of the corpus sized the buffer, nothing more.
+        assert_eq!(input.len(), 2 * 16384);
+    }
+
+    #[test]
+    fn a_frame_the_source_has_whole_is_two_reads() {
+        let data: Vec<f64> = (0..128).map(|i| i as f64).collect();
+        let stream = framed(&encode_transform(64, None, &data));
+        let mut source = TrickleRead::new(&stream, usize::MAX, true, false);
+        let mut input = Vec::new();
+        let got = read_request(&mut source, &mut input).unwrap();
+        assert_eq!(
+            got,
+            Some(Incoming::Transform {
+                n: 64,
+                deadline_ms: None
+            })
+        );
+        assert_eq!(
+            source.calls, 2,
+            "the length, then head and samples together"
+        );
+        assert_eq!(input, data);
+    }
+
+    #[test]
+    fn idle_timeout_and_eof_between_frames_are_not_errors() {
+        struct TimesOut;
+        impl Read for TimesOut {
+            fn read(&mut self, _: &mut [u8]) -> io::Result<usize> {
+                Err(io::ErrorKind::WouldBlock.into())
+            }
+        }
+        let mut input = Vec::new();
+        assert_eq!(
+            read_request(&mut TimesOut, &mut input),
+            Err(ProtocolError::IdleTimeout)
+        );
+        assert_eq!(read_request(&mut io::empty(), &mut input), Ok(None));
+        assert!(input.is_empty(), "nothing read, nothing kept");
     }
 
     #[test]

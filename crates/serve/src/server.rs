@@ -1,7 +1,11 @@
 //! The daemon proper: admission, batching, deadlines, drain.
 //!
-//! Connection threads parse frames, *admit* transform jobs into one
-//! bounded queue — and execute them: there is no worker pool. A job's
+//! Connection threads read frames, *admit* transform jobs into one
+//! bounded queue — and execute them: there is no worker pool. A
+//! transform's samples are read from the socket into the connection's
+//! input buffer, the kernel writes the connection's output buffer, and
+//! the reply is written from there: two buffers per connection that
+//! only grow, no per-request allocation, no copy in between. A job's
 //! *owner*, the thread that admitted it, stays until the job's reply
 //! slot is filled; while fewer than `workers` batches are executing it
 //! pops the *front* job (its own or an older one), opportunistically
@@ -37,8 +41,8 @@ use spl_telemetry::Telemetry;
 use crate::chaos::{ChaosConfig, ChaosInjector};
 use crate::plans::{PlanStore, PlanStoreOptions, ServeError};
 use crate::protocol::{
-    encode_response, parse_request, read_frame_or_eof, write_frame, ProtocolError, Request,
-    Response, Tier,
+    encode_response, read_request, write_frame, write_samples_frame, Incoming, ProtocolError,
+    Request, Response, Tier,
 };
 
 /// Everything configurable about one daemon instance.
@@ -90,14 +94,48 @@ impl Default for ServerConfig {
     }
 }
 
+/// A connection's sample buffers: a request's samples are the front of
+/// `input`, its reply the front of `output`. Both only grow — what lies
+/// beyond the current request's lengths is an earlier request's and is
+/// never sent — up to `2 · max_size` samples each (see
+/// [`Server::serve_connection`]).
+#[derive(Default)]
+struct Buffers {
+    input: Vec<f64>,
+    output: Vec<f64>,
+}
+
+/// How a transform request ended.
+enum Outcome {
+    /// The reply is the first `n_out` samples of the owner's output
+    /// buffer.
+    Transformed { tier: Tier, n_out: usize },
+    /// Refused, cancelled or failed: a reply without samples.
+    Other(Response),
+}
+
 /// One admitted transform job.
 struct Job {
     n: usize,
-    data: Vec<f64>,
+    /// The owner's buffers, which travel with the job — its executor may
+    /// be another connection's thread — and return through `reply`.
+    bufs: Buffers,
     deadline: Option<Instant>,
     admitted: Instant,
-    /// Where the job's executor leaves the reply for the job's owner.
-    reply: Arc<Mutex<Option<Response>>>,
+    /// Where the job's executor leaves the outcome, and the buffers, for
+    /// the job's owner.
+    reply: Arc<Mutex<Option<(Outcome, Buffers)>>>,
+}
+
+impl Job {
+    /// Answers the job, unless it is answered already.
+    fn answer(&mut self, outcome: Outcome) {
+        // Also called from a `Drop`: must not panic. Behind a poisoned
+        // slot the owner has panicked too and no one is left to read it.
+        if let Ok(mut reply) = self.reply.lock() {
+            reply.get_or_insert_with(|| (outcome, std::mem::take(&mut self.bufs)));
+        }
+    }
 }
 
 #[derive(Default)]
@@ -125,13 +163,11 @@ struct ExecutionSlot<'a> {
 impl Drop for ExecutionSlot<'_> {
     fn drop(&mut self) {
         // Must not panic; behind a poisoned lock no one is left to wake.
-        for job in &self.jobs {
-            if let Ok(mut reply) = job.reply.lock() {
-                reply.get_or_insert_with(|| Response::Error {
-                    class: b'i',
-                    message: "the executor panicked before answering".into(),
-                });
-            }
+        for job in &mut self.jobs {
+            job.answer(Outcome::Other(Response::Error {
+                class: b'i',
+                message: "the executor panicked before answering".into(),
+            }));
         }
         if let Ok(mut q) = self.server.queue.lock() {
             q.executing -= 1;
@@ -263,11 +299,22 @@ impl Server {
     /// answered (typed) when the stream still has integrity, and close
     /// the connection when it does not; they never take the daemon
     /// down.
+    ///
+    /// The connection owns one [`Buffers`] for its lifetime. A frame is
+    /// read whole before it is judged, so a frame of any admissible
+    /// length lands in the input buffer; one that grew it past what the
+    /// largest servable transform needs is answered (it is refused) and
+    /// the buffer dropped, so an idle connection holds at most
+    /// `2 · 16 · max_size` bytes of samples.
     fn serve_connection(self: &Arc<Server>, r: &mut impl Read, w: &mut impl Write) {
+        let mut bufs = Buffers::default();
         loop {
-            let payload = match read_frame_or_eof(r) {
+            if bufs.input.len() > self.config.max_size.saturating_mul(2) {
+                bufs.input = Vec::new();
+            }
+            let incoming = match read_request(r, &mut bufs.input) {
                 Ok(None) => return, // clean disconnect
-                Ok(Some(p)) => p,
+                Ok(Some(incoming)) => incoming,
                 Err(ProtocolError::IdleTimeout) => {
                     // Idle connection: keep waiting unless the daemon is
                     // going away under us.
@@ -280,22 +327,28 @@ impl Server {
                     self.count("spld.protocol_errors");
                     // A lost stream offset (oversized/truncated) cannot
                     // be answered reliably; try once, then close.
-                    let _ = self.reply_protocol_error(w, &err);
-                    return;
-                }
-            };
-            let request = match parse_request(&payload) {
-                Ok(req) => req,
-                Err(err) => {
-                    self.count("spld.protocol_errors");
                     if self.reply_protocol_error(w, &err).is_err() || !err.recoverable() {
                         return;
                     }
                     continue;
                 }
             };
-            let (response, drain_after) = self.dispatch(request);
-            if write_frame(w, &encode_response(&response)).is_err() {
+            let (written, drain_after) = match incoming {
+                Incoming::Transform { n, deadline_ms } => {
+                    let written = match self.admit(n, &mut bufs, deadline_ms) {
+                        Outcome::Transformed { tier, n_out } => {
+                            write_samples_frame(w, &[b'K', tier.to_byte()], &bufs.output[..n_out])
+                        }
+                        Outcome::Other(response) => write_frame(w, &encode_response(&response)),
+                    };
+                    (written, false)
+                }
+                Incoming::Control(request) => {
+                    let (response, drain_after) = self.control(request);
+                    (write_frame(w, &encode_response(&response)), drain_after)
+                }
+            };
+            if written.is_err() {
                 // Mid-flight disconnect: the work is already done; drop
                 // the reply and the connection.
                 self.count("spld.disconnects");
@@ -322,9 +375,9 @@ impl Server {
         )
     }
 
-    /// Routes one parsed request. The bool asks the connection loop to
+    /// Answers a control verb. The bool asks the connection loop to
     /// finish the daemon's shutdown after the reply is written (drain).
-    fn dispatch(self: &Arc<Server>, request: Request) -> (Response, bool) {
+    fn control(self: &Arc<Server>, request: Request) -> (Response, bool) {
         match request {
             Request::Health => (
                 Response::Text(format!(
@@ -356,12 +409,15 @@ impl Server {
                     ),
                 }
             }
-            Request::Transform {
-                n,
-                data,
-                deadline_ms,
-                ..
-            } => (self.admit(n, data, deadline_ms), false),
+            // `read_request` hands transforms over as samples in the
+            // connection's buffer, never as a `Request` that owns them.
+            Request::Transform { .. } => (
+                Response::Error {
+                    class: b'i',
+                    message: "a transform reached the control path".into(),
+                },
+                false,
+            ),
         }
     }
 
@@ -371,28 +427,32 @@ impl Server {
     /// owner parks only while `workers` batches are executing or the
     /// queue is empty (its job is inside a batch), so a slot release
     /// finds an empty queue or an owner to wake: no job is stranded.
-    fn admit(&self, n: usize, data: Vec<f64>, deadline_ms: Option<u32>) -> Response {
+    ///
+    /// The request's samples are `bufs.input[..2n]`. `bufs` goes with the
+    /// job and is back in place on return, whoever executed it; after
+    /// [`Outcome::Transformed`] the reply is the front of `bufs.output`.
+    fn admit(&self, n: usize, bufs: &mut Buffers, deadline_ms: Option<u32>) -> Outcome {
         self.count("spld.requests");
-        if data.len() != 2 * n {
-            return Response::Error {
+        if bufs.input.len() < 2 * n {
+            return Outcome::Other(Response::Error {
                 class: b'p',
-                message: format!("{} samples for size {n}", data.len()),
-            };
+                message: format!("{} samples for size {n}", bufs.input.len()),
+            });
         }
         let admitted = Instant::now();
         let deadline = deadline_ms.map(|ms| admitted + Duration::from_millis(u64::from(ms)));
         let reply = Arc::new(Mutex::new(None));
         let mut q = self.queue.lock().unwrap();
         if q.draining {
-            return Response::Draining;
+            return Outcome::Other(Response::Draining);
         }
         if q.jobs.len() >= self.config.queue_cap {
             self.count("spld.shed");
-            return Response::Overloaded;
+            return Outcome::Other(Response::Overloaded);
         }
         q.jobs.push_back(Job {
             n,
-            data,
+            bufs: std::mem::take(bufs),
             deadline,
             admitted,
             reply: Arc::clone(&reply),
@@ -400,8 +460,9 @@ impl Server {
         q.peak_depth = q.peak_depth.max(q.jobs.len());
         self.wake_parked(&q);
         loop {
-            if let Some(response) = reply.lock().unwrap().take() {
-                return response;
+            if let Some((outcome, returned)) = reply.lock().unwrap().take() {
+                *bufs = returned;
+                return outcome;
             }
             if q.executing >= self.config.workers.max(1) || q.jobs.is_empty() {
                 q = self.park(q);
@@ -412,8 +473,8 @@ impl Server {
             q.executing += 1;
             let first = q.jobs.pop_front().expect("checked non-empty");
             let jobs = self.gather_batch(q, first);
-            let slot = ExecutionSlot { server: self, jobs };
-            self.execute_batch(&slot.jobs);
+            let mut slot = ExecutionSlot { server: self, jobs };
+            self.execute_batch(&mut slot.jobs);
             drop(slot);
             q = self.queue.lock().unwrap();
         }
@@ -494,16 +555,16 @@ impl Server {
     }
 
     /// Executes one gathered batch end to end and replies per job.
-    fn execute_batch(&self, batch: &[Job]) {
+    fn execute_batch(&self, batch: &mut [Job]) {
         // Cancellation: jobs whose deadline passed while queued are
         // answered (never executed), and drop out of the batch.
         let now = Instant::now();
-        let (expired, live): (Vec<&Job>, Vec<&Job>) = batch
-            .iter()
+        let (expired, mut live): (Vec<&mut Job>, Vec<&mut Job>) = batch
+            .iter_mut()
             .partition(|j| j.deadline.is_some_and(|d| d <= now));
         for job in expired {
             self.count("spld.deadline.missed");
-            *job.reply.lock().unwrap() = Some(Response::DeadlineExceeded);
+            job.answer(Outcome::Other(Response::DeadlineExceeded));
         }
         if live.is_empty() {
             return;
@@ -521,14 +582,20 @@ impl Server {
             Ok(plan) => plan,
             Err(err) => {
                 for job in live {
-                    *job.reply.lock().unwrap() = Some(Response::Error {
+                    job.answer(Outcome::Other(Response::Error {
                         class: err.class(),
                         message: err.to_string(),
-                    });
+                    }));
                 }
                 return;
             }
         };
+        let (n_in, n_out) = (plan.vm().n_in, plan.vm().n_out);
+        for job in &mut live {
+            if job.bufs.output.len() < n_out {
+                job.bufs.output.resize(n_out, 0.0);
+            }
+        }
         let m = live.len();
         self.count("spld.batch.dispatches");
         self.tel
@@ -537,19 +604,19 @@ impl Server {
             .add("spld.batch.requests", m as u64);
         if m > 1 {
             self.count("spld.batch.multi");
-            let mut xs = Vec::with_capacity(m * plan.vm().n_in);
+            let mut xs = Vec::with_capacity(m * n_in);
             for job in &live {
-                xs.extend_from_slice(&job.data);
+                xs.extend_from_slice(&job.bufs.input[..2 * n]);
             }
             if let Some(ys) = self.store.run_batched(&plan, m, &xs) {
                 self.count("spld.tier.batched");
-                let n_out = plan.vm().n_out;
-                for (seg, job) in live.iter().enumerate() {
+                for (job, y) in live.into_iter().zip(ys.chunks_exact(n_out)) {
+                    job.bufs.output[..n_out].copy_from_slice(y);
                     self.finish(
                         job,
-                        Response::Transformed {
+                        Outcome::Transformed {
                             tier: Tier::BatchedVm,
-                            data: ys[seg * n_out..(seg + 1) * n_out].to_vec(),
+                            n_out,
                         },
                     );
                 }
@@ -559,34 +626,41 @@ impl Server {
             // to per-request execution — correctness over speed.
             self.count("spld.batch.fallback_singles");
         }
-        for job in &live {
-            let response = match self.store.run_single(&plan, &job.data, self.chaos.as_ref()) {
-                Ok((data, tier)) => {
+        for job in live {
+            let Buffers { input, output } = &mut job.bufs;
+            let run = self.store.run_single_into(
+                &plan,
+                &input[..2 * n],
+                &mut output[..n_out],
+                self.chaos.as_ref(),
+            );
+            let outcome = match run {
+                Ok(tier) => {
                     if tier == Tier::Vm {
                         self.count("spld.tier.vm");
                     }
-                    Response::Transformed { tier, data }
+                    Outcome::Transformed { tier, n_out }
                 }
-                Err(err) => Response::Error {
+                Err(err) => Outcome::Other(Response::Error {
                     class: err.class(),
                     message: err.to_string(),
-                },
+                }),
             };
-            self.finish(job, response);
+            self.finish(job, outcome);
         }
     }
 
     /// Final deadline check plus latency accounting, then the reply.
-    fn finish(&self, job: &Job, response: Response) {
+    fn finish(&self, job: &mut Job, outcome: Outcome) {
         let elapsed = job.admitted.elapsed();
-        let response = match job.deadline {
+        let outcome = match job.deadline {
             Some(d) if Instant::now() > d => {
                 self.count("spld.deadline.missed");
-                Response::DeadlineExceeded
+                Outcome::Other(Response::DeadlineExceeded)
             }
-            _ => response,
+            _ => outcome,
         };
-        if matches!(response, Response::Transformed { .. }) {
+        if matches!(outcome, Outcome::Transformed { .. }) {
             self.count("spld.replies.ok");
             let mut ring = self.latencies.lock().unwrap();
             if ring.len() == LATENCY_RING {
@@ -594,7 +668,7 @@ impl Server {
             }
             ring.push_back(elapsed.as_micros() as u64);
         }
-        *job.reply.lock().unwrap() = Some(response);
+        job.answer(outcome);
     }
 
     /// The `stats` verb body: merged daemon + plan-store + kernel-cache

@@ -715,3 +715,158 @@ fn mid_flight_disconnect_does_not_kill_the_daemon() {
     drop(fresh);
     daemon.shut_down();
 }
+
+/// Runs `cases` (size, salt) in order on one connection, holds every
+/// reply to the local VM's bits and returns the tiers that answered. The
+/// references come from one local store: a 2¹⁴ plan is not something to
+/// compile per request.
+fn serve_in_order(client: &mut Client<UnixStream>, cases: &[(usize, u64)]) -> Vec<Tier> {
+    let store = PlanStore::new(PlanStoreOptions {
+        native: false,
+        ..Default::default()
+    })
+    .expect("local plan store");
+    let mut tiers = Vec::new();
+    for &(n, salt) in cases {
+        let x = sample_input(n, salt);
+        let plan = store.entry(n).expect("plan");
+        let mut want = vec![0.0; plan.vm().n_out];
+        plan.run_vm(&x, &mut want);
+        match client.transform(n, None, &x).expect("transform") {
+            Response::Transformed { tier, data } => {
+                assert_bits_eq(&data, &want);
+                tiers.push(tier);
+            }
+            other => panic!("size {n} salt {salt} answered {other:?}"),
+        }
+    }
+    tiers
+}
+
+#[test]
+fn one_connection_serves_mixed_sizes_out_of_the_same_two_buffers() {
+    // A connection's buffers grow to its largest request and stay: what a
+    // 2^14 request left behind its first 128 samples must not reach the
+    // 2^6 reply after it, nor may a short request's leftovers reach a long
+    // one. Twice over, so that on the native daemon the second pass is
+    // served by promoted kernels and the first by the promotion runs; the
+    // VM-only daemon reuses one execution state per size throughout.
+    let cases: Vec<(usize, u64)> = [16384usize, 64, 16384, 1024, 16384, 64, 16384, 1024]
+        .into_iter()
+        .zip(300u64..)
+        .collect();
+    for native in [false, true] {
+        let config = ServerConfig {
+            native,
+            ..ServerConfig::default()
+        };
+        let daemon = TestDaemon::start(if native { "mixed-native" } else { "mixed-vm" }, config);
+        let mut client = daemon.client();
+        let tiers = serve_in_order(&mut client, &cases);
+        let want = if native { Tier::Native } else { Tier::Vm };
+        assert!(
+            tiers.iter().all(|&t| t == want),
+            "{want:?} daemon: {tiers:?}"
+        );
+        drop(client);
+        daemon.shut_down();
+    }
+}
+
+#[test]
+fn buffers_return_to_the_connection_that_owns_them() {
+    // One slot, three owners, a delay that outlasts a round's arrivals:
+    // every round two owners are parked behind the executing one and race
+    // for the front job when it finishes, so about every other round an
+    // owner executes a job that is not its own, out of and into buffers
+    // that are not its own. (Two owners would not do: the one woken is the
+    // one whose job is in front.) Each connection asks for its own sizes
+    // with its own inputs: a buffer that came back to the wrong owner is a
+    // reply of the wrong length or with another request's bits.
+    const ROUNDS: usize = 200;
+    const SIZES: [[usize; 2]; 3] = [[8, 64], [16, 128], [32, 4]];
+    let config = ServerConfig {
+        workers: 1,
+        batch_max: 1,
+        chaos: Some(ChaosConfig {
+            seed: 29,
+            p_kernel_fault: 0.0,
+            p_latency: 1.0,
+            latency: Duration::from_micros(300),
+        }),
+        ..ServerConfig::default()
+    };
+    let daemon = TestDaemon::start("owners", vm_only(config));
+    let barrier = Barrier::new(SIZES.len());
+    std::thread::scope(|scope| {
+        for (who, sizes) in SIZES.into_iter().enumerate() {
+            let mut client = daemon.client();
+            let barrier = &barrier;
+            scope.spawn(move || {
+                let cases: Vec<_> = (0..6u64)
+                    .map(|k| {
+                        let n = sizes[k as usize % 2];
+                        let x = sample_input(n, 400 + 10 * who as u64 + k);
+                        let want = expected_vm(n, &x);
+                        (n, x, want)
+                    })
+                    .collect();
+                for round in 0..ROUNDS {
+                    barrier.wait();
+                    let (n, x, want) = &cases[round % cases.len()];
+                    match client.transform(*n, None, x).expect("transform") {
+                        Response::Transformed { data, .. } => assert_bits_eq(&data, want),
+                        other => panic!("connection {who} round {round} answered {other:?}"),
+                    }
+                }
+            });
+        }
+    });
+    daemon.shut_down();
+}
+
+#[test]
+fn a_refused_frame_leaves_the_connection_serving() {
+    // The daemon reads a transform's samples before it judges the frame:
+    // a refusal must still consume exactly the frame, whatever its size.
+    let config = ServerConfig {
+        max_size: 1024,
+        ..ServerConfig::default()
+    };
+    let daemon = TestDaemon::start("refused", vm_only(config));
+    let mut client = daemon.client();
+    let transform = |kind: u8, n: usize, samples: usize| {
+        let mut payload = vec![b'T', kind];
+        payload.extend_from_slice(&(n as u64).to_le_bytes());
+        payload.extend_from_slice(&0u32.to_le_bytes());
+        payload.extend(
+            sample_input(samples, 7)
+                .iter()
+                .flat_map(|v| v.to_le_bytes()),
+        );
+        payload
+    };
+    let refusals: [(&str, Vec<u8>, u8); 5] = [
+        ("bad kind, a 2^14 body", transform(b'Q', 16384, 16384), b'p'),
+        ("a sample short", transform(b'F', 64, 63), b'p'),
+        ("a sample long", transform(b'F', 64, 65), b'p'),
+        ("n = 0 with a body", transform(b'F', 0, 8), b'p'),
+        // Well-formed, but beyond this daemon's `max_size`: the frame is
+        // read into the connection's buffer, refused, the buffer let go.
+        ("beyond max_size", transform(b'F', 4096, 4096), b'u'),
+    ];
+    for (salt, (what, payload, want_class)) in refusals.into_iter().enumerate() {
+        client.send_raw_frame(&payload).expect("send");
+        match client.read_response().expect("reply") {
+            Response::Error { class, .. } => assert_eq!(class, want_class, "{what}"),
+            other => panic!("{what} answered {other:?}"),
+        }
+        let x = sample_input(64, 500 + salt as u64);
+        match client.transform(64, None, &x).expect("transform") {
+            Response::Transformed { data, .. } => assert_bits_eq(&data, &expected_vm(64, &x)),
+            other => panic!("after {what}: {other:?}"),
+        }
+    }
+    drop(client);
+    daemon.shut_down();
+}
