@@ -59,7 +59,7 @@ use std::process::Command;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
-use spl_compiler::{codegen, CodegenOptions, CompiledUnit};
+use spl_compiler::{codegen, CodegenOptions};
 use spl_frontend::ast::{DataType, Language};
 use spl_resilience::command::CommandError;
 use spl_resilience::{run_command_with_timeout, run_isolated, RetryPolicy, SandboxError};
@@ -68,6 +68,10 @@ pub mod cache;
 pub mod target;
 
 pub use cache::{CacheOutcome, KernelCache};
+/// What every kernel here is built from, for callers that keep one until
+/// its build (spld's background builder) without depending on the
+/// compiler crate themselves.
+pub use spl_compiler::CompiledUnit;
 pub use target::{cc_command_line, isa_tokens, CcTarget};
 
 extern "C" {

@@ -17,33 +17,48 @@
 //! baseline — the resolved interpreter executes exactly the compiled
 //! i-code — so the chain keeps one invariant the whole daemon is built
 //! on: **every reply is bit-identical to the plan's VM output**. A
-//! native kernel earns the fast path only by *promotion*: its first run
-//! happens in a fork sandbox and must reproduce the VM output
+//! native kernel earns the fast path only by *promotion*: before any
+//! request reaches it, whoever built it runs it once in a fork sandbox
+//! on a deterministic probe, and it must reproduce the VM output
 //! bit-for-bit; a kernel whose rounding differs (e.g. FMA contraction)
 //! is demoted to the VM tier rather than allowed to serve
-//! almost-right answers, and a crash or mismatch quarantines it.
+//! almost-right answers, and a crash or mismatch quarantines it. A
+//! request therefore sees two tiers: a trusted kernel, or the VM.
 //! Batched programs pass the same gate (a segment-by-segment self-check
 //! against the single-request program) before they may serve.
+//!
+//! # Two ways to a plan
+//!
+//! A plan has two halves: the VM program (one compile of the tree,
+//! milliseconds) and the native kernel (`cc`, up to seconds).
+//! [`PlanStore::plan`] does the first and *queues* the second on the
+//! store's one builder thread — the daemon's request path, which must
+//! never wait for the C compiler: a cold size is answered from the VM at
+//! once and switches to its kernel when the builder has promoted it.
+//! [`PlanStore::entry`] does both before it returns, for callers that
+//! want the finished plan. Either way the tree is compiled once and the
+//! kernel is built from the unit the VM program was lowered from.
 //!
 //! # Crash safety
 //!
 //! Instantiated plans are recorded in a `plans.journal`
 //! ([`spl_resilience::Journal`]) next to the kernel cache; a daemon
-//! killed with `SIGKILL` replays the journal on restart and comes back
-//! warm — the native kernels load from the disk cache without invoking
-//! `cc`.
+//! killed with `SIGKILL` replays the journal on restart through
+//! [`PlanStore::plan`] and comes back warm: the VM programs exist before
+//! the socket is bound, and the builder loads the native kernels from
+//! the disk cache without invoking `cc`.
 
-use std::collections::HashMap;
+use std::collections::hash_map::{Entry, HashMap};
 use std::path::PathBuf;
-use std::sync::{Arc, Mutex};
-use std::time::Duration;
+use std::sync::{mpsc, Arc, Mutex, Weak};
+use std::time::{Duration, Instant};
 
 use spl_generator::fft::{ct_sequence, FftTree, Rule};
-use spl_native::{BuildOptions, KernelCache, NativeKernel};
+use spl_native::{BuildOptions, CompiledUnit, KernelCache, NativeKernel};
 use spl_resilience::Journal;
-use spl_search::{compile_tree, compile_tree_batched, compile_unit_for_tree, wisdom_from_string};
+use spl_search::{compile_tree_batched, compile_unit_for_tree, wisdom_from_string};
 use spl_telemetry::Telemetry;
-use spl_vm::{VmProgram, VmState};
+use spl_vm::{lower, VmProgram, VmState};
 
 use crate::chaos::ChaosInjector;
 use crate::protocol::Tier;
@@ -95,6 +110,8 @@ impl std::error::Error for ServeError {}
 struct SharedKernel {
     kernel: NativeKernel,
     running: Mutex<()>,
+    /// The kernel's key in the shared cache, for quarantine eviction.
+    cache_key: Option<String>,
 }
 
 // SAFETY: `NativeKernel` is `!Send`/`!Sync` only for its raw dlopen
@@ -109,9 +126,9 @@ unsafe impl Sync for SharedKernel {}
 
 impl SharedKernel {
     /// Runs `f` on the kernel with no other thread inside it. (The
-    /// promotion run forks and would be safe without the lock — the
-    /// child has its own copy of the statics — but where there is no
-    /// fork it runs in-process.)
+    /// promotion run needs no lock — no request can reach the kernel
+    /// yet, and the forked child has its own copy of the statics — but
+    /// this is the only way in.)
     fn with<R>(&self, f: impl FnOnce(&NativeKernel) -> R) -> R {
         // The lock guards no Rust data, only exclusivity, and the C
         // entry point cannot unwind: a poisoned lock is still a lock.
@@ -122,12 +139,10 @@ impl SharedKernel {
 
 /// Where one plan's native fast path currently stands.
 enum NativeTier {
-    /// No kernel (compile failed, or native serving disabled).
+    /// No kernel: not built yet, the build failed, or native serving is
+    /// disabled.
     Missing,
-    /// Compiled but not yet promoted: the first run must reproduce the
-    /// VM output bit-for-bit, in a sandbox.
-    Untested(Arc<SharedKernel>),
-    /// Promoted: serves in-process.
+    /// Built and promoted: serves in-process.
     Trusted(Arc<SharedKernel>),
     /// Rounding differs from the VM (e.g. FMA contraction): correct to
     /// tolerance but not bit-identical, so the VM serves instead.
@@ -149,8 +164,11 @@ pub struct PlanEntry {
     /// input and output.
     vm_states: Mutex<Vec<VmState>>,
     native: Mutex<NativeTier>,
-    /// Cache key of the native kernel, for quarantine eviction.
-    cache_key: Option<String>,
+    /// What `vm` was lowered from, until the native build takes it
+    /// (`None` from the start without native serving). The lock is held
+    /// across that build: a second builder of the same plan waits it
+    /// out and finds nothing left to do.
+    unit: Mutex<Option<CompiledUnit>>,
 }
 
 impl PlanEntry {
@@ -212,24 +230,135 @@ impl Default for PlanStoreOptions {
     }
 }
 
+/// What the store shares with its builder thread: everything a native
+/// build reads, and where both sides count.
+struct Shared {
+    opts: PlanStoreOptions,
+    kernels: Option<Arc<KernelCache>>,
+    tel: Mutex<Telemetry>,
+}
+
+impl Shared {
+    fn count(&self, key: &str) {
+        self.tel.lock().unwrap().add(key, 1);
+    }
+
+    /// The native half of a plan, at most once per plan: compiles (or
+    /// cache-loads) the kernel from the unit the VM program was lowered
+    /// from, runs the promotion gate, and leaves the verdict in the
+    /// plan's tier — unless something has settled that meanwhile, which
+    /// a build never overrules. Runs on the builder thread, or inline in
+    /// [`PlanStore::entry`]; never on the daemon's request path.
+    fn build_native(&self, plan: &PlanEntry) {
+        // Poisoned means a build of this plan panicked: it took the unit
+        // with it, and the plan stays on the VM.
+        let mut unit = plan.unit.lock().unwrap_or_else(|e| e.into_inner());
+        let Some(unit) = unit.take() else {
+            return;
+        };
+        let started = Instant::now();
+        let verdict = self.build_and_promote(plan, &unit);
+        let mut tier = plan.native.lock().unwrap();
+        if matches!(*tier, NativeTier::Missing) {
+            *tier = verdict;
+        }
+        drop(tier);
+        let ms = started.elapsed().as_millis() as u64;
+        self.tel.lock().unwrap().add("spld.native.build_ms", ms);
+    }
+
+    /// Compile-or-load, then the promotion gate: the kernel's first run,
+    /// in a fork sandbox, compared bit-for-bit against the VM tier on a
+    /// deterministic probe. Failure of either step is a degradation,
+    /// not an error: the plan serves on the VM tier.
+    fn build_and_promote(&self, plan: &PlanEntry, unit: &CompiledUnit) -> NativeTier {
+        let build = &self.opts.build;
+        let result = match &self.kernels {
+            Some(cache) => NativeKernel::compile_cached(unit, build, cache).map(|(k, _)| k),
+            None => NativeKernel::compile_with(unit, build),
+        };
+        let Ok(kernel) = result else {
+            self.count("spld.native.compile_failures");
+            return NativeTier::Missing;
+        };
+        let kernel = Arc::new(SharedKernel {
+            kernel,
+            running: Mutex::new(()),
+            cache_key: NativeKernel::cache_key(unit, build).ok(),
+        });
+        let x = probe(plan.vm.n_in);
+        let mut want = vec![0.0; plan.vm.n_out];
+        plan.run_vm(&x, &mut want);
+        let mut got = vec![0.0; plan.vm.n_out];
+        let timeout = self.opts.sandbox_timeout;
+        let ran = kernel.with(|k| k.run_sandboxed(&x, &mut got, timeout));
+        match ran {
+            Ok(()) if same_bits(&got, &want) => {
+                self.count("spld.native.promoted");
+                NativeTier::Trusted(kernel)
+            }
+            Ok(()) if within_tolerance(&got, &want) => {
+                // Correct but not bit-identical (rounding differences,
+                // e.g. FMA contraction): the VM must keep serving so
+                // replies stay reproducible.
+                self.count("spld.native.rounding_demoted");
+                NativeTier::Demoted
+            }
+            // Wrong output, a crash or a timeout.
+            _ => {
+                self.quarantine(&kernel);
+                NativeTier::Quarantined
+            }
+        }
+    }
+
+    /// Counts a kernel whose plan goes to [`NativeTier::Quarantined`] and
+    /// evicts its shared cache entry, so no restart (or sibling process)
+    /// reloads the bad object.
+    fn quarantine(&self, kernel: &SharedKernel) {
+        self.count("spld.quarantined");
+        self.count("spld.degradations");
+        if let (Some(cache), Some(key)) = (&self.kernels, &kernel.cache_key) {
+            cache.evict(key);
+        }
+    }
+}
+
+/// The builder thread: one native build at a time, in queue order, until
+/// the store is gone.
+fn build_queued(queue: &mpsc::Receiver<Arc<PlanEntry>>, shared: &Weak<Shared>) {
+    for plan in queue {
+        // Without the store nobody will ask for this kernel: what is
+        // still queued is dropped.
+        let Some(shared) = shared.upgrade() else {
+            return;
+        };
+        shared.build_native(&plan);
+        shared.count("spld.native.builds_finished");
+    }
+}
+
 /// The daemon's shared plan store. All methods take `&self`; internal
 /// state is mutex-guarded, and the expensive steps (compiles) happen
 /// outside any lock held by executions.
 pub struct PlanStore {
-    opts: PlanStoreOptions,
+    shared: Arc<Shared>,
     /// Preferred factorizations by size, from wisdom.
     trees: Mutex<HashMap<usize, FftTree>>,
     plans: Mutex<HashMap<usize, Arc<PlanEntry>>>,
     batched: Mutex<HashMap<(usize, usize), BatchState>>,
-    kernels: Option<Arc<KernelCache>>,
     journal: Mutex<Option<Journal>>,
-    tel: Mutex<Telemetry>,
+    /// The way to the builder thread, which the first queued build
+    /// spawns. The thread is detached and holds the store's state
+    /// weakly: nobody joins it, and builds still queued when the store
+    /// is dropped are dropped with it.
+    builds: Mutex<Option<mpsc::Sender<Arc<PlanEntry>>>>,
 }
 
 impl PlanStore {
     /// Opens the store, its kernel cache, and its plan journal, and
-    /// replays the journal so every previously served size is
-    /// instantiated (warm) before the first request.
+    /// replays the journal so every previously served size has its VM
+    /// program (and its native build queued) before the first request.
     ///
     /// # Errors
     ///
@@ -260,21 +389,25 @@ impl PlanStore {
             journal = Some(j);
         }
         let store = PlanStore {
-            opts,
+            shared: Arc::new(Shared {
+                opts,
+                kernels,
+                tel: Mutex::new(tel),
+            }),
             trees: Mutex::new(HashMap::new()),
             plans: Mutex::new(HashMap::new()),
             batched: Mutex::new(HashMap::new()),
-            kernels,
             journal: Mutex::new(journal),
-            tel: Mutex::new(tel),
+            builds: Mutex::new(None),
         };
         for (n, tree) in preload {
             store.trees.lock().unwrap().entry(n).or_insert(tree);
-            // Instantiate (compiles the VM program; loads the native
-            // kernel from the disk cache — no `cc` on a warm restart).
+            // Compiles the VM program and queues the kernel, which the
+            // builder loads from the disk cache — no `cc` on a warm
+            // restart, and none of it before the caller binds its socket.
             // A plan that no longer compiles is dropped, not fatal.
-            if store.entry(n).is_ok() {
-                store.tel.lock().unwrap().add("spld.plan.preloaded", 1);
+            if store.plan(n).is_ok() {
+                store.count("spld.plan.preloaded");
             }
         }
         Ok(store)
@@ -297,42 +430,94 @@ impl PlanStore {
             trees.insert(r.tree.size(), r.tree);
             loaded += 1;
         }
-        self.tel.lock().unwrap().add("spld.wisdom.sizes", loaded);
+        self.shared
+            .tel
+            .lock()
+            .unwrap()
+            .add("spld.wisdom.sizes", loaded);
         Ok(loaded as usize)
     }
 
-    /// The warm plan for size `n`, instantiating (and journaling) it on
-    /// first use.
+    /// The plan for size `n` without waiting for its native kernel:
+    /// instantiated (and journaled) on first use with the VM tier alone,
+    /// its native build queued on the store's builder thread. Requests
+    /// are answered from the VM until the builder has promoted the
+    /// kernel.
     ///
     /// # Errors
     ///
     /// [`ServeError::Unsupported`] for unservable sizes,
     /// [`ServeError::Compile`] when compilation fails.
+    pub fn plan(&self, n: usize) -> Result<Arc<PlanEntry>, ServeError> {
+        let (plan, fresh) = self.instantiate(n)?;
+        if fresh && self.shared.opts.native {
+            self.queue_build(&plan);
+        }
+        Ok(plan)
+    }
+
+    /// The warm plan for size `n`, instantiating (and journaling) it on
+    /// first use: [`plan`](PlanStore::plan), and the native build done
+    /// (or waited for, where the builder thread has it) before
+    /// returning.
+    ///
+    /// # Errors
+    ///
+    /// As [`plan`](PlanStore::plan); a kernel that cannot be built or
+    /// promoted is a degradation, not an error.
     pub fn entry(&self, n: usize) -> Result<Arc<PlanEntry>, ServeError> {
+        let (plan, _) = self.instantiate(n)?;
+        self.shared.build_native(&plan);
+        Ok(plan)
+    }
+
+    /// The VM half of a plan, and whether this call is the one that
+    /// inserted (and journaled) it.
+    fn instantiate(&self, n: usize) -> Result<(Arc<PlanEntry>, bool), ServeError> {
         if let Some(plan) = self.plans.lock().unwrap().get(&n) {
-            return Ok(Arc::clone(plan));
+            return Ok((Arc::clone(plan), false));
         }
         let tree = self.tree_for(n)?;
         // Compile outside the plans lock: concurrent first requests for
-        // the same size may both compile; the second insert wins the
-        // race harmlessly (content-addressed kernel cache absorbs the
-        // duplicate).
-        let vm = compile_tree(&tree, self.opts.unroll_threshold)
+        // the same size may both compile; the first insert wins and the
+        // other's work is discarded.
+        let unit = compile_unit_for_tree(&tree, self.shared.opts.unroll_threshold)
             .map_err(|e| ServeError::Compile(e.to_string()))?;
-        let (native, cache_key) = self.compile_native(&tree);
+        let vm = lower(&unit.program).map_err(|e| ServeError::Compile(e.to_string()))?;
         let plan = Arc::new(PlanEntry {
             n,
             tree,
             vm: Arc::new(vm),
             vm_states: Mutex::default(),
-            native: Mutex::new(native),
-            cache_key,
+            native: Mutex::new(NativeTier::Missing),
+            unit: Mutex::new(self.shared.opts.native.then_some(unit)),
         });
-        let mut plans = self.plans.lock().unwrap();
-        let plan = Arc::clone(plans.entry(n).or_insert(plan));
-        drop(plans);
+        match self.plans.lock().unwrap().entry(n) {
+            Entry::Occupied(winner) => return Ok((Arc::clone(winner.get()), false)),
+            Entry::Vacant(slot) => slot.insert(Arc::clone(&plan)),
+        };
         self.journal_plan(&plan);
-        Ok(plan)
+        Ok((plan, true))
+    }
+
+    /// Hands `plan` to the builder thread, spawning it on first use.
+    /// Builds run one at a time, in the order they were queued.
+    fn queue_build(&self, plan: &Arc<PlanEntry>) {
+        // An `Option` is valid whatever a panicking holder was doing.
+        let mut builds = self.builds.lock().unwrap_or_else(|e| e.into_inner());
+        let tx = builds.get_or_insert_with(|| {
+            let (tx, rx) = mpsc::channel::<Arc<PlanEntry>>();
+            let shared = Arc::downgrade(&self.shared);
+            std::thread::spawn(move || build_queued(&rx, &shared));
+            tx
+        });
+        self.count("spld.native.builds_queued");
+        if tx.send(Arc::clone(plan)).is_err() {
+            // The builder died (a panic in a build). This plan stays on
+            // the VM; the next one spawns a new builder.
+            *builds = None;
+            self.count("spld.native.builds_finished");
+        }
     }
 
     /// Executes one request through the degradation chain, from the
@@ -405,8 +590,8 @@ impl PlanStore {
     /// Takes the store's accumulated telemetry (its own counters merged
     /// with the kernel cache's), leaving both empty.
     pub fn drain_telemetry(&self) -> Telemetry {
-        let mut tel = std::mem::take(&mut *self.tel.lock().unwrap());
-        if let Some(cache) = &self.kernels {
+        let mut tel = std::mem::take(&mut *self.shared.tel.lock().unwrap());
+        if let Some(cache) = &self.shared.kernels {
             tel.merge(&cache.drain_telemetry());
         }
         tel
@@ -418,16 +603,16 @@ impl PlanStore {
     }
 
     fn count(&self, key: &str) {
-        self.tel.lock().unwrap().add(key, 1);
+        self.shared.count(key);
     }
 
     /// The factorization to serve size `n` with: wisdom first, then a
     /// default radix-2 rightmost split for powers of two.
     fn tree_for(&self, n: usize) -> Result<FftTree, ServeError> {
-        if n < 2 || n > self.opts.max_size {
+        if n < 2 || n > self.shared.opts.max_size {
             return Err(ServeError::Unsupported(format!(
                 "size {n} out of range 2..={}",
-                self.opts.max_size
+                self.shared.opts.max_size
             )));
         }
         if let Some(tree) = self.trees.lock().unwrap().get(&n) {
@@ -442,40 +627,6 @@ impl PlanStore {
         Ok(ct_sequence(&twos, Rule::CooleyTukey))
     }
 
-    /// Compiles (or cache-loads) the native kernel for a fresh plan.
-    /// Failure is a degradation, not an error: the plan serves on the
-    /// VM tier.
-    fn compile_native(&self, tree: &FftTree) -> (NativeTier, Option<String>) {
-        if !self.opts.native {
-            return (NativeTier::Missing, None);
-        }
-        let unit = match compile_unit_for_tree(tree, self.opts.unroll_threshold) {
-            Ok(unit) => unit,
-            Err(_) => {
-                self.count("spld.native.compile_failures");
-                return (NativeTier::Missing, None);
-            }
-        };
-        let result = match &self.kernels {
-            Some(cache) => {
-                NativeKernel::compile_cached(&unit, &self.opts.build, cache).map(|(k, _)| k)
-            }
-            None => NativeKernel::compile_with(&unit, &self.opts.build),
-        };
-        let key = NativeKernel::cache_key(&unit, &self.opts.build).ok();
-        match result {
-            Ok(kernel) => {
-                let running = Mutex::new(());
-                let shared = SharedKernel { kernel, running };
-                (NativeTier::Untested(Arc::new(shared)), key)
-            }
-            Err(_) => {
-                self.count("spld.native.compile_failures");
-                (NativeTier::Missing, None)
-            }
-        }
-    }
-
     /// The native leg of the chain: `Some(())` when `y` was filled by a
     /// trusted kernel, `None` to fall through to the VM tier.
     fn try_native(
@@ -485,84 +636,24 @@ impl PlanStore {
         y: &mut [f64],
         chaos: Option<&ChaosInjector>,
     ) -> Option<()> {
-        // Decide under the tier lock, run outside it where possible.
-        let kernel = {
-            let tier = plan.native.lock().unwrap();
-            match &*tier {
-                NativeTier::Trusted(k) => Some((Arc::clone(k), true)),
-                NativeTier::Untested(k) => Some((Arc::clone(k), false)),
-                _ => None,
-            }
+        // Decide under the tier lock, run outside it.
+        let kernel = match &*plan.native.lock().unwrap() {
+            NativeTier::Trusted(k) => Arc::clone(k),
+            _ => return None,
         };
-        let (kernel, trusted) = kernel?;
         if let Some(injector) = chaos {
             if injector.kernel_fault() {
                 // Simulated crash, reported before the kernel runs: the
                 // request is recomputed on the VM tier from scratch.
                 self.count("spld.chaos.kernel_faults");
-                self.quarantine(plan, "injected kernel fault");
+                *plan.native.lock().unwrap() = NativeTier::Quarantined;
+                self.shared.quarantine(&kernel);
                 return None;
             }
         }
-        if trusted {
-            kernel.with(|k| k.run(x, y));
-            self.count("spld.tier.native");
-            return Some(());
-        }
-        self.promote_and_run(plan, &kernel, x, y)
-    }
-
-    /// The promotion gate: first native run, sandboxed, compared
-    /// bit-for-bit against the VM tier on the same input.
-    fn promote_and_run(
-        &self,
-        plan: &PlanEntry,
-        kernel: &Arc<SharedKernel>,
-        x: &[f64],
-        y: &mut [f64],
-    ) -> Option<()> {
-        let mut expected = vec![0.0; plan.vm.n_out];
-        plan.run_vm(x, &mut expected);
-        match kernel.with(|k| k.run_sandboxed(x, y, self.opts.sandbox_timeout)) {
-            Ok(()) if y == expected.as_slice() => {
-                let mut tier = plan.native.lock().unwrap();
-                if matches!(&*tier, NativeTier::Untested(_) | NativeTier::Trusted(_)) {
-                    *tier = NativeTier::Trusted(Arc::clone(kernel));
-                }
-                drop(tier);
-                self.count("spld.native.promoted");
-                self.count("spld.tier.native");
-                Some(())
-            }
-            Ok(()) if within_tolerance(y, &expected) => {
-                // Correct but not bit-identical (rounding differences,
-                // e.g. FMA contraction): the VM must keep serving so
-                // replies stay reproducible.
-                *plan.native.lock().unwrap() = NativeTier::Demoted;
-                self.count("spld.native.rounding_demoted");
-                None
-            }
-            Ok(()) => {
-                self.quarantine(plan, "output mismatch on promotion run");
-                None
-            }
-            Err(_) => {
-                self.quarantine(plan, "crash/timeout on promotion run");
-                None
-            }
-        }
-    }
-
-    /// Quarantines a plan's native kernel: tier poisoned, counter
-    /// bumped, and the shared cache entry evicted so no restart (or
-    /// sibling process) reloads the bad object.
-    fn quarantine(&self, plan: &PlanEntry, _reason: &str) {
-        *plan.native.lock().unwrap() = NativeTier::Quarantined;
-        self.count("spld.quarantined");
-        self.count("spld.degradations");
-        if let (Some(cache), Some(key)) = (&self.kernels, &plan.cache_key) {
-            cache.evict(key);
-        }
+        kernel.with(|k| k.run(x, y));
+        self.count("spld.tier.native");
+        Some(())
     }
 
     /// The batched program for `(n, m)`, built and self-checked on
@@ -574,7 +665,7 @@ impl PlanStore {
                 BatchState::Dead => None,
             };
         }
-        let built = compile_tree_batched(&plan.tree, m, self.opts.unroll_threshold)
+        let built = compile_tree_batched(&plan.tree, m, self.shared.opts.unroll_threshold)
             .ok()
             .map(Arc::new)
             .filter(|p| self.batch_self_check(plan, m, p));
@@ -601,9 +692,7 @@ impl PlanStore {
         if batched.n_in != m * plan.vm.n_in || batched.n_out != m * plan.vm.n_out {
             return false;
         }
-        let xs: Vec<f64> = (0..batched.n_in)
-            .map(|i| (i as f64 * 0.7311).sin())
-            .collect();
+        let xs = probe(batched.n_in);
         let mut got = vec![0.0; batched.n_out];
         let mut st = VmState::new(batched);
         batched.run(&xs, &mut got, &mut st);
@@ -643,6 +732,21 @@ fn parse_plan_record(rec: &str) -> Option<(usize, FftTree)> {
         return None;
     }
     Some((n, tree))
+}
+
+/// The deterministic input of the promotion run and of the batched
+/// self-check.
+fn probe(len: usize) -> Vec<f64> {
+    (0..len).map(|i| (i as f64 * 0.7311).sin()).collect()
+}
+
+/// Bit-for-bit equality: `==` would let `-0.0` pass for `0.0`.
+fn same_bits(got: &[f64], want: &[f64]) -> bool {
+    got.len() == want.len()
+        && got
+            .iter()
+            .zip(want)
+            .all(|(g, w)| g.to_bits() == w.to_bits())
 }
 
 /// Relative RMS tolerance for the demotion band (matches the search's
@@ -739,6 +843,134 @@ mod tests {
         let (_, tier2) = s.run_single(&plan, &x, Some(&chaos)).unwrap();
         assert_eq!(tier2, Tier::Vm);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Puts the test in the builder thread's place: queued builds wait
+    /// in the returned receiver until the test runs them.
+    fn hold_builds(s: &PlanStore) -> mpsc::Receiver<Arc<PlanEntry>> {
+        let (tx, rx) = mpsc::channel();
+        *s.builds.lock().unwrap() = Some(tx);
+        rx
+    }
+
+    fn tier_name(plan: &PlanEntry) -> &'static str {
+        match &*plan.native.lock().unwrap() {
+            NativeTier::Missing => "missing",
+            NativeTier::Trusted(_) => "trusted",
+            NativeTier::Demoted => "demoted",
+            NativeTier::Quarantined => "quarantined",
+        }
+    }
+
+    fn wait_for_builds(s: &PlanStore, finished: u64) -> Telemetry {
+        let mut tel = Telemetry::new();
+        let deadline = Instant::now() + Duration::from_secs(120);
+        while tel.counter("spld.native.builds_finished").unwrap_or(0) < finished {
+            assert!(Instant::now() < deadline, "the builder never finished");
+            std::thread::sleep(Duration::from_millis(5));
+            tel.merge(&s.drain_telemetry());
+        }
+        tel
+    }
+
+    #[test]
+    fn plan_returns_before_any_kernel_exists_and_entry_after() {
+        let s = store(None, true);
+        let queue = hold_builds(&s);
+        let x: Vec<f64> = (0..16).map(|i| (i as f64 * 0.3).cos()).collect();
+        let plan = s.plan(8).unwrap();
+        assert_eq!(tier_name(&plan), "missing");
+        let (vm_reply, tier) = s.run_single(&plan, &x, None).unwrap();
+        assert_eq!(tier, Tier::Vm, "a cold size is answered from the VM");
+        assert_eq!(queue.try_iter().count(), 1, "and its build is queued");
+
+        let same = s.entry(8).unwrap();
+        assert!(Arc::ptr_eq(&plan, &same));
+        assert_eq!(tier_name(&plan), "trusted");
+        let (native_reply, tier) = s.run_single(&plan, &x, None).unwrap();
+        assert_eq!(tier, Tier::Native);
+        assert_eq!(native_reply, vm_reply);
+        let tel = s.drain_telemetry();
+        assert_eq!(tel.counter("spld.native.builds_queued"), Some(1));
+        assert_eq!(tel.counter("spld.native.promoted"), Some(1));
+        assert!(tel.counter("spld.native.build_ms").is_some());
+    }
+
+    #[test]
+    fn threads_racing_plan_on_one_cold_size_queue_one_build() {
+        let s = store(None, true);
+        let queue = hold_builds(&s);
+        let barrier = std::sync::Barrier::new(8);
+        let plans: Vec<Arc<PlanEntry>> = std::thread::scope(|scope| {
+            let racers: Vec<_> = (0..8)
+                .map(|_| {
+                    scope.spawn(|| {
+                        barrier.wait();
+                        s.plan(16).unwrap()
+                    })
+                })
+                .collect();
+            racers.into_iter().map(|r| r.join().unwrap()).collect()
+        });
+        assert!(plans.iter().all(|p| Arc::ptr_eq(p, &plans[0])));
+        assert_eq!(queue.try_iter().count(), 1);
+        let tel = s.drain_telemetry();
+        assert_eq!(tel.counter("spld.native.builds_queued"), Some(1));
+    }
+
+    #[test]
+    fn a_settled_tier_is_never_overwritten_by_a_late_build() {
+        let s = store(None, true);
+        let queue = hold_builds(&s);
+        let plan = s.plan(4).unwrap();
+        // The verdict arrives before this build does.
+        *plan.native.lock().unwrap() = NativeTier::Demoted;
+        s.shared.build_native(&queue.try_recv().unwrap());
+        let tel = s.drain_telemetry();
+        assert_eq!(tel.counter("spld.native.promoted"), Some(1), "it did build");
+        assert_eq!(tier_name(&plan), "demoted");
+        // And a plan is built once: there is nothing left to build from.
+        s.shared.build_native(&plan);
+        assert_eq!(s.drain_telemetry().counter("spld.native.promoted"), None);
+        let x: Vec<f64> = (0..8).map(|i| (i as f64).sin()).collect();
+        assert_eq!(s.run_single(&plan, &x, None).unwrap().1, Tier::Vm);
+    }
+
+    #[test]
+    fn entry_beside_the_builder_is_harmless() {
+        let dir = tmp("beside");
+        let s = store(Some(&dir), true);
+        s.plan(32).unwrap(); // the real builder thread has it
+        let plan = s.entry(32).unwrap(); // builds it, or waits for the builder
+        assert_eq!(tier_name(&plan), "trusted");
+        let tel = wait_for_builds(&s, 1);
+        assert_eq!(tel.counter("spld.native.builds_queued"), Some(1));
+        assert_eq!(tel.counter("spld.native.builds_finished"), Some(1));
+        assert_eq!(tel.counter("spld.native.promoted"), Some(1));
+        assert_eq!(tel.counter("native.cc_invocations"), Some(1));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn builds_still_queued_when_the_store_goes_are_dropped() {
+        let s = store(None, true);
+        let queue = hold_builds(&s);
+        let plans = [s.plan(4).unwrap(), s.plan(8).unwrap()];
+        let shared = Arc::downgrade(&s.shared);
+        drop(s);
+        build_queued(&queue, &shared); // returns: no sender, no store
+        assert!(plans.iter().all(|p| tier_name(p) == "missing"));
+    }
+
+    #[test]
+    fn without_native_serving_nothing_is_queued() {
+        let s = store(None, false);
+        s.plan(8).unwrap();
+        assert!(s.builds.lock().unwrap().is_none(), "no builder thread");
+        assert_eq!(
+            s.drain_telemetry().counter("spld.native.builds_queued"),
+            None
+        );
     }
 
     #[test]

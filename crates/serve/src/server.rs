@@ -578,7 +578,7 @@ impl Server {
         let n = live[0].n;
         #[cfg(test)]
         assert_ne!(n, tests::PANICKING_SIZE, "test hook: a kernel path panics");
-        let plan = match self.store.entry(n) {
+        let plan = match self.store.plan(n) {
             Ok(plan) => plan,
             Err(err) => {
                 for job in live {

@@ -122,6 +122,32 @@ impl TestDaemon {
     }
 }
 
+/// Asks for size `n` until a native kernel answers: a cold size is
+/// served by the VM while the daemon's builder compiles and promotes
+/// its kernel. Every reply on the way is held to the VM's bits.
+fn warm_native(daemon: &TestDaemon, n: usize) {
+    let x = sample_input(n, 7);
+    let want = expected_vm(n, &x);
+    let mut client = daemon.client();
+    let deadline = std::time::Instant::now() + Duration::from_secs(120);
+    loop {
+        match client.transform(n, None, &x).expect("transform") {
+            Response::Transformed { tier, data } => {
+                assert_bits_eq(&data, &want);
+                if tier == Tier::Native {
+                    return;
+                }
+            }
+            other => panic!("warming size {n} answered {other:?}"),
+        }
+        assert!(
+            std::time::Instant::now() < deadline,
+            "size {n} never reached the native tier"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+}
+
 fn vm_only(config: ServerConfig) -> ServerConfig {
     ServerConfig {
         native: false,
@@ -401,11 +427,7 @@ fn two_clients_on_one_looped_native_kernel_get_bitwise_vm_answers() {
     };
     let daemon = TestDaemon::start("reentrant", config);
     // Promote the kernel first, so the race below is native against native.
-    let x = sample_input(N, 70);
-    match daemon.client().transform(N, None, &x).expect("transform") {
-        Response::Transformed { data, .. } => assert_bits_eq(&data, &expected_vm(N, &x)),
-        other => panic!("warm-up answered {other:?}"),
-    }
+    warm_native(&daemon, N);
     let barrier = Barrier::new(2);
     std::thread::scope(|scope| {
         for salt in [71u64, 72] {
@@ -748,9 +770,12 @@ fn one_connection_serves_mixed_sizes_out_of_the_same_two_buffers() {
     // A connection's buffers grow to its largest request and stay: what a
     // 2^14 request left behind its first 128 samples must not reach the
     // 2^6 reply after it, nor may a short request's leftovers reach a long
-    // one. Twice over, so that on the native daemon the second pass is
-    // served by promoted kernels and the first by the promotion runs; the
-    // VM-only daemon reuses one execution state per size throughout.
+    // one. On the fresh native daemon the first pass is the interesting
+    // one: each size is answered by the VM until the builder has promoted
+    // its kernel, so replies switch tier mid-connection out of the same
+    // two buffers, and every one must still be the VM's bits. The second
+    // pass, on warm kernels, is native throughout; the VM-only daemon
+    // reuses one execution state per size throughout.
     let cases: Vec<(usize, u64)> = [16384usize, 64, 16384, 1024, 16384, 64, 16384, 1024]
         .into_iter()
         .zip(300u64..)
@@ -762,6 +787,13 @@ fn one_connection_serves_mixed_sizes_out_of_the_same_two_buffers() {
         };
         let daemon = TestDaemon::start(if native { "mixed-native" } else { "mixed-vm" }, config);
         let mut client = daemon.client();
+        if native {
+            let cold = serve_in_order(&mut client, &cases);
+            assert_eq!(cold[0], Tier::Vm, "no request waits for cc: {cold:?}");
+            for n in [64, 1024, 16384] {
+                warm_native(&daemon, n);
+            }
+        }
         let tiers = serve_in_order(&mut client, &cases);
         let want = if native { Tier::Native } else { Tier::Vm };
         assert!(

@@ -117,6 +117,26 @@ impl Daemon {
         }
     }
 
+    /// Waits until the daemon's builder thread has been handed at least
+    /// `at_least` native builds and has finished every one it was handed:
+    /// cold sizes are served by the VM meanwhile, so what a test says
+    /// about kernels it can only say after this.
+    fn wait_builds(&self, at_least: u64) {
+        let deadline = Instant::now() + Duration::from_secs(120);
+        loop {
+            let stats = self.stats();
+            let queued = counter(&stats, "spld.native.builds_queued");
+            if queued >= at_least && queued == counter(&stats, "spld.native.builds_finished") {
+                return;
+            }
+            assert!(
+                Instant::now() < deadline,
+                "native builds never settled (want {at_least}):\n{stats}"
+            );
+            std::thread::sleep(Duration::from_millis(20));
+        }
+    }
+
     /// SIGKILL — no warning, no cleanup; crash-safety is the point.
     /// By pid (not [`Child::kill`]) so concurrent clients can keep
     /// holding `&Daemon` while the axe falls.
@@ -314,6 +334,7 @@ fn soak_chaos_kill9_warm_restart() {
         "cold soak served too little: ok={ok_total} refused={refused_total}"
     );
 
+    daemon.wait_builds(SIZES.len() as u64);
     let cold = daemon.stats();
     let cold_cc = counter(&cold, "native.cc_invocations");
     assert!(
@@ -404,6 +425,11 @@ fn soak_kernel_faults_degrade_without_wrong_answers() {
             "0.5",
         ],
     );
+    // The kernels must exist for faults to hit them: one request per
+    // size, then wait for the builder.
+    let (asked, _) = run_traffic(&daemon, 0, SIZES.len() as u64, None);
+    assert_eq!(asked, SIZES.len() as u64);
+    daemon.wait_builds(SIZES.len() as u64);
     let (ok, _) = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..4u64)
             .map(|t| {
