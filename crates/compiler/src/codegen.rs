@@ -13,6 +13,29 @@ use spl_frontend::ast::{DataType, Language};
 use spl_icode::{Affine, BinOp, IProgram, Instr, Place, UnOp, Value, VecKind, VecRef};
 use spl_numeric::Complex;
 
+/// Where the C emitter puts a program's constant tables.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum TableMode {
+    /// Initialised in the text, as decimal literals: the subroutine is
+    /// the whole program (`splc`'s output, and all there is in Fortran).
+    #[default]
+    Inline,
+    /// Declared in the text, filled by the loader: written file-scope
+    /// statics plus one more entry point,
+    /// `void <name>_tables(const double *src)`, which copies consecutive
+    /// slices of `src` — [`table_values`] — into them, and which must
+    /// run once before the subroutine does. For a host that has the
+    /// values in memory anyway and pays a C compiler per byte of text.
+    Loaded,
+}
+
+/// Every table value of `prog` in [`IProgram::tables`] order, as the
+/// real-typed C emitter prints them: what a [`TableMode::Loaded`]
+/// subroutine's `<name>_tables` entry point expects.
+pub fn table_values(prog: &IProgram) -> Vec<f64> {
+    prog.tables.iter().flatten().map(|c| c.re).collect()
+}
+
 /// Code generation options.
 #[derive(Debug, Clone)]
 pub struct CodegenOptions {
@@ -27,6 +50,8 @@ pub struct CodegenOptions {
     /// Add input/output offset and stride parameters to the subroutine
     /// signature.
     pub io_params: bool,
+    /// Where constant tables go (C only).
+    pub tables: TableMode,
 }
 
 impl Default for CodegenOptions {
@@ -36,6 +61,7 @@ impl Default for CodegenOptions {
             codetype: DataType::Real,
             peephole: false,
             io_params: false,
+            tables: TableMode::Inline,
         }
     }
 }
@@ -380,15 +406,43 @@ fn emit_c(name: &str, prog: &IProgram, opts: &CodegenOptions) -> String {
     } else {
         "(double *restrict y, const double *restrict x)"
     };
+    let loaded = opts.tables == TableMode::Loaded && !prog.tables.is_empty();
+    if loaded {
+        // Written (by `_tables`, below), so the C compiler can neither
+        // fold them to zero nor has a literal of them to parse; 32-byte
+        // aligned for the vector loads of the lane-wide loops.
+        for (t, table) in prog.tables.iter().enumerate() {
+            e.line(&format!(
+                "static double d{t}[{}] __attribute__((aligned(32)));",
+                table.len()
+            ));
+        }
+        e.line(&format!("void {name}_tables(const double *src)"));
+        e.line("{");
+        e.indent = 1;
+        e.line("long i;");
+        let mut at = 0;
+        for (t, table) in prog.tables.iter().enumerate() {
+            let len = table.len();
+            e.line(&format!(
+                "for (i = 0; i < {len}; i++) d{t}[i] = src[{at}+i];"
+            ));
+            at += len;
+        }
+        e.indent = 0;
+        e.line("}");
+    }
     e.line(&format!("void {name}{args}"));
     e.line("{");
     e.indent = 1;
-    for (t, table) in prog.tables.iter().enumerate() {
-        e.line(&format!("static const double d{t}[{}] = {{", table.len()));
-        for chunk in table.chunks(4) {
-            e.table_line("  ", chunk, ", ", ",");
+    if !loaded {
+        for (t, table) in prog.tables.iter().enumerate() {
+            e.line(&format!("static const double d{t}[{}] = {{", table.len()));
+            for chunk in table.chunks(4) {
+                e.table_line("  ", chunk, ", ", ",");
+            }
+            e.line("};");
         }
-        e.line("};");
     }
     for (t, &len) in prog.temps.iter().enumerate() {
         if len > 0 {

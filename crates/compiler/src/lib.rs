@@ -52,7 +52,7 @@ use spl_icode::IProgram;
 use spl_telemetry::{Stopwatch, Telemetry};
 use spl_templates::{expand_formula_with_stats, ExpandOptions, TemplateTable};
 
-pub use codegen::CodegenOptions;
+pub use codegen::{CodegenOptions, TableMode};
 pub use error::CompileError;
 
 /// The optimization levels used in the paper's Figure 2 experiment.
@@ -447,6 +447,7 @@ impl Compiler {
                 codetype,
                 peephole: self.opts.peephole,
                 io_params: self.opts.io_params,
+                tables: TableMode::Inline,
             },
         })
     }

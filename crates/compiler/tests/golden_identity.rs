@@ -16,7 +16,7 @@
 
 use std::path::PathBuf;
 
-use spl_compiler::{CompiledUnit, Compiler, CompilerOptions};
+use spl_compiler::{CompiledUnit, Compiler, CompilerOptions, TableMode};
 use spl_frontend::ast::Language;
 use spl_generator::fft::FftTree;
 
@@ -355,6 +355,91 @@ fn optimized_icode_and_emitted_code_are_pinned() {
             .collect();
         panic!("generated code differs from the pinned hashes; actual table:\n{table}");
     }
+}
+
+/// The unit's C with its tables left to the loader.
+fn emit_loaded(unit: &CompiledUnit) -> String {
+    let mut u = unit.clone();
+    u.codegen.tables = TableMode::Loaded;
+    u.emit()
+}
+
+/// FNV-1a 64 of `fold_ct32.spl`'s C in loaded mode (its inline mode is
+/// the `GOLDEN` row above): what `cc` is handed for it, and with that
+/// its kernel-cache key.
+const FOLD_CT32_LOADED: u64 = 0xa05653127115b53a;
+
+/// Loaded mode moves the tables out of the text and changes nothing
+/// else: the subroutine is the inline one, to the byte, minus its
+/// initialisers; and inline mode, `splc`'s, is what it always was.
+#[test]
+fn loaded_tables_are_the_same_code_without_the_literals() {
+    let root = repo_root();
+    let compile = |src: &str, threshold| {
+        Compiler::with_options(CompilerOptions {
+            unroll_threshold: threshold,
+            language_override: Some(Language::C),
+            ..Default::default()
+        })
+        .compile_source(src)
+        .unwrap()
+        .remove(0)
+    };
+    let plans = std::fs::read_to_string(root.join("benchmark/plans.wisdom")).unwrap();
+    let spec = plans
+        .lines()
+        .find_map(|l| l.strip_prefix("65536:"))
+        .expect("the 2^16 plan");
+    let src = FftTree::from_spec(spec.trim())
+        .unwrap()
+        .to_sexp()
+        .to_string();
+    let big = compile(&src, Some(64));
+    let ct32 = std::fs::read_to_string(root.join("tests/corpus/fold_ct32.spl")).unwrap();
+    let ct32 = compile(&ct32, None);
+
+    for unit in [&big, &ct32] {
+        let inline = unit.emit();
+        let loaded = emit_loaded(unit);
+        assert!(inline.contains("static const double d0["), "{}", unit.name);
+        assert!(!loaded.contains("] = {"), "an initialiser in loaded mode");
+        let words: usize = unit.program.tables.iter().map(Vec::len).sum();
+        assert_eq!(
+            spl_compiler::codegen::table_values(&unit.program).len(),
+            words
+        );
+        // Inline: header, initialisers, rest. Loaded: declarations, the
+        // filler, then the same header and the same rest.
+        let (header, _) = inline.split_once("  static const").unwrap();
+        let (_, rest) = inline.rsplit_once("  };\n").unwrap();
+        assert!(
+            loaded.ends_with(&format!("{header}{rest}")),
+            "{}: loaded mode changed the subroutine",
+            unit.name
+        );
+        let filler = format!("void {}_tables(const double *src)\n", unit.name);
+        assert_eq!(loaded.matches(&filler).count(), 1);
+        for t in 0..unit.program.tables.len() {
+            let decl = format!("static double d{t}[");
+            assert_eq!(loaded.matches(&decl).count(), 1, "{decl}");
+        }
+    }
+    let (inline, loaded) = (big.emit(), emit_loaded(&big));
+    assert!(inline.len() > 2_000_000, "{} bytes inline", inline.len());
+    assert!(loaded.len() < 100_000, "{} bytes loaded", loaded.len());
+
+    // A unit without tables is one text in both modes.
+    let butterfly = compile("(F 2)", None);
+    assert_eq!(emit_loaded(&butterfly), butterfly.emit());
+
+    let pinned = GOLDEN.iter().find(|g| g.0 == "fold_ct32.spl").unwrap();
+    assert_eq!(fnv1a(&ct32.emit()), pinned.2, "inline mode moved");
+    assert_eq!(
+        fnv1a(&emit_loaded(&ct32)),
+        FOLD_CT32_LOADED,
+        "loaded mode moved: {:#018x}",
+        fnv1a(&emit_loaded(&ct32))
+    );
 }
 
 // ---------------------------------------------------------------------

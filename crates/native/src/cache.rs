@@ -9,7 +9,11 @@
 //! — so a hit is guaranteed to be the same object `cc` would have
 //! produced, any change to compiler or flags invalidates the entry
 //! automatically, and a directory shared with a host of another vector
-//! level never hands this one code it cannot execute.
+//! level never hands this one code it cannot execute. The C names a
+//! kernel's tables by shape only; their values reach each loaded copy
+//! of the object from the unit it is loaded for
+//! (`NativeKernel::from_loaded`), so they are no part of what `cc` makes
+//! of the text and no part of the key.
 //!
 //! Two layers:
 //!
@@ -314,11 +318,15 @@ impl KernelCache {
         }
     }
 
-    /// Bumps the `native.cc_invocations` counter; called by the cached
-    /// compile path when it actually runs the C compiler.
-    pub fn count_cc_invocation(&self) {
+    /// Counts one run of the C compiler (`native.cc_invocations`), what
+    /// it was handed (`native.c_bytes` of text) and what it was spared
+    /// (`native.table_bytes` of table values the loader copies in);
+    /// called by the cached compile path when it actually runs `cc`.
+    pub fn count_cc_invocation(&self, c_bytes: usize, table_bytes: usize) {
         let mut inner = self.inner.lock().unwrap();
         inner.tel.add("native.cc_invocations", 1);
+        inner.tel.add("native.c_bytes", c_bytes as u64);
+        inner.tel.add("native.table_bytes", table_bytes as u64);
     }
 
     /// Takes the accumulated cache telemetry (hit/miss/evict and cc

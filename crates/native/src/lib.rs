@@ -12,7 +12,9 @@
 //! the [`target`] module derives the line and explains why it is never
 //! `-march=native`), loaded with `dlopen`, and invoked
 //! through its `void name(double *restrict y, const double *restrict x)`
-//! entry point.
+//! entry point. `cc` is handed code, not data: the twiddle tables are
+//! declared in the text ([`TableMode::Loaded`]) and copied in from the
+//! unit once the object is loaded, before the kernel can run.
 //!
 //! Because a timing search compiles and runs thousands of generated
 //! kernels, every external step is fault-contained:
@@ -56,13 +58,13 @@ use std::ffi::{c_char, c_int, c_void, CString};
 use std::fmt;
 use std::path::{Path, PathBuf};
 use std::process::Command;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::Duration;
 
-use spl_compiler::{codegen, CodegenOptions};
+use spl_compiler::{codegen, CodegenOptions, TableMode};
 use spl_frontend::ast::{DataType, Language};
 use spl_resilience::command::CommandError;
-use spl_resilience::{run_command_with_timeout, run_isolated, RetryPolicy, SandboxError};
+use spl_resilience::{run_command_unless, run_isolated, RetryPolicy, SandboxError};
 
 pub mod cache;
 pub mod target;
@@ -173,6 +175,9 @@ impl Default for BuildOptions {
 
 static COUNTER: AtomicU64 = AtomicU64::new(0);
 
+/// The `called_off` of every build nobody can call off.
+static NEVER: AtomicBool = AtomicBool::new(false);
+
 /// Truncates `cc` stderr to a bounded, single-report excerpt.
 fn clip_stderr(stderr: &[u8]) -> String {
     let s = String::from_utf8_lossy(stderr);
@@ -270,7 +275,8 @@ impl Drop for Loaded {
 }
 
 /// The C text of `unit` with entry point `name` — the one emit behind
-/// every build path.
+/// every build path. Tables are declared, not initialised: the loaded
+/// object gets their values from [`fill_tables`].
 fn c_source(unit: &CompiledUnit, name: &str, io_params: bool) -> Result<String, NativeError> {
     if unit.program.complex {
         return Err(NativeError::Unsupported(
@@ -285,8 +291,47 @@ fn c_source(unit: &CompiledUnit, name: &str, io_params: bool) -> Result<String, 
             codetype: DataType::Real,
             peephole: false,
             io_params,
+            tables: TableMode::Loaded,
         },
     ))
+}
+
+/// Gives a freshly loaded object, built from `c_source(unit, name, _)`,
+/// its unit's table values: one call of the `<name>_tables` entry point
+/// that text has when the unit has tables at all.
+fn fill_tables(lib: &Loaded, name: &str, unit: &CompiledUnit) -> Result<(), NativeError> {
+    if unit.program.tables.is_empty() {
+        return Ok(());
+    }
+    let values = codegen::table_values(&unit.program);
+    let filler = format!("{name}_tables");
+    let filler_c =
+        CString::new(filler.as_bytes()).map_err(|_| NativeError::Io("bad name".into()))?;
+    // SAFETY: the handle is a live `dlopen` of an object built from
+    // `c_source(unit, name, _)`, whose emitter gives `<name>_tables` the
+    // C ABI signature `void (const double *)` and has it read exactly
+    // the words of `table_values` — one slice per table, in
+    // `IProgram::tables` order — into statics private to this handle.
+    // Nothing else can be inside the object yet: its entry point leaves
+    // this module only in the kernel the caller builds after this.
+    //
+    // That is also what keeps the kernel-cache key at "C text + build
+    // options + `cc` line": an object is a pure function of its text,
+    // every load goes through a temp `.so` of its own (own handle, own
+    // statics) and is filled from its own unit here, so two units whose
+    // text differs only in table *values* share one `cc` run and still
+    // each compute with their own tables.
+    unsafe {
+        let sym = dlsym(lib.handle, filler_c.as_ptr());
+        if sym.is_null() {
+            return Err(NativeError::LoadFailed(format!(
+                "symbol {filler} not found"
+            )));
+        }
+        let fill: extern "C" fn(*const f64) = std::mem::transmute(sym);
+        fill(values.as_ptr());
+    }
+    Ok(())
 }
 
 /// A natively compiled, loaded SPL subroutine.
@@ -347,8 +392,8 @@ impl NativeKernel {
     ) -> Result<NativeKernel, NativeError> {
         let name = sanitize(&unit.name);
         let c_src = c_source(unit, &name, false)?;
-        let lib = build_and_load(&std::env::temp_dir(), &name, &c_src, opts, target)?;
-        Ok(Self::from_loaded(lib, unit))
+        let lib = build_and_load(&std::env::temp_dir(), &name, &c_src, opts, target, &NEVER)?;
+        Self::from_loaded(lib, &name, unit)
     }
 
     /// [`NativeKernel::compile_with`] through a content-addressed
@@ -367,6 +412,24 @@ impl NativeKernel {
         opts: &BuildOptions,
         cache: &KernelCache,
     ) -> Result<(NativeKernel, CacheOutcome), NativeError> {
+        Self::compile_cached_unless(unit, opts, cache, &NEVER)
+    }
+
+    /// [`NativeKernel::compile_cached`] for a caller that may stop
+    /// wanting the kernel (a daemon asked to drain): once `called_off`
+    /// reads true, a `cc` this call is waiting for is killed, none is
+    /// started, and the call returns [`NativeError::CompileTimeout`]
+    /// with its temporary files removed like after any failed build.
+    ///
+    /// # Errors
+    ///
+    /// As [`NativeKernel::compile_cached`].
+    pub fn compile_cached_unless(
+        unit: &CompiledUnit,
+        opts: &BuildOptions,
+        cache: &KernelCache,
+        called_off: &AtomicBool,
+    ) -> Result<(NativeKernel, CacheOutcome), NativeError> {
         let c_src = c_source(unit, CACHED_SYMBOL, false)?;
         let target = CcTarget::host();
         let line = target.command_line();
@@ -377,10 +440,13 @@ impl NativeKernel {
             let tmp = TempArtifacts::new(&std::env::temp_dir(), &fresh_stem());
             std::fs::write(&tmp.so_path, bytes.as_slice())
                 .map_err(|e| NativeError::Io(format!("writing {}: {e}", tmp.so_path.display())))?;
-            return Ok((Self::from_loaded(tmp.load(CACHED_SYMBOL)?, unit), outcome));
+            let kernel = Self::from_loaded(tmp.load(CACHED_SYMBOL)?, CACHED_SYMBOL, unit)?;
+            return Ok((kernel, outcome));
         }
-        cache.count_cc_invocation();
-        let lib = build_and_load(&std::env::temp_dir(), CACHED_SYMBOL, &c_src, opts, target)?;
+        let table_words: usize = unit.program.tables.iter().map(Vec::len).sum();
+        cache.count_cc_invocation(c_src.len(), table_words * std::mem::size_of::<f64>());
+        let tmp_dir = std::env::temp_dir();
+        let lib = build_and_load(&tmp_dir, CACHED_SYMBOL, &c_src, opts, target, called_off)?;
         if target.command_line() != line {
             // This build fell back to baseline: file it under the line
             // that produced it.
@@ -389,7 +455,8 @@ impl NativeKernel {
         if let Ok(bytes) = std::fs::read(&lib.so_path) {
             cache.insert(&key, bytes);
         }
-        Ok((Self::from_loaded(lib, unit), CacheOutcome::Miss))
+        let kernel = Self::from_loaded(lib, CACHED_SYMBOL, unit)?;
+        Ok((kernel, CacheOutcome::Miss))
     }
 
     /// The [`KernelCache`] key [`NativeKernel::compile_cached`] uses for
@@ -404,20 +471,26 @@ impl NativeKernel {
         c_source(unit, CACHED_SYMBOL, false).map(|c_src| KernelCache::key(&c_src, opts))
     }
 
-    /// The one place a resolved symbol becomes a callable entry point.
-    fn from_loaded(lib: Loaded, unit: &CompiledUnit) -> NativeKernel {
+    /// The one place a resolved symbol becomes a callable entry point,
+    /// with its tables filled first: no kernel exists without them.
+    fn from_loaded(
+        lib: Loaded,
+        name: &str,
+        unit: &CompiledUnit,
+    ) -> Result<NativeKernel, NativeError> {
+        fill_tables(&lib, name, unit)?;
         // SAFETY: every object reaching here was built — just now, or
         // earlier into the kernel cache, whose key covers the C text —
-        // from `c_source(unit, _, false)`, and the emitter gives that
+        // from `c_source(unit, name, false)`, and the emitter gives that
         // entry point the C ABI signature
         // `void name(double *restrict y, const double *restrict x)`.
         let entry: extern "C" fn(*mut f64, *const f64) = unsafe { std::mem::transmute(lib.sym) };
-        NativeKernel {
+        Ok(NativeKernel {
             entry,
             n_in: unit.program.n_in,
             n_out: unit.program.n_out,
             lib,
-        }
+        })
     }
 
     /// Runs the kernel: `y = f(x)`.
@@ -575,7 +648,9 @@ impl NativeIoKernel {
     ) -> Result<NativeIoKernel, NativeError> {
         let name = sanitize(&unit.name);
         let c_src = c_source(unit, &name, true)?;
-        let lib = build_and_load(&std::env::temp_dir(), &name, &c_src, opts, CcTarget::host())?;
+        let tmp_dir = std::env::temp_dir();
+        let lib = build_and_load(&tmp_dir, &name, &c_src, opts, CcTarget::host(), &NEVER)?;
+        fill_tables(&lib, &name, unit)?;
         // SAFETY: the symbol was emitted with exactly this C signature;
         // its `long` parameters are `i64` on every 64-bit Linux target
         // this crate's dlopen path supports (LP64).
@@ -638,11 +713,12 @@ fn run_cc(
     so_path: &Path,
     opts: &BuildOptions,
     target: &CcTarget,
+    called_off: &AtomicBool,
 ) -> Result<(), NativeError> {
     let isa = target.isa();
-    match cc_once(c_path, so_path, opts, isa) {
+    match cc_once(c_path, so_path, opts, isa, called_off) {
         Err(NativeError::CompileFailed(_)) if !isa.is_empty() => {
-            cc_once(c_path, so_path, opts, &[])?;
+            cc_once(c_path, so_path, opts, &[], called_off)?;
             target.downgrade();
             Ok(())
         }
@@ -653,12 +729,13 @@ fn run_cc(
 /// Runs `cc` on the written source under the timeout/retry policy.
 /// Spawn failures and timeouts are retried with backoff (the machine
 /// may be briefly overloaded); compile *errors* are deterministic and
-/// fail immediately.
+/// fail immediately, and so does a build its caller called off.
 fn cc_once(
     c_path: &Path,
     so_path: &Path,
     opts: &BuildOptions,
     isa: &[&str],
+    called_off: &AtomicBool,
 ) -> Result<(), NativeError> {
     let attempts = opts.retry.attempts.max(1);
     let mut last: Option<NativeError> = None;
@@ -666,11 +743,16 @@ fn cc_once(
         let mut cmd = Command::new("cc");
         cmd.args(target::CC_FLAGS).args(isa);
         cmd.arg("-o").arg(so_path).arg(c_path);
-        match run_command_with_timeout(&mut cmd, opts.cc_timeout) {
+        match run_command_unless(&mut cmd, opts.cc_timeout, called_off) {
             Ok(out) if out.status.success() => return Ok(()),
             Ok(out) => {
                 // Deterministic diagnostic: retrying would reproduce it.
                 return Err(NativeError::CompileFailed(clip_stderr(&out.stderr)));
+            }
+            Err(CommandError::CalledOff) => {
+                return Err(NativeError::CompileTimeout(
+                    "cc killed: the build was called off".into(),
+                ));
             }
             Err(CommandError::TimedOut { timeout }) => {
                 last = Some(NativeError::CompileTimeout(format!(
@@ -705,11 +787,12 @@ fn build_and_load(
     c_src: &str,
     opts: &BuildOptions,
     target: &CcTarget,
+    called_off: &AtomicBool,
 ) -> Result<Loaded, NativeError> {
     let tmp = TempArtifacts::new(dir, &fresh_stem());
     std::fs::write(&tmp.c_path, c_src)
         .map_err(|e| NativeError::Io(format!("writing {}: {e}", tmp.c_path.display())))?;
-    run_cc(&tmp.c_path, &tmp.so_path, opts, target)?;
+    run_cc(&tmp.c_path, &tmp.so_path, opts, target, called_off)?;
     tmp.load(name)
 }
 
@@ -860,6 +943,7 @@ mod tests {
             "void broken(double *y, const double *x) { this is not C; }",
             &BuildOptions::default(),
             CcTarget::host(),
+            &NEVER,
         )
         .err()
         .unwrap();
@@ -892,6 +976,28 @@ mod tests {
             "void slowbuild(double *y, const double *x) { y[0] = x[0]; }",
             &opts,
             CcTarget::host(),
+            &NEVER,
+        )
+        .err()
+        .unwrap();
+        assert!(matches!(err, NativeError::CompileTimeout(_)), "got {err:?}");
+        assert_eq!(
+            leftovers(&dir),
+            Vec::<String>::new(),
+            "temp artifacts leaked"
+        );
+    }
+
+    #[test]
+    fn a_called_off_build_starts_no_cc_and_cleans_up() {
+        let dir = artifact_dir("calledoff");
+        let err = build_and_load(
+            &dir,
+            "calledoff",
+            "void calledoff(double *y, const double *x) { y[0] = x[0]; }",
+            &BuildOptions::default(),
+            CcTarget::host(),
+            &AtomicBool::new(true),
         )
         .err()
         .unwrap();

@@ -6,7 +6,8 @@
 //! child cannot deadlock on a full pipe either.
 
 use std::io::Read;
-use std::process::{Command, ExitStatus, Stdio};
+use std::process::{Child, Command, ExitStatus, Stdio};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
 /// Why a command run failed.
@@ -21,6 +22,8 @@ pub enum CommandError {
     },
     /// Waiting on the process failed.
     Wait(String),
+    /// The caller called the run off and the process was killed.
+    CalledOff,
 }
 
 impl std::fmt::Display for CommandError {
@@ -31,6 +34,7 @@ impl std::fmt::Display for CommandError {
                 write!(f, "command timed out after {:.1}s", timeout.as_secs_f64())
             }
             CommandError::Wait(e) => write!(f, "waiting on command: {e}"),
+            CommandError::CalledOff => write!(f, "command called off by its caller"),
         }
     }
 }
@@ -68,6 +72,71 @@ pub fn run_command_with_timeout(
     cmd: &mut Command,
     timeout: Duration,
 ) -> Result<CommandOutput, CommandError> {
+    run_command_unless(cmd, timeout, &AtomicBool::new(false))
+}
+
+/// Stops a child spawned by [`run_command_unless`] and everything it
+/// started, and reaps it. The child leads a process group of its own, so
+/// the signals reach the whole tree (`cc` is a driver: the work is in
+/// its `cc1`/`as`/`ld` children, which outlive a driver killed alone).
+/// `SIGTERM` first, so that a driver which cleans up after itself does
+/// (gcc removes its `cc*.s`/`.o` temporaries); `SIGKILL` for whatever is
+/// still there a moment later.
+#[cfg(unix)]
+fn stop(child: &mut Child) {
+    extern "C" {
+        fn kill(pid: i32, sig: i32) -> i32;
+    }
+    const SIGTERM: i32 = 15;
+    const SIGKILL: i32 = 9;
+    const GRACE: Duration = Duration::from_millis(200);
+    let Ok(group) = i32::try_from(child.id()) else {
+        let _ = child.kill();
+        let _ = child.wait();
+        return;
+    };
+    // SAFETY: `kill` takes two integers and touches no memory of ours.
+    // `-group` names the process group the child was spawned to lead
+    // (`process_group(0)` below); the child is not reaped yet, so its
+    // pid, and with it the group id, cannot have been reused.
+    unsafe { kill(-group, SIGTERM) };
+    let patience = Instant::now() + GRACE;
+    while matches!(child.try_wait(), Ok(None)) && Instant::now() < patience {
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    // SAFETY: as above; the leader is reaped only after this (`wait`
+    // below, or the `try_wait` that just saw it exit — then its group id
+    // is held by the members still alive, or by nobody and this fails).
+    unsafe { kill(-group, SIGKILL) };
+    let _ = child.wait();
+}
+
+#[cfg(not(unix))]
+fn stop(child: &mut Child) {
+    let _ = child.kill();
+    let _ = child.wait();
+}
+
+/// [`run_command_with_timeout`] that another thread can call off: once
+/// `called_off` reads true the child and everything it started are
+/// stopped and reaped, as on a timeout (and a command not yet started
+/// is not started).
+///
+/// # Errors
+///
+/// As [`run_command_with_timeout`], plus [`CommandError::CalledOff`].
+pub fn run_command_unless(
+    cmd: &mut Command,
+    timeout: Duration,
+    called_off: &AtomicBool,
+) -> Result<CommandOutput, CommandError> {
+    // SeqCst here and below: the flag is set once, by a thread that then
+    // waits for this one, and nothing is gained by anything weaker.
+    if called_off.load(Ordering::SeqCst) {
+        return Err(CommandError::CalledOff);
+    }
+    #[cfg(unix)]
+    std::os::unix::process::CommandExt::process_group(cmd, 0);
     let mut child = cmd
         .stdin(Stdio::null())
         .stdout(Stdio::piped())
@@ -81,23 +150,26 @@ pub fn run_command_with_timeout(
         match child.try_wait() {
             Ok(Some(status)) => break status,
             Ok(None) => {
-                if Instant::now() >= deadline {
-                    let _ = child.kill();
-                    let _ = child.wait();
-                    // Do NOT join the drain threads here: a grandchild
-                    // (e.g. `sh -c` that forked rather than exec'd) may
-                    // still hold the pipe open, and the output of a
-                    // killed command is unwanted anyway. Dropping the
-                    // handles detaches the drainers; they exit on EOF.
+                let called_off = called_off.load(Ordering::SeqCst);
+                if called_off || Instant::now() >= deadline {
+                    stop(&mut child);
+                    // Do NOT join the drain threads here: a descendant
+                    // that left the group may still hold the pipe open,
+                    // and the output of a killed command is unwanted
+                    // anyway. Dropping the handles detaches the
+                    // drainers; they exit on EOF.
                     drop(out_h);
                     drop(err_h);
-                    return Err(CommandError::TimedOut { timeout });
+                    return Err(if called_off {
+                        CommandError::CalledOff
+                    } else {
+                        CommandError::TimedOut { timeout }
+                    });
                 }
                 std::thread::sleep(Duration::from_millis(2));
             }
             Err(e) => {
-                let _ = child.kill();
-                let _ = child.wait();
+                stop(&mut child);
                 return Err(CommandError::Wait(e.to_string()));
             }
         }
@@ -145,6 +217,47 @@ mod tests {
         let err = run_command_with_timeout(&mut cmd, Duration::from_millis(100)).unwrap_err();
         assert!(matches!(err, CommandError::TimedOut { .. }));
         assert!(start.elapsed() < Duration::from_secs(10));
+    }
+
+    #[test]
+    fn a_called_off_command_is_killed_at_once() {
+        let called_off = AtomicBool::new(false);
+        let start = Instant::now();
+        let err = std::thread::scope(|scope| {
+            let run = scope.spawn(|| {
+                let mut cmd = Command::new("sh");
+                cmd.arg("-c").arg("sleep 30");
+                run_command_unless(&mut cmd, Duration::from_secs(60), &called_off)
+            });
+            std::thread::sleep(Duration::from_millis(50));
+            called_off.store(true, Ordering::SeqCst);
+            run.join().expect("runner thread").unwrap_err()
+        });
+        assert_eq!(err, CommandError::CalledOff);
+        assert!(start.elapsed() < Duration::from_secs(10));
+        // And once called off, nothing is started.
+        let mut cmd = Command::new("sh");
+        cmd.arg("-c").arg("exit 0");
+        let err = run_command_unless(&mut cmd, Duration::from_secs(1), &called_off).unwrap_err();
+        assert_eq!(err, CommandError::CalledOff);
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn a_killed_command_takes_its_children_with_it() {
+        // The shell's child would write the file half a second from now.
+        let marker =
+            std::env::temp_dir().join(format!("spl_command_orphan_{}", std::process::id()));
+        let _ = std::fs::remove_file(&marker);
+        let mut cmd = Command::new("sh");
+        cmd.arg("-c").arg(format!(
+            "(sleep 0.5; echo late > {}) & wait",
+            marker.display()
+        ));
+        let err = run_command_with_timeout(&mut cmd, Duration::from_millis(100)).unwrap_err();
+        assert!(matches!(err, CommandError::TimedOut { .. }));
+        std::thread::sleep(Duration::from_millis(1000));
+        assert!(!marker.exists(), "a grandchild outlived the kill");
     }
 
     #[test]

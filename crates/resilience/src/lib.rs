@@ -36,7 +36,7 @@ pub mod lockfile;
 pub mod retry;
 pub mod sandbox;
 
-pub use command::{run_command_with_timeout, CommandError};
+pub use command::{run_command_unless, run_command_with_timeout, CommandError};
 pub use journal::{Journal, JournalError, LoadedJournal};
 pub use lockfile::FileLock;
 pub use retry::RetryPolicy;

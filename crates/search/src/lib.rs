@@ -103,8 +103,8 @@ pub use faults::FaultyEvaluator;
 pub use parallel::{EvaluatorPool, MeasurementGate, MeasurementToken, WorkerContext};
 pub use resilient::{QuarantineEntry, ResilientEvaluator};
 pub use wisdom::{
-    cc_fingerprint, machine_fingerprint, transform_key, wisdom_from_string, wisdom_to_string,
-    Search, SearchOutcome, WisdomDb, WisdomEntry, WisdomError, WisdomErrorKind,
+    cc_fingerprint, cc_key, machine_fingerprint, transform_key, wisdom_from_string,
+    wisdom_to_string, Search, SearchOutcome, WisdomDb, WisdomEntry, WisdomError, WisdomErrorKind,
 };
 
 /// A structured search failure. Every variant carries human-readable

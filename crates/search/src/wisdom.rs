@@ -6,12 +6,15 @@
 //! export format. [`WisdomDb`] is the store: every entry is keyed by
 //! `(transform, size, cc fingerprint, machine fingerprint)` — the
 //! transform component ([`transform_key`]) names the search
-//! configuration and the evaluator — and carries the retained plans
-//! with their measured costs. On disk it is one CRC-framed append-only
-//! journal (`spl-resilience`) guarded by an `flock` lockfile, so
-//! concurrent `splsearch --jobs` runs and other processes append
-//! winners safely; merge is best-cost-wins and commutative, so every
-//! reader converges to the same entries no matter the append order.
+//! configuration and the evaluator, and the compiler component is a
+//! fingerprint only where the evaluator's costs depend on the compiler
+//! ([`cc_key`]: a key names only what the value depends on) — and
+//! carries the retained plans with their measured costs. On disk it is
+//! one CRC-framed append-only journal (`spl-resilience`) guarded by an
+//! `flock` lockfile, so concurrent `splsearch --jobs` runs and other
+//! processes append winners safely; merge is best-cost-wins and
+//! commutative, so every reader converges to the same entries no matter
+//! the append order.
 //! Entries whose fingerprints do not match the current
 //! toolchain/machine are kept but not trusted: [`WisdomDb::lookup`]
 //! never serves them, and [`WisdomDb::export_flat`] ranks them below
@@ -41,6 +44,7 @@
 use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
+use std::io::{BufRead, BufReader};
 use std::path::{Path, PathBuf};
 use std::sync::OnceLock;
 
@@ -176,6 +180,8 @@ fn fnv64(s: &str) -> u64 {
 /// banner), the same text the kernel cache keys on. DB entries recorded
 /// under a different compiler *or different flags* are kept but not
 /// trusted: a cost measured on SSE2 code says little about AVX2 code.
+/// The first call runs `cc --version`; only a key whose costs came
+/// through `cc` asks for it ([`cc_key`]).
 pub fn cc_fingerprint() -> &'static str {
     static FP: OnceLock<String> = OnceLock::new();
     FP.get_or_init(|| cc_fingerprint_of(spl_native::cc_command_line()))
@@ -186,22 +192,58 @@ fn cc_fingerprint_of(cc_line: &str) -> String {
     format!("{:016x}", fnv64(cc_line))
 }
 
+/// The compiler component of entries no C compiler had a part in: not
+/// sixteen hex digits, so no [`cc_fingerprint`] can equal it.
+const NO_CC: &str = "-";
+
+/// The compiler component of a DB key for costs priced by the evaluator
+/// labelled `evaluator` — a key names only what the value depends on.
+/// The VM's seconds and the op counts never pass through `cc`, so their
+/// entries are filed under a constant: no compiler is asked for its
+/// version on their account, and a compiler upgrade leaves them
+/// trusted. Every other label (`native`, which a resilient chain
+/// reports as its first tier, and any evaluator this crate does not
+/// know) keeps [`cc_fingerprint`].
+pub fn cc_key(evaluator: &str) -> &'static str {
+    match evaluator {
+        "vm" | "opcount" => NO_CC,
+        _ => cc_fingerprint(),
+    }
+}
+
+/// [`cc_key`] of the evaluator label inside a [`transform_key`] (a
+/// transform component of another shape names no evaluator we know).
+fn cc_key_of(transform: &str) -> &'static str {
+    cc_key(transform.splitn(5, '-').nth(4).unwrap_or(""))
+}
+
 /// Fingerprint of the machine (arch, OS, CPU model, core count) —
 /// measured costs only transfer between identical fingerprints.
 pub fn machine_fingerprint() -> &'static str {
     static FP: OnceLock<String> = OnceLock::new();
-    FP.get_or_init(|| {
-        let mut desc = format!("{} {}", std::env::consts::ARCH, std::env::consts::OS);
-        if let Ok(info) = std::fs::read_to_string("/proc/cpuinfo") {
-            if let Some(line) = info.lines().find(|l| l.starts_with("model name")) {
-                desc.push(' ');
-                desc.push_str(line.trim());
-            }
-        }
-        let par = std::thread::available_parallelism().map_or(1, |p| p.get());
-        desc.push_str(&format!(" x{par}"));
-        format!("{:016x}", fnv64(&desc))
-    })
+    FP.get_or_init(|| machine_fingerprint_of(first_model_name()))
+}
+
+fn machine_fingerprint_of(model_name: Option<String>) -> String {
+    let mut desc = format!("{} {}", std::env::consts::ARCH, std::env::consts::OS);
+    if let Some(line) = model_name {
+        desc.push(' ');
+        desc.push_str(line.trim());
+    }
+    let par = std::thread::available_parallelism().map_or(1, |p| p.get());
+    desc.push_str(&format!(" x{par}"));
+    format!("{:016x}", fnv64(&desc))
+}
+
+/// The first `model name` line of `/proc/cpuinfo`. The kernel renders
+/// that file per read, one stanza per CPU, and the line is in the first
+/// few hundred bytes: reading stops there, a small buffer at a time.
+fn first_model_name() -> Option<String> {
+    let info = std::fs::File::open("/proc/cpuinfo").ok()?;
+    BufReader::with_capacity(512, info)
+        .lines()
+        .map_while(Result::ok)
+        .find(|l| l.starts_with("model name"))
 }
 
 /// The transform component of a DB key: the transform family, the
@@ -448,7 +490,7 @@ impl WisdomDb {
         let key = EntryKey {
             transform: transform.to_string(),
             n,
-            cc_fp: cc_fingerprint().to_string(),
+            cc_fp: cc_key_of(transform).to_string(),
             machine_fp: machine_fingerprint().to_string(),
         };
         match self.entries.get(&key) {
@@ -471,7 +513,8 @@ impl WisdomDb {
     ///
     /// I/O failures.
     pub fn record(&mut self, transform: &str, n: usize, plans: &[Plan]) -> Result<(), SearchError> {
-        self.record_with(transform, n, plans, cc_fingerprint(), machine_fingerprint())
+        let cc_fp = cc_key_of(transform);
+        self.record_with(transform, n, plans, cc_fp, machine_fingerprint())
     }
 
     /// [`WisdomDb::record`] under explicit fingerprints (imports,
@@ -539,8 +582,9 @@ impl WisdomDb {
     /// merge order). This is `spld`'s preload path and the lossless
     /// round-trip counterpart of [`WisdomDb::import_flat`].
     pub fn export_flat(&self) -> String {
-        let trusted =
-            |e: &WisdomEntry| e.cc_fp == cc_fingerprint() && e.machine_fp == machine_fingerprint();
+        let trusted = |e: &WisdomEntry| {
+            e.cc_fp == cc_key_of(&e.transform) && e.machine_fp == machine_fingerprint()
+        };
         let mut per_size: HashMap<usize, &WisdomEntry> = HashMap::new();
         for e in self.entries.values() {
             match per_size.get(&e.n) {
@@ -1073,6 +1117,37 @@ mod tests {
         assert_eq!(cc_fingerprint(), cc_fingerprint());
         assert!(cc_fingerprint().chars().all(|c| c.is_ascii_hexdigit()));
         assert!(machine_fingerprint().chars().all(|c| c.is_ascii_hexdigit()));
+    }
+
+    #[test]
+    fn machine_fingerprint_reads_what_the_whole_file_form_read() {
+        let whole = std::fs::read_to_string("/proc/cpuinfo")
+            .ok()
+            .and_then(|info| {
+                info.lines()
+                    .find(|l| l.starts_with("model name"))
+                    .map(str::to_string)
+            });
+        assert_eq!(first_model_name(), whole);
+        assert_eq!(machine_fingerprint(), machine_fingerprint_of(whole));
+    }
+
+    #[test]
+    fn only_costs_that_came_through_cc_are_keyed_by_it() {
+        let config = SearchConfig::default();
+        for label in ["vm", "opcount"] {
+            assert_eq!(cc_key(label), NO_CC);
+            assert_eq!(cc_key_of(&transform_key(&config, label)), NO_CC);
+        }
+        for label in ["native", "scaled", ""] {
+            assert_eq!(cc_key(label), cc_fingerprint(), "{label:?}");
+        }
+        assert_eq!(
+            cc_key_of(&transform_key(&config, "native")),
+            cc_fingerprint()
+        );
+        assert_eq!(cc_key_of("fft/t"), cc_fingerprint());
+        assert_ne!(NO_CC.len(), cc_fingerprint().len());
     }
 
     #[test]

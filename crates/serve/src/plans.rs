@@ -50,6 +50,7 @@
 
 use std::collections::hash_map::{Entry, HashMap};
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex, Weak};
 use std::time::{Duration, Instant};
 
@@ -117,10 +118,11 @@ struct SharedKernel {
 // SAFETY: `NativeKernel` is `!Send`/`!Sync` only for its raw dlopen
 // handle and entry pointer. The entry point allocates nothing and
 // touches three things: its argument buffers (each caller's own), the
-// shared object's constant twiddle tables (read-only), and its static
-// temporaries, which `running` gives to one caller at a time — `with`
-// is the only way to `kernel`. The handle itself is only used again at
-// drop, which runs once, on whichever thread lets go of the last `Arc`.
+// shared object's twiddle tables (filled by `spl-native` before the
+// kernel existed, read-only since), and its static temporaries, which
+// `running` gives to one caller at a time — `with` is the only way to
+// `kernel`. The handle itself is only used again at drop, which runs
+// once, on whichever thread lets go of the last `Arc`.
 unsafe impl Send for SharedKernel {}
 unsafe impl Sync for SharedKernel {}
 
@@ -234,8 +236,15 @@ impl Default for PlanStoreOptions {
 /// build reads, and where both sides count.
 struct Shared {
     opts: PlanStoreOptions,
-    kernels: Option<Arc<KernelCache>>,
+    /// Every kernel is built through it: the state directory's, or one
+    /// that lives and dies with the store.
+    kernels: KernelCache,
     tel: Mutex<Telemetry>,
+    /// Held by the builder thread across each build it does.
+    building: Mutex<()>,
+    /// Set by [`PlanStore::call_off_builds`]: a `cc` in flight is killed,
+    /// no build is started.
+    builds_called_off: AtomicBool,
 }
 
 impl Shared {
@@ -273,11 +282,9 @@ impl Shared {
     /// not an error: the plan serves on the VM tier.
     fn build_and_promote(&self, plan: &PlanEntry, unit: &CompiledUnit) -> NativeTier {
         let build = &self.opts.build;
-        let result = match &self.kernels {
-            Some(cache) => NativeKernel::compile_cached(unit, build, cache).map(|(k, _)| k),
-            None => NativeKernel::compile_with(unit, build),
-        };
-        let Ok(kernel) = result else {
+        let called_off = &self.builds_called_off;
+        let built = NativeKernel::compile_cached_unless(unit, build, &self.kernels, called_off);
+        let Ok((kernel, _)) = built else {
             self.count("spld.native.compile_failures");
             return NativeTier::Missing;
         };
@@ -318,8 +325,8 @@ impl Shared {
     fn quarantine(&self, kernel: &SharedKernel) {
         self.count("spld.quarantined");
         self.count("spld.degradations");
-        if let (Some(cache), Some(key)) = (&self.kernels, &kernel.cache_key) {
-            cache.evict(key);
+        if let Some(key) = &kernel.cache_key {
+            self.kernels.evict(key);
         }
     }
 }
@@ -333,6 +340,11 @@ fn build_queued(queue: &mpsc::Receiver<Arc<PlanEntry>>, shared: &Weak<Shared>) {
         let Some(shared) = shared.upgrade() else {
             return;
         };
+        // Nothing valid or invalid behind this lock: poison is no news.
+        let _building = shared.building.lock().unwrap_or_else(|e| e.into_inner());
+        if shared.builds_called_off.load(Ordering::SeqCst) {
+            return;
+        }
         shared.build_native(&plan);
         shared.count("spld.native.builds_finished");
     }
@@ -365,17 +377,15 @@ impl PlanStore {
     /// Fails on state-directory I/O errors; a corrupt journal *tail* is
     /// dropped (tolerant load), not fatal.
     pub fn new(opts: PlanStoreOptions) -> Result<PlanStore, ServeError> {
-        let mut kernels = None;
+        let mut kernels = KernelCache::in_memory();
         let mut journal = None;
         let mut preload: Vec<(usize, FftTree)> = Vec::new();
         let mut tel = Telemetry::new();
         if let Some(dir) = &opts.state_dir {
             std::fs::create_dir_all(dir)
                 .map_err(|e| ServeError::Internal(format!("creating {}: {e}", dir.display())))?;
-            kernels = Some(Arc::new(
-                KernelCache::with_dir(&dir.join("kernels"))
-                    .map_err(|e| ServeError::Internal(format!("kernel cache: {e}")))?,
-            ));
+            kernels = KernelCache::with_dir(&dir.join("kernels"))
+                .map_err(|e| ServeError::Internal(format!("kernel cache: {e}")))?;
             let (j, loaded) = Journal::open(&dir.join("plans.journal"))
                 .map_err(|e| ServeError::Internal(format!("plan journal: {e}")))?;
             if loaded.dropped > 0 {
@@ -393,6 +403,8 @@ impl PlanStore {
                 opts,
                 kernels,
                 tel: Mutex::new(tel),
+                building: Mutex::new(()),
+                builds_called_off: AtomicBool::new(false),
             }),
             trees: Mutex::new(HashMap::new()),
             plans: Mutex::new(HashMap::new()),
@@ -520,6 +532,25 @@ impl PlanStore {
         }
     }
 
+    /// Calls off the builder thread's work, for a store about to go: a
+    /// `cc` it is waiting for is killed (its `.c`/`.so` pair goes with
+    /// the failed build), what is queued behind is dropped, and this
+    /// returns once the thread is between builds — so that a process
+    /// that exits next leaves nothing of a build in its `TMPDIR`. A
+    /// build past its `cc` is waited for: the promotion run is bounded
+    /// by [`PlanStoreOptions::sandbox_timeout`].
+    pub fn call_off_builds(&self) {
+        // SeqCst: the builder reads the flag under `building`, or polls
+        // it while it waits for `cc`; neither may see it late.
+        self.shared.builds_called_off.store(true, Ordering::SeqCst);
+        drop(
+            self.shared
+                .building
+                .lock()
+                .unwrap_or_else(|e| e.into_inner()),
+        );
+    }
+
     /// Executes one request through the degradation chain, from the
     /// caller's `x` into the caller's `y`: nothing is allocated for the
     /// samples, which is what lets a connection serve every request out
@@ -591,9 +622,7 @@ impl PlanStore {
     /// with the kernel cache's), leaving both empty.
     pub fn drain_telemetry(&self) -> Telemetry {
         let mut tel = std::mem::take(&mut *self.shared.tel.lock().unwrap());
-        if let Some(cache) = &self.shared.kernels {
-            tel.merge(&cache.drain_telemetry());
-        }
+        tel.merge(&self.shared.kernels.drain_telemetry());
         tel
     }
 

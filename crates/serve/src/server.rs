@@ -498,7 +498,10 @@ impl Server {
     }
 
     /// The drain handshake: stop admissions, wake everyone, wait for the
-    /// queue and the executing batches to empty (a slot release wakes us).
+    /// queue and the executing batches to empty (a slot release wakes
+    /// us), then call off the native build in flight, if any — a `cc`
+    /// nobody will wait for must not outlive the daemon, nor its
+    /// temporary files.
     fn drain(&self) {
         let mut q = self.queue.lock().unwrap();
         q.draining = true;
@@ -506,6 +509,8 @@ impl Server {
         while !q.jobs.is_empty() || q.executing > 0 {
             q = self.park(q);
         }
+        drop(q);
+        self.store.call_off_builds();
         self.count("spld.drains");
     }
 

@@ -382,3 +382,79 @@ fn cc_that_rejects_the_isa_tokens_falls_back_to_baseline_once() {
     // The host's own line is untouched by another target's trouble.
     assert_eq!(CcTarget::host().fallbacks(), 0);
 }
+
+/// `cc` is handed code, not data: two units whose C differs only in the
+/// *values* of their tables are one text, so one `cc` run serves both —
+/// and each load, in a handle of its own, is filled from its own unit.
+#[test]
+fn units_that_differ_only_in_table_values_share_one_cc_run() {
+    // `T` with a power: the same loops over another table.
+    let src = "(template (TW n_ s_ p_) [n_%s_==0 && s_>=1]
+                 (do $i0 = 0,n_/s_-1
+                       do $i1 = 0,s_-1
+                            $r0 = $i0 * $i1
+                            $r1 = $r0 * p_
+                            $f0 = W(n_ $r1)
+                            $out($i0*s_+$i1) = $f0 * $in($i0*s_+$i1)
+                       end
+                  end))
+               #datatype complex
+               #codetype real
+               (compose (tensor (F 2) (I 4)) (TW 8 2 1))
+               (compose (tensor (F 2) (I 4)) (TW 8 2 3))";
+    let units = Compiler::new().compile_source(src).unwrap();
+    let [a, b] = units.as_slice() else {
+        panic!("two formulas, {} units", units.len());
+    };
+    assert_ne!(a.program.tables, b.program.tables, "different twiddles");
+    let opts = BuildOptions::default();
+    assert_eq!(
+        NativeKernel::cache_key(a, &opts).unwrap(),
+        NativeKernel::cache_key(b, &opts).unwrap(),
+        "same text"
+    );
+
+    let cache = KernelCache::in_memory();
+    let (ka, _) = NativeKernel::compile_cached(a, &opts, &cache).unwrap();
+    let (kb, _) = NativeKernel::compile_cached(b, &opts, &cache).unwrap();
+    // Both alive at once, and a second load of the first beside them.
+    let (ka2, _) = NativeKernel::compile_cached(a, &opts, &cache).unwrap();
+    assert_bitwise_vm("(TW 8 2 1)", a, &ka);
+    assert_bitwise_vm("(TW 8 2 3)", b, &kb);
+    assert_bitwise_vm("(TW 8 2 1) again", a, &ka2);
+    let tel = cache.drain_telemetry();
+    assert_eq!(tel.counter("native.cc_invocations"), Some(1));
+    assert_eq!(tel.counter("native.cache.memory_hits"), Some(2));
+    // What cc was handed, and what it was spared: 8 complex twiddles.
+    assert_eq!(tel.counter("native.table_bytes"), Some(8 * 2 * 8));
+    assert!(tel.counter("native.c_bytes").unwrap() > 0);
+}
+
+/// The sandboxed runs fork a process that already has the tables.
+#[test]
+fn sandboxed_runs_see_the_loaded_tables() {
+    let (_, unit) = benchmark_plans(|n| n == 256).remove(0);
+    assert!(!unit.program.tables.is_empty());
+    let kernel = NativeKernel::compile(&unit).unwrap();
+    let vm = lower(&unit.program).unwrap();
+    let x = spl::vm::convert::interleave(&workload(256));
+    let mut want = vec![0.0; vm.n_out];
+    vm.run(&x, &mut want, &mut VmState::new(&vm));
+    let mut got = vec![0.0; kernel.n_out];
+    kernel
+        .run_sandboxed(&x, &mut got, std::time::Duration::from_secs(30))
+        .unwrap();
+    assert!(
+        got.iter()
+            .zip(&want)
+            .all(|(g, w)| g.to_bits() == w.to_bits()),
+        "sandboxed run differs from the VM"
+    );
+    let secs = kernel
+        .measure_sandboxed(
+            std::time::Duration::from_millis(2),
+            std::time::Duration::from_secs(30),
+        )
+        .unwrap();
+    assert!(secs > 0.0);
+}

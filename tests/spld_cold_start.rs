@@ -261,6 +261,8 @@ fn drain_does_not_wait_for_a_build() {
     assert_eq!(daemon.counter("spld.native.builds_queued"), 2);
     assert_eq!(daemon.counter("spld.native.builds_finished"), 0);
     // One build is inside a cc that never returns, one is queued behind
-    // it: the daemon leaves both, as a kill -9 would.
+    // it: the drain kills the first, drops the second, and takes the
+    // killed build's `.c`/`.so` pair with it.
     daemon.drain_and_wait(Duration::from_secs(20));
+    assert!(is_free_of_temporaries(&daemon.dir));
 }

@@ -67,6 +67,9 @@ impl Reference {
 struct Daemon {
     child: Child,
     socket: PathBuf,
+    /// The child's `TMPDIR`: where its native builds put their
+    /// `spl_native_<pid>_*.{c,so}` pairs.
+    tmp: PathBuf,
 }
 
 impl Daemon {
@@ -74,10 +77,13 @@ impl Daemon {
         // A SIGKILLed daemon leaves its socket file behind; remove it
         // so `socket.exists()` below means *this* daemon bound it.
         let _ = std::fs::remove_file(socket);
+        let tmp = socket.with_file_name("tmp");
+        std::fs::create_dir_all(&tmp).expect("daemon TMPDIR");
         let child = Command::new(env!("CARGO_BIN_EXE_spld"))
             .arg("--socket")
             .arg(socket)
             .args(extra)
+            .env("TMPDIR", &tmp)
             .spawn()
             .expect("spawn spld");
         // Binding happens after wisdom load and journal replay, which
@@ -90,6 +96,7 @@ impl Daemon {
         Daemon {
             child,
             socket: socket.to_path_buf(),
+            tmp,
         }
     }
 
@@ -155,6 +162,21 @@ impl Daemon {
         }
         let status = self.child.wait().expect("wait");
         assert!(status.success(), "spld exited {status:?} after drain");
+        // A drained daemon takes its builds' temporaries with it, those
+        // of a build the drain interrupted included (a killed one, which
+        // may have shared this directory, does not).
+        let mine = format!("spl_native_{}_", self.child.id());
+        let left: Vec<String> = std::fs::read_dir(&self.tmp)
+            .expect("daemon TMPDIR")
+            .map(|e| {
+                e.expect("dir entry")
+                    .file_name()
+                    .to_string_lossy()
+                    .into_owned()
+            })
+            .filter(|name| name.starts_with(&mine))
+            .collect();
+        assert!(left.is_empty(), "left in TMPDIR after drain: {left:?}");
     }
 }
 
@@ -502,4 +524,34 @@ fn soak_overload_sheds_explicitly() {
     let stats = daemon.stats();
     assert!(counter(&stats, "spld.shed") >= 1, "sheds counted:\n{stats}");
     daemon.drain_and_wait();
+}
+
+/// A drain that arrives while the builder thread is inside `cc`: the
+/// compiler is stopped and the daemon exits with nothing of the build in
+/// its `TMPDIR`.
+#[test]
+fn soak_drain_during_a_native_build_leaves_no_temporaries() {
+    let dir = test_dir("midbuild");
+    let socket = dir.join("sock");
+    let daemon = Daemon::spawn(&socket, &[]);
+    // One cold size whose kernel keeps `cc` busy far longer than the two
+    // requests below take: the reply comes from the VM at once.
+    let n = 4096;
+    let x = sample_input(n, 9);
+    match daemon.client().transform(n, None, &x).expect("transform") {
+        Response::Transformed { data, .. } => Reference::new().check(n, &x, &data),
+        other => panic!("size {n} answered {other:?}"),
+    }
+    let stats = daemon.stats();
+    assert_eq!(counter(&stats, "spld.native.builds_queued"), 1, "{stats}");
+    assert_eq!(counter(&stats, "spld.native.builds_finished"), 0, "{stats}");
+    let tmp = daemon.tmp.clone();
+    daemon.drain_and_wait();
+    // Nor anything of the compiler's own: its driver was told to stop,
+    // not just killed, and its children with it.
+    let left: Vec<_> = std::fs::read_dir(&tmp)
+        .expect("daemon TMPDIR")
+        .map(|e| e.expect("dir entry").file_name())
+        .collect();
+    assert!(left.is_empty(), "left in TMPDIR after drain: {left:?}");
 }
