@@ -6,10 +6,14 @@
 //! engine. The corpus is the pinned fuzz stream (seed 1, 200 cases,
 //! default generator knobs) — the same formulas `splfuzz` replays —
 //! plus hand-built programs covering the engine's tricky corners:
-//! zero-trip loops, deep nests, and aliased temporaries.
+//! zero-trip loops, deep nests, and aliased temporaries — and the twelve
+//! plans the benchmark times, on which the profiled run must agree too.
 
-use spl_compiler::Compiler;
+use std::sync::{Mutex, MutexGuard};
+
+use spl_compiler::{Compiler, CompilerOptions};
 use spl_fuzz::{gen_formula, GenConfig};
+use spl_generator::fft::FftTree;
 use spl_icode::{Affine, BinOp, IProgram, Instr, LoopVar, Place, Value, VecKind, VecRef};
 use spl_numeric::rng::Rng;
 use spl_numeric::Complex;
@@ -105,6 +109,64 @@ fn pinned_corpus_is_bit_identical_across_engines() {
     );
 }
 
+/// Serializes the tests that flip the process-wide forced-scalar switch.
+fn force_scalar_lock() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(|p| p.into_inner())
+}
+
+#[test]
+fn benchmark_plans_agree_bitwise_on_every_executor() {
+    // The twelve plans of `benchmark/plans.wisdom` as the benchmark
+    // compiles them (`-B 64`): straight-line cell-form code up to 64
+    // points, loops over unrolled leaves above. `run`, `run_profiled`
+    // and `run_reference` must agree bit for bit, on the detected lane
+    // backend and with the scalar fallback forced.
+    let _g = force_scalar_lock();
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../benchmark/plans.wisdom");
+    let plans = std::fs::read_to_string(path).expect("benchmark/plans.wisdom exists");
+    let mut sizes = Vec::new();
+    for line in plans.lines().filter(|l| !l.starts_with('#')) {
+        let (n, spec) = line.split_once(':').expect("size: spec");
+        let label = format!("plan {}", n.trim());
+        let src = FftTree::from_spec(spec.trim())
+            .unwrap_or_else(|e| panic!("{label}: {e}"))
+            .to_sexp()
+            .to_string();
+        let mut compiler = Compiler::with_options(CompilerOptions {
+            unroll_threshold: Some(64),
+            ..Default::default()
+        });
+        let unit = compiler.compile_formula_str(&src).expect("plan compiles");
+        let vm = lower(&unit.program).expect("plan lowers");
+        assert!(vm.is_resolved(), "{label}: {:?}", vm.resolve_fallback());
+        let (_, x) = workload(vm.n_in);
+        let mut want = vec![0.0; vm.n_out];
+        vm.run_reference(&x, &mut want, &mut VmState::new(&vm));
+        for forced in [false, true] {
+            spl_vm::simd::set_force_scalar(forced);
+            // One state through both: they are one executor.
+            let mut st = VmState::new(&vm);
+            let mut y_prof = vec![0.0; vm.n_out];
+            let mut y_run = vec![0.0; vm.n_out];
+            vm.run_profiled(&x, &mut y_prof, &mut st).expect("resolved");
+            vm.run(&x, &mut y_run, &mut st);
+            spl_vm::simd::set_force_scalar(false);
+            for i in 0..vm.n_out {
+                for (how, y) in [("run", &y_run), ("run_profiled", &y_prof)] {
+                    assert_eq!(
+                        y[i].to_bits(),
+                        want[i].to_bits(),
+                        "{label}: {how} vs reference at word {i} (forced scalar: {forced})"
+                    );
+                }
+            }
+        }
+        sizes.push(vm.n_in / 2);
+    }
+    assert_eq!(sizes.len(), 12, "{sizes:?}");
+}
+
 #[test]
 fn corpus_vector_and_forced_scalar_runs_are_bit_identical() {
     // Every pinned `tests/corpus/` formula must produce bit-identical
@@ -113,6 +175,7 @@ fn corpus_vector_and_forced_scalar_runs_are_bit_identical() {
     // oracle's third leg checks per case, pinned here on the
     // pass-validation corpus. A no-op when the host (or
     // SPL_VM_FORCE_SCALAR) gives no vector backend.
+    let _g = force_scalar_lock();
     let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/corpus");
     let mut entries: Vec<_> = std::fs::read_dir(dir)
         .expect("tests/corpus exists")

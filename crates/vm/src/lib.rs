@@ -17,9 +17,10 @@
 //! baseline every differential test compares against — then tries to
 //! *resolve* it into the fused, strength-reduced engine (see
 //! [`resolved`]): peephole fusion produces multiply–add, negate-folded,
-//! and butterfly macro-ops, and every operand becomes a precomputed
-//! cursor into one unified arena, advanced by constant strides at loop
-//! latches. [`VmProgram::run`] and [`VmProgram::run_profiled`] are that
+//! and butterfly macro-ops, and every operand becomes a place in one
+//! unified arena: the cell itself where no loop moves it (all of
+//! straight-line code), a precomputed cursor advanced by constant
+//! strides at loop latches where one does. [`VmProgram::run`] and [`VmProgram::run_profiled`] are that
 //! engine's single executor with and without a profiling probe; `run`
 //! falls back to the reference executor only for the programs the
 //! resolver declines.

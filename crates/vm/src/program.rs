@@ -6,7 +6,7 @@ use std::fmt;
 use spl_icode::{Affine, BinOp, IProgram, Instr, Place, ProvNode, UnOp, Value, VecKind, VecRef};
 
 use crate::profile::VmProfile;
-use crate::resolved::{resolve, ResolveStats, ResolvedProgram, Unsupported};
+use crate::resolved::{resolve, LaneSlot, ResolveStats, ResolvedProgram, Unsupported};
 
 /// A lowering error.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -337,6 +337,14 @@ impl VmProgram {
     pub fn run_reference(&self, x: &[f64], y: &mut [f64], st: &mut VmState) {
         assert_eq!(x.len(), self.n_in, "input length mismatch");
         assert_eq!(y.len(), self.n_out, "output length mismatch");
+        // Only this executor keeps `$f` and the temporaries outside
+        // the arena, so only here are they given their size.
+        if st.f.len() < self.n_f {
+            st.f.resize(self.n_f, 0.0);
+        }
+        if st.temps.len() < self.temp_len {
+            st.temps.resize(self.temp_len, 0.0);
+        }
         let code = &self.code[..];
         let loops = &mut st.loops[..];
         let f = &mut st.f[..];
@@ -448,31 +456,46 @@ impl VmProgram {
 /// arena).
 #[derive(Debug, Clone)]
 pub struct VmState {
+    /// `$f` registers and temporaries of the reference executor, sized
+    /// by its first run (the resolved engine keeps both in `arena`).
     pub(crate) f: Vec<f64>,
+    pub(crate) temps: Vec<f64>,
     pub(crate) r: Vec<i64>,
     pub(crate) loops: Vec<i64>,
-    pub(crate) temps: Vec<f64>,
     /// Unified arena of the resolved engine (empty when the program
     /// is unresolved).
     pub(crate) arena: Vec<f64>,
-    /// Cursor file of the resolved engine.
+    /// Cursor file of the resolved engine (empty when no loop of the
+    /// program steps an operand).
     pub(crate) cur: Vec<i64>,
+    /// [`ResolvedProgram::tag`] of the program the arena was built
+    /// for.
+    pub(crate) tag: u64,
+    /// Lane registers for the program's largest vector plan.
+    pub(crate) lanes: Vec<LaneSlot>,
 }
 
 impl VmState {
     /// Allocates state sized for a program.
     pub fn new(prog: &VmProgram) -> VmState {
-        let (arena, cur) = match &prog.resolved {
-            Ok(rp) => (rp.fresh_arena(), rp.init_cursors().to_vec()),
-            Err(_) => (Vec::new(), Vec::new()),
+        let (arena, cur, tag, lanes) = match &prog.resolved {
+            Ok(rp) => (
+                rp.fresh_arena(),
+                rp.init_cursors().to_vec(),
+                rp.tag(),
+                vec![LaneSlot::ZERO; rp.max_lane_cells()],
+            ),
+            Err(_) => (Vec::new(), Vec::new(), 0, Vec::new()),
         };
         VmState {
-            f: vec![0.0; prog.n_f],
+            f: Vec::new(),
+            temps: Vec::new(),
             r: vec![0; prog.n_r],
             loops: vec![0; prog.n_loop],
-            temps: vec![0.0; prog.temp_len],
             arena,
             cur,
+            tag,
+            lanes,
         }
     }
 }
@@ -1509,22 +1532,106 @@ mod tests {
         big.run(&vec![1.0; big.n_in], &mut y, &mut VmState::new(&small));
     }
 
-    #[test]
-    fn state_with_another_cursor_count_is_refused_before_any_op_runs() {
-        let small = compile("(F 2)", CompilerOptions::default());
-        let big = compile("(F 8)", CompilerOptions::default());
-        // Large enough in every dimension, so only the cursor file can
-        // give it away.
-        let mut st = VmState::new(&big);
-        assert_ne!(st.cur.len(), VmState::new(&small).cur.len());
+    /// `out[i] = in[i] + in[from(i)]` over `i = 0..=3`: same arena for
+    /// every `from`, one cursor more when `from` is not the identity.
+    fn sweep(second: (i64, i64)) -> VmProgram {
+        use spl_icode::{Affine, BinOp, Instr, LoopVar, Place, Value, VecKind, VecRef};
+        let at = |kind, c, k| {
+            Place::Vec(VecRef {
+                kind,
+                idx: Affine {
+                    c,
+                    terms: vec![(k, LoopVar(0))],
+                },
+            })
+        };
+        let prog = spl_icode::IProgram {
+            instrs: vec![
+                Instr::DoStart {
+                    var: LoopVar(0),
+                    lo: 0,
+                    hi: 3,
+                    unroll: false,
+                },
+                Instr::Bin {
+                    op: BinOp::Add,
+                    dst: at(VecKind::Out, 0, 1),
+                    a: Value::Place(at(VecKind::In, 0, 1)),
+                    b: Value::Place(at(VecKind::In, second.0, second.1)),
+                },
+                Instr::DoEnd,
+            ],
+            n_in: 4,
+            n_out: 4,
+            n_loop: 1,
+            complex: false,
+            ..spl_icode::IProgram::empty()
+        };
+        lower(&prog).unwrap()
+    }
+
+    /// Runs `prog` on a state built for `other` and returns the refusal,
+    /// having checked that not even the input was copied in.
+    fn refusal(prog: &VmProgram, other: &VmProgram) -> String {
+        let mut st = VmState::new(other);
         let before = st.arena.clone();
-        let mut y = vec![0.0; small.n_out];
+        let mut y = vec![0.0; prog.n_out];
         let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            small.run(&vec![1.0; small.n_in], &mut y, &mut st)
+            prog.run(&vec![1.0; prog.n_in], &mut y, &mut st)
         }))
         .expect_err("mismatched state must not run");
-        let msg = panic.downcast_ref::<String>().expect("assert message");
-        assert!(msg.contains("cursor state mismatch"), "{msg}");
         assert_eq!(st.arena, before, "not even the input was copied in");
+        panic.downcast_ref::<String>().expect("message").clone()
+    }
+
+    #[test]
+    fn state_with_another_cursor_count_is_refused_before_any_op_runs() {
+        let (two, three) = (sweep((0, 1)), sweep((3, -1)));
+        // The same arena and integer state, so only the cursor file can
+        // give it away.
+        let (a, b) = (VmState::new(&two), VmState::new(&three));
+        assert_eq!(a.arena.len(), b.arena.len());
+        assert_eq!((a.cur.len(), b.cur.len()), (2, 3));
+        let msg = refusal(&two, &three);
+        assert!(msg.contains("cursor state mismatch"), "{msg}");
+    }
+
+    #[test]
+    fn state_of_another_loop_free_program_is_refused_before_any_cell_is_written() {
+        use spl_icode::{Affine, BinOp, Instr, Place, Value, VecKind, VecRef};
+        // `out[0] = in[0] * c`: two programs of one shape, no cursor in
+        // either, told apart by nothing but the constant their arenas
+        // hold — which the wrong state would silently multiply by.
+        let scale = |c: f64| {
+            let at = |kind| {
+                Place::Vec(VecRef {
+                    kind,
+                    idx: Affine::constant(0),
+                })
+            };
+            let prog = spl_icode::IProgram {
+                instrs: vec![Instr::Bin {
+                    op: BinOp::Mul,
+                    dst: at(VecKind::Out),
+                    a: Value::Place(at(VecKind::In)),
+                    b: Value::Const(spl_numeric::Complex::real(c)),
+                }],
+                n_in: 1,
+                n_out: 1,
+                complex: false,
+                ..spl_icode::IProgram::empty()
+            };
+            lower(&prog).unwrap()
+        };
+        let (double, triple) = (scale(2.0), scale(3.0));
+        let (a, b) = (VmState::new(&double), VmState::new(&triple));
+        assert_eq!(a.arena.len(), b.arena.len());
+        assert!(a.cur.is_empty() && b.cur.is_empty());
+        let msg = refusal(&double, &triple);
+        assert!(msg.contains("built for another program"), "{msg}");
+        // Its own state, and that of an equal program, are accepted.
+        let mut y = [0.0];
+        double.run(&[4.0], &mut y, &mut VmState::new(&scale(2.0)));
+        assert_eq!(y, [8.0]);
     }
 }

@@ -12,17 +12,23 @@
 //!    rewrite preserves the exact sequence of f64 roundings — a
 //!    multiply–add is two roundings, never a hardware FMA — so fused
 //!    execution is bit-identical to the reference executor.
-//! 2. **Loop strength reduction**: every operand becomes a *cursor* —
-//!    an index into one unified `f64` arena holding the `$f`
-//!    registers, constant tables, immediates, input, output, and
-//!    temporaries. Cursors are initialized once per run (with all
-//!    loop-invariant address components folded in) and advanced by
-//!    precomputed per-loop strides at each loop latch, so the hot
-//!    path never evaluates an affine subscript and never dispatches
-//!    on operand kind.
+//! 2. **Addressing decided at resolve time**: every operand is a place
+//!    in one unified `f64` arena holding the `$f` registers, constant
+//!    tables, immediates, input, output, and temporaries. An op none of
+//!    whose operands an enclosing loop moves — all of straight-line
+//!    code, and the `$f` interior of a leaf inside a loop — carries the
+//!    arena *cells* themselves ([`RNode::Cell`]). Only an op with an
+//!    operand some loop steps goes through *cursors*
+//!    ([`RNode::Cursor`]): indices into a cursor file that is
+//!    initialized once per run (with all loop-invariant address
+//!    components folded in) and advanced by precomputed per-loop
+//!    strides at each loop latch (loop strength reduction). Either way
+//!    the hot path never evaluates an affine subscript and never
+//!    dispatches on operand kind: the node's own tag is the form.
 //! 3. **Block-structured loops**: counted loops run as native `for`
 //!    loops over their body range — trip handling lives outside the
-//!    op dispatch entirely.
+//!    op dispatch entirely, and a loop's parameters live in a side
+//!    table ([`LoopNode`]) so that a node is 24 bytes.
 //!
 //! Programs the resolver cannot prove safe (subscripts referencing
 //! out-of-scope loop variables, address ranges that leave their
@@ -43,8 +49,9 @@
 //!    never trusted.
 //!
 //! One vocabulary, one executor: the ten float kinds are the [`Arith`]
-//! enum, and a float op at every level — out of fusion, over cursors,
-//! lane-wide — is the same [`FloatOp`] with a different operand type.
+//! enum, and a float op at every level — out of fusion, over cells or
+//! cursors, lane-wide — is the same [`FloatOp`] with a different
+//! operand type.
 //! The node walk, the chunk executor and the two dispatches on the
 //! kind are generic over a [`Probe`]: `run` instantiates them with
 //! [`NoProbe`] (hooks that compile to nothing), `run_profiled` with
@@ -74,9 +81,15 @@ pub struct ResolveStats {
     pub fused_negfold: u64,
     /// `(a+b, a−b)` pairs fused into butterfly macro-ops.
     pub fused_butterfly: u64,
-    /// Address cursors materialized (one per distinct operand per
-    /// loop context).
+    /// Address cursors materialized: one per distinct stepped operand
+    /// per loop context, plus one per fixed cell that a cursor-form op
+    /// or a vector plan names beside a stepped one. Zero for
+    /// straight-line code.
     pub cursors: u64,
+    /// Float nodes whose operands are arena cells (static count).
+    pub cell_ops: u64,
+    /// Float nodes whose operands go through cursors (static count).
+    pub cursor_ops: u64,
     /// Per-loop stride increments registered on loop latches.
     pub strength_reduced_steps: u64,
     /// Affine subscript terms hoisted out of per-access evaluation.
@@ -98,6 +111,8 @@ impl ResolveStats {
         tel.add("vm.fuse.negfold", self.fused_negfold);
         tel.add("vm.fuse.butterfly", self.fused_butterfly);
         tel.add("vm.lsr.cursors", self.cursors);
+        tel.add("vm.ops.cell", self.cell_ops);
+        tel.add("vm.ops.cursor", self.cursor_ops);
         tel.add("vm.lsr.steps", self.strength_reduced_steps);
         tel.add("vm.lsr.hoisted_terms", self.hoisted_terms);
         tel.add("vm.vec.loops", self.vec_loops);
@@ -149,9 +164,9 @@ impl Arith {
 }
 
 /// One float op over destinations `D` and sources `S`: `&Dst`/`&Src`
-/// out of fusion, cursor indices (`u32`) in [`RNode::Float`],
-/// [`VOperand`]s in a [`VecPlan`]. Slots past the kind's arity hold
-/// copies of slot 0 and are never read.
+/// out of fusion, arena cells or cursor indices (`u32`) in the two float
+/// forms of [`RNode`], [`VOperand`]s in a [`VecPlan`]. Slots past the
+/// kind's arity hold copies of slot 0 and are never read.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct FloatOp<D, S> {
     kind: Arith,
@@ -223,13 +238,12 @@ enum RI {
 /// integer state into a scratch cell a float op then reads.
 #[derive(Debug, Clone, PartialEq)]
 enum IntOp {
-    /// Spills `r[r_idx] as f64` into the scratch cell behind cursor
-    /// `d`.
+    /// Spills `r[r_idx] as f64` into the scratch cell `d`.
     RToCell {
         d: u32,
         r_idx: u32,
     },
-    /// Spills `loop[slot] as f64` into the scratch cell behind `d`.
+    /// Spills `loop[slot] as f64` into the scratch cell `d`.
     LoopToCell {
         d: u32,
         slot: u32,
@@ -260,44 +274,102 @@ impl IntOp {
     }
 }
 
-/// A node of the block-structured program.
-#[derive(Debug, Clone, PartialEq)]
+/// A node of the block-structured program, 24 bytes: a 64-point
+/// straight-line block is ~770 of them, streamed once per call.
+///
+/// The two float forms are one [`FloatOp<u32, u32>`] each, spelled out
+/// field by field so that the node's tag shares a word with the kind
+/// (wrapping the struct would cost a fourth word); [`RNode::float`] and
+/// [`RNode::as_float`] convert. Which form an op takes is decided by
+/// [`Builder::push_float`], and `exec`'s dispatch on the node is the only
+/// place it is looked at — no operand carries a tag.
+#[derive(Debug, Clone, Copy, PartialEq)]
 enum RNode {
-    /// A float op over cursors; each cursor holds the current arena
-    /// cell of its operand.
-    Float(FloatOp<u32, u32>),
-    Int(IntOp),
-    /// A counted loop; its body is `nodes[self+1 .. end]`.
-    Loop {
-        /// Trip count (0 for a zero-trip loop: body skipped).
-        trips: u64,
-        /// Loop-variable slot (maintained only when the program reads
-        /// loop variables as values).
-        var: u32,
-        /// Initial loop-variable value.
-        lo: i64,
-        /// Index one past the last body node.
-        end: u32,
-        /// Range into [`ResolvedProgram::steps`]: the cursor strides
-        /// applied at this loop's latch.
-        steps: (u32, u32),
-        /// Index into [`ResolvedProgram::vec_plans`] when the resolver
-        /// verified this loop for lane-wide execution.
-        vec: Option<u32>,
+    /// A float op over arena cells: no enclosing loop moves any of its
+    /// operands, so each one *is* its cell.
+    Cell {
+        kind: Arith,
+        d: [u32; 2],
+        s: [u32; 3],
     },
+    /// A float op over cursors: at least one operand is stepped by an
+    /// enclosing loop, and every operand is read through the cursor
+    /// file, which holds the current arena cell of each.
+    Cursor {
+        kind: Arith,
+        d: [u32; 2],
+        s: [u32; 3],
+    },
+    /// The integer op [`ResolvedProgram::ints`]`[k]`.
+    Int(u32),
+    /// The counted loop [`ResolvedProgram::loops`]`[k]`; its body is
+    /// `nodes[self + 1 .. end]`.
+    Loop(u32),
+}
+
+/// How the operands of a float node name their arena cells.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Form {
+    Cell,
+    Cursor,
+}
+
+impl RNode {
+    fn float(form: Form, op: FloatOp<u32, u32>) -> RNode {
+        let FloatOp { kind, d, s } = op;
+        match form {
+            Form::Cell => RNode::Cell { kind, d, s },
+            Form::Cursor => RNode::Cursor { kind, d, s },
+        }
+    }
+
+    /// The form and op of a float node; `None` for the other two.
+    fn as_float(&self) -> Option<(Form, FloatOp<u32, u32>)> {
+        match *self {
+            RNode::Cell { kind, d, s } => Some((Form::Cell, FloatOp { kind, d, s })),
+            RNode::Cursor { kind, d, s } => Some((Form::Cursor, FloatOp { kind, d, s })),
+            RNode::Int(_) | RNode::Loop(_) => None,
+        }
+    }
+}
+
+/// The parameters of one counted loop, out of line: a loop header is
+/// met once per entry, a float node once per execution.
+#[derive(Debug, Clone, PartialEq)]
+struct LoopNode {
+    /// Trip count (0 for a zero-trip loop: body skipped).
+    trips: u64,
+    /// Loop-variable slot (maintained only when the program reads
+    /// loop variables as values).
+    var: u32,
+    /// Initial loop-variable value.
+    lo: i64,
+    /// Index one past the last body node.
+    end: u32,
+    /// Range into [`ResolvedProgram::steps`]: the cursor strides
+    /// applied at this loop's latch.
+    steps: (u32, u32),
+    /// Index into [`ResolvedProgram::vec_plans`] when the resolver
+    /// verified this loop for lane-wide execution.
+    vec: Option<u32>,
 }
 
 /// Upper bound on `$f` registers promoted to lane registers per
 /// vector plan (past it the hint is demoted). The fully unrolled
 /// 64-point leaf body holds ~1400 live registers, so the cap sits
-/// well above that; plans at or below [`SMALL_LANE_CELLS`] run from
-/// a stack buffer, larger ones (entered a handful of times per run)
-/// from a per-entry heap buffer.
+/// well above that.
 const MAX_LANE_CELLS: usize = 2048;
 
-/// Lane-register count up to which the chunk executor uses a fixed
-/// stack buffer instead of allocating.
-const SMALL_LANE_CELLS: usize = 64;
+/// Room for one lane register of any backend, aligned for the widest:
+/// the element of the lane buffer a [`VmState`] keeps for its program's
+/// vector plans.
+#[derive(Debug, Clone, Copy)]
+#[repr(C, align(32))]
+pub(crate) struct LaneSlot([f64; MAX_VEC_WIDTH]);
+
+impl LaneSlot {
+    pub(crate) const ZERO: LaneSlot = LaneSlot([0.0; MAX_VEC_WIDTH]);
+}
 
 /// Where the lanes of a lane-wide operand live.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -321,10 +393,10 @@ struct VecPlan {
     /// Formula-node provenance per vector op (parallel to `ops`, or
     /// empty when the program carries none).
     prov: Vec<u32>,
-    /// Cursors of the `$f` cells promoted to lane registers, indexed
-    /// by lane-register id; lane `W−1` is written back to the arena
-    /// after the chunks so trailing scalar code observes the value the
-    /// last iteration left.
+    /// The `$f` cells promoted to lane registers, indexed by
+    /// lane-register id; lane `W−1` is written back to the arena after
+    /// the chunks so trailing scalar code observes the value the last
+    /// iteration left.
     lane_cells: Vec<u32>,
 }
 
@@ -332,14 +404,18 @@ struct VecPlan {
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct ResolvedProgram {
     nodes: Vec<RNode>,
+    /// The integer ops, indexed by [`RNode::Int`].
+    ints: Vec<IntOp>,
+    /// The loops, indexed by [`RNode::Loop`].
+    loops: Vec<LoopNode>,
     /// Formula-node provenance per resolved node (parallel to `nodes`,
     /// or empty when the program carries none). Read only through a
     /// [`Probe`].
     node_prov: Vec<u32>,
     /// Flat `(cursor, delta)` stride table, sliced per loop.
     steps: Vec<(u32, i64)>,
-    /// Per-cursor initial arena index (memcpy'd into the state at the
-    /// start of every run).
+    /// Per-cursor initial arena index (copied into the state at the
+    /// start of every run; empty for a program no loop steps).
     init_cursors: Vec<i64>,
     /// `(cell, value)` pairs preset in a fresh arena: constant tables
     /// and immediates.
@@ -357,8 +433,11 @@ pub(crate) struct ResolvedProgram {
     /// undersized state.
     need_r: usize,
     need_loop: usize,
-    /// Verified lane-wide plans, indexed by `RNode::Loop::vec`.
+    /// Verified lane-wide plans, indexed by [`LoopNode::vec`].
     vec_plans: Vec<VecPlan>,
+    /// Identifies the program to the states built for it; see
+    /// [`ResolvedProgram::tag`].
+    tag: u64,
     stats: ResolveStats,
 }
 
@@ -411,6 +490,23 @@ impl ResolvedProgram {
         &self.init_cursors
     }
 
+    /// What a [`VmState`] records of the program it was built for: a
+    /// hash of the node, cursor and arena counts and of the preset
+    /// constants. A state that carries the same tag has an arena of
+    /// this program's shape holding this program's constants; lengths
+    /// alone cannot tell, since straight-line programs all have zero
+    /// cursors and a bigger arena would pass for a smaller one.
+    pub(crate) fn tag(&self) -> u64 {
+        self.tag
+    }
+
+    /// Lane registers of the largest vector plan: what a state's lane
+    /// buffer must hold.
+    pub(crate) fn max_lane_cells(&self) -> usize {
+        let cells = self.vec_plans.iter().map(|p| p.lane_cells.len());
+        cells.max().unwrap_or(0)
+    }
+
     /// Executes the resolved program. State contract matches the
     /// reference executor: temporaries and `$f` registers persist
     /// across calls (inside the arena), input and output are copied
@@ -443,19 +539,24 @@ impl ResolvedProgram {
     /// not at the input copy.
     ///
     /// The unchecked indexing of the executor (`get!`/`put!`,
-    /// `ld!`/`st!`) rests on three facts, each a `debug_assert!` at
-    /// the access itself, so a debug build is a bounds-checked run:
+    /// `ld!`/`st!`) rests on four facts, each a `debug_assert!` at the
+    /// access itself, so a debug build is a bounds-checked run:
     ///
-    /// 1. the checks below — `st.cur` has exactly this program's
-    ///    cursor count, the arena at least `arena_len` cells, and the
-    ///    integer state (which stays bounds-checked: it is cold)
-    ///    covers every `$r` and loop slot the program names;
-    /// 2. `Builder::mem` rejects any operand whose reachable address
-    ///    box leaves its region — exact, since counted loops reach
-    ///    every bound combination — and fixed cells are in range by
-    ///    construction, so every cursor *value* at a dereference is a
-    ///    cell of the arena;
-    /// 3. lane `l` of a lane-wide operand is the address scalar
+    /// 1. the checks below — `st` was built for this program (its tag),
+    ///    `st.cur` has exactly this program's cursor count, the arena
+    ///    exactly `arena_len` cells, and the integer state (which stays
+    ///    bounds-checked: it is cold) covers every `$r` and loop slot
+    ///    the program names;
+    /// 2. a *cell* operand is below `arena_len` by construction:
+    ///    `Builder::cell`, which checks that, is the only maker of the
+    ///    cells a node can carry, and nothing moves one afterwards;
+    /// 3. a *cursor* operand is an index below the pinned cursor
+    ///    count, and `Builder::mem` rejects any operand whose reachable
+    ///    address box leaves its region — exact, since counted loops
+    ///    reach every bound combination — while the fixed cells given a
+    ///    cursor are in range by fact 2's check, so every cursor
+    ///    *value* at a dereference is a cell of the arena;
+    /// 4. lane `l` of a lane-wide operand is the address scalar
     ///    iteration `t + l` dereferences through the same cursor, and
     ///    chunks run only with `W` full iterations left.
     fn run_with<P: Probe>(
@@ -465,7 +566,7 @@ impl ResolvedProgram {
         st: &mut VmState,
         start: impl FnOnce() -> P,
     ) -> P {
-        assert!(st.arena.len() >= self.arena_len, "arena state mismatch");
+        assert_eq!(st.arena.len(), self.arena_len, "arena state mismatch");
         assert!(st.r.len() >= self.need_r, "register state mismatch");
         assert!(st.loops.len() >= self.need_loop, "loop state mismatch");
         assert_eq!(
@@ -473,7 +574,10 @@ impl ResolvedProgram {
             self.init_cursors.len(),
             "cursor state mismatch"
         );
-        st.cur.copy_from_slice(&self.init_cursors);
+        assert_eq!(st.tag, self.tag, "state was built for another program");
+        if !self.init_cursors.is_empty() {
+            st.cur.copy_from_slice(&self.init_cursors);
+        }
         st.arena[self.in_off..self.in_off + self.n_in].copy_from_slice(x);
         // The reference executor lets accumulations read back the
         // caller's output buffer, so copy it in as well.
@@ -485,6 +589,7 @@ impl ResolvedProgram {
             &mut st.cur,
             &mut st.r,
             &mut st.loops,
+            &mut st.lanes,
             &mut probe,
         );
         y.copy_from_slice(&st.arena[self.out_off..self.out_off + self.n_out]);
@@ -496,6 +601,7 @@ impl ResolvedProgram {
         self.node_prov.get(node).copied().unwrap_or(u32::MAX)
     }
 
+    #[allow(clippy::too_many_arguments)]
     fn exec<P: Probe>(
         &self,
         nodes: Range<usize>,
@@ -503,97 +609,131 @@ impl ResolvedProgram {
         cur: &mut [i64],
         r: &mut [i64],
         loops: &mut [i64],
+        lanes: &mut [LaneSlot],
         probe: &mut P,
     ) {
-        let mut i = nodes.start;
-        while i < nodes.end {
-            match &self.nodes[i] {
-                RNode::Float(op) => {
-                    probe.op(self.prov(i), op.kind as usize);
-                    exec_float(op, arena, cur);
-                    i += 1;
-                }
-                RNode::Int(op) => {
-                    probe.op(self.prov(i), op.class());
-                    exec_int(op, arena, cur, r, loops);
-                    i += 1;
-                }
-                RNode::Loop {
-                    trips,
-                    var,
-                    lo: l0,
-                    end,
-                    steps,
-                    vec,
-                } => {
-                    probe.loop_enter(self.prov(i));
-                    let end = *end as usize;
-                    let stp = &self.steps[steps.0 as usize..steps.1 as usize];
-                    // Lane-wide chunks first, the scalar body for
-                    // whatever they leave.
-                    let done = match vec {
-                        Some(p) => {
-                            run_chunks(&self.vec_plans[*p as usize], *trips, stp, arena, cur, probe)
-                        }
-                        None => 0,
-                    };
-                    if self.track_loops {
-                        // Mirror the reference executor exactly: the
-                        // variable is set only when the body runs and
-                        // is left at `hi` (not `hi+1`) afterwards.
-                        for t in done..*trips {
-                            loops[*var as usize] = l0 + t as i64;
-                            self.exec(i + 1..end, arena, cur, r, loops, probe);
-                            for &(k, d) in stp {
-                                cur[k as usize] += d;
-                            }
-                        }
-                        if done == *trips && *trips > 0 {
-                            // No scalar remainder ran; leave the
-                            // variable where the scalar loop would.
-                            // (Plan verification guarantees the body
-                            // itself never reads it.)
-                            loops[*var as usize] = l0 + (*trips - 1) as i64;
-                        }
-                    } else {
-                        for _ in done..*trips {
-                            self.exec(i + 1..end, arena, cur, r, loops, probe);
-                            for &(k, d) in stp {
-                                cur[k as usize] += d;
-                            }
-                        }
+        // The walk is one pointer; a node's index is wanted by probes
+        // and loop headers only.
+        let mut rest = self.nodes[nodes.clone()].iter();
+        let at = |rest: &std::slice::Iter<RNode>| nodes.end - rest.len();
+        while let Some(node) = rest.as_slice().first() {
+            match node {
+                // A maximal run of float nodes of one form, in a loop
+                // that knows nothing of the other kinds: straight-line
+                // code is one such run.
+                RNode::Cell { .. } => {
+                    while let Some(RNode::Cell { kind, d, s }) = rest.as_slice().first() {
+                        probe.op(self.prov(at(&rest)), *kind as usize);
+                        exec_float::<true>(*kind, d, s, arena, cur);
+                        rest.next();
                     }
-                    probe.loop_exit(i, *trips);
-                    i = end;
+                }
+                RNode::Cursor { .. } => {
+                    while let Some(RNode::Cursor { kind, d, s }) = rest.as_slice().first() {
+                        probe.op(self.prov(at(&rest)), *kind as usize);
+                        exec_float::<false>(*kind, d, s, arena, cur);
+                        rest.next();
+                    }
+                }
+                RNode::Int(k) => {
+                    let op = &self.ints[*k as usize];
+                    probe.op(self.prov(at(&rest)), op.class());
+                    exec_int(op, arena, r, loops);
+                    rest.next();
+                }
+                RNode::Loop(k) => {
+                    let lp = &self.loops[*k as usize];
+                    self.exec_loop(at(&rest), lp, arena, cur, r, loops, lanes, probe);
+                    rest = self.nodes[lp.end as usize..nodes.end].iter();
                 }
             }
         }
     }
+
+    /// Runs the loop `lp`, headed by node `head`: lane-wide chunks
+    /// first, the scalar body for whatever they leave. Kept out of
+    /// line so that `exec`, which straight-line code never leaves,
+    /// carries none of this frame.
+    #[allow(clippy::too_many_arguments)]
+    #[inline(never)]
+    fn exec_loop<P: Probe>(
+        &self,
+        head: usize,
+        lp: &LoopNode,
+        arena: &mut [f64],
+        cur: &mut [i64],
+        r: &mut [i64],
+        loops: &mut [i64],
+        lanes: &mut [LaneSlot],
+        probe: &mut P,
+    ) {
+        probe.loop_enter(self.prov(head));
+        let body = head + 1..lp.end as usize;
+        let stp = &self.steps[lp.steps.0 as usize..lp.steps.1 as usize];
+        let done = match lp.vec {
+            Some(p) => {
+                let plan = &self.vec_plans[p as usize];
+                run_chunks(plan, lp.trips, stp, arena, cur, lanes, probe)
+            }
+            None => 0,
+        };
+        for t in done..lp.trips {
+            if self.track_loops {
+                // Mirror the reference executor exactly: the variable
+                // is set only when the body runs and is left at `hi`
+                // (not `hi+1`) afterwards.
+                loops[lp.var as usize] = lp.lo + t as i64;
+            }
+            self.exec(body.clone(), arena, cur, r, loops, lanes, probe);
+            for &(k, d) in stp {
+                cur[k as usize] += d;
+            }
+        }
+        if self.track_loops && done == lp.trips && lp.trips > 0 {
+            // No scalar remainder ran; leave the variable where the
+            // scalar loop would. (Plan verification guarantees the body
+            // itself never reads it.)
+            loops[lp.var as usize] = lp.lo + (lp.trips - 1) as i64;
+        }
+        probe.loop_exit(head, lp.trips);
+    }
 }
 
-/// Executes one float op over cursors. Sound by the three facts on
-/// [`ResolvedProgram::run_with`].
+/// Executes one float op, its operands arena cells (`CELLS`) or
+/// cursors. Sound by facts 1–3 on [`ResolvedProgram::run_with`].
 #[inline(always)]
-fn exec_float(op: &FloatOp<u32, u32>, arena: &mut [f64], cur: &[i64]) {
+fn exec_float<const CELLS: bool>(
+    kind: Arith,
+    d: &[u32; 2],
+    s: &[u32; 3],
+    arena: &mut [f64],
+    cur: &[i64],
+) {
     macro_rules! cell {
         ($k:expr) => {{
             let k = *$k as usize;
-            debug_assert!(k < cur.len(), "cursor {k} of {}", cur.len());
-            // SAFETY: fact 1 — cursor indices are below the pinned
-            // cursor count.
-            let at = unsafe { *cur.get_unchecked(k) };
-            debug_assert!(
-                at >= 0 && (at as usize) < arena.len(),
-                "cursor {k} at cell {at} of {}",
-                arena.len()
-            );
-            at as usize
+            if CELLS {
+                debug_assert!(k < arena.len(), "cell {k} of {}", arena.len());
+                k
+            } else {
+                debug_assert!(k < cur.len(), "cursor {k} of {}", cur.len());
+                // SAFETY: fact 3 — cursor indices are below the pinned
+                // cursor count.
+                let at = unsafe { *cur.get_unchecked(k) };
+                debug_assert!(
+                    at >= 0 && (at as usize) < arena.len(),
+                    "cursor {k} at cell {at} of {}",
+                    arena.len()
+                );
+                at as usize
+            }
         }};
     }
     macro_rules! get {
         ($k:expr) => {{
             let at = cell!($k);
-            // SAFETY: fact 2 — the cursor's value is an arena cell.
+            // SAFETY: fact 2 (a cell operand is below `arena_len`) or
+            // fact 3 (a cursor's value is an arena cell).
             unsafe { *arena.get_unchecked(at) }
         }};
     }
@@ -601,14 +741,14 @@ fn exec_float(op: &FloatOp<u32, u32>, arena: &mut [f64], cur: &[i64]) {
         ($k:expr, $v:expr) => {{
             let v = $v;
             let at = cell!($k);
-            // SAFETY: fact 2.
+            // SAFETY: as in `get!`.
             unsafe { *arena.get_unchecked_mut(at) = v }
         }};
     }
-    // Operands bound by reference: an arm loads only what it reads.
-    let [d, d2] = &op.d;
-    let [a, b, c] = &op.s;
-    match op.kind {
+    // Sources bound by reference: an arm loads only what it reads.
+    let [d, d2] = d;
+    let [a, b, c] = s;
+    match kind {
         Arith::Add => put!(d, get!(a) + get!(b)),
         Arith::Sub => put!(d, get!(a) - get!(b)),
         Arith::Mul => put!(d, get!(a) * get!(b)),
@@ -630,7 +770,7 @@ fn exec_float(op: &FloatOp<u32, u32>, arena: &mut [f64], cur: &[i64]) {
 /// Executes one integer or spill op. Bounds-checked throughout: these
 /// run in unoptimized code only, and their `$r`/loop indices come from
 /// the lowered program rather than the resolver.
-fn exec_int(op: &IntOp, arena: &mut [f64], cur: &[i64], r: &mut [i64], loops: &[i64]) {
+fn exec_int(op: &IntOp, arena: &mut [f64], r: &mut [i64], loops: &[i64]) {
     let ri = |s: &RI, r: &[i64]| match s {
         RI::Const(c) => *c,
         RI::R(k) => r[*k as usize],
@@ -638,10 +778,10 @@ fn exec_int(op: &IntOp, arena: &mut [f64], cur: &[i64], r: &mut [i64], loops: &[
     };
     match op {
         IntOp::RToCell { d, r_idx } => {
-            arena[cur[*d as usize] as usize] = r[*r_idx as usize] as f64;
+            arena[*d as usize] = r[*r_idx as usize] as f64;
         }
         IntOp::LoopToCell { d, slot } => {
-            arena[cur[*d as usize] as usize] = loops[*slot as usize] as f64;
+            arena[*d as usize] = loops[*slot as usize] as f64;
         }
         IntOp::Bin { op, dst, a, b } => {
             let (av, bv) = (ri(a, r), ri(b, r));
@@ -673,20 +813,25 @@ fn run_chunks<P: Probe>(
     stp: &[(u32, i64)],
     arena: &mut [f64],
     cur: &mut [i64],
+    lanes: &mut [LaneSlot],
     probe: &mut P,
 ) -> u64 {
     match simd::active() {
         simd::Backend::Scalar => 0,
         #[cfg(target_arch = "x86_64")]
-        simd::Backend::Sse2 => chunks_generic::<simd::Sse2, P>(plan, trips, stp, arena, cur, probe),
+        simd::Backend::Sse2 => {
+            chunks_generic::<simd::Sse2, P>(plan, trips, stp, arena, cur, lanes, probe)
+        }
         #[cfg(target_arch = "x86_64")]
         simd::Backend::Avx => {
             // SAFETY: `Backend::Avx` is only reported when runtime
             // detection confirmed AVX support.
-            unsafe { chunks_avx(plan, trips, stp, arena, cur, probe) }
+            unsafe { chunks_avx(plan, trips, stp, arena, cur, lanes, probe) }
         }
         #[cfg(target_arch = "aarch64")]
-        simd::Backend::Neon => chunks_generic::<simd::Neon, P>(plan, trips, stp, arena, cur, probe),
+        simd::Backend::Neon => {
+            chunks_generic::<simd::Neon, P>(plan, trips, stp, arena, cur, lanes, probe)
+        }
     }
 }
 
@@ -704,9 +849,10 @@ unsafe fn chunks_avx<P: Probe>(
     stp: &[(u32, i64)],
     arena: &mut [f64],
     cur: &mut [i64],
+    lanes: &mut [LaneSlot],
     probe: &mut P,
 ) -> u64 {
-    chunks_generic::<simd::Avx, P>(plan, trips, stp, arena, cur, probe)
+    chunks_generic::<simd::Avx, P>(plan, trips, stp, arena, cur, lanes, probe)
 }
 
 /// Executes `trips / W` full chunks op-major: each lane-wide op runs
@@ -723,6 +869,7 @@ fn chunks_generic<L: Lanes, P: Probe>(
     stp: &[(u32, i64)],
     arena: &mut [f64],
     cur: &mut [i64],
+    lanes: &mut [LaneSlot],
     probe: &mut P,
 ) -> u64 {
     let w = L::W as u64;
@@ -730,19 +877,22 @@ fn chunks_generic<L: Lanes, P: Probe>(
     if chunks == 0 {
         return 0;
     }
-    let n_cells = plan.lane_cells.len();
-    let mut small = [L::splat(0.0); SMALL_LANE_CELLS];
-    let mut big = Vec::new();
-    let lanes: &mut [L::V] = if n_cells <= SMALL_LANE_CELLS {
-        &mut small
-    } else {
-        big.resize(n_cells, L::splat(0.0));
-        &mut big
-    };
+    // The state's lane buffer, as this backend's registers. Whatever an
+    // earlier loop left there is never seen: a lane register is written
+    // before it is read in every iteration.
+    let lanes = &mut lanes[..plan.lane_cells.len()];
+    assert!(
+        size_of::<L::V>() <= size_of::<LaneSlot>() && align_of::<L::V>() <= align_of::<LaneSlot>()
+    );
+    // SAFETY: by the assertion the buffer is aligned for `L::V` and at
+    // least `lanes.len()` of them long; it is initialized `f64`s, and
+    // every bit pattern is a vector of `f64`s.
+    let lanes: &mut [L::V] =
+        unsafe { std::slice::from_raw_parts_mut(lanes.as_mut_ptr().cast(), lanes.len()) };
     for _ in 0..chunks {
         for (j, op) in plan.ops.iter().enumerate() {
             probe.vec_op(plan.prov.get(j).copied().unwrap_or(u32::MAX), op.kind, L::W);
-            // SAFETY: fact 3 on `ResolvedProgram::run_with` — `chunks`
+            // SAFETY: fact 4 on `ResolvedProgram::run_with` — `chunks`
             // counts only full chunks, so every lane address is one
             // the scalar iterations of this chunk dereference.
             unsafe { exec_vec_op::<L>(op, lanes, arena, cur) };
@@ -756,7 +906,7 @@ fn chunks_generic<L: Lanes, P: Probe>(
     // last chunk — is observable after the loop; write it back for
     // trailing scalar code. Remainder iterations, if any, overwrite it.
     for (k, &cell) in plan.lane_cells.iter().enumerate() {
-        arena[cur[cell as usize] as usize] = L::lane(lanes[k], L::W - 1);
+        arena[cell as usize] = L::lane(lanes[k], L::W - 1);
     }
     chunks * w
 }
@@ -772,7 +922,7 @@ fn lanes_in_bounds(base: i64, s: i64, w: usize, len: usize) -> bool {
 ///
 /// # Safety
 ///
-/// `W` full iterations of the planned loop must remain (fact 3 on
+/// `W` full iterations of the planned loop must remain (fact 4 on
 /// [`ResolvedProgram::run_with`]); lane-register ids index `lanes` by
 /// plan construction.
 #[inline(always)]
@@ -1264,8 +1414,9 @@ enum Region {
 
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 enum CursorKey {
-    /// A cursor over a fixed arena cell (register, immediate, scratch).
-    Fixed(usize),
+    /// A cursor that stays on one arena cell: a fixed cell named beside
+    /// a stepped operand.
+    Fixed(u32),
     /// A strided memory operand: region, base, affine terms, and the
     /// innermost enclosing loop (node index; `usize::MAX` at top
     /// level). Identical operands in the same loop context share one
@@ -1277,20 +1428,33 @@ enum CursorKey {
 /// vector-plan verification.
 #[derive(Debug, Clone, PartialEq)]
 enum CursorMeta {
-    /// A fixed cell: `$f` register, immediate, or scratch spill.
-    /// Fixed cells never alias the strided regions (disjoint arena
-    /// layout).
+    /// A fixed cell outside the four regions: `$f` register, immediate,
+    /// or scratch spill. These never alias the strided regions
+    /// (disjoint arena layout).
     Fixed,
-    /// A strided operand: its region and region-relative affine terms
-    /// (`(coefficient, loop-variable slot)`).
+    /// An operand in a region: the region and its region-relative
+    /// affine terms (`(coefficient, loop-variable slot)`; none for a
+    /// fixed cell of the region).
     Mem {
         region: Region,
         terms: Vec<(i64, u32)>,
     },
 }
 
+/// Where a resolved operand lives, before the form of its op is known.
+#[derive(Debug, Clone, Copy)]
+enum Place {
+    /// An arena cell no enclosing loop moves the operand off; made by
+    /// [`Builder::cell`] only, so it is a cell of the arena.
+    Cell(u32),
+    /// A cursor some enclosing latch steps.
+    Cursor(u32),
+}
+
 struct Frame {
     node_idx: usize,
+    /// Index of the loop in [`Builder::loops`].
+    loop_idx: usize,
     var: u32,
     lo: i64,
     hi: i64,
@@ -1302,6 +1466,8 @@ struct Frame {
 
 struct Builder {
     nodes: Vec<RNode>,
+    ints: Vec<IntOp>,
+    loops: Vec<LoopNode>,
     /// Formula-node provenance per resolved node, parallel to `nodes`
     /// (unused and left empty when the program carries none).
     node_prov: Vec<u32>,
@@ -1314,7 +1480,7 @@ struct Builder {
     arena_len: usize,
     arena_init: Vec<(u32, f64)>,
     cursor_map: HashMap<CursorKey, u32>,
-    const_map: HashMap<u64, usize>,
+    const_map: HashMap<u64, u32>,
     /// Per-cursor classification, parallel to `init`.
     cursor_meta: Vec<CursorMeta>,
     vec_plans: Vec<VecPlan>,
@@ -1324,7 +1490,8 @@ struct Builder {
     /// index + 1).
     need_r: usize,
     need_loop: usize,
-    // Region offsets and lengths.
+    // Region offsets and lengths. The arena is laid out `$f` registers,
+    // tables, input, output, temporaries, then immediates and scratch.
     f_off: usize,
     table_off: usize,
     in_off: usize,
@@ -1353,6 +1520,8 @@ impl Builder {
             .collect();
         Builder {
             nodes: Vec::new(),
+            ints: Vec::new(),
+            loops: Vec::new(),
             node_prov: Vec::new(),
             cur_prov: 0,
             has_prov: false,
@@ -1390,6 +1559,63 @@ impl Builder {
         }
     }
 
+    fn push_int(&mut self, op: IntOp) -> Result<(), Unsupported> {
+        let k = u32::try_from(self.ints.len()).map_err(|_| Unsupported("program too large"))?;
+        self.ints.push(op);
+        self.push_node(RNode::Int(k));
+        Ok(())
+    }
+
+    /// Appends a float op in the form its operands need: over cells
+    /// when every one of them stays put, over cursors as soon as one is
+    /// stepped — the fixed cells beside it then get a cursor each.
+    fn push_float(&mut self, op: FloatOp<Place, Place>) -> Result<(), Unsupported> {
+        let stepped = |p: &Place| matches!(p, Place::Cursor(_));
+        let form = if op.d.iter().chain(&op.s).any(stepped) {
+            self.stats.cursor_ops += 1;
+            Form::Cursor
+        } else {
+            self.stats.cell_ops += 1;
+            Form::Cell
+        };
+        let op = op.map(|o| {
+            let (Operand::Src(place) | Operand::Dst(place)) = o;
+            match (place, form) {
+                (Place::Cursor(c), _) | (Place::Cell(c), Form::Cell) => Ok(c),
+                (Place::Cell(cell), Form::Cursor) => self.cursor_at(cell),
+            }
+        })?;
+        self.push_node(RNode::float(form, op));
+        Ok(())
+    }
+
+    /// `cell` as nodes and cursors store it: fact 2 on
+    /// [`ResolvedProgram::run_with`] is this check (the arena only
+    /// grows from here on).
+    fn cell(&self, cell: usize) -> Result<u32, Unsupported> {
+        if cell >= self.arena_len {
+            return Err(Unsupported("operand outside the arena"));
+        }
+        u32::try_from(cell).map_err(|_| Unsupported("arena overflow"))
+    }
+
+    /// The region `cell` lies in; `None` for `$f` registers, immediates
+    /// and scratch.
+    fn region_of(&self, cell: u32) -> Option<Region> {
+        let cell = cell as usize;
+        if cell < self.table_off || cell >= self.temp_off + self.temp_len {
+            None
+        } else if cell < self.in_off {
+            Some(Region::Table)
+        } else if cell < self.out_off {
+            Some(Region::In)
+        } else if cell < self.temp_off {
+            Some(Region::Out)
+        } else {
+            Some(Region::Temp)
+        }
+    }
+
     fn new_cursor(&mut self, init: i64, meta: CursorMeta) -> Result<u32, Unsupported> {
         let id = u32::try_from(self.init.len()).map_err(|_| Unsupported("cursor overflow"))?;
         self.init.push(init);
@@ -1397,49 +1623,54 @@ impl Builder {
         Ok(id)
     }
 
-    /// A cursor permanently pointing at one arena cell.
-    fn fixed(&mut self, cell: usize) -> Result<u32, Unsupported> {
+    /// A cursor permanently pointing at one arena cell, for a fixed
+    /// operand of a cursor-form op or a broadcast of a vector plan.
+    fn cursor_at(&mut self, cell: u32) -> Result<u32, Unsupported> {
         if let Some(&c) = self.cursor_map.get(&CursorKey::Fixed(cell)) {
             return Ok(c);
         }
-        let c = self.new_cursor(cell as i64, CursorMeta::Fixed)?;
+        let meta = match self.region_of(cell) {
+            Some(region) => CursorMeta::Mem {
+                region,
+                terms: Vec::new(),
+            },
+            None => CursorMeta::Fixed,
+        };
+        let c = self.new_cursor(i64::from(cell), meta)?;
         self.cursor_map.insert(CursorKey::Fixed(cell), c);
         Ok(c)
     }
 
     /// A fresh tail cell (immediates, scratch spills).
-    fn alloc_cell(&mut self) -> usize {
-        let cell = self.arena_len;
+    fn alloc_cell(&mut self) -> Result<u32, Unsupported> {
         self.arena_len += 1;
-        cell
+        self.cell(self.arena_len - 1)
     }
 
     fn const_cell(&mut self, v: f64) -> Result<u32, Unsupported> {
-        let cell = match self.const_map.get(&v.to_bits()) {
-            Some(&c) => c,
-            None => {
-                let c = self.alloc_cell();
-                self.const_map.insert(v.to_bits(), c);
-                self.arena_init.push((
-                    u32::try_from(c).map_err(|_| Unsupported("arena overflow"))?,
-                    v,
-                ));
-                c
-            }
-        };
-        self.fixed(cell)
-    }
-
-    /// Resolves a strided memory operand: dedups per loop context,
-    /// folds loop-invariant components into the cursor's initial
-    /// value, bounds-checks the reachable address box against the
-    /// region, and registers latch strides on the enclosing loops.
-    fn mem(&mut self, region: Region, addr: &Addr) -> Result<u32, Unsupported> {
-        let ctx = self.frames.last().map(|f| f.node_idx).unwrap_or(usize::MAX);
-        let key = CursorKey::Mem(region, addr.base, addr.terms.clone(), ctx);
-        if let Some(&c) = self.cursor_map.get(&key) {
+        if let Some(&c) = self.const_map.get(&v.to_bits()) {
             return Ok(c);
         }
+        let c = self.alloc_cell()?;
+        self.const_map.insert(v.to_bits(), c);
+        self.arena_init.push((c, v));
+        Ok(c)
+    }
+
+    fn f_cell(&self, k: u32) -> Result<u32, Unsupported> {
+        let cell = self.f_off + k as usize;
+        if cell >= self.table_off {
+            return Err(Unsupported("$f register outside the register file"));
+        }
+        self.cell(cell)
+    }
+
+    /// Resolves a memory operand: folds loop-invariant components into
+    /// its initial address and bounds-checks the reachable address box
+    /// against the region. An address no enclosing loop moves is that
+    /// cell; any other gets a cursor (deduplicated per loop context)
+    /// with latch strides registered on the enclosing loops.
+    fn mem(&mut self, region: Region, addr: &Addr) -> Result<Place, Unsupported> {
         let (region_off, region_len) = match region {
             Region::In => (self.in_off, self.n_in),
             Region::Out => (self.out_off, self.n_out),
@@ -1463,19 +1694,18 @@ impl Builder {
                 .checked_add(c)
                 .ok_or(Unsupported("address overflow"))?;
         }
-        // Initial value: base + region offset + Σ coeff·lo.
-        let mut init = (region_off as i64)
-            .checked_add(addr.base)
-            .ok_or(Unsupported("address overflow"))?;
-        for (j, &c) in coeffs.iter().enumerate() {
-            let t = c
-                .checked_mul(self.frames[j].lo)
-                .ok_or(Unsupported("address overflow"))?;
-            init = init.checked_add(t).ok_or(Unsupported("address overflow"))?;
+        // An op under a zero-trip loop can never execute: its operands
+        // are not bounds-checked, so none of them is promoted to a cell.
+        let reachable = self.frames.iter().all(|f| f.trips > 0);
+        let fixed = reachable && coeffs.iter().all(|&c| c == 0);
+        let ctx = self.frames.last().map(|f| f.node_idx).unwrap_or(usize::MAX);
+        let key = CursorKey::Mem(region, addr.base, addr.terms.clone(), ctx);
+        if !fixed {
+            if let Some(&c) = self.cursor_map.get(&key) {
+                return Ok(Place::Cursor(c));
+            }
         }
-        // Reachable-box bounds check, skipped when an enclosing loop
-        // is zero-trip (the op can never execute).
-        if self.frames.iter().all(|f| f.trips > 0) {
+        if reachable {
             let mut min = addr.base as i128;
             let mut max = addr.base as i128;
             for (j, &c) in coeffs.iter().enumerate() {
@@ -1487,6 +1717,20 @@ impl Builder {
             if min < 0 || max >= region_len as i128 {
                 return Err(Unsupported("address range leaves its region"));
             }
+        }
+        self.stats.hoisted_terms += addr.terms.len() as u64;
+        if fixed {
+            return self.cell(region_off + addr.base as usize).map(Place::Cell);
+        }
+        // Initial value: base + region offset + Σ coeff·lo.
+        let mut init = (region_off as i64)
+            .checked_add(addr.base)
+            .ok_or(Unsupported("address overflow"))?;
+        for (j, &c) in coeffs.iter().enumerate() {
+            let t = c
+                .checked_mul(self.frames[j].lo)
+                .ok_or(Unsupported("address overflow"))?;
+            init = init.checked_add(t).ok_or(Unsupported("address overflow"))?;
         }
         let cursor = self.new_cursor(
             init,
@@ -1516,9 +1760,8 @@ impl Builder {
                 self.stats.strength_reduced_steps += 1;
             }
         }
-        self.stats.hoisted_terms += addr.terms.len() as u64;
         self.cursor_map.insert(key, cursor);
-        Ok(cursor)
+        Ok(Place::Cursor(cursor))
     }
 
     fn use_r(&mut self, k: u32) {
@@ -1531,37 +1774,35 @@ impl Builder {
 
     /// Resolves a source operand, emitting spill ops for the rare
     /// register-as-float reads.
-    fn src(&mut self, s: &Src) -> Result<u32, Unsupported> {
+    fn src(&mut self, s: &Src) -> Result<Place, Unsupported> {
         match s {
             Src::In(a) => self.mem(Region::In, a),
             Src::Out(a) => self.mem(Region::Out, a),
             Src::Temp(a) => self.mem(Region::Temp, a),
             Src::Table(a) => self.mem(Region::Table, a),
-            Src::F(k) => self.fixed(self.f_off + *k as usize),
-            Src::Const(v) => self.const_cell(*v),
+            Src::F(k) => self.f_cell(*k).map(Place::Cell),
+            Src::Const(v) => self.const_cell(*v).map(Place::Cell),
             Src::RF(k) => {
                 self.use_r(*k);
-                let cell = self.alloc_cell();
-                let c = self.fixed(cell)?;
-                self.push_node(RNode::Int(IntOp::RToCell { d: c, r_idx: *k }));
-                Ok(c)
+                let d = self.alloc_cell()?;
+                self.push_int(IntOp::RToCell { d, r_idx: *k })?;
+                Ok(Place::Cell(d))
             }
             Src::LoopF(k) => {
                 self.track_loops = true;
                 self.use_loop(*k);
-                let cell = self.alloc_cell();
-                let c = self.fixed(cell)?;
-                self.push_node(RNode::Int(IntOp::LoopToCell { d: c, slot: *k }));
-                Ok(c)
+                let d = self.alloc_cell()?;
+                self.push_int(IntOp::LoopToCell { d, slot: *k })?;
+                Ok(Place::Cell(d))
             }
         }
     }
 
-    fn dst(&mut self, d: &Dst) -> Result<u32, Unsupported> {
+    fn dst(&mut self, d: &Dst) -> Result<Place, Unsupported> {
         match d {
             Dst::Out(a) => self.mem(Region::Out, a),
             Dst::Temp(a) => self.mem(Region::Temp, a),
-            Dst::F(k) => self.fixed(self.f_off + *k as usize),
+            Dst::F(k) => self.f_cell(*k).map(Place::Cell),
         }
     }
 
@@ -1583,7 +1824,7 @@ impl Builder {
     /// Attempts to build a lane-wide plan for a compiler-hinted loop
     /// whose body is `self.nodes[frame.node_idx + 1..]`. Returns
     /// `None` — demoting the hint to scalar execution — unless lane
-    /// safety is provable from the resolved cursors alone:
+    /// safety is provable from the resolved nodes alone:
     ///
     /// * every body node is a float op (no integer ops, spills, or
     ///   nested loops — so the body reads neither `$r` nor loop
@@ -1591,12 +1832,15 @@ impl Builder {
     /// * every written `$f` cell is iteration-private (written before
     ///   any read in op order) and every read-only `$f`/immediate cell
     ///   is a loop-invariant broadcast;
-    /// * every strided write advances (stride ≥ 1), and no two
+    /// * every write to a region advances (stride ≥ 1), and no two
     ///   same-region accesses can touch the same address at an
     ///   iteration distance a chunk could cover (`1 ‥ MAX_VEC_WIDTH−1`;
     ///   distance-0 conflicts keep op order per lane, and distances
     ///   ≥ the chunk width always cross a chunk boundary).
-    fn vec_plan(&self, frame: &Frame) -> Option<VecPlan> {
+    ///
+    /// A lane-wide operand in memory is read through a cursor, so the
+    /// fixed cells the body broadcasts get one each here.
+    fn vec_plan(&mut self, frame: &Frame) -> Option<VecPlan> {
         let trips = frame.trips;
         if trips < 2 {
             return None;
@@ -1623,27 +1867,47 @@ impl Builder {
             outer: Vec<(i64, u32)>,
             write: bool,
         }
+        /// What an operand of either node form names.
+        enum Named {
+            /// A `$f` register, immediate or scratch cell.
+            Fixed(u32),
+            /// A cursor over one of the regions.
+            Mem(u32),
+        }
         // Re-express the body over lane-wide operands, classifying
-        // each cursor's role as it is met (sources before destinations
-        // within an op) and collecting the strided accesses. A role,
-        // once given, is final: a broadcast cell written later is
-        // loop-carried and demotes the loop.
+        // each fixed cell's role as it is met (sources before
+        // destinations within an op) and collecting the region
+        // accesses. A role, once given, is final: a broadcast cell
+        // written later is loop-carried and demotes the loop.
         let mut lane_of: HashMap<u32, u16> = HashMap::new();
         let mut lane_cells: Vec<u32> = Vec::new();
         let mut broadcast: HashSet<u32> = HashSet::new();
         let mut mems: Vec<MemUse> = Vec::new();
         let mut ops = Vec::with_capacity(self.nodes.len() - first);
-        for node in &self.nodes[first..] {
-            let RNode::Float(op) = node else {
-                return None; // nested loop, `$r` arithmetic, or spill
-            };
+        for i in first..self.nodes.len() {
+            // A nested loop, `$r` arithmetic or a spill ends it here.
+            let (form, op) = self.nodes[i].as_float()?;
             let lane_wide = op.map(|o| {
-                let (c, write) = match o {
-                    Operand::Src(c) => (c, false),
-                    Operand::Dst(c) => (c, true),
+                let (k, write) = match o {
+                    Operand::Src(k) => (k, false),
+                    Operand::Dst(k) => (k, true),
                 };
-                match &self.cursor_meta[c as usize] {
-                    CursorMeta::Mem { region, terms } => {
+                let named = match form {
+                    Form::Cursor => match self.cursor_meta[k as usize] {
+                        CursorMeta::Fixed => Named::Fixed(self.init[k as usize] as u32),
+                        CursorMeta::Mem { .. } => Named::Mem(k),
+                    },
+                    Form::Cell => match self.region_of(k) {
+                        None => Named::Fixed(k),
+                        Some(_) => Named::Mem(self.cursor_at(k).map_err(drop)?),
+                    },
+                };
+                match named {
+                    Named::Mem(c) => {
+                        let CursorMeta::Mem { region, terms } = &self.cursor_meta[c as usize]
+                        else {
+                            unreachable!("a region cell's cursor is classified by its region");
+                        };
                         let s = stride(terms);
                         if write && s < 1 {
                             return Err(()); // stationary or backward write
@@ -1657,22 +1921,23 @@ impl Builder {
                         });
                         Ok(VOperand::Mem { c, s })
                     }
-                    CursorMeta::Fixed => {
-                        if let Some(&k) = lane_of.get(&c) {
+                    Named::Fixed(cell) => {
+                        if let Some(&k) = lane_of.get(&cell) {
                             return Ok(VOperand::Lane(k));
                         }
                         if !write {
-                            broadcast.insert(c);
+                            broadcast.insert(cell);
+                            let c = self.cursor_at(cell).map_err(drop)?;
                             return Ok(VOperand::Mem { c, s: 0 });
                         }
                         // First write: a lane register, unless the cell
                         // was read before it (loop-carried).
-                        if broadcast.contains(&c) || lane_cells.len() >= MAX_LANE_CELLS {
+                        if broadcast.contains(&cell) || lane_cells.len() >= MAX_LANE_CELLS {
                             return Err(());
                         }
                         let k = lane_cells.len() as u16;
-                        lane_of.insert(c, k);
-                        lane_cells.push(c);
+                        lane_of.insert(cell, k);
+                        lane_cells.push(cell);
                         Ok(VOperand::Lane(k))
                     }
                 }
@@ -1752,8 +2017,8 @@ impl Builder {
     }
 }
 
-/// Resolves a lowered program into the fused cursor-based engine, or
-/// reports why it must stay on the reference executor.
+/// Resolves a lowered program into the fused, block-structured engine,
+/// or reports why it must stay on the reference executor.
 pub(crate) fn resolve(prog: &VmProgram) -> Result<ResolvedProgram, Unsupported> {
     let mut stats = ResolveStats::default();
     let (fused, fprov) = fuse(prog.code(), prog.prov(), &mut stats);
@@ -1790,7 +2055,7 @@ pub(crate) fn resolve(prog: &VmProgram) -> Result<ResolvedProgram, Unsupported> 
                     Operand::Src(s) => b.src(s),
                     Operand::Dst(d) => b.dst(d),
                 })?;
-                b.push_node(RNode::Float(op));
+                b.push_float(op)?;
             }
             FOp::Pass(Op::LoopStart { var, lo, vec, .. }) => {
                 if b.frames.iter().any(|f| f.var == *var) {
@@ -1810,6 +2075,7 @@ pub(crate) fn resolve(prog: &VmProgram) -> Result<ResolvedProgram, Unsupported> 
                 b.use_loop(*var);
                 b.frames.push(Frame {
                     node_idx: b.nodes.len(),
+                    loop_idx: b.loops.len(),
                     var: *var,
                     lo: *lo,
                     hi,
@@ -1817,7 +2083,10 @@ pub(crate) fn resolve(prog: &VmProgram) -> Result<ResolvedProgram, Unsupported> 
                     steps: Vec::new(),
                     vec_hint: *vec,
                 });
-                b.push_node(RNode::Loop {
+                let k =
+                    u32::try_from(b.loops.len()).map_err(|_| Unsupported("program too large"))?;
+                // `end`, `steps` and `vec` are known at the loop's end.
+                b.loops.push(LoopNode {
                     trips,
                     var: *var,
                     lo: *lo,
@@ -1825,18 +2094,14 @@ pub(crate) fn resolve(prog: &VmProgram) -> Result<ResolvedProgram, Unsupported> 
                     steps: (0, 0),
                     vec: None,
                 });
+                b.push_node(RNode::Loop(k));
             }
             FOp::Pass(Op::LoopEnd { .. }) => {
                 let frame = b
                     .frames
                     .pop()
                     .ok_or(Unsupported("malformed loop structure"))?;
-                let s0 = u32::try_from(b.steps.len()).map_err(|_| Unsupported("step overflow"))?;
-                b.steps.extend_from_slice(&frame.steps);
-                let s1 = u32::try_from(b.steps.len()).map_err(|_| Unsupported("step overflow"))?;
-                let end =
-                    u32::try_from(b.nodes.len()).map_err(|_| Unsupported("program too large"))?;
-                let vec_idx = if frame.vec_hint {
+                let vec = if frame.vec_hint {
                     match b.vec_plan(&frame) {
                         Some(plan) => {
                             b.stats.vec_loops += 1;
@@ -1854,34 +2119,33 @@ pub(crate) fn resolve(prog: &VmProgram) -> Result<ResolvedProgram, Unsupported> 
                 } else {
                     None
                 };
-                if let RNode::Loop {
-                    end: e, steps, vec, ..
-                } = &mut b.nodes[frame.node_idx]
-                {
-                    *e = end;
-                    *steps = (s0, s1);
-                    *vec = vec_idx;
-                }
+                let s0 = u32::try_from(b.steps.len()).map_err(|_| Unsupported("step overflow"))?;
+                b.steps.extend_from_slice(&frame.steps);
+                let s1 = u32::try_from(b.steps.len()).map_err(|_| Unsupported("step overflow"))?;
+                let end =
+                    u32::try_from(b.nodes.len()).map_err(|_| Unsupported("program too large"))?;
+                let lp = &mut b.loops[frame.loop_idx];
+                (lp.end, lp.steps, lp.vec) = (end, (s0, s1), vec);
             }
             FOp::Pass(Op::IntBin { op, dst, a, b: rhs }) => {
                 let a = b.ri(a);
                 let rhs = b.ri(rhs);
                 b.use_r(*dst);
-                b.push_node(RNode::Int(IntOp::Bin {
+                b.push_int(IntOp::Bin {
                     op: *op,
                     dst: *dst,
                     a,
                     b: rhs,
-                }));
+                })?;
             }
             FOp::Pass(Op::IntUn { neg, dst, a }) => {
                 let a = b.ri(a);
                 b.use_r(*dst);
-                b.push_node(RNode::Int(IntOp::Un {
+                b.push_int(IntOp::Un {
                     neg: *neg,
                     dst: *dst,
                     a,
-                }));
+                })?;
             }
             FOp::Pass(Op::Bin { .. } | Op::Un { .. }) => {
                 unreachable!("fusion puts every float op in the shared vocabulary")
@@ -1893,6 +2157,16 @@ pub(crate) fn resolve(prog: &VmProgram) -> Result<ResolvedProgram, Unsupported> 
     }
     let mut stats = b.stats;
     stats.cursors = b.init.len() as u64;
+    // The state tag, FNV-1a over words (a 2^16 plan presets ~10^5
+    // table cells): the program's shape, then its constants.
+    let shape = [b.nodes.len(), b.init.len(), b.arena_len].map(|n| n as u64);
+    let constants = b.arena_init.iter();
+    let tag = shape
+        .into_iter()
+        .chain(constants.flat_map(|&(cell, v)| [u64::from(cell), v.to_bits()]))
+        .fold(0xcbf2_9ce4_8422_2325, |h: u64, word| {
+            (h ^ word).wrapping_mul(0x0000_0100_0000_01b3)
+        });
     Ok(ResolvedProgram {
         node_prov: if b.has_prov && b.node_prov.len() == b.nodes.len() {
             b.node_prov
@@ -1900,6 +2174,8 @@ pub(crate) fn resolve(prog: &VmProgram) -> Result<ResolvedProgram, Unsupported> 
             Vec::new()
         },
         nodes: b.nodes,
+        ints: b.ints,
+        loops: b.loops,
         steps: b.steps,
         init_cursors: b.init,
         arena_init: b.arena_init,
@@ -1912,6 +2188,7 @@ pub(crate) fn resolve(prog: &VmProgram) -> Result<ResolvedProgram, Unsupported> 
         need_r: b.need_r,
         need_loop: b.need_loop,
         vec_plans: b.vec_plans,
+        tag,
         stats,
     })
 }
@@ -1920,6 +2197,158 @@ pub(crate) fn resolve(prog: &VmProgram) -> Result<ResolvedProgram, Unsupported> 
 mod tests {
     use super::*;
     use crate::profile::OP_CLASS_NAMES;
+    use crate::program::lower;
+    use spl_compiler::{Compiler, CompilerOptions};
+    use spl_generator::fft::FftTree;
+
+    /// `src` as the benchmark compiles its plans: leaves of up to 64
+    /// points unrolled.
+    fn compile(src: &str) -> VmProgram {
+        let mut c = Compiler::with_options(CompilerOptions {
+            unroll_threshold: Some(64),
+            ..Default::default()
+        });
+        lower(&c.compile_formula_str(src).unwrap().program).unwrap()
+    }
+
+    /// The plans of `benchmark/plans.wisdom` up to `max` points, by size.
+    fn plans(max: usize) -> Vec<(usize, VmProgram)> {
+        include_str!("../../../benchmark/plans.wisdom")
+            .lines()
+            .filter(|l| !l.starts_with('#'))
+            .map(|l| l.split_once(':').expect("size: spec"))
+            .map(|(n, spec)| (n.trim().parse().unwrap(), spec.trim()))
+            .filter(|&(n, _)| n <= max)
+            .map(|(n, spec)| {
+                let tree = FftTree::from_spec(spec).unwrap();
+                (n, compile(&tree.to_sexp().to_string()))
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_node_is_three_words() {
+        assert!(std::mem::size_of::<RNode>() <= 24);
+        // ... because the tag shares a word with the kind; the op alone
+        // is as large.
+        assert_eq!(std::mem::size_of::<FloatOp<u32, u32>>(), 24);
+    }
+
+    #[test]
+    fn straight_line_code_has_no_cursor() {
+        let small = plans(64);
+        assert_eq!(small.len(), 6);
+        for (n, vm) in small {
+            let rp = resolve(&vm).unwrap();
+            assert!(rp.loops.is_empty() && rp.ints.is_empty(), "n={n}");
+            assert!(
+                rp.nodes.iter().all(|n| matches!(n, RNode::Cell { .. })),
+                "n={n}"
+            );
+            assert_eq!(rp.stats.cursors, 0, "n={n}");
+            assert_eq!(
+                (rp.stats.cell_ops, rp.stats.cursor_ops),
+                (rp.nodes.len() as u64, 0),
+                "n={n}"
+            );
+            assert!(rp.init_cursors.is_empty(), "n={n}");
+            assert!(VmState::new(&vm).cur.is_empty(), "n={n}");
+        }
+    }
+
+    /// Marks, per loop, every cell a cursor its latch steps stands on
+    /// at the start of one of its iterations.
+    fn sweep(rp: &ResolvedProgram, nodes: Range<usize>, cur: &mut [i64], swept: &mut [Vec<bool>]) {
+        let mut i = nodes.start;
+        while i < nodes.end {
+            let RNode::Loop(k) = rp.nodes[i] else {
+                i += 1;
+                continue;
+            };
+            let lp = &rp.loops[k as usize];
+            let stp = &rp.steps[lp.steps.0 as usize..lp.steps.1 as usize];
+            for _ in 0..lp.trips {
+                for &(c, _) in stp {
+                    swept[k as usize][cur[c as usize] as usize] = true;
+                }
+                sweep(rp, i + 1..lp.end as usize, cur, swept);
+                for &(c, d) in stp {
+                    cur[c as usize] += d;
+                }
+            }
+            i = lp.end as usize;
+        }
+    }
+
+    /// Walks the built program: inside a loop body, no cell-form op may
+    /// name a cell that a cursor stepped by an enclosing latch sweeps —
+    /// generated loops sweep what they index and keep the rest in `$f`
+    /// registers, so such an op would be one whose stepped operand the
+    /// builder froze at its first cell. Returns the cell-form ops met
+    /// inside loops.
+    fn cell_ops_keep_off_swept_cells(vm: &VmProgram, label: &str) -> usize {
+        let rp = resolve(vm).unwrap();
+        let mut swept = vec![vec![false; rp.arena_len]; rp.loops.len()];
+        let all = 0..rp.nodes.len();
+        sweep(&rp, all.clone(), &mut rp.init_cursors.clone(), &mut swept);
+        let mut open: Vec<u32> = Vec::new();
+        let mut in_loops = 0;
+        for i in all {
+            open.retain(|&k| (i as u32) < rp.loops[k as usize].end);
+            match rp.nodes[i] {
+                RNode::Loop(k) => open.push(k),
+                RNode::Cell { .. } if !open.is_empty() => {
+                    in_loops += 1;
+                    let (_, op) = rp.nodes[i].as_float().unwrap();
+                    for &cell in op.dsts().iter().chain(op.srcs()) {
+                        assert!((cell as usize) < rp.arena_len, "{label}: node {i}");
+                        for &k in &open {
+                            assert!(
+                                !swept[k as usize][cell as usize],
+                                "{label}: node {i} names cell {cell}, which loop {k} sweeps"
+                            );
+                        }
+                    }
+                }
+                _ => {}
+            }
+        }
+        in_loops
+    }
+
+    #[test]
+    fn no_cell_form_op_names_a_cell_its_loops_sweep() {
+        for (n, vm) in plans(1 << 16) {
+            let in_loops = cell_ops_keep_off_swept_cells(&vm, &format!("plan {n}"));
+            // The `$f` interior of a leaf in a loop is cell-form.
+            assert_eq!(in_loops > 0, n > 64, "plan {n}");
+        }
+        // Loops all the way down, two deep: the inner body's operands
+        // that only the outer loop moves must still be cursors.
+        let mut c = Compiler::new();
+        let src = "(compose (tensor (F 2) (I 8)) (T 16 8) (tensor (I 2) (F 8)) (L 16 2))";
+        let vm = lower(&c.compile_formula_str(src).unwrap().program).unwrap();
+        cell_ops_keep_off_swept_cells(&vm, src);
+    }
+
+    #[test]
+    fn a_straight_line_profile_counts_each_node_in_its_class() {
+        let (_, vm) = plans(64).pop().unwrap();
+        let rp = resolve(&vm).unwrap();
+        let mut want = [0u64; N_OP_CLASSES];
+        for node in &rp.nodes {
+            let (_, op) = node.as_float().expect("straight-line code is float ops");
+            want[op.kind as usize] += 1;
+        }
+        let x: Vec<f64> = (0..vm.n_in).map(|i| (i as f64 * 0.37).sin()).collect();
+        let mut y = vec![0.0; vm.n_out];
+        let prof = vm
+            .run_profiled(&x, &mut y, &mut VmState::new(&vm))
+            .expect("resolved");
+        assert_eq!(prof.op_counts, want);
+        assert!(want[Arith::MulAdd as usize] > 0 && want[Arith::Butterfly as usize] > 0);
+        assert_eq!(prof.op_counts.iter().sum::<u64>(), rp.nodes.len() as u64);
+    }
 
     /// Every kind, in discriminant order, with the `(dsts, srcs)` and
     /// flop count the profile tables are laid out for.

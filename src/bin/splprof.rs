@@ -1,7 +1,8 @@
 //! `splprof` — deep profiling of compiled SPL programs.
 //!
-//! Compiles a formula (or a fixed radix-8 FFT plan of size 2^k),
-//! executes it through the VM's *profiled* resolved engine,
+//! Compiles a formula (or the plan a wisdom file holds for 2^k, or a
+//! fixed radix-8 FFT plan of that size), executes it through the VM's
+//! *profiled* resolved engine,
 //! and reports where the time went: a hot-spot table over dynamic op
 //! classes, per-formula-node time/flop attribution (exact by
 //! telescoping — node self times sum to the whole instrumented run),
@@ -15,7 +16,7 @@ use spl::compiler::{Compiler, CompilerOptions, OptLevel};
 use spl::generator::fft::{ct_sequence, Rule};
 use spl::minifft::estimate::node_cost;
 use spl::minifft::{Codelet, PlanNode};
-use spl::search::compile_tree;
+use spl::search::{compile_tree, wisdom_from_string};
 use spl::telemetry::cli::{ReportOptions, USAGE as REPORT_USAGE};
 use spl::telemetry::json::Json;
 use spl::telemetry::{out, outln};
@@ -27,6 +28,10 @@ const USAGE: &str = "\
 usage: splprof [options]
 
   --size <k>     profile the fixed radix-8 FFT of size 2^k (default 8)
+  --wisdom <file>
+                 profile the plan <file> holds for 2^k instead: flat
+                 wisdom, one `size: spec` line per plan, as spld --wisdom
+                 reads and benchmark/plans.wisdom is written
   --formula <file>
                  profile the first formula in <file> instead
   --unroll <n>   fully unroll sub-formulas with input size <= n
@@ -94,6 +99,7 @@ fn truncate_label(label: &str, budget: usize) -> String {
 
 struct Options {
     size: u32,
+    wisdom: Option<String>,
     formula: Option<String>,
     unroll: usize,
     reps: usize,
@@ -107,6 +113,7 @@ struct Options {
 fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
     let mut o = Options {
         size: 8,
+        wisdom: None,
         formula: None,
         unroll: 64,
         reps: 3,
@@ -125,6 +132,10 @@ fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
             "--size" => match it.next().and_then(|v| v.parse().ok()) {
                 Some(k) if (1..=24).contains(&k) => o.size = k,
                 _ => return Err("--size requires a log2 exponent in 1..=24".into()),
+            },
+            "--wisdom" => match it.next() {
+                Some(path) => o.wisdom = Some(path.clone()),
+                None => return Err("--wisdom requires a file path".into()),
             },
             "--formula" => match it.next() {
                 Some(path) => o.formula = Some(path.clone()),
@@ -158,39 +169,50 @@ fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
     Ok(Some(o))
 }
 
-/// Builds the program to profile: either the radix-8 plan for 2^k or
-/// the first formula of a source file.
+/// Builds the program to profile: the first formula of a source file,
+/// or a plan for 2^k — the one a wisdom file holds, else radix-8.
 fn build_program(o: &Options) -> Result<(VmProgram, String, Option<f64>), String> {
-    match &o.formula {
+    let read =
+        |path: &String| std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"));
+    if let Some(path) = &o.formula {
+        let mut compiler = Compiler::with_options(CompilerOptions {
+            unroll_threshold: Some(o.unroll),
+            opt_level: OptLevel::Default,
+            ..Default::default()
+        });
+        let units = compiler
+            .compile_source(&read(path)?)
+            .map_err(|e| e.to_string())?;
+        let unit = units
+            .into_iter()
+            .next()
+            .ok_or_else(|| format!("no formulas in {path}"))?;
+        let vm = spl::vm::lower(&unit.program).map_err(|e| e.to_string())?;
+        return Ok((vm, format!("{path}:{}", unit.name), None));
+    }
+    let (tree, origin, predicted) = match &o.wisdom {
         Some(path) => {
-            let source =
-                std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
-            let mut compiler = Compiler::with_options(CompilerOptions {
-                unroll_threshold: Some(o.unroll),
-                opt_level: OptLevel::Default,
-                ..Default::default()
-            });
-            let units = compiler
-                .compile_source(&source)
-                .map_err(|e| e.to_string())?;
-            let unit = units
+            let plans = wisdom_from_string(&read(path)?).map_err(|e| format!("{path}: {e}"))?;
+            let tree = plans
                 .into_iter()
-                .next()
-                .ok_or_else(|| format!("no formulas in {path}"))?;
-            let vm = spl::vm::lower(&unit.program).map_err(|e| e.to_string())?;
-            Ok((vm, format!("{path}:{}", unit.name), None))
+                .map(|p| p.tree)
+                .find(|t| t.size() == 1usize << o.size)
+                .ok_or_else(|| format!("{path} holds no plan for 2^{}", o.size))?;
+            (tree, format!(" of {path}"), None)
         }
         None => {
             let f = factors(o.size);
-            let tree = ct_sequence(&f, Rule::CooleyTukey);
-            let vm = compile_tree(&tree, o.unroll).map_err(|e| e.to_string())?;
-            Ok((
-                vm,
-                format!("2^{} FFT, plan {}", o.size, tree.describe()),
-                Some(predicted_cost(&f)),
-            ))
+            let cost = predicted_cost(&f);
+            (
+                ct_sequence(&f, Rule::CooleyTukey),
+                String::new(),
+                Some(cost),
+            )
         }
-    }
+    };
+    let vm = compile_tree(&tree, o.unroll).map_err(|e| e.to_string())?;
+    let describe = format!("2^{} FFT, plan {}{origin}", o.size, tree.describe());
+    Ok((vm, describe, predicted))
 }
 
 fn print_profile(prof: &VmProfile, top: usize, predicted: Option<f64>) {
