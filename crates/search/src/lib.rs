@@ -226,39 +226,6 @@ pub fn compile_tree(tree: &FftTree, unroll_threshold: usize) -> Result<VmProgram
     lower(&unit.program).map_err(|e| SearchError::CompileFailed(e.to_string()))
 }
 
-/// Compiles `I_m ⊗ A` for a factorization tree `A`: one program that
-/// applies the tree's transform to `m` independent inputs laid out
-/// back-to-back. The tensor-product translation (paper Table 2) turns
-/// the identity factor into an outer loop over the tree's code, so a
-/// server can answer `m` queued same-transform requests with a single
-/// dispatch instead of `m` — same configuration as [`compile_tree`]
-/// otherwise.
-///
-/// # Errors
-///
-/// Propagates compiler and lowering failures; `m = 0` is rejected.
-pub fn compile_tree_batched(
-    tree: &FftTree,
-    m: usize,
-    unroll_threshold: usize,
-) -> Result<VmProgram, SearchError> {
-    if m == 0 {
-        return Err(SearchError::CompileFailed("batch factor m = 0".into()));
-    }
-    let batched =
-        spl_formula::Formula::tensor(vec![spl_formula::Formula::identity(m), tree.to_formula()]);
-    let sexp = spl_formula::formula_to_sexp(&batched);
-    let unit = compile_sexp_for_search(
-        &sexp,
-        unroll_threshold,
-        spl_frontend::ast::DataType::Complex,
-    )
-    .map_err(|e| {
-        SearchError::CompileFailed(format!("compiling (I_{m} tensor {}): {e}", tree.describe()))
-    })?;
-    lower(&unit.program).map_err(|e| SearchError::CompileFailed(e.to_string()))
-}
-
 /// Shared compile plumbing for every evaluator: the paper's experimental
 /// configuration (real code, default optimizations, leaves unrolled up to
 /// the threshold) over the given data type.
@@ -834,49 +801,6 @@ mod tests {
         for (a, b) in got.iter().zip(&want) {
             assert!(a.approx_eq(*b, 1e-9 * n as f64), "size {n}");
         }
-    }
-
-    #[test]
-    fn batched_compile_matches_independent_applications() {
-        let tree = spl_generator::fft::ct_sequence(&[4, 2], Rule::CooleyTukey);
-        let n = tree.size();
-        let m = 3;
-        let single = compile_tree(&tree, 64).unwrap();
-        let batched = compile_tree_batched(&tree, m, 64).unwrap();
-        assert_eq!(batched.n_in, m * single.n_in);
-        assert_eq!(batched.n_out, m * single.n_out);
-
-        // m segments with distinct contents, back to back.
-        let xs: Vec<f64> = (0..m * single.n_in)
-            .map(|i| (i as f64 * 0.37).sin())
-            .collect();
-        let mut got = vec![0.0; batched.n_out];
-        let mut st = VmState::new(&batched);
-        batched.run(&xs, &mut got, &mut st);
-
-        let mut st1 = VmState::new(&single);
-        for seg in 0..m {
-            let mut want = vec![0.0; single.n_out];
-            single.run(
-                &xs[seg * single.n_in..(seg + 1) * single.n_in],
-                &mut want,
-                &mut st1,
-            );
-            // The identity tensor factor compiles to an outer loop over
-            // the same inner code, so each segment is bit-identical to
-            // an unbatched run.
-            assert_eq!(
-                &got[seg * single.n_out..(seg + 1) * single.n_out],
-                want.as_slice(),
-                "segment {seg} of batched size-{n} FFT diverged"
-            );
-        }
-    }
-
-    #[test]
-    fn batched_compile_rejects_zero_batch() {
-        let tree = FftTree::Leaf(4);
-        assert!(compile_tree_batched(&tree, 0, 64).is_err());
     }
 
     /// The op-count search to `2^max_log`, serial and untraced.

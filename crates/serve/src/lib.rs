@@ -17,20 +17,22 @@
 //!   response types, and typed [`protocol::ProtocolError`]s (malformed
 //!   frames are answered or dropped, never panics).
 //! * [`plans`] — the warm plan store: per-size VM programs, native
-//!   kernels through the shared on-disk cache, batched `I_m ⊗ A`
-//!   programs, the `native → VM → reject` degradation chain with
-//!   quarantine, and the crash-safe plan journal that makes a
-//!   `kill -9` restart come back warm.
+//!   kernels through the shared on-disk cache (the one store spld
+//!   writes, which makes a `kill -9` restart reload kernels without
+//!   `cc`), and the `native → VM → reject` degradation chain with
+//!   quarantine. A request is answered by a trusted kernel or by the VM,
+//!   nothing else.
 //! * [`server`] — admission with a bounded queue and explicit
 //!   `OVERLOADED` shedding, per-request deadlines with cancellation,
-//!   same-size batching, `health`/`stats`/`drain` control verbs, and
+//!   one execution per request (no batching), `health`/`stats`/`drain`
+//!   control verbs, and
 //!   Unix-socket / stdio transports.
 //! * [`chaos`] — seeded, deterministic fault injection (kernel faults,
 //!   artificial latency) for the soak harness.
 //! * [`client`] — the blocking client the CLI, tests, and soak use.
 //!
 //! Telemetry counters all live under `spld.*` (queue depth, sheds,
-//! deadline misses, degradations, batch sizes, latency percentiles)
+//! deadline misses, degradations, serving tiers, latency percentiles)
 //! and are served over the `stats` verb in the standard `--stats`
 //! table format, so scripts can grep them.
 

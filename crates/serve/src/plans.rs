@@ -2,10 +2,9 @@
 //!
 //! A *plan* is everything the daemon keeps warm for one transform size:
 //! the factorization tree (from wisdom or a default radix-2 split), the
-//! resolved [`VmProgram`], a natively compiled kernel (through the
+//! resolved [`VmProgram`], and a natively compiled kernel (through the
 //! shared on-disk [`KernelCache`], so a restart reloads instead of
-//! recompiling), and lazily, batched `I_m ⊗ A` programs for answering
-//! `m` queued requests in one dispatch.
+//! recompiling).
 //!
 //! # The degradation chain
 //!
@@ -24,8 +23,6 @@
 //! is demoted to the VM tier rather than allowed to serve
 //! almost-right answers, and a crash or mismatch quarantines it. A
 //! request therefore sees two tiers: a trusted kernel, or the VM.
-//! Batched programs pass the same gate (a segment-by-segment self-check
-//! against the single-request program) before they may serve.
 //!
 //! # Two ways to a plan
 //!
@@ -41,12 +38,12 @@
 //!
 //! # Crash safety
 //!
-//! Instantiated plans are recorded in a `plans.journal`
-//! ([`spl_resilience::Journal`]) next to the kernel cache; a daemon
-//! killed with `SIGKILL` replays the journal on restart through
-//! [`PlanStore::plan`] and comes back warm: the VM programs exist before
-//! the socket is bound, and the builder loads the native kernels from
-//! the disk cache without invoking `cc`.
+//! The store writes one thing to disk: the kernel cache under the state
+//! directory, content-addressed by the C text and the `cc` line. A
+//! daemon killed with `SIGKILL` comes back with no plans; the first
+//! request for a size compiles its tree (from the wisdom the daemon was
+//! started with) and is answered from the VM, and the builder finds the
+//! kernel on disk without invoking `cc`.
 
 use std::collections::hash_map::{Entry, HashMap};
 use std::path::PathBuf;
@@ -56,8 +53,7 @@ use std::time::{Duration, Instant};
 
 use spl_generator::fft::{ct_sequence, FftTree, Rule};
 use spl_native::{BuildOptions, CompiledUnit, KernelCache, NativeKernel};
-use spl_resilience::Journal;
-use spl_search::{compile_tree_batched, compile_unit_for_tree, wisdom_from_string};
+use spl_search::{compile_unit_for_tree, wisdom_from_string};
 use spl_telemetry::Telemetry;
 use spl_vm::{lower, VmProgram, VmState};
 
@@ -193,18 +189,11 @@ impl PlanEntry {
     }
 }
 
-/// A batched `I_m ⊗ A` program, or the tombstone of one that failed its
-/// self-check.
-enum BatchState {
-    Ready(Arc<VmProgram>),
-    Dead,
-}
-
 /// Configuration for [`PlanStore::new`].
 #[derive(Debug, Clone)]
 pub struct PlanStoreOptions {
-    /// Serving state directory (kernel cache + plan journal); `None`
-    /// disables persistence (cold every start).
+    /// Serving state directory (the kernel cache); `None` disables
+    /// persistence (every kernel is built by `cc` again after a restart).
     pub state_dir: Option<PathBuf>,
     /// `-B` unrolling threshold handed to the compiler.
     pub unroll_threshold: usize,
@@ -358,8 +347,6 @@ pub struct PlanStore {
     /// Preferred factorizations by size, from wisdom.
     trees: Mutex<HashMap<usize, FftTree>>,
     plans: Mutex<HashMap<usize, Arc<PlanEntry>>>,
-    batched: Mutex<HashMap<(usize, usize), BatchState>>,
-    journal: Mutex<Option<Journal>>,
     /// The way to the builder thread, which the first queued build
     /// spawns. The thread is detached and holds the store's state
     /// weakly: nobody joins it, and builds still queued when the store
@@ -368,61 +355,35 @@ pub struct PlanStore {
 }
 
 impl PlanStore {
-    /// Opens the store, its kernel cache, and its plan journal, and
-    /// replays the journal so every previously served size has its VM
-    /// program (and its native build queued) before the first request.
+    /// Opens the store and, with a state directory, its on-disk kernel
+    /// cache. No plan exists until a size is first asked for.
     ///
     /// # Errors
     ///
-    /// Fails on state-directory I/O errors; a corrupt journal *tail* is
-    /// dropped (tolerant load), not fatal.
+    /// Fails on state-directory I/O errors.
     pub fn new(opts: PlanStoreOptions) -> Result<PlanStore, ServeError> {
-        let mut kernels = KernelCache::in_memory();
-        let mut journal = None;
-        let mut preload: Vec<(usize, FftTree)> = Vec::new();
-        let mut tel = Telemetry::new();
-        if let Some(dir) = &opts.state_dir {
-            std::fs::create_dir_all(dir)
-                .map_err(|e| ServeError::Internal(format!("creating {}: {e}", dir.display())))?;
-            kernels = KernelCache::with_dir(&dir.join("kernels"))
-                .map_err(|e| ServeError::Internal(format!("kernel cache: {e}")))?;
-            let (j, loaded) = Journal::open(&dir.join("plans.journal"))
-                .map_err(|e| ServeError::Internal(format!("plan journal: {e}")))?;
-            if loaded.dropped > 0 {
-                tel.add("spld.plan.journal_records_dropped", loaded.dropped as u64);
+        let kernels = match &opts.state_dir {
+            Some(dir) => {
+                std::fs::create_dir_all(dir).map_err(|e| {
+                    ServeError::Internal(format!("creating {}: {e}", dir.display()))
+                })?;
+                KernelCache::with_dir(&dir.join("kernels"))
+                    .map_err(|e| ServeError::Internal(format!("kernel cache: {e}")))?
             }
-            for rec in &loaded.records {
-                if let Some((n, tree)) = parse_plan_record(rec) {
-                    preload.push((n, tree));
-                }
-            }
-            journal = Some(j);
-        }
-        let store = PlanStore {
+            None => KernelCache::in_memory(),
+        };
+        Ok(PlanStore {
             shared: Arc::new(Shared {
                 opts,
                 kernels,
-                tel: Mutex::new(tel),
+                tel: Mutex::new(Telemetry::new()),
                 building: Mutex::new(()),
                 builds_called_off: AtomicBool::new(false),
             }),
             trees: Mutex::new(HashMap::new()),
             plans: Mutex::new(HashMap::new()),
-            batched: Mutex::new(HashMap::new()),
-            journal: Mutex::new(journal),
             builds: Mutex::new(None),
-        };
-        for (n, tree) in preload {
-            store.trees.lock().unwrap().entry(n).or_insert(tree);
-            // Compiles the VM program and queues the kernel, which the
-            // builder loads from the disk cache — no `cc` on a warm
-            // restart, and none of it before the caller binds its socket.
-            // A plan that no longer compiles is dropped, not fatal.
-            if store.plan(n).is_ok() {
-                store.count("spld.plan.preloaded");
-            }
-        }
-        Ok(store)
+        })
     }
 
     /// Loads wisdom text (`spl_search::wisdom_to_string` format):
@@ -451,7 +412,7 @@ impl PlanStore {
     }
 
     /// The plan for size `n` without waiting for its native kernel:
-    /// instantiated (and journaled) on first use with the VM tier alone,
+    /// instantiated on first use with the VM tier alone,
     /// its native build queued on the store's builder thread. Requests
     /// are answered from the VM until the builder has promoted the
     /// kernel.
@@ -468,8 +429,8 @@ impl PlanStore {
         Ok(plan)
     }
 
-    /// The warm plan for size `n`, instantiating (and journaling) it on
-    /// first use: [`plan`](PlanStore::plan), and the native build done
+    /// The warm plan for size `n`, instantiating it on first use:
+    /// [`plan`](PlanStore::plan), and the native build done
     /// (or waited for, where the builder thread has it) before
     /// returning.
     ///
@@ -484,7 +445,7 @@ impl PlanStore {
     }
 
     /// The VM half of a plan, and whether this call is the one that
-    /// inserted (and journaled) it.
+    /// inserted it.
     fn instantiate(&self, n: usize) -> Result<(Arc<PlanEntry>, bool), ServeError> {
         if let Some(plan) = self.plans.lock().unwrap().get(&n) {
             return Ok((Arc::clone(plan), false));
@@ -508,7 +469,6 @@ impl PlanStore {
             Entry::Occupied(winner) => return Ok((Arc::clone(winner.get()), false)),
             Entry::Vacant(slot) => slot.insert(Arc::clone(&plan)),
         };
-        self.journal_plan(&plan);
         Ok((plan, true))
     }
 
@@ -603,18 +563,20 @@ impl PlanStore {
         Ok((y, tier))
     }
 
-    /// Executes `m` same-size requests (`xs` = inputs back to back) as
-    /// one `I_m ⊗ A` dispatch. Returns `None` when no batched program
-    /// can serve (self-check failed or compile failed) — the caller
-    /// falls back to per-request execution.
+    /// Executes `m` same-size requests (`xs` = inputs back to back) one
+    /// after another through [`run_single_into`](PlanStore::run_single_into),
+    /// as the daemon runs `m` queued requests: the outputs back to back.
+    /// `None` unless `m ≥ 2` and `xs` holds `m` inputs. Kept for the
+    /// benchmark's per-layer row; the daemon does not call it.
     pub fn run_batched(&self, plan: &PlanEntry, m: usize, xs: &[f64]) -> Option<Vec<f64>> {
-        if m < 2 || xs.len() != m * plan.vm.n_in {
+        let (n_in, n_out) = (plan.vm.n_in, plan.vm.n_out);
+        if m < 2 || xs.len() != m * n_in {
             return None;
         }
-        let program = self.batched_program(plan, m)?;
-        let mut ys = vec![0.0; m * plan.vm.n_out];
-        let mut st = VmState::new(&program);
-        program.run(xs, &mut ys, &mut st);
+        let mut ys = vec![0.0; m * n_out];
+        for (x, y) in xs.chunks_exact(n_in).zip(ys.chunks_exact_mut(n_out)) {
+            self.run_single_into(plan, x, y, None).ok()?;
+        }
         Some(ys)
     }
 
@@ -684,87 +646,9 @@ impl PlanStore {
         self.count("spld.tier.native");
         Some(())
     }
-
-    /// The batched program for `(n, m)`, built and self-checked on
-    /// first use.
-    fn batched_program(&self, plan: &PlanEntry, m: usize) -> Option<Arc<VmProgram>> {
-        if let Some(state) = self.batched.lock().unwrap().get(&(plan.n, m)) {
-            return match state {
-                BatchState::Ready(p) => Some(Arc::clone(p)),
-                BatchState::Dead => None,
-            };
-        }
-        let built = compile_tree_batched(&plan.tree, m, self.shared.opts.unroll_threshold)
-            .ok()
-            .map(Arc::new)
-            .filter(|p| self.batch_self_check(plan, m, p));
-        let state = match &built {
-            Some(p) => BatchState::Ready(Arc::clone(p)),
-            None => {
-                self.count("spld.batch.selfcheck_failed");
-                BatchState::Dead
-            }
-        };
-        // First builder wins; a concurrent duplicate is discarded.
-        self.batched
-            .lock()
-            .unwrap()
-            .entry((plan.n, m))
-            .or_insert(state);
-        built
-    }
-
-    /// One-time proof that the batched program is exactly `m`
-    /// independent applications of the single program: a deterministic
-    /// probe batch, compared segment by segment, bit for bit.
-    fn batch_self_check(&self, plan: &PlanEntry, m: usize, batched: &VmProgram) -> bool {
-        if batched.n_in != m * plan.vm.n_in || batched.n_out != m * plan.vm.n_out {
-            return false;
-        }
-        let xs = probe(batched.n_in);
-        let mut got = vec![0.0; batched.n_out];
-        let mut st = VmState::new(batched);
-        batched.run(&xs, &mut got, &mut st);
-        let mut want = vec![0.0; plan.vm.n_out];
-        for seg in 0..m {
-            plan.run_vm(&xs[seg * plan.vm.n_in..(seg + 1) * plan.vm.n_in], &mut want);
-            if got[seg * plan.vm.n_out..(seg + 1) * plan.vm.n_out] != want[..] {
-                return false;
-            }
-        }
-        true
-    }
-
-    /// Appends a `plan` record for a newly instantiated size (at most
-    /// once per size per journal).
-    fn journal_plan(&self, plan: &PlanEntry) {
-        let mut guard = self.journal.lock().unwrap();
-        let Some(journal) = guard.as_mut() else {
-            return;
-        };
-        let rec = format!("plan {} {}", plan.n, plan.tree.to_spec());
-        if journal.append(&rec).is_err() {
-            self.count("spld.plan.journal_write_failures");
-        }
-    }
 }
 
-/// Parses one `plan <n> <spec>` journal record.
-fn parse_plan_record(rec: &str) -> Option<(usize, FftTree)> {
-    let mut it = rec.splitn(3, ' ');
-    if it.next()? != "plan" {
-        return None;
-    }
-    let n: usize = it.next()?.parse().ok()?;
-    let tree = FftTree::from_spec(it.next()?).ok()?;
-    if tree.size() != n {
-        return None;
-    }
-    Some((n, tree))
-}
-
-/// The deterministic input of the promotion run and of the batched
-/// self-check.
+/// The deterministic input of the promotion run.
 fn probe(len: usize) -> Vec<f64> {
     (0..len).map(|i| (i as f64 * 0.7311).sin()).collect()
 }
@@ -842,11 +726,13 @@ mod tests {
         let m = 3;
         let xs: Vec<f64> = (0..m * 8).map(|i| (i as f64 * 0.9).sin()).collect();
         let ys = s.run_batched(&plan, m, &xs).unwrap();
-        let mut want = vec![0.0; 8];
-        for seg in 0..m {
-            plan.run_vm(&xs[seg * 8..(seg + 1) * 8], &mut want);
-            assert_eq!(&ys[seg * 8..(seg + 1) * 8], want.as_slice());
+        assert_eq!(ys.len(), m * 8);
+        for (x, y) in xs.chunks_exact(8).zip(ys.chunks_exact(8)) {
+            let (want, _) = s.run_single(&plan, x, None).unwrap();
+            assert!(same_bits(y, &want));
         }
+        assert!(s.run_batched(&plan, 1, &xs[..8]).is_none(), "m < 2");
+        assert!(s.run_batched(&plan, m, &xs[1..]).is_none(), "m inputs");
     }
 
     #[test]
@@ -1003,18 +889,36 @@ mod tests {
     }
 
     #[test]
-    fn plans_journal_preloads_on_restart() {
-        let dir = tmp("warm");
-        {
-            let s = store(Some(&dir), false);
-            s.entry(4).unwrap();
-            s.entry(8).unwrap();
-            assert_eq!(s.plan_count(), 2);
-        } // dropped without any shutdown handshake — like SIGKILL
+    fn a_state_directory_from_before_the_kernel_cache_stood_alone_still_opens() {
+        // Earlier stores also kept a CRC-framed plan log beside the
+        // kernels: one valid record (size 8 as (ct 4 2), not today's
+        // radix-2 default) and a torn tail.
+        let dir = tmp("parentera");
+        std::fs::create_dir_all(&dir).unwrap();
+        let old_log = dir.join("plans.journal");
+        let record = "plan 8 (ct 4 2)";
+        let crc = spl_resilience::crc32::crc32(record.as_bytes());
+        let bytes = format!("splj1 {crc:08x} {record}\nsplj1 0000");
+        std::fs::write(&old_log, &bytes).unwrap();
+
         let s = store(Some(&dir), false);
-        assert_eq!(s.plan_count(), 2, "restart must replay the journal");
-        let tel = s.drain_telemetry();
-        assert_eq!(tel.counter("spld.plan.preloaded"), Some(2));
+        assert_eq!(s.plan_count(), 0, "nothing is replayed");
+        let plan = s.entry(8).unwrap();
+        assert_eq!(plan.tree.to_spec(), "(ct 2 (ct 2 2))", "today's tree");
+        let x: Vec<f64> = (0..16).map(|i| (i as f64 * 0.4).cos()).collect();
+        let (y, tier) = s.run_single(&plan, &x, None).unwrap();
+        assert_eq!(tier, Tier::Vm);
+        let reference = store(None, false);
+        let (want, _) = reference
+            .run_single(&reference.entry(8).unwrap(), &x, None)
+            .unwrap();
+        assert!(same_bits(&y, &want));
+        drop(s);
+        assert_eq!(
+            std::fs::read_to_string(&old_log).unwrap(),
+            bytes,
+            "untouched"
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1030,17 +934,5 @@ mod tests {
         assert_eq!(s.load_wisdom(&wisdom).unwrap(), 1);
         let plan = s.entry(16).unwrap();
         assert_eq!(plan.tree.to_spec(), tree.to_spec());
-    }
-
-    #[test]
-    fn plan_records_parse() {
-        let tree = ct_sequence(&[2, 2, 2], Rule::CooleyTukey);
-        let rec = format!("plan 8 {}", tree.to_spec());
-        let (n, parsed) = parse_plan_record(&rec).unwrap();
-        assert_eq!(n, 8);
-        assert_eq!(parsed.to_spec(), tree.to_spec());
-        assert!(parse_plan_record("plan 8 4").is_none(), "size mismatch");
-        assert!(parse_plan_record("so abc 1 2").is_none());
-        assert!(parse_plan_record("plan").is_none());
     }
 }

@@ -20,7 +20,7 @@
 //!
 //! | status | meaning | rest of payload |
 //! |--------|---------|-----------------|
-//! | `K` | OK | transform: tier byte (`n` native, `v` VM, `b` batched VM), then `2n` `f64` LE; control verbs: UTF-8 text |
+//! | `K` | OK | transform: tier byte (`n` native, `v` VM; `b`, batched VM, is parsed but no longer sent), then `2n` `f64` LE; control verbs: UTF-8 text |
 //! | `O` | overloaded (admission queue full; retry later) | empty |
 //! | `X` | deadline exceeded (request cancelled) | empty |
 //! | `G` | draining (daemon shutting down; no new work) | empty |
@@ -64,7 +64,9 @@ pub enum Tier {
     Native,
     /// The resolved VM program.
     Vm,
-    /// A batched `I_m ⊗ A` VM dispatch covering several requests.
+    /// A batched `I_m ⊗ A` VM dispatch covering several requests: the
+    /// byte `b`, which earlier daemons sent. Clients still parse it;
+    /// this daemon answers every request on `Native` or `Vm`.
     BatchedVm,
 }
 

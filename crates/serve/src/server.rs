@@ -1,4 +1,4 @@
-//! The daemon proper: admission, batching, deadlines, drain.
+//! The daemon proper: admission, execution, deadlines, drain.
 //!
 //! Connection threads read frames, *admit* transform jobs into one
 //! bounded queue — and execute them: there is no worker pool. A
@@ -7,13 +7,13 @@
 //! the reply is written from there: two buffers per connection that
 //! only grow, no per-request allocation, no copy in between. A job's
 //! *owner*, the thread that admitted it, stays until the job's reply
-//! slot is filled; while fewer than `workers` batches are executing it
-//! pops the *front* job (its own or an older one), opportunistically
-//! gathers queued same-size jobs into an `I_m ⊗ A` batch, executes
-//! through the [`PlanStore`] degradation chain and fills each job's
-//! slot; otherwise it parks. A lone client is answered by the thread
-//! that read its request: no hand-off, no futex call. Robustness
-//! decisions, in one place:
+//! slot is filled; while fewer than `workers` jobs are executing it
+//! pops the *front* job (its own or an older one), runs it through the
+//! [`PlanStore`] degradation chain and fills its slot; otherwise it
+//! parks. One execution is one job, so concurrent jobs of one size
+//! take as many slots as are free. A lone client is answered by the
+//! thread that read its request: no hand-off, no futex call.
+//! Robustness decisions, in one place:
 //!
 //! * **Backpressure** — a full queue sheds with an explicit
 //!   [`Response::Overloaded`]; nothing is silently dropped.
@@ -48,7 +48,7 @@ use crate::protocol::{
 /// Everything configurable about one daemon instance.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Serving state directory (kernel cache + plan journal).
+    /// Serving state directory (the kernel cache).
     pub state_dir: Option<PathBuf>,
     /// Wisdom file preloaded at startup.
     pub wisdom: Option<PathBuf>,
@@ -61,11 +61,6 @@ pub struct ServerConfig {
     pub workers: usize,
     /// Bounded admission-queue capacity; beyond it requests shed.
     pub queue_cap: usize,
-    /// Largest batch one dispatch may gather (1 disables batching).
-    pub batch_max: usize,
-    /// How long an executor holding one job waits for same-size company
-    /// before dispatching (0 = only batch what is already queued).
-    pub batch_window: Duration,
     /// `-B` unrolling threshold for plan compilation.
     pub unroll_threshold: usize,
     /// Largest servable transform size.
@@ -84,8 +79,6 @@ impl Default for ServerConfig {
             wisdom_db: None,
             workers: 2,
             queue_cap: 64,
-            batch_max: 16,
-            batch_window: Duration::ZERO,
             unroll_threshold: 64,
             max_size: 1 << 16,
             native: true,
@@ -143,32 +136,30 @@ struct QueueState {
     jobs: VecDeque<Job>,
     /// No new admissions (drain or stop); queued work still finishes.
     draining: bool,
-    /// Batches executing right now, at most `config.workers`.
+    /// Jobs executing right now, at most `config.workers`.
     executing: usize,
     /// Threads inside a wait on `Server::changed`.
     waiting: usize,
     peak_depth: usize,
 }
 
-/// One execution slot and the batch that holds it. Dropping it — on
-/// return or on a panic out of the kernel path — answers every job of
-/// the batch still without a reply with an internal error, and only
-/// then takes the queue lock to free the slot and wake the parked: an
-/// owner that misses its reply under that lock is counted in `waiting`.
+/// One execution slot and the job that holds it. Dropping it — on
+/// return or on a panic out of the kernel path — answers the job, if it
+/// is still without a reply, with an internal error, and only then
+/// takes the queue lock to free the slot and wake the parked: an owner
+/// that misses its reply under that lock is counted in `waiting`.
 struct ExecutionSlot<'a> {
     server: &'a Server,
-    jobs: Vec<Job>,
+    job: Job,
 }
 
 impl Drop for ExecutionSlot<'_> {
     fn drop(&mut self) {
         // Must not panic; behind a poisoned lock no one is left to wake.
-        for job in &mut self.jobs {
-            job.answer(Outcome::Other(Response::Error {
-                class: b'i',
-                message: "the executor panicked before answering".into(),
-            }));
-        }
+        self.job.answer(Outcome::Other(Response::Error {
+            class: b'i',
+            message: "the executor panicked before answering".into(),
+        }));
         if let Ok(mut q) = self.server.queue.lock() {
             q.executing -= 1;
             self.server.wake_parked(&q);
@@ -196,7 +187,7 @@ pub struct Server {
 }
 
 impl Server {
-    /// Builds the daemon: opens the plan store (replaying its journal),
+    /// Builds the daemon: opens the plan store and its kernel cache,
     /// loads wisdom, and starts nothing yet — call [`Server::serve_unix`]
     /// or [`Server::serve_stream`].
     ///
@@ -424,8 +415,8 @@ impl Server {
     /// Admission control — deadline bookkeeping, drain refusal, bounded
     /// queue with explicit shedding — then the owner loop, until the job
     /// is answered. Every queued job has its owner in that loop, and an
-    /// owner parks only while `workers` batches are executing or the
-    /// queue is empty (its job is inside a batch), so a slot release
+    /// owner parks only while `workers` jobs are executing or the
+    /// queue is empty (its job is executing), so a slot release
     /// finds an empty queue or an owner to wake: no job is stranded.
     ///
     /// The request's samples are `bufs.input[..2n]`. `bufs` goes with the
@@ -471,10 +462,10 @@ impl Server {
             // Counted while the queue lock is held, so drain never observes
             // "queue empty, nothing executing" between a pop and its execution.
             q.executing += 1;
-            let first = q.jobs.pop_front().expect("checked non-empty");
-            let jobs = self.gather_batch(q, first);
-            let mut slot = ExecutionSlot { server: self, jobs };
-            self.execute_batch(&mut slot.jobs);
+            let job = q.jobs.pop_front().expect("checked non-empty");
+            drop(q);
+            let mut slot = ExecutionSlot { server: self, job };
+            self.execute(&mut slot.job);
             drop(slot);
             q = self.queue.lock().unwrap();
         }
@@ -498,7 +489,7 @@ impl Server {
     }
 
     /// The drain handshake: stop admissions, wake everyone, wait for the
-    /// queue and the executing batches to empty (a slot release wakes
+    /// queue and the executing jobs to empty (a slot release wakes
     /// us), then call off the native build in flight, if any — a `cc`
     /// nobody will wait for must not outlive the daemon, nor its
     /// temporary files.
@@ -514,64 +505,13 @@ impl Server {
         self.count("spld.drains");
     }
 
-    /// Greedy same-size batch gathering: everything already queued for
-    /// the first job's size (up to `batch_max`), plus — when a batch
-    /// window is configured — a short wait for more company.
-    fn gather_batch(&self, mut q: MutexGuard<'_, QueueState>, first: Job) -> Vec<Job> {
-        let n = first.n;
-        let mut batch = vec![first];
-        loop {
-            while batch.len() < self.config.batch_max {
-                if let Some(pos) = q.jobs.iter().position(|j| j.n == n) {
-                    batch.push(q.jobs.remove(pos).expect("position is in range"));
-                } else {
-                    break;
-                }
-            }
-            if batch.len() >= self.config.batch_max
-                || self.config.batch_window.is_zero()
-                || q.draining
-            {
-                return batch;
-            }
-            // Hold the single job briefly: under concurrent load the
-            // window converts back-to-back arrivals into real batches.
-            let deadline_ok = batch.iter().all(|j| {
-                j.deadline
-                    .is_none_or(|d| Instant::now() + self.config.batch_window < d)
-            });
-            if batch.len() > 1 || !deadline_ok {
-                return batch;
-            }
-            q.waiting += 1;
-            let (guard, timeout) = self
-                .changed
-                .wait_timeout(q, self.config.batch_window)
-                .unwrap();
-            q = guard;
-            q.waiting -= 1;
-            if let Some(pos) = q.jobs.iter().position(|j| j.n == n) {
-                batch.push(q.jobs.remove(pos).expect("position is in range"));
-            }
-            if timeout.timed_out() {
-                return batch;
-            }
-        }
-    }
-
-    /// Executes one gathered batch end to end and replies per job.
-    fn execute_batch(&self, batch: &mut [Job]) {
-        // Cancellation: jobs whose deadline passed while queued are
-        // answered (never executed), and drop out of the batch.
-        let now = Instant::now();
-        let (expired, mut live): (Vec<&mut Job>, Vec<&mut Job>) = batch
-            .iter_mut()
-            .partition(|j| j.deadline.is_some_and(|d| d <= now));
-        for job in expired {
+    /// Executes one job end to end and answers it.
+    fn execute(&self, job: &mut Job) {
+        // Cancellation: a job whose deadline passed while queued is
+        // answered, never executed.
+        if job.deadline.is_some_and(|d| d <= Instant::now()) {
             self.count("spld.deadline.missed");
             job.answer(Outcome::Other(Response::DeadlineExceeded));
-        }
-        if live.is_empty() {
             return;
         }
         if let Some(chaos) = &self.chaos {
@@ -580,79 +520,43 @@ impl Server {
                 std::thread::sleep(delay);
             }
         }
-        let n = live[0].n;
+        let n = job.n;
         #[cfg(test)]
         assert_ne!(n, tests::PANICKING_SIZE, "test hook: a kernel path panics");
         let plan = match self.store.plan(n) {
             Ok(plan) => plan,
             Err(err) => {
-                for job in live {
-                    job.answer(Outcome::Other(Response::Error {
-                        class: err.class(),
-                        message: err.to_string(),
-                    }));
-                }
+                job.answer(Outcome::Other(Response::Error {
+                    class: err.class(),
+                    message: err.to_string(),
+                }));
                 return;
             }
         };
-        let (n_in, n_out) = (plan.vm().n_in, plan.vm().n_out);
-        for job in &mut live {
-            if job.bufs.output.len() < n_out {
-                job.bufs.output.resize(n_out, 0.0);
-            }
+        let n_out = plan.vm().n_out;
+        let Buffers { input, output } = &mut job.bufs;
+        if output.len() < n_out {
+            output.resize(n_out, 0.0);
         }
-        let m = live.len();
-        self.count("spld.batch.dispatches");
-        self.tel
-            .lock()
-            .unwrap()
-            .add("spld.batch.requests", m as u64);
-        if m > 1 {
-            self.count("spld.batch.multi");
-            let mut xs = Vec::with_capacity(m * n_in);
-            for job in &live {
-                xs.extend_from_slice(&job.bufs.input[..2 * n]);
-            }
-            if let Some(ys) = self.store.run_batched(&plan, m, &xs) {
-                self.count("spld.tier.batched");
-                for (job, y) in live.into_iter().zip(ys.chunks_exact(n_out)) {
-                    job.bufs.output[..n_out].copy_from_slice(y);
-                    self.finish(
-                        job,
-                        Outcome::Transformed {
-                            tier: Tier::BatchedVm,
-                            n_out,
-                        },
-                    );
+        let run = self.store.run_single_into(
+            &plan,
+            &input[..2 * n],
+            &mut output[..n_out],
+            self.chaos.as_ref(),
+        );
+        let outcome = match run {
+            Ok(tier) => {
+                if tier == Tier::Vm {
+                    self.count("spld.tier.vm");
                 }
-                return;
+                Outcome::Transformed { tier, n_out }
             }
-            // Batched program unavailable (self-check failed): degrade
-            // to per-request execution — correctness over speed.
-            self.count("spld.batch.fallback_singles");
-        }
-        for job in live {
-            let Buffers { input, output } = &mut job.bufs;
-            let run = self.store.run_single_into(
-                &plan,
-                &input[..2 * n],
-                &mut output[..n_out],
-                self.chaos.as_ref(),
-            );
-            let outcome = match run {
-                Ok(tier) => {
-                    if tier == Tier::Vm {
-                        self.count("spld.tier.vm");
-                    }
-                    Outcome::Transformed { tier, n_out }
-                }
-                Err(err) => Outcome::Other(Response::Error {
-                    class: err.class(),
-                    message: err.to_string(),
-                }),
-            };
-            self.finish(job, outcome);
-        }
+            Err(err) => Outcome::Other(Response::Error {
+                class: err.class(),
+                message: err.to_string(),
+            }),
+        };
+        self.finish(job, outcome);
     }
 
     /// Final deadline check plus latency accounting, then the reply.

@@ -6,8 +6,8 @@ use std::io::Cursor;
 use super::*;
 use crate::protocol::{encode_transform, parse_response, read_frame};
 
-/// `execute_batch` panics on a batch of this size (its `#[cfg(test)]`
-/// hook): a kernel path with a bug in it.
+/// `execute` panics on a job of this size (its `#[cfg(test)]` hook): a
+/// kernel path with a bug in it.
 pub(super) const PANICKING_SIZE: usize = 3;
 
 fn vm_only(config: ServerConfig) -> Arc<Server> {
@@ -59,42 +59,46 @@ fn transformed_bits(response: Response) -> Vec<u64> {
 }
 
 #[test]
-fn a_panicking_executor_frees_its_slot_and_answers_its_batch() {
-    // One slot, batches of two and a window no test outlives: whichever
-    // owner pops first holds the slot until the other's job joins it, so
-    // the panic always has a second owner's job in its batch.
+fn a_panicking_executor_frees_its_slot_and_answers_the_job_it_ran() {
+    // One slot. An older panicking job waits at the front of the queue,
+    // its owner parked (here: this thread, holding the reply slot), so
+    // the next owner pops it before its own and runs it: the panic
+    // always unwinds through another owner's job.
     let server = vm_only(ServerConfig {
         workers: 1,
-        batch_max: 2,
-        batch_window: Duration::from_secs(600),
         ..ServerConfig::default()
     });
-    let outcomes: Vec<_> = std::thread::scope(|scope| {
-        let owners: Vec<_> = (0..2)
-            .map(|_| {
-                scope.spawn(|| {
-                    admit_owned(&server, PANICKING_SIZE, sample_input(PANICKING_SIZE), None)
-                })
-            })
-            .collect();
-        owners.into_iter().map(|o| o.join()).collect()
+    let older = Arc::new(Mutex::new(None));
+    server.queue.lock().unwrap().jobs.push_back(Job {
+        n: PANICKING_SIZE,
+        bufs: Buffers {
+            input: sample_input(PANICKING_SIZE),
+            output: Vec::new(),
+        },
+        deadline: None,
+        admitted: Instant::now(),
+        reply: Arc::clone(&older),
     });
-    // The executor unwound; the other owner was answered, not stranded.
-    assert_eq!(outcomes.iter().filter(|o| o.is_err()).count(), 1);
-    let answered = outcomes
-        .into_iter()
-        .find_map(Result::ok)
-        .expect("one reply");
+    let executor = std::thread::scope(|scope| {
+        scope
+            .spawn(|| admit_owned(&server, 8, sample_input(8), None))
+            .join()
+    });
+    // The executor unwound; the older job was answered, not stranded.
+    assert!(executor.is_err(), "the executor ran the panicking job");
+    let answered = older.lock().unwrap().take().map(|(outcome, _)| outcome);
     assert!(
-        matches!(answered, Response::Error { class: b'i', .. }),
-        "the panicked batch answered {answered:?}"
+        matches!(
+            answered,
+            Some(Outcome::Other(Response::Error { class: b'i', .. }))
+        ),
+        "the panicked job was not answered"
     );
     // With `workers: 1` a leaked slot would park this request for ever.
-    // (Its deadline is one the window cannot fit in, so it is not held.)
     assert_eq!(server.queue.lock().unwrap().executing, 0);
     let x = sample_input(8);
     assert_eq!(
-        transformed_bits(admit_owned(&server, 8, x.clone(), Some(60_000))),
+        transformed_bits(admit_owned(&server, 8, x.clone(), None)),
         expected_bits(&server, 8, &x)
     );
 }

@@ -1,4 +1,4 @@
-//! Live-daemon integration tests: Unix-socket serving, batching,
+//! Live-daemon integration tests: Unix-socket serving, same-size gathering,
 //! overload shedding, deadline cancellation, drain, and protocol
 //! robustness against a *running* server (the parser-level robustness
 //! corpus lives in the protocol unit tests; these prove the daemon
@@ -202,7 +202,6 @@ fn overload_sheds_with_explicit_reply() {
     let config = ServerConfig {
         workers: 1,
         queue_cap: 2,
-        batch_max: 1, // no batching: keep the queue under real pressure
         chaos: Some(ChaosConfig {
             seed: 7,
             p_kernel_fault: 0.0,
@@ -272,11 +271,10 @@ fn overload_sheds_with_explicit_reply() {
 #[test]
 fn workers_bound_concurrent_executions() {
     // Connection threads execute, but only `workers` of them at a time:
-    // four requests that cannot batch, one slot, 30 ms each.
+    // four requests, one slot, 30 ms each.
     let latency = Duration::from_millis(30);
     let config = ServerConfig {
         workers: 1,
-        batch_max: 1,
         chaos: Some(ChaosConfig {
             seed: 19,
             p_kernel_fault: 0.0,
@@ -329,7 +327,6 @@ fn no_reply_is_lost_when_owners_execute_each_others_jobs() {
     let body = std::thread::spawn(move || {
         let config = ServerConfig {
             workers: 2,
-            batch_max: 1,
             chaos: Some(ChaosConfig {
                 seed: 23,
                 p_kernel_fault: 0.0,
@@ -377,7 +374,6 @@ fn no_reply_is_lost_when_owners_execute_each_others_jobs() {
 fn deadlines_cancel_rather_than_serve_late() {
     let config = ServerConfig {
         workers: 1,
-        batch_max: 1,
         chaos: Some(ChaosConfig {
             seed: 11,
             p_kernel_fault: 0.0,
@@ -416,13 +412,12 @@ fn two_clients_on_one_looped_native_kernel_get_bitwise_vm_answers() {
     // Generated C keeps a looped kernel's temporaries in statics, and the
     // workers share one kernel per size: two requests for the same size
     // inside it at once used to corrupt each other (nearly half of these
-    // replies came back wrong). Batching is off so that both workers take
-    // the native tier, request after request, on the same kernel.
+    // replies came back wrong). Both workers take the native tier,
+    // request after request, on the same kernel.
     const N: usize = 1024;
     const REQUESTS: usize = 400;
     let config = ServerConfig {
         workers: 2,
-        batch_max: 1,
         ..ServerConfig::default()
     };
     let daemon = TestDaemon::start("reentrant", config);
@@ -453,14 +448,24 @@ fn two_clients_on_one_looped_native_kernel_get_bitwise_vm_answers() {
 }
 
 #[test]
-fn batching_fuses_concurrent_same_size_requests() {
+fn concurrent_same_size_requests_are_answered_by_the_kernel() {
+    // One slot held by an injected delay, so that the other clients queue
+    // behind each execution: a queued job runs on the tier a lone request
+    // gets, which after promotion is the native kernel, never a VM
+    // dispatch of the queued jobs together.
+    const N: usize = 64;
     let config = ServerConfig {
         workers: 1,
-        batch_max: 8,
-        batch_window: Duration::from_millis(25),
+        chaos: Some(ChaosConfig {
+            seed: 31,
+            p_kernel_fault: 0.0,
+            p_latency: 1.0,
+            latency: Duration::from_millis(20),
+        }),
         ..ServerConfig::default()
     };
-    let daemon = TestDaemon::start("batch", vm_only(config));
+    let daemon = TestDaemon::start("gather", config);
+    warm_native(&daemon, N);
     let clients = 6;
     let barrier = Arc::new(Barrier::new(clients));
     let tiers: Vec<Tier> = std::thread::scope(|scope| {
@@ -469,16 +474,15 @@ fn batching_fuses_concurrent_same_size_requests() {
                 let mut client = daemon.client();
                 let barrier = Arc::clone(&barrier);
                 scope.spawn(move || {
-                    let x = sample_input(8, 20 + salt as u64);
+                    let x = sample_input(N, 20 + salt as u64);
+                    let want = expected_vm(N, &x);
                     barrier.wait();
-                    match client.transform(8, None, &x).expect("transform") {
+                    match client.transform(N, None, &x).expect("transform") {
                         Response::Transformed { tier, data } => {
-                            // The batched path must stay bit-identical to
-                            // the single-request VM answer.
-                            assert_bits_eq(&data, &expected_vm(8, &x));
+                            assert_bits_eq(&data, &want);
                             tier
                         }
-                        other => panic!("batched client answered {other:?}"),
+                        other => panic!("client {salt} answered {other:?}"),
                     }
                 })
             })
@@ -489,8 +493,8 @@ fn batching_fuses_concurrent_same_size_requests() {
             .collect()
     });
     assert!(
-        tiers.contains(&Tier::BatchedVm),
-        "no request was served from a batch: {tiers:?}"
+        tiers.iter().all(|&t| t == Tier::Native),
+        "every reply from the kernel: {tiers:?}"
     );
     let mut client = daemon.client();
     let stats = match client.stats().expect("stats") {
@@ -498,13 +502,8 @@ fn batching_fuses_concurrent_same_size_requests() {
         other => panic!("stats answered {other:?}"),
     };
     assert!(
-        daemon.counter(&stats, "spld.batch.multi") >= 1,
-        "stats must show a multi-request dispatch:\n{stats}"
-    );
-    assert!(
-        daemon.counter(&stats, "spld.batch.requests")
-            > daemon.counter(&stats, "spld.batch.dispatches"),
-        "batched dispatches must cover more requests than dispatches:\n{stats}"
+        daemon.counter(&stats, "spld.queue.peak_depth") >= 2,
+        "the clients must have queued behind the slot:\n{stats}"
     );
     drop(client);
     daemon.shut_down();
@@ -514,7 +513,6 @@ fn batching_fuses_concurrent_same_size_requests() {
 fn drain_finishes_in_flight_work_before_stopping() {
     let config = ServerConfig {
         workers: 1,
-        batch_max: 1,
         chaos: Some(ChaosConfig {
             seed: 13,
             p_kernel_fault: 0.0,
@@ -693,7 +691,6 @@ fn reload_wisdom_makes_new_sizes_servable_live() {
 fn mid_flight_disconnect_does_not_kill_the_daemon() {
     let config = ServerConfig {
         workers: 1,
-        batch_max: 1,
         chaos: Some(ChaosConfig {
             seed: 17,
             p_kernel_fault: 0.0,
@@ -819,7 +816,6 @@ fn buffers_return_to_the_connection_that_owns_them() {
     const SIZES: [[usize; 2]; 3] = [[8, 64], [16, 128], [32, 4]];
     let config = ServerConfig {
         workers: 1,
-        batch_max: 1,
         chaos: Some(ChaosConfig {
             seed: 29,
             p_kernel_fault: 0.0,

@@ -22,7 +22,7 @@ transport:
   --stdio           serve exactly one session over stdin/stdout
 
 serving state:
-  --state-dir <dir> kernel cache + plan journal (restarts come back warm)
+  --state-dir <dir> kernel cache (restarts reload kernels without cc)
   --wisdom <file>   preload searched plans (splsearch --wisdom-out format)
   --wisdom-db <dir> preload the cross-run wisdom database (splsearch
                     --wisdom-db); the W control verb re-reads it live
@@ -32,10 +32,6 @@ capacity:
                         transforms themselves, <n> at a time (default 2)
   --queue-cap <n>       admission queue bound; beyond it requests get
                         an explicit OVERLOADED reply (default 64)
-  --batch-max <n>       max same-size requests fused into one
-                        I_m (x) A dispatch (default 16; 1 disables)
-  --batch-window-ms <n> how long a lone request waits for same-size
-                        company before dispatching (default 0)
   --max-size <n>        largest servable transform size (default 65536)
   --no-native           serve from the VM only (skip native kernels)
 
@@ -85,13 +81,6 @@ fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
             "--workers" => opts.config.workers = parse_num(&value("--workers")?, "--workers")?,
             "--queue-cap" => {
                 opts.config.queue_cap = parse_num(&value("--queue-cap")?, "--queue-cap")?;
-            }
-            "--batch-max" => {
-                opts.config.batch_max = parse_num(&value("--batch-max")?, "--batch-max")?;
-            }
-            "--batch-window-ms" => {
-                let ms: u64 = parse_num(&value("--batch-window-ms")?, "--batch-window-ms")?;
-                opts.config.batch_window = Duration::from_millis(ms);
             }
             "--max-size" => opts.config.max_size = parse_num(&value("--max-size")?, "--max-size")?,
             "--no-native" => opts.config.native = false,

@@ -86,8 +86,8 @@ impl Daemon {
             .env("TMPDIR", &tmp)
             .spawn()
             .expect("spawn spld");
-        // Binding happens after wisdom load and journal replay, which
-        // an unoptimized build takes its time over.
+        // Binding happens after the wisdom load, which an unoptimized
+        // build takes its time over.
         let deadline = Instant::now() + Duration::from_secs(120);
         while !socket.exists() {
             assert!(Instant::now() < deadline, "spld never bound {socket:?}");
@@ -294,9 +294,8 @@ fn run_protocol_chaos(daemon: &Daemon, seed: u64) {
     }
 }
 
-/// The headline soak. One daemon with latency chaos and batching,
-/// eight traffic clients plus two protocol-chaos clients; then
-/// `SIGKILL` mid-traffic; then a restart on the same state directory
+/// The headline soak. One daemon with latency chaos, eight traffic
+/// clients plus two protocol-chaos clients; then `SIGKILL` mid-traffic; then a restart on the same state directory
 /// that must come back warm (≥5× fewer `cc` invocations, from the
 /// daemon's own stats) and keep serving bit-identical answers.
 #[test]
@@ -312,10 +311,6 @@ fn soak_chaos_kill9_warm_restart() {
         "3",
         "--queue-cap",
         "64",
-        "--batch-max",
-        "8",
-        "--batch-window-ms",
-        "3",
         "--chaos-seed",
         "42",
         "--chaos-latency-p",
@@ -368,10 +363,6 @@ fn soak_chaos_kill9_warm_restart() {
         "replies.ok must cover this client's successes:\n{cold}"
     );
     assert!(
-        counter(&cold, "spld.batch.multi") >= 1,
-        "concurrent same-size traffic must produce a real batch:\n{cold}"
-    );
-    assert!(
         counter(&cold, "spld.protocol_errors") >= 1,
         "the chaos clients' garbage must be counted:\n{cold}"
     );
@@ -409,6 +400,7 @@ fn soak_chaos_kill9_warm_restart() {
             .fold((0, 0), |(a, b), (c, d)| (a + c, b + d))
     });
     assert!(warm_ok >= 40, "warm restart must serve: ok={warm_ok}");
+    daemon.wait_builds(SIZES.len() as u64);
     let warm = daemon.stats();
     let warm_cc = counter(&warm, "native.cc_invocations");
     assert!(
@@ -416,8 +408,8 @@ fn soak_chaos_kill9_warm_restart() {
         "restart must come back warm: cold cc={cold_cc}, warm cc={warm_cc}\n{warm}"
     );
     assert!(
-        counter(&warm, "spld.plan.preloaded") >= SIZES.len() as u64,
-        "the plan journal must preload every seen size:\n{warm}"
+        counter(&warm, "native.cache.disk_hits") >= SIZES.len() as u64,
+        "the kernel cache must reload every seen size:\n{warm}"
     );
     daemon.drain_and_wait();
     assert!(!socket.exists(), "socket removed after drain");
@@ -439,8 +431,6 @@ fn soak_kernel_faults_degrade_without_wrong_answers() {
             &state_str,
             "--workers",
             "2",
-            "--batch-max",
-            "1",
             "--chaos-seed",
             "7",
             "--chaos-kernel-fault",
@@ -491,8 +481,6 @@ fn soak_overload_sheds_explicitly() {
             "1",
             "--queue-cap",
             "2",
-            "--batch-max",
-            "1",
             "--chaos-seed",
             "3",
             "--chaos-latency-p",

@@ -133,4 +133,27 @@ fn help_prints_usage_to_stdout() {
     assert!(out.contains("--trace-json"), "{out}");
     assert!(out.contains("-O0 | -O1 | -O2"), "{out}");
     assert!(err.is_empty(), "{err}");
+
+    // spld's help names no batching and no plan journal, and the deleted
+    // batch flags are refused like any unknown option.
+    let spld = |args: &[&str]| {
+        Command::new(env!("CARGO_BIN_EXE_spld"))
+            .args(args)
+            .output()
+            .expect("run spld")
+    };
+    let help = spld(&["--help"]);
+    assert!(help.status.success());
+    let help = String::from_utf8_lossy(&help.stdout);
+    assert!(help.contains("usage: spld"), "{help}");
+    assert!(
+        !help.contains("batch") && !help.contains("journal"),
+        "{help}"
+    );
+    for flag in ["--batch-window-ms", "--batch-max"] {
+        let refused = spld(&[flag, "3", "--stdio"]);
+        assert_eq!(refused.status.code(), Some(2));
+        let err = String::from_utf8_lossy(&refused.stderr);
+        assert!(err.contains(&format!("unknown option {flag}")), "{err}");
+    }
 }
