@@ -2,53 +2,58 @@
 //!
 //! Like FFTW's codelets, each computes one n-point DFT reading the input
 //! at stride `is` and writing the output at stride `os` (strides counted
-//! in complex elements over interleaved-real storage). Sizes 2–8 are
-//! hand-unrolled; 16–64 run a compact split-loop over the unrolled
-//! kernels with twiddles baked into the codelet at construction time.
-//! The executor's twiddle+columns pass gathers strided data into local
-//! buffers before applying a kernel, so codelets never alias.
-
-use spl_numeric::twiddle::omega;
+//! in complex elements over interleaved-real storage). And like FFTW's,
+//! they are generated, not written: `splc -B 64` compiled the six
+//! formulas in `codelets/fft{2,4,8,16,32,64}.spl` (a balanced
+//! Cooley–Tukey split, left factor `2^⌈k/2⌉` at every level) into one
+//! straight-line C function each, with its constants inline and no static
+//! state. The crate's build script compiles that C with the host `cc`,
+//! and a codelet is the address of its function. At unit stride
+//! [`Codelet::apply`] hands it the caller's slices; at any other stride it
+//! gathers the input into a stack buffer and scatters the output from
+//! one, as FFTW's buffered codelets do.
 
 /// Sizes for which codelets exist (powers of two up to 64, as in the
 /// paper's experiments).
 pub const CODELET_SIZES: [usize; 6] = [2, 4, 8, 16, 32, 64];
 
+/// The C signature `splc` gives a straight-line subroutine:
+/// `void name(double *restrict y, const double *restrict x)`.
+type Entry = unsafe extern "C" fn(*mut f64, *const f64);
+
+extern "C" {
+    fn minifft_codelet_2(y: *mut f64, x: *const f64);
+    fn minifft_codelet_4(y: *mut f64, x: *const f64);
+    fn minifft_codelet_8(y: *mut f64, x: *const f64);
+    fn minifft_codelet_16(y: *mut f64, x: *const f64);
+    fn minifft_codelet_32(y: *mut f64, x: *const f64);
+    fn minifft_codelet_64(y: *mut f64, x: *const f64);
+}
+
 /// A small fixed-size DFT kernel.
 #[derive(Debug, Clone)]
 pub struct Codelet {
     n: usize,
-    /// Interleaved twiddles for the internal split of sizes 16–64:
-    /// `W(n, k·j)` at `[2*(k*s+j)]`, with `s = n/8`.
-    tw: Vec<f64>,
+    entry: Entry,
 }
 
 impl Codelet {
-    /// Builds the codelet for `n`.
+    /// The codelet for `n`.
     ///
     /// # Panics
     ///
     /// Panics if `n` is not one of [`CODELET_SIZES`].
     pub fn new(n: usize) -> Codelet {
-        assert!(
-            CODELET_SIZES.contains(&n),
-            "no codelet for size {n} (have {CODELET_SIZES:?})"
-        );
-        let tw = if n > 8 {
-            let s = n / 8;
-            let mut tw = Vec::with_capacity(2 * n);
-            for k in 0..8 {
-                for j in 0..s {
-                    let w = omega(n, (k * j) as i64);
-                    tw.push(w.re);
-                    tw.push(w.im);
-                }
-            }
-            tw
-        } else {
-            Vec::new()
+        let entry: Entry = match n {
+            2 => minifft_codelet_2,
+            4 => minifft_codelet_4,
+            8 => minifft_codelet_8,
+            16 => minifft_codelet_16,
+            32 => minifft_codelet_32,
+            64 => minifft_codelet_64,
+            _ => panic!("no codelet for size {n} (have {CODELET_SIZES:?})"),
         };
-        Codelet { n, tw }
+        Codelet { n, entry }
     }
 
     /// The transform size.
@@ -56,9 +61,10 @@ impl Codelet {
         self.n
     }
 
-    /// Bytes held by the codelet (its baked twiddles).
+    /// Bytes held by the codelet: none, its constants are immediates in
+    /// the object's `.text`.
     pub fn bytes(&self) -> usize {
-        self.tw.len() * std::mem::size_of::<f64>()
+        0
     }
 
     /// Computes `y = DFT_n(x)` with input stride `is` and output stride
@@ -68,134 +74,54 @@ impl Codelet {
     ///
     /// Panics if a strided access falls outside either slice.
     pub fn apply(&self, x: &[f64], is: usize, y: &mut [f64], os: usize) {
+        let len = 2 * self.n;
+        if is == 1 && os == 1 {
+            return self.call(&x[..len], &mut y[..len]);
+        }
         match self.n {
-            2 => f2(x, is, y, os),
-            4 => f4(x, is, y, os),
-            8 => f8(x, is, y, os),
-            _ => self.split(x, is, y, os),
+            2 => self.buffered::<4>(x, is, y, os),
+            4 => self.buffered::<8>(x, is, y, os),
+            8 => self.buffered::<16>(x, is, y, os),
+            16 => self.buffered::<32>(x, is, y, os),
+            32 => self.buffered::<64>(x, is, y, os),
+            _ => self.buffered::<128>(x, is, y, os),
         }
     }
 
-    /// Sizes 16–64 as one split level: `F_n = (F_8 ⊗ I_s) T^n_s (I_8 ⊗
-    /// F_s) L^n_8` with `s = n/8 ∈ {2, 4, 8}`, using the hand-unrolled
-    /// kernels for both stages and the baked twiddles.
-    fn split(&self, x: &[f64], is: usize, y: &mut [f64], os: usize) {
-        let n = self.n;
-        let s = n / 8;
-        // (I_8 ⊗ F_s) L^n_8: block k of the output is F_s of the
-        // decimated subsequence {k, k+8, k+16, ...}.
-        for k in 0..8 {
-            let sub = |xx: &[f64], yy: &mut [f64]| match s {
-                2 => f2(xx, is * 8, yy, os),
-                4 => f4(xx, is * 8, yy, os),
-                _ => f8(xx, is * 8, yy, os),
-            };
-            sub(&x[2 * k * is..], &mut y[2 * k * s * os..]);
+    /// [`Codelet::apply`] through stack buffers of `L = 2n` reals: the
+    /// input is gathered into one unless `is` is 1, and the output
+    /// scattered from one unless `os` is 1.
+    fn buffered<const L: usize>(&self, x: &[f64], is: usize, y: &mut [f64], os: usize) {
+        let mut xb = [0.0f64; L];
+        let x = if is == 1 {
+            &x[..L]
+        } else {
+            for (k, pair) in xb.chunks_exact_mut(2).enumerate() {
+                pair.copy_from_slice(&x[2 * k * is..2 * k * is + 2]);
+            }
+            &xb
+        };
+        if os == 1 {
+            return self.call(x, &mut y[..L]);
         }
-        // T^n_s then F_8 on the strided "rows": column j collects
-        // y[j + k·s] for k = 0..8.
-        let mut buf = [0.0f64; 16];
-        for j in 0..s {
-            for k in 0..8 {
-                let idx = 2 * (k * s + j) * os;
-                let (re, im) = (y[idx], y[idx + 1]);
-                let (wr, wi) = (self.tw[2 * (k * s + j)], self.tw[2 * (k * s + j) + 1]);
-                buf[2 * k] = re * wr - im * wi;
-                buf[2 * k + 1] = re * wi + im * wr;
-            }
-            let mut out = [0.0f64; 16];
-            f8(&buf, 1, &mut out, 1);
-            for k in 0..8 {
-                let idx = 2 * (k * s + j) * os;
-                y[idx] = out[2 * k];
-                y[idx + 1] = out[2 * k + 1];
-            }
+        let mut yb = [0.0f64; L];
+        self.call(x, &mut yb);
+        for (k, pair) in yb.chunks_exact(2).enumerate() {
+            y[2 * k * os..2 * k * os + 2].copy_from_slice(pair);
         }
     }
-}
 
-#[inline]
-fn ld(x: &[f64], stride: usize, k: usize) -> (f64, f64) {
-    let i = 2 * k * stride;
-    (x[i], x[i + 1])
-}
-
-#[inline]
-fn st(y: &mut [f64], stride: usize, k: usize, re: f64, im: f64) {
-    let i = 2 * k * stride;
-    y[i] = re;
-    y[i + 1] = im;
-}
-
-/// The 2-point butterfly.
-fn f2(x: &[f64], is: usize, y: &mut [f64], os: usize) {
-    let (a_re, a_im) = ld(x, is, 0);
-    let (b_re, b_im) = ld(x, is, 1);
-    st(y, os, 0, a_re + b_re, a_im + b_im);
-    st(y, os, 1, a_re - b_re, a_im - b_im);
-}
-
-/// The 4-point kernel (radix-2 DIT, fully unrolled).
-fn f4(x: &[f64], is: usize, y: &mut [f64], os: usize) {
-    let (x0r, x0i) = ld(x, is, 0);
-    let (x1r, x1i) = ld(x, is, 1);
-    let (x2r, x2i) = ld(x, is, 2);
-    let (x3r, x3i) = ld(x, is, 3);
-    // Even/odd halves.
-    let (e0r, e0i) = (x0r + x2r, x0i + x2i);
-    let (e1r, e1i) = (x0r - x2r, x0i - x2i);
-    let (o0r, o0i) = (x1r + x3r, x1i + x3i);
-    let (o1r, o1i) = (x1r - x3r, x1i - x3i);
-    // Twiddle W4^1 = -i on the second odd term: (r, i) -> (i, -r).
-    let (t1r, t1i) = (o1i, -o1r);
-    st(y, os, 0, e0r + o0r, e0i + o0i);
-    st(y, os, 1, e1r + t1r, e1i + t1i);
-    st(y, os, 2, e0r - o0r, e0i - o0i);
-    st(y, os, 3, e1r - t1r, e1i - t1i);
-}
-
-/// The 8-point kernel (radix-2 DIT over two F4 halves, fully unrolled).
-fn f8(x: &[f64], is: usize, y: &mut [f64], os: usize) {
-    const H: f64 = std::f64::consts::FRAC_1_SQRT_2;
-    // Even half: F4 of (x0, x2, x4, x6).
-    let (x0r, x0i) = ld(x, is, 0);
-    let (x2r, x2i) = ld(x, is, 2);
-    let (x4r, x4i) = ld(x, is, 4);
-    let (x6r, x6i) = ld(x, is, 6);
-    let (e0r, e0i) = (x0r + x4r, x0i + x4i);
-    let (e1r, e1i) = (x0r - x4r, x0i - x4i);
-    let (e2r, e2i) = (x2r + x6r, x2i + x6i);
-    let (e3r, e3i) = (x2i - x6i, x6r - x2r); // -i*(x2-x6)
-    let (a0r, a0i) = (e0r + e2r, e0i + e2i);
-    let (a1r, a1i) = (e1r + e3r, e1i + e3i);
-    let (a2r, a2i) = (e0r - e2r, e0i - e2i);
-    let (a3r, a3i) = (e1r - e3r, e1i - e3i);
-    // Odd half: F4 of (x1, x3, x5, x7).
-    let (x1r, x1i) = ld(x, is, 1);
-    let (x3r, x3i) = ld(x, is, 3);
-    let (x5r, x5i) = ld(x, is, 5);
-    let (x7r, x7i) = ld(x, is, 7);
-    let (f0r, f0i) = (x1r + x5r, x1i + x5i);
-    let (f1r, f1i) = (x1r - x5r, x1i - x5i);
-    let (f2r, f2i) = (x3r + x7r, x3i + x7i);
-    let (f3r, f3i) = (x3i - x7i, x7r - x3r); // -i*(x3-x7)
-    let (b0r, b0i) = (f0r + f2r, f0i + f2i);
-    let (b1r, b1i) = (f1r + f3r, f1i + f3i);
-    let (b2r, b2i) = (f0r - f2r, f0i - f2i);
-    let (b3r, b3i) = (f1r - f3r, f1i - f3i);
-    // Twiddles W8^k on the odd half: 1, (1-i)/√2, -i, (-1-i)/√2.
-    let (t0r, t0i) = (b0r, b0i);
-    let (t1r, t1i) = (H * (b1r + b1i), H * (b1i - b1r));
-    let (t2r, t2i) = (b2i, -b2r);
-    let (t3r, t3i) = (H * (b3i - b3r), -H * (b3r + b3i));
-    st(y, os, 0, a0r + t0r, a0i + t0i);
-    st(y, os, 1, a1r + t1r, a1i + t1i);
-    st(y, os, 2, a2r + t2r, a2i + t2i);
-    st(y, os, 3, a3r + t3r, a3i + t3i);
-    st(y, os, 4, a0r - t0r, a0i - t0i);
-    st(y, os, 5, a1r - t1r, a1i - t1i);
-    st(y, os, 6, a2r - t2r, a2i - t2i);
-    st(y, os, 7, a3r - t3r, a3i - t3i);
+    /// Runs the generated function on `2n` contiguous reals.
+    fn call(&self, x: &[f64], y: &mut [f64]) {
+        assert!(x.len() == 2 * self.n && y.len() == 2 * self.n);
+        // SAFETY: `entry` is the generated function for `self.n`
+        // (`Codelet::new` pairs them). Its body is straight-line code that
+        // reads `x[0..2n)`, writes `y[0..2n)` and touches no other memory
+        // and no static state, so concurrent calls are fine. Both slices
+        // are exactly `2n` long, and a `&` and a `&mut` never overlap,
+        // which is the `restrict` its parameters declare.
+        unsafe { (self.entry)(y.as_mut_ptr(), x.as_ptr()) }
+    }
 }
 
 #[cfg(test)]
@@ -234,21 +160,24 @@ mod tests {
 
     #[test]
     fn strided_input_and_output() {
-        let n = 8;
-        let c = Codelet::new(n);
-        let x = workload(n);
-        // Input embedded at stride 3, output at stride 2.
-        let mut xe = vec![0.0; 2 * n * 3];
-        for (k, z) in x.iter().enumerate() {
-            xe[2 * k * 3] = z.re;
-            xe[2 * k * 3 + 1] = z.im;
-        }
-        let mut ye = vec![0.0; 2 * n * 2];
-        c.apply(&xe, 3, &mut ye, 2);
-        let want = reference::dft(&x);
-        for (k, w) in want.iter().enumerate() {
-            let got = Complex::new(ye[2 * k * 2], ye[2 * k * 2 + 1]);
-            assert!(got.approx_eq(*w, 1e-11), "k={k}");
+        // Gather and scatter, gather only, scatter only.
+        for (is, os) in [(3, 2), (3, 1), (1, 2)] {
+            for n in CODELET_SIZES {
+                let c = Codelet::new(n);
+                let x = workload(n);
+                let mut xe = vec![0.0; 2 * n * is];
+                for (k, z) in x.iter().enumerate() {
+                    xe[2 * k * is] = z.re;
+                    xe[2 * k * is + 1] = z.im;
+                }
+                let mut ye = vec![0.0; 2 * n * os];
+                c.apply(&xe, is, &mut ye, os);
+                let want = reference::dft(&x);
+                for (k, w) in want.iter().enumerate() {
+                    let got = Complex::new(ye[2 * k * os], ye[2 * k * os + 1]);
+                    assert!(got.approx_eq(*w, 1e-11), "n={n} is={is} os={os} k={k}");
+                }
+            }
         }
     }
 
@@ -265,9 +194,10 @@ mod tests {
     }
 
     #[test]
-    fn twiddle_bytes_accounted() {
-        assert_eq!(Codelet::new(2).bytes(), 0);
-        assert_eq!(Codelet::new(64).bytes(), 2 * 64 * 8);
+    fn codelets_hold_no_bytes() {
+        for n in CODELET_SIZES {
+            assert_eq!(Codelet::new(n).bytes(), 0, "n={n}");
+        }
     }
 
     #[test]

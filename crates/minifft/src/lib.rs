@@ -12,6 +12,14 @@
 //! DESIGN.md, substitution 2) so the benchmark harness can reproduce the
 //! paper's `FFTW` and `FFTW estimate` series.
 //!
+//! FFTW's codelets are generated code (genfft's output, shipped as C
+//! source); so are these. The [`codelet`] module links the straight-line
+//! C that `splc -B 64` emitted for the six formulas in `codelets/*.spl`,
+//! which the build script compiles with the host `cc` on `spl-native`'s
+//! line. At n ≤ 64 the baseline therefore runs the same arithmetic as
+//! SPL's own straight-line code, through a different call path; the
+//! planner and executor above the leaves are Rust.
+//!
 //! Data layout: complex vectors as interleaved `f64` (`re0, im0, re1,
 //! im1, ...`), the same layout the SPL compiler's real-typed output uses.
 //!

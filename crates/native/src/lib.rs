@@ -277,7 +277,7 @@ impl Drop for Loaded {
 /// The C text of `unit` with entry point `name` — the one emit behind
 /// every build path. Tables are declared, not initialised: the loaded
 /// object gets their values from [`fill_tables`].
-fn c_source(unit: &CompiledUnit, name: &str, io_params: bool) -> Result<String, NativeError> {
+fn c_source(unit: &CompiledUnit, name: &str) -> Result<String, NativeError> {
     if unit.program.complex {
         return Err(NativeError::Unsupported(
             "C output requires real-typed code (set #codetype real)".into(),
@@ -290,13 +290,13 @@ fn c_source(unit: &CompiledUnit, name: &str, io_params: bool) -> Result<String, 
             language: Language::C,
             codetype: DataType::Real,
             peephole: false,
-            io_params,
+            io_params: false,
             tables: TableMode::Loaded,
         },
     ))
 }
 
-/// Gives a freshly loaded object, built from `c_source(unit, name, _)`,
+/// Gives a freshly loaded object, built from `c_source(unit, name)`,
 /// its unit's table values: one call of the `<name>_tables` entry point
 /// that text has when the unit has tables at all.
 fn fill_tables(lib: &Loaded, name: &str, unit: &CompiledUnit) -> Result<(), NativeError> {
@@ -308,7 +308,7 @@ fn fill_tables(lib: &Loaded, name: &str, unit: &CompiledUnit) -> Result<(), Nati
     let filler_c =
         CString::new(filler.as_bytes()).map_err(|_| NativeError::Io("bad name".into()))?;
     // SAFETY: the handle is a live `dlopen` of an object built from
-    // `c_source(unit, name, _)`, whose emitter gives `<name>_tables` the
+    // `c_source(unit, name)`, whose emitter gives `<name>_tables` the
     // C ABI signature `void (const double *)` and has it read exactly
     // the words of `table_values` — one slice per table, in
     // `IProgram::tables` order — into statics private to this handle.
@@ -391,7 +391,7 @@ impl NativeKernel {
         target: &CcTarget,
     ) -> Result<NativeKernel, NativeError> {
         let name = sanitize(&unit.name);
-        let c_src = c_source(unit, &name, false)?;
+        let c_src = c_source(unit, &name)?;
         let lib = build_and_load(&std::env::temp_dir(), &name, &c_src, opts, target, &NEVER)?;
         Self::from_loaded(lib, &name, unit)
     }
@@ -430,7 +430,7 @@ impl NativeKernel {
         cache: &KernelCache,
         called_off: &AtomicBool,
     ) -> Result<(NativeKernel, CacheOutcome), NativeError> {
-        let c_src = c_source(unit, CACHED_SYMBOL, false)?;
+        let c_src = c_source(unit, CACHED_SYMBOL)?;
         let target = CcTarget::host();
         let line = target.command_line();
         let mut key = KernelCache::key_for(&c_src, opts, line);
@@ -468,7 +468,7 @@ impl NativeKernel {
     ///
     /// Fails like `compile_cached` on complex-typed units.
     pub fn cache_key(unit: &CompiledUnit, opts: &BuildOptions) -> Result<String, NativeError> {
-        c_source(unit, CACHED_SYMBOL, false).map(|c_src| KernelCache::key(&c_src, opts))
+        c_source(unit, CACHED_SYMBOL).map(|c_src| KernelCache::key(&c_src, opts))
     }
 
     /// The one place a resolved symbol becomes a callable entry point,
@@ -481,7 +481,7 @@ impl NativeKernel {
         fill_tables(&lib, name, unit)?;
         // SAFETY: every object reaching here was built — just now, or
         // earlier into the kernel cache, whose key covers the C text —
-        // from `c_source(unit, name, false)`, and the emitter gives that
+        // from `c_source(unit, name)`, and the emitter gives that
         // entry point the C ABI signature
         // `void name(double *restrict y, const double *restrict x)`.
         let entry: extern "C" fn(*mut f64, *const f64) = unsafe { std::mem::transmute(lib.sym) };
@@ -601,105 +601,6 @@ fn sandbox_to_native(e: SandboxError) -> NativeError {
         }
         SandboxError::Protocol(m) => NativeError::Protocol(m),
         SandboxError::Unsupported => NativeError::Protocol("sandbox unsupported".into()),
-    }
-}
-
-/// A natively compiled subroutine with the paper's Section 3.5
-/// offset/stride parameters:
-/// `void name(double *restrict y, const double *restrict x, long yofs,
-/// long xofs, long ystr, long xstr)`, strides and offsets counted in *logical
-/// elements* of the generated code (real words for real-typed code).
-pub struct NativeIoKernel {
-    entry: extern "C" fn(*mut f64, *const f64, i64, i64, i64, i64),
-    /// Logical input length (number of strided elements consumed).
-    pub n_in: usize,
-    /// Logical output length.
-    pub n_out: usize,
-    _lib: Loaded,
-}
-
-impl fmt::Debug for NativeIoKernel {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("NativeIoKernel")
-            .field("n_in", &self.n_in)
-            .field("n_out", &self.n_out)
-            .finish()
-    }
-}
-
-impl NativeIoKernel {
-    /// Emits C with `io_params` enabled, compiles, and loads it.
-    ///
-    /// # Errors
-    ///
-    /// Same failure modes as [`NativeKernel::compile`].
-    pub fn compile(unit: &CompiledUnit) -> Result<NativeIoKernel, NativeError> {
-        Self::compile_with(unit, &BuildOptions::default())
-    }
-
-    /// [`NativeIoKernel::compile`] with explicit compiler-run options.
-    ///
-    /// # Errors
-    ///
-    /// Same failure modes as [`NativeKernel::compile`].
-    pub fn compile_with(
-        unit: &CompiledUnit,
-        opts: &BuildOptions,
-    ) -> Result<NativeIoKernel, NativeError> {
-        let name = sanitize(&unit.name);
-        let c_src = c_source(unit, &name, true)?;
-        let tmp_dir = std::env::temp_dir();
-        let lib = build_and_load(&tmp_dir, &name, &c_src, opts, CcTarget::host(), &NEVER)?;
-        fill_tables(&lib, &name, unit)?;
-        // SAFETY: the symbol was emitted with exactly this C signature;
-        // its `long` parameters are `i64` on every 64-bit Linux target
-        // this crate's dlopen path supports (LP64).
-        let entry: extern "C" fn(*mut f64, *const f64, i64, i64, i64, i64) =
-            unsafe { std::mem::transmute(lib.sym) };
-        Ok(NativeIoKernel {
-            entry,
-            n_in: unit.program.n_in,
-            n_out: unit.program.n_out,
-            _lib: lib,
-        })
-    }
-
-    /// Runs the kernel reading `x[xofs + xstr·k]` and writing
-    /// `y[yofs + ystr·k]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any strided access would fall outside the slices.
-    pub fn run(
-        &self,
-        x: &[f64],
-        y: &mut [f64],
-        yofs: usize,
-        xofs: usize,
-        ystr: usize,
-        xstr: usize,
-    ) {
-        let last = |ofs: usize, stride: usize, n: usize| {
-            stride
-                .checked_mul(n.saturating_sub(1))
-                .and_then(|v| v.checked_add(ofs))
-        };
-        assert!(
-            last(xofs, xstr, self.n_in).is_some_and(|v| v < x.len()),
-            "strided input out of range"
-        );
-        assert!(
-            last(yofs, ystr, self.n_out).is_some_and(|v| v < y.len()),
-            "strided output out of range"
-        );
-        (self.entry)(
-            y.as_mut_ptr(),
-            x.as_ptr(),
-            yofs as i64,
-            xofs as i64,
-            ystr as i64,
-            xstr as i64,
-        );
     }
 }
 
@@ -1035,49 +936,6 @@ mod tests {
         assert!(clipped.len() < MAX_STDERR_CHARS + 64);
         assert!(clipped.contains("truncated"));
         assert_eq!(clip_stderr(b"short"), "short");
-    }
-
-    #[test]
-    fn io_kernel_runs_with_strides_and_offsets() {
-        // Run the F2 butterfly on every other complex element of a
-        // larger buffer, writing to an offset strided region — the paper's
-        // "computation performed on vector elements that are not
-        // consecutive" (Section 3.5).
-        let mut c = Compiler::new();
-        let unit = c.compile_formula_str("(F 2)").unwrap();
-        let k = NativeIoKernel::compile(&unit).unwrap();
-        assert_eq!(k.n_in, 4); // 2 complex points = 4 real words
-                               // Input x embedded at real-word stride 2 starting at word 1:
-                               // logical elements x[1], x[3], x[5], x[7].
-        let x = [0.0, 3.0, 0.0, 0.5, 0.0, 5.0, 0.0, -1.5];
-        let mut y = vec![0.0; 16];
-        // Output at word stride 3 starting at word 2.
-        k.run(&x, &mut y, 2, 1, 3, 2);
-        // (3+0.5i) and (5-1.5i): sum = 8-1i, diff = -2+2i
-        assert_eq!(y[2], 8.0);
-        assert_eq!(y[5], -1.0);
-        assert_eq!(y[8], -2.0);
-        assert_eq!(y[11], 2.0);
-        // Untouched slots stay zero.
-        assert_eq!(y[0], 0.0);
-        assert_eq!(y[3], 0.0);
-    }
-
-    #[test]
-    fn io_kernel_with_unit_strides_matches_plain_kernel() {
-        let src = "(compose (tensor (F 2) (I 4)) (T 8 4) (tensor (I 2) (F 4)) (L 8 2))";
-        let mut c = Compiler::new();
-        let unit = c.compile_formula_str(src).unwrap();
-        let plain = NativeKernel::compile(&unit).unwrap();
-        let io = NativeIoKernel::compile(&unit).unwrap();
-        let x: Vec<f64> = (0..16).map(|i| (i as f64 * 0.37).sin()).collect();
-        let mut y1 = vec![0.0; 16];
-        let mut y2 = vec![0.0; 16];
-        plain.run(&x, &mut y1);
-        io.run(&x, &mut y2, 0, 0, 1, 1);
-        for (a, b) in y1.iter().zip(&y2) {
-            assert!((a - b).abs() < 1e-14);
-        }
     }
 
     #[test]
