@@ -4,7 +4,8 @@
 //! through the executor `run` uses, compiled over a probe that records
 //! instead of one that does nothing, and returns a [`VmProfile`]:
 //! dynamic per-op-class counts, flop counts, fused-macro-op
-//! utilization, per-loop-block iteration and wall-time figures, and —
+//! utilization, lane-ops per width of the SIMD ladder,
+//! per-loop-block iteration and wall-time figures, and —
 //! when the program carries formula-node provenance — per-node self
 //! time, ops, and flops. The op classes are the discriminants of the
 //! engine's float kinds (`resolved::Arith`), the four integer ops, and
@@ -18,6 +19,8 @@
 use spl_icode::ProvNode;
 use spl_telemetry::json::Json;
 use spl_telemetry::Telemetry;
+
+use crate::simd::LANE_WIDTHS;
 
 /// Number of dynamic op classes the profiler distinguishes.
 pub const N_OP_CLASSES: usize = 24;
@@ -119,6 +122,9 @@ pub struct VmProfile {
     /// Dynamic execution count per op class, indexed like
     /// [`OP_CLASS_NAMES`].
     pub op_counts: [u64; N_OP_CLASSES],
+    /// Lane-ops run at each width of [`LANE_WIDTHS`]: which rungs of
+    /// the ladder ran (they sum to [`VmProfile::vector_lane_ops`]).
+    pub lane_ops_by_width: [u64; LANE_WIDTHS.len()],
     /// Per-formula-node costs, indexed by provenance id.
     pub nodes: Vec<NodeCost>,
     /// Per-loop-block figures, outermost first in program order.

@@ -39,14 +39,21 @@
 //! 4. **Vector plans**: for loops the compiler's `vectorize` pass
 //!    marked lane-safe, the resolver independently re-verifies safety
 //!    at the cursor level and attaches a [`VecPlan`] — the loop body
-//!    as lane-wide macro-ops. Execution then runs `width()` iterations
-//!    per chunk through [`crate::simd`], falling back to the scalar
-//!    body for the remainder (and entirely, when the fallback is
-//!    forced). Vector execution performs the exact same IEEE-754
-//!    operations as scalar execution, so it stays bit-identical to the
-//!    reference executor. Hints that fail re-verification are silently
-//!    demoted (counted in `vm.vec.demoted`) — the mark is advisory,
-//!    never trusted.
+//!    as lane-wide macro-ops, and the widest chunk its alias distance
+//!    allows: the largest power of two no greater than the nearest
+//!    iteration distance at which two of its accesses meet, capped at
+//!    [`MAX_VEC_WIDTH`] (a loop whose accesses meet one iteration
+//!    apart has no such width and is demoted). Execution runs a
+//!    planned loop down the *width ladder* of the host's backend
+//!    ([`crate::simd`]): as many 8-wide chunks as fit, then 4-wide,
+//!    then 2-wide, each rung no wider than the plan, and the scalar
+//!    body for the last iteration left (and for all of them when the
+//!    fallback is forced). So a 2-trip loop and every remainder of two
+//!    or more run lane-wide. Vector execution performs the exact same
+//!    IEEE-754 operations as scalar execution, so it stays
+//!    bit-identical to the reference executor. Hints that fail
+//!    re-verification are silently demoted (counted in
+//!    `vm.vec.demoted`) — the mark is advisory, never trusted.
 //!
 //! One vocabulary, one executor: the ten float kinds are the [`Arith`]
 //! enum, and a float op at every level — out of fusion, over cells or
@@ -69,7 +76,7 @@ use crate::profile::{
     build_nodes, LoopBlock, VmProfile, N_OP_CLASSES, OP_CLASS_FLOPS, VEC_CLASS_BASE,
 };
 use crate::program::{Addr, Dst, ISrc, Op, Src, VmProgram, VmState};
-use crate::simd::{self, Lanes, MAX_VEC_WIDTH};
+use crate::simd::{self, Lanes, LANE_WIDTHS, MAX_VEC_WIDTH};
 
 /// Counters from fusion and loop strength reduction, reported through
 /// `spl-telemetry` as `vm.fuse.*` / `vm.lsr.*`.
@@ -360,11 +367,11 @@ struct LoopNode {
 /// well above that.
 const MAX_LANE_CELLS: usize = 2048;
 
-/// Room for one lane register of any backend, aligned for the widest:
-/// the element of the lane buffer a [`VmState`] keeps for its program's
-/// vector plans.
+/// Room for one lane register of any backend, aligned for the widest
+/// (64 bytes: 8 × f64): the element of the lane buffer a [`VmState`]
+/// keeps for its program's vector plans.
 #[derive(Debug, Clone, Copy)]
-#[repr(C, align(32))]
+#[repr(C, align(64))]
 pub(crate) struct LaneSlot([f64; MAX_VEC_WIDTH]);
 
 impl LaneSlot {
@@ -385,11 +392,16 @@ enum VOperand {
 
 /// A verified lane-wide execution plan for one counted loop: the body
 /// re-expressed over [`VOperand`]s, executed op-major over chunks of
-/// `W` consecutive iterations. Additive — the scalar body nodes stay in
-/// place for remainder iterations and the forced-scalar fallback.
+/// `W ≤ width` consecutive iterations. Additive — the scalar body nodes
+/// stay in place for remainder iterations and the forced-scalar
+/// fallback.
 #[derive(Debug, Clone, PartialEq, Default)]
 struct VecPlan {
     ops: Vec<FloatOp<VOperand, VOperand>>,
+    /// The widest chunk the loop's alias distance allows: 2, 4 or
+    /// [`MAX_VEC_WIDTH`]. No two iterations a chunk this wide holds
+    /// touch one address.
+    width: usize,
     /// Formula-node provenance per vector op (parallel to `ops`, or
     /// empty when the program carries none).
     prov: Vec<u32>,
@@ -556,9 +568,15 @@ impl ResolvedProgram {
     ///    reach every bound combination — while the fixed cells given a
     ///    cursor are in range by fact 2's check, so every cursor
     ///    *value* at a dereference is a cell of the arena;
-    /// 4. lane `l` of a lane-wide operand is the address scalar
-    ///    iteration `t + l` dereferences through the same cursor, and
-    ///    chunks run only with `W` full iterations left.
+    /// 4. at every width `W` of the ladder (8, 4, 2), lane `l` of a
+    ///    lane-wide operand is the address scalar iteration `t + l`
+    ///    dereferences through the same cursor, and a `W`-wide chunk
+    ///    runs only with `W` full iterations left — so all `W` lanes are
+    ///    cells of the arena (`lanes_in_bounds`). A load may also read
+    ///    the cells between two lanes (the AVX-512 stride-2 load: one
+    ///    full vector and one masked one), a store writes its lanes
+    ///    only; masked-off cells are neither read nor faulted on, so no
+    ///    access leaves the span of its `W` lanes.
     fn run_with<P: Probe>(
         &self,
         x: &[f64],
@@ -803,10 +821,12 @@ fn exec_int(op: &IntOp, arena: &mut [f64], r: &mut [i64], loops: &[i64]) {
 // Lane-wide (vector) plan execution.
 // ---------------------------------------------------------------------------
 
-/// Runs as many full `W`-iteration chunks of a planned loop as the
-/// active SIMD backend allows and returns how many iterations were
-/// covered (0 when no backend is active or the fallback is forced —
-/// the caller then runs everything through the scalar body).
+/// Runs the first iterations of a planned loop lane-wide, down the
+/// width ladder of the active backend — each rung no wider than the
+/// plan runs as many chunks as fit in what the rungs above it left —
+/// and returns how many iterations were covered. That leaves the
+/// scalar body one iteration at most (all of them when no backend is
+/// active or the fallback is forced).
 fn run_chunks<P: Probe>(
     plan: &VecPlan,
     trips: u64,
@@ -828,6 +848,12 @@ fn run_chunks<P: Probe>(
             // detection confirmed AVX support.
             unsafe { chunks_avx(plan, trips, stp, arena, cur, lanes, probe) }
         }
+        #[cfg(target_arch = "x86_64")]
+        simd::Backend::Avx512 => {
+            // SAFETY: `Backend::Avx512` is only reported when runtime
+            // detection confirmed AVX-512F support.
+            unsafe { chunks_avx512(plan, trips, stp, arena, cur, lanes, probe) }
+        }
         #[cfg(target_arch = "aarch64")]
         simd::Backend::Neon => {
             chunks_generic::<simd::Neon, P>(plan, trips, stp, arena, cur, lanes, probe)
@@ -836,7 +862,8 @@ fn run_chunks<P: Probe>(
 }
 
 /// AVX entry point: the `target_feature` frame into which the generic
-/// chunk executor (and the AVX intrinsics inside it) inlines.
+/// chunk executor (and the AVX intrinsics inside it) inlines; the
+/// ladder 4 → 2.
 ///
 /// # Safety
 ///
@@ -852,16 +879,40 @@ unsafe fn chunks_avx<P: Probe>(
     lanes: &mut [LaneSlot],
     probe: &mut P,
 ) -> u64 {
-    chunks_generic::<simd::Avx, P>(plan, trips, stp, arena, cur, lanes, probe)
+    let done = chunks_generic::<simd::Avx, P>(plan, trips, stp, arena, cur, lanes, probe);
+    done + chunks_generic::<simd::Sse2, P>(plan, trips - done, stp, arena, cur, lanes, probe)
 }
 
-/// Executes `trips / W` full chunks op-major: each lane-wide op runs
+/// AVX-512 entry point, as [`chunks_avx`]: the ladder 8 → 4 → 2.
+///
+/// # Safety
+///
+/// The CPU must support AVX-512F.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn chunks_avx512<P: Probe>(
+    plan: &VecPlan,
+    trips: u64,
+    stp: &[(u32, i64)],
+    arena: &mut [f64],
+    cur: &mut [i64],
+    lanes: &mut [LaneSlot],
+    probe: &mut P,
+) -> u64 {
+    let done = chunks_generic::<simd::Avx512, P>(plan, trips, stp, arena, cur, lanes, probe);
+    // SAFETY: AVX-512F implies AVX.
+    done + unsafe { chunks_avx(plan, trips - done, stp, arena, cur, lanes, probe) }
+}
+
+/// Executes one rung of the ladder: `trips / W` full chunks op-major,
+/// none when `W` is wider than the plan allows. Each lane-wide op runs
 /// `W` consecutive iterations at once, then the latch strides advance
-/// by `W` steps. Plan verification guarantees op-major order is
+/// by `W` steps, so the cursors are left at the first iteration the
+/// next rung runs. Plan verification guarantees op-major order is
 /// observably identical to iteration order (no loop-carried values,
-/// no memory conflicts at lane distance), and every lane performs the
-/// exact scalar IEEE-754 op — so the result is bit-identical to
-/// scalar execution.
+/// no memory conflicts at an iteration distance below the plan's
+/// width), and every lane performs the exact scalar IEEE-754 op — so
+/// the result is bit-identical to scalar execution.
 #[inline(always)]
 fn chunks_generic<L: Lanes, P: Probe>(
     plan: &VecPlan,
@@ -874,12 +925,12 @@ fn chunks_generic<L: Lanes, P: Probe>(
 ) -> u64 {
     let w = L::W as u64;
     let chunks = trips / w;
-    if chunks == 0 {
+    if chunks == 0 || L::W > plan.width {
         return 0;
     }
-    // The state's lane buffer, as this backend's registers. Whatever an
-    // earlier loop left there is never seen: a lane register is written
-    // before it is read in every iteration.
+    // The state's lane buffer, as this rung's registers. Whatever an
+    // earlier loop or rung left there is never seen: a lane register is
+    // written before it is read in every iteration.
     let lanes = &mut lanes[..plan.lane_cells.len()];
     assert!(
         size_of::<L::V>() <= size_of::<LaneSlot>() && align_of::<L::V>() <= align_of::<LaneSlot>()
@@ -904,7 +955,8 @@ fn chunks_generic<L: Lanes, P: Probe>(
     // Lane registers are iteration-private (written before read every
     // iteration), so only the last iteration's value — lane W−1 of the
     // last chunk — is observable after the loop; write it back for
-    // trailing scalar code. Remainder iterations, if any, overwrite it.
+    // trailing scalar code. Narrower rungs and the scalar remainder, if
+    // any run, overwrite it.
     for (k, &cell) in plan.lane_cells.iter().enumerate() {
         arena[cell as usize] = L::lane(lanes[k], L::W - 1);
     }
@@ -912,7 +964,9 @@ fn chunks_generic<L: Lanes, P: Probe>(
 }
 
 /// `true` when the `w` lanes at `base + l·s` all lie inside an arena
-/// of `len` cells, whichever way `s` points.
+/// of `len` cells, whichever way `s` points — and with them every cell
+/// between the first lane and the last, which is all a lane-wide load
+/// or store may touch.
 fn lanes_in_bounds(base: i64, s: i64, w: usize, len: usize) -> bool {
     let last = base + (w as i64 - 1) * s;
     base.min(last) >= 0 && (base.max(last) as usize) < len
@@ -995,6 +1049,7 @@ unsafe fn exec_vec_op<L: Lanes>(
 /// The [`Probe`] of a profiled run: accumulates a [`VmProfile`].
 struct ProfBuf {
     op_counts: [u64; N_OP_CLASSES],
+    lane_ops_by_width: [u64; LANE_WIDTHS.len()],
     /// Per-provenance-id self time / flops / op counts (empty when
     /// the program carries no provenance).
     node_ns: Vec<u128>,
@@ -1017,6 +1072,7 @@ impl ProfBuf {
         let now = Instant::now();
         ProfBuf {
             op_counts: [0; N_OP_CLASSES],
+            lane_ops_by_width: [0; LANE_WIDTHS.len()],
             node_ns: vec![0; n_ids],
             node_flops: vec![0; n_ids],
             node_ops: vec![0; n_ids],
@@ -1087,6 +1143,7 @@ impl ProfBuf {
             total_ns,
             unattributed_ns: self.unattributed_ns,
             op_counts: self.op_counts,
+            lane_ops_by_width: self.lane_ops_by_width,
             nodes,
             loops: loop_list,
         }
@@ -1101,10 +1158,14 @@ impl Probe for ProfBuf {
 
     /// Lane-wide classes count *lanes* (one per covered iteration), so
     /// totals across a run equal the scalar run's op and flop totals —
-    /// only the class binning moves.
+    /// only the class binning moves. The same lanes are binned by the
+    /// rung that ran them.
     fn vec_op(&mut self, prov: u32, kind: Arith, w: usize) {
         self.attribute(prov);
         self.count(VEC_CLASS_BASE + kind as usize, w as u64);
+        let rung = LANE_WIDTHS.iter().position(|&r| r == w);
+        self.lane_ops_by_width[rung.expect("a lane-wide op runs at a width of the ladder")] +=
+            w as u64;
     }
 
     fn loop_enter(&mut self, prov: u32) {
@@ -1833,10 +1894,12 @@ impl Builder {
     ///   any read in op order) and every read-only `$f`/immediate cell
     ///   is a loop-invariant broadcast;
     /// * every write to a region advances (stride ≥ 1), and no two
-    ///   same-region accesses can touch the same address at an
-    ///   iteration distance a chunk could cover (`1 ‥ MAX_VEC_WIDTH−1`;
-    ///   distance-0 conflicts keep op order per lane, and distances
-    ///   ≥ the chunk width always cross a chunk boundary).
+    ///   same-region accesses touch the same address one iteration
+    ///   apart. The plan's width is the largest power of two no greater
+    ///   than the nearest distance at which they do meet, capped at
+    ///   [`MAX_VEC_WIDTH`]: two iterations that far apart never share a
+    ///   chunk that wide, and distance-0 conflicts keep op order per
+    ///   lane.
     ///
     /// A lane-wide operand in memory is read through a cursor, so the
     /// fixed cells the body broadcasts get one each here.
@@ -1969,7 +2032,9 @@ impl Builder {
         // otherwise fall back to whole-range disjointness — regions
         // pack several temp buffers into one arena, and accesses to
         // different buffers have overlapping-looking strides but
-        // disjoint intervals.
+        // disjoint intervals. `nearest` is the smallest iteration
+        // distance (within the trip range) at which two accesses meet.
+        let mut nearest = u64::MAX;
         for w in mems.iter().filter(|m| m.write) {
             for x in &mems {
                 if x.cursor == w.cursor || x.region != w.region {
@@ -1988,8 +2053,8 @@ impl Builder {
                 if x.s == w.s {
                     if db % w.s == 0 {
                         let delta = (db / w.s).unsigned_abs();
-                        if delta >= 1 && delta <= (MAX_VEC_WIDTH as u64 - 1).min(trips - 1) {
-                            return None;
+                        if delta >= 1 && delta < trips {
+                            nearest = nearest.min(delta);
                         }
                     }
                 } else {
@@ -2004,6 +2069,8 @@ impl Builder {
                 }
             }
         }
+        // Accesses that meet one iteration apart allow no width.
+        let width = LANE_WIDTHS.into_iter().find(|&w| w as u64 <= nearest)?;
         let prov = if self.has_prov {
             self.node_prov[first..].to_vec()
         } else {
@@ -2011,6 +2078,7 @@ impl Builder {
         };
         Some(VecPlan {
             ops,
+            width,
             prov,
             lane_cells,
         })
@@ -2427,5 +2495,221 @@ mod tests {
             }
         });
         assert_eq!((r, visits), (Err("second"), 2));
+    }
+
+    /// The i-code element `kind[c + k·i]`, `i` the loop variable.
+    fn elem(kind: spl_icode::VecKind, c: i64, k: i64) -> spl_icode::Place {
+        spl_icode::Place::Vec(spl_icode::VecRef {
+            kind,
+            idx: spl_icode::Affine {
+                c,
+                terms: vec![(k, spl_icode::LoopVar(0))],
+            },
+        })
+    }
+
+    /// `d = a op b`.
+    fn bin(
+        op: BinOp,
+        d: spl_icode::Place,
+        a: spl_icode::Place,
+        b: spl_icode::Value,
+    ) -> spl_icode::Instr {
+        spl_icode::Instr::Bin {
+            op,
+            dst: d,
+            a: spl_icode::Value::Place(a),
+            b,
+        }
+    }
+
+    /// `body` as one loop over `i < trips` that the compiler marked
+    /// lane-safe, over `n_f` registers, lowered.
+    fn marked_loop(
+        trips: i64,
+        (n_in, n_out): (usize, usize),
+        n_f: u32,
+        body: Vec<spl_icode::Instr>,
+    ) -> VmProgram {
+        let mut instrs = vec![spl_icode::Instr::DoStart {
+            var: spl_icode::LoopVar(0),
+            lo: 0,
+            hi: trips - 1,
+            unroll: false,
+        }];
+        instrs.extend(body);
+        instrs.push(spl_icode::Instr::DoEnd);
+        lower(&spl_icode::IProgram {
+            instrs,
+            n_in,
+            n_out,
+            n_f,
+            n_loop: 1,
+            complex: false,
+            vec_loops: vec![0],
+            ..spl_icode::IProgram::empty()
+        })
+        .unwrap()
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// `vm` on `x` from the output `y0`: the detected backend's `run`
+    /// (and its profile), the forced-scalar run and `run_reference`
+    /// must write the same bits.
+    fn agree_bitwise(vm: &VmProgram, x: &[f64], y0: &[f64], label: &str) -> VmProfile {
+        let run = |forced: bool| {
+            simd::set_force_scalar(forced);
+            let mut y = y0.to_vec();
+            vm.run(x, &mut y, &mut VmState::new(vm));
+            simd::set_force_scalar(false);
+            y
+        };
+        let (y_vec, y_sca) = (run(false), run(true));
+        let mut y_prof = y0.to_vec();
+        let prof = vm
+            .run_profiled(x, &mut y_prof, &mut VmState::new(vm))
+            .expect("resolved");
+        let mut y_ref = y0.to_vec();
+        vm.run_reference(x, &mut y_ref, &mut VmState::new(vm));
+        assert_eq!(bits(&y_vec), bits(&y_ref), "{label}: run vs reference");
+        assert_eq!(bits(&y_sca), bits(&y_ref), "{label}: forced scalar");
+        assert_eq!(bits(&y_prof), bits(&y_ref), "{label}: run_profiled");
+        prof
+    }
+
+    #[test]
+    fn every_rung_the_host_has_runs_bitwise() {
+        use spl_icode::{Place::F, Value, VecKind::*};
+        let _g = simd::override_lock();
+        simd::set_force_scalar(false);
+        let mut ran = [0u64; LANE_WIDTHS.len()];
+        for trips in 1..=19 {
+            // Stride 1, 2 and 6 loads, a broadcast, stride-2 stores to
+            // the odd cells before the even ones (a store that wrote
+            // between its lanes would be caught) and a stride-1 store.
+            let half = Value::Const(spl_numeric::Complex::real(0.5));
+            let vm = marked_loop(
+                trips,
+                (6 * trips as usize, 3 * trips as usize),
+                2,
+                vec![
+                    bin(BinOp::Mul, F(0), elem(In, 0, 2), half),
+                    bin(
+                        BinOp::Sub,
+                        F(1),
+                        elem(In, 1, 6),
+                        Value::Place(elem(In, 0, 1)),
+                    ),
+                    bin(BinOp::Sub, elem(Out, 1, 2), F(0), Value::Place(F(1))),
+                    bin(BinOp::Add, elem(Out, 0, 2), F(0), Value::Place(F(1))),
+                    bin(
+                        BinOp::Mul,
+                        elem(Out, 2 * trips, 1),
+                        elem(In, 1, 2),
+                        Value::Place(F(1)),
+                    ),
+                ],
+            );
+            let stats = *vm.resolve_stats().expect("resolved");
+            assert_eq!(stats.vec_loops, u64::from(trips >= 2), "trips {trips}");
+            let x: Vec<f64> = (0..vm.n_in).map(|i| (i as f64 * 0.77).sin()).collect();
+            let y0 = vec![3.0; vm.n_out];
+            let prof = agree_bitwise(&vm, &x, &y0, &format!("trips {trips}"));
+            // Every iteration of a planned loop but the last odd one is
+            // lane-wide: five lane-ops each.
+            let lane_wide = if trips >= 2 { trips - trips % 2 } else { 0 };
+            let want = if simd::width() == 0 { 0 } else { 5 * lane_wide };
+            assert_eq!(prof.vector_lane_ops(), want as u64, "trips {trips}");
+            for (r, n) in ran.iter_mut().zip(prof.lane_ops_by_width) {
+                *r += n;
+            }
+        }
+        // What ran, for the log of a run with `--nocapture`.
+        let by_width: Vec<String> = LANE_WIDTHS
+            .iter()
+            .zip(&ran)
+            .map(|(w, n)| format!("{w}-wide {n}"))
+            .collect();
+        eprintln!(
+            "backend {}: lane-ops {}",
+            simd::backend_name(),
+            by_width.join(", ")
+        );
+        for (&w, &n) in LANE_WIDTHS.iter().zip(&ran) {
+            let on_host = w <= simd::width();
+            assert_eq!(n > 0, on_host, "{w}-wide rung: {n} lane-ops");
+        }
+    }
+
+    #[test]
+    fn a_loop_is_planned_at_the_widest_width_its_alias_distance_allows() {
+        use spl_icode::{Value, VecKind::*};
+        let _g = simd::override_lock();
+        simd::set_force_scalar(false);
+        let trips = 20;
+        for d in 1..=trips + 1 {
+            // `out[i + d] = out[i] + in[i]`: iteration `i + d` reads
+            // what iteration `i` wrote.
+            let vm = marked_loop(
+                trips,
+                (trips as usize, (trips + d) as usize),
+                0,
+                vec![bin(
+                    BinOp::Add,
+                    elem(Out, d, 1),
+                    elem(Out, 0, 1),
+                    Value::Place(elem(In, 0, 1)),
+                )],
+            );
+            let want = match d {
+                1 => None,
+                2..=3 => Some(2),
+                4..=7 => Some(4),
+                _ => Some(8),
+            };
+            let rp = resolve(&vm).unwrap();
+            let got = rp.vec_plans.first().map(|p| p.width);
+            assert_eq!(got, want, "distance {d}");
+            assert_eq!(
+                rp.stats.vec_demoted,
+                u64::from(want.is_none()),
+                "distance {d}"
+            );
+            let x: Vec<f64> = (0..vm.n_in).map(|i| 1.0 / (i as f64 + 3.0)).collect();
+            let y0: Vec<f64> = (0..vm.n_out).map(|i| i as f64 + 0.25).collect();
+            agree_bitwise(&vm, &x, &y0, &format!("distance {d}"));
+        }
+    }
+
+    #[test]
+    fn stride_two_lanes_stop_at_the_arena_end() {
+        use spl_icode::{Value, VecKind::*};
+        let _g = simd::override_lock();
+        simd::set_force_scalar(false);
+        for trips in 2..=19 {
+            // `out[2i + 1] = out[2i + 1] * in[i]`: no temporaries and no
+            // immediates, so the output is the arena's last region and
+            // an even trip count's last chunk ends on its last cell.
+            let vm = marked_loop(
+                trips,
+                (trips as usize, 2 * trips as usize),
+                0,
+                vec![bin(
+                    BinOp::Mul,
+                    elem(Out, 1, 2),
+                    elem(Out, 1, 2),
+                    Value::Place(elem(In, 0, 1)),
+                )],
+            );
+            let rp = resolve(&vm).unwrap();
+            assert_eq!(rp.arena_len, rp.out_off + rp.n_out, "trips {trips}");
+            assert_eq!(rp.stats.vec_loops, 1, "trips {trips}");
+            let x: Vec<f64> = (0..vm.n_in).map(|i| i as f64 - 2.5).collect();
+            let y0: Vec<f64> = (0..vm.n_out).map(|i| (i as f64).sqrt()).collect();
+            agree_bitwise(&vm, &x, &y0, &format!("trips {trips}"));
+        }
     }
 }

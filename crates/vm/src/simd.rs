@@ -5,9 +5,20 @@
 //! marked lane-safe in chunks of `W` iterations, all lanes of one
 //! resolved op at a time (see `resolved::VecPlan`). This module
 //! supplies the lane arithmetic: a [`Lanes`] implementation per
-//! target — SSE2 (2×f64, the x86-64 baseline), AVX (4×f64, behind
-//! `is_x86_feature_detected!`), and NEON (2×f64, the aarch64
-//! baseline) — selected once at runtime and cached.
+//! width — SSE2 (2×f64, the x86-64 baseline), AVX (4×f64) and
+//! AVX-512F (8×f64, both behind `is_x86_feature_detected!`), and NEON
+//! (2×f64, the aarch64 baseline). The backend is detected once and
+//! cached; it names the widest rung of the width ladder
+//! ([`LANE_WIDTHS`]) the engine runs a loop down: 8 → 4 → 2 on an
+//! AVX-512 host, 4 → 2 on an AVX host, 2 elsewhere.
+//!
+//! Operands are loaded and stored by stride: contiguous at stride 1, a
+//! broadcast at stride 0, lane by lane otherwise. AVX-512 alone moves
+//! stride 2 — the re or the im half of a unit-stride complex vector —
+//! as a whole: one full and one masked load combined by a two-source
+//! permute, two permutes and two masked stores back. Masked-off lanes
+//! neither fault nor reach memory, so its footprint is the span of its
+//! own 8 lanes; no operand is moved by a gather or a scatter.
 //!
 //! Every backend performs exactly the IEEE-754 double operations the
 //! scalar engine performs (adds, subs, muls, divs, sign flips — all
@@ -25,10 +36,14 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::OnceLock;
 
-/// The widest lane count any backend exposes (AVX: 4 × f64). Plan
-/// verification in `resolved` treats alias distances at or beyond
-/// this as always crossing a chunk boundary.
-pub(crate) const MAX_VEC_WIDTH: usize = 4;
+/// The rungs of the width ladder, widest first: the lane counts a
+/// lane-wide op can run at, on the host's backend and those narrower.
+pub const LANE_WIDTHS: [usize; 3] = [8, 4, 2];
+
+/// The widest lane count any backend exposes (AVX-512: 8 × f64): the
+/// cap on the width a vector plan records, and the size of a lane
+/// register slot.
+pub(crate) const MAX_VEC_WIDTH: usize = LANE_WIDTHS[0];
 
 /// A vector execution backend, as reported by [`active`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -41,6 +56,9 @@ pub enum Backend {
     /// AVX, 4 × f64 (runtime-detected).
     #[cfg(target_arch = "x86_64")]
     Avx,
+    /// AVX-512F, 8 × f64 (runtime-detected).
+    #[cfg(target_arch = "x86_64")]
+    Avx512,
     /// NEON, 2 × f64 (baseline on aarch64).
     #[cfg(target_arch = "aarch64")]
     Neon,
@@ -89,6 +107,9 @@ fn detected() -> Backend {
     *DET.get_or_init(|| {
         #[cfg(target_arch = "x86_64")]
         {
+            if is_x86_feature_detected!("avx512f") {
+                return Backend::Avx512;
+            }
             if is_x86_feature_detected!("avx") {
                 return Backend::Avx;
             }
@@ -115,7 +136,8 @@ pub fn active() -> Backend {
     }
 }
 
-/// The active lane width in f64 elements: 0 (no vector path), 2, or 4.
+/// The active backend's widest rung in f64 lanes: 0 (no vector path),
+/// 2, 4, or 8. Loops run down the powers of two from it to 2.
 pub fn width() -> usize {
     match active() {
         Backend::Scalar => 0,
@@ -123,6 +145,8 @@ pub fn width() -> usize {
         Backend::Sse2 => 2,
         #[cfg(target_arch = "x86_64")]
         Backend::Avx => 4,
+        #[cfg(target_arch = "x86_64")]
+        Backend::Avx512 => 8,
         #[cfg(target_arch = "aarch64")]
         Backend::Neon => 2,
     }
@@ -137,6 +161,8 @@ pub fn backend_name() -> &'static str {
         Backend::Sse2 => "sse2",
         #[cfg(target_arch = "x86_64")]
         Backend::Avx => "avx",
+        #[cfg(target_arch = "x86_64")]
+        Backend::Avx512 => "avx512",
         #[cfg(target_arch = "aarch64")]
         Backend::Neon => "neon",
     }
@@ -156,13 +182,14 @@ pub(crate) trait Lanes {
     /// All lanes set to `x`.
     fn splat(x: f64) -> Self::V;
     /// Loads lane `l` from `base + l·stride` (stride in elements;
-    /// `stride == 0` splats `*base`).
+    /// `stride == 0` splats `*base`). It may read the cells between two
+    /// lanes, never a cell outside the first and the last lane.
     ///
     /// # Safety
     ///
     /// Every lane address must be in bounds of the allocation.
     unsafe fn load(base: *const f64, stride: i64) -> Self::V;
-    /// Stores lane `l` to `base + l·stride`.
+    /// Stores lane `l` to `base + l·stride`, and writes no other cell.
     ///
     /// # Safety
     ///
@@ -264,10 +291,11 @@ impl Lanes for Avx {
     type V = core::arch::x86_64::__m256d;
 
     // SAFETY (whole impl): AVX intrinsics are only reached through the
-    // `#[target_feature(enable = "avx")]` entry point in `resolved`,
-    // which the dispatcher calls only when `Backend::Avx` was
-    // runtime-detected; all methods are `#[inline(always)]` so they
-    // compile inside that feature-enabled frame.
+    // `#[target_feature]` entry points in `resolved` (`avx`, and
+    // `avx512f`, which implies it), which the dispatcher calls only when
+    // `Backend::Avx` or `Backend::Avx512` was runtime-detected; all
+    // methods are `#[inline(always)]` so they compile inside that
+    // feature-enabled frame.
 
     #[inline(always)]
     fn splat(x: f64) -> Self::V {
@@ -336,6 +364,122 @@ impl Lanes for Avx {
     fn lane(v: Self::V, l: usize) -> f64 {
         // SAFETY: __m256d and [f64; 4] have identical layout.
         let a: [f64; 4] = unsafe { core::mem::transmute(v) };
+        a[l]
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+pub(crate) struct Avx512;
+
+/// The even cells of eight, as a load or store mask: lanes 0–7 of a
+/// stride-2 operand are the even cells 0–14 from its base, four in
+/// each block of eight.
+#[cfg(target_arch = "x86_64")]
+const EVEN_MASK: u8 = 0b0101_0101;
+
+#[cfg(target_arch = "x86_64")]
+impl Lanes for Avx512 {
+    const W: usize = 8;
+    type V = core::arch::x86_64::__m512d;
+
+    // SAFETY (whole impl): AVX-512F intrinsics are only reached through
+    // the `#[target_feature(enable = "avx512f")]` entry point in
+    // `resolved`, which the dispatcher calls only when
+    // `Backend::Avx512` was runtime-detected; all methods are
+    // `#[inline(always)]` so they compile inside that frame. Nothing
+    // here needs more than AVX-512F (no DQ: `neg` flips the sign with
+    // an integer xor).
+
+    #[inline(always)]
+    fn splat(x: f64) -> Self::V {
+        unsafe { core::arch::x86_64::_mm512_set1_pd(x) }
+    }
+
+    #[inline(always)]
+    unsafe fn load(base: *const f64, stride: i64) -> Self::V {
+        use core::arch::x86_64::*;
+        if stride == 1 {
+            _mm512_loadu_pd(base)
+        } else if stride == 0 {
+            _mm512_set1_pd(*base)
+        } else if stride == 2 {
+            // Cells 0–7 whole, and of cells 8–15 only the four even
+            // ones lanes 4–7 name: the last lane, cell 14, is the last
+            // cell touched. Index bit 3 picks the second source.
+            let lo = _mm512_loadu_pd(base);
+            let hi = _mm512_maskz_loadu_pd(EVEN_MASK, base.add(8));
+            let idx = _mm512_set_epi64(14, 12, 10, 8, 6, 4, 2, 0);
+            _mm512_permutex2var_pd(lo, idx, hi)
+        } else {
+            let s = stride as isize;
+            _mm512_setr_pd(
+                *base,
+                *base.offset(s),
+                *base.offset(2 * s),
+                *base.offset(3 * s),
+                *base.offset(4 * s),
+                *base.offset(5 * s),
+                *base.offset(6 * s),
+                *base.offset(7 * s),
+            )
+        }
+    }
+
+    #[inline(always)]
+    unsafe fn store(base: *mut f64, stride: i64, v: Self::V) {
+        use core::arch::x86_64::*;
+        if stride == 1 {
+            _mm512_storeu_pd(base, v);
+        } else if stride == 2 {
+            // Lanes 0–3 to the even cells 0–6, lanes 4–7 to the even
+            // cells 8–14; the odd cells between (the other half of a
+            // complex vector) are masked off, never written.
+            let lo = _mm512_set_epi64(3, 3, 2, 2, 1, 1, 0, 0);
+            let hi = _mm512_set_epi64(7, 7, 6, 6, 5, 5, 4, 4);
+            _mm512_mask_storeu_pd(base, EVEN_MASK, _mm512_permutexvar_pd(lo, v));
+            _mm512_mask_storeu_pd(base.add(8), EVEN_MASK, _mm512_permutexvar_pd(hi, v));
+        } else {
+            let a: [f64; 8] = core::mem::transmute(v);
+            let s = stride as isize;
+            for (l, &x) in a.iter().enumerate() {
+                *base.offset(l as isize * s) = x;
+            }
+        }
+    }
+
+    #[inline(always)]
+    fn add(a: Self::V, b: Self::V) -> Self::V {
+        unsafe { core::arch::x86_64::_mm512_add_pd(a, b) }
+    }
+
+    #[inline(always)]
+    fn sub(a: Self::V, b: Self::V) -> Self::V {
+        unsafe { core::arch::x86_64::_mm512_sub_pd(a, b) }
+    }
+
+    #[inline(always)]
+    fn mul(a: Self::V, b: Self::V) -> Self::V {
+        unsafe { core::arch::x86_64::_mm512_mul_pd(a, b) }
+    }
+
+    #[inline(always)]
+    fn div(a: Self::V, b: Self::V) -> Self::V {
+        unsafe { core::arch::x86_64::_mm512_div_pd(a, b) }
+    }
+
+    #[inline(always)]
+    fn neg(a: Self::V) -> Self::V {
+        use core::arch::x86_64::*;
+        unsafe {
+            let sign = _mm512_set1_epi64(i64::MIN);
+            _mm512_castsi512_pd(_mm512_xor_si512(_mm512_castpd_si512(a), sign))
+        }
+    }
+
+    #[inline(always)]
+    fn lane(v: Self::V, l: usize) -> f64 {
+        // SAFETY: __m512d and [f64; 8] have identical layout.
+        let a: [f64; 8] = unsafe { core::mem::transmute(v) };
         a[l]
     }
 }
@@ -430,6 +574,8 @@ mod tests {
             Backend::Sse2 => assert_eq!(width(), 2),
             #[cfg(target_arch = "x86_64")]
             Backend::Avx => assert_eq!(width(), 4),
+            #[cfg(target_arch = "x86_64")]
+            Backend::Avx512 => assert_eq!(width(), 8),
             #[cfg(target_arch = "aarch64")]
             Backend::Neon => assert_eq!(width(), 2),
         }

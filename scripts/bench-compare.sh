@@ -6,7 +6,9 @@
 # that drift of the machine shows as a difference between the two base
 # sets), then the head set compared against each base set. Exit 1 iff a
 # row reads `regressed` or a comparison was refused; `unresolved` rows
-# (run-to-run spread wider than the bound) are printed and pass.
+# (run-to-run spread wider than the bound) are printed and pass. A head
+# that brings a new VM backend is still compared (align_backend). Needs
+# `jq`.
 set -euo pipefail
 
 # Reads one `run.sh --compare` table on stdin and prints it. `run.sh`
@@ -22,7 +24,28 @@ verdict() {
     '
 }
 
-# Sourced (tests/bench_compare.rs does): the function, and nothing run.
+# Prints the base set to compare the head set `$2` against: `$1` itself,
+# unless `simd_backend` is the one machine field (SAME_MACHINE in
+# benchmark/src/compare.rs) the two sets disagree on. The VM's backend is
+# a property of the code under test — a change can add one — so then the
+# move is shown on stderr and the answer is a copy of `$1` whose field
+# holds the head's value. Any other field that differs is left for the
+# compare to refuse.
+align_backend() {
+    local base=$1 head=$2 from to
+    local machine='.environment | [.nproc, .cpu_model, .bench_cpus, .cc_version]'
+    from=$(jq -r '.environment.simd_backend' "$base")
+    to=$(jq -r '.environment.simd_backend' "$head")
+    if [ "$from" = "$to" ] || [ "$(jq -c "$machine" "$base")" != "$(jq -c "$machine" "$head")" ]; then
+        echo "$base"
+        return
+    fi
+    echo "simd_backend: $from → $to" >&2
+    jq --arg to "$to" '.environment.simd_backend = $to' "$base" > "${base%.json}.$to.json"
+    echo "${base%.json}.$to.json"
+}
+
+# Sourced (tests/bench_compare.rs does): the functions, and nothing run.
 if [[ ${BASH_SOURCE[0]} != "$0" ]]; then
     return 0
 fi
@@ -46,6 +69,7 @@ bash "$tmp/base/benchmark/run.sh" --runs 3 --out "$tmp/base-2.json"
 
 status=0
 for base in "$tmp/base-1.json" "$tmp/base-2.json"; do
+    base=$(align_backend "$base" "$tmp/head.json")
     { bash "$root/benchmark/run.sh" --compare "$base" "$tmp/head.json" || true; } \
         | verdict || status=1
 done

@@ -22,6 +22,7 @@ use spl::telemetry::json::Json;
 use spl::telemetry::{out, outln};
 use spl::telemetry::{RunReport, Telemetry};
 use spl::vm::profile::OP_CLASS_NAMES;
+use spl::vm::simd::LANE_WIDTHS;
 use spl::vm::{VmProfile, VmProgram, VmState};
 
 const USAGE: &str = "\
@@ -244,12 +245,21 @@ fn print_profile(prof: &VmProfile, top: usize, predicted: Option<f64>) {
         prof.flops(),
         100.0 * prof.fused_utilization()
     );
+    // Each rung of the host's width ladder, with its share of the lanes.
+    let lanes = prof.vector_lane_ops().max(1) as f64;
+    let rungs: Vec<String> = LANE_WIDTHS
+        .iter()
+        .zip(prof.lane_ops_by_width)
+        .filter(|&(&w, _)| w <= spl::vm::simd::width())
+        .map(|(w, n)| format!("{w}-wide {:.1} %", 100.0 * n as f64 / lanes))
+        .collect();
     outln!(
-        "vector lane-ops {} ({:.1}% of float ops; backend {}, width {})",
+        "vector lane-ops {} ({:.1}% of float ops; backend {}{}{})",
         prof.vector_lane_ops(),
         100.0 * prof.vector_utilization(),
         spl::vm::simd::backend_name(),
-        spl::vm::simd::width()
+        if rungs.is_empty() { "" } else { ": " },
+        rungs.join(", ")
     );
 
     // Per-node attribution, hottest self time first.

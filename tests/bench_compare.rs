@@ -1,8 +1,9 @@
-//! The one decision `scripts/bench-compare.sh` takes — a `regressed` row
+//! The decisions `scripts/bench-compare.sh` takes — a `regressed` row
 //! fails, an `unresolved` row is shown and passes, a comparison that
 //! printed no verdict row fails — checked on canned `run.sh --compare`
-//! output, without running a benchmark. The script defines its functions
-//! and runs nothing when it is sourced.
+//! output, and which base set a head set is compared against, checked on
+//! hand-written result files; no benchmark runs. The script defines its
+//! functions and runs nothing when it is sourced.
 //!
 //! The tables are pasted from real `--compare` output (PR 20's own first
 //! base-vs-head run, one workload's ten rows each; the `regressed` row is
@@ -13,28 +14,40 @@
 #![cfg(unix)]
 
 use std::io::Write;
+use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
 
-/// Pipes `table` through the script's `verdict`; stdout and exit code.
-fn verdict(table: &str) -> (String, i32) {
+use spl::telemetry::json::{self, Json};
+
+/// Runs `call` after sourcing the script, with `input` on stdin; stdout,
+/// stderr and exit code.
+fn sourced(call: &str, input: &str) -> (String, String, i32) {
     let mut child = Command::new("bash")
-        .args(["-c", "source scripts/bench-compare.sh && verdict"])
+        .args(["-c", &format!("source scripts/bench-compare.sh && {call}")])
         .current_dir(env!("CARGO_MANIFEST_DIR"))
         .stdin(Stdio::piped())
         .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
         .spawn()
         .expect("spawn bash");
     child
         .stdin
         .take()
         .expect("stdin")
-        .write_all(table.as_bytes())
-        .expect("write table");
+        .write_all(input.as_bytes())
+        .expect("write stdin");
     let out = child.wait_with_output().expect("bash");
     (
         String::from_utf8_lossy(&out.stdout).into_owned(),
+        String::from_utf8_lossy(&out.stderr).into_owned(),
         out.status.code().expect("exit code"),
     )
+}
+
+/// Pipes `table` through the script's `verdict`; stdout and exit code.
+fn verdict(table: &str) -> (String, i32) {
+    let (out, _, code) = sourced("verdict", table);
+    (out, code)
 }
 
 const HEADER: &str = "
@@ -115,4 +128,96 @@ fn a_refused_comparison_prints_no_row_and_fails() {
     assert_eq!(verdict("").1, 1);
     // A header without rows is no evidence either.
     assert_eq!(verdict(HEADER).1, 1);
+}
+
+/// A result set as `run.sh` writes one: the five machine fields the
+/// compare checks, and one untraced run.
+fn result_set(dir: &Path, name: &str, cpu: &str, backend: &str) -> PathBuf {
+    let path = dir.join(format!("{name}.json"));
+    let text = format!(
+        r#"{{"environment":{{"git_commit":"{name}","seed":1,"nproc":2,"cpu_model":"{cpu}","bench_cpus":"1","simd_backend":"{backend}","cc_version":"cc 12.2.0"}},"workloads":{{"fft-large":[{{"traced":false,"metrics":{{"vm_mflops":1787.25,"fail_share":0}}}}]}}}}"#
+    );
+    std::fs::write(&path, text).expect("write result set");
+    path
+}
+
+fn load(path: &Path) -> Json {
+    json::parse(&std::fs::read_to_string(path).expect("read result set")).expect("parse")
+}
+
+/// What `align_backend base head` prints: the base set to compare
+/// against, and the note on stderr.
+fn align_backend(base: &Path, head: &Path) -> (PathBuf, String) {
+    let (out, err, code) = sourced(
+        &format!("align_backend '{}' '{}'", base.display(), head.display()),
+        "",
+    );
+    assert_eq!(code, 0, "{err}");
+    (PathBuf::from(out.trim_end()), err)
+}
+
+fn fresh_dir(test: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("bench-compare-{test}-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    dir
+}
+
+#[test]
+fn a_head_on_a_new_backend_is_compared_against_the_base_renamed_to_it() {
+    let dir = fresh_dir("backend");
+    let cpu = "Intel(R) Xeon(R) Processor";
+    let base = result_set(&dir, "base", cpu, "avx");
+    let head = result_set(&dir, "head", cpu, "avx512");
+    let before = std::fs::read(&base).expect("base");
+    let (against, note) = align_backend(&base, &head);
+    assert_eq!(note.trim_end(), "simd_backend: avx → avx512");
+    assert_ne!(against, base, "a copy, not the base set itself");
+    assert_eq!(
+        std::fs::read(&base).expect("base"),
+        before,
+        "base untouched"
+    );
+    // The copy is the base set with the head's backend, nothing else.
+    let env = |doc: &Json, field: &str| doc.get("environment").and_then(|e| e.get(field)).cloned();
+    let (copy, orig) = (load(&against), load(&base));
+    assert_eq!(
+        env(&copy, "simd_backend"),
+        env(&load(&head), "simd_backend")
+    );
+    for field in [
+        "git_commit",
+        "nproc",
+        "cpu_model",
+        "bench_cpus",
+        "cc_version",
+    ] {
+        assert_eq!(env(&copy, field), env(&orig, field), "{field}");
+    }
+    assert_eq!(copy.get("workloads"), orig.get("workloads"));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_head_on_another_cpu_keeps_the_base_set_for_the_compare_to_refuse() {
+    let dir = fresh_dir("cpu");
+    let base = result_set(&dir, "base", "Intel(R) Xeon(R) Processor", "avx");
+    for (name, cpu, backend) in [
+        // The CPU differs, and with it the backend: the compare refuses.
+        ("other-cpu", "AMD EPYC 7763 64-Core Processor", "avx512"),
+        (
+            "other-cpu-same-backend",
+            "AMD EPYC 7763 64-Core Processor",
+            "avx",
+        ),
+        // Nothing differs: nothing to align either.
+        ("same", "Intel(R) Xeon(R) Processor", "avx"),
+    ] {
+        let head = result_set(&dir, name, cpu, backend);
+        let (against, note) = align_backend(&base, &head);
+        assert_eq!(against, base, "{name}: the base set as it is");
+        assert!(note.is_empty(), "{name}: {note}");
+    }
+    let left: Vec<_> = std::fs::read_dir(&dir).expect("dir").collect();
+    assert_eq!(left.len(), 4, "no copy was written");
+    std::fs::remove_dir_all(&dir).ok();
 }
