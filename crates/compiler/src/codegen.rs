@@ -6,12 +6,19 @@
 //! peepholes from Section 3.4 are applied here because they are purely
 //! syntactic: rewriting unary minus as `0 - x` / negative constants, and
 //! declaring temporaries `automatic` (Fortran).
+//!
+//! Plain C (no peepholes, no offset/stride parameters) prints each run
+//! of arithmetic outside any loop on complex pairs, 2-lane GNU C vectors
+//! (the `pack` module); loop bodies stay scalar statements, which the C
+//! compiler vectorises across iterations itself.
 
 use std::fmt::Write as _;
 
 use spl_frontend::ast::{DataType, Language};
 use spl_icode::{Affine, BinOp, IProgram, Instr, Place, UnOp, Value, VecKind, VecRef};
 use spl_numeric::Complex;
+
+use crate::pack::{self, PackedRun};
 
 /// Where the C emitter puts a program's constant tables.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -66,6 +73,26 @@ impl Default for CodegenOptions {
     }
 }
 
+/// What one emit printed, by statement kind.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct EmitStats {
+    /// Statements on complex pairs: 2-lane vector ops, loads, stores,
+    /// shuffles and literals.
+    pub paired_stmts: u64,
+    /// Statements on one double: every arithmetic statement of a loop
+    /// body or of code left scalar, plus a packed run's fallbacks
+    /// (scalar ops and stores, `(v2d){a, b}` builds, live-out `$f`s).
+    pub scalar_stmts: u64,
+}
+
+impl EmitStats {
+    /// Counts one statement: on one double, or on a pair.
+    pub(crate) fn count(&mut self, scalar: bool) {
+        self.scalar_stmts += u64::from(scalar);
+        self.paired_stmts += u64::from(!scalar);
+    }
+}
+
 /// Emits a complete subroutine for the program.
 ///
 /// # Panics
@@ -74,6 +101,15 @@ impl Default for CodegenOptions {
 /// combination, mirroring the paper: "of the popular imperative languages
 /// only Fortran supports complex").
 pub fn emit(name: &str, prog: &IProgram, opts: &CodegenOptions) -> String {
+    emit_counted(name, prog, opts).0
+}
+
+/// [`emit`], and how many statements of each kind it printed.
+///
+/// # Panics
+///
+/// As [`emit`].
+pub fn emit_counted(name: &str, prog: &IProgram, opts: &CodegenOptions) -> (String, EmitStats) {
     match opts.language {
         Language::Fortran => emit_fortran(name, prog, opts),
         Language::C => {
@@ -123,10 +159,60 @@ fn write_const(buf: &mut String, c: Complex, complex_code: bool, fortran: bool, 
     }
 }
 
-fn fmt_const(c: Complex, complex_code: bool, fortran: bool, peephole: bool) -> String {
-    let mut s = String::new();
-    write_const(&mut s, c, complex_code, fortran, peephole);
-    s
+/// Calls `f` with every `$f` register `v` reads.
+pub(crate) fn each_f(v: &Value, f: &mut dyn FnMut(u32)) {
+    match v {
+        Value::Place(Place::F(k)) => f(*k),
+        Value::Intrinsic(_, args) => args.iter().for_each(|a| each_f(a, f)),
+        _ => {}
+    }
+}
+
+/// Appends the name of `kind`'s array.
+pub(crate) fn write_array(buf: &mut String, kind: VecKind) {
+    let _ = match kind {
+        VecKind::In => write!(buf, "x"),
+        VecKind::Out => write!(buf, "y"),
+        VecKind::Temp(t) => write!(buf, "t{t}"),
+        VecKind::Table(t) => write!(buf, "d{t}"),
+    };
+}
+
+/// The operator as both languages spell it.
+pub(crate) fn bin_sym(op: BinOp) -> &'static str {
+    match op {
+        BinOp::Add => "+",
+        BinOp::Sub => "-",
+        BinOp::Mul => "*",
+        BinOp::Div => "/",
+    }
+}
+
+/// Appends the affine subscript `a`, shifted by one for a 1-based base.
+fn write_affine(buf: &mut String, a: &Affine, base_one: bool) {
+    for (k, &(c, v)) in a.terms.iter().enumerate() {
+        let _ = if c == 1 {
+            if k > 0 {
+                buf.push('+');
+            }
+            write!(buf, "i{}", v.0)
+        } else if c == -1 {
+            write!(buf, "-i{}", v.0)
+        } else if c < 0 {
+            write!(buf, "-{}*i{}", -c, v.0)
+        } else {
+            if k > 0 {
+                buf.push('+');
+            }
+            write!(buf, "{c}*i{}", v.0)
+        };
+    }
+    let c = a.c + i64::from(base_one);
+    if a.terms.is_empty() || c < 0 {
+        let _ = write!(buf, "{c}");
+    } else if c > 0 {
+        let _ = write!(buf, "+{c}");
+    }
 }
 
 struct Emit<'a> {
@@ -135,6 +221,7 @@ struct Emit<'a> {
     fortran: bool,
     buf: String,
     indent: usize,
+    stats: EmitStats,
 }
 
 impl Emit<'_> {
@@ -147,7 +234,8 @@ impl Emit<'_> {
     /// Starts a line: the margin (Fortran's six columns) and the indent.
     fn open_line(&mut self) {
         let pad = if self.fortran { 6 } else { 0 };
-        let _ = write!(self.buf, "{:w$}", "", w = pad + self.indent * 2);
+        let width = pad + self.indent * 2;
+        self.buf.extend(std::iter::repeat_n(' ', width));
     }
 
     /// One line of a table initializer: `lead`, then the literals of
@@ -171,154 +259,139 @@ impl Emit<'_> {
         self.buf.push('\n');
     }
 
-    fn affine(&self, a: &Affine, base_one: bool) -> String {
-        let mut s = String::new();
-        for (k, &(c, v)) in a.terms.iter().enumerate() {
-            if c == 1 {
-                if k > 0 {
-                    s.push('+');
-                }
-                let _ = write!(s, "i{}", v.0);
-            } else if c == -1 {
-                let _ = write!(s, "-i{}", v.0);
-            } else if c < 0 {
-                let _ = write!(s, "-{}*i{}", -c, v.0);
+    fn vec_access(&mut self, v: &VecRef) {
+        let buf = &mut self.buf;
+        write_array(buf, v.kind);
+        buf.push(if self.fortran { '(' } else { '[' });
+        let io = matches!(v.kind, VecKind::In | VecKind::Out);
+        if io && self.opts.io_params {
+            buf.push_str(if v.kind == VecKind::In {
+                "xofs+xstr*("
             } else {
-                if k > 0 {
-                    s.push('+');
-                }
-                let _ = write!(s, "{c}*i{}", v.0);
-            }
-        }
-        let c = a.c + i64::from(base_one);
-        if s.is_empty() {
-            let _ = write!(s, "{c}");
-        } else if c > 0 {
-            let _ = write!(s, "+{c}");
-        } else if c < 0 {
-            let _ = write!(s, "{c}");
-        }
-        s
-    }
-
-    fn vec_access(&self, v: &VecRef) -> String {
-        let base_one = self.fortran;
-        let (arr, io): (String, bool) = match v.kind {
-            VecKind::In => ("x".into(), true),
-            VecKind::Out => ("y".into(), true),
-            VecKind::Temp(t) => (format!("t{t}"), false),
-            VecKind::Table(t) => (format!("d{t}"), false),
-        };
-        let idx = if io && self.opts.io_params {
-            let (ofs, str_) = if v.kind == VecKind::In {
-                ("xofs", "xstr")
-            } else {
-                ("yofs", "ystr")
-            };
-            format!("{ofs}+{str_}*({})", self.affine(&v.idx, false))
-                + if base_one { "+1" } else { "" }
+                "yofs+ystr*("
+            });
+            write_affine(buf, &v.idx, false);
+            buf.push_str(if self.fortran { ")+1" } else { ")" });
         } else {
-            self.affine(&v.idx, base_one)
-        };
-        if self.fortran {
-            format!("{arr}({idx})")
-        } else {
-            format!("{arr}[{idx}]")
+            write_affine(buf, &v.idx, self.fortran);
         }
+        buf.push(if self.fortran { ')' } else { ']' });
     }
 
-    fn place(&self, p: &Place) -> String {
-        match p {
-            Place::F(k) => format!("f{k}"),
-            Place::R(k) => format!("r{k}"),
-            Place::Vec(v) => self.vec_access(v),
-        }
-    }
-
-    fn value(&self, v: &Value) -> String {
-        match v {
-            Value::Place(p) => self.place(p),
-            Value::Const(c) => fmt_const(
-                *c,
-                self.opts.codetype == DataType::Complex,
-                self.fortran,
-                self.opts.peephole,
-            ),
-            Value::Int(i) => {
-                if self.opts.codetype == DataType::Complex && self.fortran {
-                    format!("({}.0d0,0.0d0)", i)
-                } else {
-                    format!("{i}")
-                }
+    fn place(&mut self, p: &Place) {
+        let _ = match p {
+            Place::F(k) => write!(self.buf, "f{k}"),
+            Place::R(k) => write!(self.buf, "r{k}"),
+            Place::Vec(v) => {
+                self.vec_access(v);
+                Ok(())
             }
-            Value::LoopIdx(lv) => format!("i{}", lv.0),
+        };
+    }
+
+    fn value(&mut self, v: &Value) {
+        let complex_fortran = self.opts.codetype == DataType::Complex && self.fortran;
+        let _ = match v {
+            Value::Place(p) => {
+                self.place(p);
+                Ok(())
+            }
+            Value::Const(c) => {
+                let complex_code = self.opts.codetype == DataType::Complex;
+                write_const(
+                    &mut self.buf,
+                    *c,
+                    complex_code,
+                    self.fortran,
+                    self.opts.peephole,
+                );
+                Ok(())
+            }
+            Value::Int(i) if complex_fortran => write!(self.buf, "({i}.0d0,0.0d0)"),
+            Value::Int(i) => write!(self.buf, "{i}"),
+            Value::LoopIdx(lv) => write!(self.buf, "i{}", lv.0),
             Value::Intrinsic(name, args) => {
                 // Should not survive intrinsic evaluation; print anyway
                 // for debuggability.
-                let args: Vec<String> = args.iter().map(|a| self.value(a)).collect();
-                format!("{name}({})", args.join(", "))
+                let _ = write!(self.buf, "{name}(");
+                for (k, a) in args.iter().enumerate() {
+                    if k > 0 {
+                        self.buf.push_str(", ");
+                    }
+                    self.value(a);
+                }
+                write!(self.buf, ")")
+            }
+        };
+    }
+
+    /// The subroutine's statements; each of `runs` replaces the scalar
+    /// statements of its instructions.
+    fn body(&mut self, runs: &[PackedRun]) {
+        let prog = self.prog;
+        let mut runs = runs.iter().peekable();
+        let mut i = 0;
+        while i < prog.instrs.len() {
+            if let Some(run) = runs.next_if(|r| r.range.start == i) {
+                self.buf.push_str(&run.text);
+                self.stats.paired_stmts += run.stats.paired_stmts;
+                self.stats.scalar_stmts += run.stats.scalar_stmts;
+                i = run.range.end;
+                continue;
+            }
+            self.instr(&prog.instrs[i]);
+            i += 1;
+        }
+    }
+
+    fn instr(&mut self, ins: &Instr) {
+        match ins {
+            Instr::DoStart { var, lo, hi, .. } => {
+                self.open_line();
+                let v = var.0;
+                let _ = if self.fortran {
+                    writeln!(self.buf, "do i{v} = {lo}, {hi}")
+                } else {
+                    writeln!(self.buf, "for (i{v} = {lo}; i{v} <= {hi}; i{v}++) {{")
+                };
+                self.indent += 1;
+            }
+            Instr::DoEnd => {
+                self.indent -= 1;
+                self.line(if self.fortran { "end do" } else { "}" });
+            }
+            Instr::Bin { op, dst, a, b } => {
+                self.open_line();
+                self.place(dst);
+                self.buf.push_str(" = ");
+                self.value(a);
+                self.buf.push(' ');
+                self.buf.push_str(bin_sym(*op));
+                self.buf.push(' ');
+                self.value(b);
+                self.end_stmt();
+            }
+            Instr::Un { op, dst, a } => {
+                self.open_line();
+                self.place(dst);
+                self.buf.push_str(match op {
+                    UnOp::Copy => " = ",
+                    // SPARC peephole: arithmetic negation is a
+                    // single-precision instruction; emit a subtraction
+                    // instead (paper Section 3.4).
+                    UnOp::Neg if self.opts.peephole => " = 0 - ",
+                    UnOp::Neg => " = -",
+                });
+                self.value(a);
+                self.end_stmt();
             }
         }
     }
 
-    fn body(&mut self) {
-        let prog = self.prog;
-        for ins in &prog.instrs {
-            match ins {
-                Instr::DoStart { var, lo, hi, .. } => {
-                    if self.fortran {
-                        self.line(&format!("do i{} = {lo}, {hi}", var.0));
-                    } else {
-                        self.line(&format!(
-                            "for (i{v} = {lo}; i{v} <= {hi}; i{v}++) {{",
-                            v = var.0
-                        ));
-                    }
-                    self.indent += 1;
-                }
-                Instr::DoEnd => {
-                    self.indent -= 1;
-                    self.line(if self.fortran { "end do" } else { "}" });
-                }
-                Instr::Bin { op, dst, a, b } => {
-                    let sym = match op {
-                        BinOp::Add => "+",
-                        BinOp::Sub => "-",
-                        BinOp::Mul => "*",
-                        BinOp::Div => "/",
-                    };
-                    let stmt = format!(
-                        "{} = {} {sym} {}{}",
-                        self.place(dst),
-                        self.value(a),
-                        self.value(b),
-                        if self.fortran { "" } else { ";" }
-                    );
-                    self.line(&stmt);
-                }
-                Instr::Un { op, dst, a } => {
-                    let stmt = match op {
-                        UnOp::Copy => format!("{} = {}", self.place(dst), self.value(a)),
-                        UnOp::Neg => {
-                            if self.opts.peephole {
-                                // SPARC peephole: arithmetic negation is a
-                                // single-precision instruction; emit a
-                                // subtraction instead (paper Section 3.4).
-                                format!("{} = 0 - {}", self.place(dst), self.value(a))
-                            } else {
-                                format!("{} = -{}", self.place(dst), self.value(a))
-                            }
-                        }
-                    };
-                    let stmt = if self.fortran {
-                        stmt
-                    } else {
-                        format!("{stmt};")
-                    };
-                    self.line(&stmt);
-                }
-            }
-        }
+    /// Ends an arithmetic statement.
+    fn end_stmt(&mut self) {
+        self.buf.push_str(if self.fortran { "\n" } else { ";\n" });
+        self.stats.scalar_stmts += 1;
     }
 }
 
@@ -326,13 +399,14 @@ impl Emit<'_> {
 // Fortran
 // ---------------------------------------------------------------------
 
-fn emit_fortran(name: &str, prog: &IProgram, opts: &CodegenOptions) -> String {
+fn emit_fortran(name: &str, prog: &IProgram, opts: &CodegenOptions) -> (String, EmitStats) {
     let mut e = Emit {
         prog,
         opts,
         fortran: true,
         buf: String::new(),
         indent: 0,
+        stats: EmitStats::default(),
     };
     let complex_code = opts.codetype == DataType::Complex;
     let scalar_ty = if complex_code { "complex*16" } else { "real*8" };
@@ -379,28 +453,54 @@ fn emit_fortran(name: &str, prog: &IProgram, opts: &CodegenOptions) -> String {
         }
         e.line("     . /");
     }
-    e.body();
+    e.body(&[]);
     e.line("end");
-    e.buf
+    (e.buf, e.stats)
 }
 
 // ---------------------------------------------------------------------
 // C
 // ---------------------------------------------------------------------
 
+/// The vector types of a unit with packed runs, guarded because one file
+/// may hold several units (`spl-minifft`'s `codelets.c` holds six).
+const PAIR_TYPES: &str = "\
+#ifndef SPL_V2D
+#define SPL_V2D
+typedef double spl_v2d __attribute__((vector_size(16)));
+typedef double spl_v2du __attribute__((vector_size(16), aligned(8), may_alias));
+typedef long long spl_v2l __attribute__((vector_size(16)));
+#define SPL_SIGN (-0x7fffffffffffffffLL - 1)
+#endif
+
+";
+
 /// The C subroutine. `y` and `x` are `restrict`: a caller must pass
 /// buffers that do not overlap, as the VM and the dense oracle already
 /// require (generated code writes outputs long before its last read of
 /// an input), and the C compiler may then keep the loads and stores of a
 /// loop body in registers across each other.
-fn emit_c(name: &str, prog: &IProgram, opts: &CodegenOptions) -> String {
+///
+/// Runs of arithmetic outside any loop are printed on complex pairs
+/// unless the options ask for the paper's peepholes or for offset/stride
+/// parameters; a unit with a packed run starts with the vector types.
+fn emit_c(name: &str, prog: &IProgram, opts: &CodegenOptions) -> (String, EmitStats) {
     let mut e = Emit {
         prog,
         opts,
         fortran: false,
         buf: String::new(),
         indent: 0,
+        stats: EmitStats::default(),
     };
+    let runs = if opts.peephole || opts.io_params {
+        Vec::new()
+    } else {
+        packed_runs(prog)
+    };
+    if !runs.is_empty() {
+        e.buf.push_str(PAIR_TYPES);
+    }
     let args = if opts.io_params {
         "(double *restrict y, const double *restrict x, long yofs, long xofs, long ystr, long xstr)"
     } else {
@@ -451,11 +551,15 @@ fn emit_c(name: &str, prog: &IProgram, opts: &CodegenOptions) -> String {
             e.line(&format!("static double t{t}[{len}];"));
         }
     }
-    if prog.n_f > 0 {
-        let decls: Vec<String> = (0..prog.n_f).map(|k| format!("f{k}")).collect();
-        for chunk in decls.chunks(10) {
-            e.line(&format!("double {};", chunk.join(", ")));
+    let used = f_used(prog, &runs);
+    let declared: Vec<u32> = (0..prog.n_f).filter(|&k| used[k as usize]).collect();
+    for chunk in declared.chunks(10) {
+        e.open_line();
+        e.buf.push_str("double ");
+        for (i, k) in chunk.iter().enumerate() {
+            let _ = write!(e.buf, "{}f{k}", if i > 0 { ", " } else { "" });
         }
+        e.buf.push_str(";\n");
     }
     if prog.n_r > 0 {
         let decls: Vec<String> = (0..prog.n_r).map(|k| format!("r{k}")).collect();
@@ -465,10 +569,66 @@ fn emit_c(name: &str, prog: &IProgram, opts: &CodegenOptions) -> String {
     if !loop_vars.is_empty() {
         e.line(&format!("long {};", loop_vars.join(", ")));
     }
-    e.body();
+    e.body(&runs);
     e.indent = 0;
     e.line("}");
-    e.buf
+    (e.buf, e.stats)
+}
+
+/// The runs of arithmetic outside any loop that print on complex pairs.
+fn packed_runs(prog: &IProgram) -> Vec<PackedRun> {
+    // One past the last read of each `$f`: a register a run assigns is
+    // live out when that lies beyond the run.
+    let mut read_until = vec![0; prog.n_f as usize];
+    for (i, ins) in prog.instrs.iter().enumerate() {
+        ins.for_each_value(&mut |v| each_f(v, &mut |k| read_until[k as usize] = i + 1));
+    }
+    let (mut out, mut names, mut depth, mut i) = (Vec::new(), 0, 0, 0);
+    while i < prog.instrs.len() {
+        let start = i;
+        while depth == 0 && prog.instrs.get(i).is_some_and(|ins| ins.dst().is_some()) {
+            i += 1;
+        }
+        if i > start {
+            out.extend(pack::pack(prog, start..i, &read_until, &mut names));
+            continue;
+        }
+        match prog.instrs[i] {
+            Instr::DoStart { .. } => depth += 1,
+            Instr::DoEnd => depth -= 1,
+            _ => {}
+        }
+        i += 1;
+    }
+    out
+}
+
+/// Which `$f` registers the C text names: all of them when nothing is
+/// packed, else those of the instructions printed as scalar statements
+/// and those the packed runs leave for them.
+fn f_used(prog: &IProgram, runs: &[PackedRun]) -> Vec<bool> {
+    let mut used = vec![runs.is_empty(); prog.n_f as usize];
+    if runs.is_empty() {
+        return used;
+    }
+    let mut mark = |k: u32| used[k as usize] = true;
+    let end = prog.instrs.len();
+    let gaps = runs
+        .iter()
+        .map(|r| (r.range.clone(), &r.live_out[..]))
+        .chain([(end..end, &[][..])]);
+    let mut at = 0;
+    for (run, live_out) in gaps {
+        for ins in &prog.instrs[at..run.start] {
+            if let Some(Place::F(k)) = ins.dst() {
+                mark(*k);
+            }
+            ins.for_each_value(&mut |v| each_f(v, &mut mark));
+        }
+        live_out.iter().for_each(|&k| mark(k));
+        at = run.end;
+    }
+    used
 }
 
 fn collect_loop_vars(prog: &IProgram) -> Vec<String> {
@@ -537,8 +697,43 @@ mod tests {
         };
         let src = emit("f2", &butterfly_prog(), &opts);
         assert!(src.contains("void f2(double *restrict y, const double *restrict x)"));
-        assert!(src.contains("y[0] = x[0] + x[1];"));
-        assert!(src.contains("y[1] = x[0] - x[1];"));
+        // On a pair: one load of (x0, x1), lane-swapped for the `+`.
+        assert!(
+            src.contains("spl_v2d v0 = *(const spl_v2du *)&x[0];"),
+            "{src}"
+        );
+        assert!(src.contains("*(spl_v2du *)&y[0] = v"), "{src}");
+        // Scalar statements where the peepholes are asked for.
+        let scalar = emit(
+            "f2",
+            &butterfly_prog(),
+            &CodegenOptions {
+                peephole: true,
+                ..opts
+            },
+        );
+        assert!(scalar.contains("y[0] = x[0] + x[1];"), "{scalar}");
+        assert!(scalar.contains("y[1] = x[0] - x[1];"), "{scalar}");
+    }
+
+    #[test]
+    fn a_sub_beside_an_add_is_one_shuffle_of_both() {
+        let opts = CodegenOptions {
+            language: Language::C,
+            ..Default::default()
+        };
+        let (src, stats) = emit_counted("f2", &butterfly_prog(), &opts);
+        assert!(
+            src.contains("__builtin_shufflevector(v1 + v0, v1 - v0, 0, 3)"),
+            "{src}"
+        );
+        assert_eq!(
+            stats,
+            EmitStats {
+                paired_stmts: 4,
+                scalar_stmts: 0
+            }
+        );
     }
 
     #[test]

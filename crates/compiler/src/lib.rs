@@ -40,6 +40,7 @@ pub mod codegen;
 pub mod error;
 pub mod intrinsics;
 pub mod optimize;
+mod pack;
 pub mod passes;
 pub mod typetrans;
 pub mod unroll;
@@ -164,12 +165,15 @@ impl CompiledUnit {
     }
 
     /// Like [`emit`](Self::emit), but records the `codegen` phase span
-    /// and a `codegen.lines` counter into `tel`.
+    /// and the `codegen.lines`, `codegen.paired_stmts` and
+    /// `codegen.scalar_stmts` counters into `tel`.
     pub fn emit_traced(&self, tel: &mut Telemetry) -> String {
         let sw = Stopwatch::start();
-        let out = self.emit();
+        let (out, stats) = codegen::emit_counted(&self.name, &self.program, &self.codegen);
         tel.record_span("codegen", sw.elapsed());
         tel.add("codegen.lines", out.lines().count() as u64);
+        tel.add("codegen.paired_stmts", stats.paired_stmts);
+        tel.add("codegen.scalar_stmts", stats.scalar_stmts);
         out
     }
 

@@ -25,37 +25,37 @@ const GOLDEN: &[(&str, u64, u64, u64)] = &[
     (
         "plan2-B8",
         0xdec9edacc490bc61,
-        0x3926deb3e0dfbc9b,
+        0xc99d241d5ae2a631,
         0xca0d0bfdcceeec38,
     ),
     (
         "plan2-B64",
         0xdec9edacc490bc61,
-        0x3926deb3e0dfbc9b,
+        0xc99d241d5ae2a631,
         0xca0d0bfdcceeec38,
     ),
     (
         "plan4-B8",
         0x08e7558283bf470f,
-        0x5f7f05d9d153ecd8,
+        0x0262fd728bdde525,
         0x7ebcfdbb3a6bccee,
     ),
     (
         "plan4-B64",
         0x08e7558283bf470f,
-        0x5f7f05d9d153ecd8,
+        0x0262fd728bdde525,
         0x7ebcfdbb3a6bccee,
     ),
     (
         "plan8-B8",
         0x053177dd4baba0d8,
-        0xa5d3158f167482ef,
+        0x54e86472e374e2e4,
         0x762bd2ae133c8c02,
     ),
     (
         "plan8-B64",
         0x053177dd4baba0d8,
-        0xa5d3158f167482ef,
+        0x54e86472e374e2e4,
         0x762bd2ae133c8c02,
     ),
     (
@@ -67,7 +67,7 @@ const GOLDEN: &[(&str, u64, u64, u64)] = &[
     (
         "plan16-B64",
         0x32dcadb206451795,
-        0x6c025074a4f8be3b,
+        0xdbcf382dafde9a97,
         0x0f6e8d5cb3936a1b,
     ),
     (
@@ -79,7 +79,7 @@ const GOLDEN: &[(&str, u64, u64, u64)] = &[
     (
         "plan32-B64",
         0x8014577c7bbf0579,
-        0x645c150c7aaa63a2,
+        0xc98d97c8b80cbd13,
         0x183dfc4a534bc43e,
     ),
     (
@@ -91,7 +91,7 @@ const GOLDEN: &[(&str, u64, u64, u64)] = &[
     (
         "plan64-B64",
         0x76b9116d5e0733c7,
-        0xee218125b961011c,
+        0x681230f467ce0f6c,
         0x5935d36f68c8bfbb,
     ),
     (
@@ -175,19 +175,19 @@ const GOLDEN: &[(&str, u64, u64, u64)] = &[
     (
         "2x32-B64",
         0x34b704530fa157dd,
-        0x040836ab6605e61d,
+        0xd654f551ffa0ccaf,
         0x0a09d756712d3d23,
     ),
     (
         "diagonal_fold.spl",
         0x5603581bc73c8af3,
-        0xf050f4c667cdde6a,
+        0x2a59032fc66b8fcd,
         0xe03e067350818607,
     ),
     (
         "directsum_perm.spl",
         0x32718be9159458c4,
-        0x542203b675b7f095,
+        0x7801d508a062e8d6,
         0x9cda0db4ba5d6360,
     ),
     (
@@ -199,7 +199,7 @@ const GOLDEN: &[(&str, u64, u64, u64)] = &[
     (
         "fft64_unrolled.spl",
         0x76b9116d5e0733c7,
-        0xee218125b961011c,
+        0x681230f467ce0f6c,
         0x5935d36f68c8bfbb,
     ),
     (
@@ -428,8 +428,10 @@ fn loaded_tables_are_the_same_code_without_the_literals() {
     assert!(inline.len() > 2_000_000, "{} bytes inline", inline.len());
     assert!(loaded.len() < 100_000, "{} bytes loaded", loaded.len());
 
-    // A unit without tables is one text in both modes.
+    // A unit without tables is one text in both modes, packed preamble
+    // and all.
     let butterfly = compile("(F 2)", None);
+    assert!(butterfly.emit().starts_with("#ifndef SPL_V2D\n"));
     assert_eq!(emit_loaded(&butterfly), butterfly.emit());
 
     let pinned = GOLDEN.iter().find(|g| g.0 == "fold_ct32.spl").unwrap();

@@ -10,7 +10,8 @@
 //!   (`spl_templates` + `spl_icode`), the compiler's front half;
 //! * **native** (optional) — the full pipeline down to `cc`-compiled C
 //!   executed in a fork sandbox (`spl_native`), classifying crashes and
-//!   hangs as their own bug classes;
+//!   hangs as their own bug classes, and held to the VM's output bit for
+//!   bit (spld's promotion rule);
 //! * **vm-engine** (optional) — the full pipeline down to the register
 //!   VM (`spl_vm`), cross-checking the resolved execution engine
 //!   against the checked reference executor bit-for-bit.
@@ -40,7 +41,8 @@ pub enum BugClass {
     Mismatch,
     /// One oracle accepted the formula, the other rejected it.
     AcceptDisagree,
-    /// The native kernel's output disagrees with the dense reference.
+    /// The native kernel's output disagrees with the dense reference, or
+    /// differs in any bit from the VM's.
     NativeMismatch,
     /// The native kernel crashed (signal) in its sandbox.
     NativeCrash,
@@ -211,10 +213,11 @@ impl Oracle {
 
     /// A full-pipeline compiler configured like the oracle's `native`
     /// and `vm_engine` stages build it (including the injected buggy
-    /// pass when enabled).
-    fn compiler(&self) -> spl_compiler::Compiler {
+    /// pass when enabled), at `-B unroll_threshold` when given.
+    fn compiler(&self, unroll_threshold: Option<usize>) -> spl_compiler::Compiler {
         spl_compiler::Compiler::with_options(spl_compiler::CompilerOptions {
             inject_buggy_pass: self.inject_buggy_pass,
+            unroll_threshold,
             ..spl_compiler::CompilerOptions::default()
         })
     }
@@ -255,28 +258,54 @@ impl Oracle {
         None
     }
 
-    /// Runs the full native pipeline and compares against the dense
-    /// reference `want`; `None` when it agrees.
+    /// Runs the full native pipeline twice: as flag-less `splc` compiles
+    /// the formula (loop code), and at `-B 16`, where sub-formulas of up
+    /// to 16 points are straight-line code the C emitter prints on complex
+    /// pairs (one build when unrolling changes nothing; `-B 64` would cost
+    /// 4× the `cc` time for few more kinds of pair). Each kernel is held to
+    /// the dense reference `want` and, bitwise, to the VM running the same
+    /// unit; `None` when every build agrees.
     fn native_check(&self, sexp: &Sexp, want: &[Complex]) -> Option<Bug> {
-        use spl_native::NativeError;
-        let bug = |class: BugClass, detail: String| {
-            Some(Bug {
-                class,
-                stage: "native".into(),
-                detail,
-            })
-        };
         let src = format!("#language c\n#codetype real\n{sexp}\n");
-        let mut compiler = self.compiler();
-        let unit = match quiet_catch(|| compiler.compile_source(&src).map(|mut units| units.pop()))
-        {
-            Err(p) => return bug(BugClass::Panic, p),
-            Ok(Err(e)) => return bug(BugClass::NativeReject, format!("compile: {e}")),
-            Ok(Ok(None)) => return bug(BugClass::NativeReject, "no unit emitted".into()),
-            Ok(Ok(Some(u))) => u,
-        };
+        let mut built = None;
+        for (threshold, stage) in [(None, "native"), (Some(16), "native -B 16")] {
+            let bug = |class: BugClass, detail: String| {
+                Some(Bug {
+                    class,
+                    stage: stage.into(),
+                    detail,
+                })
+            };
+            let mut compiler = self.compiler(threshold);
+            let unit =
+                match quiet_catch(|| compiler.compile_source(&src).map(|mut units| units.pop())) {
+                    Err(p) => return bug(BugClass::Panic, p),
+                    Ok(Err(e)) => return bug(BugClass::NativeReject, format!("compile: {e}")),
+                    Ok(Ok(None)) => return bug(BugClass::NativeReject, "no unit emitted".into()),
+                    Ok(Ok(Some(u))) => u,
+                };
+            if built.as_ref() == Some(&unit.program.instrs) {
+                continue;
+            }
+            if let Some((class, detail)) = self.native_unit(&unit, want) {
+                return bug(class, detail);
+            }
+            built = Some(unit.program.instrs);
+        }
+        None
+    }
+
+    /// One unit's kernel against `want` and the VM; the first
+    /// disagreement.
+    fn native_unit(
+        &self,
+        unit: &spl_compiler::CompiledUnit,
+        want: &[Complex],
+    ) -> Option<(BugClass, String)> {
+        use spl_native::NativeError;
+        let bug = |class, detail| Some((class, detail));
         let kernel = match spl_native::NativeKernel::compile_with(
-            &unit,
+            unit,
             &spl_native::BuildOptions::default(),
         ) {
             Ok(k) => k,
@@ -305,8 +334,26 @@ impl Oracle {
             Err(e) => return bug(BugClass::NativeReject, e.to_string()),
         }
         let got = deinterleave(&y);
-        self.compare(want, &got)
-            .and_then(|d| bug(BugClass::NativeMismatch, d))
+        if let Some(d) = self.compare(want, &got) {
+            return bug(BugClass::NativeMismatch, d);
+        }
+        // spld's promotion rule: the kernel computes the VM's answer bit
+        // for bit on the same input. A program the VM does not lower has
+        // nothing to be held to.
+        let vm = match quiet_catch(|| spl_vm::lower(&unit.program)) {
+            Err(p) => return bug(BugClass::Panic, p),
+            Ok(Err(_)) => return None,
+            Ok(Ok(vm)) => vm,
+        };
+        let mut y_vm = vec![0.0; vm.n_out];
+        if let Err(p) = quiet_catch(|| vm.run(&x, &mut y_vm, &mut spl_vm::VmState::new(&vm))) {
+            return bug(BugClass::Panic, p);
+        }
+        let i = (0..y.len()).find(|&i| y[i].to_bits() != y_vm[i].to_bits())?;
+        bug(
+            BugClass::NativeMismatch,
+            format!("native vs vm at word {i}: {:?} vs {:?}", y[i], y_vm[i]),
+        )
     }
 
     /// Runs the full pipeline down to the VM and cross-checks the
@@ -322,7 +369,7 @@ impl Oracle {
                 detail,
             })
         };
-        let mut compiler = self.compiler();
+        let mut compiler = self.compiler(None);
         let unit = match quiet_catch(|| compiler.compile_formula_str(&sexp.to_string())) {
             Err(p) => return bug(BugClass::Panic, p),
             Ok(Err(_)) => return None,
