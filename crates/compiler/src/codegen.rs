@@ -9,13 +9,14 @@
 //!
 //! Plain C (no peepholes, no offset/stride parameters) prints each run
 //! of arithmetic outside any loop on complex pairs, 2-lane GNU C vectors
-//! (the `pack` module); loop bodies stay scalar statements, which the C
-//! compiler vectorises across iterations itself.
+//! (the `pack` module), and so each innermost loop body that loads with a
+//! stride in its loop variable; other loop bodies stay scalar statements,
+//! which the C compiler vectorises across iterations itself.
 
 use std::fmt::Write as _;
 
 use spl_frontend::ast::{DataType, Language};
-use spl_icode::{Affine, BinOp, IProgram, Instr, Place, UnOp, Value, VecKind, VecRef};
+use spl_icode::{BinOp, IProgram, Instr, LoopVar, Place, UnOp, Value, VecKind, VecRef};
 use spl_numeric::Complex;
 
 use crate::pack::{self, PackedRun};
@@ -79,10 +80,12 @@ pub struct EmitStats {
     /// Statements on complex pairs: 2-lane vector ops, loads, stores,
     /// shuffles and literals.
     pub paired_stmts: u64,
-    /// Statements on one double: every arithmetic statement of a loop
-    /// body or of code left scalar, plus a packed run's fallbacks
-    /// (scalar ops and stores, `(v2d){a, b}` builds, live-out `$f`s).
+    /// Statements on one double: every arithmetic statement of code left
+    /// scalar (most loop bodies), plus a packed run's fallbacks (scalar
+    /// ops and stores, `(v2d){a, b}` builds, live-out `$f`s).
     pub scalar_stmts: u64,
+    /// Loop bodies printed on complex pairs.
+    pub packed_loops: u64,
 }
 
 impl EmitStats {
@@ -188,9 +191,9 @@ pub(crate) fn bin_sym(op: BinOp) -> &'static str {
     }
 }
 
-/// Appends the affine subscript `a`, shifted by one for a 1-based base.
-fn write_affine(buf: &mut String, a: &Affine, base_one: bool) {
-    for (k, &(c, v)) in a.terms.iter().enumerate() {
+/// Appends the affine subscript `terms` + `c`.
+pub(crate) fn write_affine(buf: &mut String, terms: &[(i64, LoopVar)], c: i64) {
+    for (k, &(c, v)) in terms.iter().enumerate() {
         let _ = if c == 1 {
             if k > 0 {
                 buf.push('+');
@@ -207,8 +210,7 @@ fn write_affine(buf: &mut String, a: &Affine, base_one: bool) {
             write!(buf, "{c}*i{}", v.0)
         };
     }
-    let c = a.c + i64::from(base_one);
-    if a.terms.is_empty() || c < 0 {
+    if terms.is_empty() || c < 0 {
         let _ = write!(buf, "{c}");
     } else if c > 0 {
         let _ = write!(buf, "+{c}");
@@ -270,10 +272,11 @@ impl Emit<'_> {
             } else {
                 "yofs+ystr*("
             });
-            write_affine(buf, &v.idx, false);
+            write_affine(buf, &v.idx.terms, v.idx.c);
             buf.push_str(if self.fortran { ")+1" } else { ")" });
         } else {
-            write_affine(buf, &v.idx, self.fortran);
+            // Fortran arrays are 1-based.
+            write_affine(buf, &v.idx.terms, v.idx.c + i64::from(self.fortran));
         }
         buf.push(if self.fortran { ')' } else { ']' });
     }
@@ -336,6 +339,7 @@ impl Emit<'_> {
                 self.buf.push_str(&run.text);
                 self.stats.paired_stmts += run.stats.paired_stmts;
                 self.stats.scalar_stmts += run.stats.scalar_stmts;
+                self.stats.packed_loops += run.stats.packed_loops;
                 i = run.range.end;
                 continue;
             }
@@ -481,9 +485,10 @@ typedef long long spl_v2l __attribute__((vector_size(16)));
 /// an input), and the C compiler may then keep the loads and stores of a
 /// loop body in registers across each other.
 ///
-/// Runs of arithmetic outside any loop are printed on complex pairs
-/// unless the options ask for the paper's peepholes or for offset/stride
-/// parameters; a unit with a packed run starts with the vector types.
+/// Runs of arithmetic outside any loop, and the innermost loop bodies
+/// [`packed_runs`] picks, are printed on complex pairs unless the options
+/// ask for the paper's peepholes or for offset/stride parameters; a unit
+/// with a packed run starts with the vector types.
 fn emit_c(name: &str, prog: &IProgram, opts: &CodegenOptions) -> (String, EmitStats) {
     let mut e = Emit {
         prog,
@@ -575,32 +580,90 @@ fn emit_c(name: &str, prog: &IProgram, opts: &CodegenOptions) -> (String, EmitSt
     (e.buf, e.stats)
 }
 
-/// The runs of arithmetic outside any loop that print on complex pairs.
+/// The runs of arithmetic that print on complex pairs: those outside any
+/// loop, and the innermost loop bodies that load with a stride in their
+/// loop variable (a coefficient other than 0 or 2: more than one complex
+/// value per iteration). The C compiler vectorises the other bodies across
+/// iterations itself, with wider vectors than a pair, and not those.
 fn packed_runs(prog: &IProgram) -> Vec<PackedRun> {
     // One past the last read of each `$f`: a register a run assigns is
-    // live out when that lies beyond the run.
+    // live out when that lies beyond the run. A read in a loop of a value
+    // from before its loop's body counts until the outermost loop ends,
+    // since a later iteration may read what a later body assigns.
     let mut read_until = vec![0; prog.n_f as usize];
+    let (mut set_at, mut starts, mut exposed) = (vec![0; prog.n_f as usize], vec![], vec![]);
     for (i, ins) in prog.instrs.iter().enumerate() {
-        ins.for_each_value(&mut |v| each_f(v, &mut |k| read_until[k as usize] = i + 1));
+        ins.for_each_value(&mut |v| {
+            each_f(v, &mut |k| {
+                read_until[k as usize] = i + 1;
+                if starts.last().is_some_and(|&s| set_at[k as usize] <= s) {
+                    exposed.push(k as usize);
+                }
+            })
+        });
+        match ins {
+            Instr::DoStart { .. } => starts.push(i),
+            Instr::DoEnd => {
+                starts.pop();
+                if starts.is_empty() {
+                    exposed.drain(..).for_each(|k: usize| read_until[k] = i + 1);
+                }
+            }
+            _ => {
+                if let Some(Place::F(k)) = ins.dst() {
+                    set_at[*k as usize] = i + 1;
+                }
+            }
+        }
     }
-    let (mut out, mut names, mut depth, mut i) = (Vec::new(), 0, 0, 0);
+    let (mut out, mut names, mut open, mut i) = (Vec::new(), 0, Vec::new(), 0);
     while i < prog.instrs.len() {
         let start = i;
-        while depth == 0 && prog.instrs.get(i).is_some_and(|ins| ins.dst().is_some()) {
+        while prog.instrs.get(i).is_some_and(|ins| ins.dst().is_some()) {
             i += 1;
         }
         if i > start {
-            out.extend(pack::pack(prog, start..i, &read_until, &mut names));
+            let offered = match open.last() {
+                None => true,
+                // A whole innermost body: `do` before it, `end` after it.
+                Some(&var) => {
+                    matches!(prog.instrs[start - 1], Instr::DoStart { .. })
+                        && matches!(prog.instrs.get(i), Some(Instr::DoEnd))
+                        && strided_loads(&prog.instrs[start..i], var)
+                }
+            };
+            if offered {
+                let pad = "  ".repeat(open.len() + 1);
+                let run = pack::pack(prog, start..i, &read_until, &mut names, &pad);
+                out.extend(run.map(|mut r| {
+                    r.stats.packed_loops = u64::from(!open.is_empty());
+                    r
+                }));
+            }
             continue;
         }
         match prog.instrs[i] {
-            Instr::DoStart { .. } => depth += 1,
-            Instr::DoEnd => depth -= 1,
-            _ => {}
+            Instr::DoStart { var, .. } => open.push(var),
+            _ => drop(open.pop()),
         }
         i += 1;
     }
     out
+}
+
+/// Whether a load of `body` steps by other than 0 or 2 doubles per
+/// iteration of `var`.
+fn strided_loads(body: &[Instr], var: LoopVar) -> bool {
+    let mut strided = false;
+    for ins in body {
+        ins.for_each_value(&mut |v| {
+            if let Value::Place(Place::Vec(r)) = v {
+                let c = r.idx.terms.iter().find(|t| t.1 == var).map_or(0, |t| t.0);
+                strided |= c != 0 && c != 2;
+            }
+        });
+    }
+    strided
 }
 
 /// Which `$f` registers the C text names: all of them when nothing is
@@ -731,7 +794,8 @@ mod tests {
             stats,
             EmitStats {
                 paired_stmts: 4,
-                scalar_stmts: 0
+                scalar_stmts: 0,
+                packed_loops: 0
             }
         );
     }

@@ -165,8 +165,9 @@ impl CompiledUnit {
     }
 
     /// Like [`emit`](Self::emit), but records the `codegen` phase span
-    /// and the `codegen.lines`, `codegen.paired_stmts` and
-    /// `codegen.scalar_stmts` counters into `tel`.
+    /// and the `codegen.lines`, `codegen.paired_stmts`,
+    /// `codegen.scalar_stmts` and `codegen.packed_loops` counters into
+    /// `tel`.
     pub fn emit_traced(&self, tel: &mut Telemetry) -> String {
         let sw = Stopwatch::start();
         let (out, stats) = codegen::emit_counted(&self.name, &self.program, &self.codegen);
@@ -174,6 +175,7 @@ impl CompiledUnit {
         tel.add("codegen.lines", out.lines().count() as u64);
         tel.add("codegen.paired_stmts", stats.paired_stmts);
         tel.add("codegen.scalar_stmts", stats.scalar_stmts);
+        tel.add("codegen.packed_loops", stats.packed_loops);
         out
     }
 

@@ -299,6 +299,7 @@ fn benchmark_plans_on_the_host_target_line_match_the_vm_bitwise() {
 #[ignore = "2^16: about 3 s of cc"]
 fn benchmark_plan_65536_on_the_host_target_line_matches_the_vm_bitwise() {
     benchmark_plans_match_the_vm(|n| n > 1 << 14);
+    loops_on_pairs(|n| n > 1 << 14);
 }
 
 #[test]
@@ -513,18 +514,60 @@ fn straight_line_plans_print_no_scalar_fallback() {
     }
 }
 
-/// The six in one file, as `spl-minifft`'s `codelets.c` holds them:
-/// the preamble's guard admits the second unit, and no unused
-/// declaration is left behind.
+/// The loop variables whose bodies print on pairs, in order: the
+/// innermost `for` around each line that names `spl_v2d`.
+fn loops_with_pairs(c: &str) -> Vec<String> {
+    let (mut open, mut out) = (Vec::<(usize, String)>::new(), Vec::new());
+    for line in c.lines() {
+        let indent = line.len() - line.trim_start().len();
+        if let Some(rest) = line.trim_start().strip_prefix("for (") {
+            open.push((indent, rest.split(' ').next().unwrap_or_default().into()));
+        } else if line.trim() == "}" && open.last().is_some_and(|o| o.0 == indent) {
+            open.pop();
+        } else if let Some((_, var)) = open.last().filter(|_| line.contains("spl_v2d")) {
+            if out.last() != Some(var) {
+                out.push(var.clone());
+            }
+        }
+    }
+    out
+}
+
+/// Which loop bodies of the looped plans whose size passes `sizes` print
+/// on pairs: only the innermost one whose loads stride past a complex
+/// value per iteration (`x[2*i0+16*i1+…]` in `i1`). gcc vectorises every
+/// other loop itself, with wider vectors, so those stay scalar.
+fn loops_on_pairs(sizes: impl Fn(usize) -> bool) {
+    for (n, unit) in benchmark_plans(|n| n >= 128 && sizes(n)) {
+        let (c, stats) = emit_stats(&unit);
+        let want: &[&str] = match n {
+            1024 | 4096 | 16384 => &["i1"],
+            65536 => &["i2"],
+            _ => &[],
+        };
+        assert_eq!(loops_with_pairs(&c), want, "plan {n}");
+        assert_eq!(stats.packed_loops, want.len() as u64, "plan {n}: {stats:?}");
+        assert_eq!(c.contains("spl_v2d"), !want.is_empty(), "plan {n}");
+    }
+}
+
+#[test]
+fn only_innermost_bodies_with_strided_loads_print_on_pairs() {
+    loops_on_pairs(|n| n <= 1 << 14);
+}
+
+/// The plans up to 2^14 in one file, as `spl-minifft`'s `codelets.c`
+/// holds its six: the preamble's guard admits the second unit, and no
+/// unused declaration is left behind, in straight-line code or in loops.
 #[test]
 fn packed_plans_compile_clean_under_wall_werror() {
-    let text: String = benchmark_plans(|n| n <= 64)
+    let text: String = benchmark_plans(|n| n <= 1 << 14)
         .iter()
         .map(|(n, unit)| {
             spl::compiler::codegen::emit(&format!("plan{n}"), &unit.program, &unit.codegen)
         })
         .collect();
-    assert_compiles("six_plans", &text, true);
+    assert_compiles("plans", &text, true);
 }
 
 fn at(kind: VecKind, i: i64) -> Place {
@@ -540,6 +583,36 @@ fn y(i: i64) -> Place {
 
 fn x(i: i64) -> Value {
     Value::vec(VecKind::In, i)
+}
+
+/// Element `k*i0 + c` of `kind`'s array.
+fn at_i0(kind: VecKind, k: i64, c: i64) -> Place {
+    Place::Vec(VecRef {
+        kind,
+        idx: Affine {
+            c,
+            terms: vec![(k, LoopVar(0))],
+        },
+    })
+}
+
+fn read_i0(kind: VecKind, k: i64, c: i64) -> Value {
+    Value::Place(at_i0(kind, k, c))
+}
+
+/// `do var = 0, hi`.
+fn do_to(var: u32, hi: i64) -> Instr {
+    Instr::DoStart {
+        var: LoopVar(var),
+        lo: 0,
+        hi,
+        unroll: false,
+    }
+}
+
+/// `do i0 = 0, 1` around `body`.
+fn two_trips(body: Vec<Instr>) -> Vec<Instr> {
+    [vec![do_to(0, 1)], body, vec![Instr::DoEnd]].concat()
 }
 
 fn bin(op: BinOp, dst: Place, a: Value, b: Value) -> Instr {
@@ -731,8 +804,126 @@ fn packer_fallbacks_compile_and_equal_the_vm_bitwise() {
             Shape::Mixed,
         ),
     ];
-    let mut cases: Vec<(CompiledUnit, Shape, bool)> =
-        cases.into_iter().map(|(u, s)| (u, s, true)).collect();
+    // Loop bodies. Each loads with stride 4 in `i0` (a packing candidate)
+    // but the last but one, which loads `x[2*i0+…]` and stores
+    // `y[4*i0+…]`, as the 256-point plan's loops do: gcc's to vectorise.
+    use VecKind::{In, Out, Temp};
+    let (xi, yi) = (|c| read_i0(In, 4, c), |c| at_i0(Out, 4, c));
+    let sum_and_difference = |k| {
+        vec![
+            bin(Add, yi(0), read_i0(In, k, 0), read_i0(In, k, 2)),
+            bin(Add, yi(1), read_i0(In, k, 1), read_i0(In, k, 3)),
+            bin(Sub, yi(2), read_i0(In, k, 0), read_i0(In, k, 2)),
+            bin(Sub, yi(3), read_i0(In, k, 1), read_i0(In, k, 3)),
+        ]
+    };
+    let mut with_temp = hand_unit(
+        "loop_reads_its_temp",
+        two_trips(vec![
+            bin(Add, at_i0(Temp(0), 4, 0), xi(0), xi(2)),
+            bin(Add, at_i0(Temp(0), 4, 1), xi(1), xi(3)),
+            bin(Mul, yi(0), read_i0(Temp(0), 4, 0), xi(2)),
+            bin(Mul, yi(1), read_i0(Temp(0), 4, 1), xi(3)),
+            bin(Sub, yi(2), xi(0), xi(2)),
+            bin(Sub, yi(3), xi(1), xi(3)),
+        ]),
+        8,
+    );
+    with_temp.program.temps = vec![8];
+    let loop_cases = vec![
+        (
+            hand_unit(
+                "loop_reads_an_invariant_register",
+                [
+                    vec![bin(Mul, Place::F(0), x(0), x(1))],
+                    two_trips(vec![
+                        bin(Mul, yi(0), Value::f(0), xi(0)),
+                        bin(Mul, yi(1), Value::f(0), xi(1)),
+                        bin(Sub, yi(2), xi(2), xi(0)),
+                        bin(Sub, yi(3), xi(3), xi(1)),
+                    ]),
+                ]
+                .concat(),
+                8,
+            ),
+            Shape::Scalar,
+        ),
+        (with_temp, Shape::Scalar),
+        (
+            hand_unit("unit_stride_loads", two_trips(sum_and_difference(2)), 8),
+            Shape::Scalar,
+        ),
+        (
+            hand_unit("strided_loads", two_trips(sum_and_difference(4)), 8),
+            Shape::Paired,
+        ),
+        (
+            // f0 and f1 are read after the loop: each trip assigns them
+            // from the lanes of their pair.
+            hand_unit(
+                "strided_body_with_live_out_registers",
+                [
+                    two_trips(vec![
+                        bin(Add, Place::F(0), xi(0), xi(2)),
+                        bin(Add, Place::F(1), xi(1), xi(3)),
+                        bin(Mul, yi(0), Value::f(0), xi(2)),
+                        bin(Mul, yi(1), Value::f(1), xi(3)),
+                        bin(Sub, yi(2), xi(0), xi(2)),
+                        bin(Sub, yi(3), xi(1), xi(3)),
+                    ]),
+                    vec![
+                        bin(Mul, y(8), Value::f(0), Value::f(1)),
+                        bin(Sub, y(9), Value::f(1), Value::f(0)),
+                    ],
+                ]
+                .concat(),
+                10,
+            ),
+            Shape::Mixed,
+        ),
+        (
+            // The `i2` loop reads f0 before the `i0` body assigns it: on
+            // the second outer trip it reads the first trip's, which the
+            // packed body must therefore still assign.
+            hand_unit(
+                "strided_body_read_by_the_next_outer_trip",
+                [
+                    vec![bin(Mul, Place::F(0), x(6), x(7))],
+                    vec![do_to(1, 1), do_to(2, 0)],
+                    vec![bin(
+                        Mul,
+                        Place::Vec(VecRef {
+                            kind: Out,
+                            idx: Affine {
+                                c: 8,
+                                terms: vec![(2, LoopVar(1)), (4, LoopVar(2))],
+                            },
+                        }),
+                        Value::f(0),
+                        read_i0(In, 0, 0),
+                    )],
+                    vec![Instr::DoEnd],
+                    two_trips(vec![
+                        bin(Add, Place::F(0), xi(0), xi(2)),
+                        bin(Add, Place::F(1), xi(1), xi(3)),
+                        bin(Mul, yi(0), Value::f(0), xi(2)),
+                        bin(Mul, yi(1), Value::f(1), xi(3)),
+                        bin(Sub, yi(2), xi(0), xi(2)),
+                        bin(Sub, yi(3), xi(1), xi(3)),
+                    ]),
+                    vec![Instr::DoEnd],
+                ]
+                .concat(),
+                12,
+            ),
+            Shape::Mixed,
+        ),
+    ];
+    let mut cases: Vec<(CompiledUnit, Shape, bool)> = cases
+        .into_iter()
+        .chain(loop_cases)
+        .map(|(u, s)| (u, s, true))
+        .collect();
     // Compiled units: -O0 keeps the temporaries, which a run reads and
     // writes; the paper's peepholes and offset/stride entry points are
     // scalar by option. Their text is the scalar emitter's, which at -O0
@@ -781,6 +972,12 @@ fn packer_fallbacks_compile_and_equal_the_vm_bitwise() {
             _ => Shape::Mixed,
         };
         assert_eq!(got, *shape, "{name}: {stats:?}\n{c}");
+        let packed_loop = name.starts_with("strided_");
+        assert_eq!(stats.packed_loops, u64::from(packed_loop), "{name}");
+        assert_eq!(
+            loops_with_pairs(&c),
+            if packed_loop { vec!["i0"] } else { vec![] }
+        );
         assert_eq!(c.contains("spl_v2d"), got != Shape::Scalar, "{name}:\n{c}");
         assert_compiles(name, &c, *strict);
         // A native build prints every unit without peepholes or
@@ -792,6 +989,14 @@ fn packer_fallbacks_compile_and_equal_the_vm_bitwise() {
             for f in ["  f0 = v", "  f1 = v"] {
                 assert!(c.contains(f), "{name}: no `{f}`:\n{c}");
             }
+        }
+        if name == "strided_body_with_live_out_registers" {
+            for f in ["    f0 = v", "    f1 = v"] {
+                assert!(c.contains(f), "{name}: no `{f}` in the loop:\n{c}");
+            }
+        }
+        if name == "strided_body_read_by_the_next_outer_trip" {
+            assert!(c.contains("      f0 = v"), "{name}:\n{c}");
         }
     }
 }
