@@ -5,11 +5,12 @@
 //! rerun of the same search recompiles everything. The cache keys each
 //! kernel by the *content* that determines the machine code — the
 //! emitted C source, the [`BuildOptions`], and the effective `cc`
-//! command line ([`cc_command_line`]: flags, ISA tokens, `cc` version)
-//! — so a hit is guaranteed to be the same object `cc` would have
-//! produced, any change to compiler or flags invalidates the entry
-//! automatically, and a directory shared with a host of another vector
-//! level never hands this one code it cannot execute. The C names a
+//! command line ([`cc_command_line`](crate::cc_command_line): flags,
+//! ISA tokens, `cc` version) — so a hit is guaranteed to be the same
+//! object `cc` would have produced, any change to compiler or flags
+//! invalidates the entry automatically, and a directory shared with a
+//! host of another vector level never hands this one code it cannot
+//! execute. The C names a
 //! kernel's tables by shape only; their values reach each loaded copy
 //! of the object from the unit it is loaded for
 //! (`NativeKernel::from_loaded`), so they are no part of what `cc` makes
@@ -19,22 +20,30 @@
 //!
 //! * **Memory** — an `Arc<Vec<u8>>` per shared object, bounded FIFO, so
 //!   concurrent search workers share one copy per distinct kernel.
-//! * **Disk (optional)** — `<dir>/<key>.so` files plus a CRC-framed
-//!   `index.journal` ([`spl_resilience::journal`]) recording each
-//!   entry's length and CRC32. Entries are written atomically
-//!   (tmp + rename); a corrupt or truncated `.so` is detected by the
-//!   index check, discarded, and recompiled rather than loaded.
+//! * **Disk (optional)** — the directory alone: `<dir>/<key>.so` holds
+//!   the object followed by a fixed 16-byte trailer, the object's length
+//!   (u64 LE), its CRC32 (u32 LE) and the magic `SPLk`. The file name is
+//!   the key; there is no index beside the files.
 //!
 //! The disk layer is safe to share between processes (a search and a
-//! serving daemon pointed at the same directory, or several daemons):
-//! tmp files carry the writer's pid plus a per-process counter so
-//! concurrent writers of the same key never interleave into one file,
-//! and every disk mutation (index open/heal, insert, evict, corrupt
-//! discard) happens under an advisory `index.lock`
-//! ([`spl_resilience::lockfile`]), so index appends from different
-//! processes never tear each other. The lock is advisory and degrades
-//! to a no-op where unsupported — single-process use never needed it
-//! for correctness.
+//! serving daemon pointed at the same directory, or several daemons)
+//! without a lock. A writer fills a tmp file named by its pid plus a
+//! per-process counter and renames it into place, so a reader sees a
+//! whole file or none; every reader checks the trailer of the file it
+//! read, so that rename is all the coordination needed, and no `fsync`
+//! is either: a file a crash left short or zeroed fails the check. The
+//! trailer is what makes a file self-checking, not the writers: two
+//! builds of one key are *not* byte-identical, because `cc` records
+//! the unique temp source name, so two processes filing one key rename
+//! different (each valid) bytes and the later rename wins. Eviction is an `unlink`, and
+//! the absent file is the tombstone. A file that fails its check is
+//! unlinked and recompiled; a `.so` written before the trailer existed
+//! fails it once the same way, and the index log and lock file that
+//! format kept beside the objects are neither read nor touched.
+//!
+//! The race this accepts: a reader that discards a corrupt file can
+//! unlink a good copy another process renamed into place between the
+//! read and the unlink. That costs one recompile, never a wrong load.
 //!
 //! The cache never runs `cc` itself — callers
 //! ([`NativeKernel::compile_cached`](crate::NativeKernel::compile_cached))
@@ -42,20 +51,24 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
+use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 use spl_resilience::crc32::crc32;
-use spl_resilience::{FileLock, Journal};
 use spl_telemetry::Telemetry;
 
-use crate::{cc_command_line, BuildOptions, NativeError};
+use crate::{BuildOptions, NativeError};
 
 /// Bound on in-memory entries; a full small-search to 2^10 uses well
 /// under a hundred distinct kernels, so this is a leak guard, not a
 /// working-set limit.
 const MEM_CAP: usize = 512;
+
+/// Bytes after the object in a `<key>.so` file: length, CRC32, magic.
+const TRAILER: usize = 16;
+const MAGIC: &[u8; 4] = b"SPLk";
 
 /// How a cached-compile request was satisfied.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -101,22 +114,41 @@ fn fnv1a(basis: u64, bytes: &[u8]) -> u64 {
     h
 }
 
+/// The trailer that follows `object` in its `<key>.so` file.
+fn trailer(object: &[u8]) -> [u8; TRAILER] {
+    let mut t = [0u8; TRAILER];
+    t[..8].copy_from_slice(&(object.len() as u64).to_le_bytes());
+    t[8..12].copy_from_slice(&crc32(object).to_le_bytes());
+    t[12..].copy_from_slice(MAGIC);
+    t
+}
+
+/// The object inside a `<key>.so` file, or `None` when its trailer is
+/// missing or disagrees with what precedes it.
+fn unseal(mut file: Vec<u8>) -> Option<Vec<u8>> {
+    let len = file.len().checked_sub(TRAILER)?;
+    if file[len..] != trailer(&file[..len]) {
+        return None;
+    }
+    file.truncate(len);
+    Some(file)
+}
+
 struct CacheInner {
     mem: HashMap<String, Arc<Vec<u8>>>,
     /// Insertion order of `mem` keys, for FIFO eviction.
     order: VecDeque<String>,
-    /// Disk entries by key: (byte length, crc32). Later index records
-    /// win, so a rewritten entry supersedes the old line.
-    disk: HashMap<String, (u64, u32)>,
-    index: Option<Journal>,
     tel: Telemetry,
 }
 
 /// A thread-safe content-addressed store of compiled `.so` images.
 ///
 /// Shared across search workers behind an [`Arc`]; all internal state
-/// is guarded by one mutex (lookups are byte-copies and index updates,
-/// never compilations, so the critical sections are short).
+/// is guarded by one mutex, held across each whole operation (disk I/O
+/// included) so a [`KernelCache::evict`] is ordered against a
+/// concurrent lookup that would otherwise put the evicted bytes back
+/// into memory. Lookups are byte-copies and one file read, never
+/// compilations, so the critical sections are short.
 pub struct KernelCache {
     inner: Mutex<CacheInner>,
     disk_dir: Option<PathBuf>,
@@ -137,64 +169,32 @@ impl KernelCache {
             inner: Mutex::new(CacheInner {
                 mem: HashMap::new(),
                 order: VecDeque::new(),
-                disk: HashMap::new(),
-                index: None,
                 tel: Telemetry::new(),
             }),
             disk_dir: None,
         }
     }
 
-    /// A cache backed by `dir`: hits survive across processes. The
-    /// directory is created if needed and its `index.journal` loaded
-    /// tolerantly (a torn final record is dropped, not fatal).
+    /// A cache backed by `dir`: hits survive across processes, and a
+    /// kernel another process files later is a hit here too. The
+    /// directory is created if needed.
     ///
     /// # Errors
     ///
-    /// Fails on I/O errors creating the directory or opening the index.
+    /// Fails on I/O errors creating the directory.
     pub fn with_dir(dir: &Path) -> Result<KernelCache, NativeError> {
         std::fs::create_dir_all(dir)
             .map_err(|e| NativeError::Io(format!("creating {}: {e}", dir.display())))?;
-        // Opening may heal the journal (tmp + rename of the whole
-        // file); hold the directory lock so a concurrent writer's
-        // append is never torn off by the rewrite.
-        let _lock = FileLock::acquire_or_noop(&dir.join("index.lock"));
-        let (journal, loaded) = Journal::open(&dir.join("index.journal"))
-            .map_err(|e| NativeError::Io(format!("kernel cache index: {e}")))?;
-        let mut disk = HashMap::new();
-        for rec in &loaded.records {
-            if let Some((key, len, crc)) = parse_index_record(rec) {
-                disk.insert(key, (len, crc));
-            } else if let Some(key) = parse_rm_record(rec) {
-                disk.remove(&key);
-            }
-        }
-        let mut tel = Telemetry::new();
-        if loaded.dropped > 0 {
-            tel.add("native.cache.index_records_dropped", loaded.dropped as u64);
-        }
-        Ok(KernelCache {
-            inner: Mutex::new(CacheInner {
-                mem: HashMap::new(),
-                order: VecDeque::new(),
-                disk,
-                index: Some(journal),
-                tel,
-            }),
-            disk_dir: Some(dir.to_path_buf()),
-        })
+        let mut cache = KernelCache::in_memory();
+        cache.disk_dir = Some(dir.to_path_buf());
+        Ok(cache)
     }
 
-    /// The content key for one compilation on this host: 128 hash bits
-    /// over the emitted C source, the build options, and the effective
-    /// `cc` command line. Anything that could change the produced
-    /// object changes the key.
-    pub fn key(c_src: &str, opts: &BuildOptions) -> String {
-        Self::key_for(c_src, opts, cc_command_line())
-    }
-
-    /// [`KernelCache::key`] under an explicit command line (a
-    /// [`CcTarget::command_line`](crate::CcTarget::command_line)).
+    /// The content key for one compilation under the `cc` command line
+    /// `cc_line` (a [`CcTarget::command_line`](crate::CcTarget::command_line)):
+    /// 128 hash bits over the emitted C source, the build options, and
+    /// that line. Anything that could change the produced object
+    /// changes the key.
     pub fn key_for(c_src: &str, opts: &BuildOptions, cc_line: &str) -> String {
         let mut text = String::with_capacity(c_src.len() + 256);
         text.push_str(c_src);
@@ -209,9 +209,10 @@ impl KernelCache {
         )
     }
 
-    /// Looks up a compiled object by key: memory first, then the disk
-    /// directory (CRC-verified against the index; corrupt entries are
-    /// discarded and reported as a miss so the caller recompiles).
+    /// Looks up a compiled object by key: memory first, then
+    /// `<dir>/<key>.so`. A missing file is a miss; a file whose trailer
+    /// fails the check is unlinked, counted, and reported as a miss so
+    /// the caller recompiles. A hit is the object without its trailer.
     pub fn lookup(&self, key: &str) -> Option<(Arc<Vec<u8>>, CacheOutcome)> {
         let mut inner = self.inner.lock().unwrap();
         if let Some(bytes) = inner.mem.get(key) {
@@ -219,79 +220,54 @@ impl KernelCache {
             inner.tel.add("native.cache.memory_hits", 1);
             return Some((bytes, CacheOutcome::MemoryHit));
         }
-        let (want_len, want_crc) = inner.disk.get(key).copied()?;
         let path = self.so_path(key)?;
-        let ok = std::fs::read(&path)
-            .ok()
-            .filter(|b| b.len() as u64 == want_len && crc32(b) == want_crc);
-        match ok {
-            Some(bytes) => {
-                let bytes = Arc::new(bytes);
-                Self::remember(&mut inner, key, Arc::clone(&bytes));
-                inner.tel.add("native.cache.disk_hits", 1);
-                Some((bytes, CacheOutcome::DiskHit))
-            }
-            None => {
-                // Truncated, bit-flipped, or deleted: purge the entry so
-                // the recompiled object can take its place. Under the
-                // directory lock, so the removal can't race another
-                // process's tmp + rename of a fresh copy.
-                inner.disk.remove(key);
-                let _lock = self.disk_lock();
-                let _ = std::fs::remove_file(&path);
-                inner.tel.add("native.cache.corrupt_discarded", 1);
-                None
-            }
-        }
+        let file = std::fs::read(&path).ok()?;
+        let Some(object) = unseal(file) else {
+            // Truncated, bit-flipped, or from before the trailer: purge
+            // it so the recompiled object can take its place.
+            let _ = std::fs::remove_file(&path);
+            inner.tel.add("native.cache.corrupt_discarded", 1);
+            return None;
+        };
+        let bytes = Arc::new(object);
+        Self::remember(&mut inner, key, Arc::clone(&bytes));
+        inner.tel.add("native.cache.disk_hits", 1);
+        Some((bytes, CacheOutcome::DiskHit))
     }
 
     /// Inserts a freshly compiled object under `key`, into memory and —
-    /// when disk-backed — the cache directory (atomic tmp + rename with
-    /// a pid-unique tmp name, then an index record with length and
-    /// CRC32, all under the directory lock). Disk I/O failures are
-    /// counted, not propagated: the kernel already compiled, so a full
-    /// disk must not fail the candidate.
+    /// when disk-backed — the cache directory (the object and its
+    /// trailer into a pid-unique tmp file, renamed into place). Disk I/O
+    /// failures are counted, not propagated: the kernel already
+    /// compiled, so a full disk must not fail the candidate.
     pub fn insert(&self, key: &str, bytes: Vec<u8>) {
         static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
         let mut inner = self.inner.lock().unwrap();
-        let bytes = Arc::new(bytes);
-        Self::remember(&mut inner, key, Arc::clone(&bytes));
-        let Some(path) = self.so_path(key) else {
-            return;
-        };
-        // Unique per writer: two processes (or threads) inserting the
-        // same key never write into the same tmp file.
-        let tmp = path.with_extension(format!(
-            "so.{}.{}.tmp",
-            std::process::id(),
-            TMP_SEQ.fetch_add(1, Ordering::Relaxed)
-        ));
-        let _lock = self.disk_lock();
-        let written = std::fs::write(&tmp, bytes.as_slice())
-            .and_then(|()| std::fs::rename(&tmp, &path))
-            .is_ok();
-        if !written {
-            let _ = std::fs::remove_file(&tmp);
-            inner.tel.add("native.cache.disk_write_failures", 1);
-            return;
-        }
-        let len = bytes.len() as u64;
-        let crc = crc32(&bytes);
-        inner.disk.insert(key.to_string(), (len, crc));
-        if let Some(journal) = inner.index.as_mut() {
-            if journal
-                .append(&format!("so {key} {len} {crc:08x}"))
-                .is_err()
-            {
+        if let Some(path) = self.so_path(key) {
+            // Unique per writer: two processes (or threads) inserting the
+            // same key never write into the same tmp file.
+            let tmp = path.with_extension(format!(
+                "so.{}.{}.tmp",
+                std::process::id(),
+                TMP_SEQ.fetch_add(1, Ordering::Relaxed)
+            ));
+            let written = std::fs::File::create(&tmp)
+                .and_then(|mut f| {
+                    f.write_all(&bytes)?;
+                    f.write_all(&trailer(&bytes))
+                })
+                .and_then(|()| std::fs::rename(&tmp, &path));
+            if written.is_err() {
+                let _ = std::fs::remove_file(&tmp);
                 inner.tel.add("native.cache.disk_write_failures", 1);
             }
         }
+        Self::remember(&mut inner, key, Arc::new(bytes));
     }
 
-    /// Removes `key` everywhere: memory, the disk directory, and — when
-    /// disk-backed — an `rm` tombstone record in the index journal so
-    /// the eviction survives a process restart (later records win, so a
-    /// subsequent [`KernelCache::insert`] re-admits the key).
+    /// Removes `key` from memory and unlinks its file; the absent file
+    /// is what keeps the eviction across a restart (a subsequent
+    /// [`KernelCache::insert`] re-admits the key).
     ///
     /// Used to quarantine kernels whose *output* was found wrong after
     /// compilation (verification failure): the cache key only covers
@@ -303,18 +279,9 @@ impl KernelCache {
         if inner.mem.remove(key).is_some() {
             inner.order.retain(|k| k != key);
         }
-        let on_disk = inner.disk.remove(key).is_some();
         inner.tel.add("native.cache.quarantined", 1);
         if let Some(path) = self.so_path(key) {
-            let _lock = self.disk_lock();
             let _ = std::fs::remove_file(&path);
-            if on_disk {
-                if let Some(journal) = inner.index.as_mut() {
-                    if journal.append(&format!("rm {key}")).is_err() {
-                        inner.tel.add("native.cache.disk_write_failures", 1);
-                    }
-                }
-            }
         }
     }
 
@@ -351,44 +318,6 @@ impl KernelCache {
     fn so_path(&self, key: &str) -> Option<PathBuf> {
         self.disk_dir.as_ref().map(|d| d.join(format!("{key}.so")))
     }
-
-    /// The advisory cross-process lock over the cache directory, or
-    /// `None` for in-memory caches. Degrades to an unlocked guard where
-    /// `flock` is unavailable.
-    fn disk_lock(&self) -> Option<FileLock> {
-        self.disk_dir
-            .as_ref()
-            .map(|d| FileLock::acquire_or_noop(&d.join("index.lock")))
-    }
-}
-
-/// Parses one `so <key> <len> <crc:08x>` index record.
-fn parse_index_record(rec: &str) -> Option<(String, u64, u32)> {
-    let mut it = rec.split_whitespace();
-    if it.next()? != "so" {
-        return None;
-    }
-    let key = it.next()?.to_string();
-    let len = it.next()?.parse().ok()?;
-    let crc = u32::from_str_radix(it.next()?, 16).ok()?;
-    if it.next().is_some() {
-        return None;
-    }
-    Some((key, len, crc))
-}
-
-/// Parses one `rm <key>` tombstone record (written by
-/// [`KernelCache::evict`]).
-fn parse_rm_record(rec: &str) -> Option<String> {
-    let mut it = rec.split_whitespace();
-    if it.next()? != "rm" {
-        return None;
-    }
-    let key = it.next()?.to_string();
-    if it.next().is_some() {
-        return None;
-    }
-    Some(key)
 }
 
 #[cfg(test)]
@@ -404,9 +333,10 @@ mod tests {
     #[test]
     fn key_is_content_addressed() {
         let opts = BuildOptions::default();
-        let a = KernelCache::key("void f(void){}", &opts);
-        let b = KernelCache::key("void f(void){}", &opts);
-        let c = KernelCache::key("void g(void){}", &opts);
+        let key = |src, opts: &BuildOptions| KernelCache::key_for(src, opts, "cc -O2");
+        let a = key("void f(void){}", &opts);
+        let b = key("void f(void){}", &opts);
+        let c = key("void g(void){}", &opts);
         assert_eq!(a, b);
         assert_ne!(a, c);
         assert_eq!(a.len(), 32);
@@ -414,7 +344,7 @@ mod tests {
             cc_timeout: std::time::Duration::from_secs(7),
             ..BuildOptions::default()
         };
-        assert_ne!(a, KernelCache::key("void f(void){}", &slow));
+        assert_ne!(a, key("void f(void){}", &slow));
     }
 
     #[test]
@@ -445,6 +375,10 @@ mod tests {
         let (bytes, outcome) = cache.lookup("cafe").unwrap();
         assert_eq!(outcome, CacheOutcome::DiskHit);
         assert_eq!(bytes.as_slice(), b"not really elf");
+        // The file is the object and its trailer; a hit is the object.
+        let file = std::fs::read(dir.join("cafe.so")).unwrap();
+        assert_eq!(file.len(), b"not really elf".len() + TRAILER);
+        assert_eq!(&file[file.len() - 4..], MAGIC);
         // Now resident in memory too.
         assert_eq!(cache.lookup("cafe").unwrap().1, CacheOutcome::MemoryHit);
         let _ = std::fs::remove_dir_all(&dir);
@@ -457,7 +391,7 @@ mod tests {
             let cache = KernelCache::with_dir(&dir).unwrap();
             cache.insert("beef", vec![9u8; 64]);
         }
-        // Flip a byte in the stored object; the index CRC now disagrees.
+        // Flip a byte in the stored object; the trailer's CRC now disagrees.
         let so = dir.join("beef.so");
         let mut bytes = std::fs::read(&so).unwrap();
         bytes[10] ^= 0xff;
@@ -489,6 +423,43 @@ mod tests {
     }
 
     #[test]
+    fn every_bad_trailer_is_one_counted_miss_and_removed() {
+        let dir = tmp_dir("trailers");
+        let object = vec![6u8; 48];
+        let mut good = object.clone();
+        good.extend_from_slice(&trailer(&object));
+        let flipped = |at: usize| {
+            let mut f = good.clone();
+            f[at] ^= 0x01;
+            f
+        };
+        let cases = [
+            ("short", good[..TRAILER - 1].to_vec()),
+            ("magic", flipped(good.len() - 1)),
+            ("crc", flipped(object.len() + 8)),
+            ("length", flipped(object.len())),
+        ];
+        let cache = KernelCache::with_dir(&dir).unwrap();
+        for (key, file) in cases {
+            let so = dir.join(format!("{key}.so"));
+            std::fs::write(&so, file).unwrap();
+            assert!(cache.lookup(key).is_none(), "{key}: bad trailer served");
+            assert!(!so.exists(), "{key}: bad file not removed");
+            assert!(cache.lookup(key).is_none(), "{key}");
+            let tel = cache.drain_telemetry();
+            assert_eq!(
+                tel.counter("native.cache.corrupt_discarded"),
+                Some(1),
+                "{key}"
+            );
+        }
+        // The good file, for contrast, is a hit.
+        std::fs::write(dir.join("good.so"), &good).unwrap();
+        assert_eq!(*cache.lookup("good").unwrap().0, object);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn eviction_is_fifo_and_counted() {
         let cache = KernelCache::in_memory();
         for i in 0..(MEM_CAP + 3) {
@@ -515,16 +486,19 @@ mod tests {
     }
 
     #[test]
-    fn evict_tombstone_survives_restart() {
-        let dir = tmp_dir("tombstone");
+    fn evict_survives_restart() {
+        let dir = tmp_dir("evict_restart");
         {
             let cache = KernelCache::with_dir(&dir).unwrap();
             cache.insert("bad1", vec![2u8; 32]);
             cache.evict("bad1");
         }
         let cache = KernelCache::with_dir(&dir).unwrap();
-        assert!(cache.lookup("bad1").is_none(), "tombstone ignored on load");
-        // A reinsert after the tombstone wins (later records beat earlier).
+        assert!(
+            cache.lookup("bad1").is_none(),
+            "evicted key served after restart"
+        );
+        // A reinsert after the eviction files the key again.
         cache.insert("bad1", vec![3u8; 32]);
         drop(cache);
         let cache = KernelCache::with_dir(&dir).unwrap();
@@ -537,25 +511,5 @@ mod tests {
         let cache = KernelCache::in_memory();
         cache.evict("never-inserted");
         assert!(cache.lookup("never-inserted").is_none());
-    }
-
-    #[test]
-    fn rm_records_parse() {
-        assert_eq!(parse_rm_record("rm abc123"), Some("abc123".into()));
-        assert_eq!(parse_rm_record("so abc123 1 ff"), None);
-        assert_eq!(parse_rm_record("rm"), None);
-        assert_eq!(parse_rm_record("rm k extra"), None);
-    }
-
-    #[test]
-    fn index_records_parse() {
-        assert_eq!(
-            parse_index_record("so abc123 42 deadbeef"),
-            Some(("abc123".into(), 42, 0xdeadbeef))
-        );
-        assert_eq!(parse_index_record("wisdom abc 1 2"), None);
-        assert_eq!(parse_index_record("so onlykey"), None);
-        assert_eq!(parse_index_record("so k 1 zz"), None);
-        assert_eq!(parse_index_record("so k 1 ff extra"), None);
     }
 }

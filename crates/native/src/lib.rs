@@ -345,6 +345,8 @@ pub struct NativeKernel {
     /// Output length in `f64` words.
     pub n_out: usize,
     lib: Loaded,
+    /// The [`KernelCache`] key the object was filed under.
+    cache_key: Option<String>,
 }
 
 impl fmt::Debug for NativeKernel {
@@ -440,7 +442,8 @@ impl NativeKernel {
             let tmp = TempArtifacts::new(&std::env::temp_dir(), &fresh_stem());
             std::fs::write(&tmp.so_path, bytes.as_slice())
                 .map_err(|e| NativeError::Io(format!("writing {}: {e}", tmp.so_path.display())))?;
-            let kernel = Self::from_loaded(tmp.load(CACHED_SYMBOL)?, CACHED_SYMBOL, unit)?;
+            let mut kernel = Self::from_loaded(tmp.load(CACHED_SYMBOL)?, CACHED_SYMBOL, unit)?;
+            kernel.cache_key = Some(key);
             return Ok((kernel, outcome));
         }
         let table_words: usize = unit.program.tables.iter().map(Vec::len).sum();
@@ -455,20 +458,17 @@ impl NativeKernel {
         if let Ok(bytes) = std::fs::read(&lib.so_path) {
             cache.insert(&key, bytes);
         }
-        let kernel = Self::from_loaded(lib, CACHED_SYMBOL, unit)?;
+        let mut kernel = Self::from_loaded(lib, CACHED_SYMBOL, unit)?;
+        kernel.cache_key = Some(key);
         Ok((kernel, CacheOutcome::Miss))
     }
 
-    /// The [`KernelCache`] key [`NativeKernel::compile_cached`] uses for
-    /// `unit` under `opts` — for callers that must quarantine
+    /// The [`KernelCache`] key a cached build filed its object under
+    /// (`None` for an uncached build) — for callers that must quarantine
     /// ([`KernelCache::evict`]) a kernel whose *output* was found wrong
     /// after compilation, which the input-addressed key cannot detect.
-    ///
-    /// # Errors
-    ///
-    /// Fails like `compile_cached` on complex-typed units.
-    pub fn cache_key(unit: &CompiledUnit, opts: &BuildOptions) -> Result<String, NativeError> {
-        c_source(unit, CACHED_SYMBOL).map(|c_src| KernelCache::key(&c_src, opts))
+    pub fn cache_key(&self) -> Option<&str> {
+        self.cache_key.as_deref()
     }
 
     /// The one place a resolved symbol becomes a callable entry point,
@@ -490,6 +490,7 @@ impl NativeKernel {
             n_in: unit.program.n_in,
             n_out: unit.program.n_out,
             lib,
+            cache_key: None,
         })
     }
 

@@ -163,7 +163,7 @@ impl CcTarget {
 }
 
 /// [`CcTarget::command_line`] of the host: what
-/// [`KernelCache::key`](crate::KernelCache::key) and the wisdom store's
+/// [`KernelCache::key_for`](crate::KernelCache::key_for) and the wisdom store's
 /// `cc_fingerprint` hash.
 pub fn cc_command_line() -> &'static str {
     CcTarget::host().command_line()

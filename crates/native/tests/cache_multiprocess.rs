@@ -1,17 +1,18 @@
 //! Multi-process `KernelCache` regression: two processes hammer the
 //! same cache directory concurrently and every entry must come back
-//! intact — no corrupt objects, no lost index records.
+//! intact — no corrupt objects, no lost entries — to a fresh instance
+//! and to one opened before either process wrote anything.
 //!
 //! The test re-invokes its own test binary (`current_exe`) in a worker
 //! mode selected by environment variables, so no extra helper binary is
-//! needed. Both workers insert an overlapping key set (content-
-//! addressed: same key, same bytes), which is exactly the pattern that
-//! used to race on a fixed `<key>.so.tmp` name.
+//! needed. Both workers insert an overlapping key set, which is exactly
+//! the pattern that used to race on a fixed `<key>.so.tmp` name.
 
 use std::path::PathBuf;
 use std::process::Command;
 
-use spl_native::cache::KernelCache;
+use spl_native::cache::{CacheOutcome, KernelCache};
+use spl_resilience::Journal;
 
 const WORKER_ENV: &str = "SPL_CACHE_MP_WORKER";
 const DIR_ENV: &str = "SPL_CACHE_MP_DIR";
@@ -64,6 +65,9 @@ fn two_processes_populate_one_dir_without_corruption_or_loss() {
     let dir = std::env::temp_dir().join(format!("spl_kcache_mp_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
+    // Opened before anything is filed: what the workers write later must
+    // still reach it, from the directory itself.
+    let early = KernelCache::with_dir(&dir).unwrap();
 
     let exe = std::env::current_exe().unwrap();
     let spawn = |worker: usize| {
@@ -80,18 +84,21 @@ fn two_processes_populate_one_dir_without_corruption_or_loss() {
         assert!(status.success(), "cache worker failed: {status}");
     }
 
-    // A fresh cache instance (cold memory, index replayed from disk)
-    // must serve every key either worker inserted, byte-for-byte.
-    let cache = KernelCache::with_dir(&dir).unwrap();
+    // The early instance and a fresh one (both cold in memory) must
+    // serve every key either worker inserted from disk, byte-for-byte.
+    let fresh = KernelCache::with_dir(&dir).unwrap();
     let mut all: Vec<usize> = worker_keys(0);
     all.extend(worker_keys(1));
     all.sort_unstable();
     all.dedup();
-    for i in all {
-        let (bytes, _) = cache
-            .lookup(&key_name(i))
-            .unwrap_or_else(|| panic!("lost entry {}", key_name(i)));
-        assert_eq!(*bytes, payload(i), "corrupt entry {}", key_name(i));
+    for cache in [&early, &fresh] {
+        for &i in &all {
+            let (bytes, outcome) = cache
+                .lookup(&key_name(i))
+                .unwrap_or_else(|| panic!("lost entry {}", key_name(i)));
+            assert_eq!(outcome, CacheOutcome::DiskHit, "{}", key_name(i));
+            assert_eq!(*bytes, payload(i), "corrupt entry {}", key_name(i));
+        }
     }
     // No abandoned tmp files: every write either renamed or cleaned up.
     let stray: Vec<_> = std::fs::read_dir(&dir)
@@ -101,5 +108,50 @@ fn two_processes_populate_one_dir_without_corruption_or_loss() {
         .filter(|n| n.ends_with(".tmp"))
         .collect();
     assert!(stray.is_empty(), "stray tmp files: {stray:?}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A directory written by the format before the trailer: a `.so` with no
+/// trailer, an `index.journal` vouching for it, an `index.lock`. The old
+/// object misses once and is removed; the journal and the lock file are
+/// neither read nor touched.
+#[test]
+fn a_directory_from_before_the_trailer_misses_once_and_keeps_its_log() {
+    if std::env::var(WORKER_ENV).is_ok() {
+        return;
+    }
+    let dir = std::env::temp_dir().join(format!("spl_kcache_old_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let key = "0123456789abcdef0123456789abcdef";
+    let object = payload(3);
+    let so = dir.join(format!("{key}.so"));
+    std::fs::write(&so, &object).unwrap();
+    let (mut journal, _) = Journal::open(&dir.join("index.journal")).unwrap();
+    let crc = spl_resilience::crc32::crc32(&object);
+    journal
+        .append(&format!("so {key} {} {crc:08x}", object.len()))
+        .unwrap();
+    drop(journal);
+    std::fs::write(dir.join("index.lock"), b"old lock").unwrap();
+    let log_before = std::fs::read(dir.join("index.journal")).unwrap();
+
+    let cache = KernelCache::with_dir(&dir).unwrap();
+    assert!(
+        cache.lookup(key).is_none(),
+        "a trailer-less object was served"
+    );
+    assert!(!so.exists(), "the old object is still there");
+    cache.insert(key, object.clone());
+    drop(cache);
+    let (bytes, outcome) = KernelCache::with_dir(&dir).unwrap().lookup(key).unwrap();
+    assert_eq!(outcome, CacheOutcome::DiskHit);
+    assert_eq!(*bytes, object);
+
+    assert_eq!(
+        std::fs::read(dir.join("index.journal")).unwrap(),
+        log_before
+    );
+    assert_eq!(std::fs::read(dir.join("index.lock")).unwrap(), b"old lock");
     let _ = std::fs::remove_dir_all(&dir);
 }

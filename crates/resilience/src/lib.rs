@@ -16,8 +16,8 @@
 //! * [`retry`] — a bounded retry budget with exponential backoff for
 //!   flaky external steps (spawning the host C compiler).
 //! * [`lockfile`] — advisory whole-file locks (`flock`) so multiple
-//!   processes can share on-disk state (e.g. a kernel cache directory)
-//!   without corrupting each other's writes.
+//!   processes can share on-disk state (the wisdom database) without
+//!   corrupting each other's writes.
 //! * [`command`] — running external commands under a wall-clock timeout,
 //!   so a hung `cc` is killed and reported instead of wedging the search.
 //! * [`sandbox`] — executing untrusted generated code in a forked child

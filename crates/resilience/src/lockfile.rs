@@ -1,7 +1,7 @@
 //! Advisory whole-file locks for multi-process coordination.
 //!
-//! On-disk state shared between processes — the kernel cache directory
-//! that searches and daemons share — needs a mutual-exclusion primitive that
+//! On-disk state shared between processes — the wisdom database that
+//! searches and daemons share — needs a mutual-exclusion primitive that
 //! survives `kill -9` (kernel-released, not lockfile-presence-based).
 //! POSIX `flock` is exactly that: the lock dies with the process, so a
 //! crashed holder never wedges its peers. [`FileLock`] wraps it RAII

@@ -500,25 +500,19 @@ impl NativeEvaluator {
     }
 
     /// Builds the candidate's kernel, through the kernel cache when one
-    /// is attached; also returns the cache key in that case so a later
-    /// verification failure can quarantine the entry.
-    fn build_kernel(
-        &mut self,
-        tree: &FftTree,
-    ) -> Result<(spl_native::NativeKernel, Option<String>), SearchError> {
+    /// is attached (the kernel then carries the key it was filed under,
+    /// so a later verification failure can quarantine the entry).
+    fn build_kernel(&mut self, tree: &FftTree) -> Result<spl_native::NativeKernel, SearchError> {
         let unit = compile_unit_for_tree(tree, self.unroll_threshold)?;
         let Some(cache) = &self.kernel_cache else {
-            return spl_native::NativeKernel::compile_with(&unit, &self.build)
-                .map(|k| (k, None))
-                .map_err(native_err);
+            return spl_native::NativeKernel::compile_with(&unit, &self.build).map_err(native_err);
         };
-        let key = spl_native::NativeKernel::cache_key(&unit, &self.build).map_err(native_err)?;
         let (kernel, outcome) = spl_native::NativeKernel::compile_cached(&unit, &self.build, cache)
             .map_err(native_err)?;
         if outcome != CacheOutcome::Miss {
             self.tel.add("search.kernel_cache_hits", 1);
         }
-        Ok((kernel, Some(key)))
+        Ok(kernel)
     }
 }
 
@@ -529,7 +523,7 @@ impl Evaluator for NativeEvaluator {
             self.tel.add("search.eval_cache_hits", 1);
             return Ok(c);
         }
-        let (kernel, cache_key) = self.build_kernel(tree)?;
+        let kernel = self.build_kernel(tree)?;
         if self.verify && tree.size() <= VERIFY_MAX_SIZE {
             let x = verification_input(tree.size());
             let flat = spl_vm::convert::interleave(&x);
@@ -541,7 +535,7 @@ impl Evaluator for NativeEvaluator {
                 // The cache key only covers what went *into* cc, so a
                 // kernel whose output is wrong must be expelled or every
                 // retry would be served the same bad object.
-                if let (Some(cache), Some(k)) = (&self.kernel_cache, &cache_key) {
+                if let (Some(cache), Some(k)) = (&self.kernel_cache, kernel.cache_key()) {
                     cache.evict(k);
                     self.tel.add("search.kernels_quarantined", 1);
                 }
@@ -606,8 +600,7 @@ pub fn compile_tree_native_with(
 
 /// The SPL-compiler half of a native build (everything before `cc`),
 /// shared by the direct and cache-mediated paths. Public so tooling and
-/// tests can compute a candidate's [`KernelCache`] key
-/// (via [`spl_native::NativeKernel::cache_key`]) without building it.
+/// tests can build a candidate's kernel outside an evaluator.
 ///
 /// # Errors
 ///

@@ -23,22 +23,35 @@ fn f8() -> FftTree {
     FftTree::node(Rule::CooleyTukey, FftTree::leaf(4), FftTree::leaf(2))
 }
 
+/// The key `tree`'s kernel is filed under, from a build into a scratch
+/// cache (so the cache under test sees no traffic).
+fn scratch_key(tree: &FftTree) -> String {
+    let unit = compile_unit_for_tree(tree, 64).expect("compile target unit");
+    let scratch = KernelCache::in_memory();
+    let (kernel, _) = NativeKernel::compile_cached(&unit, &BuildOptions::default(), &scratch)
+        .expect("scratch build");
+    kernel
+        .cache_key()
+        .expect("cached build has a key")
+        .to_string()
+}
+
 #[test]
 fn poisoned_cache_entry_is_quarantined_and_recompiled() {
     let build = BuildOptions::default();
     let cache = Arc::new(KernelCache::in_memory());
-    let target_unit = compile_unit_for_tree(&f8(), 64).expect("compile target unit");
-    let target_key = NativeKernel::cache_key(&target_unit, &build).expect("target key");
+    let target_key = scratch_key(&f8());
 
     // Build a *different* kernel (the size-4 DFT, half the I/O width)
     // and plant its object under the size-8 plan's key. The cache key
     // only covers what goes into cc, so this models a miscompiled
     // entry: structurally a valid shared object, wrong answers.
     let wrong_unit = compile_unit_for_tree(&FftTree::leaf(4), 64).expect("compile wrong unit");
-    let wrong_key = NativeKernel::cache_key(&wrong_unit, &build).expect("wrong key");
     let scratch = KernelCache::in_memory();
-    NativeKernel::compile_cached(&wrong_unit, &build, &scratch).expect("build wrong kernel");
-    let (bytes, _) = scratch.lookup(&wrong_key).expect("wrong kernel cached");
+    let (wrong, _) =
+        NativeKernel::compile_cached(&wrong_unit, &build, &scratch).expect("build wrong kernel");
+    let wrong_key = wrong.cache_key().expect("cached build has a key");
+    let (bytes, _) = scratch.lookup(wrong_key).expect("wrong kernel cached");
     cache.insert(&target_key, bytes.to_vec());
 
     let mut eval =
@@ -69,10 +82,8 @@ fn poisoned_cache_entry_is_quarantined_and_recompiled() {
 
 #[test]
 fn injected_miscompile_never_reaches_the_cache() {
-    let build = BuildOptions::default();
     let cache = Arc::new(KernelCache::in_memory());
-    let target_unit = compile_unit_for_tree(&f8(), 64).expect("compile target unit");
-    let target_key = NativeKernel::cache_key(&target_unit, &build).expect("target key");
+    let target_key = scratch_key(&f8());
 
     let inner =
         NativeEvaluator::new(64, Duration::from_millis(1)).with_kernel_cache(Arc::clone(&cache));

@@ -107,8 +107,6 @@ impl std::error::Error for ServeError {}
 struct SharedKernel {
     kernel: NativeKernel,
     running: Mutex<()>,
-    /// The kernel's key in the shared cache, for quarantine eviction.
-    cache_key: Option<String>,
 }
 
 // SAFETY: `NativeKernel` is `!Send`/`!Sync` only for its raw dlopen
@@ -280,7 +278,6 @@ impl Shared {
         let kernel = Arc::new(SharedKernel {
             kernel,
             running: Mutex::new(()),
-            cache_key: NativeKernel::cache_key(unit, build).ok(),
         });
         let x = probe(plan.vm.n_in);
         let mut want = vec![0.0; plan.vm.n_out];
@@ -314,9 +311,11 @@ impl Shared {
     fn quarantine(&self, kernel: &SharedKernel) {
         self.count("spld.quarantined");
         self.count("spld.degradations");
-        if let Some(key) = &kernel.cache_key {
-            self.kernels.evict(key);
-        }
+        kernel.with(|k| {
+            if let Some(key) = k.cache_key() {
+                self.kernels.evict(key);
+            }
+        });
     }
 }
 

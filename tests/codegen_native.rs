@@ -348,11 +348,6 @@ fn kernel_cache_key_separates_isa_levels() {
     assert_ne!(keys[0], keys[1], "avx2 vs avx");
     assert_ne!(keys[1], keys[2], "avx vs baseline");
     assert_ne!(keys[0], keys[2], "avx2 vs baseline");
-    assert_eq!(
-        KernelCache::key(c, &opts),
-        KernelCache::key_for(c, &opts, spl::native::cc_command_line()),
-        "the host key is the key under the host's line"
-    );
 }
 
 #[test]
@@ -407,15 +402,11 @@ fn units_that_differ_only_in_table_values_share_one_cc_run() {
     };
     assert_ne!(a.program.tables, b.program.tables, "different twiddles");
     let opts = BuildOptions::default();
-    assert_eq!(
-        NativeKernel::cache_key(a, &opts).unwrap(),
-        NativeKernel::cache_key(b, &opts).unwrap(),
-        "same text"
-    );
-
     let cache = KernelCache::in_memory();
     let (ka, _) = NativeKernel::compile_cached(a, &opts, &cache).unwrap();
     let (kb, _) = NativeKernel::compile_cached(b, &opts, &cache).unwrap();
+    assert!(ka.cache_key().is_some());
+    assert_eq!(ka.cache_key(), kb.cache_key(), "same text");
     // Both alive at once, and a second load of the first beside them.
     let (ka2, _) = NativeKernel::compile_cached(a, &opts, &cache).unwrap();
     assert_bitwise_vm("(TW 8 2 1)", a, &ka);
