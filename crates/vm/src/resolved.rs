@@ -54,6 +54,13 @@
 //!    bit-identical to the reference executor. Hints that fail
 //!    re-verification are silently demoted (counted in
 //!    `vm.vec.demoted`) — the mark is advisory, never trusted.
+//! 5. **Pairing**: last, one linear pass ([`pair_cells`]) over every run
+//!    of cell-form nodes joins each op with a later one of the same kind
+//!    (or its sub|add twin) into one [`RNode::Pair`] — the real and
+//!    imaginary halves of complex arithmetic, mostly — when the later op
+//!    can move up beside it: a 64-point block goes from 769 nodes to
+//!    438. Both lanes are the scalar op's own expression, so pairing
+//!    halves the dispatches and changes no bit.
 //!
 //! One vocabulary, one executor: the ten float kinds are the [`Arith`]
 //! enum, and a float op at every level — out of fusion, over cells or
@@ -109,6 +116,9 @@ pub struct ResolveStats {
     pub vec_demoted: u64,
     /// Lane-wide macro-ops across all vector plans (static count).
     pub vec_ops: u64,
+    /// Pair nodes: two cell-form ops run as one node (static count;
+    /// `cell_ops − pair_nodes` is the number of cell-form nodes).
+    pub pair_nodes: u64,
 }
 
 impl ResolveStats {
@@ -120,6 +130,7 @@ impl ResolveStats {
         tel.add("vm.lsr.cursors", self.cursors);
         tel.add("vm.ops.cell", self.cell_ops);
         tel.add("vm.ops.cursor", self.cursor_ops);
+        tel.add("vm.ops.pair", self.pair_nodes);
         tel.add("vm.lsr.steps", self.strength_reduced_steps);
         tel.add("vm.lsr.hoisted_terms", self.hoisted_terms);
         tel.add("vm.vec.loops", self.vec_loops);
@@ -282,7 +293,7 @@ impl IntOp {
 }
 
 /// A node of the block-structured program, 24 bytes: a 64-point
-/// straight-line block is ~770 of them, streamed once per call.
+/// straight-line block is 438 of them (769 ops), streamed once per call.
 ///
 /// The two float forms are one [`FloatOp<u32, u32>`] each, spelled out
 /// field by field so that the node's tag shares a word with the kind
@@ -307,6 +318,15 @@ enum RNode {
         d: [u32; 2],
         s: [u32; 3],
     },
+    /// Two cell-form ops of one run, as [`pair_cells`] paired them: lane
+    /// 0 over the cells `c`, lane 1 over `c[i] + off[i]`. The operands
+    /// are the destinations, then the sources, of the lanes' kind (at
+    /// most four); slots past them hold copies of slot 0.
+    Pair {
+        kind: Twin,
+        c: [u32; 4],
+        off: [i8; 4],
+    },
     /// The integer op [`ResolvedProgram::ints`]`[k]`.
     Int(u32),
     /// The counted loop [`ResolvedProgram::loops`]`[k]`; its body is
@@ -330,12 +350,82 @@ impl RNode {
         }
     }
 
-    /// The form and op of a float node; `None` for the other two.
+    /// The form and op of a float node; `None` for the other three.
     fn as_float(&self) -> Option<(Form, FloatOp<u32, u32>)> {
         match *self {
             RNode::Cell { kind, d, s } => Some((Form::Cell, FloatOp { kind, d, s })),
             RNode::Cursor { kind, d, s } => Some((Form::Cursor, FloatOp { kind, d, s })),
-            RNode::Int(_) | RNode::Loop(_) => None,
+            RNode::Pair { .. } | RNode::Int(_) | RNode::Loop(_) => None,
+        }
+    }
+}
+
+/// What the two lanes of a pair node compute: one kind in both (the
+/// first ten, named as in [`Arith`]), or a sub-like kind in lane 0
+/// beside its add-like twin in lane 1 — the real and imaginary halves of
+/// a complex product or sum. Flat, so that [`exec_pair`] dispatches on
+/// it with one jump.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Twin {
+    Add,
+    Sub,
+    Mul,
+    Div,
+    Copy,
+    Neg,
+    MulAdd,
+    MulSub,
+    NegMulAdd,
+    Butterfly,
+    SubAdd,
+    MulSubMulAdd,
+    NegMulAddMulAdd,
+}
+
+impl Twin {
+    /// The kinds of lanes 0 and 1.
+    fn lanes(self) -> [Arith; 2] {
+        let same = |k| [k, k];
+        match self {
+            Twin::Add => same(Arith::Add),
+            Twin::Sub => same(Arith::Sub),
+            Twin::Mul => same(Arith::Mul),
+            Twin::Div => same(Arith::Div),
+            Twin::Copy => same(Arith::Copy),
+            Twin::Neg => same(Arith::Neg),
+            Twin::MulAdd => same(Arith::MulAdd),
+            Twin::MulSub => same(Arith::MulSub),
+            Twin::NegMulAdd => same(Arith::NegMulAdd),
+            Twin::Butterfly => same(Arith::Butterfly),
+            Twin::SubAdd => [Arith::Sub, Arith::Add],
+            Twin::MulSubMulAdd => [Arith::MulSub, Arith::MulAdd],
+            Twin::NegMulAddMulAdd => [Arith::NegMulAdd, Arith::MulAdd],
+        }
+    }
+
+    /// The twin of an op of kind `first` and a later one of kind `later`,
+    /// and whether the later op takes lane 0; `None` when they do not
+    /// pair.
+    fn of(first: Arith, later: Arith) -> Option<(Twin, bool)> {
+        let twin = |l0, l1| match (l0, l1) {
+            (Arith::Add, Arith::Add) => Some(Twin::Add),
+            (Arith::Sub, Arith::Sub) => Some(Twin::Sub),
+            (Arith::Mul, Arith::Mul) => Some(Twin::Mul),
+            (Arith::Div, Arith::Div) => Some(Twin::Div),
+            (Arith::Copy, Arith::Copy) => Some(Twin::Copy),
+            (Arith::Neg, Arith::Neg) => Some(Twin::Neg),
+            (Arith::MulAdd, Arith::MulAdd) => Some(Twin::MulAdd),
+            (Arith::MulSub, Arith::MulSub) => Some(Twin::MulSub),
+            (Arith::NegMulAdd, Arith::NegMulAdd) => Some(Twin::NegMulAdd),
+            (Arith::Butterfly, Arith::Butterfly) => Some(Twin::Butterfly),
+            (Arith::Sub, Arith::Add) => Some(Twin::SubAdd),
+            (Arith::MulSub, Arith::MulAdd) => Some(Twin::MulSubMulAdd),
+            (Arith::NegMulAdd, Arith::MulAdd) => Some(Twin::NegMulAddMulAdd),
+            _ => None,
+        };
+        match twin(first, later) {
+            Some(t) => Some((t, false)),
+            None => twin(later, first).map(|t| (t, true)),
         }
     }
 }
@@ -561,7 +651,9 @@ impl ResolvedProgram {
     ///    the program names;
     /// 2. a *cell* operand is below `arena_len` by construction:
     ///    `Builder::cell`, which checks that, is the only maker of the
-    ///    cells a node can carry, and nothing moves one afterwards;
+    ///    cells a node can carry, and nothing moves one afterwards (a
+    ///    pair node's lane-1 cell, `c + off`, is its second op's cell
+    ///    exactly: `pair_node` stores the difference only when it fits);
     /// 3. a *cursor* operand is an index below the pinned cursor
     ///    count, and `Builder::mem` rejects any operand whose reachable
     ///    address box leaves its region — exact, since counted loops
@@ -638,14 +730,24 @@ impl ResolvedProgram {
             match node {
                 // A maximal run of float nodes of one form, in a loop
                 // that knows nothing of the other kinds: straight-line
-                // code is one such run.
-                RNode::Cell { .. } => {
-                    while let Some(RNode::Cell { kind, d, s }) = rest.as_slice().first() {
-                        probe.op(self.prov(at(&rest)), *kind as usize);
-                        exec_float::<true>(*kind, d, s, arena, cur);
-                        rest.next();
+                // code is one such run, of single and pair nodes.
+                RNode::Cell { .. } | RNode::Pair { .. } => loop {
+                    match rest.as_slice().first() {
+                        Some(RNode::Cell { kind, d, s }) => {
+                            probe.op(self.prov(at(&rest)), *kind as usize);
+                            exec_float::<true>(*kind, d, s, arena, cur);
+                        }
+                        Some(RNode::Pair { kind, c, off }) => {
+                            let prov = self.prov(at(&rest));
+                            for lane in kind.lanes() {
+                                probe.op(prov, lane as usize);
+                            }
+                            exec_pair(*kind, c, off, arena);
+                        }
+                        _ => break,
                     }
-                }
+                    rest.next();
+                },
                 RNode::Cursor { .. } => {
                     while let Some(RNode::Cursor { kind, d, s }) = rest.as_slice().first() {
                         probe.op(self.prov(at(&rest)), *kind as usize);
@@ -782,6 +884,81 @@ fn exec_float<const CELLS: bool>(
             put!(d, av + bv);
             put!(d2, av - bv);
         }
+    }
+}
+
+/// Executes one pair node: lane 0 over the cells `cells`, lane 1 over
+/// `cells[i] + off[i]`. Both lanes read their sources before either
+/// writes — [`pair_cells`] moved lane 1 only where that is the program
+/// order's answer — and each lane is its scalar op's expression over its
+/// operands in [`exec_float`]'s order. Sound by fact 2 on
+/// [`ResolvedProgram::run_with`]: each lane's cells are those of a
+/// cell-form op.
+#[inline(always)]
+fn exec_pair(kind: Twin, cells: &[u32; 4], off: &[i8; 4], arena: &mut [f64]) {
+    macro_rules! cell {
+        (0, $i:literal) => {
+            cells[$i] as usize
+        };
+        (1, $i:literal) => {
+            cells[$i].wrapping_add_signed(i32::from(off[$i])) as usize
+        };
+    }
+    macro_rules! get {
+        ($lane:tt, $i:literal) => {{
+            let k = cell!($lane, $i);
+            debug_assert!(k < arena.len(), "cell {k} of {}", arena.len());
+            // SAFETY: fact 2 — the cell of a cell-form op.
+            unsafe { *arena.get_unchecked(k) }
+        }};
+    }
+    macro_rules! put {
+        ($lane:tt, $i:literal, $v:expr) => {{
+            let v = $v;
+            let k = cell!($lane, $i);
+            debug_assert!(k < arena.len(), "cell {k} of {}", arena.len());
+            // SAFETY: as in `get!`.
+            unsafe { *arena.get_unchecked_mut(k) = v }
+        }};
+    }
+    // `d = e` in each lane: operand 0 is the destination, each name
+    // binds the lane's operand at its index.
+    macro_rules! lanes {
+        ($($x:ident = $i:literal),+ => $e0:expr, $e1:expr) => {{
+            let v0 = {
+                $(let $x = get!(0, $i);)+
+                $e0
+            };
+            let v1 = {
+                $(let $x = get!(1, $i);)+
+                $e1
+            };
+            put!(0, 0, v0);
+            put!(1, 0, v1);
+        }};
+    }
+    match kind {
+        Twin::Add => lanes!(a = 1, b = 2 => a + b, a + b),
+        Twin::Sub => lanes!(a = 1, b = 2 => a - b, a - b),
+        Twin::Mul => lanes!(a = 1, b = 2 => a * b, a * b),
+        Twin::Div => lanes!(a = 1, b = 2 => a / b, a / b),
+        Twin::Copy => lanes!(a = 1 => a, a),
+        Twin::Neg => lanes!(a = 1 => -a, -a),
+        Twin::MulAdd => lanes!(a = 1, b = 2, c = 3 => a * b + c, a * b + c),
+        Twin::MulSub => lanes!(a = 1, b = 2, c = 3 => a * b - c, a * b - c),
+        Twin::NegMulAdd => lanes!(a = 1, b = 2, c = 3 => c - a * b, c - a * b),
+        Twin::Butterfly => {
+            // Operands `d1, d2, a, b`; four distinct destinations.
+            let (a0, b0) = (get!(0, 2), get!(0, 3));
+            let (a1, b1) = (get!(1, 2), get!(1, 3));
+            put!(0, 0, a0 + b0);
+            put!(0, 1, a0 - b0);
+            put!(1, 0, a1 + b1);
+            put!(1, 1, a1 - b1);
+        }
+        Twin::SubAdd => lanes!(a = 1, b = 2 => a - b, a + b),
+        Twin::MulSubMulAdd => lanes!(a = 1, b = 2, c = 3 => a * b - c, a * b + c),
+        Twin::NegMulAddMulAdd => lanes!(a = 1, b = 2, c = 3 => c - a * b, a * b + c),
     }
 }
 
@@ -2085,6 +2262,115 @@ impl Builder {
     }
 }
 
+// ---------------------------------------------------------------------------
+// Pairing: runs of cell-form nodes → pair nodes.
+// ---------------------------------------------------------------------------
+
+/// The pair node running `l0` in lane 0 and `l1` in lane 1, `twin`
+/// their kinds; `None` when a lane-1 cell is not within an `i8` of its
+/// lane-0 cell, or a butterfly would write one cell twice.
+fn pair_node(twin: Twin, l0: &FloatOp<u32, u32>, l1: &FloatOp<u32, u32>) -> Option<RNode> {
+    debug_assert_eq!(twin.lanes(), [l0.kind, l1.kind]);
+    if twin == Twin::Butterfly && (l0.d[0] == l0.d[1] || l1.d[0] == l1.d[1]) {
+        return None;
+    }
+    let (nd, ns) = l0.kind.arity();
+    let operand = |op: &FloatOp<u32, u32>, k: usize| if k < nd { op.d[k] } else { op.s[k - nd] };
+    let (mut c, mut off) = ([0; 4], [0; 4]);
+    for k in 0..4 {
+        // Past the arity, slot 0 again.
+        let k_op = if k < nd + ns { k } else { 0 };
+        let (x, y) = (operand(l0, k_op), operand(l1, k_op));
+        c[k] = x;
+        off[k] = i8::try_from(i64::from(y) - i64::from(x)).ok()?;
+    }
+    Some(RNode::Pair { kind: twin, c, off })
+}
+
+/// The pairing pass: `nodes` with each cell-form op that finds a partner
+/// no more than [`FUSE_WINDOW`] nodes further down its run fused with it
+/// into one [`RNode::Pair`]. A run of cell-form nodes ends at any other
+/// node and at every loop's end, so no op leaves its loop body. The
+/// partner is the first later op of a kind [`Twin::of`] pairs with it,
+/// of the same formula node when the program carries provenance, that
+/// can move up over the first op and over every op still between them,
+/// and whose cells fit the node ([`pair_node`]). Moving up is legal when
+/// the partner reads no cell those ops write and writes no cell they
+/// read or write; operands are cells, so the test is exact. Loop
+/// ends and the provenance table (`prov`, parallel to `nodes` or empty)
+/// are remapped to the new indices. Each pair is one node fewer: the
+/// pass compacts `nodes` in place, never writing past the node it
+/// reads.
+fn pair_cells(nodes: &mut Vec<RNode>, prov: &mut Vec<u32>, loops: &mut [LoopNode]) {
+    let n = nodes.len();
+    let mut run_ends = vec![false; n + 1];
+    for lp in loops.iter() {
+        run_ends[lp.end as usize] = true;
+    }
+    let cell_op = |nodes: &[RNode], k: usize| match nodes[k] {
+        RNode::Cell { kind, d, s } => Some(FloatOp { kind, d, s }),
+        _ => None,
+    };
+    let mut taken = vec![false; n];
+    let mut new_at = vec![0; n + 1];
+    let mut out = 0;
+    for i in 0..n {
+        new_at[i] = out;
+        if taken[i] {
+            continue;
+        }
+        let mut node = nodes[i];
+        if let Some(first) = cell_op(nodes, i) {
+            for j in i + 1..n.min(i + 1 + FUSE_WINDOW) {
+                let Some(later) = cell_op(nodes, j).filter(|_| !run_ends[j]) else {
+                    break;
+                };
+                if taken[j] || (!prov.is_empty() && prov[j] != prov[i]) {
+                    continue;
+                }
+                let Some((twin, swap)) = Twin::of(first.kind, later.kind) else {
+                    continue;
+                };
+                // The ops the partner moves over: the first op and every
+                // untaken op between them.
+                let clash = |m: FloatOp<u32, u32>| {
+                    let (mw, mr) = (m.dsts(), m.srcs());
+                    later.srcs().iter().any(|s| mw.contains(s))
+                        || later
+                            .dsts()
+                            .iter()
+                            .any(|d| mw.contains(d) || mr.contains(d))
+                };
+                if (i..j).any(|k| !taken[k] && cell_op(nodes, k).is_some_and(clash)) {
+                    continue;
+                }
+                let (l0, l1) = if swap {
+                    (&later, &first)
+                } else {
+                    (&first, &later)
+                };
+                if let Some(pair) = pair_node(twin, l0, l1) {
+                    node = pair;
+                    taken[j] = true;
+                    break;
+                }
+            }
+        }
+        nodes[out] = node;
+        if !prov.is_empty() {
+            prov[out] = prov[i];
+        }
+        out += 1;
+    }
+    nodes.truncate(out);
+    prov.truncate(out);
+    new_at[n] = out;
+    for lp in loops.iter_mut() {
+        // No more nodes precede the end than before: it still fits.
+        lp.end = new_at[lp.end as usize] as u32;
+    }
+}
+
 /// Resolves a lowered program into the fused, block-structured engine,
 /// or reports why it must stay on the reference executor.
 pub(crate) fn resolve(prog: &VmProgram) -> Result<ResolvedProgram, Unsupported> {
@@ -2225,6 +2511,12 @@ pub(crate) fn resolve(prog: &VmProgram) -> Result<ResolvedProgram, Unsupported> 
     }
     let mut stats = b.stats;
     stats.cursors = b.init.len() as u64;
+    if !b.has_prov || b.node_prov.len() != b.nodes.len() {
+        b.node_prov.clear();
+    }
+    let singles = b.nodes.len();
+    pair_cells(&mut b.nodes, &mut b.node_prov, &mut b.loops);
+    stats.pair_nodes = (singles - b.nodes.len()) as u64;
     // The state tag, FNV-1a over words (a 2^16 plan presets ~10^5
     // table cells): the program's shape, then its constants.
     let shape = [b.nodes.len(), b.init.len(), b.arena_len].map(|n| n as u64);
@@ -2236,11 +2528,7 @@ pub(crate) fn resolve(prog: &VmProgram) -> Result<ResolvedProgram, Unsupported> 
             (h ^ word).wrapping_mul(0x0000_0100_0000_01b3)
         });
     Ok(ResolvedProgram {
-        node_prov: if b.has_prov && b.node_prov.len() == b.nodes.len() {
-            b.node_prov
-        } else {
-            Vec::new()
-        },
+        node_prov: b.node_prov,
         nodes: b.nodes,
         ints: b.ints,
         loops: b.loops,
@@ -2294,6 +2582,30 @@ mod tests {
             .collect()
     }
 
+    /// The ops of a cell-form node in lane order: one for a single node,
+    /// two for a pair, none for any other node.
+    fn ops_of(node: &RNode) -> Vec<FloatOp<u32, u32>> {
+        match *node {
+            RNode::Cell { kind, d, s } => vec![FloatOp { kind, d, s }],
+            RNode::Pair { kind, c, off } => {
+                let lane1: Vec<u32> = c
+                    .iter()
+                    .zip(off)
+                    .map(|(&x, o)| x.wrapping_add_signed(i32::from(o)))
+                    .collect();
+                kind.lanes()
+                    .into_iter()
+                    .zip([&c[..], &lane1[..]])
+                    .map(|(k, cells)| {
+                        let (nd, ns) = k.arity();
+                        FloatOp::new(k, &cells[..nd], &cells[nd..nd + ns])
+                    })
+                    .collect()
+            }
+            RNode::Cursor { .. } | RNode::Int(_) | RNode::Loop(_) => Vec::new(),
+        }
+    }
+
     #[test]
     fn a_node_is_three_words() {
         assert!(std::mem::size_of::<RNode>() <= 24);
@@ -2310,13 +2622,15 @@ mod tests {
             let rp = resolve(&vm).unwrap();
             assert!(rp.loops.is_empty() && rp.ints.is_empty(), "n={n}");
             assert!(
-                rp.nodes.iter().all(|n| matches!(n, RNode::Cell { .. })),
+                rp.nodes
+                    .iter()
+                    .all(|n| matches!(n, RNode::Cell { .. } | RNode::Pair { .. })),
                 "n={n}"
             );
             assert_eq!(rp.stats.cursors, 0, "n={n}");
             assert_eq!(
                 (rp.stats.cell_ops, rp.stats.cursor_ops),
-                (rp.nodes.len() as u64, 0),
+                (rp.nodes.len() as u64 + rp.stats.pair_nodes, 0),
                 "n={n}"
             );
             assert!(rp.init_cursors.is_empty(), "n={n}");
@@ -2365,10 +2679,10 @@ mod tests {
             open.retain(|&k| (i as u32) < rp.loops[k as usize].end);
             match rp.nodes[i] {
                 RNode::Loop(k) => open.push(k),
-                RNode::Cell { .. } if !open.is_empty() => {
-                    in_loops += 1;
-                    let (_, op) = rp.nodes[i].as_float().unwrap();
-                    for &cell in op.dsts().iter().chain(op.srcs()) {
+                RNode::Cell { .. } | RNode::Pair { .. } if !open.is_empty() => {
+                    let ops = ops_of(&rp.nodes[i]);
+                    in_loops += ops.len();
+                    for &cell in ops.iter().flat_map(|op| op.dsts().iter().chain(op.srcs())) {
                         assert!((cell as usize) < rp.arena_len, "{label}: node {i}");
                         for &k in &open {
                             assert!(
@@ -2399,14 +2713,19 @@ mod tests {
         cell_ops_keep_off_swept_cells(&vm, src);
     }
 
+    /// Per lane: a pair node counts as two ops, each in its lane's class.
     #[test]
     fn a_straight_line_profile_counts_each_node_in_its_class() {
         let (_, vm) = plans(64).pop().unwrap();
         let rp = resolve(&vm).unwrap();
+        assert!(rp.stats.pair_nodes > 0);
         let mut want = [0u64; N_OP_CLASSES];
         for node in &rp.nodes {
-            let (_, op) = node.as_float().expect("straight-line code is float ops");
-            want[op.kind as usize] += 1;
+            let ops = ops_of(node);
+            assert!(!ops.is_empty(), "straight-line code is float ops");
+            for op in ops {
+                want[op.kind as usize] += 1;
+            }
         }
         let x: Vec<f64> = (0..vm.n_in).map(|i| (i as f64 * 0.37).sin()).collect();
         let mut y = vec![0.0; vm.n_out];
@@ -2415,7 +2734,7 @@ mod tests {
             .expect("resolved");
         assert_eq!(prof.op_counts, want);
         assert!(want[Arith::MulAdd as usize] > 0 && want[Arith::Butterfly as usize] > 0);
-        assert_eq!(prof.op_counts.iter().sum::<u64>(), rp.nodes.len() as u64);
+        assert_eq!(prof.op_counts.iter().sum::<u64>(), rp.stats.cell_ops);
     }
 
     /// Every kind, in discriminant order, with the `(dsts, srcs)` and
@@ -2710,6 +3029,322 @@ mod tests {
             let x: Vec<f64> = (0..vm.n_in).map(|i| i as f64 - 2.5).collect();
             let y0: Vec<f64> = (0..vm.n_out).map(|i| (i as f64).sqrt()).collect();
             agree_bitwise(&vm, &x, &y0, &format!("trips {trips}"));
+        }
+    }
+
+    // -----------------------------------------------------------------
+    // Pairing legality. Each program is straight-line over `$f`
+    // registers, which are arena cells `0..n_f`, eight input and eight
+    // output words; each is held to `run_reference`'s bits.
+    // -----------------------------------------------------------------
+
+    use spl_icode::Place as P;
+
+    /// `in[i]` (a source) or `out[i]` at a constant subscript.
+    fn io(kind: spl_icode::VecKind, i: i64) -> P {
+        P::Vec(spl_icode::VecRef {
+            kind,
+            idx: spl_icode::Affine::constant(i),
+        })
+    }
+
+    fn x(i: i64) -> P {
+        io(spl_icode::VecKind::In, i)
+    }
+
+    /// `d = a op b`.
+    fn op(o: BinOp, d: P, a: P, b: P) -> spl_icode::Instr {
+        bin(o, d, a, spl_icode::Value::Place(b))
+    }
+
+    /// `d = −a` (`neg`) or `d = a`.
+    fn un(neg: bool, d: P, a: P) -> spl_icode::Instr {
+        spl_icode::Instr::Un {
+            op: if neg {
+                spl_icode::UnOp::Neg
+            } else {
+                spl_icode::UnOp::Copy
+            },
+            dst: d,
+            a: spl_icode::Value::Place(a),
+        }
+    }
+
+    /// `body` over `n_f` registers, then `out[k] = $f<k>` for each
+    /// register in `outs`, lowered.
+    fn straight(n_f: u32, mut body: Vec<spl_icode::Instr>, outs: &[u32]) -> VmProgram {
+        for (i, &k) in outs.iter().enumerate() {
+            body.push(un(false, io(spl_icode::VecKind::Out, i as i64), P::F(k)));
+        }
+        lower(&spl_icode::IProgram {
+            instrs: body,
+            n_in: 8,
+            n_out: 8,
+            n_f,
+            complex: false,
+            ..spl_icode::IProgram::empty()
+        })
+        .unwrap()
+    }
+
+    /// The ops, in lane order, of the first node that writes cell `d`.
+    fn node_writing(rp: &ResolvedProgram, d: u32) -> Vec<FloatOp<u32, u32>> {
+        rp.nodes
+            .iter()
+            .map(ops_of)
+            .find(|ops| ops.iter().any(|op| op.dsts().contains(&d)))
+            .expect("a node writes the cell")
+    }
+
+    /// Resolves `vm`, holds its three executors to one answer on inputs
+    /// `xs`, and returns how many ops the node writing `$f<k>` holds.
+    fn lanes_writing(vm: &VmProgram, k: u32, xs: &[f64], label: &str) -> usize {
+        agree_bitwise(vm, xs, &[0.0; 8], label);
+        node_writing(&resolve(vm).unwrap(), k).len()
+    }
+
+    const XS: [f64; 8] = [1.5, -2.25, 3.0, 0.375, -7.0, 11.0, 0.1, 2.0];
+
+    #[test]
+    fn a_partner_that_reads_the_first_destination_stays_unpaired() {
+        let _g = simd::override_lock();
+        let add = BinOp::Add;
+        // `$f1 = $f0 + in2` reads what the first op writes.
+        let raw = vec![
+            op(add, P::F(0), x(0), x(1)),
+            op(add, P::F(1), P::F(0), x(2)),
+        ];
+        assert_eq!(lanes_writing(&straight(2, raw, &[0, 1]), 0, &XS, "raw"), 1);
+        // Independent, the same two adds are one node.
+        let free = vec![op(add, P::F(0), x(0), x(1)), op(add, P::F(1), x(3), x(2))];
+        assert_eq!(
+            lanes_writing(&straight(2, free, &[0, 1]), 0, &XS, "free"),
+            2
+        );
+    }
+
+    #[test]
+    fn a_partner_is_refused_on_raw_war_and_waw_with_a_node_it_moves_over() {
+        let _g = simd::override_lock();
+        let (add, div) = (BinOp::Add, BinOp::Div);
+        let first = || op(add, P::F(0), x(0), x(1));
+        let init = un(false, P::F(3), x(6));
+        let cases = [
+            // The moved-over division writes what the partner reads.
+            (
+                "raw",
+                vec![
+                    first(),
+                    op(div, P::F(2), x(2), x(3)),
+                    op(add, P::F(1), P::F(2), x(4)),
+                ],
+                1,
+            ),
+            // ... reads what the partner writes.
+            (
+                "war",
+                vec![
+                    init.clone(),
+                    first(),
+                    op(div, P::F(2), x(2), P::F(3)),
+                    op(add, P::F(3), x(4), x(5)),
+                ],
+                1,
+            ),
+            // ... writes what the partner writes.
+            (
+                "waw",
+                vec![
+                    first(),
+                    op(div, P::F(1), x(2), x(3)),
+                    op(add, P::F(1), x(4), x(5)),
+                ],
+                1,
+            ),
+            // The first op reads what the partner writes.
+            (
+                "war first",
+                vec![
+                    init,
+                    op(add, P::F(0), P::F(3), x(1)),
+                    op(add, P::F(3), x(4), x(5)),
+                ],
+                1,
+            ),
+            // None of them: the partner moves up over the division.
+            (
+                "free",
+                vec![
+                    first(),
+                    op(div, P::F(2), x(2), x(3)),
+                    op(add, P::F(1), x(4), x(5)),
+                ],
+                2,
+            ),
+        ];
+        for (label, body, lanes) in cases {
+            let vm = straight(4, body, &[0, 1, 2, 3]);
+            assert_eq!(lanes_writing(&vm, 0, &XS, label), lanes, "{label}");
+        }
+    }
+
+    #[test]
+    fn two_lanes_that_write_one_cell_are_refused() {
+        let _g = simd::override_lock();
+        let add = BinOp::Add;
+        let body = vec![op(add, P::F(0), x(0), x(1)), op(add, P::F(0), x(2), x(3))];
+        let vm = straight(1, body, &[0]);
+        let rp = resolve(&vm).unwrap();
+        assert_eq!(rp.stats.pair_nodes, 0);
+        assert_eq!(lanes_writing(&vm, 0, &XS, "waw"), 1);
+    }
+
+    #[test]
+    fn butterfly_pairs_have_four_distinct_destinations() {
+        let _g = simd::override_lock();
+        let (add, sub) = (BinOp::Add, BinOp::Sub);
+        let fly = |d1, d2, a, b| vec![op(add, P::F(d1), x(a), x(b)), op(sub, P::F(d2), x(a), x(b))];
+        let cases = [
+            ("distinct", [fly(0, 1, 0, 1), fly(2, 3, 2, 3)].concat(), 2),
+            // A butterfly that writes its one cell twice stays alone.
+            ("one cell", [fly(0, 0, 0, 1), fly(2, 3, 2, 3)].concat(), 1),
+            // Two butterflies that share a destination.
+            ("shared", [fly(0, 1, 0, 1), fly(1, 3, 2, 3)].concat(), 1),
+        ];
+        for (label, body, lanes) in cases {
+            let vm = straight(4, body, &[0, 1, 2, 3]);
+            let rp = resolve(&vm).unwrap();
+            assert_eq!(rp.stats.fused_butterfly, 2, "{label}");
+            assert_eq!(lanes_writing(&vm, 0, &XS, label), lanes, "{label}");
+        }
+        // The plans' butterfly pairs, all of them.
+        let mut seen = 0;
+        for (n, vm) in plans(64) {
+            for node in &resolve(&vm).unwrap().nodes {
+                let ops = ops_of(node);
+                if let [l0, l1] = &ops[..] {
+                    if l0.kind == Arith::Butterfly {
+                        let d: HashSet<u32> = l0.dsts().iter().chain(l1.dsts()).copied().collect();
+                        assert_eq!(d.len(), 4, "n={n}: {node:?}");
+                        seen += 1;
+                    }
+                }
+            }
+        }
+        assert!(seen > 0);
+    }
+
+    #[test]
+    fn mixed_pairs_put_the_sub_like_op_in_lane_0_in_either_order() {
+        let _g = simd::override_lock();
+        let (add, sub, mul) = (BinOp::Add, BinOp::Sub, BinOp::Mul);
+        // `$f<d>` as the kind `k` over fresh inputs, through `$f<t>` for
+        // the multiply–add kinds.
+        let make = |k: Arith, d: u32, t: u32, i: i64| -> Vec<spl_icode::Instr> {
+            let prod = op(mul, P::F(t), x(i), x(i + 1));
+            match k {
+                Arith::Sub => vec![op(sub, P::F(d), x(i), x(i + 1))],
+                Arith::Add => vec![op(add, P::F(d), x(i), x(i + 1))],
+                Arith::MulSub => vec![prod, op(sub, P::F(d), P::F(t), x(i + 2))],
+                Arith::MulAdd => vec![prod, op(add, P::F(d), P::F(t), x(i + 2))],
+                Arith::NegMulAdd => vec![prod, op(sub, P::F(d), x(i + 2), P::F(t))],
+                _ => unreachable!(),
+            }
+        };
+        let combos = [
+            (Arith::Sub, Arith::Add, Twin::SubAdd),
+            (Arith::MulSub, Arith::MulAdd, Twin::MulSubMulAdd),
+            (Arith::NegMulAdd, Arith::MulAdd, Twin::NegMulAddMulAdd),
+        ];
+        for (sub_like, add_like, twin) in combos {
+            // `$f0` sub-like, `$f1` add-like; either one first.
+            for sub_first in [true, false] {
+                let (s, a) = (make(sub_like, 0, 2, 0), make(add_like, 1, 3, 4));
+                let body = if sub_first { [s, a] } else { [a, s] }.concat();
+                let vm = straight(4, body, &[0, 1]);
+                let label = format!("{twin:?}, sub-like first: {sub_first}");
+                agree_bitwise(&vm, &XS, &[0.0; 8], &label);
+                let rp = resolve(&vm).unwrap();
+                let node = rp
+                    .nodes
+                    .iter()
+                    .find(|n| matches!(n, RNode::Pair { kind, .. } if *kind == twin));
+                let ops = ops_of(node.unwrap_or_else(|| panic!("{label}: no pair")));
+                assert_eq!([ops[0].kind, ops[1].kind], [sub_like, add_like], "{label}");
+                assert_eq!([ops[0].d[0], ops[1].d[0]], [0, 1], "{label}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_lane_one_cell_outside_the_i8_range_stays_unpaired() {
+        let _g = simd::override_lock();
+        let add = BinOp::Add;
+        // The first op writes `$f<a>`, the later one `$f<b>`: lane 1's
+        // destination is `b − a` cells from lane 0's.
+        for (a, b, lanes) in [
+            (0, 127, 2),
+            (0, 128, 1),
+            (128, 0, 2),
+            (129, 0, 1),
+            (0, 200, 1),
+        ] {
+            let body = vec![op(add, P::F(a), x(0), x(1)), op(add, P::F(b), x(2), x(3))];
+            let vm = straight(256, body, &[a, b]);
+            let label = format!("$f{a}, $f{b}");
+            assert_eq!(lanes_writing(&vm, a, &XS, &label), lanes, "{label}");
+        }
+    }
+
+    #[test]
+    fn negative_zero_nan_and_infinities_run_through_neg_and_sub_pairs() {
+        let _g = simd::override_lock();
+        let sub = BinOp::Sub;
+        let nan = f64::from_bits(0x7ff8_0000_0000_1234);
+        let xs = [
+            -0.0,
+            0.0,
+            nan,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            -nan,
+            f64::INFINITY,
+            -0.0,
+        ];
+        let body = vec![
+            un(true, P::F(0), x(0)),
+            un(true, P::F(1), x(2)),
+            un(true, P::F(2), x(3)),
+            un(true, P::F(3), x(5)),
+            op(sub, P::F(4), x(0), x(1)),
+            op(sub, P::F(5), x(1), x(7)),
+            op(sub, P::F(6), x(3), x(6)),
+            op(sub, P::F(7), x(4), x(2)),
+        ];
+        let vm = straight(8, body, &[0, 1, 2, 3, 4, 5, 6, 7]);
+        let rp = resolve(&vm).unwrap();
+        for k in 0..8 {
+            assert_eq!(node_writing(&rp, k).len(), 2, "$f{k}");
+        }
+        agree_bitwise(&vm, &xs, &[0.0; 8], "signed zeros, NaN, infinities");
+        let mut y = [0.0; 8];
+        vm.run(&xs, &mut y, &mut VmState::new(&vm));
+        assert_eq!(y[0].to_bits(), 0.0f64.to_bits(), "−(−0) is +0");
+        assert_eq!(y[4].to_bits(), (-0.0f64).to_bits(), "−0 − 0 is −0");
+        assert!(y[1].is_nan() && y[6].is_nan() && y[7].is_nan());
+        assert_eq!(y[2], f64::NEG_INFINITY);
+    }
+
+    #[test]
+    fn straight_line_plans_resolve_to_six_tenths_of_their_float_ops() {
+        for (n, vm) in plans(64) {
+            let rp = resolve(&vm).unwrap();
+            let ops = rp.stats.cell_ops;
+            assert!(
+                10 * rp.nodes.len() as u64 <= 6 * ops,
+                "n={n}: {} nodes for {ops} float ops",
+                rp.nodes.len()
+            );
         }
     }
 }
