@@ -19,6 +19,7 @@ use spl_frontend::ast::{DataType, Language};
 use spl_icode::{BinOp, IProgram, Instr, LoopVar, Place, UnOp, Value, VecKind, VecRef};
 use spl_numeric::Complex;
 
+use crate::mix::MixMap;
 use crate::pack::{self, PackedRun};
 
 /// Where the C emitter puts a program's constant tables.
@@ -141,6 +142,36 @@ fn write_f64(buf: &mut String, v: f64, fortran: bool) {
     }
 }
 
+/// Table literals printed so far, by the bits of their magnitude: a
+/// large transform's tables repeat most of their values and the values'
+/// negations, and formatting a double is most of what printing one
+/// costs. What [`Literals::write`] appends is what [`write_f64`] does.
+#[derive(Default)]
+struct Literals {
+    text: String,
+    at: MixMap<u64, (u32, u32)>,
+}
+
+impl Literals {
+    /// Appends the literal for `v` to `buf`: its sign, then its
+    /// magnitude's digits, formatted on first sight only.
+    fn write(&mut self, buf: &mut String, v: f64, fortran: bool) {
+        if v.is_nan() {
+            return write_f64(buf, v, fortran);
+        }
+        if v.is_sign_negative() {
+            buf.push('-');
+        }
+        let Literals { text, at } = self;
+        let (start, end) = *at.entry(v.abs().to_bits()).or_insert_with(|| {
+            let start = text.len();
+            write_f64(text, v.abs(), fortran);
+            (start as u32, text.len() as u32)
+        });
+        buf.push_str(&text[start as usize..end as usize]);
+    }
+}
+
 /// Appends the literal for `c` to `buf`.
 fn write_const(buf: &mut String, c: Complex, complex_code: bool, fortran: bool, peephole: bool) {
     if complex_code {
@@ -224,6 +255,7 @@ struct Emit<'a> {
     buf: String,
     indent: usize,
     stats: EmitStats,
+    literals: Literals,
 }
 
 impl Emit<'_> {
@@ -244,17 +276,22 @@ impl Emit<'_> {
     /// `chunk` separated by `sep`, then `tail` — streamed into the
     /// buffer, since tables are most of the text of a large transform.
     fn table_line(&mut self, lead: &str, chunk: &[Complex], sep: &str, tail: &str) {
-        let complex_code = self.opts.codetype == DataType::Complex;
+        let complex_code = self.fortran && self.opts.codetype == DataType::Complex;
         self.open_line();
         self.buf.push_str(lead);
         for (k, c) in chunk.iter().enumerate() {
             if k > 0 {
                 self.buf.push_str(sep);
             }
-            if self.fortran {
-                write_const(&mut self.buf, *c, complex_code, true, false);
+            if complex_code {
+                self.buf.push('(');
+                self.literals.write(&mut self.buf, c.re, true);
+                self.buf.push(',');
+                self.literals.write(&mut self.buf, c.im, true);
+                self.buf.push(')');
             } else {
-                write_f64(&mut self.buf, c.re, false);
+                debug_assert!(!self.fortran || c.is_real());
+                self.literals.write(&mut self.buf, c.re, self.fortran);
             }
         }
         self.buf.push_str(tail);
@@ -411,6 +448,7 @@ fn emit_fortran(name: &str, prog: &IProgram, opts: &CodegenOptions) -> (String, 
         buf: String::new(),
         indent: 0,
         stats: EmitStats::default(),
+        literals: Literals::default(),
     };
     let complex_code = opts.codetype == DataType::Complex;
     let scalar_ty = if complex_code { "complex*16" } else { "real*8" };
@@ -497,6 +535,7 @@ fn emit_c(name: &str, prog: &IProgram, opts: &CodegenOptions) -> (String, EmitSt
         buf: String::new(),
         indent: 0,
         stats: EmitStats::default(),
+        literals: Literals::default(),
     };
     let runs = if opts.peephole || opts.io_params {
         Vec::new()
@@ -933,6 +972,129 @@ mod tests {
         );
         assert!(c.contains("static const double d0[2]"));
         assert!(c.contains("f0 = d0[0];"));
+    }
+
+    /// Table values whose literals the memo must print as
+    /// [`write_f64`] does: both zeros, subnormals, extremes, values with
+    /// 17 significant digits, repeats and negations.
+    fn awkward_values() -> Vec<f64> {
+        let base = [
+            0.0,
+            -0.0,
+            f64::from_bits(1),
+            -2.2250738585072e-309,
+            1e300,
+            -1e300,
+            0.30000000000000004,
+            -1.2345678901234567,
+            std::f64::consts::FRAC_1_SQRT_2,
+            1e-5,
+            1e16,
+            0.5,
+        ];
+        base.iter()
+            .chain(&base)
+            .chain(base.iter().rev())
+            .flat_map(|&v| [v, -v])
+            .collect()
+    }
+
+    /// The program whose one table is `values`, read once.
+    fn table_prog(values: Vec<Complex>, complex: bool) -> IProgram {
+        IProgram {
+            instrs: vec![Instr::Un {
+                op: UnOp::Copy,
+                dst: Place::F(0),
+                a: Value::Place(Place::Vec(VecRef {
+                    kind: VecKind::Table(0),
+                    idx: Affine::constant(0),
+                })),
+            }],
+            tables: vec![values],
+            n_f: 1,
+            n_in: 1,
+            n_out: 1,
+            complex,
+            ..IProgram::empty()
+        }
+    }
+
+    /// The table lines a memo-free emitter prints: `lead` (`rest` after
+    /// the first line), the chunk's literals from `lit`, `tail`.
+    fn memo_free_lines(
+        table: &[Complex],
+        lit: &dyn Fn(&mut String, Complex),
+        (pad, lead, rest, sep, tail): (&str, &str, &str, &str, &str),
+    ) -> String {
+        let mut out = String::new();
+        for (k, chunk) in table.chunks(4).enumerate() {
+            out.push_str(pad);
+            out.push_str(if k == 0 { lead } else { rest });
+            for (i, &c) in chunk.iter().enumerate() {
+                if i > 0 {
+                    out.push_str(sep);
+                }
+                lit(&mut out, c);
+            }
+            out.push_str(tail);
+            out.push('\n');
+        }
+        out
+    }
+
+    #[test]
+    fn table_literals_print_as_write_f64_prints_them() {
+        let values = awkward_values();
+        let real: Vec<Complex> = values.iter().map(|&v| Complex::real(v)).collect();
+        let prog = table_prog(real.clone(), false);
+        let c_opts = |tables| CodegenOptions {
+            language: Language::C,
+            tables,
+            ..Default::default()
+        };
+        // C, inline: the initializer, line by line.
+        let c = emit("t", &prog, &c_opts(TableMode::Inline));
+        let want = memo_free_lines(
+            &real,
+            &|out, c| write_f64(out, c.re, false),
+            ("  ", "  ", "  ", ", ", ","),
+        );
+        let head = format!("static const double d0[{}] = {{\n", real.len());
+        assert!(c.contains(&format!("{head}{want}  }};\n")), "{c}");
+        // C, loaded: no literal in the text, every value's bits handed
+        // to the loader.
+        let loaded = emit("t", &prog, &c_opts(TableMode::Loaded));
+        let zeros = table_prog(vec![Complex::ZERO; real.len()], false);
+        assert_eq!(loaded, emit("t", &zeros, &c_opts(TableMode::Loaded)));
+        let bits = |v: &[f64]| v.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&table_values(&prog)), bits(&values));
+        // Fortran, real and complex code.
+        let f = emit("t", &prog, &CodegenOptions::default());
+        let want = memo_free_lines(
+            &real,
+            &|out, c| write_f64(out, c.re, true),
+            ("      ", "data d0 /", "     . ,", ",", ""),
+        );
+        assert!(f.contains(&want), "{f}");
+        let cplx: Vec<Complex> = values
+            .chunks(2)
+            .map(|p| Complex::new(p[0], p[p.len() - 1]))
+            .collect();
+        let prog = table_prog(cplx.clone(), true);
+        let f = emit(
+            "t",
+            &prog,
+            &CodegenOptions {
+                codetype: DataType::Complex,
+                ..Default::default()
+            },
+        );
+        let want = memo_free_lines(
+            &cplx,
+            &|out, c| write_const(out, c, true, true, false),
+            ("      ", "data d0 /", "     . ,", ",", ""),
+        );
+        assert!(f.contains(&want), "{f}");
     }
 
     #[test]

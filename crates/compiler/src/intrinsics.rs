@@ -8,10 +8,10 @@
 //! replaces the invocation by a table reference subscripted by the loop
 //! indices.
 
-use std::collections::HashMap;
-
 use spl_icode::{Affine, BinOp, IProgram, Instr, LoopVar, Place, UnOp, Value, VecKind, VecRef};
 use spl_numeric::twiddle::omega;
+
+use crate::mix::MixMap;
 
 /// An error during intrinsic evaluation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -37,14 +37,48 @@ enum IntSym {
 }
 
 impl IntSym {
-    fn eval(&self, env: &HashMap<LoopVar, i64>) -> i64 {
+    /// The value with variable `k` at `env[k]`: for an expression whose
+    /// variables are [renamed](IntSym::renamed) to positions.
+    fn eval(&self, env: &[i64]) -> i64 {
         match self {
             IntSym::C(v) => *v,
-            IntSym::V(lv) => env[lv],
+            IntSym::V(lv) => env[lv.0 as usize],
             IntSym::Add(a, b) => a.eval(env) + b.eval(env),
             IntSym::Sub(a, b) => a.eval(env) - b.eval(env),
             IntSym::Mul(a, b) => a.eval(env) * b.eval(env),
             IntSym::Div(a, b) => a.eval(env) / b.eval(env),
+        }
+    }
+
+    /// The expression with each variable renamed to its position in
+    /// `vars`.
+    fn renamed(&self, vars: &[LoopVar]) -> IntSym {
+        let op = |a: &IntSym, b: &IntSym| (Box::new(a.renamed(vars)), Box::new(b.renamed(vars)));
+        match self {
+            IntSym::C(v) => IntSym::C(*v),
+            IntSym::V(lv) => {
+                let k = vars
+                    .iter()
+                    .position(|v| v == lv)
+                    .expect("a variable of the expression");
+                IntSym::V(LoopVar(k as u32))
+            }
+            IntSym::Add(a, b) => {
+                let (a, b) = op(a, b);
+                IntSym::Add(a, b)
+            }
+            IntSym::Sub(a, b) => {
+                let (a, b) = op(a, b);
+                IntSym::Sub(a, b)
+            }
+            IntSym::Mul(a, b) => {
+                let (a, b) = op(a, b);
+                IntSym::Mul(a, b)
+            }
+            IntSym::Div(a, b) => {
+                let (a, b) = op(a, b);
+                IntSym::Div(a, b)
+            }
         }
     }
 
@@ -105,12 +139,11 @@ pub fn eval_intrinsics(prog: &IProgram) -> Result<IProgram, IntrinsicError> {
 pub fn eval_intrinsics_with_stats(
     prog: &IProgram,
 ) -> Result<(IProgram, IntrinsicStats), IntrinsicError> {
-    let mut out = prog.clone();
     let mut st = Eval {
         open: Vec::new(),
-        r_defs: HashMap::new(),
+        r_defs: MixMap::default(),
         tables: prog.tables.clone(),
-        cache: HashMap::new(),
+        cache: MixMap::default(),
         stats: IntrinsicStats::default(),
     };
     let mut instrs = Vec::with_capacity(prog.instrs.len());
@@ -186,19 +219,55 @@ pub fn eval_intrinsics_with_stats(
             }
         }
     }
-    out.instrs = instrs;
-    out.tables = st.tables;
+    // Everything but the code and the tables is the input's; spelled out
+    // so that neither is cloned only to be replaced.
+    let IProgram {
+        instrs: _,
+        n_in,
+        n_out,
+        temps,
+        tables: _,
+        n_f,
+        n_r,
+        n_loop,
+        complex,
+        prov,
+        prov_nodes,
+        vec_loops,
+    } = prog;
+    let out = IProgram {
+        instrs,
+        n_in: *n_in,
+        n_out: *n_out,
+        temps: temps.clone(),
+        tables: st.tables,
+        n_f: *n_f,
+        n_r: *n_r,
+        n_loop: *n_loop,
+        complex: *complex,
+        prov: prov.clone(),
+        prov_nodes: prov_nodes.clone(),
+        vec_loops: vec_loops.clone(),
+    };
     Ok((out, st.stats))
+}
+
+/// What a hoisted table holds: `W(n, k)` for `k` over the loop ranges,
+/// with `k`'s variables renamed to their positions among the ranges, so
+/// that two instantiations of one template (other variable ids) share
+/// one table.
+#[derive(PartialEq, Eq, Hash)]
+struct TableKey {
+    n: i64,
+    k: IntSym,
+    ranges: Vec<(i64, i64)>,
 }
 
 struct Eval {
     open: Vec<(LoopVar, i64, i64)>,
-    r_defs: HashMap<u32, IntSym>,
+    r_defs: MixMap<u32, IntSym>,
     tables: Vec<Vec<spl_numeric::Complex>>,
-    /// Keyed by a canonical description of (n, expression, loop ranges)
-    /// with loop variables renamed positionally, so that two
-    /// instantiations of the same template share one table.
-    cache: HashMap<String, u32>,
+    cache: MixMap<TableKey, u32>,
     stats: IntrinsicStats,
 }
 
@@ -246,7 +315,7 @@ impl Eval {
         if vars.is_empty() {
             // Constant expression in disguise (e.g. through Div).
             self.stats.constants_folded += 1;
-            let k = k_sym.eval(&HashMap::new());
+            let k = k_sym.eval(&[]);
             return Ok(Value::Const(omega(n as usize, k)));
         }
         let mut ranges = Vec::new();
@@ -256,28 +325,24 @@ impl Eval {
                 .iter()
                 .find(|(lv, _, _)| lv == v)
                 .ok_or_else(|| IntrinsicError("W: argument escapes its loop".into()))?;
-            ranges.push((*v, r.1, r.2));
+            if r.2 < r.1 {
+                return Err(IntrinsicError("W: argument of an empty loop".into()));
+            }
+            ranges.push((r.1, r.2));
         }
-        // Canonical key: rename loop variables positionally so identical
-        // template instantiations (different variable ids) share a table.
-        let canon: HashMap<LoopVar, usize> =
-            vars.iter().enumerate().map(|(k, &v)| (v, k)).collect();
-        let key = format!(
-            "{n}|{}|{ranges_canon:?}",
-            canon_sym(&k_sym, &canon),
-            ranges_canon = ranges
-                .iter()
-                .map(|&(_, lo, hi)| (lo, hi))
-                .collect::<Vec<_>>()
-        );
         // Flattened index: row-major over the variable ranges.
         let mut idx = Affine::constant(0);
         let mut size: i64 = 1;
-        for &(v, lo, hi) in ranges.iter().rev() {
+        for (&v, &(lo, hi)) in vars.iter().zip(&ranges).rev() {
             idx.add_term(size, v);
             idx.c -= size * lo;
             size *= hi - lo + 1;
         }
+        let key = TableKey {
+            n,
+            k: k_sym.renamed(&vars),
+            ranges,
+        };
         if let Some(&tid) = self.cache.get(&key) {
             self.stats.table_cache_hits += 1;
             return Ok(Value::Place(Place::Vec(VecRef {
@@ -285,15 +350,13 @@ impl Eval {
                 idx,
             })));
         }
-        let mut values = vec![spl_numeric::Complex::ZERO; size as usize];
-        let mut env: HashMap<LoopVar, i64> = ranges.iter().map(|&(v, lo, _)| (v, lo)).collect();
+        // Row-major order is the odometer's, last variable fastest.
+        let mut values = Vec::with_capacity(size as usize);
+        let mut env: Vec<i64> = key.ranges.iter().map(|&(lo, _)| lo).collect();
         loop {
-            let flat = idx.eval(&|lv| env[&lv]);
-            values[flat as usize] = omega(n as usize, k_sym.eval(&env));
-            // Odometer increment over the ranges.
+            values.push(omega(n as usize, key.k.eval(&env)));
             let mut done = true;
-            for &(v, lo, hi) in ranges.iter().rev() {
-                let slot = env.get_mut(&v).unwrap();
+            for (slot, &(lo, hi)) in env.iter_mut().zip(&key.ranges).rev() {
                 if *slot < hi {
                     *slot += 1;
                     done = false;
@@ -314,19 +377,6 @@ impl Eval {
             kind: VecKind::Table(tid),
             idx,
         })))
-    }
-}
-
-/// Canonical rendering of a symbolic expression with positional variable
-/// names, for table deduplication.
-fn canon_sym(s: &IntSym, names: &HashMap<LoopVar, usize>) -> String {
-    match s {
-        IntSym::C(v) => format!("{v}"),
-        IntSym::V(lv) => format!("v{}", names[lv]),
-        IntSym::Add(a, b) => format!("({}+{})", canon_sym(a, names), canon_sym(b, names)),
-        IntSym::Sub(a, b) => format!("({}-{})", canon_sym(a, names), canon_sym(b, names)),
-        IntSym::Mul(a, b) => format!("({}*{})", canon_sym(a, names), canon_sym(b, names)),
-        IntSym::Div(a, b) => format!("({}/{})", canon_sym(a, names), canon_sym(b, names)),
     }
 }
 

@@ -39,6 +39,7 @@
 pub mod codegen;
 pub mod error;
 pub mod intrinsics;
+mod mix;
 pub mod optimize;
 mod pack;
 pub mod passes;

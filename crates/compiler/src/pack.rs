@@ -8,14 +8,13 @@
 //! lane performs its scalar statement's IEEE operation (`+` and `*` may
 //! trade operands), so the C computes the VM's answer bit for bit.
 
-use std::collections::HashMap;
 use std::fmt::Write as _;
-use std::hash::{BuildHasherDefault, Hasher};
 use std::ops::Range;
 
 use spl_icode::{BinOp, IProgram, Instr, LoopVar, Place, UnOp, Value, VecKind};
 
 use crate::codegen::{bin_sym, write_affine, write_array, EmitStats};
+use crate::mix::MixMap;
 use Node::{Bin, Elem, Lit, Minus};
 use Recipe::{Lanes, Load, Neg, Op, Pending, Shuffle};
 
@@ -54,24 +53,6 @@ type Base = (VecKind, u32);
 const NONE: u32 = u32::MAX;
 const OPEN: u32 = u32::MAX - 1;
 
-/// The item index's hasher, one multiply per word, for keys the packer
-/// numbers itself: with SipHash the lookups were most of `emit`'s time.
-#[derive(Default)]
-struct Mix(u64);
-
-impl Hasher for Mix {
-    fn write(&mut self, bytes: &[u8]) {
-        for word in bytes.chunks(8) {
-            let mut w = [0; 8];
-            w[..word.len()].copy_from_slice(word);
-            self.0 = (self.0 ^ u64::from_le_bytes(w)).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-        }
-    }
-    fn finish(&self) -> u64 {
-        self.0.rotate_left(26)
-    }
-}
-
 /// A value of a run, numbered in program order: operands come first. An
 /// element is (array, interned subscript terms, subscript constant).
 #[derive(Clone, Copy)]
@@ -109,7 +90,7 @@ struct Packer {
     /// The subscripts' loop-variable terms, interned.
     terms: Vec<Vec<(i64, LoopVar)>>,
     items: Vec<([u32; 2], Recipe)>,
-    index: HashMap<[u32; 2], u32, BuildHasherDefault<Mix>>,
+    index: MixMap<[u32; 2], u32>,
     /// Per node, the first vector that computes it, and the lane.
     home: Vec<(u32, u8)>,
     /// Per item, the number in its name once printed.
@@ -121,7 +102,8 @@ impl Packer {
     /// it needs; `None` when the run must stay scalar.
     fn new(run: &[Instr], read_until: &[usize], end: usize) -> Option<Packer> {
         let mut p = Packer::default();
-        let (mut leaves, mut store_at, mut stores) = (HashMap::new(), HashMap::new(), Vec::new());
+        let (mut leaves, mut store_at, mut stores) =
+            (MixMap::default(), MixMap::default(), Vec::new());
         let (mut regs, mut read) = (vec![NONE; read_until.len()], Vec::new());
         let mut written: Vec<Base> = Vec::new();
         for ins in run {

@@ -3,14 +3,12 @@
 //! tidy. Runs once, after the optimizing fixed point (renumbering inside
 //! the loop would churn names without enabling any further optimization).
 
-use std::collections::HashMap;
-
 use spl_icode::{IProgram, Instr, Place, Value, VecKind};
 
-use super::{for_each_read, OptStats, Pass, PassResult};
+use super::{for_each_read, OptStats, Pass, PassResult, NONE};
 use crate::error::CompileError;
 
-/// The compaction pass; see [`compact`].
+/// The compaction pass; see [`compact_in_place`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Compact;
 
@@ -33,40 +31,53 @@ impl Pass for Compact {
     }
 }
 
-/// Renumbers `$f`/`$r` registers densely and drops unused temps and
-/// tables.
-pub(crate) fn compact(prog: &IProgram) -> IProgram {
-    let mut out = prog.clone();
-    compact_in_place(&mut out);
-    out
-}
-
 /// Old id -> new id, in order of first use.
 #[derive(Default)]
-struct Renumbering(HashMap<u32, u32>);
+struct Renumbering {
+    /// By old id: the new one, or [`NONE`].
+    new: Vec<u32>,
+    /// By new id: the old one.
+    old: Vec<u32>,
+}
 
 impl Renumbering {
     fn note(&mut self, old: u32) {
-        let n = self.0.len() as u32;
-        self.0.entry(old).or_insert(n);
+        let k = old as usize;
+        if k >= self.new.len() {
+            self.new.resize(k + 1, NONE);
+        }
+        if self.new[k] == NONE {
+            self.new[k] = self.old.len() as u32;
+            self.old.push(old);
+        }
     }
 
     fn is_identity_over(&self, count: usize) -> bool {
-        self.0.len() == count && self.0.iter().all(|(old, new)| old == new)
+        self.old.len() == count
+            && self
+                .old
+                .iter()
+                .enumerate()
+                .all(|(new, &old)| new == old as usize)
+    }
+
+    /// The new id of `old`, which was noted.
+    fn get(&self, old: u32) -> u32 {
+        self.new[old as usize]
     }
 
     /// The entries of `items` that are in use, at their new ids.
     fn gather<T: Default>(&self, items: &mut [T]) -> Vec<T> {
-        let mut out: Vec<T> = (0..self.0.len()).map(|_| T::default()).collect();
-        for (&old, &new) in &self.0 {
-            out[new as usize] = std::mem::take(&mut items[old as usize]);
-        }
-        out
+        self.old
+            .iter()
+            .map(|&old| std::mem::take(&mut items[old as usize]))
+            .collect()
     }
 }
 
-/// [`compact`] on the program itself (tables move, they are not
-/// copied); reports whether anything changed.
+/// Renumbers `$f`/`$r` registers densely and drops unused temps and
+/// tables, on the program itself (tables move, they are not copied);
+/// reports whether anything changed.
 fn compact_in_place(prog: &mut IProgram) -> bool {
     let (mut f_map, mut r_map) = (Renumbering::default(), Renumbering::default());
     let (mut t_map, mut tbl_map) = (Renumbering::default(), Renumbering::default());
@@ -93,11 +104,11 @@ fn compact_in_place(prog: &mut IProgram) -> bool {
         return false;
     }
     let remap_place = |p: &mut Place| match p {
-        Place::F(k) => *k = f_map.0[k],
-        Place::R(k) => *k = r_map.0[k],
+        Place::F(k) => *k = f_map.get(*k),
+        Place::R(k) => *k = r_map.get(*k),
         Place::Vec(v) => match &mut v.kind {
-            VecKind::Temp(t) => *t = t_map.0[t],
-            VecKind::Table(t) => *t = tbl_map.0[t],
+            VecKind::Temp(t) => *t = t_map.get(*t),
+            VecKind::Table(t) => *t = tbl_map.get(*t),
             _ => {}
         },
     };
@@ -122,9 +133,27 @@ fn compact_in_place(prog: &mut IProgram) -> bool {
             _ => {}
         }
     }
-    prog.n_f = f_map.0.len() as u32;
-    prog.n_r = r_map.0.len() as u32;
+    prog.n_f = f_map.old.len() as u32;
+    prog.n_r = r_map.old.len() as u32;
     prog.temps = t_map.gather(&mut prog.temps);
     prog.tables = tbl_map.gather(&mut prog.tables);
     true
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::passes::testing::fixtures::optimized;
+
+    #[test]
+    fn compaction_renumbers_densely() {
+        let (_, o) = optimized("(F 8)");
+        // All register ids below the counts.
+        for ins in &o.instrs {
+            if let Some(Place::F(k)) = ins.dst() {
+                assert!(*k < o.n_f);
+            }
+        }
+        assert_eq!(o.tables.len(), 0);
+    }
 }

@@ -6,14 +6,12 @@
 //! count: `$r0 = 2 * $r0` keeps nothing alive but itself, and a chain
 //! that only feeds itself goes with it.
 
-use std::collections::HashSet;
+use spl_icode::{IProgram, Instr, Place, VecKind};
 
-use spl_icode::{IProgram, Instr, Place, VecKind, VecRef};
-
-use super::{for_each_read, scalar_id, OptStats, Pass, PassResult, Rewritten, ScalarId};
+use super::{for_each_read, slot_mut, vec_slot, Elems, OptStats, Pass, PassResult, VecLens};
 use crate::error::CompileError;
 
-/// The dead-code-elimination pass; see [`dce_counted`].
+/// The dead-code-elimination pass; see [`dce_in_place`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Dce;
 
@@ -29,17 +27,91 @@ impl Pass for Dce {
 
     fn run(&self, prog: &mut IProgram, stats: &mut OptStats) -> Result<PassResult, CompileError> {
         super::check_prov_alignment(self.name(), prog)?;
-        let new = dce_counted(prog, stats)?;
-        Ok(super::install(prog, new))
+        dce_in_place(prog, stats)
     }
 }
 
-pub(crate) fn dce_counted(
-    prog: &IProgram,
+/// What one vector is read at.
+#[derive(Default)]
+struct VecReads {
+    /// Some constant subscript ...
+    consts: bool,
+    /// ... and which ones.
+    elems: Elems,
+    /// Some symbolic subscript.
+    symbolic: bool,
+}
+
+/// Whole-program read sets, by dense id.
+struct Reads<'a> {
+    f: Vec<bool>,
+    r: Vec<bool>,
+    /// By [`vec_slot`]; created on first read.
+    vecs: Vec<Option<VecReads>>,
+    lens: &'a VecLens,
+}
+
+impl<'a> Reads<'a> {
+    fn new(n_f: usize, n_r: usize, lens: &'a VecLens) -> Reads<'a> {
+        Reads {
+            f: vec![false; n_f],
+            r: vec![false; n_r],
+            vecs: Vec::new(),
+            lens,
+        }
+    }
+
+    /// Notes a read of `p` by an instruction that writes `own`: a
+    /// scalar's read by its own writer keeps nothing alive.
+    fn note(&mut self, p: &Place, own: Option<&Place>) {
+        match p {
+            Place::Vec(v) => {
+                let len = self.lens.get(v.kind);
+                let vec =
+                    slot_mut(&mut self.vecs, vec_slot(v.kind)).get_or_insert_with(|| VecReads {
+                        elems: Elems::with_len(len),
+                        ..VecReads::default()
+                    });
+                match v.idx.as_const() {
+                    Some(c) => {
+                        vec.elems.insert(c, 0);
+                        vec.consts = true;
+                    }
+                    None => vec.symbolic = true,
+                }
+            }
+            _ if own == Some(p) => {}
+            Place::F(k) => *slot_mut(&mut self.f, *k as usize) = true,
+            Place::R(k) => *slot_mut(&mut self.r, *k as usize) = true,
+        }
+    }
+
+    /// Whether a write to `dst` may be read.
+    fn keep(&self, dst: &Place) -> bool {
+        let v = match dst {
+            Place::F(k) => return self.f.get(*k as usize) == Some(&true),
+            Place::R(k) => return self.r.get(*k as usize) == Some(&true),
+            Place::Vec(v) if v.kind == VecKind::Out => return true,
+            Place::Vec(v) => v,
+        };
+        let Some(Some(vec)) = self.vecs.get(vec_slot(v.kind)) else {
+            return false;
+        };
+        if vec.symbolic {
+            return true;
+        }
+        match v.idx.as_const() {
+            Some(c) => vec.elems.get(c).is_some(),
+            // Symbolic write: live if any element of the vector is read.
+            None => vec.consts,
+        }
+    }
+}
+
+pub(crate) fn dce_in_place(
+    prog: &mut IProgram,
     stats: &mut OptStats,
-) -> Result<Rewritten, CompileError> {
-    let initial = prog.instrs.len();
-    let mut instrs = prog.instrs.clone();
+) -> Result<PassResult, CompileError> {
     // The provenance mask below walks `prov` and `instrs` in lockstep, so
     // a misaligned map is rejected up front rather than panicking
     // mid-retain.
@@ -50,58 +122,23 @@ pub(crate) fn dce_counted(
             prog.instrs.len()
         )));
     }
-    let has_prov = !prog.prov_slice().is_empty();
-    let mut prov = prog.prov_slice().to_vec();
+    let lens = VecLens::of(prog);
+    let (n_f, n_r) = (prog.n_f as usize, prog.n_r as usize);
+    let IProgram { instrs, prov, .. } = prog;
+    let initial = instrs.len();
+    let has_prov = !prov.is_empty();
     loop {
         // Whole-program read sets (position-insensitive: sound for loops).
-        let mut scalar_reads: HashSet<ScalarId> = HashSet::new();
-        let mut elem_reads: HashSet<(VecKind, i64)> = HashSet::new();
-        // Vectors read at some constant / some symbolic subscript.
-        let mut const_reads: HashSet<VecKind> = HashSet::new();
-        let mut sym_reads: HashSet<VecKind> = HashSet::new();
-        for ins in &instrs {
-            let own = ins.dst().and_then(scalar_id);
-            for_each_read(ins, &mut |p| match p {
-                Place::Vec(vr) => match vr.idx.as_const() {
-                    Some(c) => {
-                        elem_reads.insert((vr.kind, c));
-                        const_reads.insert(vr.kind);
-                    }
-                    None => {
-                        sym_reads.insert(vr.kind);
-                    }
-                },
-                scalar => scalar_reads.extend(scalar_id(scalar).filter(|&id| Some(id) != own)),
-            });
+        let mut reads = Reads::new(n_f, n_r, &lens);
+        for ins in instrs.iter() {
+            let own = ins.dst();
+            for_each_read(ins, &mut |p| reads.note(p, own));
         }
-        let live = |dst: &Place| -> bool {
-            match dst {
-                Place::Vec(VecRef {
-                    kind: VecKind::Out, ..
-                }) => true,
-                Place::F(_) | Place::R(_) => {
-                    scalar_id(dst).is_some_and(|id| scalar_reads.contains(&id))
-                }
-                Place::Vec(v) => {
-                    if sym_reads.contains(&v.kind) {
-                        return true;
-                    }
-                    match v.idx.as_const() {
-                        Some(c) => elem_reads.contains(&(v.kind, c)),
-                        None => {
-                            // Symbolic write: live if any element of the
-                            // vector is read.
-                            const_reads.contains(&v.kind)
-                        }
-                    }
-                }
-            }
-        };
         let before = instrs.len();
         let mut kept = Vec::with_capacity(instrs.len());
         instrs.retain(|ins| {
             let keep = match ins {
-                Instr::Bin { dst, .. } | Instr::Un { dst, .. } => live(dst),
+                Instr::Bin { dst, .. } | Instr::Un { dst, .. } => reads.keep(dst),
                 _ => true,
             };
             kept.push(keep);
@@ -145,14 +182,25 @@ pub(crate) fn dce_counted(
             break;
         }
     }
-    stats.dce_removed += (initial - instrs.len()) as u64;
-    Ok((instrs, prov))
+    let removed = initial - instrs.len();
+    stats.dce_removed += removed as u64;
+    Ok(if removed > 0 {
+        PassResult::Changed
+    } else {
+        PassResult::Unchanged
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use spl_icode::{Affine, BinOp, LoopVar, UnOp, Value};
+    use crate::optimize::optimize;
+    use crate::passes::testing::fixtures::{misaligned_prov_program, ramp};
+    use spl_frontend::parser::parse_formula;
+    use spl_icode::interp;
+    use spl_templates::{expand_formula, ExpandOptions, TemplateTable};
+
+    use spl_icode::{Affine, BinOp, LoopVar, UnOp, Value, VecRef};
 
     /// What unrolling a twiddle loop around a live outer loop leaves once
     /// the intrinsic is a table reference and value numbering has reused
@@ -199,7 +247,9 @@ mod tests {
             ..IProgram::empty()
         };
         let mut stats = OptStats::default();
-        let (instrs, _) = dce_counted(&prog, &mut stats).unwrap();
+        let mut out = prog.clone();
+        dce_in_place(&mut out, &mut stats).unwrap();
+        let instrs = out.instrs;
         assert_eq!(stats.dce_removed, 2);
         assert_eq!(instrs.len(), 3, "{instrs:?}");
         assert!(instrs.iter().all(|ins| ins.dst() != Some(&Place::R(0))));
@@ -232,7 +282,45 @@ mod tests {
         );
         live.n_r = 2;
         live.temps = vec![8];
-        let (instrs, _) = dce_counted(&live, &mut OptStats::default()).unwrap();
-        assert_eq!(instrs.len(), live.instrs.len());
+        let mut out = live.clone();
+        let result = dce_in_place(&mut out, &mut OptStats::default()).unwrap();
+        assert_eq!((result, out), (PassResult::Unchanged, live));
+    }
+
+    #[test]
+    fn dce_drops_unused_registers() {
+        let table = TemplateTable::builtin();
+        let sexp = parse_formula("(F 2)").unwrap();
+        let mut p = expand_formula(&sexp, &table, &ExpandOptions::default()).unwrap();
+        // Inject a dead computation.
+        p.instrs.push(Instr::Bin {
+            op: BinOp::Add,
+            dst: Place::F(90),
+            a: Value::Int(1),
+            b: Value::Int(2),
+        });
+        if !p.prov.is_empty() {
+            // Keep the provenance map aligned with the injected instr.
+            let last = *p.prov.last().unwrap();
+            p.prov.push(last);
+        }
+        p.n_f = 91;
+        let o = optimize(&p).unwrap();
+        assert!(o.n_f <= 2);
+        let x = ramp(2);
+        let y = interp::run(&o, &x).unwrap();
+        assert!(y[0].approx_eq(x[0] + x[1], 1e-15));
+    }
+
+    #[test]
+    fn dce_rejects_misaligned_provenance() {
+        // Regression: this used to die on `expect("kept mask covers
+        // prov")` deep inside the retain loop.
+        let mut p = misaligned_prov_program();
+        let err = dce_in_place(&mut p, &mut OptStats::default()).unwrap_err();
+        assert!(
+            matches!(err, CompileError::MalformedIcode(ref m) if m.contains("provenance")),
+            "{err:?}"
+        );
     }
 }

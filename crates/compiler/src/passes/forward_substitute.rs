@@ -2,14 +2,15 @@
 //! a later copy of it, producing the paper-style direct stores visible
 //! in its generated-code listings.
 
-use std::collections::HashMap;
+use spl_icode::{IProgram, Instr, Place, UnOp, Value};
 
-use spl_icode::{IProgram, Instr, LoopVar, Place, UnOp, Value, VecKind};
-
-use super::{for_each_read, scalar_id, OptStats, Pass, PassResult, Rewritten, ScalarId};
+use super::{
+    for_each_read, slot_mut, vec_slot, Elems, OptStats, Pass, PassResult, Terms, VecLens, NONE,
+};
 use crate::error::CompileError;
+use crate::mix::MixMap;
 
-/// The forward-substitution pass; see [`forward_substitute_counted`].
+/// The forward-substitution pass; see [`forward_substitute_in_place`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ForwardSubstitute;
 
@@ -25,8 +26,7 @@ impl Pass for ForwardSubstitute {
 
     fn run(&self, prog: &mut IProgram, stats: &mut OptStats) -> Result<PassResult, CompileError> {
         super::check_prov_alignment(self.name(), prog)?;
-        let new = forward_substitute_counted(prog, stats)?;
-        Ok(super::install(prog, new))
+        forward_substitute_in_place(prog, stats)
     }
 }
 
@@ -72,15 +72,6 @@ fn outermost_regions(instrs: &[Instr]) -> Vec<(usize, usize)> {
     regions
 }
 
-/// Sorted positions of the instructions that read, and that write, the
-/// places of one class. An instruction that reads a place twice is
-/// listed twice.
-#[derive(Default)]
-struct Positions {
-    reads: Vec<usize>,
-    writes: Vec<usize>,
-}
-
 /// Which accesses a window query looks at.
 #[derive(Clone, Copy, PartialEq)]
 enum Access {
@@ -107,145 +98,283 @@ fn last_in(list: &[usize], from: usize, to: usize) -> Option<usize> {
     k.checked_sub(1).map(|k| list[k]).filter(|&p| p >= from)
 }
 
-fn remove(list: &mut Vec<usize>, pos: usize) {
-    if let Ok(k) = list.binary_search(&pos) {
-        list.remove(k);
-    }
+/// A sorted list of instruction positions: `len` entries at `start` of
+/// [`PlaceIndex::buf`], with room there for `cap`.
+#[derive(Clone, Copy, Default)]
+struct List {
+    start: usize,
+    len: usize,
+    cap: usize,
 }
 
-/// Replaces the entry `from` by the smaller position `to`, moving only
-/// the entries in between (the big per-vector lists see one such move
-/// per rewrite, almost always to the slot next door).
-fn move_down(list: &mut Vec<usize>, from: usize, to: usize) {
-    let lo = list.partition_point(|&p| p < to);
-    match list[lo..].binary_search(&from) {
-        Ok(k) => {
-            list[lo..=lo + k].rotate_right(1);
-            list[lo] = to;
-        }
-        Err(_) => list.insert(lo, to),
-    }
+/// Where the places of one class are read and written. An instruction
+/// that reads a place twice is listed twice.
+#[derive(Clone, Copy, Default)]
+struct Class {
+    reads: List,
+    writes: List,
 }
 
-impl Positions {
-    fn count(&self, lo: usize, hi: usize, access: Access) -> usize {
-        let reads = match access {
-            Access::Any => count_between(&self.reads, lo, hi),
-            Access::Writes => 0,
-        };
-        reads + count_between(&self.writes, lo, hi)
-    }
-
-    fn any(&self, lo: usize, hi: usize, access: Access) -> bool {
-        first_in(&self.writes, lo, hi).is_some()
-            || (access == Access::Any && first_in(&self.reads, lo, hi).is_some())
-    }
-}
-
-/// Accesses with one symbolic part (`terms`) of the subscript.
-#[derive(Default)]
-struct TermsIndex {
-    all: Positions,
-    /// By the subscript's constant part.
-    by_c: HashMap<i64, Positions>,
-}
-
-/// Accesses to one vector, in the classes the alias rule distinguishes:
-/// two constant subscripts alias when equal; two symbolic ones unless
-/// they have the same terms and different constants; a constant and a
-/// symbolic one always.
-#[derive(Default)]
+/// The classes of one vector's accesses, the ones the alias rule
+/// distinguishes: two constant subscripts alias when equal; two symbolic
+/// ones unless they have the same terms and different constants; a
+/// constant and a symbolic one always.
 struct VecIndex {
     /// Every constant-subscript access ...
-    consts: Positions,
+    consts: u32,
     /// ... and by subscript.
-    elems: HashMap<i64, Positions>,
+    elems: Elems,
     /// Every symbolic access ...
-    symbolic: Positions,
-    /// ... and by terms.
-    by_terms: HashMap<Vec<(i64, LoopVar)>, TermsIndex>,
+    symbolic: u32,
+    /// ... by interned terms ...
+    by_terms: MixMap<u32, u32>,
+    /// ... and by terms and constant.
+    by_terms_c: MixMap<(u32, i64), u32>,
 }
 
 /// Where every place is read and written, so that the pass's questions
 /// about the instructions between a definition and a copy are binary
 /// searches instead of walks. Positions are stable (a removed copy is
-/// tombstoned, not spliced out) and the tables are updated on every
+/// tombstoned, not spliced out) and the lists are updated on every
 /// rewrite: they always describe exactly the live instructions.
-#[derive(Default)]
+///
+/// A place belongs to one class (a register) or to two or three (a
+/// vector element: see [`VecIndex`]); a class is a number, and every
+/// class's lists share one buffer, sized by a counting pass, so that
+/// building the index allocates a handful of times, not per register.
 struct PlaceIndex {
-    scalars: HashMap<ScalarId, Positions>,
-    vecs: HashMap<VecKind, VecIndex>,
+    classes: Vec<Class>,
+    buf: Vec<usize>,
+    /// Class of each `$f` / `$r` register, or [`NONE`].
+    f: Vec<u32>,
+    r: Vec<u32>,
+    /// By [`vec_slot`]; created on first use.
+    vecs: Vec<Option<VecIndex>>,
+    lens: VecLens,
+    terms: Terms,
 }
 
+/// The classes a place belongs to: up to three.
+type Classes = ([u32; 3], usize);
+
 impl PlaceIndex {
-    fn build(instrs: &[Instr]) -> PlaceIndex {
-        let mut idx = PlaceIndex::default();
-        for (k, ins) in instrs.iter().enumerate() {
-            if let Some(dst) = ins.dst() {
-                idx.for_each_list(dst, &mut |p| p.writes.push(k));
+    fn build(prog: &IProgram) -> PlaceIndex {
+        let mut idx = PlaceIndex {
+            classes: Vec::new(),
+            buf: Vec::new(),
+            f: vec![NONE; prog.n_f as usize],
+            r: vec![NONE; prog.n_r as usize],
+            vecs: Vec::new(),
+            lens: VecLens::of(prog),
+            terms: Terms::default(),
+        };
+        // Every access in position order, counted per class ...
+        let mut accesses: Vec<(u32, bool, usize)> = Vec::with_capacity(3 * prog.instrs.len());
+        let mut note = |idx: &mut PlaceIndex, p: &Place, write: bool, k: usize| {
+            let (cs, n) = idx.classes_of(p);
+            for &c in &cs[..n] {
+                let class = &mut idx.classes[c as usize];
+                let list = if write {
+                    &mut class.writes
+                } else {
+                    &mut class.reads
+                };
+                list.cap += 1;
+                accesses.push((c, write, k));
             }
-            for_each_read(ins, &mut |q| idx.for_each_list(q, &mut |p| p.reads.push(k)));
+        };
+        for (k, ins) in prog.instrs.iter().enumerate() {
+            if let Some(dst) = ins.dst() {
+                note(&mut idx, dst, true, k);
+            }
+            for_each_read(ins, &mut |q| note(&mut idx, q, false, k));
+        }
+        // ... then laid out in one buffer.
+        let mut at = 0;
+        for class in &mut idx.classes {
+            for list in [&mut class.reads, &mut class.writes] {
+                list.start = at;
+                at += list.cap;
+            }
+        }
+        idx.buf = vec![0; at];
+        for (c, write, k) in accesses {
+            let class = &mut idx.classes[c as usize];
+            let list = if write {
+                &mut class.writes
+            } else {
+                &mut class.reads
+            };
+            idx.buf[list.start + list.len] = k;
+            list.len += 1;
         }
         idx
     }
 
-    /// Visits the position lists of every class `p` belongs to.
-    fn for_each_list(&mut self, p: &Place, f: &mut dyn FnMut(&mut Positions)) {
-        match p {
-            Place::Vec(v) => {
-                let vec = self.vecs.entry(v.kind).or_default();
-                match v.idx.as_const() {
-                    Some(c) => {
-                        f(&mut vec.consts);
-                        f(vec.elems.entry(c).or_default());
-                    }
-                    None => {
-                        f(&mut vec.symbolic);
-                        if !vec.by_terms.contains_key(&v.idx.terms) {
-                            vec.by_terms
-                                .insert(v.idx.terms.clone(), TermsIndex::default());
-                        }
-                        let terms = vec.by_terms.get_mut(&v.idx.terms).expect("just inserted");
-                        f(&mut terms.all);
-                        f(terms.by_c.entry(v.idx.c).or_default());
-                    }
+    fn new_class(classes: &mut Vec<Class>) -> u32 {
+        classes.push(Class::default());
+        (classes.len() - 1) as u32
+    }
+
+    /// The classes of `p`, made on first sight.
+    fn classes_of(&mut self, p: &Place) -> Classes {
+        let PlaceIndex {
+            classes,
+            f,
+            r,
+            vecs,
+            lens,
+            terms,
+            ..
+        } = self;
+        let v = match p {
+            Place::F(k) | Place::R(k) => {
+                let table = if matches!(p, Place::F(_)) { f } else { r };
+                let k = *k as usize;
+                if k >= table.len() {
+                    table.resize(k + 1, NONE);
                 }
+                if table[k] == NONE {
+                    table[k] = Self::new_class(classes);
+                }
+                return ([table[k], 0, 0], 1);
             }
-            scalar => {
-                if let Some(id) = scalar_id(scalar) {
-                    f(self.scalars.entry(id).or_default());
-                }
+            Place::Vec(v) => v,
+        };
+        let vec = slot_mut(vecs, vec_slot(v.kind)).get_or_insert_with(|| VecIndex {
+            consts: Self::new_class(classes),
+            elems: Elems::with_len(lens.get(v.kind)),
+            symbolic: Self::new_class(classes),
+            by_terms: MixMap::default(),
+            by_terms_c: MixMap::default(),
+        });
+        match v.idx.as_const() {
+            Some(c) => {
+                let elem = match vec.elems.get(c) {
+                    Some(e) => e,
+                    None => {
+                        let e = Self::new_class(classes);
+                        vec.elems.insert(c, e);
+                        e
+                    }
+                };
+                ([vec.consts, elem, 0], 2)
+            }
+            None => {
+                let t = terms.id(&v.idx.terms);
+                let all = *vec
+                    .by_terms
+                    .entry(t)
+                    .or_insert_with(|| Self::new_class(classes));
+                let at_c = *vec
+                    .by_terms_c
+                    .entry((t, v.idx.c))
+                    .or_insert_with(|| Self::new_class(classes));
+                ([vec.symbolic, all, at_c], 3)
             }
         }
     }
 
-    fn scalar(&self, id: ScalarId) -> Option<&Positions> {
-        self.scalars.get(&id)
+    fn reads(&self, c: u32) -> &[usize] {
+        let l = self.classes[c as usize].reads;
+        &self.buf[l.start..l.start + l.len]
+    }
+
+    fn writes(&self, c: u32) -> &[usize] {
+        let l = self.classes[c as usize].writes;
+        &self.buf[l.start..l.start + l.len]
+    }
+
+    fn count(&self, c: u32, lo: usize, hi: usize, access: Access) -> usize {
+        let reads = match access {
+            Access::Any => count_between(self.reads(c), lo, hi),
+            Access::Writes => 0,
+        };
+        reads + count_between(self.writes(c), lo, hi)
+    }
+
+    fn any(&self, c: u32, lo: usize, hi: usize, access: Access) -> bool {
+        first_in(self.writes(c), lo, hi).is_some()
+            || (access == Access::Any && first_in(self.reads(c), lo, hi).is_some())
+    }
+
+    /// Removes `pos` from class `c`'s reads or writes.
+    fn remove(&mut self, c: u32, write: bool, pos: usize) {
+        let class = &mut self.classes[c as usize];
+        let l = if write {
+            &mut class.writes
+        } else {
+            &mut class.reads
+        };
+        let list = &mut self.buf[l.start..l.start + l.len];
+        if let Ok(k) = list.binary_search(&pos) {
+            list[k..].rotate_left(1);
+            l.len -= 1;
+        }
+    }
+
+    /// Replaces the write `from` of class `c` by the smaller position
+    /// `to`, moving only the entries in between (the big per-vector lists
+    /// see one such move per rewrite, almost always to the slot next
+    /// door).
+    fn move_down(&mut self, c: u32, from: usize, to: usize) {
+        let l = &mut self.classes[c as usize].writes;
+        let list = &mut self.buf[l.start..l.start + l.len];
+        let lo = list.partition_point(|&p| p < to);
+        if let Ok(k) = list[lo..].binary_search(&from) {
+            list[lo..=lo + k].rotate_right(1);
+            list[lo] = to;
+            return;
+        }
+        // Not listed: insert, moving the list to the end of the buffer
+        // when it is full.
+        if l.len == l.cap {
+            let moved = self.buf.len();
+            self.buf.extend_from_within(l.start..l.start + l.len);
+            l.cap = 2 * l.cap + 1;
+            self.buf.resize(moved + l.cap, 0);
+            l.start = moved;
+        }
+        l.len += 1;
+        let list = &mut self.buf[l.start..l.start + l.len];
+        list[lo..].rotate_right(1);
+        list[lo] = to;
+    }
+
+    /// The class of register `p`; `None` for a vector element or a
+    /// register no instruction names.
+    fn scalar(&self, p: &Place) -> Option<u32> {
+        let c = match p {
+            Place::F(k) => self.f.get(*k as usize),
+            Place::R(k) => self.r.get(*k as usize),
+            Place::Vec(_) => None,
+        };
+        c.copied().filter(|&c| c != NONE)
     }
 
     /// Does any live instruction strictly between `lo` and `hi` access
     /// (or, with [`Access::Writes`], write) a place that may alias `q`?
     fn conflict_between(&self, q: &Place, lo: usize, hi: usize, access: Access) -> bool {
-        let hit = |p: Option<&Positions>| p.is_some_and(|p| p.any(lo, hi, access));
-        match q {
-            Place::Vec(v) => {
-                let Some(vec) = self.vecs.get(&v.kind) else {
-                    return false;
-                };
-                match v.idx.as_const() {
-                    Some(c) => hit(vec.elems.get(&c)) || vec.symbolic.any(lo, hi, access),
-                    None => {
-                        let terms = vec.by_terms.get(&v.idx.terms);
-                        // Symbolic accesses with other terms are the
-                        // symbolic ones minus those with these terms.
-                        vec.consts.any(lo, hi, access)
-                            || hit(terms.and_then(|t| t.by_c.get(&v.idx.c)))
-                            || vec.symbolic.count(lo, hi, access)
-                                > terms.map_or(0, |t| t.all.count(lo, hi, access))
-                    }
-                }
+        let hit = |c: Option<u32>| c.is_some_and(|c| self.any(c, lo, hi, access));
+        let Place::Vec(v) = q else {
+            return hit(self.scalar(q));
+        };
+        let Some(Some(vec)) = self.vecs.get(vec_slot(v.kind)) else {
+            return false;
+        };
+        match v.idx.as_const() {
+            Some(c) => hit(vec.elems.get(c)) || self.any(vec.symbolic, lo, hi, access),
+            None => {
+                let t = self.terms.get(&v.idx.terms);
+                let all = t.and_then(|t| vec.by_terms.get(&t).copied());
+                let at_c = t.and_then(|t| vec.by_terms_c.get(&(t, v.idx.c)).copied());
+                // Symbolic accesses with other terms are the
+                // symbolic ones minus those with these terms.
+                self.any(vec.consts, lo, hi, access)
+                    || hit(at_c)
+                    || self.count(vec.symbolic, lo, hi, access)
+                        > all.map_or(0, |c| self.count(c, lo, hi, access))
             }
-            scalar => hit(scalar_id(scalar).and_then(|id| self.scalar(id))),
         }
     }
 }
@@ -278,17 +407,19 @@ fn run_starts(instrs: &[Instr]) -> Vec<usize> {
 /// Every condition is answered from [`PlaceIndex`]: a sweep costs
 /// `O(n log n)` for `n` instructions, and sweeps repeat until one applies
 /// nothing (a chain of copies sinks within one sweep, so this is two or
-/// three).
-pub(crate) fn forward_substitute_counted(
-    prog: &IProgram,
+/// three). It works on `prog` in place: an error leaves the program
+/// part-rewritten, and the pipeline that ran the pass fails with it.
+pub(crate) fn forward_substitute_in_place(
+    prog: &mut IProgram,
     stats: &mut OptStats,
-) -> Result<Rewritten, CompileError> {
-    let mut instrs = prog.instrs.clone();
-    let outer = outermost_regions(&instrs);
-    let run_start = run_starts(&instrs);
+) -> Result<PassResult, CompileError> {
+    let mut idx = PlaceIndex::build(prog);
+    let instrs = &mut prog.instrs;
+    let outer = outermost_regions(instrs);
+    let run_start = run_starts(instrs);
     let mut alive = vec![true; instrs.len()];
-    let mut idx = PlaceIndex::build(&instrs);
     let end = instrs.len();
+    let mut applied = false;
     loop {
         let mut changed = false;
         for i in 0..end {
@@ -310,19 +441,20 @@ pub(crate) fn forward_substitute_counted(
             if matches!(p, Place::R(_)) != matches!(dst, Place::R(_)) {
                 continue;
             }
-            let Some((pid, p_at)) = scalar_id(p).and_then(|id| Some((id, idx.scalar(id)?))) else {
+            let Some(pc) = idx.scalar(p) else {
                 continue;
             };
+            let (p_reads, p_writes) = (idx.reads(pc), idx.writes(pc));
             // The defining instruction: the last write of p within this
             // straight-line run.
-            let Some(j) = last_in(&p_at.writes, run_start[i], i) else {
+            let Some(j) = last_in(p_writes, run_start[i], i) else {
                 continue;
             };
             // (a) No other read of p between the definition and the copy,
             // (b) the copy destination is untouched in between,
             // (c) the definition's operands are not clobbered in between.
-            let mut blocked = first_in(&p_at.reads, j, i).is_some()
-                || idx.conflict_between(dst, j, i, Access::Any);
+            let mut blocked =
+                first_in(p_reads, j, i).is_some() || idx.conflict_between(dst, j, i, Access::Any);
             if !blocked {
                 for_each_read(&instrs[j], &mut |q| {
                     blocked = blocked || idx.conflict_between(q, j, i, Access::Writes);
@@ -336,8 +468,8 @@ pub(crate) fn forward_substitute_counted(
             // before being read again). An instruction that reads *and*
             // writes p (a recurrence) appears in both tables at the same
             // position: the read matters first, hence `<=`.
-            if let Some(r) = first_in(&p_at.reads, i, end) {
-                if first_in(&p_at.writes, i, end).is_none_or(|w| r <= w) {
+            if let Some(r) = first_in(p_reads, i, end) {
+                if first_in(p_writes, i, end).is_none_or(|w| r <= w) {
                     continue;
                 }
             }
@@ -351,8 +483,8 @@ pub(crate) fn forward_substitute_counted(
                 // The window includes j itself: a definition that also
                 // READS p (a recurrence like `f0 = in - f0`) is its own
                 // back-edge consumer.
-                let head_read = first_in(&p_at.reads, ostart.wrapping_sub(1), j + 1).is_some();
-                if head_read && last_in(&p_at.writes, ostart, oend) == Some(j) {
+                let head_read = first_in(p_reads, ostart.wrapping_sub(1), j + 1).is_some();
+                if head_read && last_in(p_writes, ostart, oend) == Some(j) {
                     continue;
                 }
             }
@@ -360,11 +492,12 @@ pub(crate) fn forward_substitute_counted(
             // update the position tables — p loses the write at j and
             // the read at i; the write of dst moves from i to j.
             let (dst, p) = (dst.clone(), p.clone());
-            if let Some(at) = idx.scalars.get_mut(&pid) {
-                remove(&mut at.writes, j);
-                remove(&mut at.reads, i);
+            idx.remove(pc, true, j);
+            idx.remove(pc, false, i);
+            let (classes, n) = idx.classes_of(&dst);
+            for &c in &classes[..n] {
+                idx.move_down(c, i, j);
             }
-            idx.for_each_list(&dst, &mut |at| move_down(&mut at.writes, i, j));
             match &mut instrs[j] {
                 Instr::Bin { dst: d, .. } | Instr::Un { dst: d, .. } => *d = dst,
                 other => {
@@ -381,27 +514,31 @@ pub(crate) fn forward_substitute_counted(
         if !changed {
             break;
         }
+        applied = true;
+    }
+    if !applied {
+        return Ok(PassResult::Unchanged);
     }
     // Tombstoned copies vanish; retargeted definitions stay in place,
     // so the survivor mask keeps provenance aligned.
-    let prov = prog
-        .prov_slice()
-        .iter()
-        .zip(&alive)
-        .filter_map(|(&p, &a)| a.then_some(p))
-        .collect();
-    let instrs = instrs
-        .into_iter()
-        .zip(alive)
-        .filter_map(|(ins, a)| a.then_some(ins))
-        .collect();
-    Ok((instrs, prov))
+    let mut keep = alive.iter();
+    instrs.retain(|_| *keep.next().expect("one mark per instruction"));
+    if !prog.prov.is_empty() {
+        let mut keep = alive.iter();
+        prog.prov
+            .retain(|_| *keep.next().expect("one mark per entry"));
+    }
+    Ok(PassResult::Changed)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use spl_icode::{Affine, BinOp, VecRef};
+    use crate::optimize::optimize;
+    use crate::passes::testing::fixtures::{assert_optimize_preserves, out_at};
+    use spl_numeric::Complex;
+
+    use spl_icode::{Affine, BinOp, LoopVar, VecKind, VecRef};
 
     const I0: LoopVar = LoopVar(0);
 
@@ -454,8 +591,10 @@ mod tests {
 
     fn run(p: &IProgram) -> (IProgram, u64) {
         let mut stats = OptStats::default();
-        let out = forward_substitute_counted(p, &mut stats).unwrap();
-        (super::super::rewritten(p, out), stats.copies_propagated)
+        let mut out = p.clone();
+        let result = forward_substitute_in_place(&mut out, &mut stats).unwrap();
+        assert_eq!(result == PassResult::Changed, out != *p);
+        (out, stats.copies_propagated)
     }
 
     #[test]
@@ -587,15 +726,239 @@ mod tests {
 
     #[test]
     fn move_down_keeps_lists_sorted() {
-        let mut list = vec![1, 4, 6, 9, 12];
-        move_down(&mut list, 9, 5);
-        assert_eq!(list, [1, 4, 5, 6, 12]);
-        move_down(&mut list, 12, 11);
-        assert_eq!(list, [1, 4, 5, 6, 11]);
-        move_down(&mut list, 1, 0);
-        assert_eq!(list, [0, 4, 5, 6, 11]);
-        assert_eq!(count_between(&list, 0, 6), 2);
-        assert_eq!(first_in(&list, 6, 11), None);
-        assert_eq!(last_in(&list, 4, 6), Some(5));
+        // Two classes side by side in the buffer: the first one's writes
+        // are [1, 4, 6, 9, 12], the second one's [20].
+        let mut idx = PlaceIndex::build(&IProgram::empty());
+        let list = |start, len| List {
+            start,
+            len,
+            cap: len,
+        };
+        idx.classes = vec![
+            Class {
+                reads: list(0, 0),
+                writes: list(0, 5),
+            },
+            Class {
+                reads: list(5, 0),
+                writes: list(5, 1),
+            },
+        ];
+        idx.buf = vec![1, 4, 6, 9, 12, 20];
+        idx.move_down(0, 9, 5);
+        assert_eq!(idx.writes(0), [1, 4, 5, 6, 12]);
+        idx.move_down(0, 12, 11);
+        assert_eq!(idx.writes(0), [1, 4, 5, 6, 11]);
+        idx.move_down(0, 1, 0);
+        assert_eq!(idx.writes(0), [0, 4, 5, 6, 11]);
+        let list = idx.writes(0);
+        assert_eq!(count_between(list, 0, 6), 2);
+        assert_eq!(first_in(list, 6, 11), None);
+        assert_eq!(last_in(list, 4, 6), Some(5));
+        // A position that is not listed is inserted: the full list moves
+        // to the end of the buffer, and its neighbour stays as it was.
+        idx.move_down(0, 7, 2);
+        assert_eq!(idx.writes(0), [0, 2, 4, 5, 6, 11]);
+        assert_eq!(idx.writes(1), [20]);
+        idx.remove(0, true, 4);
+        assert_eq!(idx.writes(0), [0, 2, 5, 6, 11]);
+    }
+
+    #[test]
+    fn forward_sub_respects_reads_after_loop() {
+        // f0 defined and copied inside a loop, then read after the loop:
+        // retargeting the definition would leave the post-loop read with
+        // a stale value.
+        use spl_icode::{Affine, LoopVar};
+        let i0 = LoopVar(0);
+        let p = IProgram {
+            instrs: vec![
+                Instr::DoStart {
+                    var: i0,
+                    lo: 0,
+                    hi: 3,
+                    unroll: false,
+                },
+                Instr::Bin {
+                    op: BinOp::Add,
+                    dst: Place::F(0),
+                    a: Value::Place(Place::Vec(VecRef {
+                        kind: VecKind::In,
+                        idx: Affine::var(i0),
+                    })),
+                    b: Value::Const(Complex::real(1.0)),
+                },
+                Instr::Un {
+                    op: UnOp::Copy,
+                    dst: Place::Vec(VecRef {
+                        kind: VecKind::Out,
+                        idx: Affine::var(i0),
+                    }),
+                    a: Value::f(0),
+                },
+                Instr::DoEnd,
+                Instr::Un {
+                    op: UnOp::Copy,
+                    dst: out_at(4),
+                    a: Value::f(0),
+                },
+            ],
+            n_in: 5,
+            n_out: 5,
+            n_f: 1,
+            n_loop: 1,
+            ..IProgram::empty()
+        };
+        assert_optimize_preserves(&p);
+    }
+
+    #[test]
+    fn forward_sub_never_crosses_register_classes() {
+        // r0 = 7 / 2 is integer division (3); retargeting the definition
+        // to the float destination would compute 3.5.
+        let p = IProgram {
+            instrs: vec![
+                Instr::Bin {
+                    op: BinOp::Div,
+                    dst: Place::R(0),
+                    a: Value::Int(7),
+                    b: Value::Int(2),
+                },
+                Instr::Un {
+                    op: UnOp::Copy,
+                    dst: out_at(0),
+                    a: Value::Place(Place::R(0)),
+                },
+            ],
+            n_in: 1,
+            n_out: 1,
+            n_r: 1,
+            ..IProgram::empty()
+        };
+        let q = optimize(&p).unwrap();
+        let x = [Complex::ZERO];
+        let y = spl_icode::interp::run(&q, &x).unwrap();
+        assert_eq!(y[0].re, 3.0, "integer semantics lost:\n{q}");
+    }
+
+    #[test]
+    fn forward_sub_respects_recurrence_definitions() {
+        // The SIV pattern: f0 = in(i) - f0 feeds itself across
+        // iterations; sinking the definition into the copy would break
+        // every iteration after the first.
+        use spl_icode::{Affine, LoopVar};
+        let i0 = LoopVar(0);
+        let p = IProgram {
+            instrs: vec![
+                Instr::DoStart {
+                    var: i0,
+                    lo: 0,
+                    hi: 3,
+                    unroll: false,
+                },
+                Instr::Bin {
+                    op: BinOp::Sub,
+                    dst: Place::F(0),
+                    a: Value::Place(Place::Vec(VecRef {
+                        kind: VecKind::In,
+                        idx: Affine::var(i0),
+                    })),
+                    b: Value::f(0),
+                },
+                Instr::Un {
+                    op: UnOp::Copy,
+                    dst: Place::Vec(VecRef {
+                        kind: VecKind::Out,
+                        idx: Affine::var(i0),
+                    }),
+                    a: Value::f(0),
+                },
+                Instr::DoEnd,
+            ],
+            n_in: 4,
+            n_out: 4,
+            n_f: 1,
+            n_loop: 1,
+            ..IProgram::empty()
+        };
+        assert_optimize_preserves(&p);
+    }
+
+    #[test]
+    fn forward_sub_respects_outer_loop_back_edge() {
+        // Outer body reads f0 at its head; an inner loop defines f0 and
+        // copies it out. The head read of the NEXT outer iteration must
+        // still see the inner definition.
+        use spl_icode::{Affine, LoopVar};
+        let i0 = LoopVar(0);
+        let i1 = LoopVar(1);
+        let p = IProgram {
+            instrs: vec![
+                Instr::DoStart {
+                    var: i0,
+                    lo: 0,
+                    hi: 2,
+                    unroll: false,
+                },
+                // head read of f0 (stale on iteration 0: reads 0.0)
+                Instr::Bin {
+                    op: BinOp::Add,
+                    dst: Place::Vec(VecRef {
+                        kind: VecKind::Out,
+                        idx: Affine::var(i0),
+                    }),
+                    a: Value::f(0),
+                    b: Value::Const(Complex::real(10.0)),
+                },
+                Instr::DoStart {
+                    var: i1,
+                    lo: 0,
+                    hi: 0,
+                    unroll: false,
+                },
+                Instr::Bin {
+                    op: BinOp::Add,
+                    dst: Place::F(0),
+                    a: Value::Place(Place::Vec(VecRef {
+                        kind: VecKind::In,
+                        idx: Affine::var(i0),
+                    })),
+                    b: Value::Const(Complex::real(1.0)),
+                },
+                Instr::Un {
+                    op: UnOp::Copy,
+                    dst: out_at(3),
+                    a: Value::f(0),
+                },
+                Instr::DoEnd,
+                Instr::DoEnd,
+            ],
+            n_in: 3,
+            n_out: 4,
+            n_f: 1,
+            n_loop: 2,
+            ..IProgram::empty()
+        };
+        assert_optimize_preserves(&p);
+    }
+
+    #[test]
+    fn forward_substitute_handles_malformed_copy_chain() {
+        // A copy whose source was never defined in its region is left
+        // alone rather than rejected — the typed-error paths are reserved
+        // for structural violations.
+        let p = IProgram {
+            instrs: vec![Instr::Un {
+                op: UnOp::Copy,
+                dst: out_at(0),
+                a: Value::f(7),
+            }],
+            n_in: 1,
+            n_out: 1,
+            n_f: 8,
+            ..IProgram::empty()
+        };
+        let (q, _) = run(&p);
+        assert_eq!(q.instrs.len(), 1);
     }
 }

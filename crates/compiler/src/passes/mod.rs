@@ -50,23 +50,214 @@ use std::collections::HashSet;
 use std::path::PathBuf;
 use std::time::Instant;
 
-use spl_icode::{IProgram, Instr, Place, Value};
+use spl_icode::{IProgram, Instr, LoopVar, Place, Value, VecKind};
 
 use crate::error::CompileError;
+use crate::mix::MixMap;
 use crate::OptLevel;
 
 // ---------------------------------------------------------------------
-// Shared table helpers (value numbering, forward substitution, DCE)
+// Shared tables (value numbering, forward substitution, DCE, compaction)
 // ---------------------------------------------------------------------
+//
+// Every place an instruction names is indexed by dense ids: a register by
+// its number, a vector by `vec_slot`, a constant subscript by itself
+// within its vector's length, and a subscript's loop-variable terms by
+// their id in a `Terms` interner. What is left for a hash table
+// (subscripts outside a vector, terms, composite keys) goes through the
+// crate's one multiplicative hasher, `MixMap`.
 
-/// Identity of a scalar register in the passes' tables: `(is $f, id)`.
-pub(crate) type ScalarId = (bool, u32);
+/// No entry in a dense table.
+pub(crate) const NONE: u32 = u32::MAX;
 
-pub(crate) fn scalar_id(p: &Place) -> Option<ScalarId> {
-    match p {
-        Place::F(k) => Some((true, *k)),
-        Place::R(k) => Some((false, *k)),
-        Place::Vec(_) => None,
+/// A dense number for each vector: `$in` 0, `$out` 1, then temporaries
+/// and tables interleaved, so that no program is needed to number them.
+pub(crate) fn vec_slot(kind: VecKind) -> usize {
+    match kind {
+        VecKind::In => 0,
+        VecKind::Out => 1,
+        VecKind::Temp(t) => 2 + 2 * t as usize,
+        VecKind::Table(t) => 3 + 2 * t as usize,
+    }
+}
+
+/// The declared length of every vector of a program, by [`vec_slot`]:
+/// the range of constant subscripts a dense table covers.
+pub(crate) struct VecLens(Vec<usize>);
+
+impl VecLens {
+    pub(crate) fn of(prog: &IProgram) -> VecLens {
+        let slots = 2 + 2 * prog.temps.len().max(prog.tables.len());
+        let mut lens = vec![0; slots];
+        lens[vec_slot(VecKind::In)] = prog.n_in;
+        lens[vec_slot(VecKind::Out)] = prog.n_out;
+        for (t, &len) in prog.temps.iter().enumerate() {
+            lens[vec_slot(VecKind::Temp(t as u32))] = len;
+        }
+        for (t, table) in prog.tables.iter().enumerate() {
+            lens[vec_slot(VecKind::Table(t as u32))] = table.len();
+        }
+        VecLens(lens)
+    }
+
+    /// The length of `kind`, 0 for a vector the program does not declare.
+    pub(crate) fn get(&self, kind: VecKind) -> usize {
+        self.0.get(vec_slot(kind)).copied().unwrap_or(0)
+    }
+}
+
+/// The element of `table` at dense id `k`, grown with defaults up to it.
+pub(crate) fn slot_mut<T: Default>(table: &mut Vec<T>, k: usize) -> &mut T {
+    if k >= table.len() {
+        table.resize_with(k + 1, T::default);
+    }
+    &mut table[k]
+}
+
+/// A `u32 -> u32` table over dense keys. It remembers which keys it was
+/// given, so that forgetting them all costs what entering them did, not
+/// the table's length.
+#[derive(Default)]
+pub(crate) struct Slots {
+    vals: Vec<u32>,
+    set: Vec<u32>,
+}
+
+impl Slots {
+    /// A table whose keys below `len` need no growth.
+    pub(crate) fn with_len(len: usize) -> Slots {
+        Slots {
+            vals: vec![NONE; len],
+            set: Vec::new(),
+        }
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        self.vals.len()
+    }
+
+    pub(crate) fn get(&self, k: usize) -> Option<u32> {
+        self.vals.get(k).copied().filter(|&v| v != NONE)
+    }
+
+    /// Enters `v` at `k`, growing the table when `k` is past its end.
+    pub(crate) fn insert(&mut self, k: usize, v: u32) {
+        debug_assert_ne!(v, NONE);
+        if k >= self.vals.len() {
+            self.vals.resize(k + 1, NONE);
+        }
+        if self.vals[k] == NONE {
+            self.set.push(k as u32);
+        }
+        self.vals[k] = v;
+    }
+
+    pub(crate) fn remove(&mut self, k: usize) -> Option<u32> {
+        let v = self.get(k)?;
+        self.vals[k] = NONE;
+        Some(v)
+    }
+
+    /// Removes every entry, visiting each.
+    pub(crate) fn drain(&mut self, mut f: impl FnMut(usize, u32)) {
+        for k in self.set.drain(..) {
+            let v = std::mem::replace(&mut self.vals[k as usize], NONE);
+            if v != NONE {
+                f(k as usize, v);
+            }
+        }
+    }
+}
+
+/// The entries of one vector keyed by constant subscript: dense within
+/// the vector's declared length (allocated on the first such entry),
+/// hashed outside it (i-code may index past a declaration; the
+/// interpreter is what rejects that).
+#[derive(Default)]
+pub(crate) struct Elems {
+    len: usize,
+    dense: Slots,
+    sparse: MixMap<i64, u32>,
+}
+
+impl Elems {
+    pub(crate) fn with_len(len: usize) -> Elems {
+        Elems {
+            len,
+            ..Elems::default()
+        }
+    }
+
+    fn dense_at(&self, c: i64) -> Option<usize> {
+        usize::try_from(c).ok().filter(|&k| k < self.len)
+    }
+
+    pub(crate) fn get(&self, c: i64) -> Option<u32> {
+        match self.dense_at(c) {
+            Some(k) => self.dense.get(k),
+            None => self.sparse.get(&c).copied(),
+        }
+    }
+
+    pub(crate) fn insert(&mut self, c: i64, v: u32) {
+        match self.dense_at(c) {
+            Some(k) => {
+                if self.dense.len() == 0 {
+                    self.dense = Slots::with_len(self.len);
+                }
+                self.dense.insert(k, v)
+            }
+            None => {
+                self.sparse.insert(c, v);
+            }
+        }
+    }
+
+    pub(crate) fn remove(&mut self, c: i64) -> Option<u32> {
+        match self.dense_at(c) {
+            Some(k) => self.dense.remove(k),
+            None => self.sparse.remove(&c),
+        }
+    }
+
+    /// Removes every entry, visiting each.
+    pub(crate) fn drain(&mut self, mut f: impl FnMut(i64, u32)) {
+        self.dense.drain(|k, v| f(k as i64, v));
+        if !self.sparse.is_empty() {
+            self.sparse.drain().for_each(|(c, v)| f(c, v));
+        }
+    }
+}
+
+/// The loop-variable terms of symbolic subscripts, interned: a pass run
+/// keys its tables by a term list's id, and looks one up by slice, so
+/// that only the first sight of a list allocates.
+#[derive(Default)]
+pub(crate) struct Terms {
+    ids: MixMap<Vec<(i64, LoopVar)>, u32>,
+    lists: Vec<Vec<(i64, LoopVar)>>,
+}
+
+impl Terms {
+    /// The id of `terms`, issuing one on first sight.
+    pub(crate) fn id(&mut self, terms: &[(i64, LoopVar)]) -> u32 {
+        if let Some(&id) = self.ids.get(terms) {
+            return id;
+        }
+        let id = self.lists.len() as u32;
+        self.lists.push(terms.to_vec());
+        self.ids.insert(terms.to_vec(), id);
+        id
+    }
+
+    /// The id of `terms`, if it has one.
+    pub(crate) fn get(&self, terms: &[(i64, LoopVar)]) -> Option<u32> {
+        self.ids.get(terms).copied()
+    }
+
+    /// The terms of `id`.
+    pub(crate) fn list(&self, id: u32) -> &[(i64, LoopVar)] {
+        &self.lists[id as usize]
     }
 }
 
@@ -141,33 +332,6 @@ pub trait Pass {
     /// [`CompileError::MalformedIcode`] when the input program violates
     /// the i-code structural contract.
     fn run(&self, prog: &mut IProgram, stats: &mut OptStats) -> Result<PassResult, CompileError>;
-}
-
-/// What a pass that only rewrites code produces: the new instruction
-/// list and its provenance map. Everything else in an [`IProgram`] —
-/// megabytes of constant tables for a large transform — stays where it
-/// is, neither cloned nor compared.
-pub(crate) type Rewritten = (Vec<Instr>, Vec<u32>);
-
-/// Installs a pass's output in `prog`, reporting whether it differs.
-pub(crate) fn install(prog: &mut IProgram, (instrs, prov): Rewritten) -> PassResult {
-    if prog.instrs == instrs && prog.prov == prov {
-        PassResult::Unchanged
-    } else {
-        prog.instrs = instrs;
-        prog.prov = prov;
-        PassResult::Changed
-    }
-}
-
-/// `prog` with a pass's output in place of its code (the functional
-/// form behind [`crate::optimize`]'s one-pass entry points).
-pub(crate) fn rewritten(prog: &IProgram, (instrs, prov): Rewritten) -> IProgram {
-    IProgram {
-        instrs,
-        prov,
-        ..prog.clone()
-    }
 }
 
 /// Rejects a program whose provenance map is non-empty but misaligned
@@ -561,17 +725,10 @@ impl Exec<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use spl_frontend::parser::parse_formula;
+    use crate::optimize::{optimize, optimize_with_stats};
+    use crate::passes::testing::fixtures::{lowered, misaligned_prov_program, optimized, ramp};
+    use spl_icode::interp;
     use spl_numeric::Complex;
-    use spl_templates::{expand_formula, ExpandOptions, TemplateTable};
-
-    fn lowered(src: &str) -> IProgram {
-        let table = TemplateTable::builtin();
-        let sexp = parse_formula(src).unwrap();
-        let p = expand_formula(&sexp, &table, &ExpandOptions::default()).unwrap();
-        let p = crate::unroll::unroll_all(&p).unwrap();
-        crate::intrinsics::eval_intrinsics(&p).unwrap()
-    }
 
     fn test_validation() -> Validation {
         Validation {
@@ -738,12 +895,162 @@ mod tests {
     }
 
     #[test]
+    fn elems_are_one_table_inside_and_outside_the_declared_length() {
+        let mut e = Elems::with_len(4);
+        for (c, v) in [(0, 10), (3, 13), (4, 14), (-1, 9), (1 << 40, 7)] {
+            assert_eq!(e.get(c), None);
+            e.insert(c, v);
+            assert_eq!(e.get(c), Some(v));
+        }
+        assert_eq!(e.remove(3), Some(13));
+        assert_eq!(e.remove(-1), Some(9));
+        assert_eq!(e.remove(-1), None);
+        e.insert(3, 23);
+        let mut seen = Vec::new();
+        e.drain(|c, v| seen.push((c, v)));
+        seen.sort_unstable();
+        assert_eq!(seen, [(0, 10), (3, 23), (4, 14), (1 << 40, 7)]);
+        assert_eq!(e.get(0), None);
+        assert_eq!(e.get(1 << 40), None);
+    }
+
+    #[test]
+    fn subscripts_past_a_declaration_number_as_declared_ones_do() {
+        // The same code with every vector declared empty puts every
+        // constant subscript in the hashed half of its table: each pass
+        // must print what it prints with the dense half.
+        for src in [
+            "(F 8)",
+            "(compose (T 8 4) (tensor (I 4) (F 2)))",
+            "(compose (tensor (F 2) (I 4)) (T 8 4) (tensor (I 2) (F 4)) (L 8 2))",
+        ] {
+            let p = lowered(src);
+            let mut undeclared = p.clone();
+            undeclared.n_in = 0;
+            undeclared.n_out = 0;
+            undeclared.temps.iter_mut().for_each(|t| *t = 0);
+            undeclared.tables.iter_mut().for_each(|t| t.clear());
+            let passes: [Box<dyn Pass>; 3] = [
+                Box::new(value_number::ValueNumber::default()),
+                Box::new(forward_substitute::ForwardSubstitute),
+                Box::new(dce::Dce),
+            ];
+            let (mut a, mut b) = (p, undeclared);
+            for _ in 0..3 {
+                for pass in &passes {
+                    let ra = pass.run(&mut a, &mut OptStats::default()).unwrap();
+                    let rb = pass.run(&mut b, &mut OptStats::default()).unwrap();
+                    assert_eq!(ra, rb, "{src}: {}", pass.name());
+                    assert_eq!(a.instrs, b.instrs, "{src}: {}", pass.name());
+                }
+            }
+        }
+    }
+
+    #[test]
     fn registered_passes_have_unique_names_and_descriptions() {
         let passes = registered_passes();
         let mut names = HashSet::new();
         for p in &passes {
             assert!(names.insert(p.name().to_string()), "dup {}", p.name());
             assert!(!p.description().is_empty(), "{} undocumented", p.name());
+        }
+    }
+
+    #[test]
+    fn optimization_preserves_semantics() {
+        for src in [
+            "(F 4)",
+            "(F 8)",
+            "(compose (tensor (F 2) (I 2)) (T 4 2) (tensor (I 2) (F 2)) (L 4 2))",
+            "(compose (F 2) (F 2))",
+            "(tensor (F 2) (F 2))",
+            "(direct-sum (F 2) (J 3))",
+        ] {
+            let (p, o) = optimized(src);
+            let x = ramp(p.n_in);
+            let a = interp::run(&p, &x).unwrap();
+            let b = interp::run(&o, &x).unwrap();
+            for (u, v) in a.iter().zip(&b) {
+                assert!(u.approx_eq(*v, 1e-12), "{src}");
+            }
+        }
+    }
+
+    #[test]
+    fn optimization_shrinks_unrolled_dft() {
+        // The naive (F 4) unrolled has 4*4 twiddle multiplies; after
+        // folding W(4,0)=1 etc. many disappear.
+        let (p, o) = optimized("(F 4)");
+        assert!(
+            o.static_instr_count() < p.static_instr_count(),
+            "{} -> {}",
+            p.static_instr_count(),
+            o.static_instr_count()
+        );
+    }
+
+    #[test]
+    fn optimize_with_stats_counts_work() {
+        let p = crate::unroll::scalarize(&lowered("(F 4)"));
+        let (o, stats) = optimize_with_stats(&p).unwrap();
+        assert_eq!(stats.instrs_before, p.static_instr_count() as u64);
+        assert_eq!(stats.instrs_after, o.static_instr_count() as u64);
+        assert!(stats.instrs_after < stats.instrs_before);
+        // The unrolled F4 is full of W(4,k) constants to fold.
+        assert!(stats.constants_folded > 0);
+        assert!(stats.dce_removed > 0);
+    }
+
+    #[test]
+    fn optimize_rejects_misaligned_provenance() {
+        let err = optimize(&misaligned_prov_program()).unwrap_err();
+        assert!(matches!(err, CompileError::MalformedIcode(_)), "{err:?}");
+    }
+
+    #[test]
+    fn every_standard_pass_rejects_misaligned_provenance() {
+        // Each registered pass must fail typed, not panic, on malformed
+        // input (the old monolith's `expect`/`unreachable!` sites).
+        let p = misaligned_prov_program();
+        for pass in registered_passes() {
+            let mut prog = p.clone();
+            let err = pass
+                .run(&mut prog, &mut OptStats::default())
+                .expect_err(pass.name());
+            assert!(
+                matches!(err, CompileError::MalformedIcode(_)),
+                "{}: {err:?}",
+                pass.name()
+            );
+        }
+    }
+
+    #[test]
+    fn standard_passes_converge_and_report_changed_honestly() {
+        // Every standard pass must reach its own fixed point within a few
+        // runs, and a run that reports Unchanged must not have mutated
+        // the program (the fixed-point loop depends on both).
+        let p = lowered("(F 4)");
+        for pass in registered_passes() {
+            let mut prog = p.clone();
+            let mut stats = OptStats::default();
+            let mut converged = false;
+            for _ in 0..8 {
+                let before = prog.clone();
+                let result = pass.run(&mut prog, &mut stats).unwrap();
+                assert_eq!(
+                    result == PassResult::Unchanged,
+                    before == prog,
+                    "{} lied about Changed/Unchanged",
+                    pass.name()
+                );
+                if result == PassResult::Unchanged {
+                    converged = true;
+                    break;
+                }
+            }
+            assert!(converged, "{} did not converge in 8 runs", pass.name());
         }
     }
 }

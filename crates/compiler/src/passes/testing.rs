@@ -102,3 +102,88 @@ impl Pass for Pong {
         Ok(swap_first_commutative(prog))
     }
 }
+
+/// Fixtures shared by the passes' unit tests.
+#[cfg(test)]
+pub(crate) mod fixtures {
+    use spl_frontend::parser::parse_formula;
+    use spl_icode::{interp, Affine, BinOp, IProgram, Instr, Place, UnOp, Value, VecKind, VecRef};
+    use spl_numeric::Complex;
+    use spl_templates::{expand_formula, ExpandOptions, TemplateTable};
+
+    use crate::optimize::optimize;
+
+    /// `src` expanded, unrolled and with its intrinsics evaluated: what
+    /// the pipeline is handed.
+    pub(crate) fn lowered(src: &str) -> IProgram {
+        let table = TemplateTable::builtin();
+        let sexp = parse_formula(src).unwrap();
+        let p = expand_formula(&sexp, &table, &ExpandOptions::default()).unwrap();
+        let p = crate::unroll::unroll_all(&p).unwrap();
+        crate::intrinsics::eval_intrinsics(&p).unwrap()
+    }
+
+    /// `src` lowered and scalarized, and that optimized: `(input,
+    /// output)` of the default optimizations.
+    pub(crate) fn optimized(src: &str) -> (IProgram, IProgram) {
+        let p = crate::unroll::scalarize(&lowered(src));
+        let o = optimize(&p).unwrap();
+        o.validate().unwrap();
+        (p, o)
+    }
+
+    pub(crate) fn ramp(n: usize) -> Vec<Complex> {
+        (0..n)
+            .map(|i| Complex::new((i as f64).sin() + 1.0, (i as f64).cos()))
+            .collect()
+    }
+
+    pub(crate) fn out_at(i: i64) -> Place {
+        Place::Vec(VecRef {
+            kind: VecKind::Out,
+            idx: Affine::constant(i),
+        })
+    }
+
+    /// Holds [`optimize`] to the interpreter's answer on `p`.
+    pub(crate) fn assert_optimize_preserves(p: &IProgram) {
+        let q = optimize(p).unwrap();
+        q.validate().unwrap();
+        let x: Vec<Complex> = (0..p.n_in)
+            .map(|i| Complex::real((i as f64) + 1.5))
+            .collect();
+        let a = interp::run(p, &x).unwrap();
+        let b = interp::run(&q, &x).unwrap();
+        for (u, v) in a.iter().zip(&b) {
+            assert!(
+                u.approx_eq(*v, 1e-12),
+                "optimize changed semantics: {u} vs {v}\n{p}\n=>\n{q}"
+            );
+        }
+    }
+
+    /// A structurally valid program except for a provenance map that is
+    /// non-empty but shorter than the instruction list.
+    pub(crate) fn misaligned_prov_program() -> IProgram {
+        IProgram {
+            instrs: vec![
+                Instr::Bin {
+                    op: BinOp::Add,
+                    dst: Place::F(0),
+                    a: Value::vec(VecKind::In, 0),
+                    b: Value::Int(1),
+                },
+                Instr::Un {
+                    op: UnOp::Copy,
+                    dst: out_at(0),
+                    a: Value::f(0),
+                },
+            ],
+            prov: vec![0], // one entry for two instructions
+            n_in: 1,
+            n_out: 1,
+            n_f: 1,
+            ..IProgram::empty()
+        }
+    }
+}

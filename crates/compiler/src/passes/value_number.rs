@@ -7,13 +7,12 @@
 //! reset at loop boundaries (conservative but simple — exactly what
 //! generated SPL code needs, since loop bodies are self-contained).
 
-use std::collections::HashMap;
-
 use spl_icode::{Affine, BinOp, IProgram, Instr, LoopVar, Place, UnOp, Value, VecKind, VecRef};
 use spl_numeric::Complex;
 
-use super::{install, scalar_id, OptStats, Pass, PassResult, Rewritten, ScalarId};
+use super::{slot_mut, vec_slot, Elems, OptStats, Pass, PassResult, Slots, Terms, VecLens, NONE};
 use crate::error::CompileError;
+use crate::mix::MixMap;
 
 /// The value-numbering pass. With `cse` disabled it degrades to pure
 /// constant folding / algebraic simplification (registered separately as
@@ -58,8 +57,7 @@ impl Pass for ValueNumber {
 
     fn run(&self, prog: &mut IProgram, stats: &mut OptStats) -> Result<PassResult, CompileError> {
         super::check_prov_alignment(self.name(), prog)?;
-        let new = value_number_counted(prog, stats, self.cse);
-        Ok(install(prog, new))
+        Ok(value_number_in_place(prog, stats, self.cse))
     }
 }
 
@@ -82,75 +80,169 @@ struct VnInfo {
     /// A place currently holding it. Invariant: `home == Some(P)` implies
     /// `places.get(P) == Some(this vn)`, so the home a write clobbers is
     /// found through the written place's own entry, never by a scan.
-    home: Option<Place>,
+    home: Option<Home>,
     /// The operand of the negation that produced it, so `-(-x)` folds
     /// to `x`.
     neg_src: Option<u32>,
+}
+
+/// A place by its dense ids: what a value's home is recorded as, so that
+/// recording one copies no subscript.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Home {
+    F(u32),
+    R(u32),
+    /// An element of `kind`: a constant subscript (terms id [`NONE`]), or
+    /// interned terms plus a constant.
+    Elem(VecKind, u32, i64),
+}
+
+impl Home {
+    fn is_scalar(self) -> bool {
+        matches!(self, Home::F(_) | Home::R(_))
+    }
+
+    /// An element of the read-only input or of a constant table.
+    fn is_read_only(self) -> bool {
+        matches!(self, Home::Elem(VecKind::In | VecKind::Table(_), ..))
+    }
 }
 
 /// Value numbers of the elements of one vector.
 #[derive(Default)]
 struct VecVns {
     /// Constant subscripts.
-    consts: HashMap<i64, u32>,
-    /// Symbolic subscripts (non-empty `terms`).
-    symbolic: HashMap<Affine, u32>,
+    consts: Elems,
+    /// Symbolic subscripts (non-empty terms), by (terms id, constant).
+    symbolic: MixMap<(u32, i64), u32>,
 }
 
 /// place -> value number, split the way a write invalidates it: a
 /// scalar write kills one entry; a constant-subscript vector write kills
 /// that element and every symbolic entry of the vector; a symbolic write
 /// kills the whole vector.
-#[derive(Default)]
 struct PlaceVns {
-    scalars: HashMap<ScalarId, u32>,
-    vecs: HashMap<VecKind, VecVns>,
+    f: Slots,
+    r: Slots,
+    /// By [`vec_slot`]; created on first use.
+    vecs: Vec<Option<VecVns>>,
+    lens: VecLens,
+    terms: Terms,
 }
 
 impl PlaceVns {
-    fn get(&self, p: &Place) -> Option<u32> {
-        match p {
-            Place::Vec(v) => {
-                let vec = self.vecs.get(&v.kind)?;
-                match v.idx.as_const() {
-                    Some(c) => vec.consts.get(&c).copied(),
-                    None => vec.symbolic.get(&v.idx).copied(),
-                }
-            }
-            scalar => self.scalars.get(&scalar_id(scalar)?).copied(),
+    fn new(prog: &IProgram) -> PlaceVns {
+        PlaceVns {
+            f: Slots::with_len(prog.n_f as usize),
+            r: Slots::with_len(prog.n_r as usize),
+            vecs: Vec::new(),
+            lens: VecLens::of(prog),
+            terms: Terms::default(),
         }
     }
 
-    fn insert(&mut self, p: &Place, vn: u32) {
+    fn vec(&self, kind: VecKind) -> Option<&VecVns> {
+        self.vecs.get(vec_slot(kind))?.as_ref()
+    }
+
+    fn get(&self, p: &Place) -> Option<u32> {
         match p {
+            Place::F(k) => self.f.get(*k as usize),
+            Place::R(k) => self.r.get(*k as usize),
             Place::Vec(v) => {
-                let vec = self.vecs.entry(v.kind).or_default();
+                let vec = self.vec(v.kind)?;
                 match v.idx.as_const() {
-                    Some(c) => vec.consts.insert(c, vn),
-                    None => vec.symbolic.insert(v.idx.clone(), vn),
-                };
-            }
-            scalar => {
-                if let Some(id) = scalar_id(scalar) {
-                    self.scalars.insert(id, vn);
+                    Some(c) => vec.consts.get(c),
+                    None => {
+                        let t = self.terms.get(&v.idx.terms)?;
+                        vec.symbolic.get(&(t, v.idx.c)).copied()
+                    }
                 }
+            }
+        }
+    }
+
+    /// Enters `p` with `vn`; returns `p` as a [`Home`].
+    fn insert(&mut self, p: &Place, vn: u32) -> Home {
+        match p {
+            Place::F(k) => {
+                self.f.insert(*k as usize, vn);
+                Home::F(*k)
+            }
+            Place::R(k) => {
+                self.r.insert(*k as usize, vn);
+                Home::R(*k)
+            }
+            Place::Vec(v) => {
+                let len = self.lens.get(v.kind);
+                let vec =
+                    slot_mut(&mut self.vecs, vec_slot(v.kind)).get_or_insert_with(|| VecVns {
+                        consts: Elems::with_len(len),
+                        symbolic: MixMap::default(),
+                    });
+                match v.idx.as_const() {
+                    Some(c) => {
+                        vec.consts.insert(c, vn);
+                        Home::Elem(v.kind, NONE, c)
+                    }
+                    None => {
+                        let t = self.terms.id(&v.idx.terms);
+                        vec.symbolic.insert((t, v.idx.c), vn);
+                        Home::Elem(v.kind, t, v.idx.c)
+                    }
+                }
+            }
+        }
+    }
+
+    /// The place `h` stands for.
+    fn place(&self, h: Home) -> Place {
+        match h {
+            Home::F(k) => Place::F(k),
+            Home::R(k) => Place::R(k),
+            Home::Elem(kind, t, c) => {
+                let mut idx = Affine::constant(c);
+                if t != NONE {
+                    idx.terms = self.terms.list(t).to_vec();
+                }
+                Place::Vec(VecRef { kind, idx })
+            }
+        }
+    }
+
+    /// Forgets every entry; the tables keep their storage.
+    fn clear(&mut self) {
+        self.f.drain(|_, _| {});
+        self.r.drain(|_, _| {});
+        for vec in self.vecs.iter_mut().flatten() {
+            vec.consts.drain(|_, _| {});
+            if !vec.symbolic.is_empty() {
+                vec.symbolic.clear();
             }
         }
     }
 }
 
-#[derive(Default)]
 struct Vn {
     /// Value numbers are dense: `base + k` is described by `info[k]`.
     /// A reset forgets every number issued so far by moving `base` past
     /// them, which keeps numbering identical to never reusing one.
     base: u32,
     info: Vec<VnInfo>,
-    keys: HashMap<Key, u32>,
+    keys: MixMap<Key, u32>,
     places: PlaceVns,
 }
 
 impl Vn {
+    fn new(prog: &IProgram) -> Vn {
+        Vn {
+            base: 0,
+            info: Vec::new(),
+            keys: MixMap::default(),
+            places: PlaceVns::new(prog),
+        }
+    }
+
     fn fresh(&mut self) -> u32 {
         self.info.push(VnInfo::default());
         self.base + (self.info.len() - 1) as u32
@@ -171,8 +263,10 @@ impl Vn {
     fn reset(&mut self) {
         self.base += self.info.len() as u32;
         self.info.clear();
-        self.keys.clear();
-        self.places = PlaceVns::default();
+        if !self.keys.is_empty() {
+            self.keys.clear();
+        }
+        self.places.clear();
     }
 
     fn const_vn(&mut self, c: Complex) -> u32 {
@@ -204,8 +298,8 @@ impl Vn {
                     return vn;
                 }
                 let vn = self.fresh();
-                self.places.insert(p, vn);
-                self.info_mut(vn).home = Some(p.clone());
+                let home = self.places.insert(p, vn);
+                self.info_mut(vn).home = Some(home);
                 vn
             }
             Value::Intrinsic(_, _) => self.fresh(),
@@ -218,21 +312,26 @@ impl Vn {
     /// just read). Reads of the read-only input and tables are kept as-is:
     /// renaming them through a register adds a copy for no benefit.
     fn best_operand(&self, vn: u32, original: &Value) -> Value {
+        self.better_operand(vn, original)
+            .unwrap_or_else(|| original.clone())
+    }
+
+    /// [`Vn::best_operand`] when it is not `original` itself.
+    fn better_operand(&self, vn: u32, original: &Value) -> Option<Value> {
         let info = self.info(vn);
         if let Some(c) = info.konst {
-            return Value::Const(c);
+            return Some(Value::Const(c));
         }
         if let Value::Place(Place::Vec(v)) = original {
             if matches!(v.kind, VecKind::In | VecKind::Table(_)) {
-                return original.clone();
+                return None;
             }
         }
-        match &info.home {
-            Some(home @ (Place::F(_) | Place::R(_))) => Value::Place(home.clone()),
-            Some(home @ Place::Vec(v)) if matches!(v.kind, VecKind::In | VecKind::Table(_)) => {
-                Value::Place(home.clone())
+        match info.home {
+            Some(home) if home.is_scalar() || home.is_read_only() => {
+                Some(Value::Place(self.places.place(home)))
             }
-            _ => original.clone(),
+            _ => None,
         }
     }
 
@@ -244,7 +343,7 @@ impl Vn {
         if let Some(c) = info.konst {
             return Some(Value::Const(c));
         }
-        info.home.as_ref().map(|h| Value::Place(h.clone()))
+        info.home.map(|h| Value::Place(self.places.place(h)))
     }
 
     /// Invalidates state for a write to `dst`: the entries of every place
@@ -253,54 +352,56 @@ impl Vn {
         let Vn {
             base, info, places, ..
         } = self;
-        let mut unhome = |vn: u32, killed: &Place| {
+        let mut unhome = |vn: u32, killed: Home| {
             let home = &mut info[(vn - *base) as usize].home;
-            if home.as_ref() == Some(killed) {
+            if *home == Some(killed) {
                 *home = None;
             }
         };
         let Place::Vec(v) = dst else {
-            if let Some(vn) = scalar_id(dst).and_then(|id| places.scalars.remove(&id)) {
-                unhome(vn, dst);
+            let killed = match dst {
+                Place::F(k) => places.f.remove(*k as usize).map(|vn| (vn, Home::F(*k))),
+                Place::R(k) => places.r.remove(*k as usize).map(|vn| (vn, Home::R(*k))),
+                Place::Vec(_) => None,
+            };
+            if let Some((vn, home)) = killed {
+                unhome(vn, home);
             }
             return;
         };
-        let Some(vec) = places.vecs.get_mut(&v.kind) else {
+        let kind = v.kind;
+        let Some(Some(vec)) = places.vecs.get_mut(vec_slot(kind)) else {
             return;
         };
-        let at = |idx: Affine| Place::Vec(VecRef { kind: v.kind, idx });
-        // The tables are taken, not drained: what a kill costs is then
+        // The tables are emptied, not scanned: what a kill costs is then
         // paid for by the inserts that filled them.
         match v.idx.as_const() {
             Some(c) => {
-                if let Some(vn) = vec.consts.remove(&c) {
-                    unhome(vn, dst);
+                if let Some(vn) = vec.consts.remove(c) {
+                    unhome(vn, Home::Elem(kind, NONE, c));
                 }
             }
-            None => {
-                for (c, vn) in std::mem::take(&mut vec.consts) {
-                    unhome(vn, &at(Affine::constant(c)));
-                }
-            }
+            None => vec
+                .consts
+                .drain(|c, vn| unhome(vn, Home::Elem(kind, NONE, c))),
         }
         if !vec.symbolic.is_empty() {
-            for (idx, vn) in std::mem::take(&mut vec.symbolic) {
-                unhome(vn, &at(idx));
+            for ((t, c), vn) in vec.symbolic.drain() {
+                unhome(vn, Home::Elem(kind, t, c));
             }
         }
     }
 
     fn record_write(&mut self, dst: &Place, vn: u32) {
         self.invalidate(dst);
-        self.places.insert(dst, vn);
+        let at = self.places.insert(dst, vn);
         let home = &mut self.info_mut(vn).home;
         match home {
             // Scalar homes are good; reads of the read-only input or a
             // constant table are even better (they can never be
             // invalidated) — keep either.
-            Some(Place::F(_)) | Some(Place::R(_)) => {}
-            Some(Place::Vec(v)) if matches!(v.kind, VecKind::In | VecKind::Table(_)) => {}
-            _ => *home = Some(dst.clone()),
+            Some(h) if h.is_scalar() || h.is_read_only() => {}
+            _ => *home = Some(at),
         }
     }
 }
@@ -343,311 +444,330 @@ fn fold_bin(op: BinOp, a: Complex, b: Complex, int: bool) -> Option<Complex> {
     })
 }
 
-pub(crate) fn value_number_counted(prog: &IProgram, stats: &mut OptStats, cse: bool) -> Rewritten {
-    let mut st = Vn::default();
-    let mut instrs = Vec::with_capacity(prog.instrs.len());
-    // Provenance is re-attached lazily: at each iteration's start, any
-    // output emitted by the *previous* source instruction (each emits 0
-    // or 1) inherits that instruction's formula-node id. The arms below
-    // `continue` freely, so the top of the loop is the one safe place.
-    let prov_in = prog.prov_slice();
-    let has_prov = !prov_in.is_empty();
-    let mut prov_out: Vec<u32> = Vec::with_capacity(if has_prov { prog.instrs.len() } else { 0 });
-    let mut cur_prov = 0u32;
-    for (src_idx, ins) in prog.instrs.iter().enumerate() {
-        if has_prov {
-            prov_out.resize(instrs.len(), cur_prov);
-            cur_prov = prov_in[src_idx];
+/// What value numbering does with one instruction.
+enum Out {
+    /// Leaves it in place; `true` when an operand was replaced.
+    Keep(bool),
+    /// Deletes it: the destination already holds the value.
+    Drop,
+    /// Replaces it.
+    Put(Instr),
+}
+
+/// Value numbering over `prog`, in place: an instruction is kept (its
+/// operands improved where they differ), replaced by a cheaper one, or
+/// dropped, so that only what changes is written.
+pub(crate) fn value_number_in_place(
+    prog: &mut IProgram,
+    stats: &mut OptStats,
+    cse: bool,
+) -> PassResult {
+    let mut st = Vn::new(prog);
+    let mut keep = Vec::with_capacity(prog.instrs.len());
+    let mut changed = false;
+    for ins in &mut prog.instrs {
+        let kept = match number(&mut st, stats, cse, ins) {
+            Out::Keep(touched) => {
+                changed |= touched;
+                true
+            }
+            Out::Drop => false,
+            Out::Put(new) => {
+                if *ins != new {
+                    *ins = new;
+                    changed = true;
+                }
+                true
+            }
+        };
+        keep.push(kept);
+    }
+    if keep.contains(&false) {
+        changed = true;
+        // Provenance stays with the instructions that survive.
+        let mut k = keep.iter();
+        prog.instrs
+            .retain(|_| *k.next().expect("one mark per instruction"));
+        if !prog.prov.is_empty() {
+            let mut k = keep.iter();
+            prog.prov.retain(|_| *k.next().expect("one mark per entry"));
         }
-        match ins {
-            Instr::DoStart { .. } | Instr::DoEnd => {
-                st.reset();
-                instrs.push(ins.clone());
-            }
-            Instr::Un { op, dst, a } => {
-                let a_vn = st.value_vn(a);
-                match op {
-                    UnOp::Copy => {
-                        emit_result(&mut st, &mut instrs, dst, a_vn, None, a);
+    }
+    if changed {
+        PassResult::Changed
+    } else {
+        PassResult::Unchanged
+    }
+}
+
+/// Replaces `v` by `new` when they differ; reports whether it did.
+fn replace(v: &mut Value, new: Value) -> bool {
+    let differs = *v != new;
+    if differs {
+        *v = new;
+    }
+    differs
+}
+
+/// Numbers one instruction and says what becomes of it.
+fn number(st: &mut Vn, stats: &mut OptStats, cse: bool, ins: &mut Instr) -> Out {
+    match ins {
+        Instr::DoStart { .. } | Instr::DoEnd => {
+            st.reset();
+            Out::Keep(false)
+        }
+        Instr::Un { op, dst, a } => {
+            let a_vn = st.value_vn(a);
+            match op {
+                UnOp::Copy => {
+                    // What `emit_result` does for a copy, on the copy
+                    // itself: it prints the value's constant if known,
+                    // else its own operand.
+                    if st.places.get(dst) == Some(a_vn) {
+                        return Out::Drop;
                     }
-                    UnOp::Neg => {
-                        if let Some(c) = st.konst(a_vn) {
-                            stats.constants_folded += 1;
-                            let vn = st.const_vn(-c);
-                            emit_result(&mut st, &mut instrs, dst, vn, None, &Value::Const(-c));
-                            continue;
-                        }
-                        // -(-x) = x: if the operand is itself a negation,
-                        // reuse its source (when still available).
-                        if let Some(src) = st.info(a_vn).neg_src {
-                            if let Some(val) = st.materialize(src) {
-                                if st.places.get(dst) == Some(src) {
-                                    continue;
-                                }
-                                st.record_write(dst, src);
-                                if let Value::Place(p) = &val {
-                                    if p == dst {
-                                        continue;
-                                    }
-                                }
-                                instrs.push(Instr::Un {
-                                    op: UnOp::Copy,
-                                    dst: dst.clone(),
-                                    a: val,
-                                });
-                                continue;
-                            }
-                        }
-                        let key = Key::Neg(a_vn);
-                        let reuse = cse
-                            .then(|| {
-                                st.keys
-                                    .get(&key)
-                                    .copied()
-                                    .and_then(|vn| st.materialize(vn).map(|val| (vn, val)))
-                            })
-                            .flatten();
-                        match reuse {
-                            Some((vn, val)) => {
-                                stats.cse_hits += 1;
-                                if st.places.get(dst) == Some(vn) {
-                                    continue;
-                                }
-                                st.record_write(dst, vn);
-                                if let Value::Place(p) = &val {
-                                    if p == dst {
-                                        continue;
-                                    }
-                                }
-                                instrs.push(Instr::Un {
-                                    op: UnOp::Copy,
-                                    dst: dst.clone(),
-                                    a: val,
-                                });
-                            }
-                            None => {
-                                let vn = match st.keys.get(&key) {
-                                    Some(&vn) => vn,
-                                    None => {
-                                        let vn = st.fresh();
-                                        st.keys.insert(key, vn);
-                                        vn
-                                    }
-                                };
-                                st.info_mut(vn).neg_src = Some(a_vn);
-                                let new = Instr::Un {
-                                    op: UnOp::Neg,
-                                    dst: dst.clone(),
-                                    a: st.best_operand(a_vn, a),
-                                };
-                                st.record_write(dst, vn);
-                                instrs.push(new);
-                            }
-                        }
+                    let konst = st.konst(a_vn);
+                    if konst.is_none() && matches!(a, Value::Place(p) if p == dst) {
+                        st.record_write(dst, a_vn);
+                        return Out::Drop;
                     }
+                    st.record_write(dst, a_vn);
+                    Out::Keep(konst.is_some_and(|c| replace(a, Value::Const(c))))
                 }
-            }
-            Instr::Bin { op, dst, a, b } => {
-                let a_vn = st.value_vn(a);
-                let b_vn = st.value_vn(b);
-                let int = is_int_dst(dst);
-                let ca = st.konst(a_vn);
-                let cb = st.konst(b_vn);
-                // Constant folding.
-                if let (Some(x), Some(y)) = (ca, cb) {
-                    if let Some(r) = fold_bin(*op, x, y, int) {
+                UnOp::Neg => {
+                    if let Some(c) = st.konst(a_vn) {
                         stats.constants_folded += 1;
-                        let vn = st.const_vn(r);
-                        emit_result(&mut st, &mut instrs, dst, vn, None, a);
-                        continue;
+                        let vn = st.const_vn(-c);
+                        return emit_result(st, dst, vn, None, &Value::Const(-c));
                     }
-                }
-                // Algebraic simplifications. Each case carries the operand
-                // (value number + original) that the result reduces to.
-                let one = Complex::ONE;
-                let zero = Complex::ZERO;
-                let neg_one = Complex::real(-1.0);
-                // Produces the value number for -oval, together with an
-                // instruction computing it into dst: a copy when the
-                // negation is still live somewhere, a recomputation
-                // otherwise, nothing when it is a known constant (the
-                // const branch of emit_result covers it).
-                let neg_of = |st: &mut Vn, ovn: u32, oval: &Value, dst: &Place| {
-                    // -(-x) = x when the operand is itself a negation.
-                    if let Some(src) = st.info(ovn).neg_src {
+                    // -(-x) = x: if the operand is itself a negation,
+                    // reuse its source (when still available).
+                    if let Some(src) = st.info(a_vn).neg_src {
                         if let Some(val) = st.materialize(src) {
-                            return (
-                                src,
-                                Some(Instr::Un {
-                                    op: UnOp::Copy,
-                                    dst: dst.clone(),
-                                    a: val,
-                                }),
-                            );
+                            return reuse(st, dst, src, val);
                         }
                     }
-                    let key = Key::Neg(ovn);
-                    if let Some(&vn) = st.keys.get(&key) {
-                        if st.konst(vn).is_some() {
-                            return (vn, None);
-                        }
-                        let ins = match st.materialize(vn) {
-                            Some(val) => Instr::Un {
-                                op: UnOp::Copy,
-                                dst: dst.clone(),
-                                a: val,
-                            },
-                            None => Instr::Un {
-                                op: UnOp::Neg,
-                                dst: dst.clone(),
-                                a: st.best_operand(ovn, oval),
-                            },
-                        };
-                        return (vn, Some(ins));
+                    let key = Key::Neg(a_vn);
+                    let reused = cse
+                        .then(|| {
+                            st.keys
+                                .get(&key)
+                                .copied()
+                                .and_then(|vn| st.materialize(vn).map(|val| (vn, val)))
+                        })
+                        .flatten();
+                    if let Some((vn, val)) = reused {
+                        stats.cse_hits += 1;
+                        return reuse(st, dst, vn, val);
                     }
-                    let vn = st.fresh();
-                    st.keys.insert(key, vn);
-                    st.info_mut(vn).neg_src = Some(ovn);
-                    (
-                        vn,
-                        Some(Instr::Un {
-                            op: UnOp::Neg,
-                            dst: dst.clone(),
-                            a: st.best_operand(ovn, oval),
-                        }),
-                    )
-                };
-                // (result vn, prebuilt instr, original operand for the vn)
-                let simplified: Option<(u32, Option<Instr>, Value)> = match op {
-                    BinOp::Add => {
-                        if ca == Some(zero) {
-                            Some((b_vn, None, b.clone()))
-                        } else if cb == Some(zero) {
-                            Some((a_vn, None, a.clone()))
-                        } else {
-                            None
-                        }
-                    }
-                    BinOp::Sub => {
-                        if cb == Some(zero) {
-                            Some((a_vn, None, a.clone()))
-                        } else if a_vn == b_vn {
-                            let vn = st.const_vn(zero);
-                            Some((vn, None, Value::Const(zero)))
-                        } else if ca == Some(zero) {
-                            let (vn, pre) = neg_of(&mut st, b_vn, b, dst);
-                            Some((vn, pre, b.clone()))
-                        } else {
-                            None
-                        }
-                    }
-                    BinOp::Mul => {
-                        if ca == Some(one) {
-                            Some((b_vn, None, b.clone()))
-                        } else if cb == Some(one) {
-                            Some((a_vn, None, a.clone()))
-                        } else if ca == Some(zero) || cb == Some(zero) {
-                            let vn = st.const_vn(zero);
-                            Some((vn, None, Value::Const(zero)))
-                        } else if ca == Some(neg_one) {
-                            let (vn, pre) = neg_of(&mut st, b_vn, b, dst);
-                            Some((vn, pre, b.clone()))
-                        } else if cb == Some(neg_one) {
-                            let (vn, pre) = neg_of(&mut st, a_vn, a, dst);
-                            Some((vn, pre, a.clone()))
-                        } else {
-                            None
-                        }
-                    }
-                    BinOp::Div => {
-                        if cb == Some(one) {
-                            Some((a_vn, None, a.clone()))
-                        } else {
-                            None
-                        }
-                    }
-                };
-                if let Some((vn, emit, orig)) = simplified {
-                    emit_result(&mut st, &mut instrs, dst, vn, emit, &orig);
-                    continue;
-                }
-                // CSE: canonicalize commutative operand order.
-                let (ka, kb) = match op {
-                    BinOp::Add | BinOp::Mul if a_vn > b_vn => (b_vn, a_vn),
-                    _ => (a_vn, b_vn),
-                };
-                let key = Key::Bin(*op, int, ka, kb);
-                let reuse = cse
-                    .then(|| {
-                        st.keys
-                            .get(&key)
-                            .copied()
-                            .and_then(|vn| st.materialize(vn).map(|val| (vn, val)))
-                    })
-                    .flatten();
-                if let Some((vn, val)) = reuse {
-                    // The value is still available somewhere: reuse it.
-                    stats.cse_hits += 1;
-                    if st.places.get(dst) == Some(vn) {
-                        continue; // already there
-                    }
-                    st.record_write(dst, vn);
-                    if let Value::Place(p) = &val {
-                        if p == dst {
-                            continue;
-                        }
-                    }
-                    instrs.push(Instr::Un {
-                        op: UnOp::Copy,
-                        dst: dst.clone(),
-                        a: val,
-                    });
-                } else {
                     let vn = match st.keys.get(&key) {
-                        Some(&vn) => vn, // known but unavailable: recompute
+                        Some(&vn) => vn,
                         None => {
                             let vn = st.fresh();
                             st.keys.insert(key, vn);
                             vn
                         }
                     };
-                    let new = Instr::Bin {
-                        op: *op,
-                        dst: dst.clone(),
-                        a: st.best_operand(a_vn, a),
-                        b: st.best_operand(b_vn, b),
-                    };
+                    st.info_mut(vn).neg_src = Some(a_vn);
+                    let better = st.better_operand(a_vn, a);
                     st.record_write(dst, vn);
-                    instrs.push(new);
+                    Out::Keep(better.is_some_and(|v| replace(a, v)))
                 }
             }
         }
+        Instr::Bin { op, dst, a, b } => {
+            let op = *op;
+            let a_vn = st.value_vn(a);
+            let b_vn = st.value_vn(b);
+            let int = is_int_dst(dst);
+            let ca = st.konst(a_vn);
+            let cb = st.konst(b_vn);
+            // Constant folding.
+            if let (Some(x), Some(y)) = (ca, cb) {
+                if let Some(r) = fold_bin(op, x, y, int) {
+                    stats.constants_folded += 1;
+                    let vn = st.const_vn(r);
+                    return emit_result(st, dst, vn, None, a);
+                }
+            }
+            // Algebraic simplifications. Each case carries the operand
+            // (value number + original) that the result reduces to.
+            let one = Complex::ONE;
+            let zero = Complex::ZERO;
+            let neg_one = Complex::real(-1.0);
+            // Produces the value number for -oval, together with an
+            // instruction computing it into dst: a copy when the
+            // negation is still live somewhere, a recomputation
+            // otherwise, nothing when it is a known constant (the
+            // const branch of emit_result covers it).
+            let neg_of = |st: &mut Vn, ovn: u32, oval: &Value, dst: &Place| {
+                // -(-x) = x when the operand is itself a negation.
+                if let Some(src) = st.info(ovn).neg_src {
+                    if let Some(val) = st.materialize(src) {
+                        return (
+                            src,
+                            Some(Instr::Un {
+                                op: UnOp::Copy,
+                                dst: dst.clone(),
+                                a: val,
+                            }),
+                        );
+                    }
+                }
+                let key = Key::Neg(ovn);
+                if let Some(&vn) = st.keys.get(&key) {
+                    if st.konst(vn).is_some() {
+                        return (vn, None);
+                    }
+                    let ins = match st.materialize(vn) {
+                        Some(val) => Instr::Un {
+                            op: UnOp::Copy,
+                            dst: dst.clone(),
+                            a: val,
+                        },
+                        None => Instr::Un {
+                            op: UnOp::Neg,
+                            dst: dst.clone(),
+                            a: st.best_operand(ovn, oval),
+                        },
+                    };
+                    return (vn, Some(ins));
+                }
+                let vn = st.fresh();
+                st.keys.insert(key, vn);
+                st.info_mut(vn).neg_src = Some(ovn);
+                (
+                    vn,
+                    Some(Instr::Un {
+                        op: UnOp::Neg,
+                        dst: dst.clone(),
+                        a: st.best_operand(ovn, oval),
+                    }),
+                )
+            };
+            // (result vn, prebuilt instr, original operand for the vn)
+            let simplified: Option<(u32, Option<Instr>, &Value)> = match op {
+                BinOp::Add => {
+                    if ca == Some(zero) {
+                        Some((b_vn, None, b))
+                    } else if cb == Some(zero) {
+                        Some((a_vn, None, a))
+                    } else {
+                        None
+                    }
+                }
+                BinOp::Sub => {
+                    if cb == Some(zero) {
+                        Some((a_vn, None, a))
+                    } else if a_vn == b_vn {
+                        let vn = st.const_vn(zero);
+                        Some((vn, None, &Value::Const(Complex::ZERO)))
+                    } else if ca == Some(zero) {
+                        let (vn, pre) = neg_of(st, b_vn, b, dst);
+                        Some((vn, pre, b))
+                    } else {
+                        None
+                    }
+                }
+                BinOp::Mul => {
+                    if ca == Some(one) {
+                        Some((b_vn, None, b))
+                    } else if cb == Some(one) {
+                        Some((a_vn, None, a))
+                    } else if ca == Some(zero) || cb == Some(zero) {
+                        let vn = st.const_vn(zero);
+                        Some((vn, None, &Value::Const(Complex::ZERO)))
+                    } else if ca == Some(neg_one) {
+                        let (vn, pre) = neg_of(st, b_vn, b, dst);
+                        Some((vn, pre, b))
+                    } else if cb == Some(neg_one) {
+                        let (vn, pre) = neg_of(st, a_vn, a, dst);
+                        Some((vn, pre, a))
+                    } else {
+                        None
+                    }
+                }
+                BinOp::Div => {
+                    if cb == Some(one) {
+                        Some((a_vn, None, a))
+                    } else {
+                        None
+                    }
+                }
+            };
+            if let Some((vn, emit, orig)) = simplified {
+                return emit_result(st, dst, vn, emit, orig);
+            }
+            // CSE: canonicalize commutative operand order.
+            let (ka, kb) = match op {
+                BinOp::Add | BinOp::Mul if a_vn > b_vn => (b_vn, a_vn),
+                _ => (a_vn, b_vn),
+            };
+            let key = Key::Bin(op, int, ka, kb);
+            let reused = cse
+                .then(|| {
+                    st.keys
+                        .get(&key)
+                        .copied()
+                        .and_then(|vn| st.materialize(vn).map(|val| (vn, val)))
+                })
+                .flatten();
+            if let Some((vn, val)) = reused {
+                // The value is still available somewhere: reuse it.
+                stats.cse_hits += 1;
+                return reuse(st, dst, vn, val);
+            }
+            let vn = match st.keys.get(&key) {
+                Some(&vn) => vn, // known but unavailable: recompute
+                None => {
+                    let vn = st.fresh();
+                    st.keys.insert(key, vn);
+                    vn
+                }
+            };
+            let (better_a, better_b) = (st.better_operand(a_vn, a), st.better_operand(b_vn, b));
+            st.record_write(dst, vn);
+            let touched_a = better_a.is_some_and(|v| replace(a, v));
+            let touched_b = better_b.is_some_and(|v| replace(b, v));
+            Out::Keep(touched_a || touched_b)
+        }
     }
-    if has_prov {
-        prov_out.resize(instrs.len(), cur_prov);
-    }
-    (instrs, prov_out)
 }
 
-/// Emits the result of an instruction whose value number is already known:
-/// either the provided replacement instruction, a copy from the value's
-/// home, or nothing when the destination already holds the value.
+/// `dst` gets value `vn`, which `val` holds: a copy, or nothing when
+/// `dst` holds it already.
+fn reuse(st: &mut Vn, dst: &Place, vn: u32, val: Value) -> Out {
+    if st.places.get(dst) == Some(vn) {
+        return Out::Drop;
+    }
+    st.record_write(dst, vn);
+    if matches!(&val, Value::Place(p) if p == dst) {
+        return Out::Drop;
+    }
+    Out::Put(Instr::Un {
+        op: UnOp::Copy,
+        dst: dst.clone(),
+        a: val,
+    })
+}
+
+/// The result of an instruction whose value number is already known:
+/// the provided replacement instruction, a copy from the value's home,
+/// or nothing when the destination already holds the value.
 fn emit_result(
     st: &mut Vn,
-    instrs: &mut Vec<Instr>,
     dst: &Place,
     vn: u32,
     prebuilt: Option<Instr>,
     original: &Value,
-) {
+) -> Out {
     // Destination already holds this value: the store is redundant.
     if st.places.get(dst) == Some(vn) {
-        return;
+        return Out::Drop;
     }
     if let Some(ins) = prebuilt {
         st.record_write(dst, vn);
-        instrs.push(ins);
-        return;
+        return Out::Put(ins);
     }
     // `original` is contractually value-equal to `vn` here; prefer a known
     // constant, then the original operand.
@@ -655,24 +775,37 @@ fn emit_result(
         Some(c) => Value::Const(c),
         None => original.clone(),
     };
-    // A copy of a place onto itself is a no-op.
-    if let Value::Place(p) = &a {
-        if p == dst {
-            st.record_write(dst, vn);
-            return;
-        }
-    }
     st.record_write(dst, vn);
-    instrs.push(Instr::Un {
+    // A copy of a place onto itself is a no-op.
+    if matches!(&a, Value::Place(p) if p == dst) {
+        return Out::Drop;
+    }
+    Out::Put(Instr::Un {
         op: UnOp::Copy,
         dst: dst.clone(),
         a,
-    });
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::intrinsics::eval_intrinsics;
+    use crate::optimize::optimize;
+    use crate::passes::testing::fixtures::{optimized, out_at, ramp};
+    use spl_frontend::parser::parse_formula;
+    use spl_icode::interp;
+    use spl_templates::{expand_formula, ExpandOptions, TemplateTable};
+
+    /// Pass state for a program with two 4-element temporaries: the
+    /// subscripts below are dense, those past 3 hashed.
+    fn state() -> Vn {
+        Vn::new(&IProgram {
+            temps: vec![4, 4],
+            n_f: 1,
+            ..IProgram::empty()
+        })
+    }
 
     fn elem(kind: VecKind, c: i64) -> Place {
         Place::Vec(VecRef {
@@ -692,7 +825,7 @@ mod tests {
 
     /// Three values, each living only in the place it was written to.
     fn three_homes(places: [&Place; 3]) -> (Vn, [u32; 3]) {
-        let mut st = Vn::default();
+        let mut st = state();
         let vns = [st.fresh(), st.fresh(), st.fresh()];
         for (p, vn) in places.into_iter().zip(vns) {
             st.record_write(p, vn);
@@ -730,7 +863,7 @@ mod tests {
 
     #[test]
     fn a_home_that_moved_is_not_dropped_with_its_old_place() {
-        let mut st = Vn::default();
+        let mut st = state();
         let (a, b) = (st.fresh(), st.fresh());
         st.record_write(&elem(T0, 1), a);
         // A vector home gives way to any later holder ...
@@ -755,7 +888,7 @@ mod tests {
 
     #[test]
     fn reset_forgets_every_value_but_keeps_numbering_dense() {
-        let mut st = Vn::default();
+        let mut st = state();
         let a = st.fresh();
         st.record_write(&Place::F(0), a);
         let one = st.const_vn(Complex::ONE);
@@ -809,17 +942,192 @@ mod tests {
         // The sum's only home, t0(0), is clobbered by the store to
         // t0(i0): it is computed again.
         let p = body(elem(T0, 0));
-        let (out, _) = value_number_counted(&p, &mut stats, true);
-        assert_eq!(out[3], p.instrs[3]);
+        let mut out = p.clone();
+        value_number_in_place(&mut out, &mut stats, true);
+        assert_eq!(out.instrs[3], p.instrs[3]);
         // Held in another vector, it is copied from there.
-        let (out, _) = value_number_counted(&body(elem(T1, 0)), &mut stats, true);
+        let mut out = body(elem(T1, 0));
+        value_number_in_place(&mut out, &mut stats, true);
         assert_eq!(
-            out[3],
+            out.instrs[3],
             Instr::Un {
                 op: UnOp::Copy,
                 dst: at_i0(VecKind::Out),
                 a: Value::Place(elem(T1, 0)),
             }
         );
+    }
+
+    /// One run of the pass, with reuse.
+    fn vn(p: &IProgram) -> IProgram {
+        let mut q = p.clone();
+        ValueNumber::default()
+            .run(&mut q, &mut OptStats::default())
+            .unwrap();
+        q
+    }
+
+    #[test]
+    fn mul_by_one_and_zero_fold() {
+        // diagonal (1 0 -1 2): y0 = x0, y1 = 0, y2 = -x2, y3 = 2*x3.
+        let (_, o) = optimized("(diagonal (1 0 -1 2))");
+        let x = ramp(4);
+        let y = interp::run(&o, &x).unwrap();
+        assert!(y[0].approx_eq(x[0], 0.0));
+        assert!(y[1].approx_eq(Complex::ZERO, 0.0));
+        assert!(y[2].approx_eq(-x[2], 0.0));
+        assert!(y[3].approx_eq(x[3] * Complex::real(2.0), 1e-15));
+        // And the code contains no multiplies for rows 0 and 2.
+        let muls = o
+            .instrs
+            .iter()
+            .filter(|i| matches!(i, Instr::Bin { op: BinOp::Mul, .. }))
+            .count();
+        assert_eq!(muls, 1);
+    }
+
+    #[test]
+    fn cse_removes_duplicate_expressions() {
+        // (compose (F 2) (I 2)): identity copy then butterfly; VN should
+        // forward the copies so the temp vanishes after DCE+scalarize.
+        let (_, o) = optimized("(compose (F 2) (I 2))");
+        // Optimal form: two instructions (add and sub).
+        assert_eq!(o.static_instr_count(), 2);
+    }
+
+    #[test]
+    fn loop_code_still_correct_after_vn() {
+        // Loops (no unrolling): VN must reset across iterations.
+        let table = TemplateTable::builtin();
+        let sexp = parse_formula("(compose (T 8 4) (tensor (I 4) (F 2)))").unwrap();
+        let p = expand_formula(&sexp, &table, &ExpandOptions::default()).unwrap();
+        let p = eval_intrinsics(&p).unwrap();
+        let o = optimize(&p).unwrap();
+        o.validate().unwrap();
+        let x = ramp(8);
+        let a = interp::run(&p, &x).unwrap();
+        let b = interp::run(&o, &x).unwrap();
+        for (u, v) in a.iter().zip(&b) {
+            assert!(u.approx_eq(*v, 1e-12));
+        }
+    }
+
+    #[test]
+    fn cse_keeps_integer_and_float_division_apart() {
+        // r0 = in-ish 7 / 2 (integer, = 3) followed by f0 = 7 / 2
+        // (float, = 3.5) with identical operand value numbers: CSE must
+        // not merge them. Use register operands so neither folds.
+        let p = IProgram {
+            instrs: vec![
+                Instr::Un {
+                    op: UnOp::Copy,
+                    dst: Place::R(1),
+                    a: Value::Int(7),
+                },
+                Instr::Un {
+                    op: UnOp::Copy,
+                    dst: Place::R(2),
+                    a: Value::Int(2),
+                },
+                Instr::Bin {
+                    op: BinOp::Div,
+                    dst: Place::R(0),
+                    a: Value::Place(Place::R(1)),
+                    b: Value::Place(Place::R(2)),
+                },
+                Instr::Bin {
+                    op: BinOp::Div,
+                    dst: Place::F(0),
+                    a: Value::Place(Place::R(1)),
+                    b: Value::Place(Place::R(2)),
+                },
+                Instr::Un {
+                    op: UnOp::Copy,
+                    dst: out_at(0),
+                    a: Value::Place(Place::R(0)),
+                },
+                Instr::Un {
+                    op: UnOp::Copy,
+                    dst: out_at(1),
+                    a: Value::f(0),
+                },
+            ],
+            n_in: 1,
+            n_out: 2,
+            n_f: 1,
+            n_r: 3,
+            ..IProgram::empty()
+        };
+        let q = vn(&p);
+        q.validate().unwrap();
+        let x = [Complex::ZERO];
+        let y = spl_icode::interp::run(&q, &x).unwrap();
+        assert_eq!(y[0].re, 3.0, "{q}");
+        assert_eq!(y[1].re, 3.5, "{q}");
+    }
+
+    #[test]
+    fn double_negation_folds() {
+        // f0 = -in(0); f1 = -f0; out(0) = f1  ==>  out(0) = in(0) copy.
+        use spl_icode::Affine;
+        let p = IProgram {
+            instrs: vec![
+                Instr::Un {
+                    op: UnOp::Neg,
+                    dst: Place::F(0),
+                    a: Value::vec(VecKind::In, 0),
+                },
+                Instr::Un {
+                    op: UnOp::Neg,
+                    dst: Place::F(1),
+                    a: Value::f(0),
+                },
+                Instr::Un {
+                    op: UnOp::Copy,
+                    dst: Place::Vec(VecRef {
+                        kind: VecKind::Out,
+                        idx: Affine::constant(0),
+                    }),
+                    a: Value::f(1),
+                },
+            ],
+            n_in: 1,
+            n_out: 1,
+            n_f: 2,
+            ..IProgram::empty()
+        };
+        let o = optimize(&p).unwrap();
+        // All negations vanish.
+        assert!(
+            o.instrs
+                .iter()
+                .all(|i| !matches!(i, Instr::Un { op: UnOp::Neg, .. })),
+            "{o}"
+        );
+        let x = [Complex::real(3.5)];
+        let y = spl_icode::interp::run(&o, &x).unwrap();
+        assert_eq!(y[0].re, 3.5);
+    }
+
+    #[test]
+    fn redundant_store_elided() {
+        // out(0) = in(0); out(0) = in(0)  →  single copy.
+        use spl_icode::Affine;
+        let mk = || Instr::Un {
+            op: UnOp::Copy,
+            dst: Place::Vec(VecRef {
+                kind: VecKind::Out,
+                idx: Affine::constant(0),
+            }),
+            a: Value::vec(VecKind::In, 0),
+        };
+        let p = IProgram {
+            instrs: vec![mk(), mk()],
+            n_in: 1,
+            n_out: 1,
+            ..IProgram::empty()
+        };
+        let o = vn(&p);
+        assert_eq!(o.instrs.len(), 1);
     }
 }

@@ -13,6 +13,7 @@ use std::collections::HashMap;
 use spl_icode::{IProgram, Instr, LoopVar, Place, Value, VecKind, VecRef};
 
 use crate::error::CompileError;
+use crate::mix::MixMap;
 
 fn malformed(msg: String) -> CompileError {
     CompileError::MalformedIcode(msg)
@@ -577,8 +578,10 @@ pub(crate) fn scalarize_in_place(prog: &mut IProgram) -> UnrollStats {
     }
     // Pass 2: rewrite accesses.
     let mut next_f = prog.n_f;
-    let mut map: HashMap<(u32, i64), u32> = HashMap::new();
-    let rewrite_place = |p: &Place, map: &mut HashMap<(u32, i64), u32>, next_f: &mut u32| {
+    let mut map: MixMap<(u32, i64), u32> = MixMap::default();
+    // A scalarized temp element becomes its register; every other place
+    // stays as it is, uncopied.
+    let rewrite_place = |p: &mut Place, map: &mut MixMap<(u32, i64), u32>, next_f: &mut u32| {
         if let Place::Vec(VecRef {
             kind: VecKind::Temp(t),
             idx,
@@ -591,20 +594,19 @@ pub(crate) fn scalarize_in_place(prog: &mut IProgram) -> UnrollStats {
                     *next_f += 1;
                     id
                 });
-                return Place::F(id);
+                *p = Place::F(id);
             }
         }
-        p.clone()
     };
     for ins in &mut prog.instrs {
         match ins {
             Instr::Bin { dst, a, b, .. } => {
-                *dst = rewrite_place(dst, &mut map, &mut next_f);
+                rewrite_place(dst, &mut map, &mut next_f);
                 rewrite_value(a, &mut |p| rewrite_place(p, &mut map, &mut next_f));
                 rewrite_value(b, &mut |p| rewrite_place(p, &mut map, &mut next_f));
             }
             Instr::Un { dst, a, .. } => {
-                *dst = rewrite_place(dst, &mut map, &mut next_f);
+                rewrite_place(dst, &mut map, &mut next_f);
                 rewrite_value(a, &mut |p| rewrite_place(p, &mut map, &mut next_f));
             }
             _ => {}
@@ -650,9 +652,9 @@ fn visit_vecs(ins: &Instr, f: &mut dyn FnMut(&VecRef)) {
     }
 }
 
-fn rewrite_value(v: &mut Value, f: &mut dyn FnMut(&Place) -> Place) {
+fn rewrite_value(v: &mut Value, f: &mut dyn FnMut(&mut Place)) {
     match v {
-        Value::Place(p) => *p = f(p),
+        Value::Place(p) => f(p),
         Value::Intrinsic(_, args) => args.iter_mut().for_each(|a| rewrite_value(a, f)),
         _ => {}
     }

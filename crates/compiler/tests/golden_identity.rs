@@ -16,6 +16,8 @@
 
 use std::path::PathBuf;
 
+mod common;
+
 use spl_compiler::{CompiledUnit, Compiler, CompilerOptions, TableMode};
 use spl_frontend::ast::Language;
 use spl_generator::fft::FftTree;
@@ -455,7 +457,8 @@ fn loaded_tables_are_the_same_code_without_the_literals() {
 // ---------------------------------------------------------------------
 
 mod random_icode {
-    use spl_compiler::optimize::{dce, forward_substitute, optimize, value_number};
+    use crate::common::{dce, forward_substitute, value_number};
+    use spl_compiler::optimize::optimize;
     use spl_icode::{Affine, BinOp, IProgram, Instr, LoopVar, Place, UnOp, Value, VecKind, VecRef};
     use spl_numeric::rng::Rng;
     use spl_numeric::Complex;

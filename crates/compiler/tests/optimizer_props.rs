@@ -6,7 +6,10 @@
 //! Programs are drawn deterministically from `spl_numeric::rng` with
 //! fixed seeds, so every run checks the same case set.
 
-use spl_compiler::optimize::{dce, forward_substitute, optimize, value_number};
+mod common;
+
+use common::{compact, dce, forward_substitute, value_number};
+use spl_compiler::optimize::optimize;
 use spl_icode::{Affine, BinOp, IProgram, Instr, LoopVar, Place, UnOp, Value, VecKind, VecRef};
 use spl_numeric::rng::Rng;
 use spl_numeric::Complex;
@@ -138,6 +141,7 @@ fn optimize_preserves_straight_line_semantics() {
             ("vn", value_number(&p)),
             ("fs", forward_substitute(&p).unwrap()),
             ("dce", dce(&p).unwrap()),
+            ("compact", compact(&p).unwrap()),
             ("all", optimize(&p).unwrap()),
         ] {
             q.validate().unwrap();

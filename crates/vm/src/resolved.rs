@@ -453,8 +453,8 @@ struct LoopNode {
 
 /// Upper bound on `$f` registers promoted to lane registers per
 /// vector plan (past it the hint is demoted). The fully unrolled
-/// 64-point leaf body holds ~1400 live registers, so the cap sits
-/// well above that.
+/// 64-point leaf body promotes 592 cells, of which at most 145 are live
+/// at once, so the cap sits well above that.
 const MAX_LANE_CELLS: usize = 2048;
 
 /// Room for one lane register of any backend, aligned for the widest
