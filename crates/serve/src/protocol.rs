@@ -34,7 +34,7 @@
 //!
 //! A little-endian `f64` on the wire is an `f64` in memory, so samples
 //! are never converted one by one: all four codec functions
-//! ([`encode_transform`], [`encode_response`], [`parse_request`],
+//! ([`encode_request`], [`encode_response`], [`parse_request`],
 //! [`parse_response`]) copy them in bulk through a byte view of the
 //! `[f64]` (`as_bytes` / `as_bytes_mut`, the crate's two `unsafe`
 //! lines besides the kernel handle), and the vectored writer
@@ -120,10 +120,6 @@ pub enum ProtocolError {
     ShortHeader,
     /// The requested size is zero or beyond the server's limit.
     BadSize(u64),
-    /// No frame arrived within the stream's read timeout (between
-    /// frames only — the stream is still well-delimited). Used by the
-    /// daemon to poll its shutdown flag on idle connections.
-    IdleTimeout,
     /// Reading or writing the stream failed.
     Io(String),
 }
@@ -146,7 +142,6 @@ impl std::fmt::Display for ProtocolError {
             }
             ProtocolError::ShortHeader => write!(f, "transform header truncated"),
             ProtocolError::BadSize(n) => write!(f, "unsupported transform size {n}"),
-            ProtocolError::IdleTimeout => write!(f, "idle read timeout between frames"),
             ProtocolError::Io(e) => write!(f, "i/o: {e}"),
         }
     }
@@ -157,8 +152,7 @@ impl std::error::Error for ProtocolError {}
 impl ProtocolError {
     /// Whether the connection can keep going after this error. Length
     /// errors lose the stream offset, and I/O errors lose the stream;
-    /// everything else (including an idle timeout, which fires only on
-    /// a frame boundary) leaves the stream well-delimited, so the next
+    /// everything else leaves the stream well-delimited, so the next
     /// frame can still be served.
     pub fn recoverable(&self) -> bool {
         !matches!(
@@ -251,29 +245,9 @@ fn frame_len(prefix: [u8; 4]) -> Result<usize, ProtocolError> {
     }
 }
 
-/// Like [`read_frame`], but a clean EOF *before any byte of the length
-/// prefix* returns `Ok(None)` — the normal way a client ends a
-/// connection — and a read timeout on that first byte returns
-/// [`ProtocolError::IdleTimeout`] so a daemon can poll its shutdown
-/// flag without abandoning an idle client.
-///
-/// # Errors
-///
-/// Same as [`read_frame`] for every other failure; a timeout *inside*
-/// a frame is still an [`Io`](ProtocolError::Io) error (the offset is
-/// lost).
-pub fn read_frame_or_eof(r: &mut impl Read) -> Result<Option<Vec<u8>>, ProtocolError> {
-    let Some(len) = read_len_or_eof(r)? else {
-        return Ok(None);
-    };
-    let mut payload = vec![0u8; len];
-    read_exact_or(r, &mut payload)?;
-    Ok(Some(payload))
-}
-
 /// The length prefix of the next frame, checked against the frame
-/// bounds; `Ok(None)` and [`ProtocolError::IdleTimeout`] as in
-/// [`read_frame_or_eof`].
+/// bounds; `Ok(None)` on a clean end of stream before its first byte,
+/// the normal way a client ends a connection.
 fn read_len_or_eof(r: &mut impl Read) -> Result<Option<usize>, ProtocolError> {
     let mut len = [0u8; 4];
     let mut filled = 0;
@@ -283,15 +257,6 @@ fn read_len_or_eof(r: &mut impl Read) -> Result<Option<usize>, ProtocolError> {
             Ok(0) => return Err(ProtocolError::Truncated),
             Ok(k) => filled += k,
             Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e)
-                if filled == 0
-                    && matches!(
-                        e.kind(),
-                        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                    ) =>
-            {
-                return Err(ProtocolError::IdleTimeout)
-            }
             Err(e) => return Err(io_error(e)),
         }
     }
@@ -324,9 +289,10 @@ const TRANSFORM_HEAD: usize = 14;
 /// into a stack array, everything after it into `input`'s bytes — and
 /// only then judged, so every refusal that is
 /// [`recoverable`](ProtocolError::recoverable) leaves the stream on a
-/// frame boundary. Verdicts are those of [`read_frame_or_eof`] followed
-/// by [`parse_request`], error for error (the tests hold the two
-/// against each other).
+/// frame boundary. Verdicts are those of reading the frame whole (as
+/// [`read_frame`], with a clean end before it as `Ok(None)`) and then
+/// [`parse_request`], error for error (the tests hold the two against
+/// each other).
 ///
 /// `input` only grows (and keeps its contents beyond the frame's own
 /// samples): bounding what a connection keeps is the caller's business.
@@ -568,21 +534,13 @@ pub fn encode_request(req: &Request) -> Vec<u8> {
             deadline_ms,
             data,
         } => {
-            let mut out = encode_transform(*n, *deadline_ms, data);
+            let mut out = Vec::with_capacity(TRANSFORM_HEAD + data.len() * 8);
+            out.extend_from_slice(&transform_head(*n, *deadline_ms));
             out[1] = *kind;
+            out.extend_from_slice(as_bytes(&to_wire(data)));
             out
         }
     }
-}
-
-/// Encodes a complex-DFT transform request straight from the caller's
-/// samples: the payload [`encode_request`] builds for the same
-/// [`Request::Transform`], without a `Request` to own a copy of `data`.
-pub fn encode_transform(n: usize, deadline_ms: Option<u32>, data: &[f64]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(TRANSFORM_HEAD + data.len() * 8);
-    out.extend_from_slice(&transform_head(n, deadline_ms));
-    out.extend_from_slice(as_bytes(&to_wire(data)));
-    out
 }
 
 /// What precedes the samples of a complex-DFT transform request.
@@ -665,6 +623,28 @@ pub fn parse_response(payload: &[u8]) -> Result<Response, ProtocolError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Like [`read_frame`], but a clean end before the length prefix is
+    /// `Ok(None)`: with [`parse_request`], the oracle of
+    /// `the_in_place_reader_judges_every_frame_as_parsing_does`.
+    fn read_frame_or_eof(r: &mut impl Read) -> Result<Option<Vec<u8>>, ProtocolError> {
+        let Some(len) = read_len_or_eof(r)? else {
+            return Ok(None);
+        };
+        let mut payload = vec![0u8; len];
+        read_exact_or(r, &mut payload)?;
+        Ok(Some(payload))
+    }
+
+    /// The payload of a complex-DFT request for `data`.
+    fn dft_request(n: usize, deadline_ms: Option<u32>, data: &[f64]) -> Vec<u8> {
+        encode_request(&Request::Transform {
+            kind: KIND_DFT,
+            n,
+            deadline_ms,
+            data: data.to_vec(),
+        })
+    }
 
     #[test]
     fn request_roundtrip() {
@@ -817,17 +797,10 @@ mod tests {
     }
 
     #[test]
-    fn encode_transform_is_byte_identical_to_encode_request() {
+    fn a_samples_frame_is_the_frame_of_encode_request() {
         let data: Vec<f64> = (0..16).map(|i| i as f64 * -0.75).collect();
         for deadline_ms in [None, Some(250)] {
-            let req = Request::Transform {
-                kind: KIND_DFT,
-                n: 8,
-                deadline_ms,
-                data: data.clone(),
-            };
-            let payload = encode_transform(8, deadline_ms, &data);
-            assert_eq!(payload, encode_request(&req));
+            let payload = dft_request(8, deadline_ms, &data);
             // The vectored form puts the frame of that payload on the wire.
             let (mut framed, mut vectored) = (Vec::new(), Vec::new());
             write_frame(&mut framed, &payload).unwrap();
@@ -909,12 +882,12 @@ mod tests {
             .collect();
         assert_eq!(one_by_one, bits(&data));
 
-        // encode_transform / parse_request
+        // encode_request / parse_request
         let mut request = vec![b'T', KIND_DFT];
         request.extend_from_slice(&(n as u64).to_le_bytes());
         request.extend_from_slice(&7u32.to_le_bytes());
         request.extend_from_slice(&wire);
-        assert_eq!(encode_transform(n, Some(7), &data), request);
+        assert_eq!(dft_request(n, Some(7), &data), request);
         match parse_request(&request).unwrap() {
             Request::Transform {
                 n: got_n,
@@ -1031,7 +1004,7 @@ mod tests {
     fn reader_corpus() -> Vec<(&'static str, Vec<u8>)> {
         let valid = |n: usize, deadline_ms| {
             let data: Vec<f64> = (0..2 * n).map(|i| (i as f64 * 0.61).cos() * 3.0).collect();
-            framed(&encode_transform(n, deadline_ms, &data))
+            framed(&dft_request(n, deadline_ms, &data))
         };
         let awkward = awkward_samples();
         let mut corpus = vec![
@@ -1040,7 +1013,7 @@ mod tests {
             ("valid n=16384", valid(16384, None)),
             (
                 "valid, awkward samples",
-                framed(&encode_transform(awkward.len() / 2, None, &awkward)),
+                framed(&dft_request(awkward.len() / 2, None, &awkward)),
             ),
             (
                 "bad kind, full body",
@@ -1129,7 +1102,7 @@ mod tests {
     #[test]
     fn the_in_place_reader_judges_every_frame_as_parsing_does() {
         let follower: Vec<f64> = (0..16).map(|i| i as f64 - 7.5).collect();
-        let follower_frame = framed(&encode_transform(8, Some(3), &follower));
+        let follower_frame = framed(&dft_request(8, Some(3), &follower));
         let sources: [(usize, bool, bool); 6] = [
             (usize::MAX, true, false),
             (1, true, false),
@@ -1189,7 +1162,7 @@ mod tests {
     #[test]
     fn a_frame_the_source_has_whole_is_two_reads() {
         let data: Vec<f64> = (0..128).map(|i| i as f64).collect();
-        let stream = framed(&encode_transform(64, None, &data));
+        let stream = framed(&dft_request(64, None, &data));
         let mut source = TrickleRead::new(&stream, usize::MAX, true, false);
         let mut input = Vec::new();
         let got = read_request(&mut source, &mut input).unwrap();
@@ -1208,18 +1181,8 @@ mod tests {
     }
 
     #[test]
-    fn idle_timeout_and_eof_between_frames_are_not_errors() {
-        struct TimesOut;
-        impl Read for TimesOut {
-            fn read(&mut self, _: &mut [u8]) -> io::Result<usize> {
-                Err(io::ErrorKind::WouldBlock.into())
-            }
-        }
+    fn eof_between_frames_is_not_an_error() {
         let mut input = Vec::new();
-        assert_eq!(
-            read_request(&mut TimesOut, &mut input),
-            Err(ProtocolError::IdleTimeout)
-        );
         assert_eq!(read_request(&mut io::empty(), &mut input), Ok(None));
         assert!(input.is_empty(), "nothing read, nothing kept");
     }

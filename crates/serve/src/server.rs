@@ -181,6 +181,8 @@ pub struct Server {
     changed: Condvar,
     /// Accept loops exit when set.
     shutdown: AtomicBool,
+    /// The socket `serve_unix` accepts on, which `stop` connects to.
+    listening: Mutex<Option<PathBuf>>,
     tel: Mutex<Telemetry>,
     latencies: Mutex<VecDeque<u64>>,
     started: Instant,
@@ -211,55 +213,65 @@ impl Server {
             queue: Mutex::default(),
             changed: Condvar::new(),
             shutdown: AtomicBool::new(false),
+            listening: Mutex::new(None),
             tel: Mutex::new(Telemetry::new()),
             latencies: Mutex::new(VecDeque::with_capacity(LATENCY_RING)),
             started: Instant::now(),
         }))
     }
 
-    /// Serves a Unix socket at `path` until drained: binds (replacing a
-    /// stale socket file), accepts connections, one thread per client.
+    /// Serves a Unix socket at `path` until stopped or drained: binds
+    /// (replacing a dead socket file, never one a daemon answers on) and
+    /// accepts connections, one thread per client. The accept and every
+    /// read block: [`Server::stop`] wakes the accept, and the loop then
+    /// shuts the read side of each connection still open, so an idle
+    /// client reads end-of-stream while an in-flight reply still leaves.
     ///
     /// # Errors
     ///
-    /// Propagates bind failures; per-connection errors are contained.
+    /// `AddrInUse` when a daemon answers at `path`; bind failures.
+    /// Per-connection errors are contained.
     #[cfg(unix)]
     pub fn serve_unix(self: &Arc<Server>, path: &Path) -> std::io::Result<()> {
-        use std::os::unix::net::UnixListener;
+        use std::net::Shutdown;
+        use std::os::unix::net::{UnixListener, UnixStream};
+        if UnixStream::connect(path).is_ok() {
+            return Err(std::io::ErrorKind::AddrInUse.into());
+        }
         let _ = std::fs::remove_file(path);
         let listener = UnixListener::bind(path)?;
-        listener.set_nonblocking(true)?;
-        let mut conns: Vec<std::thread::JoinHandle<()>> = Vec::new();
-        while !self.shutdown.load(Ordering::SeqCst) {
+        *self.listening.lock().unwrap() = Some(path.to_path_buf());
+        // Each live connection's thread, and a handle on its stream for
+        // the shutdown below.
+        let mut conns: Vec<(std::thread::JoinHandle<()>, UnixStream)> = Vec::new();
+        while !self.is_shut_down() {
             // A finished thread keeps its stack mapped until its handle
             // is joined or dropped: holding every handle until shutdown
             // would grow the daemon by one stack per connection it ever
-            // accepted. Live ones stay, and are joined below.
-            conns.retain(|c| !c.is_finished());
-            match listener.accept() {
-                Ok((stream, _)) => {
-                    // An idle client must not pin its connection thread
-                    // past shutdown: the read timeout bounds how long a
-                    // blocked read can outlive the drain.
-                    let _ = stream.set_read_timeout(Some(Duration::from_millis(100)));
+            // accepted.
+            conns.retain(|(conn, _)| !conn.is_finished());
+            match listener.accept().and_then(|(s, _)| Ok((s.try_clone()?, s))) {
+                Ok((handle, stream)) => {
                     let server = Arc::clone(self);
-                    conns.push(std::thread::spawn(move || {
-                        let mut reader = match stream.try_clone() {
-                            Ok(r) => r,
-                            Err(_) => return,
-                        };
-                        let mut writer = stream;
-                        server.serve_connection(&mut reader, &mut writer);
-                    }));
+                    let conn = std::thread::spawn(move || {
+                        server.serve_connection(&mut &stream, &mut &stream);
+                        // The peer sees the end now, not once the loop
+                        // drops `handle`.
+                        let _ = stream.shutdown(Shutdown::Both);
+                    });
+                    conns.push((conn, handle));
                 }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
+                Err(_) => {
+                    // Out of descriptors and the like: counted, and
+                    // paced, so that a shortage cannot spin the loop.
+                    self.count("spld.accept_errors");
                     std::thread::sleep(Duration::from_millis(20));
                 }
-                Err(_) => std::thread::sleep(Duration::from_millis(20)),
             }
         }
-        for c in conns {
-            let _ = c.join();
+        for (conn, handle) in conns {
+            let _ = handle.shutdown(Shutdown::Read);
+            let _ = conn.join();
         }
         let _ = std::fs::remove_file(path);
         Ok(())
@@ -280,10 +292,15 @@ impl Server {
 
     /// Refuses further admissions and stops the accept loop without
     /// waiting for queued work, which its owners still finish (used
-    /// after a connection-driven drain, and by tests).
+    /// after a connection-driven drain, and by tests). One connect to
+    /// the bound socket wakes the blocking accept.
     pub fn stop(&self) {
         self.queue.lock().unwrap().draining = true;
         self.shutdown.store(true, Ordering::SeqCst);
+        #[cfg(unix)]
+        if let Some(path) = self.listening.lock().unwrap().take() {
+            let _ = std::os::unix::net::UnixStream::connect(path);
+        }
     }
 
     /// The per-connection read-dispatch-reply loop. Protocol errors are
@@ -306,14 +323,8 @@ impl Server {
             let incoming = match read_request(r, &mut bufs.input) {
                 Ok(None) => return, // clean disconnect
                 Ok(Some(incoming)) => incoming,
-                Err(ProtocolError::IdleTimeout) => {
-                    // Idle connection: keep waiting unless the daemon is
-                    // going away under us.
-                    if self.shutdown.load(Ordering::SeqCst) {
-                        return;
-                    }
-                    continue;
-                }
+                // A frame torn by the stop's shutdown is not the client's.
+                Err(_) if self.is_shut_down() => return,
                 Err(err) => {
                     self.count("spld.protocol_errors");
                     // A lost stream offset (oversized/truncated) cannot

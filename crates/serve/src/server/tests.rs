@@ -4,7 +4,7 @@
 use std::io::Cursor;
 
 use super::*;
-use crate::protocol::{encode_transform, parse_response, read_frame};
+use crate::protocol::{encode_request, parse_response, read_frame, KIND_DFT};
 
 /// `execute` panics on a job of this size (its `#[cfg(test)]` hook): a
 /// kernel path with a bug in it.
@@ -108,8 +108,14 @@ fn serve_stream_answers_one_session_on_the_calling_thread() {
     let server = vm_only(ServerConfig::default());
     let x = sample_input(16);
     let mut session = Vec::new();
-    for payload in [encode_transform(16, None, &x), vec![b'H'], vec![b'D']] {
-        write_frame(&mut session, &payload).expect("request frame");
+    let transform = Request::Transform {
+        kind: KIND_DFT,
+        n: 16,
+        deadline_ms: None,
+        data: x.clone(),
+    };
+    for request in [transform, Request::Health, Request::Drain] {
+        write_frame(&mut session, &encode_request(&request)).expect("request frame");
     }
     let mut replies = Vec::new();
     server.serve_stream(&mut Cursor::new(session), &mut replies);

@@ -6,10 +6,11 @@
 
 #![cfg(unix)]
 
+use std::io::Read;
 use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
 use std::sync::{Arc, Barrier};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use spl_serve::plans::{PlanStore, PlanStoreOptions};
 use spl_serve::{ChaosConfig, Client, Response, Server, ServerConfig, Tier};
@@ -574,6 +575,8 @@ fn malformed_frames_answered_and_daemon_survives() {
         Ok(other) => panic!("oversized length answered {other:?}"),
         Err(_) => {} // already closed: also acceptable
     }
+    // Closed at once, not when the accept loop next reaps the thread.
+    assert!(reads_end_of_stream(&mut client), "the closed connection");
     drop(client);
 
     // Seeded garbage corpus against the live daemon: framed garbage is
@@ -897,4 +900,134 @@ fn a_refused_frame_leaves_the_connection_serving() {
     }
     drop(client);
     daemon.shut_down();
+}
+
+/// Whether the client's next read is the end of the stream (a frame, a
+/// timeout or an error is not).
+fn reads_end_of_stream(client: &mut Client<UnixStream>) -> bool {
+    let stream = client.stream_mut();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .expect("client read timeout");
+    matches!(stream.read(&mut [0u8; 64]), Ok(0))
+}
+
+/// Joins the daemon thread, which must end within `bound`.
+fn joins_within(daemon: &mut TestDaemon, bound: Duration) {
+    let handle = daemon.handle.take().expect("not yet joined");
+    let start = Instant::now();
+    while !handle.is_finished() {
+        assert!(
+            start.elapsed() < bound,
+            "serve_unix still running after {bound:?}"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    handle.join().expect("daemon thread");
+}
+
+#[test]
+fn a_frame_may_arrive_at_any_pace() {
+    let daemon = TestDaemon::start("slow-sender", vm_only(ServerConfig::default()));
+    let mut client = daemon.client();
+    let x = sample_input(64, 3);
+    let payload = spl_serve::protocol::encode_request(&spl_serve::Request::Transform {
+        kind: spl_serve::protocol::KIND_DFT,
+        n: 64,
+        deadline_ms: None,
+        data: x.clone(),
+    });
+    let mut frame = (payload.len() as u32).to_be_bytes().to_vec();
+    frame.extend_from_slice(&payload);
+    // The length prefix and 100 bytes, a pause, then the rest.
+    client.send_raw_bytes(&frame[..104]).expect("first part");
+    std::thread::sleep(Duration::from_millis(150));
+    client.send_raw_bytes(&frame[104..]).expect("second part");
+    match client.read_response().expect("reply") {
+        Response::Transformed { data, .. } => assert_bits_eq(&data, &expected_vm(64, &x)),
+        other => panic!("the slow frame was answered {other:?}"),
+    }
+    let y = sample_input(64, 4);
+    match client.transform(64, None, &y).expect("transform") {
+        Response::Transformed { data, .. } => assert_bits_eq(&data, &expected_vm(64, &y)),
+        other => panic!("the next request was answered {other:?}"),
+    }
+    drop(client);
+    daemon.shut_down();
+}
+
+#[test]
+fn fresh_connections_are_accepted_without_a_wait() {
+    let daemon = TestDaemon::start("accept", vm_only(ServerConfig::default()));
+    let start = Instant::now();
+    for _ in 0..10 {
+        let mut client = Client::connect_unix(&daemon.socket).expect("connect");
+        match client.health().expect("health") {
+            Response::Text(t) => assert!(t.starts_with("ok "), "{t}"),
+            other => panic!("health answered {other:?}"),
+        }
+    }
+    let took = start.elapsed();
+    assert!(
+        took < Duration::from_millis(50),
+        "ten connect → H → close cycles took {took:?}"
+    );
+    daemon.shut_down();
+}
+
+#[test]
+fn a_second_daemon_does_not_take_a_live_socket() {
+    let daemon = TestDaemon::start("live-socket", vm_only(ServerConfig::default()));
+    let second = Server::new(vm_only(ServerConfig::default())).expect("server");
+    let (tx, rx) = std::sync::mpsc::channel();
+    {
+        let (second, socket) = (Arc::clone(&second), daemon.socket.clone());
+        std::thread::spawn(move || tx.send(second.serve_unix(&socket)));
+    }
+    let refused = rx.recv_timeout(Duration::from_secs(5));
+    second.stop();
+    match refused {
+        Ok(Err(e)) => assert_eq!(e.kind(), std::io::ErrorKind::AddrInUse, "{e}"),
+        other => panic!("a second serve_unix on a live socket: {other:?}"),
+    }
+    assert!(
+        daemon.socket.exists(),
+        "the live daemon's socket was removed"
+    );
+    match daemon.client().health().expect("health") {
+        Response::Text(t) => assert!(t.starts_with("ok "), "{t}"),
+        other => panic!("health answered {other:?}"),
+    }
+    daemon.shut_down();
+}
+
+#[test]
+fn stop_wakes_the_accept_and_every_blocked_reader() {
+    let mut daemon = TestDaemon::start("stop-wakes", vm_only(ServerConfig::default()));
+    let mut idle = daemon.client();
+    assert!(matches!(idle.health(), Ok(Response::Text(_))));
+    // Half a length prefix: its reader is blocked inside a frame.
+    let mut torn = daemon.client();
+    assert!(matches!(torn.health(), Ok(Response::Text(_))));
+    torn.send_raw_bytes(&[0, 0]).expect("half a prefix");
+    std::thread::sleep(Duration::from_millis(20));
+    daemon.server.stop();
+    joins_within(&mut daemon, Duration::from_secs(1));
+    assert!(reads_end_of_stream(&mut idle), "the idle client");
+    assert!(reads_end_of_stream(&mut torn), "the client inside a frame");
+    assert!(!daemon.socket.exists(), "socket file removed on shutdown");
+}
+
+#[test]
+fn a_drain_ends_the_other_idle_connections() {
+    let mut daemon = TestDaemon::start("drain-idle", vm_only(ServerConfig::default()));
+    let mut idle = daemon.client();
+    assert!(matches!(idle.health(), Ok(Response::Text(_))));
+    assert_eq!(
+        daemon.client().drain().expect("drain"),
+        Response::Text("drained".into())
+    );
+    joins_within(&mut daemon, Duration::from_secs(1));
+    assert!(daemon.server.is_shut_down());
+    assert!(reads_end_of_stream(&mut idle), "the idle client");
 }
