@@ -233,7 +233,6 @@ pub fn eval_intrinsics_with_stats(
         complex,
         prov,
         prov_nodes,
-        vec_loops,
     } = prog;
     let out = IProgram {
         instrs,
@@ -247,7 +246,6 @@ pub fn eval_intrinsics_with_stats(
         complex: *complex,
         prov: prov.clone(),
         prov_nodes: prov_nodes.clone(),
-        vec_loops: vec_loops.clone(),
     };
     Ok((out, st.stats))
 }

@@ -403,8 +403,6 @@ impl Compiler {
             self.telemetry.add("optimize.cse_hits", ostats.cse_hits);
             self.telemetry
                 .add("optimize.dce_removed", ostats.dce_removed);
-            self.telemetry
-                .add("optimize.loops_vectorized", ostats.loops_vectorized);
         }
         for ps in &outcome.passes {
             self.telemetry.record_span(

@@ -10,9 +10,10 @@
 //! * `-O2` — scalarize, then a fixed-point loop over
 //!   [`value-number`](value_number::ValueNumber),
 //!   [`forward-substitute`](forward_substitute::ForwardSubstitute) and
-//!   [`dce`](dce::Dce), then a final [`compact`](compact::Compact)
-//!   followed by [`vectorize`](vectorize::Vectorize) over the settled
-//!   code.
+//!   [`dce`](dce::Dce), then a final [`compact`](compact::Compact).
+//!
+//! No pass decides which loops run lane-wide: that is the VM's resolver
+//! (`spl_vm::resolved`), which proves it for each innermost loop itself.
 //!
 //! The fixed-point loop repeats until a full sweep reports
 //! [`PassResult::Unchanged`] from every pass or the iteration cap is
@@ -44,7 +45,6 @@ pub mod scalarize;
 pub mod testing;
 pub mod validate;
 pub mod value_number;
-pub mod vectorize;
 
 use std::collections::HashSet;
 use std::path::PathBuf;
@@ -307,8 +307,6 @@ pub struct OptStats {
     pub dce_removed: u64,
     /// Temp-vector elements replaced by scalar registers.
     pub temps_scalarized: u64,
-    /// Innermost loops marked lane-safe by the vectorize pass.
-    pub loops_vectorized: u64,
 }
 
 /// One optimization pass over i-code.
@@ -359,7 +357,6 @@ pub fn registered_passes() -> Vec<Box<dyn Pass>> {
         Box::new(forward_substitute::ForwardSubstitute),
         Box::new(dce::Dce),
         Box::new(compact::Compact),
-        Box::new(vectorize::Vectorize),
     ]
 }
 
@@ -467,14 +464,12 @@ impl PipelineBuilder {
 
     /// Registers the default-optimization fixed point (value numbering,
     /// forward substitution, DCE) plus the final compaction — the paper's
-    /// Section 3.4 set, minus scalarization — followed by the vector
-    /// lowering analysis over the settled code.
+    /// Section 3.4 set, minus scalarization.
     pub fn optimizer(self) -> Self {
         self.fixpoint(value_number::ValueNumber::default())
             .fixpoint(forward_substitute::ForwardSubstitute)
             .fixpoint(dce::Dce)
             .post(compact::Compact)
-            .post(vectorize::Vectorize)
     }
 
     /// Adds a pass to the run-once prologue group.
@@ -764,8 +759,7 @@ mod tests {
                 "value-number",
                 "forward-substitute",
                 "dce",
-                "compact",
-                "vectorize"
+                "compact"
             ]
         );
         assert!(o2.stats.instrs_after < o2.stats.instrs_before);
@@ -1051,6 +1045,301 @@ mod tests {
                 }
             }
             assert!(converged, "{} did not converge in 8 runs", pass.name());
+        }
+    }
+}
+
+// The lane-safety cases the compiler's former `vectorize` pass was
+// tested on, now run against the one place that decides lane-wide
+// execution: the VM's resolver. Each loop the pass marked is planned
+// lane-wide by `spl_vm::lower` on its own, and each loop it rejected
+// runs scalar. Every case's output is bitwise equal to the reference
+// interpreter and to the forced-scalar engine.
+#[cfg(test)]
+mod vectorize {
+    mod tests {
+        use spl_icode::{
+            Affine, BinOp, IProgram, Instr, LoopVar, Place, UnOp, Value, VecKind, VecRef,
+        };
+        use spl_telemetry::Telemetry;
+        use spl_vm::{simd, VmProgram, VmState};
+
+        fn vec_place(kind: VecKind, idx: Affine) -> Place {
+            Place::Vec(VecRef { kind, idx })
+        }
+
+        fn idx(c: i64, coeff: i64, var: u32) -> Affine {
+            let mut a = Affine::constant(c);
+            a.add_term(coeff, LoopVar(var));
+            a
+        }
+
+        fn loop_body(lo: i64, hi: i64, body: Vec<Instr>) -> IProgram {
+            let mut instrs = vec![Instr::DoStart {
+                var: LoopVar(0),
+                lo,
+                hi,
+                unroll: false,
+            }];
+            instrs.extend(body);
+            instrs.push(Instr::DoEnd);
+            IProgram {
+                instrs,
+                n_in: 64,
+                n_out: 64,
+                temps: vec![64],
+                n_loop: 1,
+                n_f: 4,
+                complex: false,
+                ..IProgram::empty()
+            }
+        }
+
+        fn bits(v: &[f64]) -> Vec<u64> {
+            v.iter().map(|x| x.to_bits()).collect()
+        }
+
+        /// Lowers `prog` and returns the loops the resolver planned lane-wide
+        /// and the loops it declined, as its telemetry reports them. Before
+        /// returning, checks that the engine, forced to scalar or not, agrees
+        /// bitwise with the reference interpreter.
+        fn plan_of(prog: &IProgram) -> (u64, u64) {
+            // Serializes the tests that flip the process-wide scalar override.
+            static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+            let _g = LOCK.lock().unwrap_or_else(|p| p.into_inner());
+            let vm = spl_vm::lower(prog).expect("lowers");
+            let x: Vec<f64> = (0..vm.n_in).map(|i| (i as f64 * 0.61).cos()).collect();
+            let y0: Vec<f64> = (0..vm.n_out).map(|i| i as f64 - 0.5).collect();
+            let run = |vm: &VmProgram, forced: bool| {
+                simd::set_force_scalar(forced);
+                let mut y = y0.clone();
+                vm.run(&x, &mut y, &mut VmState::new(vm));
+                simd::set_force_scalar(false);
+                y
+            };
+            let mut y_ref = y0.clone();
+            vm.run_reference(&x, &mut y_ref, &mut VmState::new(&vm));
+            assert_eq!(bits(&run(&vm, false)), bits(&y_ref), "run vs reference");
+            assert_eq!(bits(&run(&vm, true)), bits(&y_ref), "forced scalar");
+            let mut tel = Telemetry::new();
+            vm.resolve_stats().expect("resolved").record(&mut tel);
+            let count = |name| tel.counter(name).unwrap_or(0);
+            (count("vm.vec.loops"), count("vm.vec.demoted"))
+        }
+
+        #[test]
+        fn unit_stride_copy_loop_is_marked() {
+            let p = loop_body(
+                0,
+                7,
+                vec![Instr::Un {
+                    op: UnOp::Copy,
+                    dst: vec_place(VecKind::Out, idx(0, 1, 0)),
+                    a: Value::Place(vec_place(VecKind::In, idx(0, 1, 0))),
+                }],
+            );
+            assert_eq!(plan_of(&p), (1, 0));
+        }
+
+        #[test]
+        fn interleaved_stride_two_is_marked() {
+            // Post-typetrans shape: out[2i] and out[2i+1] written, in[2i]
+            // and in[2i+1] read — s = 2, d = 1 pairs are disjoint.
+            let p = loop_body(
+                0,
+                7,
+                vec![
+                    Instr::Bin {
+                        op: BinOp::Add,
+                        dst: vec_place(VecKind::Out, idx(0, 2, 0)),
+                        a: Value::Place(vec_place(VecKind::In, idx(0, 2, 0))),
+                        b: Value::Place(vec_place(VecKind::In, idx(1, 2, 0))),
+                    },
+                    Instr::Bin {
+                        op: BinOp::Sub,
+                        dst: vec_place(VecKind::Out, idx(1, 2, 0)),
+                        a: Value::Place(vec_place(VecKind::In, idx(0, 2, 0))),
+                        b: Value::Place(vec_place(VecKind::In, idx(1, 2, 0))),
+                    },
+                ],
+            );
+            assert_eq!(plan_of(&p), (1, 0));
+        }
+
+        #[test]
+        fn loop_carried_accumulator_is_rejected() {
+            // f0 = f0 + in[i]: read-first then written.
+            let p = loop_body(
+                0,
+                7,
+                vec![Instr::Bin {
+                    op: BinOp::Add,
+                    dst: Place::F(0),
+                    a: Value::f(0),
+                    b: Value::Place(vec_place(VecKind::In, idx(0, 1, 0))),
+                }],
+            );
+            assert_eq!(plan_of(&p), (0, 1));
+        }
+
+        #[test]
+        fn iteration_private_register_is_allowed() {
+            // f0 = in[i] * 2; out[i] = f0 + 1: written before read.
+            let p = loop_body(
+                0,
+                7,
+                vec![
+                    Instr::Bin {
+                        op: BinOp::Mul,
+                        dst: Place::F(0),
+                        a: Value::Place(vec_place(VecKind::In, idx(0, 1, 0))),
+                        b: Value::Int(2),
+                    },
+                    Instr::Bin {
+                        op: BinOp::Add,
+                        dst: vec_place(VecKind::Out, idx(0, 1, 0)),
+                        a: Value::f(0),
+                        b: Value::Int(1),
+                    },
+                ],
+            );
+            assert_eq!(plan_of(&p), (1, 0));
+        }
+
+        #[test]
+        fn stationary_write_is_rejected() {
+            // out[0] = in[i]: every iteration writes the same cell.
+            let p = loop_body(
+                0,
+                7,
+                vec![Instr::Un {
+                    op: UnOp::Copy,
+                    dst: vec_place(VecKind::Out, Affine::constant(0)),
+                    a: Value::Place(vec_place(VecKind::In, idx(0, 1, 0))),
+                }],
+            );
+            assert_eq!(plan_of(&p), (0, 1));
+        }
+
+        #[test]
+        fn cross_iteration_alias_is_rejected() {
+            // out[i + 1] = out[i] + 1: iteration t+1 reads iteration t's
+            // write.
+            let p = loop_body(
+                0,
+                7,
+                vec![Instr::Bin {
+                    op: BinOp::Add,
+                    dst: vec_place(VecKind::Out, idx(1, 1, 0)),
+                    a: Value::Place(vec_place(VecKind::Out, idx(0, 1, 0))),
+                    b: Value::Int(1),
+                }],
+            );
+            assert_eq!(plan_of(&p), (0, 1));
+        }
+
+        #[test]
+        fn same_iteration_alias_is_allowed() {
+            // t[i] = in[i] * 2; out[i] = t[i] + 1: the read sees its own
+            // iteration's write.
+            let p = loop_body(
+                0,
+                7,
+                vec![
+                    Instr::Bin {
+                        op: BinOp::Mul,
+                        dst: vec_place(VecKind::Temp(0), idx(0, 1, 0)),
+                        a: Value::Place(vec_place(VecKind::In, idx(0, 1, 0))),
+                        b: Value::Int(2),
+                    },
+                    Instr::Bin {
+                        op: BinOp::Add,
+                        dst: vec_place(VecKind::Out, idx(0, 1, 0)),
+                        a: Value::Place(vec_place(VecKind::Temp(0), idx(0, 1, 0))),
+                        b: Value::Int(1),
+                    },
+                ],
+            );
+            assert_eq!(plan_of(&p), (1, 0));
+        }
+
+        #[test]
+        fn distant_alias_beyond_trip_range_is_allowed() {
+            // out[i] = out[i + 32] with 8 trips: distance 32 ≥ trips.
+            let p = loop_body(
+                0,
+                7,
+                vec![Instr::Un {
+                    op: UnOp::Copy,
+                    dst: vec_place(VecKind::Out, idx(0, 1, 0)),
+                    a: Value::Place(vec_place(VecKind::Out, idx(32, 1, 0))),
+                }],
+            );
+            assert_eq!(plan_of(&p), (1, 0));
+        }
+
+        #[test]
+        fn single_trip_and_loop_index_reads_are_rejected() {
+            // A one-trip loop is never offered, so it is not demoted either.
+            let one_trip = loop_body(
+                3,
+                3,
+                vec![Instr::Un {
+                    op: UnOp::Copy,
+                    dst: vec_place(VecKind::Out, idx(0, 1, 0)),
+                    a: Value::Place(vec_place(VecKind::In, idx(0, 1, 0))),
+                }],
+            );
+            assert_eq!(plan_of(&one_trip), (0, 0));
+            let loop_idx = loop_body(
+                0,
+                7,
+                vec![Instr::Un {
+                    op: UnOp::Copy,
+                    dst: vec_place(VecKind::Out, idx(0, 1, 0)),
+                    a: Value::LoopIdx(LoopVar(0)),
+                }],
+            );
+            assert_eq!(plan_of(&loop_idx), (0, 1));
+        }
+
+        #[test]
+        fn only_innermost_loops_are_marked() {
+            let at = |kind| {
+                let mut a = idx(0, 1, 1);
+                a.add_term(4, LoopVar(0));
+                vec_place(kind, a)
+            };
+            let p = IProgram {
+                instrs: vec![
+                    Instr::DoStart {
+                        var: LoopVar(0),
+                        lo: 0,
+                        hi: 3,
+                        unroll: false,
+                    },
+                    Instr::DoStart {
+                        var: LoopVar(1),
+                        lo: 0,
+                        hi: 3,
+                        unroll: false,
+                    },
+                    Instr::Un {
+                        op: UnOp::Copy,
+                        dst: at(VecKind::Out),
+                        a: Value::Place(at(VecKind::In)),
+                    },
+                    Instr::DoEnd,
+                    Instr::DoEnd,
+                ],
+                n_in: 16,
+                n_out: 16,
+                n_loop: 2,
+                complex: false,
+                ..IProgram::empty()
+            };
+            // The inner loop is planned; the outer one is never offered.
+            assert_eq!(plan_of(&p), (1, 0));
         }
     }
 }

@@ -102,9 +102,6 @@ pub fn complex_to_real(prog: &IProgram) -> Result<IProgram, TypeTransError> {
         complex: false,
         prov,
         prov_nodes: prog.prov_nodes.clone(),
-        // Type transformation runs before the optimizer, so no loop has
-        // been marked lane-safe yet; carry the (empty) set through.
-        vec_loops: prog.vec_loops.clone(),
     })
 }
 

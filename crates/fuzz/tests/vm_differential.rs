@@ -11,7 +11,7 @@
 
 use std::sync::{Mutex, MutexGuard};
 
-use spl_compiler::{Compiler, CompilerOptions};
+use spl_compiler::{Compiler, CompilerOptions, OptLevel};
 use spl_fuzz::{gen_formula, GenConfig};
 use spl_generator::fft::FftTree;
 use spl_icode::{Affine, BinOp, IProgram, Instr, LoopVar, Place, Value, VecKind, VecRef};
@@ -169,12 +169,15 @@ fn benchmark_plans_agree_bitwise_on_every_executor() {
 
 #[test]
 fn corpus_vector_and_forced_scalar_runs_are_bit_identical() {
-    // Every pinned `tests/corpus/` formula must produce bit-identical
-    // output whether marked loops run through the lane backend or
-    // through the forced scalar fallback — the equivalence the fuzz
-    // oracle's third leg checks per case, pinned here on the
-    // pass-validation corpus. A no-op when the host (or
-    // SPL_VM_FORCE_SCALAR) gives no vector backend.
+    // Every pinned `tests/corpus/` formula, at each optimization level
+    // and at `-B 2` beside the default, must produce bit-identical
+    // output whether planned loops run through the lane backend or
+    // through the forced scalar fallback, and equal `run_reference` —
+    // the equivalence the fuzz oracle's third leg checks per case,
+    // pinned here on the pass-validation corpus. Lane-wide execution is
+    // the resolver's decision alone, so the looped formulas plan vector
+    // loops at `-O0` and `-O1` too. The bit checks are a no-op when the
+    // host (or SPL_VM_FORCE_SCALAR) gives no vector backend.
     let _g = force_scalar_lock();
     let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/corpus");
     let mut entries: Vec<_> = std::fs::read_dir(dir)
@@ -184,45 +187,69 @@ fn corpus_vector_and_forced_scalar_runs_are_bit_identical() {
         .collect();
     entries.sort();
     assert!(!entries.is_empty(), "empty corpus at {dir}");
-    let mut vectorized = 0u64;
-    for path in &entries {
-        let label = path.file_name().unwrap().to_string_lossy().into_owned();
-        let src = std::fs::read_to_string(path).unwrap();
-        // Comments and `#` directives out: this test wants each file's
-        // formula as `compile_formula_str` compiles it (loops kept).
-        let formula: String = src
-            .lines()
-            .filter(|l| !l.trim_start().starts_with([';', '#']))
-            .collect();
-        let mut compiler = Compiler::new();
-        let unit = compiler
-            .compile_formula_str(&formula)
-            .unwrap_or_else(|e| panic!("{label}: corpus formula must compile: {e}"));
-        let vm = lower(&unit.program).unwrap_or_else(|e| panic!("{label}: must lower: {e}"));
-        vectorized += vm.resolve_stats().map_or(0, |s| s.vec_loops);
-        let (_, x) = workload(vm.n_in);
-        let mut y_vec = vec![0.0; vm.n_out];
-        let mut y_sc = vec![0.0; vm.n_out];
-        vm.run(&x, &mut y_vec, &mut VmState::new(&vm));
-        spl_vm::simd::set_force_scalar(true);
-        vm.run(&x, &mut y_sc, &mut VmState::new(&vm));
-        spl_vm::simd::set_force_scalar(false);
-        for i in 0..vm.n_out {
-            assert_eq!(
-                y_vec[i].to_bits(),
-                y_sc[i].to_bits(),
-                "{label}: vector vs forced-scalar at lane {i}: {} vs {}",
-                y_vec[i],
-                y_sc[i]
+    for level in [OptLevel::None, OptLevel::ScalarTemps, OptLevel::Default] {
+        for threshold in [None, Some(2)] {
+            let mut vectorized = 0u64;
+            for path in &entries {
+                let name = path.file_name().unwrap().to_string_lossy().into_owned();
+                let label = format!("{name} {level:?} -B {threshold:?}");
+                let src = std::fs::read_to_string(path).unwrap();
+                // Comments and `#` directives out: this test wants each
+                // file's formula as `compile_formula_str` compiles it.
+                let formula: String = src
+                    .lines()
+                    .filter(|l| !l.trim_start().starts_with([';', '#']))
+                    .collect();
+                let mut compiler = Compiler::with_options(CompilerOptions {
+                    opt_level: level,
+                    unroll_threshold: threshold,
+                    ..Default::default()
+                });
+                let unit = compiler
+                    .compile_formula_str(&formula)
+                    .unwrap_or_else(|e| panic!("{label}: corpus formula must compile: {e}"));
+                let vm =
+                    lower(&unit.program).unwrap_or_else(|e| panic!("{label}: must lower: {e}"));
+                let planned = vm.resolve_stats().map_or(0, |s| s.vec_loops);
+                vectorized += planned;
+                if threshold == Some(2) && ["looped_tensor.spl", "fold_ct32.spl"].contains(&&*name)
+                {
+                    assert!(planned >= 1, "{label}: no vector loop planned");
+                }
+                let (_, x) = workload(vm.n_in);
+                let mut y_vec = vec![0.0; vm.n_out];
+                let mut y_sc = vec![0.0; vm.n_out];
+                let mut y_ref = vec![0.0; vm.n_out];
+                vm.run(&x, &mut y_vec, &mut VmState::new(&vm));
+                spl_vm::simd::set_force_scalar(true);
+                vm.run(&x, &mut y_sc, &mut VmState::new(&vm));
+                spl_vm::simd::set_force_scalar(false);
+                vm.run_reference(&x, &mut y_ref, &mut VmState::new(&vm));
+                for i in 0..vm.n_out {
+                    assert_eq!(
+                        y_vec[i].to_bits(),
+                        y_sc[i].to_bits(),
+                        "{label}: vector vs forced-scalar at lane {i}: {} vs {}",
+                        y_vec[i],
+                        y_sc[i]
+                    );
+                    assert_eq!(
+                        y_vec[i].to_bits(),
+                        y_ref[i].to_bits(),
+                        "{label}: vector vs reference at lane {i}: {} vs {}",
+                        y_vec[i],
+                        y_ref[i]
+                    );
+                }
+            }
+            // The corpus must actually exercise the vector path: at
+            // least the looped formulas carry verified lane plans.
+            assert!(
+                vectorized >= 1,
+                "{level:?} -B {threshold:?}: no corpus formula produced a verified vector loop"
             );
         }
     }
-    // The corpus must actually exercise the vector path: at least the
-    // looped formulas carry verified lane plans.
-    assert!(
-        vectorized >= 1,
-        "no corpus formula produced a verified vector loop"
-    );
 }
 
 fn vec_ref(kind: VecKind, c: i64, terms: &[(i64, u32)]) -> Place {

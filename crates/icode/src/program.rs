@@ -55,15 +55,6 @@ pub struct IProgram {
     pub prov: Vec<u32>,
     /// The provenance node table `prov` indexes into.
     pub prov_nodes: Vec<ProvNode>,
-    /// Loop variables (by slot id) whose loops the vectorize pass judged
-    /// lane-safe: every iteration's writes are disjoint from every other
-    /// iteration's reads and writes, so the VM may execute iterations in
-    /// lane-wide chunks. Purely advisory — the VM's resolver re-verifies
-    /// at its own representation level and silently demotes marks it
-    /// cannot prove, so a stale or wrong mark can cost performance but
-    /// never correctness. Valid because `validate()` rejects loop-var
-    /// reuse, making the slot id a unique loop key.
-    pub vec_loops: Vec<u32>,
 }
 
 /// A structural validity error in an [`IProgram`].
@@ -93,7 +84,6 @@ impl IProgram {
             complex: true,
             prov: vec![],
             prov_nodes: vec![],
-            vec_loops: vec![],
         }
     }
 

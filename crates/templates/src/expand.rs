@@ -193,7 +193,6 @@ pub fn expand_formula_with_stats(
         complex: true,
         prov: ex.prov,
         prov_nodes: ex.prov_nodes,
-        vec_loops: vec![],
     };
     prog.validate()
         .map_err(|e| ExpandError::Invalid(format!("generated invalid i-code: {e}")))?;

@@ -177,10 +177,6 @@ pub enum Op {
         lo: i64,
         /// Index of the matching end.
         end_pc: usize,
-        /// Advisory lane-safety mark from the compiler's vectorize
-        /// pass. The reference executor ignores it; the resolver
-        /// re-verifies it before building a vector plan.
-        vec: bool,
     },
     /// Loop latch: increments and jumps back while `loop[var] < hi`.
     LoopEnd {
@@ -673,7 +669,6 @@ pub fn lower(prog: &IProgram) -> Result<VmProgram, VmError> {
                     var: var.0,
                     lo: *lo,
                     end_pc: usize::MAX, // patched at DoEnd
-                    vec: prog.vec_loops.contains(&var.0),
                 });
             }
             Instr::DoEnd => {
@@ -1303,8 +1298,7 @@ mod tests {
         crate::simd::override_lock()
     }
 
-    /// A looped formula whose inner `⊗ I_m` loops the vectorize pass
-    /// marks and the resolver plans.
+    /// A looped formula whose inner `⊗ I_m` loops the resolver plans.
     const VEC_SRC: &str = "(compose (tensor (F 2) (I 8)) (T 16 8) (tensor (I 2) (F 8)) (L 16 2))";
 
     #[test]
@@ -1362,10 +1356,10 @@ mod tests {
     }
 
     #[test]
-    fn zero_trip_vec_hinted_loop_is_demoted_and_skipped() {
+    fn zero_trip_loop_is_neither_planned_nor_demoted_and_skipped() {
         use spl_icode::{Affine, Instr, LoopVar, Place, UnOp, Value, VecKind, VecRef};
-        // A (bogus) lane-safety mark on a zero-trip loop: the resolver
-        // must demote it, and the body must still never execute.
+        // A zero-trip loop is not offered for a vector plan, so it is
+        // neither planned nor demoted, and its body never executes.
         let prog = spl_icode::IProgram {
             instrs: vec![
                 Instr::DoStart {
@@ -1391,24 +1385,22 @@ mod tests {
             n_out: 1,
             n_loop: 1,
             complex: false,
-            vec_loops: vec![0],
             ..spl_icode::IProgram::empty()
         };
         let vm = lower(&prog).unwrap();
         let stats = *vm.resolve_stats().expect("resolved");
-        assert_eq!(stats.vec_loops, 0, "{stats:?}");
-        assert_eq!(stats.vec_demoted, 1, "{stats:?}");
+        assert_eq!((stats.vec_loops, stats.vec_demoted), (0, 0), "{stats:?}");
         let mut y = [0.0];
         vm.run(&[0.0], &mut y, &mut VmState::new(&vm));
         assert_eq!(y[0], 0.0, "zero-trip body must not execute");
     }
 
     #[test]
-    fn cross_iteration_alias_hint_is_demoted_not_trusted() {
+    fn cross_iteration_alias_is_demoted_once() {
         use spl_icode::{Affine, BinOp, Instr, LoopVar, Place, Value, VecKind, VecRef};
         // out[i+1] = out[i] + in[i]: a loop-carried recurrence behind
-        // aliased subscripts, wrongly marked lane-safe. The resolver
-        // must demote the hint and both engines must agree.
+        // aliased subscripts. The resolver must decline it, count it
+        // demoted once, and both engines must agree.
         let vec = |kind: VecKind, c: i64| {
             Place::Vec(VecRef {
                 kind,
@@ -1438,7 +1430,6 @@ mod tests {
             n_out: 7,
             n_loop: 1,
             complex: false,
-            vec_loops: vec![0],
             ..spl_icode::IProgram::empty()
         };
         let vm = lower(&prog).unwrap();

@@ -36,14 +36,30 @@
 //! unresolved; [`VmProgram::run`] then falls back to the checked
 //! reference executor, preserving the old observable behavior.
 //!
-//! 4. **Vector plans**: for loops the compiler's `vectorize` pass
-//!    marked lane-safe, the resolver independently re-verifies safety
-//!    at the cursor level and attaches a [`VecPlan`] — the loop body
-//!    as lane-wide macro-ops, and the widest chunk its alias distance
-//!    allows: the largest power of two no greater than the nearest
-//!    iteration distance at which two of its accesses meet, capped at
-//!    [`MAX_VEC_WIDTH`] (a loop whose accesses meet one iteration
-//!    apart has no such width and is demoted). Execution runs a
+//! 4. **Vector plans**: the resolver alone decides which loops run
+//!    lane-wide. At the end of every innermost loop of at least two
+//!    trips it tries to prove, over the resolved nodes, that the
+//!    iterations never communicate:
+//!    * the body is float ops only — no integer op, spill or nested
+//!      loop, so it reads neither `$r` registers nor loop variables;
+//!    * every `$f` cell it writes is written before any read
+//!      (iteration-private, at most [`MAX_LANE_CELLS`] of them), and
+//!      every cell it only reads is a loop-invariant broadcast — a
+//!      cell read first and written later is loop-carried;
+//!    * every write moves with the loop (stride ≥ 1), and no two
+//!      accesses of one region meet one iteration apart. Accesses with
+//!      one stride and the same outer terms meet at an exact iteration
+//!      distance (`out[2i]` and `out[2i + 1]` never meet; `out[i + 32]`
+//!      over 8 trips never does either); any other pair must have
+//!      disjoint address ranges over the whole loop nest.
+//!
+//!    A proved loop gets a [`VecPlan`] — the loop body as lane-wide
+//!    macro-ops, and the widest chunk its alias distance allows: the
+//!    largest power of two no greater than the nearest iteration
+//!    distance at which two of its accesses meet, capped at
+//!    [`MAX_VEC_WIDTH`]. A loop that fails (accesses one iteration
+//!    apart have no such width) is *demoted*: it runs scalar and counts
+//!    in `vm.vec.demoted`. Execution runs a
 //!    planned loop down the *width ladder* of the host's backend
 //!    ([`crate::simd`]): as many 8-wide chunks as fit, then 4-wide,
 //!    then 2-wide, each rung no wider than the plan, and the scalar
@@ -51,9 +67,7 @@
 //!    fallback is forced). So a 2-trip loop and every remainder of two
 //!    or more run lane-wide. Vector execution performs the exact same
 //!    IEEE-754 operations as scalar execution, so it stays
-//!    bit-identical to the reference executor. Hints that fail
-//!    re-verification are silently demoted (counted in
-//!    `vm.vec.demoted`) — the mark is advisory, never trusted.
+//!    bit-identical to the reference executor.
 //! 5. **Pairing**: last, one linear pass ([`pair_cells`]) over every run
 //!    of cell-form nodes joins each op with a later one of the same kind
 //!    (or its sub|add twin) into one [`RNode::Pair`] — the real and
@@ -108,11 +122,12 @@ pub struct ResolveStats {
     pub strength_reduced_steps: u64,
     /// Affine subscript terms hoisted out of per-access evaluation.
     pub hoisted_terms: u64,
-    /// Compiler-hinted loops the resolver verified and planned for
-    /// lane-wide execution.
+    /// Innermost loops of at least two trips the resolver proved lane-safe
+    /// and planned for lane-wide execution.
     pub vec_loops: u64,
-    /// Compiler hints demoted to scalar execution because resolver-side
-    /// re-verification could not prove lane safety.
+    /// Innermost loops of at least two trips left scalar because their
+    /// lane safety could not be proved. Outer and zero- or one-trip loops
+    /// are never offered, so they count in neither.
     pub vec_demoted: u64,
     /// Lane-wide macro-ops across all vector plans (static count).
     pub vec_ops: u64,
@@ -1698,8 +1713,6 @@ struct Frame {
     hi: i64,
     trips: u64,
     steps: Vec<(u32, i64)>,
-    /// Advisory lane-safety mark carried from the compiler pass.
-    vec_hint: bool,
 }
 
 struct Builder {
@@ -1877,6 +1890,16 @@ impl Builder {
         let c = self.new_cursor(i64::from(cell), meta)?;
         self.cursor_map.insert(CursorKey::Fixed(cell), c);
         Ok(c)
+    }
+
+    /// Forgets the cursors from id `first` on: those a declined vector
+    /// plan made for operands no node names.
+    fn drop_cursors_from(&mut self, first: usize) {
+        if first < self.init.len() {
+            self.init.truncate(first);
+            self.cursor_meta.truncate(first);
+            self.cursor_map.retain(|_, c| (*c as usize) < first);
+        }
     }
 
     /// A fresh tail cell (immediates, scratch spills).
@@ -2059,32 +2082,18 @@ impl Builder {
         }
     }
 
-    /// Attempts to build a lane-wide plan for a compiler-hinted loop
-    /// whose body is `self.nodes[frame.node_idx + 1..]`. Returns
-    /// `None` — demoting the hint to scalar execution — unless lane
-    /// safety is provable from the resolved nodes alone:
-    ///
-    /// * every body node is a float op (no integer ops, spills, or
-    ///   nested loops — so the body reads neither `$r` nor loop
-    ///   variables);
-    /// * every written `$f` cell is iteration-private (written before
-    ///   any read in op order) and every read-only `$f`/immediate cell
-    ///   is a loop-invariant broadcast;
-    /// * every write to a region advances (stride ≥ 1), and no two
-    ///   same-region accesses touch the same address one iteration
-    ///   apart. The plan's width is the largest power of two no greater
-    ///   than the nearest distance at which they do meet, capped at
-    ///   [`MAX_VEC_WIDTH`]: two iterations that far apart never share a
-    ///   chunk that wide, and distance-0 conflicts keep op order per
-    ///   lane.
+    /// Attempts to build a lane-wide plan for the innermost loop of two
+    /// or more trips whose body is `self.nodes[frame.node_idx + 1..]`.
+    /// Returns `None` — the loop runs scalar — unless lane safety is
+    /// provable from the resolved nodes alone, by the conditions of the
+    /// module doc's item 4. The width bound holds because two iterations
+    /// that far apart never share a chunk that wide, and distance-0
+    /// conflicts keep op order per lane.
     ///
     /// A lane-wide operand in memory is read through a cursor, so the
     /// fixed cells the body broadcasts get one each here.
     fn vec_plan(&mut self, frame: &Frame) -> Option<VecPlan> {
         let trips = frame.trips;
-        if trips < 2 {
-            return None;
-        }
         let first = frame.node_idx + 1;
         let stride = |terms: &[(i64, u32)]| -> i64 {
             terms
@@ -2411,7 +2420,7 @@ pub(crate) fn resolve(prog: &VmProgram) -> Result<ResolvedProgram, Unsupported> 
                 })?;
                 b.push_float(op)?;
             }
-            FOp::Pass(Op::LoopStart { var, lo, vec, .. }) => {
+            FOp::Pass(Op::LoopStart { var, lo, .. }) => {
                 if b.frames.iter().any(|f| f.var == *var) {
                     // Shadowed loop variables would need scoped
                     // cursor contexts; fall back instead.
@@ -2435,7 +2444,6 @@ pub(crate) fn resolve(prog: &VmProgram) -> Result<ResolvedProgram, Unsupported> 
                     hi,
                     trips,
                     steps: Vec::new(),
-                    vec_hint: *vec,
                 });
                 let k =
                     u32::try_from(b.loops.len()).map_err(|_| Unsupported("program too large"))?;
@@ -2455,7 +2463,10 @@ pub(crate) fn resolve(prog: &VmProgram) -> Result<ResolvedProgram, Unsupported> 
                     .frames
                     .pop()
                     .ok_or(Unsupported("malformed loop structure"))?;
-                let vec = if frame.vec_hint {
+                // No loop was opened inside this one: it is innermost.
+                let innermost = frame.loop_idx + 1 == b.loops.len();
+                let vec = if innermost && frame.trips >= 2 {
+                    let cursors = b.init.len();
                     match b.vec_plan(&frame) {
                         Some(plan) => {
                             b.stats.vec_loops += 1;
@@ -2466,6 +2477,7 @@ pub(crate) fn resolve(prog: &VmProgram) -> Result<ResolvedProgram, Unsupported> 
                             Some(id)
                         }
                         None => {
+                            b.drop_cursors_from(cursors);
                             b.stats.vec_demoted += 1;
                             None
                         }
@@ -2842,9 +2854,9 @@ mod tests {
         }
     }
 
-    /// `body` as one loop over `i < trips` that the compiler marked
-    /// lane-safe, over `n_f` registers, lowered.
-    fn marked_loop(
+    /// `body` as one loop over `i < trips`, over `n_f` registers,
+    /// lowered.
+    fn one_loop(
         trips: i64,
         (n_in, n_out): (usize, usize),
         n_f: u32,
@@ -2865,7 +2877,6 @@ mod tests {
             n_f,
             n_loop: 1,
             complex: false,
-            vec_loops: vec![0],
             ..spl_icode::IProgram::empty()
         })
         .unwrap()
@@ -2910,7 +2921,7 @@ mod tests {
             // the odd cells before the even ones (a store that wrote
             // between its lanes would be caught) and a stride-1 store.
             let half = Value::Const(spl_numeric::Complex::real(0.5));
-            let vm = marked_loop(
+            let vm = one_loop(
                 trips,
                 (6 * trips as usize, 3 * trips as usize),
                 2,
@@ -2964,6 +2975,213 @@ mod tests {
     }
 
     #[test]
+    fn innermost_loops_are_planned_only_when_lane_safe() {
+        use spl_icode::{Instr, LoopVar, Place::F, UnOp, Value, VecKind::*};
+        let _g = simd::override_lock();
+        simd::set_force_scalar(false);
+        let k = |v: f64| Value::Const(spl_numeric::Complex::real(v));
+        let copy = |d, a| Instr::Un {
+            op: UnOp::Copy,
+            dst: d,
+            a,
+        };
+        // `out[4j + i] = in[4j + i]` in `do j { do i { … } }`: the inner
+        // loop is offered, the outer one never is.
+        let nested = {
+            let at = |kind| {
+                let mut a = spl_icode::Affine::constant(0);
+                a.add_term(4, LoopVar(0));
+                a.add_term(1, LoopVar(1));
+                spl_icode::Place::Vec(spl_icode::VecRef { kind, idx: a })
+            };
+            let header = |v| Instr::DoStart {
+                var: LoopVar(v),
+                lo: 0,
+                hi: 3,
+                unroll: false,
+            };
+            lower(&spl_icode::IProgram {
+                instrs: vec![
+                    header(0),
+                    header(1),
+                    copy(at(Out), Value::Place(at(In))),
+                    Instr::DoEnd,
+                    Instr::DoEnd,
+                ],
+                n_in: 16,
+                n_out: 16,
+                n_loop: 2,
+                complex: false,
+                ..spl_icode::IProgram::empty()
+            })
+            .unwrap()
+        };
+        // (case, program, loops planned, loops demoted)
+        let cases = [
+            (
+                "unit stride",
+                one_loop(
+                    8,
+                    (8, 8),
+                    0,
+                    vec![copy(elem(Out, 0, 1), Value::Place(elem(In, 0, 1)))],
+                ),
+                1,
+                0,
+            ),
+            (
+                "interleaved stride 2, offset 1",
+                one_loop(
+                    8,
+                    (16, 16),
+                    0,
+                    vec![
+                        bin(
+                            BinOp::Add,
+                            elem(Out, 0, 2),
+                            elem(In, 0, 2),
+                            Value::Place(elem(In, 1, 2)),
+                        ),
+                        bin(
+                            BinOp::Sub,
+                            elem(Out, 1, 2),
+                            elem(In, 0, 2),
+                            Value::Place(elem(In, 1, 2)),
+                        ),
+                    ],
+                ),
+                1,
+                0,
+            ),
+            (
+                "loop-carried accumulator",
+                one_loop(
+                    8,
+                    (8, 8),
+                    1,
+                    vec![
+                        bin(BinOp::Add, F(0), F(0), Value::Place(elem(In, 0, 1))),
+                        copy(elem(Out, 0, 1), Value::Place(F(0))),
+                    ],
+                ),
+                0,
+                1,
+            ),
+            (
+                "iteration-private register",
+                one_loop(
+                    8,
+                    (8, 8),
+                    1,
+                    vec![
+                        bin(BinOp::Mul, F(0), elem(In, 0, 1), k(2.0)),
+                        bin(BinOp::Add, elem(Out, 0, 1), F(0), k(1.0)),
+                    ],
+                ),
+                1,
+                0,
+            ),
+            (
+                "stationary write",
+                one_loop(
+                    8,
+                    (8, 8),
+                    0,
+                    vec![copy(elem(Out, 0, 0), Value::Place(elem(In, 0, 1)))],
+                ),
+                0,
+                1,
+            ),
+            (
+                "alias one iteration apart",
+                one_loop(
+                    8,
+                    (8, 9),
+                    0,
+                    vec![bin(BinOp::Add, elem(Out, 1, 1), elem(Out, 0, 1), k(1.0))],
+                ),
+                0,
+                1,
+            ),
+            (
+                "same-iteration alias",
+                one_loop(
+                    8,
+                    (8, 8),
+                    0,
+                    vec![
+                        bin(BinOp::Mul, elem(Out, 0, 1), elem(In, 0, 1), k(2.0)),
+                        bin(BinOp::Add, elem(Out, 0, 1), elem(Out, 0, 1), k(1.0)),
+                    ],
+                ),
+                1,
+                0,
+            ),
+            (
+                "alias beyond the trip range",
+                one_loop(
+                    8,
+                    (8, 40),
+                    0,
+                    vec![copy(elem(Out, 0, 1), Value::Place(elem(Out, 32, 1)))],
+                ),
+                1,
+                0,
+            ),
+            (
+                "single trip",
+                one_loop(
+                    1,
+                    (8, 8),
+                    0,
+                    vec![copy(elem(Out, 0, 1), Value::Place(elem(In, 0, 1)))],
+                ),
+                0,
+                0,
+            ),
+            (
+                "loop-index read",
+                one_loop(
+                    8,
+                    (8, 8),
+                    0,
+                    vec![copy(elem(Out, 0, 1), Value::LoopIdx(LoopVar(0)))],
+                ),
+                0,
+                1,
+            ),
+            ("outer loop", nested, 1, 0),
+        ];
+        for (label, vm, planned, demoted) in cases {
+            let stats = *vm.resolve_stats().expect("resolved");
+            assert_eq!(
+                (stats.vec_loops, stats.vec_demoted),
+                (planned, demoted),
+                "{label}: {stats:?}"
+            );
+            let x: Vec<f64> = (0..vm.n_in).map(|i| (i as f64 * 0.61).cos()).collect();
+            let y0: Vec<f64> = (0..vm.n_out).map(|i| i as f64 - 0.5).collect();
+            agree_bitwise(&vm, &x, &y0, label);
+        }
+    }
+
+    #[test]
+    fn a_declined_plan_leaves_no_cursor_behind() {
+        use spl_icode::{Place::F, Value, VecKind::*};
+        // `$f0 = $f0 + in[0]` over `i < 8`: cell-form code, so no node
+        // needs a cursor. The plan attempt makes two (the broadcasts of
+        // `$f0` and `in[0]`) before `$f0`'s write declines it.
+        let vm = one_loop(
+            8,
+            (1, 1),
+            1,
+            vec![bin(BinOp::Add, F(0), F(0), Value::Place(elem(In, 0, 0)))],
+        );
+        let stats = resolve(&vm).unwrap().stats;
+        assert_eq!((stats.vec_demoted, stats.cursors), (1, 0), "{stats:?}");
+    }
+
+    #[test]
     fn a_loop_is_planned_at_the_widest_width_its_alias_distance_allows() {
         use spl_icode::{Value, VecKind::*};
         let _g = simd::override_lock();
@@ -2972,7 +3190,7 @@ mod tests {
         for d in 1..=trips + 1 {
             // `out[i + d] = out[i] + in[i]`: iteration `i + d` reads
             // what iteration `i` wrote.
-            let vm = marked_loop(
+            let vm = one_loop(
                 trips,
                 (trips as usize, (trips + d) as usize),
                 0,
@@ -3012,7 +3230,7 @@ mod tests {
             // `out[2i + 1] = out[2i + 1] * in[i]`: no temporaries and no
             // immediates, so the output is the arena's last region and
             // an even trip count's last chunk ends on its last cell.
-            let vm = marked_loop(
+            let vm = one_loop(
                 trips,
                 (trips as usize, 2 * trips as usize),
                 0,

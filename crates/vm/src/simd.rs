@@ -1,9 +1,9 @@
 //! Runtime-detected f64 SIMD lane backends for the resolved engine's
 //! vector path.
 //!
-//! The resolved engine executes loops the compiler's `vectorize` pass
-//! marked lane-safe in chunks of `W` iterations, all lanes of one
-//! resolved op at a time (see `resolved::VecPlan`). This module
+//! The resolved engine executes the innermost loops its resolver proved
+//! lane-safe in chunks of `W` iterations, all lanes of one resolved op
+//! at a time (see `resolved::VecPlan`). This module
 //! supplies the lane arithmetic: a [`Lanes`] implementation per
 //! width — SSE2 (2×f64, the x86-64 baseline), AVX (4×f64) and
 //! AVX-512F (8×f64, both behind `is_x86_feature_detected!`), and NEON
