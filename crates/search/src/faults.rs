@@ -1,30 +1,20 @@
-//! Deterministic fault injection for exercising the resilience path.
+//! Deterministic fault injection for exercising the skip path.
 //!
 //! [`FaultyEvaluator`] wraps any [`Evaluator`] and, with configurable
-//! probabilities drawn from a seeded SplitMix64 stream, replaces an
-//! evaluation with an injected timeout, crash, or corrupt-result
-//! (verification) failure. Equal seeds give byte-identical fault
-//! sequences, so CI can assert that a search under ≥10 % faults still
-//! completes, quarantines what it must, and records its degradations.
+//! probabilities, replaces an evaluation with an injected timeout,
+//! crash, or corrupt-result (verification) failure. Each candidate's
+//! roll is derived from the seed and the candidate's description, so a
+//! fault belongs to a candidate, not to a call order: equal seeds fault
+//! the same candidates at any worker count, in any evaluation order,
+//! and across a killed and resumed search. CI asserts that a search
+//! under ≥10 % faults skips exactly the faulted candidates and still
+//! completes.
 
 use spl_generator::fft::FftTree;
 use spl_numeric::rng::Rng;
 use spl_telemetry::Telemetry;
 
 use crate::{Evaluator, SearchError};
-
-/// Where a fault roll comes from.
-///
-/// *Sequential* draws one value per `cost` call from a single stream —
-/// byte-identical across runs, but dependent on evaluation *order*.
-/// *Keyed* derives each roll from the seed and the candidate's
-/// description, so the same candidates fault no matter the order (or
-/// the number of pool workers) evaluating them.
-#[derive(Debug)]
-enum DrawMode {
-    Sequential(Rng),
-    Keyed(u64),
-}
 
 /// 64-bit FNV-1a, used to fold a candidate description into a seed.
 fn fnv1a(bytes: &[u8]) -> u64 {
@@ -40,7 +30,7 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 #[derive(Debug)]
 pub struct FaultyEvaluator<E> {
     inner: E,
-    draw: DrawMode,
+    seed: u64,
     /// Probability an evaluation becomes [`SearchError::Timeout`].
     pub p_timeout: f64,
     /// Probability an evaluation becomes [`SearchError::KernelCrashed`].
@@ -54,30 +44,20 @@ pub struct FaultyEvaluator<E> {
 
 impl<E: Evaluator> FaultyEvaluator<E> {
     /// Wraps `inner`, splitting `fault_rate` evenly across the three
-    /// fault classes. `fault_rate` is the total probability that any
-    /// one evaluation fails.
+    /// fault classes. `fault_rate` is the probability that a candidate
+    /// faults; each candidate's roll is derived from `(seed, candidate
+    /// description)`, so it rolls the same on every call.
     pub fn new(inner: E, seed: u64, fault_rate: f64) -> Self {
         let p = (fault_rate / 3.0).clamp(0.0, 1.0 / 3.0);
         Self::with_rates(inner, seed, p, p, p)
     }
 
-    /// Like [`FaultyEvaluator::new`], but each candidate's fault roll
-    /// is derived from `(seed, candidate description)` instead of a
-    /// sequential stream: evaluation order — and therefore worker count
-    /// in a parallel search — cannot change which candidates fault.
-    pub fn keyed(inner: E, seed: u64, fault_rate: f64) -> Self {
-        let p = (fault_rate / 3.0).clamp(0.0, 1.0 / 3.0);
-        FaultyEvaluator {
-            draw: DrawMode::Keyed(seed),
-            ..Self::with_rates(inner, seed, p, p, p)
-        }
-    }
-
-    /// Wraps `inner` with explicit per-class fault probabilities.
+    /// Wraps `inner` with explicit per-class fault probabilities, rolled
+    /// per candidate as in [`FaultyEvaluator::new`].
     pub fn with_rates(inner: E, seed: u64, p_timeout: f64, p_crash: f64, p_corrupt: f64) -> Self {
         FaultyEvaluator {
             inner,
-            draw: DrawMode::Sequential(Rng::new(seed)),
+            seed,
             p_timeout,
             p_crash,
             p_corrupt,
@@ -93,12 +73,9 @@ impl<E: Evaluator> FaultyEvaluator<E> {
 
 impl<E: Evaluator> Evaluator for FaultyEvaluator<E> {
     fn cost(&mut self, tree: &FftTree) -> Result<f64, SearchError> {
-        // One draw per evaluation, windowed over the three classes, so
+        // One draw per candidate, windowed over the three classes, so
         // the total fault rate is exactly the sum of the probabilities.
-        let roll = match &mut self.draw {
-            DrawMode::Sequential(rng) => rng.next_f64(),
-            DrawMode::Keyed(seed) => Rng::new(*seed ^ fnv1a(tree.describe().as_bytes())).next_f64(),
-        };
+        let roll = Rng::new(self.seed ^ fnv1a(tree.describe().as_bytes())).next_f64();
         if roll < self.p_timeout {
             self.tel.add("search.faults_injected.timeout", 1);
             return Err(SearchError::Timeout(format!(
@@ -138,10 +115,28 @@ impl<E: Evaluator> Evaluator for FaultyEvaluator<E> {
 mod tests {
     use super::*;
     use crate::OpCountEvaluator;
-    use spl_generator::fft::Rule;
+    use spl_generator::fft::{enumerate_trees, Rule};
 
     fn t4() -> FftTree {
         FftTree::node(Rule::CooleyTukey, FftTree::leaf(2), FftTree::leaf(2))
+    }
+
+    /// Prices every candidate at 1: the fault rolls are what is tested.
+    struct Unit;
+
+    impl Evaluator for Unit {
+        fn cost(&mut self, _tree: &FftTree) -> Result<f64, SearchError> {
+            Ok(1.0)
+        }
+
+        fn label(&self) -> &str {
+            "unit"
+        }
+    }
+
+    /// 731 distinct candidates: every Cooley–Tukey tree of `F_128`.
+    fn many_trees() -> Vec<FftTree> {
+        enumerate_trees(7, Rule::CooleyTukey)
     }
 
     #[test]
@@ -156,21 +151,31 @@ mod tests {
 
     #[test]
     fn full_rate_always_fails() {
-        let mut faulty = FaultyEvaluator::with_rates(OpCountEvaluator::default(), 2, 1.0, 0.0, 0.0);
-        for _ in 0..20 {
-            assert!(matches!(faulty.cost(&t4()), Err(SearchError::Timeout(_))));
+        let mut faulty = FaultyEvaluator::with_rates(Unit, 2, 1.0, 0.0, 0.0);
+        for tree in many_trees().iter().take(20) {
+            assert!(matches!(faulty.cost(tree), Err(SearchError::Timeout(_))));
         }
     }
 
     #[test]
     fn equal_seeds_give_identical_fault_sequences() {
-        let mut a = FaultyEvaluator::new(OpCountEvaluator::default(), 99, 0.5);
-        let mut b = FaultyEvaluator::new(OpCountEvaluator::default(), 99, 0.5);
-        for _ in 0..100 {
-            let ra = a.cost(&t4()).map_err(|e| e.kind());
-            let rb = b.cost(&t4()).map_err(|e| e.kind());
-            assert_eq!(ra.is_ok(), rb.is_ok());
-            assert_eq!(ra.err(), rb.err());
+        let mut a = FaultyEvaluator::new(Unit, 99, 0.5);
+        let mut b = FaultyEvaluator::new(Unit, 99, 0.5);
+        for tree in many_trees().iter().take(100) {
+            let ra = a.cost(tree).map_err(|e| e.kind());
+            let rb = b.cost(tree).map_err(|e| e.kind());
+            assert_eq!(ra, rb);
+        }
+    }
+
+    #[test]
+    fn a_candidate_rolls_the_same_on_every_call() {
+        let mut faulty = FaultyEvaluator::new(Unit, 3, 0.5);
+        for tree in many_trees().iter().take(40) {
+            let first = faulty.cost(tree).map_err(|e| e.kind());
+            for _ in 0..5 {
+                assert_eq!(faulty.cost(tree).map_err(|e| e.kind()), first);
+            }
         }
     }
 
@@ -183,8 +188,8 @@ mod tests {
             FftTree::node(Rule::CooleyTukey, FftTree::leaf(2), FftTree::leaf(4)),
             FftTree::leaf(16),
         ];
-        let mut forward = FaultyEvaluator::keyed(OpCountEvaluator::default(), 42, 0.6);
-        let mut backward = FaultyEvaluator::keyed(OpCountEvaluator::default(), 42, 0.6);
+        let mut forward = FaultyEvaluator::new(OpCountEvaluator::default(), 42, 0.6);
+        let mut backward = FaultyEvaluator::new(OpCountEvaluator::default(), 42, 0.6);
         let fwd: Vec<_> = trees
             .iter()
             .map(|t| forward.cost(t).map_err(|e| e.kind()))
@@ -196,9 +201,7 @@ mod tests {
             .collect();
         bwd.reverse();
         assert_eq!(fwd, bwd);
-        // A sequential evaluator at the same settings would disagree
-        // with itself under reordering for at least one of these seeds;
-        // keyed mode must also actually inject something at 60 %.
+        // Something must actually be injected at 60 %.
         assert!(fwd.iter().any(|r| r.is_err()), "{fwd:?}");
     }
 
@@ -206,7 +209,7 @@ mod tests {
     fn keyed_mode_depends_on_seed() {
         let trees: Vec<FftTree> = (1..=6).map(|k| FftTree::leaf(1 << k)).collect();
         let outcomes = |seed: u64| -> Vec<bool> {
-            let mut e = FaultyEvaluator::keyed(OpCountEvaluator::default(), seed, 0.5);
+            let mut e = FaultyEvaluator::new(OpCountEvaluator::default(), seed, 0.5);
             trees.iter().map(|t| e.cost(t).is_ok()).collect()
         };
         // Equal seeds agree; some pair of distinct seeds must differ.
@@ -222,10 +225,12 @@ mod tests {
 
     #[test]
     fn all_three_classes_occur_and_are_counted() {
-        let mut faulty = FaultyEvaluator::new(OpCountEvaluator::default(), 7, 0.9);
+        let mut faulty = FaultyEvaluator::new(Unit, 7, 0.9);
         let mut kinds = std::collections::HashSet::new();
-        for _ in 0..300 {
-            if let Err(e) = faulty.cost(&t4()) {
+        let trees = many_trees();
+        assert!(trees.len() >= 300);
+        for tree in &trees[..300] {
+            if let Err(e) = faulty.cost(tree) {
                 kinds.insert(e.kind());
             }
         }

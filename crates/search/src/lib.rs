@@ -41,17 +41,16 @@
 //!   kernel in a forked sandbox, so a crashing or hanging candidate is
 //!   classified ([`SearchError::KernelCrashed`], [`SearchError::Timeout`])
 //!   rather than fatal.
-//! * [`ResilientEvaluator`] degrades per candidate through a tier chain
-//!   (native → VM → op-count by default), quarantining verification
-//!   failures and counting every degradation in telemetry.
 //! * The search loops skip candidates whose evaluation fails (counted as
 //!   `search.skipped.<kind>`) and only error when a whole size has no
-//!   surviving candidate.
+//!   surviving candidate. A search prices every candidate with its one
+//!   evaluator: a candidate that cannot be measured is never priced by
+//!   another one, so the costs of a size share a unit.
 //! * Over a [`WisdomDb`] directory every completed size is appended to a
 //!   CRC-checked journal (`spl-resilience`), so a killed search resumes
 //!   where it stopped.
-//! * [`FaultyEvaluator`] injects deterministic faults for testing the
-//!   whole chain.
+//! * [`FaultyEvaluator`] injects deterministic, per-candidate faults for
+//!   testing the skip path.
 //!
 //! # Parallel evaluation
 //!
@@ -96,20 +95,19 @@ use spl_vm::{describe_policy, lower, measure, VmProgram, VmState};
 
 mod faults;
 mod parallel;
-mod resilient;
 mod wisdom;
 
 pub use faults::FaultyEvaluator;
 pub use parallel::{EvaluatorPool, MeasurementGate, MeasurementToken, WorkerContext};
-pub use resilient::{QuarantineEntry, ResilientEvaluator};
 pub use wisdom::{
     cc_fingerprint, cc_key, machine_fingerprint, transform_key, wisdom_from_string,
     wisdom_to_string, Search, SearchOutcome, WisdomDb, WisdomEntry, WisdomError, WisdomErrorKind,
 };
 
 /// A structured search failure. Every variant carries human-readable
-/// detail; [`SearchError::kind`] gives the stable label used in
-/// telemetry counters (`search.failures.<kind>`, `search.skipped.<kind>`).
+/// detail; [`SearchError::kind`] gives the stable label used in the
+/// telemetry counter `search.skipped.<kind>`, the one count of
+/// candidates a search lost.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SearchError {
     /// The SPL compiler, lowering, or the host `cc` rejected a candidate.
@@ -119,7 +117,7 @@ pub enum SearchError {
     /// A candidate kernel died on a signal inside its sandbox.
     KernelCrashed(String),
     /// A candidate produced numerically wrong output against the dense
-    /// reference; the candidate is quarantined, its timing discarded.
+    /// reference; its timing is discarded and the search skips it.
     VerificationFailed(String),
     /// The wisdom database holds a record that passes its CRC but does
     /// not parse.
@@ -129,8 +127,6 @@ pub enum SearchError {
         /// The transform size that has no surviving candidate.
         n: usize,
     },
-    /// Every tier of a degradation chain failed for a candidate.
-    Exhausted(String),
     /// Wisdom text or a wisdom database entry failed to parse.
     Wisdom(WisdomError),
     /// Anything else (I/O, ...).
@@ -147,7 +143,6 @@ impl SearchError {
             SearchError::VerificationFailed(_) => "verification_failed",
             SearchError::JournalCorrupt(_) => "journal_corrupt",
             SearchError::NoCandidates { .. } => "no_candidates",
-            SearchError::Exhausted(_) => "exhausted",
             SearchError::Wisdom(_) => "wisdom",
             SearchError::Other(_) => "other",
         }
@@ -165,7 +160,6 @@ impl fmt::Display for SearchError {
             SearchError::NoCandidates { n } => {
                 write!(f, "search: no candidate for size {n} survived evaluation")
             }
-            SearchError::Exhausted(m) => write!(f, "search: evaluation exhausted: {m}"),
             SearchError::Wisdom(e) => write!(f, "search: {e}"),
             SearchError::Other(m) => write!(f, "search: {m}"),
         }
@@ -306,8 +300,9 @@ pub trait Evaluator: Send {
     /// Names where the costs come from and hence their unit (`native`
     /// and `vm` are seconds, `opcount` operations). Part of every
     /// wisdom-store key ([`transform_key`]): costs under different
-    /// labels never meet in one entry. Wrappers report the evaluator
-    /// they try first.
+    /// labels never meet in one entry. A wrapper (a fault injector)
+    /// reports the label of the one evaluator it wraps and returns
+    /// only that evaluator's costs.
     fn label(&self) -> &str;
 
     /// Takes whatever telemetry the evaluator accumulated (timer

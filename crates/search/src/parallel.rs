@@ -12,8 +12,8 @@
 //!
 //! Results are merged back **in candidate-index order**, so the winner
 //! selection downstream sees exactly the sequence a serial run would
-//! produce. With a deterministic evaluator (op-count model, keyed fault
-//! injection) a pool of any size is therefore bit-identical to
+//! produce. With a deterministic evaluator (op-count model, per-candidate
+//! fault injection) a pool of any size is therefore bit-identical to
 //! `--jobs 1`.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -226,15 +226,11 @@ mod tests {
 
     #[test]
     fn parallel_search_under_keyed_faults_matches_serial_at_many_seeds() {
-        // Keyed fault injection draws per candidate, not per call order,
+        // Fault injection draws per candidate, not per call order,
         // so the same candidates fault no matter how many workers raced.
         for seed in [3u64, 17, 99, 2026] {
             let mk = || -> Box<dyn Evaluator> {
-                Box::new(FaultyEvaluator::keyed(
-                    OpCountEvaluator::default(),
-                    seed,
-                    0.3,
-                ))
+                Box::new(FaultyEvaluator::new(OpCountEvaluator::default(), seed, 0.3))
             };
             let serial = winners(&mut EvaluatorPool::new(1, |_| mk()));
             let parallel = winners(&mut EvaluatorPool::new(4, |_| mk()));

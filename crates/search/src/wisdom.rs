@@ -201,9 +201,8 @@ const NO_CC: &str = "-";
 /// The VM's seconds and the op counts never pass through `cc`, so their
 /// entries are filed under a constant: no compiler is asked for its
 /// version on their account, and a compiler upgrade leaves them
-/// trusted. Every other label (`native`, which a resilient chain
-/// reports as its first tier, and any evaluator this crate does not
-/// know) keeps [`cc_fingerprint`].
+/// trusted. Every other label (`native`, and any evaluator this crate
+/// does not know) keeps [`cc_fingerprint`].
 pub fn cc_key(evaluator: &str) -> &'static str {
     match evaluator {
         "vm" | "opcount" => NO_CC,
@@ -711,8 +710,23 @@ impl Search {
     /// # Errors
     ///
     /// [`SearchError::NoCandidates`] when every candidate of a size
-    /// failed; store I/O failures.
+    /// failed; store I/O failures. The pool's and the store's counts
+    /// (the faults and skips that explain a failure) are merged into
+    /// `tel` on every exit.
     pub fn run(
+        &mut self,
+        max_log: u32,
+        pool: &mut EvaluatorPool,
+        tel: &mut Telemetry,
+    ) -> Result<SearchOutcome, SearchError> {
+        let found = self.run_sizes(max_log, pool, tel);
+        tel.merge(&pool.drain_telemetry());
+        tel.merge(&self.db.drain_telemetry());
+        found
+    }
+
+    /// [`Search::run`] without the final telemetry merge.
+    fn run_sizes(
         &mut self,
         max_log: u32,
         pool: &mut EvaluatorPool,
@@ -761,8 +775,6 @@ impl Search {
             }
             tel.end_span();
         }
-        tel.merge(&pool.drain_telemetry());
-        tel.merge(&self.db.drain_telemetry());
         Ok(SearchOutcome { small, large })
     }
 
@@ -853,6 +865,25 @@ mod tests {
             tree: FftTree::from_spec(spec).unwrap(),
             cost,
         }
+    }
+
+    #[test]
+    fn a_failed_search_reports_the_faults_and_skips_that_explain_it() {
+        let eval =
+            crate::FaultyEvaluator::with_rates(OpCountEvaluator::default(), 1, 1.0, 0.0, 0.0);
+        let mut pool = EvaluatorPool::single(eval);
+        let mut tel = Telemetry::new();
+        let err = Search::new(SearchConfig::default())
+            .run(3, &mut pool, &mut tel)
+            .unwrap_err();
+        assert!(matches!(err, SearchError::NoCandidates { n: 2 }), "{err}");
+        assert_eq!(tel.counter("search.faults_injected.timeout"), Some(1));
+        assert_eq!(tel.counter("search.skipped.timeout"), Some(1));
+        // Nothing of this run is left in the pool for the next one.
+        assert!(pool
+            .drain_telemetry()
+            .counter("search.faults_injected.timeout")
+            .is_none());
     }
 
     #[test]

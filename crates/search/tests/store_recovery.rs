@@ -8,8 +8,8 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 use spl_search::{
-    Evaluator, EvaluatorPool, FaultyEvaluator, OpCountEvaluator, ResilientEvaluator, Search,
-    SearchConfig, SearchOutcome, WisdomDb,
+    Evaluator, EvaluatorPool, FaultyEvaluator, OpCountEvaluator, Search, SearchConfig,
+    SearchOutcome, WisdomDb,
 };
 use spl_telemetry::Telemetry;
 
@@ -113,32 +113,35 @@ fn large_search_killed_mid_size_resumes_to_same_plans() {
 #[test]
 fn kill_and_resume_under_injected_faults_matches_uninterrupted_run() {
     // The full acceptance scenario: a stored search to 2^10 under
-    // ≥10 % injected faults is killed mid-write, then resumed under a
-    // *different* fault sequence — and still lands on the same best
-    // plans, because the degradation chain falls back to the same
-    // deterministic model.
-    let chain = |seed: u64| {
-        ResilientEvaluator::new()
-            .tier(
-                "faulty",
-                Box::new(FaultyEvaluator::new(
-                    OpCountEvaluator::default(),
-                    seed,
-                    0.25,
-                )),
-            )
-            .tier("opcount", Box::new(OpCountEvaluator::default()))
-    };
-    let dir = tmp("faulty");
+    // ≥10 % injected faults is killed mid-write, then resumed under the
+    // same seed — and lands on the plans of the uninterrupted run at
+    // that seed, because a fault belongs to a candidate, not to the
+    // order in which the candidates were evaluated.
+    let faulty = || FaultyEvaluator::new(OpCountEvaluator::default(), 11, 0.25);
     let config = SearchConfig::default();
-    search_in(&dir, &config, 10, chain(11), &mut Telemetry::new());
+    let uninterrupted = Search::new(config.clone())
+        .run(
+            10,
+            &mut EvaluatorPool::single(faulty()),
+            &mut Telemetry::new(),
+        )
+        .unwrap();
+
+    let dir = tmp("faulty");
+    search_in(&dir, &config, 10, faulty(), &mut Telemetry::new());
     tear_tail(&dir);
 
     let mut tel = Telemetry::new();
-    let resumed = search_in(&dir, &config, 10, chain(1234), &mut tel);
+    let resumed = search_in(&dir, &config, 10, faulty(), &mut tel);
     assert_eq!(tel.counter("wisdom.db.reused_sizes"), Some(9));
     assert!(tel.counter("search.plans_evaluated").unwrap() > 0);
-    assert_eq!(resumed, clean(&config, 10));
+    assert!(
+        tel.counter("search.faults_injected.timeout").unwrap_or(0)
+            + tel.counter("search.faults_injected.crash").unwrap_or(0)
+            + tel.counter("search.faults_injected.corrupt").unwrap_or(0)
+            > 0
+    );
+    assert_eq!(resumed, uninterrupted);
     let _ = fs::remove_dir_all(&dir);
 }
 

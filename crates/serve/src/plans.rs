@@ -8,11 +8,10 @@
 //!
 //! # The degradation chain
 //!
-//! Every execution walks `native kernel → resolved VM → reject`,
-//! reusing `spl_search::ResilientEvaluator`'s pattern: failures are
-//! *classified and counted*, the request falls to the next tier, and a
-//! kernel that faults is quarantined (and evicted from the shared
-//! cache) so it is never tried again. The VM tier is the trusted
+//! Every execution walks `native kernel → resolved VM → reject`:
+//! failures are *classified and counted*, the request falls to the
+//! next tier, and a kernel that faults is quarantined (and evicted from
+//! the shared cache) so it is never tried again. The VM tier is the trusted
 //! baseline — the resolved interpreter executes exactly the compiled
 //! i-code — so the chain keeps one invariant the whole daemon is built
 //! on: **every reply is bit-identical to the plan's VM output**. A

@@ -2,12 +2,14 @@
 //! tool.
 //!
 //! Runs the paper's dynamic-programming search (small sizes by
-//! Equation 10, large sizes by k-best binary splits) under a
-//! fault-tolerant evaluation chain, and prints the winning plans as
-//! wisdom text. With `--wisdom-db` the search persists every completed
-//! size to a crash-safe store, resumes from it after a kill and reuses
-//! it across runs; with `--faulty` it injects deterministic faults to
-//! exercise the degradation path end-to-end.
+//! Equation 10, large sizes by k-best binary splits) with one cost
+//! evaluator — native timing by default, the paper's method — and
+//! prints the winning plans as wisdom text. A candidate the evaluator
+//! cannot measure is skipped; a size none of whose candidates survives
+//! fails the search. With `--wisdom-db` the search persists every
+//! completed size to a crash-safe store, resumes from it after a kill
+//! and reuses it across runs; with `--faulty` it injects deterministic
+//! per-candidate faults to exercise the skip path end-to-end.
 //!
 //! Candidate evaluation is parallel (`--jobs`, defaulting to the
 //! machine's parallelism): compilation, `cc`, and verification fan out
@@ -26,7 +28,7 @@ use std::time::Duration;
 use spl::native::KernelCache;
 use spl::search::{
     Evaluator, EvaluatorPool, FaultyEvaluator, MeasuredEvaluator, NativeEvaluator,
-    OpCountEvaluator, ResilientEvaluator, Search, SearchConfig, WisdomDb, WorkerContext,
+    OpCountEvaluator, Search, SearchConfig, WisdomDb, WorkerContext,
 };
 use spl::telemetry::cli::ReportOptions;
 use spl::telemetry::out;
@@ -40,10 +42,11 @@ usage: splsearch [options]
                      (default 64, as in the paper)
   --keep <k>         k-best plans kept per large size (default 3)
   -B <n>             unroll threshold handed to the compiler (default 64)
-  --eval resilient|native|vm|opcount
-                     cost evaluator (default resilient: native timing,
-                     degrading per candidate to VM timing, then to the
-                     operation-count model)
+  --eval native|vm|opcount
+                     cost evaluator (default native: compiled C timed on
+                     this machine; vm: the portable VM timed; opcount:
+                     the operation-count model). A candidate it cannot
+                     measure is skipped, never priced by another one
   --jobs <n>         parallel evaluation workers (default: the machine's
                      available parallelism); timing is always serialized
                      behind a single measurement token, and winners are
@@ -62,10 +65,10 @@ usage: splsearch [options]
                      compiler and machine, append each size as it
                      finishes (a killed search resumes), share the store
                      safely with concurrent searches
-  --faulty <seed>    inject deterministic faults at the primary
-                     evaluation tier, degrading failed candidates to the
-                     operation-count model (faults are keyed per
-                     candidate, so the pattern is identical at any --jobs)
+  --faulty <seed>    inject deterministic faults in front of the
+                     evaluator; a faulted candidate is skipped (faults
+                     are keyed per candidate, so the pattern is identical
+                     at any --jobs)
   --fault-rate <p>   total injected-fault probability (default 0.1)
   --wisdom-out <file>
                      also write the winners as wisdom text to <file>
@@ -98,7 +101,7 @@ impl Default for Options {
         Options {
             max_log: 6,
             config: SearchConfig::default(),
-            eval: "resilient".to_string(),
+            eval: "native".to_string(),
             jobs: None,
             kernel_cache: None,
             min_time: Duration::from_millis(10),
@@ -138,8 +141,8 @@ fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
                 None => return Err("-B requires an integer".into()),
             },
             "--eval" => match it.next().map(String::as_str) {
-                Some(e @ ("resilient" | "native" | "vm" | "opcount")) => opts.eval = e.to_string(),
-                _ => return Err("--eval requires resilient, native, vm, or opcount".into()),
+                Some(e @ ("native" | "vm" | "opcount")) => opts.eval = e.to_string(),
+                _ => return Err("--eval requires native, vm, or opcount".into()),
             },
             "--jobs" => match it.next().and_then(|v| v.parse::<usize>().ok()) {
                 Some(n) if (1..=256).contains(&n) => opts.jobs = Some(n),
@@ -181,7 +184,7 @@ fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
     Ok(Some(opts))
 }
 
-/// Builds one worker's evaluation chain. Measured evaluators adopt the
+/// Builds one worker's evaluator. Measured evaluators adopt the
 /// worker's measurement gate so at most one kernel is ever being timed
 /// across the pool; native evaluators share the pool-wide kernel cache
 /// so identical generated C is compiled once.
@@ -190,43 +193,26 @@ fn build_evaluator(
     ctx: &WorkerContext,
     cache: &Arc<KernelCache>,
 ) -> Box<dyn Evaluator> {
-    let native = || {
-        NativeEvaluator::new(opts.config.unroll_threshold, opts.min_time)
-            .with_timeout(opts.eval_timeout)
-            .with_verify(opts.verify)
-            .with_gate(ctx.gate.clone())
-            .with_kernel_cache(Arc::clone(cache))
-    };
-    let vm = || {
-        MeasuredEvaluator::new(opts.config.unroll_threshold, opts.min_time)
-            .with_verify(opts.verify)
-            .with_gate(ctx.gate.clone())
-    };
     let base: Box<dyn Evaluator> = match opts.eval.as_str() {
-        "native" => Box::new(native()),
-        "vm" => Box::new(vm()),
+        "vm" => Box::new(
+            MeasuredEvaluator::new(opts.config.unroll_threshold, opts.min_time)
+                .with_verify(opts.verify)
+                .with_gate(ctx.gate.clone()),
+        ),
         "opcount" => Box::new(OpCountEvaluator::default()),
         _ => Box::new(
-            ResilientEvaluator::new()
-                .tier("native", Box::new(native()))
-                .tier("vm", Box::new(vm()))
-                .tier("opcount", Box::new(OpCountEvaluator::default())),
+            NativeEvaluator::new(opts.config.unroll_threshold, opts.min_time)
+                .with_timeout(opts.eval_timeout)
+                .with_verify(opts.verify)
+                .with_gate(ctx.gate.clone())
+                .with_kernel_cache(Arc::clone(cache)),
         ),
     };
     match opts.faulty {
-        // Faults are injected at the primary tier with the op-count
-        // model as the fallback, so `--faulty` exercises the full
-        // degradation path rather than merely skipping candidates.
-        // Keyed injection draws per candidate, not per call, so the
-        // fault pattern is identical at any worker count.
-        Some(seed) => Box::new(
-            ResilientEvaluator::new()
-                .tier(
-                    "faulty",
-                    Box::new(FaultyEvaluator::keyed(base, seed, opts.fault_rate)),
-                )
-                .tier("opcount", Box::new(OpCountEvaluator::default())),
-        ),
+        // A faulted candidate is skipped as a real failure would be.
+        // Faults are drawn per candidate, not per call, so the pattern
+        // is identical at any worker count.
+        Some(seed) => Box::new(FaultyEvaluator::new(base, seed, opts.fault_rate)),
         None => base,
     }
 }
@@ -303,7 +289,7 @@ fn main() -> ExitCode {
     report.meta("eval", &opts.eval);
     report.meta("jobs", &jobs.to_string());
     report.meta("verify", if opts.verify { "on" } else { "off" });
-    if matches!(opts.eval.as_str(), "resilient" | "native") {
+    if opts.eval == "native" {
         let target = spl::native::CcTarget::host();
         target.report(&mut tel);
         report.meta("native.isa", &target.isa_label());

@@ -74,10 +74,57 @@ fn pruning_flags_are_unknown_options() {
     assert!(!help.contains("prune"), "{help}");
 }
 
+/// A search that cannot measure a candidate skips it: an injected fault
+/// at size 2 (one candidate) fails the search instead of filing a cost
+/// from another evaluator under the `vm` key, so a clean rerun on the
+/// same store measures every size afresh.
+#[test]
+fn a_faulted_size_fails_the_search_and_files_nothing_under_its_key() {
+    let dir = std::env::temp_dir().join(format!("spl_splsearch_fault_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let db = dir.display().to_string();
+    let args = [
+        "--max-log",
+        "3",
+        "--eval",
+        "vm",
+        "--min-time",
+        "1",
+        "--jobs",
+        "1",
+        "--wisdom-db",
+        &db,
+    ];
+    let faulty = [&args[..], &["--faulty", "12", "--fault-rate", "0.25"]].concat();
+    let (out, err, ok) = splsearch(&faulty);
+    assert!(!ok, "{out}{err}");
+    assert!(err.contains("no candidate for size 2"), "{err}");
+
+    let clean = [&args[..], &["--stats"]].concat();
+    let (_, err, ok) = splsearch(&clean);
+    assert!(ok, "{err}");
+    assert_eq!(counter(&err, "wisdom.db.reused_sizes"), None, "{err}");
+    let costs: Vec<f64> = err
+        .lines()
+        .filter_map(|l| {
+            let mut words = l.split_whitespace();
+            words.next()?.strip_prefix("search.best_cost.")?;
+            words.next()?.parse().ok()
+        })
+        .collect();
+    assert_eq!(costs.len(), 3, "{err}");
+    assert!(
+        costs.iter().all(|&c| c < 1e-3),
+        "VM seconds expected: {costs:?}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// A directory holding a `cc` that appends its arguments to `cc.log`
-/// and then becomes the real one, and the `PATH` that finds it first.
+/// and then becomes the real one (or, given `exit`, exits with that
+/// code), and the `PATH` that finds it first.
 #[cfg(unix)]
-fn cc_shim(name: &str) -> (std::path::PathBuf, String) {
+fn cc_shim(name: &str, exit: Option<i32>) -> (std::path::PathBuf, String) {
     use std::os::unix::fs::PermissionsExt;
     let dir = std::env::temp_dir().join(format!("spl_cc_shim_{name}_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -88,10 +135,13 @@ fn cc_shim(name: &str) -> (std::path::PathBuf, String) {
         .map(|p| p.join("cc"))
         .find(|p| p.is_file())
         .expect("a cc on PATH");
+    let then = match exit {
+        Some(code) => format!("exit {code}"),
+        None => format!("exec {} \"$@\"", real_cc.display()),
+    };
     let script = format!(
-        "#!/bin/sh\necho \"$@\" >> {log}\nexec {cc} \"$@\"\n",
+        "#!/bin/sh\necho \"$@\" >> {log}\n{then}\n",
         log = dir.join("cc.log").display(),
-        cc = real_cc.display(),
     );
     std::fs::write(bin.join("cc"), script).expect("cc shim");
     std::fs::set_permissions(bin.join("cc"), std::fs::Permissions::from_mode(0o755))
@@ -101,18 +151,29 @@ fn cc_shim(name: &str) -> (std::path::PathBuf, String) {
     (dir, shimmed)
 }
 
-/// `splsearch` with the shim's `PATH` and its temporaries in `dir`.
+/// `splsearch` with the shim's `PATH` and its temporaries in `dir`;
+/// stdout, stderr and whether it succeeded.
 #[cfg(unix)]
-fn splsearch_behind_shim(dir: &std::path::Path, path: &str, args: &[&str]) -> (String, String) {
+fn run_behind_shim(dir: &std::path::Path, path: &str, args: &[&str]) -> (String, String, bool) {
     let out = Command::new(env!("CARGO_BIN_EXE_splsearch"))
         .args(args)
         .env("PATH", path)
         .env("TMPDIR", dir)
         .output()
         .expect("run splsearch");
-    let err = String::from_utf8_lossy(&out.stderr).into_owned();
-    assert!(out.status.success(), "{err}");
-    (String::from_utf8_lossy(&out.stdout).into_owned(), err)
+    (
+        String::from_utf8_lossy(&out.stdout).into_owned(),
+        String::from_utf8_lossy(&out.stderr).into_owned(),
+        out.status.success(),
+    )
+}
+
+/// [`run_behind_shim`] of a search that must succeed.
+#[cfg(unix)]
+fn splsearch_behind_shim(dir: &std::path::Path, path: &str, args: &[&str]) -> (String, String) {
+    let (out, err, ok) = run_behind_shim(dir, path, args);
+    assert!(ok, "{err}");
+    (out, err)
 }
 
 /// A key names only what the value depends on: costs the VM timed or
@@ -122,7 +183,7 @@ fn splsearch_behind_shim(dir: &std::path::Path, path: &str, args: &[&str]) -> (S
 #[cfg(unix)]
 #[test]
 fn vm_and_opcount_searches_start_no_cc_process() {
-    let (dir, path) = cc_shim("nocc");
+    let (dir, path) = cc_shim("nocc", None);
     for eval in ["vm", "opcount"] {
         let db = dir.join(format!("db-{eval}")).display().to_string();
         let base = [
@@ -156,7 +217,7 @@ fn vm_and_opcount_searches_start_no_cc_process() {
 #[cfg(unix)]
 #[test]
 fn a_native_search_does_ask_cc() {
-    let (dir, path) = cc_shim("native");
+    let (dir, path) = cc_shim("native", None);
     let db = dir.join("db").display().to_string();
     let args = [
         "--eval",
@@ -172,5 +233,30 @@ fn a_native_search_does_ask_cc() {
     let log = std::fs::read_to_string(dir.join("cc.log")).expect("cc log");
     assert!(log.contains("--version"), "{log}");
     assert!(log.contains("-shared"), "{log}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A native search whose `cc` fails on every candidate has nothing to
+/// rank: it fails, and files no VM seconds or op counts under the
+/// `native` key — asked for by name or by default.
+#[cfg(unix)]
+#[test]
+fn a_native_search_without_a_working_cc_fails_and_records_nothing() {
+    let (dir, path) = cc_shim("broken", Some(1));
+    for eval in [&["--eval", "native"][..], &[]] {
+        let db = dir.join(format!("db{}", eval.len()));
+        let db_arg = db.display().to_string();
+        let args = [
+            eval,
+            &["--max-log", "2", "--min-time", "1", "--wisdom-db", &db_arg],
+        ]
+        .concat();
+        let (out, err, ok) = run_behind_shim(&dir, &path, &args);
+        assert!(!ok, "{args:?}: {out}{err}");
+        assert!(err.contains("no candidate for size 2"), "{args:?}: {err}");
+        assert_eq!(out, "");
+        let journal = std::fs::read_to_string(db.join("db.journal")).unwrap_or_default();
+        assert!(!journal.contains(" entry "), "{args:?}: {journal}");
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
