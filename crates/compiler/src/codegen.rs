@@ -10,8 +10,14 @@
 //! Plain C (no peepholes, no offset/stride parameters) prints each run
 //! of arithmetic outside any loop on complex pairs, 2-lane GNU C vectors
 //! (the `pack` module), and so each innermost loop body that loads with a
-//! stride in its loop variable; other loop bodies stay scalar statements,
-//! which the C compiler vectorises across iterations itself.
+//! stride in its loop variable. An innermost loop of an even trip count
+//! whose every subscript steps by one complex value per iteration (a
+//! load may also not step) prints wide, two iterations per 32-byte
+//! vector, under `#if defined(__AVX__)`, and as scalar statements under
+//! `#else`: the C compiler would vectorise it that way itself, at a
+//! price in compile time, and without AVX it lowers 32-byte vectors
+//! element by element. Other loop bodies stay scalar statements, which
+//! the C compiler vectorises across iterations itself.
 
 use std::fmt::Write as _;
 
@@ -87,6 +93,9 @@ pub struct EmitStats {
     pub scalar_stmts: u64,
     /// Loop bodies printed on complex pairs.
     pub packed_loops: u64,
+    /// Loop bodies printed two iterations per 32-byte vector, beside
+    /// their scalar form.
+    pub wide_loops: u64,
 }
 
 impl EmitStats {
@@ -373,16 +382,54 @@ impl Emit<'_> {
         let mut i = 0;
         while i < prog.instrs.len() {
             if let Some(run) = runs.next_if(|r| r.range.start == i) {
-                self.buf.push_str(&run.text);
+                if run.stats.wide_loops > 0 {
+                    self.wide_loop(run);
+                } else {
+                    self.buf.push_str(&run.text);
+                }
                 self.stats.paired_stmts += run.stats.paired_stmts;
                 self.stats.scalar_stmts += run.stats.scalar_stmts;
                 self.stats.packed_loops += run.stats.packed_loops;
+                self.stats.wide_loops += run.stats.wide_loops;
                 i = run.range.end;
                 continue;
             }
             self.instr(&prog.instrs[i]);
             i += 1;
         }
+    }
+
+    /// Declares the `$f` registers `which` marks, ten a line.
+    fn declare_f(&mut self, which: &[bool]) {
+        let declared: Vec<usize> = (0..which.len()).filter(|&k| which[k]).collect();
+        for chunk in declared.chunks(10) {
+            self.open_line();
+            self.buf.push_str("double ");
+            for (i, k) in chunk.iter().enumerate() {
+                let _ = write!(self.buf, "{}f{k}", if i > 0 { ", " } else { "" });
+            }
+            self.buf.push_str(";\n");
+        }
+    }
+
+    /// The loop `run` spans, `do` to `end`: stepping by 2 around the
+    /// run's two-iteration body where AVX compiles it, as scalar
+    /// statements elsewhere.
+    fn wide_loop(&mut self, run: &PackedRun) {
+        let Instr::DoStart { var, lo, hi, .. } = self.prog.instrs[run.range.start] else {
+            unreachable!("a wide run spans its loop")
+        };
+        let v = var.0;
+        self.buf.push_str("#if defined(__AVX__)\n");
+        self.open_line();
+        let _ = writeln!(self.buf, "for (i{v} = {lo}; i{v} <= {hi}; i{v} += 2) {{");
+        self.buf.push_str(&run.text);
+        self.line("}");
+        self.buf.push_str("#else\n");
+        for ins in &self.prog.instrs[run.range.clone()] {
+            self.instr(ins);
+        }
+        self.buf.push_str("#endif\n");
     }
 
     fn instr(&mut self, ins: &Instr) {
@@ -517,6 +564,18 @@ typedef long long spl_v2l __attribute__((vector_size(16)));
 
 ";
 
+/// The 32-byte types of a unit with wide loop bodies, which only an AVX
+/// build compiles.
+const WIDE_TYPES: &str = "\
+#if defined(__AVX__) && !defined(SPL_V4D)
+#define SPL_V4D
+typedef double spl_v4d __attribute__((vector_size(32)));
+typedef double spl_v4du __attribute__((vector_size(32), aligned(8), may_alias));
+typedef long long spl_v4l __attribute__((vector_size(32)));
+#endif
+
+";
+
 /// The C subroutine. `y` and `x` are `restrict`: a caller must pass
 /// buffers that do not overlap, as the VM and the dense oracle already
 /// require (generated code writes outputs long before its last read of
@@ -524,9 +583,13 @@ typedef long long spl_v2l __attribute__((vector_size(16)));
 /// loop body in registers across each other.
 ///
 /// Runs of arithmetic outside any loop, and the innermost loop bodies
-/// [`packed_runs`] picks, are printed on complex pairs unless the options
-/// ask for the paper's peepholes or for offset/stride parameters; a unit
-/// with a packed run starts with the vector types.
+/// [`packed_runs`] picks, are printed on complex pairs or wide unless the
+/// options ask for the paper's peepholes or for offset/stride parameters;
+/// a unit with a packed run starts with the vector types. A wide loop is
+/// printed twice, under `#if defined(__AVX__)` and under `#else`, so that
+/// one text builds at every ISA level: without AVX, gcc lowers 32-byte
+/// vectors element by element. The `$f` registers only the `#else` forms
+/// name are declared under the same condition.
 fn emit_c(name: &str, prog: &IProgram, opts: &CodegenOptions) -> (String, EmitStats) {
     let mut e = Emit {
         prog,
@@ -544,6 +607,9 @@ fn emit_c(name: &str, prog: &IProgram, opts: &CodegenOptions) -> (String, EmitSt
     };
     if !runs.is_empty() {
         e.buf.push_str(PAIR_TYPES);
+    }
+    if runs.iter().any(|r| r.stats.wide_loops > 0) {
+        e.buf.push_str(WIDE_TYPES);
     }
     let args = if opts.io_params {
         "(double *restrict y, const double *restrict x, long yofs, long xofs, long ystr, long xstr)"
@@ -595,15 +661,12 @@ fn emit_c(name: &str, prog: &IProgram, opts: &CodegenOptions) -> (String, EmitSt
             e.line(&format!("static double t{t}[{len}];"));
         }
     }
-    let used = f_used(prog, &runs);
-    let declared: Vec<u32> = (0..prog.n_f).filter(|&k| used[k as usize]).collect();
-    for chunk in declared.chunks(10) {
-        e.open_line();
-        e.buf.push_str("double ");
-        for (i, k) in chunk.iter().enumerate() {
-            let _ = write!(e.buf, "{}f{k}", if i > 0 { ", " } else { "" });
-        }
-        e.buf.push_str(";\n");
+    let (used, scalar_only) = f_used(prog, &runs);
+    e.declare_f(&used);
+    if scalar_only.contains(&true) {
+        e.buf.push_str("#if !defined(__AVX__)\n");
+        e.declare_f(&scalar_only);
+        e.buf.push_str("#endif\n");
     }
     if prog.n_r > 0 {
         let decls: Vec<String> = (0..prog.n_r).map(|k| format!("r{k}")).collect();
@@ -622,8 +685,11 @@ fn emit_c(name: &str, prog: &IProgram, opts: &CodegenOptions) -> (String, EmitSt
 /// The runs of arithmetic that print on complex pairs: those outside any
 /// loop, and the innermost loop bodies that load with a stride in their
 /// loop variable (a coefficient other than 0 or 2: more than one complex
-/// value per iteration). The C compiler vectorises the other bodies across
-/// iterations itself, with wider vectors than a pair, and not those.
+/// value per iteration). And the loops whose bodies print wide: innermost
+/// loops of an even trip count whose every subscript steps by one complex
+/// value per iteration (a load may also not step), which the packer takes
+/// whole. A wide run spans its loop, `do` to `end`. The C compiler is left
+/// to vectorise the other loops itself.
 fn packed_runs(prog: &IProgram) -> Vec<PackedRun> {
     // One past the last read of each `$f`: a register a run assigns is
     // live out when that lies beyond the run. A read in a loop of a value
@@ -662,27 +728,40 @@ fn packed_runs(prog: &IProgram) -> Vec<PackedRun> {
             i += 1;
         }
         if i > start {
+            // `Some(wide)`: the packer is offered the run, two iterations
+            // of `wide`'s loop per vector or, `None`, on pairs.
             let offered = match open.last() {
-                None => true,
+                None => Some(None),
                 // A whole innermost body: `do` before it, `end` after it.
-                Some(&var) => {
-                    matches!(prog.instrs[start - 1], Instr::DoStart { .. })
-                        && matches!(prog.instrs.get(i), Some(Instr::DoEnd))
-                        && strided_loads(&prog.instrs[start..i], var)
+                Some(&(var, trips))
+                    if matches!(prog.instrs[start - 1], Instr::DoStart { .. })
+                        && matches!(prog.instrs.get(i), Some(Instr::DoEnd)) =>
+                {
+                    match stride(&prog.instrs[start..i], var) {
+                        Stride::Strided => Some(None),
+                        Stride::Unit if trips % 2 == 0 => Some(Some(var)),
+                        _ => None,
+                    }
                 }
+                Some(_) => None,
             };
-            if offered {
+            if let Some(wide) = offered {
                 let pad = "  ".repeat(open.len() + 1);
-                let run = pack::pack(prog, start..i, &read_until, &mut names, &pad);
+                let run = pack::pack(prog, start..i, &read_until, &mut names, &pad, wide);
                 out.extend(run.map(|mut r| {
-                    r.stats.packed_loops = u64::from(!open.is_empty());
+                    if wide.is_some() {
+                        r.range = start - 1..i + 1;
+                        r.stats.wide_loops = 1;
+                    } else {
+                        r.stats.packed_loops = u64::from(!open.is_empty());
+                    }
                     r
                 }));
             }
             continue;
         }
         match prog.instrs[i] {
-            Instr::DoStart { var, .. } => open.push(var),
+            Instr::DoStart { var, lo, hi, .. } => open.push((var, hi - lo + 1)),
             _ => drop(open.pop()),
         }
         i += 1;
@@ -690,47 +769,71 @@ fn packed_runs(prog: &IProgram) -> Vec<PackedRun> {
     out
 }
 
-/// Whether a load of `body` steps by other than 0 or 2 doubles per
-/// iteration of `var`.
-fn strided_loads(body: &[Instr], var: LoopVar) -> bool {
-    let mut strided = false;
+/// How an innermost loop body steps through memory per iteration.
+enum Stride {
+    /// A load steps by other than 0 or 2 doubles.
+    Strided,
+    /// Every store steps by 2 doubles, every load by 2 or 0.
+    Unit,
+    /// Neither: a store steps by other than 2 doubles.
+    Other,
+}
+
+/// How `body` steps per iteration of `var`.
+fn stride(body: &[Instr], var: LoopVar) -> Stride {
+    let step = |r: &VecRef| r.idx.terms.iter().find(|t| t.1 == var).map_or(0, |t| t.0);
+    let (mut strided, mut unit) = (false, true);
     for ins in body {
         ins.for_each_value(&mut |v| {
             if let Value::Place(Place::Vec(r)) = v {
-                let c = r.idx.terms.iter().find(|t| t.1 == var).map_or(0, |t| t.0);
-                strided |= c != 0 && c != 2;
+                strided |= !matches!(step(r), 0 | 2);
             }
         });
+        if let Some(Place::Vec(r)) = ins.dst() {
+            unit &= step(r) == 2;
+        }
     }
-    strided
+    match (strided, unit) {
+        (true, _) => Stride::Strided,
+        (false, true) => Stride::Unit,
+        (false, false) => Stride::Other,
+    }
 }
 
 /// Which `$f` registers the C text names: all of them when nothing is
 /// packed, else those of the instructions printed as scalar statements
-/// and those the packed runs leave for them.
-fn f_used(prog: &IProgram, runs: &[PackedRun]) -> Vec<bool> {
+/// and those the packed runs leave for them. Second, those only the
+/// scalar forms of wide loops name, which only a build without AVX
+/// compiles.
+fn f_used(prog: &IProgram, runs: &[PackedRun]) -> (Vec<bool>, Vec<bool>) {
     let mut used = vec![runs.is_empty(); prog.n_f as usize];
+    let mut scalar_only = vec![false; prog.n_f as usize];
     if runs.is_empty() {
-        return used;
+        return (used, scalar_only);
     }
-    let mut mark = |k: u32| used[k as usize] = true;
-    let end = prog.instrs.len();
-    let gaps = runs
-        .iter()
-        .map(|r| (r.range.clone(), &r.live_out[..]))
-        .chain([(end..end, &[][..])]);
-    let mut at = 0;
-    for (run, live_out) in gaps {
-        for ins in &prog.instrs[at..run.start] {
+    let names = |instrs: &[Instr], used: &mut Vec<bool>| {
+        let mut mark = |k: u32| used[k as usize] = true;
+        for ins in instrs {
             if let Some(Place::F(k)) = ins.dst() {
                 mark(*k);
             }
             ins.for_each_value(&mut |v| each_f(v, &mut mark));
         }
-        live_out.iter().for_each(|&k| mark(k));
-        at = run.end;
+    };
+    let mut at = 0;
+    for run in runs {
+        names(&prog.instrs[at..run.range.start], &mut used);
+        if run.stats.wide_loops > 0 {
+            names(&prog.instrs[run.range.clone()], &mut scalar_only);
+        }
+        run.live_out.iter().for_each(|&k| used[k as usize] = true);
+        at = run.range.end;
     }
-    used
+    names(&prog.instrs[at..], &mut used);
+    for (s, u) in scalar_only.iter_mut().zip(&used) {
+        *s &= !u;
+    }
+    (used, scalar_only)
 }
 
 fn collect_loop_vars(prog: &IProgram) -> Vec<String> {
@@ -834,7 +937,8 @@ mod tests {
             EmitStats {
                 paired_stmts: 4,
                 scalar_stmts: 0,
-                packed_loops: 0
+                packed_loops: 0,
+                wide_loops: 0
             }
         );
     }

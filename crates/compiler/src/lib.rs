@@ -167,8 +167,8 @@ impl CompiledUnit {
 
     /// Like [`emit`](Self::emit), but records the `codegen` phase span
     /// and the `codegen.lines`, `codegen.paired_stmts`,
-    /// `codegen.scalar_stmts` and `codegen.packed_loops` counters into
-    /// `tel`.
+    /// `codegen.scalar_stmts`, `codegen.packed_loops` and
+    /// `codegen.wide_loops` counters into `tel`.
     pub fn emit_traced(&self, tel: &mut Telemetry) -> String {
         let sw = Stopwatch::start();
         let (out, stats) = codegen::emit_counted(&self.name, &self.program, &self.codegen);
@@ -177,6 +177,7 @@ impl CompiledUnit {
         tel.add("codegen.paired_stmts", stats.paired_stmts);
         tel.add("codegen.scalar_stmts", stats.scalar_stmts);
         tel.add("codegen.packed_loops", stats.packed_loops);
+        tel.add("codegen.wide_loops", stats.wide_loops);
         out
     }
 

@@ -7,6 +7,18 @@
 //! scalar statements, lane extracts and `(spl_v2d){a, b}` builds. Each
 //! lane performs its scalar statement's IEEE operation (`+` and `*` may
 //! trade operands), so the C computes the VM's answer bit for bit.
+//!
+//! A loop body whose every subscript steps by 2 doubles per iteration
+//! (a load may also step by 0) can print *wide* instead: two iterations
+//! per 32-byte vector, lanes (re, im) of iteration `i` then of `i+1`, for
+//! a loop that steps by 2. The mapping from the 2-lane items is
+//! mechanical: a load or store of a pair becomes one 4-element access at
+//! the same subscript (a load that does not step, a broadcast of its
+//! pair), a literal repeats, a shuffle `(j, k)` becomes
+//! `(j, k, j+2, k+2)`, the blend `(0, 3)` becomes `(0, 5, 2, 7)` and a
+//! sign mask repeats. A wide body has no scalar fallback, and no two of
+//! its stores to one array lie a pair apart, which two iterations side
+//! by side would write out of order.
 
 use std::fmt::Write as _;
 use std::ops::Range;
@@ -34,19 +46,60 @@ pub(crate) struct PackedRun {
 /// assign, touches integer registers, or pairs no more than falls back.
 /// `read_until[k]`: one past the last read of `$f` `k`; `names`: the
 /// unit's next temporary number.
+///
+/// `wide`: the body of a loop over this variable, printed two iterations
+/// per vector; `None` as well when anything falls back to scalars or two
+/// stores lie a pair apart, and then `names` is as it was.
 pub(crate) fn pack(
     prog: &IProgram,
     range: Range<usize>,
     read_until: &[usize],
     names: &mut u32,
     pad: &str,
+    wide: Option<LoopVar>,
 ) -> Option<PackedRun> {
-    Packer::new(&prog.instrs[range.clone()], read_until, range.end)?.print(range, names, pad)
+    let first = *names;
+    let packer = Packer::new(&prog.instrs[range.clone()], read_until, range.end, wide);
+    let run = packer?.print(range, names, pad);
+    if run.is_none() && wide.is_some() {
+        *names = first;
+    }
+    run
 }
 
 /// An array and the interned loop-variable terms of a subscript: the
 /// elements at constant offsets from one base address.
 type Base = (VecKind, u32);
+
+/// How a vector of one width is spelled: its type, a declaration's
+/// start, a build's, a load's and a store's cast, a sign mask's integer
+/// type.
+struct Spelling {
+    ty: &'static str,
+    decl: &'static str,
+    build: &'static str,
+    load: &'static str,
+    store: &'static str,
+    int: &'static str,
+}
+
+const PAIR: Spelling = Spelling {
+    ty: "spl_v2d",
+    decl: "spl_v2d v",
+    build: "(spl_v2d){",
+    load: "*(const spl_v2du *)&",
+    store: "*(spl_v2du *)&",
+    int: "spl_v2l",
+};
+
+const WIDE: Spelling = Spelling {
+    ty: "spl_v4d",
+    decl: "spl_v4d v",
+    build: "(spl_v4d){",
+    load: "*(const spl_v4du *)&",
+    store: "*(spl_v4du *)&",
+    int: "spl_v4l",
+};
 
 /// `NONE`: no node or item, or an item not printed yet; `OPEN`: an item
 /// whose operands are being printed.
@@ -95,13 +148,23 @@ struct Packer {
     home: Vec<(u32, u8)>,
     /// Per item, the number in its name once printed.
     name: Vec<u32>,
+    /// Set when printing two iterations of a loop over it per vector.
+    wide: Option<LoopVar>,
 }
 
 impl Packer {
     /// The graph of `run`, which ends at instruction `end`, and the items
     /// it needs; `None` when the run must stay scalar.
-    fn new(run: &[Instr], read_until: &[usize], end: usize) -> Option<Packer> {
-        let mut p = Packer::default();
+    fn new(
+        run: &[Instr],
+        read_until: &[usize],
+        end: usize,
+        wide: Option<LoopVar>,
+    ) -> Option<Packer> {
+        let mut p = Packer {
+            wide,
+            ..Packer::default()
+        };
         let (mut leaves, mut store_at, mut stores) =
             (MixMap::default(), MixMap::default(), Vec::new());
         let (mut regs, mut read) = (vec![NONE; read_until.len()], Vec::new());
@@ -155,6 +218,13 @@ impl Packer {
             }
         }
         if written.iter().any(|w| read.contains(&w.0)) {
+            return None;
+        }
+        // Side by side, iteration `i` stores `c + 2` after iteration `i+1`
+        // stores `c`, the same element.
+        let apart =
+            |&((k, t, c), _): &((VecKind, u32, i64), u32)| store_at.contains_key(&(k, t, c + 2));
+        if wide.is_some() && stores.iter().any(apart) {
             return None;
         }
         // Per store, the value stored beside it in a pair `a[e+2k]`,
@@ -306,7 +376,12 @@ impl Packer {
             while let Some((i, expanded)) = stack.pop() {
                 if expanded {
                     self.name[i as usize] = *names;
-                    *names += u32::from(self.statement(i, &mut run, pad));
+                    let printed = self.statement(i, &mut run, pad);
+                    *names += u32::from(printed);
+                    // A scalar statement computes iteration `i`'s lane only.
+                    if printed && self.wide.is_some() && self.items[i as usize].0[1] == NONE {
+                        return None;
+                    }
                 } else if self.name[i as usize] == NONE {
                     self.name[i as usize] = OPEN;
                     stack.push((i, true));
@@ -326,9 +401,12 @@ impl Packer {
                 }
             }
             let (t, paired) = (&mut run.text, self.items[root as usize].0[1] != NONE);
+            if !paired && self.wide.is_some() {
+                return None;
+            }
             t.push_str(pad);
             if let Some((kind, s)) = kind {
-                t.push_str(if paired { "*(spl_v2du *)&" } else { "" });
+                t.push_str(if paired { self.spelling().store } else { "" });
                 self.element(t, kind, s, idx);
                 t.push_str(" = ");
             } else {
@@ -339,7 +417,17 @@ impl Packer {
             t.push_str(";\n");
             run.stats.count(!paired);
         }
-        (run.stats.paired_stmts > run.stats.scalar_stmts).then_some(run)
+        let more = run.stats.paired_stmts > run.stats.scalar_stmts;
+        (more || self.wide.is_some()).then_some(run)
+    }
+
+    /// A pair's spelling, or a wide vector's.
+    fn spelling(&self) -> &'static Spelling {
+        if self.wide.is_some() {
+            &WIDE
+        } else {
+            &PAIR
+        }
     }
 
     /// Prints the statement of item `i` and counts it; `false` for a
@@ -351,7 +439,8 @@ impl Packer {
             return false;
         }
         let (t, v) = (&mut run.text, |j: u32| self.name[j as usize]);
-        let kind = if scalar { "double s" } else { "spl_v2d v" };
+        let sp = self.spelling();
+        let kind = if scalar { "double s" } else { sp.decl };
         let _ = write!(t, "{pad}{kind}{} = ", v(i));
         let _ = match recipe {
             Op(op, _, l, r) if scalar => {
@@ -365,15 +454,31 @@ impl Packer {
                 self.value(c, t);
                 write!(t, ")")
             }
+            // Wide, iteration `i+1`'s lanes follow `i`'s.
             Lanes(l, r) => {
-                t.push_str("(spl_v2d){");
+                t.push_str(sp.build);
                 self.value(l, t);
                 t.push_str(", ");
                 self.value(r, t);
+                if self.wide.is_some() {
+                    t.push_str(", ");
+                    self.next_value(l, t);
+                    t.push_str(", ");
+                    self.next_value(r, t);
+                }
+                write!(t, "}}")
+            }
+            // Wide, a pair that does not step: a broadcast.
+            Load(kind, s, idx) if self.wide.is_some_and(|var| self.step(s, var) == 0) => {
+                t.push_str(sp.build);
+                for (k, c) in [idx, idx + 1, idx, idx + 1].into_iter().enumerate() {
+                    t.push_str(if k > 0 { ", " } else { "" });
+                    self.element(t, kind, s, c);
+                }
                 write!(t, "}}")
             }
             Load(kind, s, idx) => {
-                t.push_str("*(const spl_v2du *)&");
+                t.push_str(sp.load);
                 self.element(t, kind, s, idx);
                 Ok(())
             }
@@ -381,11 +486,28 @@ impl Packer {
             Op(op0, op1, l, r) => {
                 let half = |op| format!("v{} {} v{}", v(l), bin_sym(op), v(r));
                 let (x, y) = (half(op0), half(op1));
-                write!(t, "__builtin_shufflevector({x}, {y}, 0, 3)")
+                let blend = if self.wide.is_some() {
+                    "0, 5, 2, 7"
+                } else {
+                    "0, 3"
+                };
+                write!(t, "__builtin_shufflevector({x}, {y}, {blend})")
             }
             Neg(mask, c) => {
                 let m = ["", "SPL_SIGN, 0", "0, SPL_SIGN", "SPL_SIGN, SPL_SIGN"][mask as usize];
-                write!(t, "(spl_v2d)((spl_v2l)v{} ^ (spl_v2l){{{m}}})", v(c))
+                let (ty, int) = (sp.ty, sp.int);
+                let _ = write!(t, "({ty})(({int})v{} ^ ({int}){{{m}", v(c));
+                if self.wide.is_some() {
+                    let _ = write!(t, ", {m}");
+                }
+                write!(t, "}})")
+            }
+            Shuffle(c, j, k) if self.wide.is_some() => {
+                let (c, j2, k2) = (v(c), j + 2, k + 2);
+                write!(
+                    t,
+                    "__builtin_shufflevector(v{c}, v{c}, {j}, {k}, {j2}, {k2})"
+                )
             }
             Shuffle(c, j, k) => write!(t, "__builtin_shufflevector(v{0}, v{0}, {j}, {k})", v(c)),
             Pending => unreachable!("every item is decided before printing"),
@@ -410,6 +532,30 @@ impl Packer {
             (Lanes(..), Lit(c)) => write!(t, "{c:?}"),
             (Shuffle(h, lane, _), _) => write!(t, "v{}[{lane}]", self.name[h as usize]),
             _ => write!(t, "s{}", self.name[i as usize]),
+        };
+    }
+
+    /// What the subscript terms `s` step by per iteration of `var`.
+    fn step(&self, s: u32, var: LoopVar) -> i64 {
+        let terms = &self.terms[s as usize];
+        terms.iter().find(|t| t.1 == var).map_or(0, |t| t.0)
+    }
+
+    /// Appends what reads scalar item `i` in the second iteration of a
+    /// wide vector: an element one step on, a lane two on, a literal.
+    /// (A scalar statement's name never gets here: it refuses the body.)
+    fn next_value(&self, i: u32, t: &mut String) {
+        let var = self.wide.expect("a wide body");
+        let _ = match self.items[i as usize].1 {
+            Load(kind, s, idx) => {
+                self.element(t, kind, s, idx + self.step(s, var));
+                Ok(())
+            }
+            Shuffle(h, lane, _) => write!(t, "v{}[{}]", self.name[h as usize], lane + 2),
+            _ => {
+                self.value(i, t);
+                Ok(())
+            }
         };
     }
 
@@ -458,14 +604,20 @@ mod tests {
         }
     }
 
-    /// The run of all of `instrs`, printed as a loop body one level in.
-    fn packed(instrs: Vec<Instr>) -> Option<String> {
+    /// The run of all of `instrs`, printed as a loop body one level in;
+    /// `wide`, two iterations of `i0` per vector.
+    fn packed_as(instrs: Vec<Instr>, wide: bool) -> Option<String> {
         let prog = IProgram {
             instrs,
             ..IProgram::empty()
         };
-        let run = pack(&prog, 0..prog.instrs.len(), &[], &mut 0, "    ")?;
+        let wide = wide.then_some(I0);
+        let run = pack(&prog, 0..prog.instrs.len(), &[0; 4], &mut 0, "    ", wide)?;
         Some(run.text)
+    }
+
+    fn packed(instrs: Vec<Instr>) -> Option<String> {
+        packed_as(instrs, false)
     }
 
     #[test]
@@ -516,7 +668,7 @@ mod tests {
             instrs: run,
             ..IProgram::empty()
         };
-        let p = Packer::new(&prog.instrs, &[], prog.instrs.len()).expect("a packable run");
+        let p = Packer::new(&prog.instrs, &[], prog.instrs.len(), None).expect("a packable run");
         let stores: Vec<(i64, bool)> = p
             .roots
             .iter()
@@ -537,5 +689,79 @@ mod tests {
                  \x20   *(spl_v2du *)&y[2*i0] = v1;\n"
             )
         );
+    }
+
+    #[test]
+    fn a_wide_body_widens_each_item_of_the_pair_form() {
+        let (e, f, none) = ([(2, I0)], [(2, I0), (16, I1)], []);
+        let d = |c| Value::Place(at(VecKind::Table(0), &e, c));
+        let lit = |c| Value::Const(spl_numeric::Complex::real(c));
+        let instrs = vec![
+            // A pair times one stepping element on both lanes: a build.
+            bin(BinOp::Mul, y(&f, 0), x(&e, 0), d(0)),
+            bin(BinOp::Mul, y(&f, 1), x(&e, 1), d(0)),
+            // Plus a pair that does not step: a broadcast.
+            bin(BinOp::Add, y(&f, 4), x(&e, 4), x(&none, 0)),
+            bin(BinOp::Add, y(&f, 5), x(&e, 5), x(&none, 1)),
+            // Times i: a shuffle and a sign mask.
+            Instr::Un {
+                op: UnOp::Neg,
+                dst: y(&f, 8),
+                a: x(&e, 5),
+            },
+            copy(y(&f, 9), x(&e, 4)),
+            // Times two literals, and a sub beside an add.
+            bin(BinOp::Mul, y(&f, 12), x(&e, 0), lit(0.5)),
+            bin(BinOp::Mul, y(&f, 13), x(&e, 1), lit(0.25)),
+            bin(BinOp::Sub, y(&f, 20), x(&e, 0), x(&e, 4)),
+            bin(BinOp::Add, y(&f, 21), x(&e, 1), x(&e, 5)),
+        ];
+        let pair = packed_as(instrs.clone(), false).expect("a pair body");
+        let wide = packed_as(instrs, true).expect("a wide body");
+        // Statement for statement the pair form's, iteration `i+1`'s
+        // lanes after `i`'s.
+        let want = [
+            "spl_v4d v0 = *(const spl_v4du *)&x[2*i0];",
+            "spl_v4d v1 = (spl_v4d){d0[2*i0], d0[2*i0], d0[2*i0+2], d0[2*i0+2]};",
+            "spl_v4d v2 = v0 * v1;",
+            "*(spl_v4du *)&y[2*i0+16*i1] = v2;",
+            "spl_v4d v3 = *(const spl_v4du *)&x[2*i0+4];",
+            "spl_v4d v4 = (spl_v4d){x[0], x[1], x[0], x[1]};",
+            "spl_v4d v5 = v3 + v4;",
+            "*(spl_v4du *)&y[2*i0+16*i1+4] = v5;",
+            "spl_v4d v6 = __builtin_shufflevector(v3, v3, 1, 0, 3, 2);",
+            "spl_v4d v7 = (spl_v4d)((spl_v4l)v6 ^ (spl_v4l){SPL_SIGN, 0, SPL_SIGN, 0});",
+            "*(spl_v4du *)&y[2*i0+16*i1+8] = v7;",
+            "spl_v4d v8 = (spl_v4d){0.5, 0.25, 0.5, 0.25};",
+            "spl_v4d v9 = v0 * v8;",
+            "*(spl_v4du *)&y[2*i0+16*i1+12] = v9;",
+            "spl_v4d v10 = __builtin_shufflevector(v0 - v3, v0 + v3, 0, 5, 2, 7);",
+            "*(spl_v4du *)&y[2*i0+16*i1+20] = v10;",
+        ];
+        assert_eq!(wide.lines().map(str::trim).collect::<Vec<_>>(), want);
+        assert_eq!(pair.lines().count(), want.len(), "{pair}");
+    }
+
+    #[test]
+    fn scalar_lanes_and_stores_a_pair_apart_never_print_wide() {
+        let e = [(2, I0)];
+        // Lanes of their own: `x1 * x5` beside `x0 - x4`.
+        let lone = vec![
+            bin(BinOp::Add, y(&e, 0), x(&e, 0), x(&e, 4)),
+            bin(BinOp::Add, y(&e, 1), x(&e, 1), x(&e, 5)),
+            bin(BinOp::Sub, y(&e, 4), x(&e, 0), x(&e, 4)),
+            bin(BinOp::Mul, y(&e, 5), x(&e, 1), x(&e, 5)),
+        ];
+        assert!(packed_as(lone.clone(), false).is_some());
+        assert_eq!(packed_as(lone, true), None);
+        // (y2, y3) is stored by iteration `i` second, `i+1` first.
+        let apart = vec![
+            bin(BinOp::Add, y(&e, 0), x(&e, 0), x(&e, 4)),
+            bin(BinOp::Add, y(&e, 1), x(&e, 1), x(&e, 5)),
+            bin(BinOp::Sub, y(&e, 2), x(&e, 0), x(&e, 4)),
+            bin(BinOp::Sub, y(&e, 3), x(&e, 1), x(&e, 5)),
+        ];
+        assert!(packed_as(apart.clone(), false).is_some());
+        assert_eq!(packed_as(apart, true), None);
     }
 }

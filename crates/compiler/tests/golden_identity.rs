@@ -63,7 +63,7 @@ const GOLDEN: &[(&str, u64, u64, u64)] = &[
     (
         "plan16-B8",
         0x34c8a63301910162,
-        0x2fb23193449628b2,
+        0xa243d084e7b3355c,
         0x946f271a803049a3,
     ),
     (
@@ -75,7 +75,7 @@ const GOLDEN: &[(&str, u64, u64, u64)] = &[
     (
         "plan32-B8",
         0x4b1e8cfcb66ead95,
-        0xbdf6e9812d45d44d,
+        0xf9983ef4f4ed616c,
         0xbd9e05700785780c,
     ),
     (
@@ -87,7 +87,7 @@ const GOLDEN: &[(&str, u64, u64, u64)] = &[
     (
         "plan64-B8",
         0xa7b828548826782a,
-        0xc26a2d2fd34db7c3,
+        0x24723a98ae09f4c9,
         0xb74beaf9572ff0ef,
     ),
     (
@@ -105,67 +105,67 @@ const GOLDEN: &[(&str, u64, u64, u64)] = &[
     (
         "plan128-B64",
         0x555b859646ed5303,
-        0x66e384a4bc8c000e,
+        0xf492df8209cb86c6,
         0x294ca29e616fcf36,
     ),
     (
         "plan256-B8",
         0x6f6e82f43dccbf85,
-        0x295714f684eb6213,
+        0x975c962e1e2701ae,
         0x628590221db120ea,
     ),
     (
         "plan256-B64",
         0xf42e67ecc7b3bacc,
-        0x03c00bb163de1e27,
+        0xe3e29a95c832b319,
         0x39b00a0d0534ea6d,
     ),
     (
         "plan1024-B8",
         0xd6327452a7e835c4,
-        0x8a0ce08b72e0bc11,
+        0x5455ca2a56693bb6,
         0x94bd85d895d14892,
     ),
     (
         "plan1024-B64",
         0x5324b4b451f36861,
-        0x96b5615927da14c5,
+        0x91e2f6d31e9de3cd,
         0x6cf56b57eff3c923,
     ),
     (
         "plan4096-B8",
         0xfc2d176636b324cd,
-        0x964465eef6c36d34,
+        0x4c18d2311d165c4b,
         0x3e9985e66023c3d3,
     ),
     (
         "plan4096-B64",
         0x5147cc3f6d945af2,
-        0x7a35eaba1cb07d24,
+        0x248c7cda76be38ce,
         0x4b44f76a4fb94577,
     ),
     (
         "plan16384-B8",
         0xa85f90b9cb818455,
-        0xaf34b990b48faeb8,
+        0x3606cb2268dd07ab,
         0xab28601fdf4a67e5,
     ),
     (
         "plan16384-B64",
         0xad65062ff6b4e568,
-        0x6447720350054025,
+        0x19bbdf1a038d5aee,
         0x5edb160f9c08d964,
     ),
     (
         "plan65536-B8",
         0xcd9fabeb8cd4fa6a,
-        0x56aa7e2415d33409,
+        0xdae7b28b79d4a7dc,
         0x86250af7ac9e93a0,
     ),
     (
         "plan65536-B64",
         0x4f8c015365b59432,
-        0x2a63f8eb5082b15d,
+        0xe493f17f3c1b9530,
         0xa9c0b13966d2f407,
     ),
     (
@@ -189,7 +189,7 @@ const GOLDEN: &[(&str, u64, u64, u64)] = &[
     (
         "directsum_perm.spl",
         0x32718be9159458c4,
-        0x7801d508a062e8d6,
+        0x0a49d3b85bfb2492,
         0x9cda0db4ba5d6360,
     ),
     (
@@ -213,37 +213,37 @@ const GOLDEN: &[(&str, u64, u64, u64)] = &[
     (
         "fold_ct32.spl",
         0x3bea3533f530b3ea,
-        0x7838f5b9cc0059fe,
+        0x3f8e36c5d3858653,
         0x62ecf4689bb3f318,
     ),
     (
         "fold_dif32.spl",
         0x9c3c6fac81ffe316,
-        0xfdf34da3d3640e83,
+        0x9d41ecdb421a067d,
         0x2152993711b9e6a7,
     ),
     (
         "fold_par32.spl",
         0x3bea3533f530b3ea,
-        0x7838f5b9cc0059fe,
+        0x3f8e36c5d3858653,
         0x62ecf4689bb3f318,
     ),
     (
         "fold_vec32.spl",
         0xa8f63cd3699567a7,
-        0x70156d31897b4791,
+        0x3eb46d89bdb73e98,
         0xaa7541448867609b,
     ),
     (
         "looped_tensor.spl",
         0xc100e3c9a0db6183,
-        0x5fa298533799cfcb,
+        0x92fb92e9a044b17c,
         0x3921526754d56d88,
     ),
     (
         "paper_fft4.spl",
         0xdfc5d111a0665430,
-        0x3a015e369476d1ec,
+        0xe80b194960792689,
         0xaeae8b90917dbc2c,
     ),
     (
@@ -369,7 +369,7 @@ fn emit_loaded(unit: &CompiledUnit) -> String {
 /// FNV-1a 64 of `fold_ct32.spl`'s C in loaded mode (its inline mode is
 /// the `GOLDEN` row above): what `cc` is handed for it, and with that
 /// its kernel-cache key.
-const FOLD_CT32_LOADED: u64 = 0xf8f4d0d1eb4f5587;
+const FOLD_CT32_LOADED: u64 = 0xbfb2effe79bf9d52;
 
 /// Loaded mode moves the tables out of the text and changes nothing
 /// else: the subroutine is the inline one, to the byte, minus its
@@ -410,13 +410,13 @@ fn loaded_tables_are_the_same_code_without_the_literals() {
             spl_compiler::codegen::table_values(&unit.program).len(),
             words
         );
-        // Inline: [preamble,] header, initialisers, rest. Loaded:
-        // [preamble,] declarations, the filler, then the same header and
+        // Inline: [preambles,] header, initialisers, rest. Loaded:
+        // [preambles,] declarations, the filler, then the same header and
         // the same rest.
         let preamble = inline.starts_with("#ifndef SPL_V2D\n");
         assert_eq!(loaded.starts_with("#ifndef SPL_V2D\n"), preamble);
         let (header, _) = inline.split_once("  static const").unwrap();
-        let header = header.split_once("#endif\n\n").map_or(header, |h| h.1);
+        let header = header.rsplit_once("#endif\n\n").map_or(header, |h| h.1);
         let (_, rest) = inline.rsplit_once("  };\n").unwrap();
         assert!(
             loaded.ends_with(&format!("{header}{rest}")),
@@ -432,7 +432,7 @@ fn loaded_tables_are_the_same_code_without_the_literals() {
     }
     let (inline, loaded) = (big.emit(), emit_loaded(&big));
     assert!(inline.len() > 2_000_000, "{} bytes inline", inline.len());
-    assert!(loaded.len() < 100_000, "{} bytes loaded", loaded.len());
+    assert!(loaded.len() < 200_000, "{} bytes loaded", loaded.len());
 
     // A unit without tables is one text in both modes, packed preamble
     // and all.

@@ -55,6 +55,7 @@ use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
+use std::time::Duration;
 
 use spl_resilience::crc32::crc32;
 use spl_telemetry::Telemetry;
@@ -285,13 +286,16 @@ impl KernelCache {
         }
     }
 
-    /// Counts one run of the C compiler (`native.cc_invocations`), what
-    /// it was handed (`native.c_bytes` of text) and what it was spared
+    /// Counts one run of the C compiler (`native.cc_invocations`), how
+    /// long the build took (`native.cc_ms`, wall: writing the source, `cc`
+    /// and its ISA fallback if any, loading the object), what it was
+    /// handed (`native.c_bytes` of text) and what it was spared
     /// (`native.table_bytes` of table values the loader copies in);
     /// called by the cached compile path when it actually runs `cc`.
-    pub fn count_cc_invocation(&self, c_bytes: usize, table_bytes: usize) {
+    pub fn count_cc_invocation(&self, c_bytes: usize, table_bytes: usize, wall: Duration) {
         let mut inner = self.inner.lock().unwrap();
         inner.tel.add("native.cc_invocations", 1);
+        inner.tel.add("native.cc_ms", wall.as_millis() as u64);
         inner.tel.add("native.c_bytes", c_bytes as u64);
         inner.tel.add("native.table_bytes", table_bytes as u64);
     }

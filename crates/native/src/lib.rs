@@ -59,7 +59,7 @@ use std::fmt;
 use std::path::{Path, PathBuf};
 use std::process::Command;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use spl_compiler::{codegen, CodegenOptions, TableMode};
 use spl_frontend::ast::{DataType, Language};
@@ -447,9 +447,11 @@ impl NativeKernel {
             return Ok((kernel, outcome));
         }
         let table_words: usize = unit.program.tables.iter().map(Vec::len).sum();
-        cache.count_cc_invocation(c_src.len(), table_words * std::mem::size_of::<f64>());
-        let tmp_dir = std::env::temp_dir();
-        let lib = build_and_load(&tmp_dir, CACHED_SYMBOL, &c_src, opts, target, called_off)?;
+        let table_bytes = table_words * std::mem::size_of::<f64>();
+        let (tmp_dir, started) = (std::env::temp_dir(), Instant::now());
+        let built = build_and_load(&tmp_dir, CACHED_SYMBOL, &c_src, opts, target, called_off);
+        cache.count_cc_invocation(c_src.len(), table_bytes, started.elapsed());
+        let lib = built?;
         if target.command_line() != line {
             // This build fell back to baseline: file it under the line
             // that produced it.
@@ -958,6 +960,19 @@ mod tests {
         let tel = cache.drain_telemetry();
         assert_eq!(tel.counter("native.cc_invocations"), Some(1));
         assert_eq!(tel.counter("native.cache.memory_hits"), Some(1));
+    }
+
+    #[test]
+    fn one_build_counts_one_cc_invocation_and_its_wall_time() {
+        let unit = Compiler::new().compile_formula_str("(F 8)").unwrap();
+        let cache = KernelCache::in_memory();
+        NativeKernel::compile_cached(&unit, &BuildOptions::default(), &cache).unwrap();
+        let tel = cache.drain_telemetry();
+        assert_eq!(tel.counter("native.cc_invocations"), Some(1));
+        assert!(
+            tel.counter("native.cc_ms").is_some_and(|ms| ms > 0),
+            "{tel:?}"
+        );
     }
 
     #[test]

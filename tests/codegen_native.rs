@@ -4,12 +4,14 @@
 //! Fortran compiler on the host — see DESIGN.md, substitution 5).
 
 use std::process::Command;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use spl::compiler::codegen::{emit_counted, EmitStats};
 use spl::compiler::{CodegenOptions, CompiledUnit, Compiler, CompilerOptions, OptLevel};
 use spl::frontend::ast::{DataType, DirectiveState, Language};
 use spl::frontend::sexp::Sexp;
 use spl::generator::fft::FftTree;
+use spl::generator::fft::{Rule, ALL_RULES};
 use spl::icode::{Affine, BinOp, IProgram, Instr, LoopVar, Place, UnOp, Value, VecKind, VecRef};
 use spl::native::{isa_tokens, BuildOptions, CcTarget, KernelCache, NativeKernel};
 use spl::numeric::{reference, relative_rms_error, Complex};
@@ -191,7 +193,7 @@ fn io_params_compile_and_run() {
     // Strided accesses stay scalar statements.
     assert!(!src.contains("spl_v2d"), "{src}");
     // Compile it with cc to prove it is valid C.
-    assert_compiles("f2_io_params", &src, false);
+    assert_compiles("f2_io_params", &src, &[]);
 }
 
 #[test]
@@ -296,10 +298,57 @@ fn benchmark_plans_on_the_host_target_line_match_the_vm_bitwise() {
 }
 
 #[test]
-#[ignore = "2^16: about 3 s of cc"]
 fn benchmark_plan_65536_on_the_host_target_line_matches_the_vm_bitwise() {
     benchmark_plans_match_the_vm(|n| n > 1 << 14);
-    loops_on_pairs(|n| n > 1 << 14);
+    loop_forms(|n| n > 1 << 14);
+}
+
+/// The object an ISA fallback builds: each looped plan at the baseline
+/// line, where only the scalar form of a wide loop compiles.
+#[test]
+fn looped_plans_at_the_baseline_line_match_the_vm_bitwise() {
+    let baseline = CcTarget::with_isa_tokens(&[]);
+    for (n, unit) in benchmark_plans(|n| n >= 128) {
+        let kernel = NativeKernel::compile_for(&unit, &BuildOptions::default(), &baseline).unwrap();
+        assert_bitwise_vm(&format!("plan {n} at the baseline line"), &unit, &kernel);
+    }
+}
+
+/// A balanced tree of `2^k` points, every node split by `rule`.
+fn balanced(rule: Rule, k: u32) -> FftTree {
+    match k {
+        1 => FftTree::leaf(2),
+        _ => FftTree::node(rule, balanced(rule, k / 2), balanced(rule, k - k / 2)),
+    }
+}
+
+/// Every breakdown rule's loop shapes, not Cooley–Tukey's alone, built
+/// native at the host line: bit for bit the VM's.
+#[test]
+fn every_rule_builds_native_kernels_equal_to_the_vm_bitwise() {
+    let mut totals = EmitStats::default();
+    for rule in ALL_RULES {
+        for k in [7, 10] {
+            for threshold in [8, 64] {
+                let mut compiler = Compiler::with_options(CompilerOptions {
+                    unroll_threshold: Some(threshold),
+                    language_override: Some(Language::C),
+                    ..Default::default()
+                });
+                let sexp = balanced(rule, k).to_sexp();
+                let unit = compiler.compile_sexp(&sexp, &directives()).unwrap();
+                let stats = emit_stats(&unit).1;
+                totals.packed_loops += stats.packed_loops;
+                totals.wide_loops += stats.wide_loops;
+                let kernel = NativeKernel::compile(&unit).unwrap();
+                assert_bitwise_vm(&format!("{rule:?} 2^{k} -B {threshold}"), &unit, &kernel);
+            }
+        }
+    }
+    assert!(
+        totals.packed_loops > 0 && totals.wide_loops > 0,
+        "{totals:?}"
+    );
 }
 
 #[test]
@@ -453,21 +502,27 @@ fn sandboxed_runs_see_the_loaded_tables() {
 // Straight-line C on complex pairs
 // ---------------------------------------------------------------------
 
-/// `cc -O2 -c` accepts `src`; `strict` adds `-Wall -Wextra -Werror`,
-/// which an unused variable fails.
-fn assert_compiles(what: &str, src: &str, strict: bool) {
+/// What an unused variable fails.
+const STRICT: &[&str] = &["-Wall", "-Wextra", "-Werror"];
+
+/// The flags of both target lines a kernel is built at: the AVX2 one
+/// (where the architecture has it), under which wide loops compile, and
+/// the baseline.
+fn both_isa_lines() -> [&'static [&'static str]; 2] {
+    [isa_tokens(std::env::consts::ARCH, true, true), &[]]
+}
+
+/// `cc -O2 -c` with `flags` accepts `src`.
+fn assert_compiles(what: &str, src: &str, flags: &[&str]) {
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
     let dir = std::env::temp_dir();
-    let stem = format!("spl_codegen_{what}_{}", std::process::id());
+    let k = NEXT.fetch_add(1, Ordering::Relaxed);
+    let stem = format!("spl_codegen_{what}_{}_{k}", std::process::id());
     let (c, o) = (dir.join(format!("{stem}.c")), dir.join(format!("{stem}.o")));
     std::fs::write(&c, src).unwrap();
-    let warnings: &[&str] = if strict {
-        &["-Wall", "-Wextra", "-Werror"]
-    } else {
-        &[]
-    };
     let out = Command::new("cc")
         .args(["-O2", "-ffp-contract=off", "-c"])
-        .args(warnings)
+        .args(flags)
         .arg(&c)
         .arg("-o")
         .arg(&o)
@@ -478,9 +533,19 @@ fn assert_compiles(what: &str, src: &str, strict: bool) {
     }
     assert!(
         out.status.success(),
-        "{what}: cc rejects the C:\n{}\n{src}",
+        "{what}: cc {flags:?} rejects the C:\n{}\n{src}",
         String::from_utf8_lossy(&out.stderr)
     );
+}
+
+/// [`assert_compiles`] under [`STRICT`] at both target lines, side by
+/// side.
+fn assert_compiles_clean(what: &str, src: &str) {
+    std::thread::scope(|s| {
+        for isa in both_isa_lines() {
+            s.spawn(move || assert_compiles(what, src, &[STRICT, isa].concat()));
+        }
+    });
 }
 
 fn emit_stats(unit: &CompiledUnit) -> (String, EmitStats) {
@@ -505,9 +570,9 @@ fn straight_line_plans_print_no_scalar_fallback() {
     }
 }
 
-/// The loop variables whose bodies print on pairs, in order: the
-/// innermost `for` around each line that names `spl_v2d`.
-fn loops_with_pairs(c: &str) -> Vec<String> {
+/// The loop variables whose bodies name the vector type `ty`, in order:
+/// the innermost `for` around each line that names it.
+fn loops_naming(c: &str, ty: &str) -> Vec<String> {
     let (mut open, mut out) = (Vec::<(usize, String)>::new(), Vec::new());
     for line in c.lines() {
         let indent = line.len() - line.trim_start().len();
@@ -515,7 +580,7 @@ fn loops_with_pairs(c: &str) -> Vec<String> {
             open.push((indent, rest.split(' ').next().unwrap_or_default().into()));
         } else if line.trim() == "}" && open.last().is_some_and(|o| o.0 == indent) {
             open.pop();
-        } else if let Some((_, var)) = open.last().filter(|_| line.contains("spl_v2d")) {
+        } else if let Some((_, var)) = open.last().filter(|_| line.contains(ty)) {
             if out.last() != Some(var) {
                 out.push(var.clone());
             }
@@ -524,41 +589,61 @@ fn loops_with_pairs(c: &str) -> Vec<String> {
     out
 }
 
+/// The wide loops' guard, one per wide loop (the 32-byte types' guard
+/// goes on to name `SPL_V4D`).
+const AVX_GUARD: &str = "#if defined(__AVX__)\n";
+
 /// Which loop bodies of the looped plans whose size passes `sizes` print
-/// on pairs: only the innermost one whose loads stride past a complex
-/// value per iteration (`x[2*i0+16*i1+…]` in `i1`). gcc vectorises every
-/// other loop itself, with wider vectors, so those stay scalar.
-fn loops_on_pairs(sizes: impl Fn(usize) -> bool) {
+/// on pairs, and which wide. On pairs: the innermost one whose loads
+/// stride past a complex value per iteration (`x[2*i0+16*i1+…]` in
+/// `i1`). Wide, under `#if defined(__AVX__)` beside their scalar form:
+/// those whose every subscript steps by one complex value per iteration
+/// (a load may also not step). gcc vectorises the rest itself: the
+/// first loops of 2^7 and 2^8, whose stores step by two complex values.
+fn loop_forms(sizes: impl Fn(usize) -> bool) {
     for (n, unit) in benchmark_plans(|n| n >= 128 && sizes(n)) {
         let (c, stats) = emit_stats(&unit);
-        let want: &[&str] = match n {
-            1024 | 4096 | 16384 => &["i1"],
-            65536 => &["i2"],
-            _ => &[],
+        let (pairs, wide): (&[&str], &[&str]) = match n {
+            128 => (&[], &["i2"]),
+            256 => (&[], &["i8"]),
+            1024 => (&["i1"], &["i11", "i19"]),
+            4096 => (&["i1"], &["i12", "i28"]),
+            16384 => (&["i1"], &["i15", "i31"]),
+            65536 => (&["i2"], &["i13", "i29", "i37"]),
+            _ => unreachable!("plan {n}"),
         };
-        assert_eq!(loops_with_pairs(&c), want, "plan {n}");
-        assert_eq!(stats.packed_loops, want.len() as u64, "plan {n}: {stats:?}");
-        assert_eq!(c.contains("spl_v2d"), !want.is_empty(), "plan {n}");
+        assert_eq!(loops_naming(&c, "spl_v2d"), pairs, "plan {n}");
+        assert_eq!(loops_naming(&c, "spl_v4d"), wide, "plan {n}");
+        assert_eq!(
+            stats.packed_loops,
+            pairs.len() as u64,
+            "plan {n}: {stats:?}"
+        );
+        assert_eq!(stats.wide_loops, wide.len() as u64, "plan {n}: {stats:?}");
+        assert_eq!(c.matches(AVX_GUARD).count(), wide.len(), "plan {n}");
     }
 }
 
 #[test]
-fn only_innermost_bodies_with_strided_loads_print_on_pairs() {
-    loops_on_pairs(|n| n <= 1 << 14);
+fn strided_bodies_print_on_pairs_and_unit_stride_bodies_wide() {
+    loop_forms(|n| n <= 1 << 14);
 }
 
-/// The plans up to 2^14 in one file, as `spl-minifft`'s `codelets.c`
-/// holds its six: the preamble's guard admits the second unit, and no
-/// unused declaration is left behind, in straight-line code or in loops.
+/// The twelve plans in one file, as `spl-minifft`'s `codelets.c` holds
+/// its six: the preambles' guards admit the later units, and no unused
+/// declaration is left behind, in straight-line code or in loops, on
+/// either side of a wide loop's `#if`.
 #[test]
 fn packed_plans_compile_clean_under_wall_werror() {
-    let text: String = benchmark_plans(|n| n <= 1 << 14)
+    let text: String = benchmark_plans(|_| true)
         .iter()
         .map(|(n, unit)| {
-            spl::compiler::codegen::emit(&format!("plan{n}"), &unit.program, &unit.codegen)
+            let c = spl::compiler::codegen::emit(&format!("plan{n}"), &unit.program, &unit.codegen);
+            assert_eq!(c.contains(AVX_GUARD), *n >= 128, "plan {n}");
+            c
         })
         .collect();
-    assert_compiles("plans", &text, true);
+    assert_compiles_clean("plans", &text);
 }
 
 fn at(kind: VecKind, i: i64) -> Place {
@@ -664,10 +749,13 @@ enum Shape {
     Mixed,
     /// Scalar statements only.
     Scalar,
+    /// A loop two iterations per vector, beside its scalar form.
+    Wide,
 }
 
 /// What the packer cannot pair, or must not: each case compiles clean
-/// and equals the VM bit for bit, and its C has the expected shape.
+/// and equals the VM bit for bit at both target lines, and its C has the
+/// expected shape.
 #[test]
 fn packer_fallbacks_compile_and_equal_the_vm_bitwise() {
     use BinOp::{Add, Div, Mul, Sub};
@@ -821,6 +909,97 @@ fn packer_fallbacks_compile_and_equal_the_vm_bitwise() {
         8,
     );
     with_temp.program.temps = vec![8];
+    // Unit-stride bodies: every subscript steps by 2 in `i0`. They print
+    // wide unless two iterations side by side could differ from one after
+    // the other, or a lane would need a scalar statement.
+    let (xu, yu) = (|c| read_i0(In, 2, c), |c| at_i0(Out, 2, c));
+    let butterfly = |y: &dyn Fn(i64) -> Place, apart| {
+        vec![
+            bin(Add, y(0), xu(0), xu(4)),
+            bin(Add, y(1), xu(1), xu(5)),
+            bin(Sub, y(apart), xu(0), xu(4)),
+            bin(Sub, y(apart + 1), xu(1), xu(5)),
+        ]
+    };
+    let mut wide_reads_its_temp = hand_unit(
+        "wide_reads_its_temp",
+        two_trips(vec![
+            bin(Add, at_i0(Temp(0), 2, 0), xu(0), xu(4)),
+            bin(Add, at_i0(Temp(0), 2, 1), xu(1), xu(5)),
+            bin(Mul, yu(0), read_i0(Temp(0), 2, 0), xu(4)),
+            bin(Mul, yu(1), read_i0(Temp(0), 2, 1), xu(5)),
+        ]),
+        4,
+    );
+    wide_reads_its_temp.program.temps = vec![4];
+    let wide_cases = vec![
+        (
+            hand_unit("wide_butterfly", two_trips(butterfly(&yu, 4)), 8),
+            Shape::Wide,
+        ),
+        (
+            // (x0, x1) in every iteration: a broadcast of the pair.
+            hand_unit(
+                "wide_broadcast_load",
+                two_trips(vec![
+                    bin(Mul, yu(0), xu(4), x(0)),
+                    bin(Mul, yu(1), xu(5), x(1)),
+                ]),
+                4,
+            ),
+            Shape::Wide,
+        ),
+        (
+            // Three trips: the last would have no partner.
+            hand_unit(
+                "wide_odd_trips",
+                [
+                    vec![do_to(0, 2)],
+                    vec![bin(Add, yu(0), xu(0), xu(2)), bin(Add, yu(1), xu(1), xu(3))],
+                    vec![Instr::DoEnd],
+                ]
+                .concat(),
+                6,
+            ),
+            Shape::Scalar,
+        ),
+        (
+            // Every iteration stores (y0, y1): the last one's stay.
+            hand_unit(
+                "wide_store_that_does_not_step",
+                two_trips(butterfly(&y, 2)),
+                4,
+            ),
+            Shape::Scalar,
+        ),
+        (
+            // Iteration 0 stores (y2, y3) second, iteration 1 first.
+            hand_unit("wide_stores_a_pair_apart", two_trips(butterfly(&yu, 2)), 6),
+            Shape::Scalar,
+        ),
+        (wide_reads_its_temp, Shape::Scalar),
+        (
+            // f0 and f1 are read after the loop: the last trip's values.
+            hand_unit(
+                "wide_live_out_registers",
+                [
+                    two_trips(vec![
+                        bin(Add, Place::F(0), xu(0), xu(4)),
+                        bin(Add, Place::F(1), xu(1), xu(5)),
+                        bin(Mul, yu(0), Value::f(0), xu(4)),
+                        bin(Mul, yu(1), Value::f(1), xu(5)),
+                    ]),
+                    vec![
+                        bin(Mul, y(4), Value::f(0), Value::f(1)),
+                        bin(Sub, y(5), Value::f(1), Value::f(0)),
+                    ],
+                ]
+                .concat(),
+                6,
+            ),
+            Shape::Scalar,
+        ),
+    ];
     let loop_cases = vec![
         (
             hand_unit(
@@ -913,6 +1092,7 @@ fn packer_fallbacks_compile_and_equal_the_vm_bitwise() {
     let mut cases: Vec<(CompiledUnit, Shape, bool)> = cases
         .into_iter()
         .chain(loop_cases)
+        .chain(wide_cases)
         .map(|(u, s)| (u, s, true))
         .collect();
     // Compiled units: -O0 keeps the temporaries, which a run reads and
@@ -954,27 +1134,42 @@ fn packer_fallbacks_compile_and_equal_the_vm_bitwise() {
         cases.push((unit, Shape::Scalar, false));
     }
 
+    let baseline = CcTarget::with_isa_tokens(&[]);
     for (unit, shape, strict) in &cases {
         let name = &unit.name;
         let (c, stats) = emit_stats(unit);
-        let got = match (stats.paired_stmts, stats.scalar_stmts) {
-            (0, _) => Shape::Scalar,
-            (_, 0) => Shape::Paired,
+        let got = match (stats.wide_loops, stats.paired_stmts, stats.scalar_stmts) {
+            (1.., _, _) => Shape::Wide,
+            (_, 0, _) => Shape::Scalar,
+            (_, _, 0) => Shape::Paired,
             _ => Shape::Mixed,
         };
         assert_eq!(got, *shape, "{name}: {stats:?}\n{c}");
         let packed_loop = name.starts_with("strided_");
         assert_eq!(stats.packed_loops, u64::from(packed_loop), "{name}");
+        let in_i0 = |yes: bool| if yes { vec!["i0"] } else { vec![] };
+        assert_eq!(loops_naming(&c, "spl_v2d"), in_i0(packed_loop), "{name}");
         assert_eq!(
-            loops_with_pairs(&c),
-            if packed_loop { vec!["i0"] } else { vec![] }
+            loops_naming(&c, "spl_v4d"),
+            in_i0(got == Shape::Wide),
+            "{name}"
         );
         assert_eq!(c.contains("spl_v2d"), got != Shape::Scalar, "{name}:\n{c}");
-        assert_compiles(name, &c, *strict);
+        if *strict {
+            assert_compiles_clean(name, &c);
+        } else {
+            assert_compiles(name, &c, &[]);
+        }
         // A native build prints every unit without peepholes or
         // offset/stride parameters.
         let kernel = NativeKernel::compile(unit).unwrap();
         assert_bitwise_vm(name, unit, &kernel);
+        let kernel = NativeKernel::compile_for(unit, &BuildOptions::default(), &baseline).unwrap();
+        assert_bitwise_vm(&format!("{name} at the baseline line"), unit, &kernel);
+        if name == "wide_broadcast_load" {
+            let broadcast = "(spl_v4d){x[0], x[1], x[0], x[1]}";
+            assert!(c.contains(broadcast), "{name}:\n{c}");
+        }
         if name == "registers_across_a_loop" {
             // Both registers get their values from lanes of the pair.
             for f in ["  f0 = v", "  f1 = v"] {
