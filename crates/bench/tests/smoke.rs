@@ -40,6 +40,7 @@ fn fig3_prints_both_series() {
 }
 
 #[test]
+#[ignore = "~75 s in debug: run with --ignored (CI's test job does)"]
 fn fig4_prints_three_series() {
     let out = run(env!("CARGO_BIN_EXE_fig4"), &["--quick"]);
     assert!(out.contains("FFTW estimate"));
@@ -69,6 +70,7 @@ fn codesize_prints_ratios() {
 }
 
 #[test]
+#[ignore = "~140 s in debug: run with --ignored (CI's test job does)"]
 fn ablation_prints_three_sections() {
     let out = run(env!("CARGO_BIN_EXE_ablation"), &["--quick"]);
     assert!(out.contains("k-best"));

@@ -22,8 +22,9 @@
 //!   concurrent search workers share one copy per distinct kernel.
 //! * **Disk (optional)** — the directory alone: `<dir>/<key>.so` holds
 //!   the object followed by a fixed 16-byte trailer, the object's length
-//!   (u64 LE), its CRC32 (u32 LE) and the magic `SPLk`. The file name is
-//!   the key; there is no index beside the files.
+//!   (u64 LE), its CRC32 (u32 LE) and the magic `SPLk`
+//!   ([`spl_resilience::sealed`], the wisdom DB's format too). The file
+//!   name is the key; there is no index beside the files.
 //!
 //! The disk layer is safe to share between processes (a search and a
 //! serving daemon pointed at the same directory, or several daemons)
@@ -51,13 +52,11 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
-use std::io::Write;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Duration;
 
-use spl_resilience::crc32::crc32;
+use spl_resilience::sealed::{unseal, write_sealed};
 use spl_telemetry::Telemetry;
 
 use crate::{BuildOptions, NativeError};
@@ -66,10 +65,6 @@ use crate::{BuildOptions, NativeError};
 /// under a hundred distinct kernels, so this is a leak guard, not a
 /// working-set limit.
 const MEM_CAP: usize = 512;
-
-/// Bytes after the object in a `<key>.so` file: length, CRC32, magic.
-const TRAILER: usize = 16;
-const MAGIC: &[u8; 4] = b"SPLk";
 
 /// How a cached-compile request was satisfied.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -113,26 +108,6 @@ fn fnv1a(basis: u64, bytes: &[u8]) -> u64 {
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
     h
-}
-
-/// The trailer that follows `object` in its `<key>.so` file.
-fn trailer(object: &[u8]) -> [u8; TRAILER] {
-    let mut t = [0u8; TRAILER];
-    t[..8].copy_from_slice(&(object.len() as u64).to_le_bytes());
-    t[8..12].copy_from_slice(&crc32(object).to_le_bytes());
-    t[12..].copy_from_slice(MAGIC);
-    t
-}
-
-/// The object inside a `<key>.so` file, or `None` when its trailer is
-/// missing or disagrees with what precedes it.
-fn unseal(mut file: Vec<u8>) -> Option<Vec<u8>> {
-    let len = file.len().checked_sub(TRAILER)?;
-    if file[len..] != trailer(&file[..len]) {
-        return None;
-    }
-    file.truncate(len);
-    Some(file)
 }
 
 struct CacheInner {
@@ -242,24 +217,9 @@ impl KernelCache {
     /// failures are counted, not propagated: the kernel already
     /// compiled, so a full disk must not fail the candidate.
     pub fn insert(&self, key: &str, bytes: Vec<u8>) {
-        static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
         let mut inner = self.inner.lock().unwrap();
         if let Some(path) = self.so_path(key) {
-            // Unique per writer: two processes (or threads) inserting the
-            // same key never write into the same tmp file.
-            let tmp = path.with_extension(format!(
-                "so.{}.{}.tmp",
-                std::process::id(),
-                TMP_SEQ.fetch_add(1, Ordering::Relaxed)
-            ));
-            let written = std::fs::File::create(&tmp)
-                .and_then(|mut f| {
-                    f.write_all(&bytes)?;
-                    f.write_all(&trailer(&bytes))
-                })
-                .and_then(|()| std::fs::rename(&tmp, &path));
-            if written.is_err() {
-                let _ = std::fs::remove_file(&tmp);
+            if write_sealed(&path, &bytes, false).is_err() {
                 inner.tel.add("native.cache.disk_write_failures", 1);
             }
         }
@@ -327,6 +287,7 @@ impl KernelCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use spl_resilience::sealed::{trailer, MAGIC, TRAILER};
 
     fn tmp_dir(name: &str) -> PathBuf {
         let d = std::env::temp_dir().join(format!("spl_kcache_test_{}_{name}", std::process::id()));

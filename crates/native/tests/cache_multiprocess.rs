@@ -12,7 +12,6 @@ use std::path::PathBuf;
 use std::process::Command;
 
 use spl_native::cache::{CacheOutcome, KernelCache};
-use spl_resilience::Journal;
 
 const WORKER_ENV: &str = "SPL_CACHE_MP_WORKER";
 const DIR_ENV: &str = "SPL_CACHE_MP_DIR";
@@ -127,12 +126,15 @@ fn a_directory_from_before_the_trailer_misses_once_and_keeps_its_log() {
     let object = payload(3);
     let so = dir.join(format!("{key}.so"));
     std::fs::write(&so, &object).unwrap();
-    let (mut journal, _) = Journal::open(&dir.join("index.journal")).unwrap();
+    // One record in that log's framing, `splj1 <crc of payload> <payload>`.
     let crc = spl_resilience::crc32::crc32(&object);
-    journal
-        .append(&format!("so {key} {} {crc:08x}", object.len()))
-        .unwrap();
-    drop(journal);
+    let record = format!("so {key} {} {crc:08x}", object.len());
+    let framed = spl_resilience::crc32::crc32(record.as_bytes());
+    std::fs::write(
+        dir.join("index.journal"),
+        format!("splj1 {framed:08x} {record}\n"),
+    )
+    .unwrap();
     std::fs::write(dir.join("index.lock"), b"old lock").unwrap();
     let log_before = std::fs::read(dir.join("index.journal")).unwrap();
 

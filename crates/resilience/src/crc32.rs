@@ -1,5 +1,5 @@
-//! CRC-32 (IEEE 802.3 polynomial) — the checksum framing every journal
-//! record, implemented in-tree because the workspace builds offline.
+//! CRC-32 (IEEE 802.3 polynomial) — the checksum in every sealed file's
+//! trailer, implemented in-tree because the workspace builds offline.
 
 /// The reflected IEEE polynomial used by zlib, PNG, and Ethernet.
 const POLY: u32 = 0xEDB8_8320;

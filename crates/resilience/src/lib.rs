@@ -8,16 +8,13 @@
 //! otherwise lose hours of work. This crate provides the substrate the
 //! search and native-execution layers build their resilience on:
 //!
-//! * [`journal`] — an append-only, CRC-checked record log with tolerant
-//!   recovery (a truncated or corrupt tail is dropped, not fatal) and
-//!   atomic tmp+rename rewrites; the search persists its "wisdom"
-//!   (FFTW-style saved plans) through it so a killed search resumes from
-//!   the last completed size.
+//! * [`sealed`] — self-checking files (a length + CRC-32 trailer)
+//!   renamed into place, so processes share a directory of them with no
+//!   log and no lock: the kernel cache's objects and the wisdom DB's
+//!   entries (FFTW-style saved plans, so a killed search resumes from
+//!   the last completed size).
 //! * [`retry`] — a bounded retry budget with exponential backoff for
 //!   flaky external steps (spawning the host C compiler).
-//! * [`lockfile`] — advisory whole-file locks (`flock`) so multiple
-//!   processes can share on-disk state (the wisdom database) without
-//!   corrupting each other's writes.
 //! * [`command`] — running external commands under a wall-clock timeout,
 //!   so a hung `cc` is killed and reported instead of wedging the search.
 //! * [`sandbox`] — executing untrusted generated code in a forked child
@@ -31,13 +28,10 @@
 
 pub mod command;
 pub mod crc32;
-pub mod journal;
-pub mod lockfile;
 pub mod retry;
 pub mod sandbox;
+pub mod sealed;
 
 pub use command::{run_command_unless, run_command_with_timeout, CommandError};
-pub use journal::{Journal, JournalError, LoadedJournal};
-pub use lockfile::FileLock;
 pub use retry::RetryPolicy;
 pub use sandbox::{run_isolated, SandboxError};

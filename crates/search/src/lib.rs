@@ -46,9 +46,9 @@
 //!   surviving candidate. A search prices every candidate with its one
 //!   evaluator: a candidate that cannot be measured is never priced by
 //!   another one, so the costs of a size share a unit.
-//! * Over a [`WisdomDb`] directory every completed size is appended to a
-//!   CRC-checked journal (`spl-resilience`), so a killed search resumes
-//!   where it stopped.
+//! * Over a [`WisdomDb`] directory every completed size is filed at once
+//!   as a sealed, CRC-checked entry file (`spl-resilience`), so a killed
+//!   search resumes where it stopped.
 //! * [`FaultyEvaluator`] injects deterministic, per-candidate faults for
 //!   testing the skip path.
 //!
@@ -119,15 +119,12 @@ pub enum SearchError {
     /// A candidate produced numerically wrong output against the dense
     /// reference; its timing is discarded and the search skips it.
     VerificationFailed(String),
-    /// The wisdom database holds a record that passes its CRC but does
-    /// not parse.
-    JournalCorrupt(String),
     /// No candidate for a size survived evaluation.
     NoCandidates {
         /// The transform size that has no surviving candidate.
         n: usize,
     },
-    /// Wisdom text or a wisdom database entry failed to parse.
+    /// Wisdom text failed to parse.
     Wisdom(WisdomError),
     /// Anything else (I/O, ...).
     Other(String),
@@ -141,7 +138,6 @@ impl SearchError {
             SearchError::Timeout(_) => "timeout",
             SearchError::KernelCrashed(_) => "kernel_crashed",
             SearchError::VerificationFailed(_) => "verification_failed",
-            SearchError::JournalCorrupt(_) => "journal_corrupt",
             SearchError::NoCandidates { .. } => "no_candidates",
             SearchError::Wisdom(_) => "wisdom",
             SearchError::Other(_) => "other",
@@ -156,7 +152,6 @@ impl fmt::Display for SearchError {
             SearchError::Timeout(m) => write!(f, "search: timed out: {m}"),
             SearchError::KernelCrashed(m) => write!(f, "search: kernel crashed: {m}"),
             SearchError::VerificationFailed(m) => write!(f, "search: verification failed: {m}"),
-            SearchError::JournalCorrupt(m) => write!(f, "search: journal corrupt: {m}"),
             SearchError::NoCandidates { n } => {
                 write!(f, "search: no candidate for size {n} survived evaluation")
             }

@@ -10,28 +10,33 @@
 //! fingerprint only where the evaluator's costs depend on the compiler
 //! ([`cc_key`]: a key names only what the value depends on) — and
 //! carries the retained plans with their measured costs. On disk it is
-//! one CRC-framed append-only journal (`spl-resilience`) guarded by an
-//! `flock` lockfile, so concurrent `splsearch --jobs` runs and other
-//! processes append winners safely; merge is best-cost-wins and
-//! commutative, so every reader converges to the same entries no matter
-//! the append order.
+//! a directory of immutable sealed files (`spl-resilience`), one per
+//! recorded entry, each renamed into place whole; merge is
+//! best-cost-wins over a total order, so concurrent `splsearch --jobs`
+//! runs and other processes need no lock, and every reader converges to
+//! the same entries whatever order it lists the files in.
 //! Entries whose fingerprints do not match the current
 //! toolchain/machine are kept but not trusted: [`WisdomDb::lookup`]
 //! never serves them, and [`WisdomDb::export_flat`] ranks them below
 //! trusted ones.
 //!
-//! On-disk schema (one payload per journal record):
+//! On-disk schema: `<fnv64 of key>-<fnv64 of text>.entry` holds the text
 //!
 //! ```text
 //! entry <transform> <n> <cc_fp> <machine_fp> | <cost_bits> <spec> | ...
 //! ```
 //!
-//! Costs are exact `f64` bit patterns, so a resumed run reproduces the
+//! followed by the sealed-file trailer (length, CRC-32, magic). Costs
+//! are exact `f64` bit patterns, so a resumed run reproduces the
 //! original DP decisions bit-for-bit; a cost of `0.0` marks an entry
-//! imported from flat wisdom that has not been re-measured yet. Unknown
-//! record types (another writer's schema, and the `calib` records older
-//! versions of this one wrote) are skipped; torn tails are healed by the
-//! journal layer. [`WisdomDb::in_memory`] is the same store without the
+//! imported from flat wisdom that has not been re-measured yet. A file
+//! that fails its trailer or does not parse is unlinked and counted; a
+//! sealed record of another type (another writer's schema) is counted
+//! and kept. A file beaten by a better one of its key is unlinked by any
+//! process that reads both, and by the [`WisdomDb::record`] that
+//! displaced it, so the store holds one file per key. The `db.journal`
+//! and `db.lock` of the older, journal-framed format are neither read
+//! nor touched. [`WisdomDb::in_memory`] is the same store without the
 //! directory: what a search that persists nothing runs over.
 //!
 //! The second half of this module is [`Search`], the paper's Section 4
@@ -44,12 +49,12 @@
 use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
-use std::io::{BufRead, BufReader};
+use std::io::{BufRead, BufReader, ErrorKind};
 use std::path::{Path, PathBuf};
 use std::sync::OnceLock;
 
 use spl_generator::fft::FftTree;
-use spl_resilience::{FileLock, Journal, JournalError};
+use spl_resilience::sealed::{unseal, write_sealed};
 use spl_telemetry::Telemetry;
 
 use crate::{
@@ -250,7 +255,7 @@ fn first_model_name() -> Option<String> {
 /// [`Evaluator::label`](crate::Evaluator::label) that priced them, so
 /// winners from incompatible searches never shadow each other and op
 /// counts are never served as seconds. Contains no spaces (it is one
-/// token of a journal record).
+/// token of an entry's text).
 pub fn transform_key(config: &SearchConfig, evaluator: &str) -> String {
     format!(
         "fft/{:?}-l{}-k{}-u{}-{evaluator}",
@@ -310,7 +315,9 @@ impl WisdomEntry {
 
 /// The commutative merge order: measured beats unmeasured, then lower
 /// best cost, then (for determinism across processes) the smaller best
-/// spec string. Returns whether `a` strictly beats `b`.
+/// spec string, then the smaller whole entry text. Returns whether `a`
+/// strictly beats `b`; of two entries of one key, one beats the other
+/// unless their texts are equal.
 fn entry_beats(a: &WisdomEntry, b: &WisdomEntry) -> bool {
     if a.measured() != b.measured() {
         return a.measured();
@@ -318,61 +325,34 @@ fn entry_beats(a: &WisdomEntry, b: &WisdomEntry) -> bool {
     if a.plans.is_empty() || b.plans.is_empty() {
         return !a.plans.is_empty();
     }
-    let (ca, cb) = (a.best().cost, b.best().cost);
-    match ca.total_cmp(&cb) {
-        std::cmp::Ordering::Less => true,
-        std::cmp::Ordering::Greater => false,
-        std::cmp::Ordering::Equal => a.best().tree.to_spec() < b.best().tree.to_spec(),
-    }
+    a.best()
+        .cost
+        .total_cmp(&b.best().cost)
+        .then_with(|| a.best().tree.to_spec().cmp(&b.best().tree.to_spec()))
+        .then_with(|| format_entry(a).cmp(&format_entry(b)))
+        .is_lt()
 }
 
-fn jerr(e: JournalError) -> SearchError {
-    match e {
-        JournalError::Corrupt { line, reason } => {
-            SearchError::JournalCorrupt(format!("wisdom db line {line}: {reason}"))
-        }
-        other => SearchError::Other(other.to_string()),
-    }
-}
-
-fn parse_cost_bits(bits: &str) -> Result<f64, SearchError> {
-    u64::from_str_radix(bits, 16)
-        .map(f64::from_bits)
-        .map_err(|_| SearchError::JournalCorrupt(format!("wisdom db: bad cost bits {bits:?}")))
-}
-
-/// Parses `entry <transform> <n> <cc_fp> <machine_fp> | <bits> <spec> | ...`.
-fn parse_entry(payload: &str) -> Result<WisdomEntry, SearchError> {
-    let bad = || SearchError::JournalCorrupt(format!("wisdom db: malformed entry {payload:?}"));
-    let rest = payload.strip_prefix("entry ").ok_or_else(bad)?;
-    let mut chunks = rest.split(" | ");
-    let head = chunks.next().ok_or_else(bad)?;
-    let fields: Vec<&str> = head.split_whitespace().collect();
+/// Parses `entry <transform> <n> <cc_fp> <machine_fp> | <bits> <spec> | ...`;
+/// `None` when any part is malformed.
+fn parse_entry(payload: &str) -> Option<WisdomEntry> {
+    let mut chunks = payload.strip_prefix("entry ")?.split(" | ");
+    let fields: Vec<&str> = chunks.next()?.split_whitespace().collect();
     let [transform, n, cc_fp, machine_fp] = fields.as_slice() else {
-        return Err(bad());
+        return None;
     };
-    let n: usize = n.parse().map_err(|_| bad())?;
+    let n: usize = n.parse().ok()?;
     let mut plans = Vec::new();
     for chunk in chunks {
-        let (bits, spec) = chunk.split_once(' ').ok_or_else(bad)?;
-        let tree = FftTree::from_spec(spec).map_err(|e| {
-            SearchError::JournalCorrupt(format!("wisdom db: bad spec {spec:?}: {e}"))
-        })?;
-        if tree.size() != n {
-            return Err(SearchError::JournalCorrupt(format!(
-                "wisdom db: spec {spec:?} computes {} points, entry says {n}",
-                tree.size()
-            )));
-        }
-        plans.push(Plan {
-            cost: parse_cost_bits(bits)?,
-            tree,
-        });
+        let (bits, spec) = chunk.split_once(' ')?;
+        let tree = FftTree::from_spec(spec).ok().filter(|t| t.size() == n)?;
+        let cost = f64::from_bits(u64::from_str_radix(bits, 16).ok()?);
+        plans.push(Plan { cost, tree });
     }
     if plans.is_empty() {
-        return Err(bad());
+        return None;
     }
-    Ok(WisdomEntry {
+    Some(WisdomEntry {
         transform: transform.to_string(),
         n,
         cc_fp: cc_fp.to_string(),
@@ -390,11 +370,31 @@ fn format_entry(e: &WisdomEntry) -> String {
     out
 }
 
+/// The file of the entry whose text is `text`: the key (the text before
+/// its first plan) and the whole text hashed, so two writers of one
+/// result write one name.
+fn entry_file(dir: &Path, text: &str) -> PathBuf {
+    let key = text.split(" | ").next().unwrap_or(text);
+    dir.join(format!("{:016x}-{:016x}.entry", fnv64(key), fnv64(text)))
+}
+
+/// Unlinks a file a better entry of its key beat; one that is gone
+/// already (another process pruned it) is not counted.
+fn prune(file: &Path, tel: &mut Telemetry) {
+    if std::fs::remove_file(file).is_ok() {
+        tel.add("wisdom.db.pruned", 1);
+    }
+}
+
+fn io_err(what: &Path, e: std::io::Error) -> SearchError {
+    SearchError::Other(format!("{}: {e}", what.display()))
+}
+
 /// The keyed, persistent, mergeable wisdom store. See the module docs
 /// for the on-disk schema and merge semantics.
 #[derive(Debug)]
 pub struct WisdomDb {
-    /// `None` for [`WisdomDb::in_memory`]: nothing is read or appended.
+    /// `None` for [`WisdomDb::in_memory`]: nothing is read or written.
     dir: Option<PathBuf>,
     entries: HashMap<EntryKey, WisdomEntry>,
     tel: Telemetry,
@@ -406,10 +406,10 @@ impl WisdomDb {
     ///
     /// # Errors
     ///
-    /// I/O failures and corrupt (non-torn) records.
+    /// I/O failures creating or listing the directory, or reading an
+    /// entry file that is there.
     pub fn open(dir: &Path) -> Result<WisdomDb, SearchError> {
-        std::fs::create_dir_all(dir)
-            .map_err(|e| SearchError::Other(format!("creating {}: {e}", dir.display())))?;
+        std::fs::create_dir_all(dir).map_err(|e| io_err(dir, e))?;
         let mut db = WisdomDb {
             dir: Some(dir.to_path_buf()),
             ..WisdomDb::in_memory()
@@ -428,60 +428,63 @@ impl WisdomDb {
         }
     }
 
-    /// Re-reads the journal from disk, replacing the in-memory view
-    /// with the merged result (picks up other processes' appends). An
-    /// in-memory store has nothing to re-read and keeps what it holds.
+    /// Re-reads the directory, replacing the in-memory view with the
+    /// merged result (picks up other processes' entries), and unlinks
+    /// every file a better one of its key beat. An in-memory store has
+    /// nothing to re-read and keeps what it holds.
     ///
     /// # Errors
     ///
     /// As [`WisdomDb::open`].
     pub fn reload(&mut self) -> Result<(), SearchError> {
-        let Some(dir) = &self.dir else { return Ok(()) };
-        // The lock serializes against writers: `Journal::open` heals a
-        // torn tail by rewriting the file, which must never race an
-        // append in another process.
-        let _lock = FileLock::acquire_or_noop(&dir.join("db.lock"));
-        let (_, loaded) = Journal::open(&dir.join("db.journal")).map_err(jerr)?;
-        if loaded.dropped > 0 {
-            self.tel
-                .add("wisdom.db.dropped_records", loaded.dropped as u64);
-        }
+        let Some(dir) = &self.dir else {
+            return Ok(());
+        };
         self.entries.clear();
-        for rec in &loaded.records {
-            self.absorb(rec)?;
+        // The file each merged entry came from, to prune when beaten.
+        let mut files: HashMap<EntryKey, PathBuf> = HashMap::new();
+        for item in std::fs::read_dir(dir).map_err(|e| io_err(dir, e))? {
+            let path = item.map_err(|e| io_err(dir, e))?.path();
+            if path.extension().is_none_or(|x| x != "entry") {
+                continue;
+            }
+            let text = match std::fs::read(&path) {
+                Ok(file) => unseal(file).map(|t| String::from_utf8_lossy(&t).into_owned()),
+                // Pruned by another process since the listing.
+                Err(e) if e.kind() == ErrorKind::NotFound => continue,
+                Err(e) => return Err(io_err(&path, e)),
+            };
+            let entry = match text {
+                Some(t) if !t.starts_with("entry ") => {
+                    // Another writer's record type: keep it, skip it.
+                    self.tel.add("wisdom.db.unknown_records", 1);
+                    continue;
+                }
+                Some(t) => parse_entry(&t),
+                None => None,
+            };
+            let Some(e) = entry else {
+                // Torn, bit-flipped or malformed.
+                let _ = std::fs::remove_file(&path);
+                self.tel.add("wisdom.db.dropped_records", 1);
+                continue;
+            };
+            let key = e.key();
+            let beaten = match self.entries.get(&key) {
+                Some(incumbent) if !entry_beats(&e, incumbent) => {
+                    entry_beats(incumbent, &e).then_some(path)
+                }
+                _ => {
+                    self.entries.insert(key.clone(), e);
+                    files.insert(key, path)
+                }
+            };
+            if let Some(beaten) = beaten {
+                prune(&beaten, &mut self.tel);
+            }
         }
         self.tel.add("wisdom.db.loads", 1);
         Ok(())
-    }
-
-    fn absorb(&mut self, payload: &str) -> Result<(), SearchError> {
-        if payload.starts_with("entry ") {
-            let e = parse_entry(payload)?;
-            self.merge_in_memory(e);
-            return Ok(());
-        }
-        // Unknown record type: another writer's schema. Skip it.
-        self.tel.add("wisdom.db.unknown_records", 1);
-        Ok(())
-    }
-
-    fn merge_in_memory(&mut self, e: WisdomEntry) {
-        let key = e.key();
-        match self.entries.get(&key) {
-            Some(incumbent) if !entry_beats(&e, incumbent) => {
-                self.tel.add("wisdom.db.merge_losses", 1);
-            }
-            _ => {
-                self.entries.insert(key, e);
-            }
-        }
-    }
-
-    fn append(&mut self, payload: &str) -> Result<(), SearchError> {
-        let Some(dir) = &self.dir else { return Ok(()) };
-        let _lock = FileLock::acquire_or_noop(&dir.join("db.lock"));
-        let (mut journal, _) = Journal::open(&dir.join("db.journal")).map_err(jerr)?;
-        journal.append(payload).map_err(jerr)
     }
 
     /// The trusted entry (current fingerprints) for a size, if any.
@@ -540,15 +543,22 @@ impl WisdomDb {
             machine_fp: machine_fp.to_string(),
             plans: plans.to_vec(),
         };
-        if let Some(incumbent) = self.entries.get(&e.key()) {
+        let key = e.key();
+        if let Some(incumbent) = self.entries.get(&key) {
             if !entry_beats(&e, incumbent) {
                 self.tel.add("wisdom.db.merge_losses", 1);
                 return Ok(());
             }
         }
-        self.append(&format_entry(&e))?;
+        if let Some(dir) = &self.dir {
+            let text = format_entry(&e);
+            let path = entry_file(dir, &text);
+            write_sealed(&path, text.as_bytes(), true).map_err(|err| io_err(&path, err))?;
+        }
         self.tel.add("wisdom.db.records_written", 1);
-        self.entries.insert(e.key(), e);
+        if let (Some(dir), Some(old)) = (&self.dir, self.entries.insert(key, e)) {
+            prune(&entry_file(dir, &format_entry(&old)), &mut self.tel);
+        }
         Ok(())
     }
 
@@ -920,8 +930,8 @@ mod tests {
         assert_eq!(db.lookup("fft/t", 8).unwrap().best().cost, 4.0);
         let tel = db.drain_telemetry();
         assert_eq!(tel.counter("wisdom.db.merge_losses"), Some(1));
-        // Reload sees both appended records and converges to the same
-        // winner regardless of order.
+        // Reload sees the one file left and converges to the same
+        // winner.
         db.reload().unwrap();
         assert_eq!(db.lookup("fft/t", 8).unwrap().best().cost, 4.0);
         let _ = std::fs::remove_dir_all(&dir);
@@ -1181,19 +1191,35 @@ mod tests {
         assert_ne!(NO_CC.len(), cc_fingerprint().len());
     }
 
+    /// The `*.entry` file names in `dir`, sorted.
+    fn entry_files(dir: &Path) -> Vec<String> {
+        let mut names: Vec<String> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .filter(|n| n.ends_with(".entry"))
+            .collect();
+        names.sort();
+        names
+    }
+
     #[test]
     fn unknown_record_types_are_skipped() {
         let dir = tmp_dir("unknown");
+        // The two calibration records older versions wrote: before and
+        // after the evaluator became part of their key.
+        let words = vec![format!("{:016x}", 0.5f64.to_bits()); 7].join(" ");
+        let foreign = [
+            "future v2 something".to_string(),
+            format!("calib m c {words}"),
+            format!("calib m c vm {words}"),
+        ];
         {
             let mut db = WisdomDb::open(&dir).unwrap();
             db.record("fft/t", 8, &[plan("(ct 2 4)", 2.0)]).unwrap();
-            let (mut journal, _) = Journal::open(&dir.join("db.journal")).unwrap();
-            journal.append("future v2 something").unwrap();
-            // The two calibration records older versions wrote: before
-            // and after the evaluator became part of their key.
-            let words = vec![format!("{:016x}", 0.5f64.to_bits()); 7].join(" ");
-            journal.append(&format!("calib m c {words}")).unwrap();
-            journal.append(&format!("calib m c vm {words}")).unwrap();
+            for (i, text) in foreign.iter().enumerate() {
+                let path = dir.join(format!("foreign{i}.entry"));
+                spl_resilience::sealed::write_sealed(&path, text.as_bytes(), false).unwrap();
+            }
         }
         let mut db = WisdomDb::open(&dir).unwrap();
         assert_eq!(db.len(), 1);
@@ -1211,6 +1237,79 @@ mod tests {
             db.lookup("fft/t", 4).expect("recorded after").best().cost,
             1.0
         );
+        // Kept: two entries of ours and the three foreign records.
+        assert_eq!(entry_files(&dir).len(), 5);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_full_tie_has_one_winner_in_either_order() {
+        // Same measured-ness, cost bits and best spec; the tails differ.
+        let a = [plan("(ct 2 4)", 3.0), plan("(ct 4 2)", 4.0)];
+        let b = [plan("(ct 2 4)", 3.0), plan("(ct 4 2)", 5.0)];
+        let mut winners = Vec::new();
+        for (first, second) in [(&a, &b), (&b, &a)] {
+            // One store records both, one after the other.
+            let dir = tmp_dir("tie_one");
+            let mut db = WisdomDb::open(&dir).unwrap();
+            db.record("fft/t", 8, first).unwrap();
+            db.record("fft/t", 8, second).unwrap();
+            db.reload().unwrap();
+            winners.push(db.lookup("fft/t", 8).unwrap().plans);
+            assert_eq!(entry_files(&dir).len(), 1);
+            // Two stores opened before either records, each one of them.
+            let dir = tmp_dir("tie_two");
+            let mut one = WisdomDb::open(&dir).unwrap();
+            let mut two = WisdomDb::open(&dir).unwrap();
+            one.record("fft/t", 8, first).unwrap();
+            two.record("fft/t", 8, second).unwrap();
+            assert_eq!(entry_files(&dir).len(), 2);
+            let mut db = WisdomDb::open(&dir).unwrap();
+            winners.push(db.lookup("fft/t", 8).unwrap().plans);
+            assert_eq!(entry_files(&dir).len(), 1, "the loser is pruned");
+            assert_eq!(db.drain_telemetry().counter("wisdom.db.pruned"), Some(1));
+        }
+        assert!(winners.iter().all(|w| *w == winners[0]), "{winners:?}");
+        let _ = std::fs::remove_dir_all(tmp_dir("tie_one"));
+        let _ = std::fs::remove_dir_all(tmp_dir("tie_two"));
+    }
+
+    #[test]
+    fn a_store_keeps_one_file_per_key() {
+        let dir = tmp_dir("one_file");
+        let mut db = WisdomDb::open(&dir).unwrap();
+        let mut other = WisdomDb::open(&dir).unwrap();
+        db.record("fft/t", 8, &[plan("(ct 2 4)", 5.0)]).unwrap();
+        db.record("fft/t", 8, &[plan("(ct 4 2)", 4.0)]).unwrap();
+        assert_eq!(entry_files(&dir).len(), 1, "the displaced file goes");
+        assert_eq!(db.drain_telemetry().counter("wisdom.db.pruned"), Some(1));
+        // Another store filing the same result writes the same name.
+        other.record("fft/t", 8, &[plan("(ct 4 2)", 4.0)]).unwrap();
+        assert_eq!(entry_files(&dir).len(), 1);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_journal_era_directory_opens_empty_and_keeps_its_files() {
+        let dir = tmp_dir("journal_era");
+        std::fs::create_dir_all(&dir).unwrap();
+        // One valid record in the old framing, `splj1 <crc> <payload>`.
+        let record = "entry fft/t 4 - - | 3ff0000000000000 (ct 2 2)";
+        let crc = spl_resilience::crc32::crc32(record.as_bytes());
+        let journal = format!("splj1 {crc:08x} {record}\n");
+        std::fs::write(dir.join("db.journal"), &journal).unwrap();
+        std::fs::write(dir.join("db.lock"), b"").unwrap();
+
+        let mut db = WisdomDb::open(&dir).unwrap();
+        assert!(db.is_empty());
+        db.record("fft/t", 8, &[plan("(ct 2 4)", 2.0)]).unwrap();
+        drop(db);
+        assert_eq!(WisdomDb::open(&dir).unwrap().len(), 1);
+        assert_eq!(
+            std::fs::read_to_string(dir.join("db.journal")).unwrap(),
+            journal
+        );
+        assert_eq!(std::fs::read(dir.join("db.lock")).unwrap(), b"");
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

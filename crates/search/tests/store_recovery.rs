@@ -1,6 +1,6 @@
 //! Crash-recovery tests for the wisdom store on disk: a search killed
-//! mid-write (simulated by truncating or corrupting `db.journal`) must
-//! resume from the intact records and finish with exactly the plans an
+//! mid-write (simulated by truncating or corrupting an entry file) must
+//! resume from the intact entries and finish with exactly the plans an
 //! uninterrupted run finds. The deterministic [`OpCountEvaluator`] makes
 //! that comparison exact.
 
@@ -43,10 +43,24 @@ fn clean(config: &SearchConfig, max_log: u32) -> SearchOutcome {
         .unwrap()
 }
 
-/// Simulates a kill during the final append: chops the last few bytes so
-/// the tail record is torn (its CRC no longer matches).
-fn tear_tail(dir: &Path) {
-    let path = dir.join("db.journal");
+/// The entry file of size `n` in `dir`.
+fn entry_of(dir: &Path, n: usize) -> PathBuf {
+    fs::read_dir(dir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .find(|p| {
+            let text = String::from_utf8_lossy(&fs::read(p).unwrap()).into_owned();
+            p.extension().is_some_and(|x| x == "entry")
+                && text.split_whitespace().nth(2) == Some(n.to_string().as_str())
+        })
+        .unwrap_or_else(|| panic!("no entry file of size {n}"))
+}
+
+/// Simulates a kill during the final write: chops the last few bytes of
+/// the newest entry file, that of the largest size, so its trailer no
+/// longer matches.
+fn tear_tail(dir: &Path, max_log: u32) {
+    let path = entry_of(dir, 1 << max_log);
     let bytes = fs::read(&path).unwrap();
     assert!(bytes.len() > 3);
     fs::write(&path, &bytes[..bytes.len() - 3]).unwrap();
@@ -58,7 +72,7 @@ fn truncated_tail_is_healed_counted_and_resumed_to_same_plans() {
     let config = SearchConfig::default();
     let eval = OpCountEvaluator::default;
     search_in(&dir, &config, 6, eval(), &mut Telemetry::new());
-    tear_tail(&dir);
+    tear_tail(&dir, 6);
 
     // Resume with a fresh evaluator: only the torn size is recomputed.
     let mut tel = Telemetry::new();
@@ -77,19 +91,20 @@ fn corrupt_crc_drops_suffix_and_recomputes_to_same_plans() {
     let eval = OpCountEvaluator::default;
     search_in(&dir, &config, 5, eval(), &mut Telemetry::new());
 
-    // Flip one byte inside the second line (the size-4 record). The
-    // tolerant loader must keep the intact prefix — the size-2 record —
-    // and drop everything from the damage onward.
-    let path = dir.join("db.journal");
-    let mut bytes = fs::read(&path).unwrap();
-    let second_line = bytes.iter().position(|b| *b == b'\n').unwrap() + 1;
-    bytes[second_line + 20] ^= 0x01;
+    // Flip one byte inside the size-4 entry. The loader must drop that
+    // file alone and keep every other size.
+    let path = entry_of(&dir, 4);
+    let intact = fs::read(&path).unwrap();
+    let mut bytes = intact.clone();
+    bytes[20] ^= 0x01;
     fs::write(&path, &bytes).unwrap();
 
     let mut tel = Telemetry::new();
     let resumed = search_in(&dir, &config, 5, eval(), &mut tel);
-    assert_eq!(tel.counter("wisdom.db.reused_sizes"), Some(1));
-    assert_eq!(tel.counter("wisdom.db.dropped_records"), Some(4));
+    assert_eq!(tel.counter("wisdom.db.reused_sizes"), Some(4));
+    assert_eq!(tel.counter("wisdom.db.dropped_records"), Some(1));
+    // Unlinked, recomputed and filed again under the same name.
+    assert_eq!(fs::read(&path).unwrap(), intact);
     assert_eq!(resumed, clean(&config, 5));
     let _ = fs::remove_dir_all(&dir);
 }
@@ -100,7 +115,7 @@ fn large_search_killed_mid_size_resumes_to_same_plans() {
     let config = SearchConfig::default();
     let eval = OpCountEvaluator::default;
     search_in(&dir, &config, 10, eval(), &mut Telemetry::new());
-    tear_tail(&dir); // the k-best record of size 1024
+    tear_tail(&dir, 10); // the k-best entry of size 1024
 
     let mut tel = Telemetry::new();
     let resumed = search_in(&dir, &config, 10, eval(), &mut tel);
@@ -129,7 +144,7 @@ fn kill_and_resume_under_injected_faults_matches_uninterrupted_run() {
 
     let dir = tmp("faulty");
     search_in(&dir, &config, 10, faulty(), &mut Telemetry::new());
-    tear_tail(&dir);
+    tear_tail(&dir, 10);
 
     let mut tel = Telemetry::new();
     let resumed = search_in(&dir, &config, 10, faulty(), &mut tel);

@@ -1,8 +1,8 @@
 //! Multi-process `WisdomDb` regression: two real processes search
 //! overlapping size sets into the same database directory concurrently,
-//! and the merged journal must converge to one identical best-cost
-//! entry per (transform, size, fingerprints) key — no lost appends, no
-//! corrupt records, no order dependence.
+//! and the merged directory must converge to one identical best-cost
+//! entry per (transform, size, fingerprints) key — no lost entries, no
+//! corrupt files, no order dependence.
 //!
 //! Mirrors `spl-native`'s `cache_multiprocess` pattern: the test
 //! re-invokes its own binary (`current_exe`) in a worker mode selected
@@ -74,7 +74,7 @@ fn two_processes_converge_to_identical_best_entries() {
         assert!(status.success(), "wisdom worker failed: {status}");
     }
 
-    // A fresh DB instance (cold memory, journal replayed from disk)
+    // A fresh DB instance (cold memory, every entry file read from disk)
     // must hold exactly the deterministic winners a local search finds.
     let mut db = WisdomDb::open(&dir).unwrap();
     let key = transform_key(&config(), "opcount");
@@ -98,7 +98,7 @@ fn two_processes_converge_to_identical_best_entries() {
             "size {n} best cost diverged"
         );
     }
-    // One merged entry per key — concurrent appends for the same key
+    // One merged entry per key — concurrent writes for the same key
     // collapsed under best-cost-wins rather than accumulating.
     let sizes: Vec<usize> = db.entries().map(|e| e.n).collect();
     let mut dedup = sizes.clone();
@@ -109,12 +109,24 @@ fn two_processes_converge_to_identical_best_entries() {
         dedup.len(),
         "merged view must hold one entry per key: {sizes:?}"
     );
-    // No journal records were lost or healed away by the race.
+    // On disk too: the open pruned every beaten file, one `*.entry` per
+    // key is left, and no writer left a `*.tmp` behind.
+    let names: Vec<String> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+        .collect();
+    let entry_files = names.iter().filter(|n| n.ends_with(".entry")).count();
+    assert_eq!(entry_files, db.len(), "one entry file per key: {names:?}");
+    assert!(
+        !names.iter().any(|n| n.ends_with(".tmp")),
+        "stray tmp files: {names:?}"
+    );
+    // No entry file was torn by the race.
     let tel = db.drain_telemetry();
     assert_eq!(
         tel.counter("wisdom.db.dropped_records"),
         None,
-        "concurrent appends must not tear the journal"
+        "concurrent writes must not tear an entry file"
     );
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -35,7 +35,7 @@
 //! | [`generator`] | `spl-generator` | FFT/WHT/DCT breakdown rules |
 //! | [`search`] | `spl-search` | DP search with k-best plans |
 //! | [`serve`] | `spl-serve` | fault-tolerant transform-serving daemon |
-//! | [`resilience`] | `spl-resilience` | sandboxing, timeouts, crash-safe journal |
+//! | [`resilience`] | `spl-resilience` | sandboxing, timeouts, sealed files |
 //! | [`fuzz`] | `spl-fuzz` | differential formula fuzzing + shrinking |
 //! | [`minifft`] | `spl-minifft` | the FFTW-like baseline |
 //! | [`numeric`] | `spl-numeric` | complex numbers, references, metrics |

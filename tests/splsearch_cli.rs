@@ -255,8 +255,13 @@ fn a_native_search_without_a_working_cc_fails_and_records_nothing() {
         assert!(!ok, "{args:?}: {out}{err}");
         assert!(err.contains("no candidate for size 2"), "{args:?}: {err}");
         assert_eq!(out, "");
-        let journal = std::fs::read_to_string(db.join("db.journal")).unwrap_or_default();
-        assert!(!journal.contains(" entry "), "{args:?}: {journal}");
+        let entries: Vec<_> = std::fs::read_dir(&db)
+            .into_iter()
+            .flatten()
+            .filter_map(|e| e.ok()?.file_name().into_string().ok())
+            .filter(|n| n.ends_with(".entry"))
+            .collect();
+        assert!(entries.is_empty(), "{args:?}: {entries:?}");
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
