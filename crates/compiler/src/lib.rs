@@ -167,8 +167,8 @@ impl CompiledUnit {
 
     /// Like [`emit`](Self::emit), but records the `codegen` phase span
     /// and the `codegen.lines`, `codegen.paired_stmts`,
-    /// `codegen.scalar_stmts`, `codegen.packed_loops` and
-    /// `codegen.wide_loops` counters into `tel`.
+    /// `codegen.scalar_stmts`, `codegen.packed_loops`,
+    /// `codegen.wide_loops` and `codegen.lane_nests` counters into `tel`.
     pub fn emit_traced(&self, tel: &mut Telemetry) -> String {
         let sw = Stopwatch::start();
         let (out, stats) = codegen::emit_counted(&self.name, &self.program, &self.codegen);
@@ -178,6 +178,7 @@ impl CompiledUnit {
         tel.add("codegen.scalar_stmts", stats.scalar_stmts);
         tel.add("codegen.packed_loops", stats.packed_loops);
         tel.add("codegen.wide_loops", stats.wide_loops);
+        tel.add("codegen.lane_nests", stats.lane_nests);
         out
     }
 

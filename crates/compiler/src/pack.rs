@@ -19,25 +19,62 @@
 //! sign mask repeats. A wide body has no scalar fallback, and no two of
 //! its stores to one array lie a pair apart, which two iterations side
 //! by side would write out of order.
+//!
+//! The same two iterations per vector print the *leaf* of a lane nest
+//! (`codegen::lane_nests`): the body of an innermost loop inside, or
+//! equal to, a loop `v` of an even trip count in whose variable every
+//! load of the body steps by 2 doubles or 0. Lanes 0–1 are iteration `v`,
+//! lanes 2–3 iteration `v+1`. A store that steps by other than 2 doubles
+//! in `v` splits into two 16-byte stores, lanes 2–3 at the subscript plus
+//! its step; a temporary the nest keeps per lane (written and read in
+//! `v`'s body, with no `v` term, accessed nowhere else) has lane 1's copy
+//! behind lane 0's, so lanes 2–3 go that far on. Two split stores a pair
+//! apart merge into two 32-byte stores. A leaf that reads such a
+//! temporary, or a load that steps by other than 0 or 2, is refused. The
+//! nest's legality (iterations `v` and `v+1` store to disjoint elements,
+//! every element of a per-lane temporary is written earlier in the
+//! iteration that reads it, no `$f` crosses from one block of the body to
+//! another) is `codegen`'s to prove.
 
 use std::fmt::Write as _;
 use std::ops::Range;
 
 use spl_icode::{BinOp, IProgram, Instr, LoopVar, Place, UnOp, Value, VecKind};
 
-use crate::codegen::{bin_sym, write_affine, write_array, EmitStats};
+use crate::codegen::{bin_sym, copy_at, write_affine, write_array, EmitStats, LaneNest};
 use crate::mix::MixMap;
 use Node::{Bin, Elem, Lit, Minus};
 use Recipe::{Lanes, Load, Neg, Op, Pending, Shuffle};
 
 /// The instructions `range` printed as `text`, what it counts, and the
-/// `$f` registers it assigns for the code after it.
+/// `$f` registers it assigns for the code after it; a lane nest's, what
+/// else it prints.
 #[derive(Default)]
 pub(crate) struct PackedRun {
     pub range: Range<usize>,
     pub text: String,
     pub stats: EmitStats,
     pub live_out: Vec<u32>,
+    pub nest: Option<Box<LaneNest>>,
+}
+
+impl PackedRun {
+    /// A copy of a run's text and counts, each line `levels` deeper.
+    pub fn indented(&self, levels: usize) -> PackedRun {
+        let pad = "  ".repeat(levels);
+        let mut text = String::with_capacity(self.text.len() * 11 / 10);
+        for line in self.text.split_inclusive('\n') {
+            text.push_str(&pad);
+            text.push_str(line);
+        }
+        PackedRun {
+            range: self.range.clone(),
+            text,
+            stats: self.stats,
+            live_out: self.live_out.clone(),
+            nest: None,
+        }
+    }
 }
 
 /// The arithmetic `prog.instrs[range]` on pairs, each line after `pad`;
@@ -47,16 +84,17 @@ pub(crate) struct PackedRun {
 /// `read_until[k]`: one past the last read of `$f` `k`; `names`: the
 /// unit's next temporary number.
 ///
-/// `wide`: the body of a loop over this variable, printed two iterations
-/// per vector; `None` as well when anything falls back to scalars or two
-/// stores lie a pair apart, and then `names` is as it was.
+/// `wide`: two iterations of a loop per vector; `None` as well when
+/// anything falls back to scalars, a load steps by other than 0 or 2
+/// doubles, or a store's lanes 2–3 land on another store, and then
+/// `names` is as it was.
 pub(crate) fn pack(
     prog: &IProgram,
     range: Range<usize>,
     read_until: &[usize],
     names: &mut u32,
     pad: &str,
-    wide: Option<LoopVar>,
+    wide: Option<Wide>,
 ) -> Option<PackedRun> {
     let first = *names;
     let packer = Packer::new(&prog.instrs[range.clone()], read_until, range.end, wide);
@@ -65,6 +103,15 @@ pub(crate) fn pack(
         *names = first;
     }
     run
+}
+
+/// Two iterations of the loop over `var` per vector.
+#[derive(Clone, Copy)]
+pub(crate) struct Wide<'a> {
+    pub var: LoopVar,
+    /// Per temporary, how far on its lane-1 copy starts; 0 (or no entry)
+    /// for one both lanes share.
+    pub copy: &'a [i64],
 }
 
 /// An array and the interned loop-variable terms of a subscript: the
@@ -150,19 +197,17 @@ struct Packer {
     name: Vec<u32>,
     /// Set when printing two iterations of a loop over it per vector.
     wide: Option<LoopVar>,
+    /// Per temporary, how far on lane 1's copy starts (see [`Wide`]).
+    copy: Vec<i64>,
 }
 
 impl Packer {
     /// The graph of `run`, which ends at instruction `end`, and the items
     /// it needs; `None` when the run must stay scalar.
-    fn new(
-        run: &[Instr],
-        read_until: &[usize],
-        end: usize,
-        wide: Option<LoopVar>,
-    ) -> Option<Packer> {
+    fn new(run: &[Instr], read_until: &[usize], end: usize, wide: Option<Wide>) -> Option<Packer> {
         let mut p = Packer {
-            wide,
+            wide: wide.map(|w| w.var),
+            copy: wide.map_or(Vec::new(), |w| w.copy.to_vec()),
             ..Packer::default()
         };
         let (mut leaves, mut store_at, mut stores) =
@@ -177,6 +222,13 @@ impl Packer {
                     }
                     Value::Place(Place::Vec(r)) => {
                         let (s, i) = (p.subscript(&r.idx.terms), r.idx.c);
+                        // Lanes 2–3 load one pair on, or the same pair, of
+                        // the array lanes 0–1 load.
+                        let lanes =
+                            |var| matches!(p.step(s, var), 0 | 2) && copy_at(&p.copy, r.kind) == 0;
+                        if p.wide.is_some_and(|var| !lanes(var)) {
+                            return None;
+                        }
                         if !read.contains(&r.kind) {
                             read.push(r.kind);
                         }
@@ -221,9 +273,12 @@ impl Packer {
             return None;
         }
         // Side by side, iteration `i` stores `c + 2` after iteration `i+1`
-        // stores `c`, the same element.
-        let apart =
-            |&((k, t, c), _): &((VecKind, u32, i64), u32)| store_at.contains_key(&(k, t, c + 2));
+        // stores `c`, the same element; the same for a split store's lanes
+        // 2–3 on any store of the run.
+        let apart = |&((k, t, c), _): &((VecKind, u32, i64), u32)| {
+            let var = p.wide.expect("a wide body");
+            store_at.contains_key(&(k, t, c + p.lane_offset(k, t, var)))
+        };
         if wide.is_some() && stores.iter().any(apart) {
             return None;
         }
@@ -370,7 +425,7 @@ impl Packer {
         self.name = vec![NONE; self.items.len()];
         let mut run = PackedRun::default();
         (run.range, run.text) = (range, String::with_capacity(40 * self.nodes.len()));
-        for r in 0..self.roots.len() {
+        for (r, with) in self.partners().into_iter().enumerate() {
             let (kind, idx, root) = self.roots[r];
             let mut stack = vec![(root, false)];
             while let Some((i, expanded)) = stack.pop() {
@@ -400,10 +455,26 @@ impl Packer {
                     }
                 }
             }
-            let (t, paired) = (&mut run.text, self.items[root as usize].0[1] != NONE);
+            let paired = self.items[root as usize].0[1] != NONE;
             if !paired && self.wide.is_some() {
                 return None;
             }
+            if let (Some(base), Some(var)) = (kind.filter(|_| paired), self.wide) {
+                let off = self.lane_offset(base.0, base.1, var);
+                if off != 2 {
+                    // Merged, the first of the two waits for the second.
+                    match with {
+                        NONE => self.split_store(&mut run, pad, base, idx, off, [root, NONE]),
+                        p if p as usize > r => {}
+                        p => {
+                            let (_, lo, first) = self.roots[p as usize];
+                            self.split_store(&mut run, pad, base, lo, off, [first, root]);
+                        }
+                    }
+                    continue;
+                }
+            }
+            let t = &mut run.text;
             t.push_str(pad);
             if let Some((kind, s)) = kind {
                 t.push_str(if paired { self.spelling().store } else { "" });
@@ -419,6 +490,74 @@ impl Packer {
         }
         let more = run.stats.paired_stmts > run.stats.scalar_stmts;
         (more || self.wide.is_some()).then_some(run)
+    }
+
+    /// Per root, the root a wide body merges its split store with (`NONE`:
+    /// none): the store a pair after it, or before it, to the same base
+    /// and not yet taken, in root order.
+    fn partners(&self) -> Vec<u32> {
+        let mut partner = vec![NONE; self.roots.len()];
+        let Some(var) = self.wide else {
+            return partner;
+        };
+        let split: MixMap<(VecKind, u32, i64), usize> = (self.roots.iter().enumerate())
+            .filter_map(|(r, &(base, idx, item))| {
+                let (kind, s) = base.filter(|_| self.items[item as usize].0[1] != NONE)?;
+                (self.lane_offset(kind, s, var) != 2).then_some(((kind, s, idx), r))
+            })
+            .collect();
+        for (r, &(base, idx, _)) in self.roots.iter().enumerate() {
+            let Some((kind, s)) = base.filter(|_| partner[r] == NONE) else {
+                continue;
+            };
+            if !split.contains_key(&(kind, s, idx)) {
+                continue;
+            }
+            let free = |c| split.get(&(kind, s, c)).filter(|&&q| partner[q] == NONE);
+            if let Some(&q) = free(idx + 2).or_else(|| free(idx - 2)) {
+                (partner[r], partner[q]) = (q as u32, r as u32);
+            }
+        }
+        partner
+    }
+
+    /// Prints the stores of a wide body's vector `v[0]` at `idx` and, when
+    /// merged, `v[1]` at `idx + 2`, to `base` (lanes 0–1) and `off`
+    /// further on (lanes 2–3): two 16-byte stores, or two 32-byte ones.
+    fn split_store(
+        &self,
+        run: &mut PackedRun,
+        pad: &str,
+        base: Base,
+        idx: i64,
+        off: i64,
+        v: [u32; 2],
+    ) {
+        let [lo, hi] = v.map(|i| (i != NONE).then(|| self.name[i as usize]));
+        let lo = lo.expect("a stored vector");
+        for (lanes, at) in [([0, 1], idx), ([2, 3], idx + off)] {
+            let t = &mut run.text;
+            let (store, [a, b]) = (if hi.is_some() { WIDE.store } else { PAIR.store }, lanes);
+            let _ = write!(t, "{pad}{store}");
+            self.element(t, base.0, base.1, at);
+            let _ = match hi {
+                None => writeln!(t, " = __builtin_shufflevector(v{lo}, v{lo}, {a}, {b});"),
+                Some(hi) => writeln!(
+                    t,
+                    " = __builtin_shufflevector(v{lo}, v{hi}, {a}, {b}, {}, {});",
+                    a + 4,
+                    b + 4
+                ),
+            };
+            run.stats.count(false);
+        }
+    }
+
+    /// Where a wide body stores lanes 2–3 of a pair whose lanes 0–1 go to
+    /// `kind` under terms `s`: what the subscript steps by in `var`, plus
+    /// the distance to lane 1's copy of a per-lane temporary.
+    fn lane_offset(&self, kind: VecKind, s: u32, var: LoopVar) -> i64 {
+        self.step(s, var) + copy_at(&self.copy, kind)
     }
 
     /// A pair's spelling, or a wide vector's.
@@ -611,7 +750,7 @@ mod tests {
             instrs,
             ..IProgram::empty()
         };
-        let wide = wide.then_some(I0);
+        let wide = wide.then_some(Wide { var: I0, copy: &[] });
         let run = pack(&prog, 0..prog.instrs.len(), &[0; 4], &mut 0, "    ", wide)?;
         Some(run.text)
     }
@@ -740,6 +879,61 @@ mod tests {
         ];
         assert_eq!(wide.lines().map(str::trim).collect::<Vec<_>>(), want);
         assert_eq!(pair.lines().count(), want.len(), "{pair}");
+    }
+
+    #[test]
+    fn a_lane_nests_leaf_splits_or_merges_the_stores_that_do_not_step_by_a_pair() {
+        let (e, f, t) = ([(2, I0)], [(8, I0)], [(2, I1)]);
+        let instrs = vec![
+            // y at 8*i0 + 0..3: iteration i0+1's four doubles 8 on, one
+            // pair 2 after the other, merged.
+            copy(y(&f, 0), x(&e, 0)),
+            copy(y(&f, 1), x(&e, 1)),
+            bin(BinOp::Add, y(&f, 2), x(&e, 0), x(&e, 4)),
+            bin(BinOp::Add, y(&f, 3), x(&e, 1), x(&e, 5)),
+            // A pair of its own: two 16-byte halves.
+            bin(BinOp::Sub, y(&f, 6), x(&e, 0), x(&e, 4)),
+            bin(BinOp::Sub, y(&f, 7), x(&e, 1), x(&e, 5)),
+            // A temporary kept per lane: lane 1's copy 16 on.
+            copy(at(VecKind::Temp(1), &t, 0), x(&e, 4)),
+            copy(at(VecKind::Temp(1), &t, 1), x(&e, 5)),
+        ];
+        let prog = IProgram {
+            instrs,
+            ..IProgram::empty()
+        };
+        let wide = Wide {
+            var: I0,
+            copy: &[0, 16],
+        };
+        let run = pack(&prog, 0..8, &[0; 4], &mut 0, "", Some(wide)).expect("a leaf");
+        let want = [
+            "spl_v4d v0 = *(const spl_v4du *)&x[2*i0];",
+            "spl_v4d v1 = *(const spl_v4du *)&x[2*i0+4];",
+            "spl_v4d v2 = v0 + v1;",
+            "*(spl_v4du *)&y[8*i0] = __builtin_shufflevector(v0, v2, 0, 1, 4, 5);",
+            "*(spl_v4du *)&y[8*i0+8] = __builtin_shufflevector(v0, v2, 2, 3, 6, 7);",
+            "spl_v4d v3 = v0 - v1;",
+            "*(spl_v2du *)&y[8*i0+6] = __builtin_shufflevector(v3, v3, 0, 1);",
+            "*(spl_v2du *)&y[8*i0+14] = __builtin_shufflevector(v3, v3, 2, 3);",
+            "*(spl_v2du *)&t1[2*i1] = __builtin_shufflevector(v1, v1, 0, 1);",
+            "*(spl_v2du *)&t1[2*i1+16] = __builtin_shufflevector(v1, v1, 2, 3);",
+        ];
+        assert_eq!(run.text.lines().collect::<Vec<_>>(), want);
+        // A load that steps by 4, or one of a temporary kept per lane, has
+        // no place in lanes 2–3.
+        let strided = vec![copy(y(&f, 0), x(&f, 0)), copy(y(&f, 1), x(&f, 1))];
+        let kept = vec![
+            copy(y(&f, 0), Value::Place(at(VecKind::Temp(1), &t, 0))),
+            copy(y(&f, 1), Value::Place(at(VecKind::Temp(1), &t, 1))),
+        ];
+        for instrs in [strided, kept] {
+            let prog = IProgram {
+                instrs,
+                ..IProgram::empty()
+            };
+            assert!(pack(&prog, 0..2, &[], &mut 0, "", Some(wide)).is_none());
+        }
     }
 
     #[test]

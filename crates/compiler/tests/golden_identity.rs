@@ -63,7 +63,7 @@ const GOLDEN: &[(&str, u64, u64, u64)] = &[
     (
         "plan16-B8",
         0x34c8a63301910162,
-        0xa243d084e7b3355c,
+        0x911280f751406102,
         0x946f271a803049a3,
     ),
     (
@@ -75,7 +75,7 @@ const GOLDEN: &[(&str, u64, u64, u64)] = &[
     (
         "plan32-B8",
         0x4b1e8cfcb66ead95,
-        0xf9983ef4f4ed616c,
+        0xa9d4c22abf43f935,
         0xbd9e05700785780c,
     ),
     (
@@ -87,7 +87,7 @@ const GOLDEN: &[(&str, u64, u64, u64)] = &[
     (
         "plan64-B8",
         0xa7b828548826782a,
-        0x24723a98ae09f4c9,
+        0x6c971870f17f36ee,
         0xb74beaf9572ff0ef,
     ),
     (
@@ -111,61 +111,61 @@ const GOLDEN: &[(&str, u64, u64, u64)] = &[
     (
         "plan256-B8",
         0x6f6e82f43dccbf85,
-        0x975c962e1e2701ae,
+        0x8c9f5d9ca4eec09a,
         0x628590221db120ea,
     ),
     (
         "plan256-B64",
         0xf42e67ecc7b3bacc,
-        0xe3e29a95c832b319,
+        0x1e1eb1edde444f6e,
         0x39b00a0d0534ea6d,
     ),
     (
         "plan1024-B8",
         0xd6327452a7e835c4,
-        0x5455ca2a56693bb6,
+        0x44c5e3386e71abc5,
         0x94bd85d895d14892,
     ),
     (
         "plan1024-B64",
         0x5324b4b451f36861,
-        0x91e2f6d31e9de3cd,
+        0xae4a7e88edd1393e,
         0x6cf56b57eff3c923,
     ),
     (
         "plan4096-B8",
         0xfc2d176636b324cd,
-        0x4c18d2311d165c4b,
+        0x9356257a0cbcda9f,
         0x3e9985e66023c3d3,
     ),
     (
         "plan4096-B64",
         0x5147cc3f6d945af2,
-        0x248c7cda76be38ce,
+        0x3c0f68b6493ac17e,
         0x4b44f76a4fb94577,
     ),
     (
         "plan16384-B8",
         0xa85f90b9cb818455,
-        0x3606cb2268dd07ab,
+        0xedfb2ab842664ef2,
         0xab28601fdf4a67e5,
     ),
     (
         "plan16384-B64",
         0xad65062ff6b4e568,
-        0x19bbdf1a038d5aee,
+        0xda890744a27815ea,
         0x5edb160f9c08d964,
     ),
     (
         "plan65536-B8",
         0xcd9fabeb8cd4fa6a,
-        0xdae7b28b79d4a7dc,
+        0x8d58a3d480840c13,
         0x86250af7ac9e93a0,
     ),
     (
         "plan65536-B64",
         0x4f8c015365b59432,
-        0xe493f17f3c1b9530,
+        0xba03b6bd14599fea,
         0xa9c0b13966d2f407,
     ),
     (
@@ -213,7 +213,7 @@ const GOLDEN: &[(&str, u64, u64, u64)] = &[
     (
         "fold_ct32.spl",
         0x3bea3533f530b3ea,
-        0x3f8e36c5d3858653,
+        0x53cb09675c83bb10,
         0x62ecf4689bb3f318,
     ),
     (
@@ -225,7 +225,7 @@ const GOLDEN: &[(&str, u64, u64, u64)] = &[
     (
         "fold_par32.spl",
         0x3bea3533f530b3ea,
-        0x3f8e36c5d3858653,
+        0x53cb09675c83bb10,
         0x62ecf4689bb3f318,
     ),
     (
@@ -369,7 +369,7 @@ fn emit_loaded(unit: &CompiledUnit) -> String {
 /// FNV-1a 64 of `fold_ct32.spl`'s C in loaded mode (its inline mode is
 /// the `GOLDEN` row above): what `cc` is handed for it, and with that
 /// its kernel-cache key.
-const FOLD_CT32_LOADED: u64 = 0xbfb2effe79bf9d52;
+const FOLD_CT32_LOADED: u64 = 0x3e07f78b5155ae25;
 
 /// Loaded mode moves the tables out of the text and changes nothing
 /// else: the subroutine is the inline one, to the byte, minus its

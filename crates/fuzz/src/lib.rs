@@ -165,6 +165,13 @@ pub fn run(cfg: &FuzzConfig) -> FuzzReport {
             }
         }
     }
+    if cfg.oracle.native {
+        let forms = cfg.oracle.native_forms.take();
+        let tel = &mut report.telemetry;
+        tel.add("codegen.packed_loops", forms.packed_loops);
+        tel.add("codegen.wide_loops", forms.wide_loops);
+        tel.add("codegen.lane_nests", forms.lane_nests);
+    }
     report
 }
 

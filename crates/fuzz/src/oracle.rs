@@ -28,6 +28,7 @@ use std::panic::{self, AssertUnwindSafe};
 use std::sync::OnceLock;
 use std::time::Duration;
 
+use spl_compiler::codegen::{emit_counted, EmitStats};
 use spl_frontend::sexp::Sexp;
 use spl_numeric::Complex;
 use spl_templates::{ExpandOptions, TemplateTable};
@@ -125,6 +126,9 @@ pub struct Oracle {
     /// only observable through the `native`/`vm_engine` stages, which
     /// run the optimizer).
     pub inject_buggy_pass: bool,
+    /// What the C of every kernel the native stage built printed, summed:
+    /// which loop forms the campaign reached.
+    pub native_forms: Cell<EmitStats>,
 }
 
 impl Default for Oracle {
@@ -136,6 +140,7 @@ impl Default for Oracle {
             native_timeout: Duration::from_secs(10),
             vm_engine: false,
             inject_buggy_pass: false,
+            native_forms: Cell::default(),
         }
     }
 }
@@ -304,6 +309,12 @@ impl Oracle {
     ) -> Option<(BugClass, String)> {
         use spl_native::NativeError;
         let bug = |class, detail| Some((class, detail));
+        let (_, forms) = emit_counted(&unit.name, &unit.program, &unit.codegen);
+        let mut sum = self.native_forms.get();
+        sum.packed_loops += forms.packed_loops;
+        sum.wide_loops += forms.wide_loops;
+        sum.lane_nests += forms.lane_nests;
+        self.native_forms.set(sum);
         let kernel = match spl_native::NativeKernel::compile_with(
             unit,
             &spl_native::BuildOptions::default(),

@@ -8,7 +8,7 @@
 
 use std::io::Read;
 use std::os::unix::net::UnixStream;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
@@ -49,17 +49,44 @@ fn sample_input(n: usize, salt: u64) -> Vec<f64> {
         .collect()
 }
 
+/// A test's directory under `$TMPDIR`, removed when dropped: at the end
+/// of the test, or while a failing one unwinds.
+struct TestDir(PathBuf);
+
+impl TestDir {
+    fn new(name: &str) -> TestDir {
+        let dir = std::env::temp_dir().join(format!("spld-it-{}-{}", name, std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("test dir");
+        TestDir(dir)
+    }
+}
+
+impl std::ops::Deref for TestDir {
+    type Target = Path;
+
+    fn deref(&self) -> &Path {
+        &self.0
+    }
+}
+
+impl Drop for TestDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
 struct TestDaemon {
     socket: PathBuf,
     server: Arc<Server>,
     handle: Option<std::thread::JoinHandle<()>>,
+    /// Last, so that it goes after the daemon.
+    dir: TestDir,
 }
 
 impl TestDaemon {
     fn start(name: &str, config: ServerConfig) -> TestDaemon {
-        let dir = std::env::temp_dir().join(format!("spld-it-{}-{}", name, std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).expect("test dir");
+        let dir = TestDir::new(name);
         let socket = dir.join("sock");
         let server = Server::new(config).expect("server");
         let s = Arc::clone(&server);
@@ -79,6 +106,7 @@ impl TestDaemon {
             socket,
             server,
             handle: Some(handle),
+            dir,
         }
     }
 
@@ -173,7 +201,10 @@ fn daemon_serves_bit_identical_to_vm_over_socket() {
         other => panic!("health answered {other:?}"),
     }
     drop(client);
+    let dir = daemon.dir.to_path_buf();
+    assert!(dir.join("sock").exists());
     daemon.shut_down();
+    assert!(!dir.exists(), "{} outlived its daemon", dir.display());
 }
 
 #[test]
@@ -626,9 +657,7 @@ fn malformed_frames_answered_and_daemon_survives() {
 #[test]
 fn reload_wisdom_makes_new_sizes_servable_live() {
     // A wisdom DB directory the daemon watches; empty at startup.
-    let dir = std::env::temp_dir().join(format!("spld-it-wreload-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("test dir");
+    let dir = TestDir::new("wreload-db");
     let wdb = dir.join("wdb");
     let config = ServerConfig {
         wisdom_db: Some(wdb.clone()),
@@ -687,7 +716,6 @@ fn reload_wisdom_makes_new_sizes_servable_live() {
     );
     drop(client);
     daemon.shut_down();
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

@@ -5,6 +5,7 @@
 
 use std::process::Command;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
 use spl::compiler::codegen::{emit_counted, EmitStats};
 use spl::compiler::{CodegenOptions, CompiledUnit, Compiler, CompilerOptions, OptLevel};
@@ -223,28 +224,40 @@ fn emitted_c_for_every_f16_factorization_compiles_and_agrees() {
 }
 
 /// The plans the benchmark runs whose size passes `sizes`, compiled as
-/// it compiles them.
+/// it compiles them, once per test process.
 fn benchmark_plans(sizes: impl Fn(usize) -> bool) -> Vec<(usize, spl::compiler::CompiledUnit)> {
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/benchmark/plans.wisdom");
-    let text = std::fs::read_to_string(path).unwrap();
-    text.lines()
-        .filter(|l| !l.starts_with('#') && !l.trim().is_empty())
-        .map(|line| line.split_once(':').expect("size: spec"))
-        .map(|(n, spec)| (n.trim().parse::<usize>().unwrap(), spec))
-        .filter(|(n, _)| sizes(*n))
-        .map(|(n, spec)| {
-            let tree = FftTree::from_spec(spec.trim()).unwrap();
-            let mut compiler = Compiler::with_options(CompilerOptions {
-                unroll_threshold: Some(64),
-                language_override: Some(Language::C),
-                ..Default::default()
-            });
-            let unit = compiler
-                .compile_formula_str(&tree.to_sexp().to_string())
-                .unwrap();
-            (n, unit)
-        })
-        .collect()
+    static PLANS: OnceLock<Vec<(usize, CompiledUnit)>> = OnceLock::new();
+    let plans = PLANS.get_or_init(|| {
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/benchmark/plans.wisdom");
+        let text = std::fs::read_to_string(path).unwrap();
+        text.lines()
+            .filter(|l| !l.starts_with('#') && !l.trim().is_empty())
+            .map(|line| line.split_once(':').expect("size: spec"))
+            .map(|(n, spec)| {
+                let tree = FftTree::from_spec(spec.trim()).unwrap();
+                let mut compiler = Compiler::with_options(CompilerOptions {
+                    unroll_threshold: Some(64),
+                    language_override: Some(Language::C),
+                    ..Default::default()
+                });
+                let unit = compiler
+                    .compile_formula_str(&tree.to_sexp().to_string())
+                    .unwrap();
+                (n.trim().parse::<usize>().unwrap(), unit)
+            })
+            .collect()
+    });
+    plans.iter().filter(|(n, _)| sizes(*n)).cloned().collect()
+}
+
+/// `unit`'s kernel at the host line: `cc` runs once per plan and test
+/// process, and each call loads its own copy of the object.
+fn host_kernel(unit: &CompiledUnit) -> NativeKernel {
+    static BUILT: OnceLock<KernelCache> = OnceLock::new();
+    let cache = BUILT.get_or_init(KernelCache::in_memory);
+    NativeKernel::compile_cached(unit, &BuildOptions::default(), cache)
+        .unwrap()
+        .0
 }
 
 /// `len` doubles in [-1, 1) from a 64-bit LCG.
@@ -287,8 +300,7 @@ fn assert_bitwise_vm(what: &str, unit: &spl::compiler::CompiledUnit, kernel: &Na
 
 fn benchmark_plans_match_the_vm(sizes: impl Fn(usize) -> bool) {
     for (n, unit) in benchmark_plans(sizes) {
-        let kernel = NativeKernel::compile(&unit).unwrap();
-        assert_bitwise_vm(&format!("plan {n}"), &unit, &kernel);
+        assert_bitwise_vm(&format!("plan {n}"), &unit, &host_kernel(&unit));
     }
 }
 
@@ -340,13 +352,14 @@ fn every_rule_builds_native_kernels_equal_to_the_vm_bitwise() {
                 let stats = emit_stats(&unit).1;
                 totals.packed_loops += stats.packed_loops;
                 totals.wide_loops += stats.wide_loops;
+                totals.lane_nests += stats.lane_nests;
                 let kernel = NativeKernel::compile(&unit).unwrap();
                 assert_bitwise_vm(&format!("{rule:?} 2^{k} -B {threshold}"), &unit, &kernel);
             }
         }
     }
     assert!(
-        totals.packed_loops > 0 && totals.wide_loops > 0,
+        totals.packed_loops > 0 && totals.wide_loops > 0 && totals.lane_nests > 0,
         "{totals:?}"
     );
 }
@@ -474,7 +487,7 @@ fn units_that_differ_only_in_table_values_share_one_cc_run() {
 fn sandboxed_runs_see_the_loaded_tables() {
     let (_, unit) = benchmark_plans(|n| n == 256).remove(0);
     assert!(!unit.program.tables.is_empty());
-    let kernel = NativeKernel::compile(&unit).unwrap();
+    let kernel = host_kernel(&unit);
     let vm = lower(&unit.program).unwrap();
     let x = spl::vm::convert::interleave(&workload(256));
     let mut want = vec![0.0; vm.n_out];
@@ -589,38 +602,115 @@ fn loops_naming(c: &str, ty: &str) -> Vec<String> {
     out
 }
 
-/// The wide loops' guard, one per wide loop (the 32-byte types' guard
-/// goes on to name `SPL_V4D`).
+/// The guard of wide loops, lane nests and what only an AVX build
+/// declares (the 32-byte types' guard goes on to name `SPL_V4D`).
 const AVX_GUARD: &str = "#if defined(__AVX__)\n";
 
+/// The lines of `c` a build with AVX (`avx`), or one without, compiles:
+/// one side of each `#if defined(__AVX__)` and `#if !defined(__AVX__)`,
+/// every other guard's body, no preprocessor line.
+fn compiled_with(c: &str, avx: bool) -> String {
+    let mut keep = vec![true];
+    let mut out = String::new();
+    for line in c.lines() {
+        match line {
+            "#if defined(__AVX__)" => keep.push(avx),
+            "#if !defined(__AVX__)" => keep.push(!avx),
+            "#else" => *keep.last_mut().expect("an open #if") ^= true,
+            "#endif" => drop(keep.pop()),
+            _ if line.starts_with('#') => keep.push(true),
+            _ if keep.iter().all(|&k| k) => {
+                out.push_str(line);
+                out.push('\n');
+            }
+            _ => {}
+        }
+    }
+    out
+}
+
+/// The loops of `c` that step by 1 from 0 to 1 and that `plain` has no
+/// loop over: lane loops.
+fn lane_loops(c: &str, plain: &str) -> usize {
+    c.lines()
+        .filter_map(|l| l.trim_start().strip_prefix("for ("))
+        .filter(|l| {
+            let var = l.split(' ').next().unwrap_or_default();
+            *l == format!("{var} = 0; {var} <= 1; {var}++) {{")
+                && !plain.contains(&format!("for ({var} = "))
+        })
+        .count()
+}
+
 /// Which loop bodies of the looped plans whose size passes `sizes` print
-/// on pairs, and which wide. On pairs: the innermost one whose loads
-/// stride past a complex value per iteration (`x[2*i0+16*i1+…]` in
-/// `i1`). Wide, under `#if defined(__AVX__)` beside their scalar form:
-/// those whose every subscript steps by one complex value per iteration
-/// (a load may also not step). gcc vectorises the rest itself: the
-/// first loops of 2^7 and 2^8, whose stores step by two complex values.
+/// on pairs and which two iterations per 32-byte vector, as a build with
+/// AVX and one without compile them. Without: on pairs, the innermost
+/// body whose loads stride past a complex value per iteration
+/// (`x[2*i0+16*i1+…]` in `i1`); every other body scalar statements, which
+/// gcc vectorises itself. With: wide, the bodies whose every subscript
+/// steps by one complex value per iteration (a load may also not step),
+/// and each plan's lane nest but 2^7's — the first loop, `i0`, takes two
+/// trips at a time and its leaf prints iterations `i0` and `i0+1` in one
+/// vector: the strided body from 2^10 up, and in 2^8 the `i0` body
+/// itself, whose stores step by eight complex values (2^7's first loop,
+/// whose stores step by two, stays gcc's). From 2^10 up, `i0` keeps its
+/// step of 1,
+/// the leaf runs in even trips only and the rest of the `i0` body runs in
+/// every trip as that trip's lane; in 2^16, whose leaf is one loop
+/// further in, the rest of the `i1` body runs once per lane in a lane
+/// loop.
 fn loop_forms(sizes: impl Fn(usize) -> bool) {
     for (n, unit) in benchmark_plans(|n| n >= 128 && sizes(n)) {
         let (c, stats) = emit_stats(&unit);
-        let (pairs, wide): (&[&str], &[&str]) = match n {
-            128 => (&[], &["i2"]),
-            256 => (&[], &["i8"]),
-            1024 => (&["i1"], &["i11", "i19"]),
-            4096 => (&["i1"], &["i12", "i28"]),
-            16384 => (&["i1"], &["i15", "i31"]),
-            65536 => (&["i2"], &["i13", "i29", "i37"]),
+        let (pairs, wide, lanes): (&[&str], &[&str], usize) = match n {
+            128 => (&[], &["i2"], 0),
+            256 => (&[], &["i0", "i8"], 0),
+            1024 => (&["i1"], &["i1", "i11", "i19"], 0),
+            4096 => (&["i1"], &["i1", "i12", "i28"], 0),
+            16384 => (&["i1"], &["i1", "i15", "i31"], 0),
+            65536 => (&["i2"], &["i2", "i13", "i29", "i37"], 1),
             _ => unreachable!("plan {n}"),
         };
-        assert_eq!(loops_naming(&c, "spl_v2d"), pairs, "plan {n}");
-        assert_eq!(loops_naming(&c, "spl_v4d"), wide, "plan {n}");
+        let (plain, avx) = (compiled_with(&c, false), compiled_with(&c, true));
+        let none: &[&str] = &[];
+        assert_eq!(
+            loops_naming(&plain, "spl_v2d"),
+            pairs,
+            "plan {n} without AVX"
+        );
+        assert_eq!(
+            loops_naming(&plain, "spl_v4d"),
+            none,
+            "plan {n} without AVX"
+        );
+        assert_eq!(loops_naming(&avx, "spl_v2d"), none, "plan {n} with AVX");
+        assert_eq!(loops_naming(&avx, "spl_v4d"), wide, "plan {n} with AVX");
+        // Two i0 trips at a time: by 2 where the i0 body is the leaf;
+        // else the levels down to the leaf on even trips, the rest of the
+        // i0 body in every trip.
+        let by_two = match n {
+            128 => "",
+            256 => "; i0 += 2) {\n    spl_v4d",
+            _ => "; i0++) {\n    if ((i0 & 1) == 0) {\n",
+        };
+        assert!(avx.contains(by_two), "plan {n}: no {by_two:?}");
+        assert_eq!(lane_loops(&avx, &plain), lanes, "plan {n}");
         assert_eq!(
             stats.packed_loops,
             pairs.len() as u64,
             "plan {n}: {stats:?}"
         );
-        assert_eq!(stats.wide_loops, wide.len() as u64, "plan {n}: {stats:?}");
-        assert_eq!(c.matches(AVX_GUARD).count(), wide.len(), "plan {n}");
+        let nests = usize::from(n > 128);
+        assert_eq!(
+            stats.wide_loops,
+            (wide.len() - nests) as u64,
+            "plan {n}: {stats:?}"
+        );
+        assert_eq!(stats.lane_nests, nests as u64, "plan {n}: {stats:?}");
+        // The loops guarded: the nest, and the last stage's wide loop.
+        let guarded = c.lines().zip(c.lines().skip(1));
+        let loops = guarded.filter(|(g, l)| *g == AVX_GUARD.trim_end() && l.starts_with("  for ("));
+        assert_eq!(loops.count(), 1 + nests, "plan {n}");
     }
 }
 
@@ -751,6 +841,8 @@ enum Shape {
     Scalar,
     /// A loop two iterations per vector, beside its scalar form.
     Wide,
+    /// A lane nest, beside the form without it.
+    Lanes,
 }
 
 /// What the packer cannot pair, or must not: each case compiles clean
@@ -884,8 +976,10 @@ fn packer_fallbacks_compile_and_equal_the_vm_bitwise() {
         ),
     ];
     // Loop bodies. Each loads with stride 4 in `i0` (a packing candidate)
-    // but the last but one, which loads `x[2*i0+…]` and stores
-    // `y[4*i0+…]`, as the 256-point plan's loops do: gcc's to vectorise.
+    // but two, which load `x[2*i0+…]`: stored `y[4*i0+…]`, as the
+    // 128-point plan's first loop, gcc's to vectorise; stored
+    // `y[8*i0+…]`, as the 256-point plan's, a lane nest, two iterations
+    // per vector.
     use VecKind::{In, Out, Temp};
     let (xi, yi) = (|c| read_i0(In, 4, c), |c| at_i0(Out, 4, c));
     let sum_and_difference = |k| {
@@ -1024,6 +1118,20 @@ fn packer_fallbacks_compile_and_equal_the_vm_bitwise() {
             Shape::Scalar,
         ),
         (
+            // The same stored a line apart: a lane nest.
+            hand_unit(
+                "lanes_storing_a_line_apart",
+                two_trips(vec![
+                    bin(Add, at_i0(Out, 8, 0), read_i0(In, 2, 0), read_i0(In, 2, 2)),
+                    bin(Add, at_i0(Out, 8, 1), read_i0(In, 2, 1), read_i0(In, 2, 3)),
+                    bin(Sub, at_i0(Out, 8, 2), read_i0(In, 2, 0), read_i0(In, 2, 2)),
+                    bin(Sub, at_i0(Out, 8, 3), read_i0(In, 2, 1), read_i0(In, 2, 3)),
+                ]),
+                12,
+            ),
+            Shape::Lanes,
+        ),
+        (
             hand_unit("strided_loads", two_trips(sum_and_difference(4)), 8),
             Shape::Paired,
         ),
@@ -1089,10 +1197,106 @@ fn packer_fallbacks_compile_and_equal_the_vm_bitwise() {
             Shape::Mixed,
         ),
     ];
+    // Lane nests: `i0` around a leaf `i1` whose loads step by 2 in `i0`
+    // and by 4 in `i1`, which writes t0, and a loop `i2` beside it, which
+    // reads t0 and stores to y.
+    let at2 = |kind, i0: i64, i: (u32, i64), c| {
+        Place::Vec(VecRef {
+            kind,
+            idx: Affine {
+                c,
+                terms: [(i0, LoopVar(0)), (i.1, LoopVar(i.0))]
+                    .into_iter()
+                    .filter(|t| t.0 != 0)
+                    .collect(),
+            },
+        })
+    };
+    let x01 = |c| Value::Place(at2(In, 2, (1, 4), c));
+    let t1 = |c| at2(Temp(0), 0, (1, 2), c);
+    let t2 = |c| Value::Place(at2(Temp(0), 0, (2, 2), c));
+    let half = Value::Const(spl::numeric::Complex::real(0.5));
+    let nest = |name: &str, y_step: i64, t0_read: i64| {
+        let mut unit = hand_unit(
+            name,
+            [
+                vec![do_to(0, 1), do_to(1, 1)],
+                vec![
+                    bin(Mul, t1(0), x01(0), half.clone()),
+                    bin(Mul, t1(1), x01(1), half.clone()),
+                ],
+                vec![Instr::DoEnd, do_to(2, 1)],
+                vec![
+                    bin(Add, at2(Out, y_step, (2, 2), 0), t2(t0_read), t2(0)),
+                    bin(Add, at2(Out, y_step, (2, 2), 1), t2(t0_read + 1), t2(1)),
+                ],
+                vec![Instr::DoEnd, Instr::DoEnd],
+            ]
+            .concat(),
+            8,
+        );
+        unit.program.temps = vec![4 + t0_read as usize];
+        unit
+    };
+    // Trip i0 writes t0 in `i2` and reads it in `i3` around the leaf `i1`,
+    // and stores y 32 doubles on from trip i0-1.
+    let pairs_of =
+        |dst: &dyn Fn(i64) -> Place, a: &dyn Fn(i64) -> Value, b: &dyn Fn(i64) -> Value| {
+            (0..2)
+                .map(|k| bin(Add, dst(k), a(k), b(k)))
+                .collect::<Vec<_>>()
+        };
+    let y32 = |c0| move |c| at2(Out, 32, (1, 2), c0 + c);
+    let t3 = |c| Value::Place(at2(Temp(0), 0, (3, 2), c));
+    let mut before = hand_unit(
+        "lanes_with_rest_before_the_leaf",
+        [
+            vec![do_to(0, 1), do_to(2, 1)],
+            pairs_of(
+                &|c| at2(Temp(0), 0, (2, 2), c),
+                &|c| Value::Place(at2(In, 0, (2, 2), c)),
+                &|_| half.clone(),
+            ),
+            vec![Instr::DoEnd, do_to(1, 1)],
+            pairs_of(&y32(0), &x01, &|_| half.clone()),
+            vec![Instr::DoEnd, do_to(3, 1)],
+            pairs_of(&|c| at2(Out, 32, (3, 2), 8 + c), &t3, &t3),
+            vec![Instr::DoEnd, Instr::DoEnd],
+        ]
+        .concat(),
+        44,
+    );
+    before.program.temps = vec![4];
+    let nest_cases = vec![
+        (before, Shape::Lanes),
+        // Every element of t0 the `i2` loop reads the leaf wrote in the same
+        // `i0` trip, and y's elements of trips 0 and 1 lie 4 apart.
+        (nest("nest_around_a_private_temporary", 4, 0), Shape::Lanes),
+        // Trips 0 and 1 store y 2 apart over a span of 4: no nest.
+        (nest("nest_whose_trips_overlap", 2, 0), Shape::Wide),
+        // The `i2` loop reads t0 elements no `i0` trip writes: no nest.
+        (nest("nest_reading_what_no_trip_wrote", 4, 2), Shape::Wide),
+        (
+            // The would-be leaf pairs `x1 * x5` beside `x0 - x4`, lanes of
+            // their own: no nest, and scalar statements as before.
+            hand_unit(
+                "nest_with_a_scalar_lane",
+                two_trips(vec![
+                    bin(Add, yi(0), xu(0), xu(4)),
+                    bin(Add, yi(1), xu(1), xu(5)),
+                    bin(Sub, yi(2), xu(0), xu(4)),
+                    bin(Mul, yi(3), xu(1), xu(5)),
+                ]),
+                8,
+            ),
+            Shape::Scalar,
+        ),
+    ];
     let mut cases: Vec<(CompiledUnit, Shape, bool)> = cases
         .into_iter()
         .chain(loop_cases)
         .chain(wide_cases)
+        .chain(nest_cases)
         .map(|(u, s)| (u, s, true))
         .collect();
     // Compiled units: -O0 keeps the temporaries, which a run reads and
@@ -1138,23 +1342,68 @@ fn packer_fallbacks_compile_and_equal_the_vm_bitwise() {
     for (unit, shape, strict) in &cases {
         let name = &unit.name;
         let (c, stats) = emit_stats(unit);
-        let got = match (stats.wide_loops, stats.paired_stmts, stats.scalar_stmts) {
-            (1.., _, _) => Shape::Wide,
-            (_, 0, _) => Shape::Scalar,
-            (_, _, 0) => Shape::Paired,
-            _ => Shape::Mixed,
+        let got = match (stats.lane_nests, stats.wide_loops) {
+            (1.., _) => Shape::Lanes,
+            (_, 1..) => Shape::Wide,
+            _ => match (stats.paired_stmts, stats.scalar_stmts) {
+                (0, _) => Shape::Scalar,
+                (_, 0) => Shape::Paired,
+                _ => Shape::Mixed,
+            },
         };
         assert_eq!(got, *shape, "{name}: {stats:?}\n{c}");
-        let packed_loop = name.starts_with("strided_");
-        assert_eq!(stats.packed_loops, u64::from(packed_loop), "{name}");
-        let in_i0 = |yes: bool| if yes { vec!["i0"] } else { vec![] };
-        assert_eq!(loops_naming(&c, "spl_v2d"), in_i0(packed_loop), "{name}");
-        assert_eq!(
-            loops_naming(&c, "spl_v4d"),
-            in_i0(got == Shape::Wide),
-            "{name}"
-        );
         assert_eq!(c.contains("spl_v2d"), got != Shape::Scalar, "{name}:\n{c}");
+        if name == "lanes_with_rest_before_the_leaf" {
+            // Lane loops around the `i2` and `i3` loops, which step t0 to
+            // lane 1's copy and, after the leaf, y to trip i0+1's.
+            let (plain, avx) = (compiled_with(&c, false), compiled_with(&c, true));
+            assert_eq!(lane_loops(&avx, &plain), 2, "{name}:\n{c}");
+            assert_eq!(
+                loops_naming(&avx, "spl_v4d"),
+                ["i2", "i1", "i3"],
+                "{name}:\n{c}"
+            );
+            assert_eq!(loops_naming(&plain, "spl_v2d"), ["i1"], "{name}:\n{c}");
+            for shadow in ["*t0 = lane_t0;", "*restrict y = lane_y;"] {
+                assert!(avx.contains(shadow), "{name}: no {shadow}\n{c}");
+            }
+            assert_eq!((stats.packed_loops, stats.wide_loops), (1, 2), "{name}");
+        } else if name.starts_with("nest_") {
+            // The leaf on pairs, the `i2` loop wide: with a nest, only
+            // where AVX is not.
+            let lanes = got == Shape::Lanes;
+            assert_eq!(
+                stats.packed_loops,
+                u64::from(got != Shape::Scalar),
+                "{name}"
+            );
+            let (plain, avx) = (compiled_with(&c, false), compiled_with(&c, true));
+            assert_eq!(lane_loops(&avx, &plain), 0, "{name}:\n{c}");
+            assert_eq!(c.contains("if ((i0 & 1) == 0) {"), lanes, "{name}:\n{c}");
+            let leaf = if lanes { "i1" } else { "i2" };
+            let v4d: &[&str] = if got == Shape::Scalar {
+                &[]
+            } else {
+                &[leaf, "i2"][usize::from(!lanes)..]
+            };
+            assert_eq!(loops_naming(&avx, "spl_v4d"), v4d, "{name}:\n{c}");
+            if lanes {
+                assert!(
+                    c.contains("static double t0[8];\n#else\n  static double t0[4];"),
+                    "{c}"
+                );
+            }
+        } else {
+            let packed_loop = name.starts_with("strided_");
+            assert_eq!(stats.packed_loops, u64::from(packed_loop), "{name}");
+            let in_i0 = |yes: bool| if yes { vec!["i0"] } else { vec![] };
+            assert_eq!(loops_naming(&c, "spl_v2d"), in_i0(packed_loop), "{name}");
+            assert_eq!(
+                loops_naming(&c, "spl_v4d"),
+                in_i0(matches!(got, Shape::Wide | Shape::Lanes)),
+                "{name}"
+            );
+        }
         if *strict {
             assert_compiles_clean(name, &c);
         } else {

@@ -201,11 +201,29 @@ fn counter(stats: &str, key: &str) -> u64 {
         .unwrap_or(0)
 }
 
-fn test_dir(name: &str) -> PathBuf {
+/// A test's directory under `$TMPDIR`, removed when dropped: at the end
+/// of the test, or while a failing one unwinds.
+struct TestDir(PathBuf);
+
+impl std::ops::Deref for TestDir {
+    type Target = Path;
+
+    fn deref(&self) -> &Path {
+        &self.0
+    }
+}
+
+impl Drop for TestDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+fn test_dir(name: &str) -> TestDir {
     let dir = std::env::temp_dir().join(format!("spld-soak-{}-{}", name, std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("test dir");
-    dir
+    TestDir(dir)
 }
 
 /// One soak client: `rounds` transforms of rotating sizes, every OK
