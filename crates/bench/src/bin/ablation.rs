@@ -47,7 +47,7 @@ fn run(report: &mut RunReport) {
             keep,
             ..Default::default()
         };
-        let mut pool = EvaluatorPool::single(NativeEvaluator::new(64, min_time));
+        let mut pool = EvaluatorPool::single(NativeEvaluator::new(min_time));
         let large = Search::new(config)
             .run(max_log, &mut pool, &mut search_tel)
             .expect("search")

@@ -41,7 +41,7 @@ fn run(report: &mut RunReport) {
         MEASURE_TIME
     };
     let max_k = if quick_mode() { 4 } else { 6 };
-    let mut pool = EvaluatorPool::single(NativeEvaluator::new(64, min_time));
+    let mut pool = EvaluatorPool::single(NativeEvaluator::new(min_time));
     let mut search_tel = Telemetry::new();
     let best = Search::new(SearchConfig::default())
         .run(max_k, &mut pool, &mut search_tel)

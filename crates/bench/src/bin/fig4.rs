@@ -39,7 +39,7 @@ fn run(report: &mut RunReport) {
     };
     let mut search_tel = Telemetry::new();
     eprintln!("searching 2..64 natively, then 2^7..2^{max_log} with 3-best DP...");
-    let mut pool = EvaluatorPool::single(NativeEvaluator::new(64, min_time));
+    let mut pool = EvaluatorPool::single(NativeEvaluator::new(min_time));
     let found = Search::new(SearchConfig::default())
         .run(max_log, &mut pool, &mut search_tel)
         .expect("search");

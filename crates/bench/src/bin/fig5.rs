@@ -22,7 +22,7 @@ fn run(report: &mut RunReport) {
     let max_log: u32 = arg_value_parsed("--max-log2").unwrap_or(if quick { 10 } else { 18 });
     // Plan shapes come from the deterministic op-count DP — memory use
     // depends on the plan structure, not on timing noise.
-    let mut pool = EvaluatorPool::single(OpCountEvaluator::default());
+    let mut pool = EvaluatorPool::single(OpCountEvaluator);
     let mut search_tel = Telemetry::new();
     let found = Search::new(SearchConfig::default())
         .run(max_log, &mut pool, &mut search_tel)

@@ -22,7 +22,7 @@ fn main() {
 fn run(report: &mut RunReport) {
     let quick = quick_mode();
     let max_log: u32 = arg_value_parsed("--max-log2").unwrap_or(if quick { 10 } else { 18 });
-    let mut pool = EvaluatorPool::single(OpCountEvaluator::default());
+    let mut pool = EvaluatorPool::single(OpCountEvaluator);
     let mut search_tel = Telemetry::new();
     let found = Search::new(SearchConfig::default())
         .run(max_log, &mut pool, &mut search_tel)

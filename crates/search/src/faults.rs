@@ -10,6 +10,7 @@
 //! under ≥10 % faults skips exactly the faulted candidates and still
 //! completes.
 
+use spl_compiler::CompiledUnit;
 use spl_generator::fft::FftTree;
 use spl_numeric::rng::Rng;
 use spl_telemetry::Telemetry;
@@ -72,7 +73,7 @@ impl<E: Evaluator> FaultyEvaluator<E> {
 }
 
 impl<E: Evaluator> Evaluator for FaultyEvaluator<E> {
-    fn cost(&mut self, tree: &FftTree) -> Result<f64, SearchError> {
+    fn cost(&mut self, tree: &FftTree, unit: &CompiledUnit) -> Result<f64, SearchError> {
         // One draw per candidate, windowed over the three classes, so
         // the total fault rate is exactly the sum of the probabilities.
         let roll = Rng::new(self.seed ^ fnv1a(tree.describe().as_bytes())).next_f64();
@@ -97,7 +98,7 @@ impl<E: Evaluator> Evaluator for FaultyEvaluator<E> {
                 tree.describe()
             )));
         }
-        self.inner.cost(tree)
+        self.inner.cost(tree, unit)
     }
 
     fn label(&self) -> &str {
@@ -114,7 +115,7 @@ impl<E: Evaluator> Evaluator for FaultyEvaluator<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::OpCountEvaluator;
+    use crate::{compile_unit_for_tree, OpCountEvaluator};
     use spl_generator::fft::{enumerate_trees, Rule};
 
     fn t4() -> FftTree {
@@ -125,7 +126,7 @@ mod tests {
     struct Unit;
 
     impl Evaluator for Unit {
-        fn cost(&mut self, _tree: &FftTree) -> Result<f64, SearchError> {
+        fn cost(&mut self, _tree: &FftTree, _unit: &CompiledUnit) -> Result<f64, SearchError> {
             Ok(1.0)
         }
 
@@ -139,21 +140,31 @@ mod tests {
         enumerate_trees(7, Rule::CooleyTukey)
     }
 
+    /// `tree` as a search compiles it.
+    fn unit(tree: &FftTree) -> CompiledUnit {
+        compile_unit_for_tree(tree, 64).unwrap()
+    }
+
     #[test]
     fn zero_rate_is_transparent() {
-        let mut plain = OpCountEvaluator::default();
-        let want = plain.cost(&t4()).unwrap();
-        let mut faulty = FaultyEvaluator::new(OpCountEvaluator::default(), 1, 0.0);
+        let u = unit(&t4());
+        let want = OpCountEvaluator.cost(&t4(), &u).unwrap();
+        let mut faulty = FaultyEvaluator::new(OpCountEvaluator, 1, 0.0);
         for _ in 0..50 {
-            assert_eq!(faulty.cost(&t4()).unwrap(), want);
+            assert_eq!(faulty.cost(&t4(), &u).unwrap(), want);
         }
     }
 
     #[test]
     fn full_rate_always_fails() {
         let mut faulty = FaultyEvaluator::with_rates(Unit, 2, 1.0, 0.0, 0.0);
+        // `Unit` prices no unit, so one stands in for every candidate.
+        let u = unit(&t4());
         for tree in many_trees().iter().take(20) {
-            assert!(matches!(faulty.cost(tree), Err(SearchError::Timeout(_))));
+            assert!(matches!(
+                faulty.cost(tree, &u),
+                Err(SearchError::Timeout(_))
+            ));
         }
     }
 
@@ -161,9 +172,10 @@ mod tests {
     fn equal_seeds_give_identical_fault_sequences() {
         let mut a = FaultyEvaluator::new(Unit, 99, 0.5);
         let mut b = FaultyEvaluator::new(Unit, 99, 0.5);
+        let u = unit(&t4());
         for tree in many_trees().iter().take(100) {
-            let ra = a.cost(tree).map_err(|e| e.kind());
-            let rb = b.cost(tree).map_err(|e| e.kind());
+            let ra = a.cost(tree, &u).map_err(|e| e.kind());
+            let rb = b.cost(tree, &u).map_err(|e| e.kind());
             assert_eq!(ra, rb);
         }
     }
@@ -171,10 +183,11 @@ mod tests {
     #[test]
     fn a_candidate_rolls_the_same_on_every_call() {
         let mut faulty = FaultyEvaluator::new(Unit, 3, 0.5);
+        let u = unit(&t4());
         for tree in many_trees().iter().take(40) {
-            let first = faulty.cost(tree).map_err(|e| e.kind());
+            let first = faulty.cost(tree, &u).map_err(|e| e.kind());
             for _ in 0..5 {
-                assert_eq!(faulty.cost(tree).map_err(|e| e.kind()), first);
+                assert_eq!(faulty.cost(tree, &u).map_err(|e| e.kind()), first);
             }
         }
     }
@@ -188,16 +201,19 @@ mod tests {
             FftTree::node(Rule::CooleyTukey, FftTree::leaf(2), FftTree::leaf(4)),
             FftTree::leaf(16),
         ];
-        let mut forward = FaultyEvaluator::new(OpCountEvaluator::default(), 42, 0.6);
-        let mut backward = FaultyEvaluator::new(OpCountEvaluator::default(), 42, 0.6);
+        let units: Vec<CompiledUnit> = trees.iter().map(unit).collect();
+        let mut forward = FaultyEvaluator::new(OpCountEvaluator, 42, 0.6);
+        let mut backward = FaultyEvaluator::new(OpCountEvaluator, 42, 0.6);
         let fwd: Vec<_> = trees
             .iter()
-            .map(|t| forward.cost(t).map_err(|e| e.kind()))
+            .zip(&units)
+            .map(|(t, u)| forward.cost(t, u).map_err(|e| e.kind()))
             .collect();
         let mut bwd: Vec<_> = trees
             .iter()
+            .zip(&units)
             .rev()
-            .map(|t| backward.cost(t).map_err(|e| e.kind()))
+            .map(|(t, u)| backward.cost(t, u).map_err(|e| e.kind()))
             .collect();
         bwd.reverse();
         assert_eq!(fwd, bwd);
@@ -208,9 +224,10 @@ mod tests {
     #[test]
     fn keyed_mode_depends_on_seed() {
         let trees: Vec<FftTree> = (1..=6).map(|k| FftTree::leaf(1 << k)).collect();
+        let u = unit(&t4());
         let outcomes = |seed: u64| -> Vec<bool> {
-            let mut e = FaultyEvaluator::new(OpCountEvaluator::default(), seed, 0.5);
-            trees.iter().map(|t| e.cost(t).is_ok()).collect()
+            let mut e = FaultyEvaluator::new(Unit, seed, 0.5);
+            trees.iter().map(|t| e.cost(t, &u).is_ok()).collect()
         };
         // Equal seeds agree; some pair of distinct seeds must differ.
         assert_eq!(outcomes(7), outcomes(7));
@@ -226,11 +243,12 @@ mod tests {
     #[test]
     fn all_three_classes_occur_and_are_counted() {
         let mut faulty = FaultyEvaluator::new(Unit, 7, 0.9);
+        let u = unit(&t4());
         let mut kinds = std::collections::HashSet::new();
         let trees = many_trees();
         assert!(trees.len() >= 300);
         for tree in &trees[..300] {
-            if let Err(e) = faulty.cost(tree) {
+            if let Err(e) = faulty.cost(tree, &u) {
                 kinds.insert(e.kind());
             }
         }

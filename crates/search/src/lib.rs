@@ -22,11 +22,12 @@
 //! search is a pool of one ([`EvaluatorPool::single`]) — and puts the
 //! small/large boundary at `config.leaf_max` itself.
 //!
-//! Costs come from an [`Evaluator`]: [`NativeEvaluator`] compiles the
-//! generated C with the host compiler and times real machine code (the
-//! paper's methodology); [`MeasuredEvaluator`] times the portable VM
-//! instead; [`OpCountEvaluator`] is a deterministic operation-count model
-//! used in tests and for "FFTW estimate"-style comparisons.
+//! Costs come from an [`Evaluator`], which prices the unit the search
+//! compiled for a candidate: [`NativeEvaluator`] builds its generated C
+//! with the host compiler and times real machine code (the paper's
+//! methodology); [`MeasuredEvaluator`] times the portable VM instead;
+//! [`OpCountEvaluator`] is a deterministic operation-count model used in
+//! tests and for "FFTW estimate"-style comparisons.
 //!
 //! # Fault tolerance
 //!
@@ -55,12 +56,15 @@
 //! # Parallel evaluation
 //!
 //! [`EvaluatorPool`] fans each size's candidates out over a crew of
-//! worker evaluators. Formula expansion, compilation, `cc`, and
-//! verification run concurrently; wall-clock timing stays serialized
-//! behind a single [`MeasurementGate`], and per-candidate results are
-//! merged back in candidate order — so with a deterministic evaluator
-//! the winners are bit-identical to the serial search at any job count.
-//! [`NativeEvaluator`] workers can additionally share one
+//! worker evaluators. Each worker compiles its candidate once, under the
+//! search's `-B` ([`SearchConfig::unroll_threshold`]), and hands the
+//! unit to its evaluator, which only prices it: compilation, `cc` and
+//! verification run concurrently, while every evaluator in the process
+//! times its kernels under one lock private to this crate, so no two
+//! kernels are ever timed at once whatever the factory built.
+//! Per-candidate results are merged back in candidate order — so with a
+//! deterministic evaluator the winners are bit-identical to the serial
+//! search at any job count. [`NativeEvaluator`] workers can share one
 //! content-addressed compiled-kernel cache
 //! ([`NativeEvaluator::with_kernel_cache`]) so identical generated C is
 //! compiled by `cc` only once across the whole pool — and, with a disk
@@ -73,7 +77,7 @@
 //! use spl_telemetry::Telemetry;
 //!
 //! let config = SearchConfig { leaf_max: 8, ..SearchConfig::default() };
-//! let mut pool = EvaluatorPool::single(OpCountEvaluator::default());
+//! let mut pool = EvaluatorPool::single(OpCountEvaluator);
 //! let found = Search::new(config).run(5, &mut pool, &mut Telemetry::new()).unwrap();
 //! assert_eq!(found.small.len(), 3); // sizes 2, 4, 8: one winner each
 //! assert_eq!(found.large.len(), 2); // sizes 16, 32: up to `keep` plans each
@@ -86,7 +90,7 @@ use std::fmt;
 use std::sync::Arc;
 use std::time::Duration;
 
-use spl_compiler::{Compiler, CompilerOptions, OptLevel};
+use spl_compiler::{CompiledUnit, Compiler, CompilerOptions, OptLevel};
 use spl_generator::fft::{rightmost_splits, FftTree, Rule};
 use spl_native::{BuildOptions, CacheOutcome, KernelCache, NativeError};
 use spl_numeric::Complex;
@@ -98,7 +102,8 @@ mod parallel;
 mod wisdom;
 
 pub use faults::FaultyEvaluator;
-pub use parallel::{EvaluatorPool, MeasurementGate, MeasurementToken, WorkerContext};
+use parallel::timing_lock;
+pub use parallel::EvaluatorPool;
 pub use wisdom::{
     cc_fingerprint, cc_key, machine_fingerprint, transform_key, wisdom_from_string,
     wisdom_to_string, Search, SearchOutcome, WisdomDb, WisdomEntry, WisdomError, WisdomErrorKind,
@@ -211,18 +216,22 @@ impl Default for SearchConfig {
 ///
 /// Propagates compiler and lowering failures.
 pub fn compile_tree(tree: &FftTree, unroll_threshold: usize) -> Result<VmProgram, SearchError> {
-    let unit = compile_unit_for_tree(tree, unroll_threshold)?;
+    lower_unit(&compile_unit_for_tree(tree, unroll_threshold)?)
+}
+
+/// Lowers a compiled unit to a VM program.
+fn lower_unit(unit: &CompiledUnit) -> Result<VmProgram, SearchError> {
     lower(&unit.program).map_err(|e| SearchError::CompileFailed(e.to_string()))
 }
 
-/// Shared compile plumbing for every evaluator: the paper's experimental
-/// configuration (real code, default optimizations, leaves unrolled up to
-/// the threshold) over the given data type.
+/// Shared compile plumbing of the FFT and WHT searches: the paper's
+/// experimental configuration (real code, default optimizations, leaves
+/// unrolled up to the threshold) over the given data type.
 fn compile_sexp_for_search(
     sexp: &spl_frontend::Sexp,
     unroll_threshold: usize,
     datatype: spl_frontend::ast::DataType,
-) -> Result<spl_compiler::CompiledUnit, SearchError> {
+) -> Result<CompiledUnit, SearchError> {
     let mut compiler = Compiler::with_options(CompilerOptions {
         unroll_threshold: Some(unroll_threshold),
         opt_level: OptLevel::Default,
@@ -284,13 +293,14 @@ fn verify_against_dense(tree: &FftTree, got: &[Complex]) -> Result<(), SearchErr
 /// evaluator is never *shared* between threads (each worker owns its
 /// own), so `Sync` is not required.
 pub trait Evaluator: Send {
-    /// The cost of a candidate (seconds for measured evaluators,
-    /// operation counts for model evaluators).
+    /// The cost of a candidate, `unit` being its formula as the search
+    /// compiled it ([`compile_unit_for_tree`] under the search's `-B`):
+    /// seconds for measured evaluators, operation counts for models.
     ///
     /// # Errors
     ///
-    /// May fail when a candidate cannot be compiled.
-    fn cost(&mut self, tree: &FftTree) -> Result<f64, SearchError>;
+    /// May fail when the unit cannot be lowered, built or run.
+    fn cost(&mut self, tree: &FftTree, unit: &CompiledUnit) -> Result<f64, SearchError>;
 
     /// Names where the costs come from and hence their unit (`native`
     /// and `vm` are seconds, `opcount` operations). Part of every
@@ -309,8 +319,8 @@ pub trait Evaluator: Send {
 }
 
 impl Evaluator for Box<dyn Evaluator> {
-    fn cost(&mut self, tree: &FftTree) -> Result<f64, SearchError> {
-        (**self).cost(tree)
+    fn cost(&mut self, tree: &FftTree, unit: &CompiledUnit) -> Result<f64, SearchError> {
+        (**self).cost(tree, unit)
     }
 
     fn label(&self) -> &str {
@@ -329,27 +339,20 @@ impl Evaluator for Box<dyn Evaluator> {
 /// [`MeasuredEvaluator::with_verify`]).
 #[derive(Debug)]
 pub struct MeasuredEvaluator {
-    /// Unroll threshold used when compiling candidates.
-    pub unroll_threshold: usize,
     /// Minimum total measurement time per candidate.
     pub min_time: Duration,
     verify: bool,
-    gate: MeasurementGate,
-    cache: HashMap<String, f64>,
     tel: Telemetry,
 }
 
 impl MeasuredEvaluator {
     /// A measured evaluator with the paper's defaults (verification on).
-    pub fn new(unroll_threshold: usize, min_time: Duration) -> Self {
+    pub fn new(min_time: Duration) -> Self {
         let mut tel = Telemetry::new();
         describe_policy(&mut tel, min_time);
         MeasuredEvaluator {
-            unroll_threshold,
             min_time,
             verify: true,
-            gate: MeasurementGate::new(),
-            cache: HashMap::new(),
             tel,
         }
     }
@@ -359,25 +362,11 @@ impl MeasuredEvaluator {
         self.verify = verify;
         self
     }
-
-    /// Adopts a shared [`MeasurementGate`]. Compilation and
-    /// verification still run freely; only the timing section waits
-    /// for the gate, so concurrent workers never time two kernels at
-    /// once.
-    pub fn with_gate(mut self, gate: MeasurementGate) -> Self {
-        self.gate = gate;
-        self
-    }
 }
 
 impl Evaluator for MeasuredEvaluator {
-    fn cost(&mut self, tree: &FftTree) -> Result<f64, SearchError> {
-        let key = tree.describe();
-        if let Some(&c) = self.cache.get(&key) {
-            self.tel.add("search.eval_cache_hits", 1);
-            return Ok(c);
-        }
-        let vm = compile_tree(tree, self.unroll_threshold)?;
+    fn cost(&mut self, tree: &FftTree, unit: &CompiledUnit) -> Result<f64, SearchError> {
+        let vm = lower_unit(unit)?;
         if self.verify && tree.size() <= VERIFY_MAX_SIZE {
             let x = verification_input(tree.size());
             let flat = spl_vm::convert::interleave(&x);
@@ -388,7 +377,7 @@ impl Evaluator for MeasuredEvaluator {
             self.tel.add("search.verifications", 1);
         }
         let m = {
-            let _token = self.gate.acquire();
+            let _timing = timing_lock();
             measure(&vm, self.min_time)
         };
         m.record(&mut self.tel, "timer");
@@ -397,7 +386,6 @@ impl Evaluator for MeasuredEvaluator {
         } else {
             self.tel.add("vm.resolve_fallbacks", 1);
         }
-        self.cache.insert(key, m.secs_per_call);
         Ok(m.secs_per_call)
     }
 
@@ -412,43 +400,39 @@ impl Evaluator for MeasuredEvaluator {
     }
 }
 
-/// Compiles each candidate's generated C with the host compiler and
+/// Builds each candidate's generated C with the host compiler and
 /// times the native code — the paper's actual methodology (`spl-native`).
 ///
 /// Hardened for unattended searches: `cc` runs under a timeout, each
 /// kernel executes and is timed in a forked sandbox (a crash or hang is
 /// a classified error, not a dead search), and every kernel's output is
 /// verified against the dense reference before its timing counts.
+/// Builds go through a content-addressed [`KernelCache`], in memory
+/// unless [`NativeEvaluator::with_kernel_cache`] hands in another.
 #[derive(Debug)]
 pub struct NativeEvaluator {
-    /// Unroll threshold used when compiling candidates.
-    pub unroll_threshold: usize,
     /// Minimum total measurement time per candidate.
     pub min_time: Duration,
     verify: bool,
     eval_timeout: Duration,
     build: BuildOptions,
-    gate: MeasurementGate,
-    kernel_cache: Option<Arc<KernelCache>>,
-    cache: HashMap<String, f64>,
+    kernel_cache: Arc<KernelCache>,
     tel: Telemetry,
 }
 
 impl NativeEvaluator {
     /// A native evaluator with the given measurement budget,
-    /// verification on, and a 30-second sandbox timeout per kernel.
-    pub fn new(unroll_threshold: usize, min_time: Duration) -> Self {
+    /// verification on, a 30-second sandbox timeout per kernel and an
+    /// in-memory kernel cache of its own.
+    pub fn new(min_time: Duration) -> Self {
         let mut tel = Telemetry::new();
         describe_policy(&mut tel, min_time);
         NativeEvaluator {
-            unroll_threshold,
             min_time,
             verify: true,
             eval_timeout: Duration::from_secs(30),
             build: BuildOptions::default(),
-            gate: MeasurementGate::new(),
-            kernel_cache: None,
-            cache: HashMap::new(),
+            kernel_cache: Arc::new(KernelCache::in_memory()),
             tel,
         }
     }
@@ -471,49 +455,27 @@ impl NativeEvaluator {
         self
     }
 
-    /// Adopts a shared [`MeasurementGate`] (see
-    /// [`MeasuredEvaluator::with_gate`]): `cc`, loading, and
-    /// verification run freely; only `measure_sandboxed` waits.
-    pub fn with_gate(mut self, gate: MeasurementGate) -> Self {
-        self.gate = gate;
-        self
-    }
-
-    /// Routes kernel builds through a content-addressed
-    /// [`KernelCache`]: identical generated C under identical build
-    /// options reuses the previously built shared object instead of
-    /// invoking `cc` again. Share one cache (via `Arc`) across pool
-    /// workers so concurrent evaluators deduplicate builds too.
+    /// Builds through `cache` instead: identical generated C under
+    /// identical build options reuses the shared object built before
+    /// instead of invoking `cc` again. Share one cache (via `Arc`)
+    /// across pool workers so concurrent evaluators deduplicate builds
+    /// too.
     pub fn with_kernel_cache(mut self, cache: Arc<KernelCache>) -> Self {
-        self.kernel_cache = Some(cache);
+        self.kernel_cache = cache;
         self
-    }
-
-    /// Builds the candidate's kernel, through the kernel cache when one
-    /// is attached (the kernel then carries the key it was filed under,
-    /// so a later verification failure can quarantine the entry).
-    fn build_kernel(&mut self, tree: &FftTree) -> Result<spl_native::NativeKernel, SearchError> {
-        let unit = compile_unit_for_tree(tree, self.unroll_threshold)?;
-        let Some(cache) = &self.kernel_cache else {
-            return spl_native::NativeKernel::compile_with(&unit, &self.build).map_err(native_err);
-        };
-        let (kernel, outcome) = spl_native::NativeKernel::compile_cached(&unit, &self.build, cache)
-            .map_err(native_err)?;
-        if outcome != CacheOutcome::Miss {
-            self.tel.add("search.kernel_cache_hits", 1);
-        }
-        Ok(kernel)
     }
 }
 
 impl Evaluator for NativeEvaluator {
-    fn cost(&mut self, tree: &FftTree) -> Result<f64, SearchError> {
-        let key = tree.describe();
-        if let Some(&c) = self.cache.get(&key) {
-            self.tel.add("search.eval_cache_hits", 1);
-            return Ok(c);
+    fn cost(&mut self, tree: &FftTree, unit: &CompiledUnit) -> Result<f64, SearchError> {
+        // The kernel carries the key it was filed under, so a failed
+        // verification can quarantine the entry.
+        let (kernel, outcome) =
+            spl_native::NativeKernel::compile_cached(unit, &self.build, &self.kernel_cache)
+                .map_err(native_err)?;
+        if outcome != CacheOutcome::Miss {
+            self.tel.add("search.kernel_cache_hits", 1);
         }
-        let kernel = self.build_kernel(tree)?;
         if self.verify && tree.size() <= VERIFY_MAX_SIZE {
             let x = verification_input(tree.size());
             let flat = spl_vm::convert::interleave(&x);
@@ -525,8 +487,8 @@ impl Evaluator for NativeEvaluator {
                 // The cache key only covers what went *into* cc, so a
                 // kernel whose output is wrong must be expelled or every
                 // retry would be served the same bad object.
-                if let (Some(cache), Some(k)) = (&self.kernel_cache, kernel.cache_key()) {
-                    cache.evict(k);
+                if let Some(k) = kernel.cache_key() {
+                    self.kernel_cache.evict(k);
                     self.tel.add("search.kernels_quarantined", 1);
                 }
                 return Err(e);
@@ -534,13 +496,12 @@ impl Evaluator for NativeEvaluator {
             self.tel.add("search.verifications", 1);
         }
         let t = {
-            let _token = self.gate.acquire();
+            let _timing = timing_lock();
             kernel
                 .measure_sandboxed(self.min_time, self.eval_timeout)
                 .map_err(native_err)?
         };
         self.tel.add("search.native_measurements", 1);
-        self.cache.insert(key, t);
         Ok(t)
     }
 
@@ -550,11 +511,9 @@ impl Evaluator for NativeEvaluator {
 
     fn drain_telemetry(&mut self) -> Telemetry {
         let mut tel = std::mem::take(&mut self.tel);
-        if let Some(cache) = &self.kernel_cache {
-            // The cache may be shared; take-semantics means each
-            // counter increment is reported by exactly one drainer.
-            tel.merge(&cache.drain_telemetry());
-        }
+        // The cache may be shared; take-semantics means each counter
+        // increment is reported by exactly one drainer.
+        tel.merge(&self.kernel_cache.drain_telemetry());
         describe_policy(&mut self.tel, self.min_time);
         tel
     }
@@ -571,26 +530,15 @@ pub fn compile_tree_native(
     tree: &FftTree,
     unroll_threshold: usize,
 ) -> Result<spl_native::NativeKernel, SearchError> {
-    compile_tree_native_with(tree, unroll_threshold, &BuildOptions::default())
-}
-
-/// [`compile_tree_native`] with an explicit `cc` timeout/retry policy.
-///
-/// # Errors
-///
-/// Propagates compiler, `cc`, and loading failures.
-pub fn compile_tree_native_with(
-    tree: &FftTree,
-    unroll_threshold: usize,
-    build: &BuildOptions,
-) -> Result<spl_native::NativeKernel, SearchError> {
     let unit = compile_unit_for_tree(tree, unroll_threshold)?;
-    spl_native::NativeKernel::compile_with(&unit, build).map_err(native_err)
+    spl_native::NativeKernel::compile(&unit).map_err(native_err)
 }
 
-/// The SPL-compiler half of a native build (everything before `cc`),
-/// shared by the direct and cache-mediated paths. Public so tooling and
-/// tests can build a candidate's kernel outside an evaluator.
+/// Compiles a factorization tree the way the search does: complex
+/// data, real code, leaves unrolled up to the threshold, default
+/// optimizations. [`EvaluatorPool::costs`] hands each evaluator this
+/// unit; public so tooling and tests can build a candidate outside a
+/// search.
 ///
 /// # Errors
 ///
@@ -599,7 +547,7 @@ pub fn compile_tree_native_with(
 pub fn compile_unit_for_tree(
     tree: &FftTree,
     unroll_threshold: usize,
-) -> Result<spl_compiler::CompiledUnit, SearchError> {
+) -> Result<CompiledUnit, SearchError> {
     compile_sexp_for_search(
         &tree.to_sexp(),
         unroll_threshold,
@@ -608,25 +556,15 @@ pub fn compile_unit_for_tree(
     .map_err(|e| SearchError::CompileFailed(format!("compiling {}: {e}", tree.describe())))
 }
 
-/// Deterministic model: compiles the candidate and counts the dynamic
-/// floating-point operations plus a small per-loop overhead charge. Used
-/// by tests and as the "estimate" mode analogue.
+/// Deterministic model: the unit's dynamic operation count (loop
+/// bodies times their trip counts). Used by tests and as the "estimate"
+/// mode analogue.
 #[derive(Debug, Default)]
-pub struct OpCountEvaluator {
-    cache: HashMap<String, f64>,
-}
+pub struct OpCountEvaluator;
 
 impl Evaluator for OpCountEvaluator {
-    fn cost(&mut self, tree: &FftTree) -> Result<f64, SearchError> {
-        let key = tree.describe();
-        if let Some(&c) = self.cache.get(&key) {
-            return Ok(c);
-        }
-        let unit =
-            compile_sexp_for_search(&tree.to_sexp(), 64, spl_frontend::ast::DataType::Complex)?;
-        let cost = unit.program.dynamic_op_count() as f64;
-        self.cache.insert(key, cost);
-        Ok(cost)
+    fn cost(&mut self, _tree: &FftTree, unit: &CompiledUnit) -> Result<f64, SearchError> {
+        Ok(unit.program.dynamic_op_count() as f64)
     }
 
     fn label(&self) -> &str {
@@ -634,19 +572,10 @@ impl Evaluator for OpCountEvaluator {
     }
 }
 
-/// The winner for one transform size.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SizeResult {
-    /// The winning factorization.
-    pub tree: FftTree,
-    /// Its cost under the evaluator.
-    pub cost: f64,
-}
-
 /// The candidates of one small-size DP step: the naive leaf plus every
 /// Equation-10 split of previous winners, in the canonical order the
 /// winner selection depends on.
-fn small_candidates(k: u32, config: &SearchConfig, best: &[SizeResult]) -> Vec<FftTree> {
+fn small_candidates(k: u32, config: &SearchConfig, best: &[Plan]) -> Vec<FftTree> {
     let mut candidates = vec![FftTree::leaf(1usize << k)];
     for i in 1..k {
         let left = best[i as usize - 1].tree.clone();
@@ -656,12 +585,13 @@ fn small_candidates(k: u32, config: &SearchConfig, best: &[SizeResult]) -> Vec<F
     candidates
 }
 
-/// One retained plan in the large-size k-best DP.
+/// A factorization and its cost under the search's evaluator: a
+/// size's winner, or one of the plans a large size retains.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Plan {
     /// The factorization tree.
     pub tree: FftTree,
-    /// Measured (or modeled) cost.
+    /// Measured (or modeled) cost; `0.0` for a flat-wisdom import.
     pub cost: f64,
 }
 
@@ -719,21 +649,13 @@ pub fn wht_search(
     min_time: Duration,
 ) -> Result<Vec<(spl_generator::wht::WhtTree, f64)>, SearchError> {
     use spl_generator::wht::WhtTree;
-    let mut cache: HashMap<String, f64> = HashMap::new();
-    let mut cost = |tree: &WhtTree| -> Result<f64, SearchError> {
-        let key = format!("{tree:?}");
-        if let Some(&c) = cache.get(&key) {
-            return Ok(c);
-        }
+    let cost = |tree: &WhtTree| -> Result<f64, SearchError> {
         let unit = compile_sexp_for_search(
             &tree.to_sexp(),
             unroll_threshold,
             spl_frontend::ast::DataType::Real,
         )?;
-        let vm = lower(&unit.program).map_err(|e| SearchError::CompileFailed(e.to_string()))?;
-        let t = measure(&vm, min_time).secs_per_call;
-        cache.insert(key, t);
-        Ok(t)
+        Ok(measure(&lower_unit(&unit)?, min_time).secs_per_call)
     };
     let mut best: Vec<(WhtTree, f64)> = Vec::new();
     for k in 1..=max_k {
@@ -791,7 +713,7 @@ mod tests {
         Search::new(config.clone())
             .run(
                 max_log,
-                &mut EvaluatorPool::single(OpCountEvaluator::default()),
+                &mut EvaluatorPool::single(OpCountEvaluator),
                 &mut Telemetry::new(),
             )
             .unwrap()
@@ -866,13 +788,37 @@ mod tests {
 
     #[test]
     fn measured_evaluator_runs() {
-        let mut eval = MeasuredEvaluator::new(64, Duration::from_millis(2));
+        let mut eval = MeasuredEvaluator::new(Duration::from_millis(2));
         let t = FftTree::node(Rule::CooleyTukey, FftTree::leaf(2), FftTree::leaf(2));
-        let c1 = eval.cost(&t).unwrap();
-        assert!(c1 > 0.0);
-        // Cache hit returns the identical value.
-        let c2 = eval.cost(&t).unwrap();
-        assert_eq!(c1, c2);
+        let unit = compile_unit_for_tree(&t, 64).unwrap();
+        assert!(eval.cost(&t, &unit).unwrap() > 0.0);
+        let tel = eval.drain_telemetry();
+        assert_eq!(tel.counter("search.verifications"), Some(1));
+        assert!(tel.counter("timer.reps").unwrap() >= 1);
+    }
+
+    #[test]
+    fn opcount_counts_the_unit_the_search_compiled() {
+        // Under `-B 4` the larger sizes run loops: their counts differ
+        // from the fully unrolled `-B 64` programs'.
+        let config = SearchConfig {
+            unroll_threshold: 4,
+            ..SearchConfig::default()
+        };
+        let winners = opcount_search(&config, 8).winners();
+        assert_eq!(winners.len(), 8);
+        let mut differs = false;
+        for w in &winners {
+            let ops = |b| {
+                compile_unit_for_tree(&w.tree, b)
+                    .unwrap()
+                    .program
+                    .dynamic_op_count()
+            };
+            assert_eq!(w.cost, ops(4) as f64, "{}", w.tree.describe());
+            differs |= ops(4) != ops(64);
+        }
+        assert!(differs, "-B 4 and -B 64 count alike on every winner");
     }
 
     #[test]
@@ -882,12 +828,13 @@ mod tests {
         // a memory hit, not a second `cc` run.
         let cache = Arc::new(KernelCache::in_memory());
         let t = FftTree::node(Rule::CooleyTukey, FftTree::leaf(2), FftTree::leaf(2));
-        let mut a = NativeEvaluator::new(64, Duration::from_millis(2))
-            .with_kernel_cache(Arc::clone(&cache));
-        let mut b = NativeEvaluator::new(64, Duration::from_millis(2))
-            .with_kernel_cache(Arc::clone(&cache));
-        let ca = a.cost(&t).unwrap();
-        let cb = b.cost(&t).unwrap();
+        let unit = compile_unit_for_tree(&t, 64).unwrap();
+        let mut a =
+            NativeEvaluator::new(Duration::from_millis(2)).with_kernel_cache(Arc::clone(&cache));
+        let mut b =
+            NativeEvaluator::new(Duration::from_millis(2)).with_kernel_cache(Arc::clone(&cache));
+        let ca = a.cost(&t, &unit).unwrap();
+        let cb = b.cost(&t, &unit).unwrap();
         assert!(ca > 0.0 && cb > 0.0);
         let mut tel = a.drain_telemetry();
         tel.merge(&b.drain_telemetry());
@@ -906,8 +853,13 @@ mod tests {
             FftTree::node(Rule::CooleyTukey, FftTree::leaf(2), FftTree::leaf(2)),
             FftTree::node(Rule::CooleyTukey, FftTree::leaf(2), FftTree::leaf(4)),
         );
-        let mut native = NativeEvaluator::new(64, Duration::from_millis(3));
-        assert!(native.cost(&split).unwrap() < native.cost(&leaf).unwrap());
+        let mut native = NativeEvaluator::new(Duration::from_millis(3));
+        let mut cost = |t| {
+            native
+                .cost(t, &compile_unit_for_tree(t, 64).unwrap())
+                .unwrap()
+        };
+        assert!(cost(&split) < cost(&leaf));
     }
 
     #[test]
@@ -988,7 +940,7 @@ mod tests {
 
     #[test]
     fn search_records_telemetry() {
-        let mut pool = EvaluatorPool::single(MeasuredEvaluator::new(64, Duration::from_millis(1)));
+        let mut pool = EvaluatorPool::single(MeasuredEvaluator::new(Duration::from_millis(1)));
         let mut tel = Telemetry::new();
         let best = Search::new(SearchConfig::default())
             .run(3, &mut pool, &mut tel)

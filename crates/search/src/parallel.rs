@@ -5,10 +5,11 @@
 //! timing-*insensitive*: running them concurrently cannot change their
 //! result. Only the wall-clock measurement of a kernel is
 //! timing-*sensitive*. [`EvaluatorPool`] exploits that split: a fixed
-//! set of worker evaluators pulls candidates from a shared queue, while
-//! a single [`MeasurementGate`] serializes the measurement sections so
-//! at most one kernel is ever being timed (the other workers keep
-//! compiling and verifying in the meantime).
+//! set of worker evaluators pulls candidates from a shared queue, each
+//! worker compiling its candidate and handing the unit to its evaluator,
+//! while the evaluators time under one process-wide lock
+//! ([`timing_lock`]) so at most one kernel is ever being timed (the
+//! other workers keep compiling and verifying in the meantime).
 //!
 //! Results are merged back **in candidate-index order**, so the winner
 //! selection downstream sees exactly the sequence a serial run would
@@ -17,88 +18,55 @@
 //! `--jobs 1`.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Mutex, MutexGuard};
 
 use spl_generator::fft::FftTree;
 use spl_telemetry::Telemetry;
 
-use crate::{Evaluator, SearchError};
+use crate::{compile_unit_for_tree, Evaluator, SearchError};
 
-/// The shared measurement token: whoever holds it may run wall-clock
-/// timing. Cloning yields a handle to the *same* gate.
-///
-/// Evaluators acquire the gate only around their timing sections
-/// (`measure`, `measure_sandboxed`), never around compilation or
+/// Blocks until the caller is the one thread of the process allowed to
+/// time a kernel; the right is released when the guard drops.
+/// Evaluators take it only around their timing sections (`measure`,
+/// `measure_sandboxed` in the parent), never around compilation or
 /// verification, so parallel workers contend only for the timer.
-#[derive(Clone, Debug, Default)]
-pub struct MeasurementGate(Arc<Mutex<()>>);
-
-impl MeasurementGate {
-    /// A fresh gate, unrelated to any other.
-    pub fn new() -> Self {
-        MeasurementGate::default()
-    }
-
-    /// Blocks until this handle holds the measurement token; the token
-    /// is released when the returned guard drops.
-    pub fn acquire(&self) -> MeasurementToken<'_> {
-        // A worker panicking while timing poisons nothing we rely on:
-        // the gate guards no data, only exclusivity.
-        MeasurementToken(self.0.lock().unwrap_or_else(|e| e.into_inner()))
-    }
-}
-
-/// Proof of exclusive measurement rights (see [`MeasurementGate`]).
-#[must_use = "timing is only serialized while the token is held"]
-pub struct MeasurementToken<'a>(#[allow(dead_code)] MutexGuard<'a, ()>);
-
-/// What a worker-evaluator factory gets to know about its worker.
-#[derive(Clone, Debug)]
-pub struct WorkerContext {
-    /// This worker's index in `0..jobs`.
-    pub worker: usize,
-    /// The pool-wide measurement gate; measured evaluators must be
-    /// built with it (`with_gate`) so their timing is serialized.
-    pub gate: MeasurementGate,
+pub(crate) fn timing_lock() -> MutexGuard<'static, ()> {
+    static TIMING: Mutex<()> = Mutex::new(());
+    // A worker panicking while timing poisons nothing we rely on: the
+    // lock guards no data, only exclusivity.
+    TIMING.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 /// A worker's share of a batch: `(candidate index, result)` pairs.
 type WorkerResults = Vec<(usize, Result<f64, SearchError>)>;
 
-/// A fixed crew of worker evaluators sharing one candidate queue and
-/// one [`MeasurementGate`].
+/// Compiles `tree` under the search's `-B` and has `eval` price it.
+fn price(
+    eval: &mut dyn Evaluator,
+    tree: &FftTree,
+    unroll_threshold: usize,
+) -> Result<f64, SearchError> {
+    eval.cost(tree, &compile_unit_for_tree(tree, unroll_threshold)?)
+}
+
+/// A fixed crew of worker evaluators sharing one candidate queue.
 ///
 /// Each worker owns an independent [`Evaluator`] built by the factory
-/// handed to [`EvaluatorPool::new`], so per-evaluator state (memo
-/// caches, telemetry) is never contended. Batches are distributed by
-/// work-stealing (an atomic next-candidate index) and the results are
-/// merged in candidate order. A pool of one worker
-/// ([`EvaluatorPool::single`]) is the serial search: no threads spawned,
-/// candidates evaluated one after the other.
+/// handed to [`EvaluatorPool::new`], so per-evaluator state (telemetry)
+/// is never contended. Batches are distributed by work-stealing (an
+/// atomic next-candidate index) and the results are merged in candidate
+/// order. A pool of one worker ([`EvaluatorPool::single`]) is the serial
+/// search: no threads spawned, candidates evaluated one after the other.
 pub struct EvaluatorPool {
     workers: Vec<Box<dyn Evaluator>>,
     tel: Telemetry,
 }
 
 impl EvaluatorPool {
-    /// Builds `jobs.max(1)` workers. The factory receives each worker's
-    /// [`WorkerContext`]; measured evaluators must adopt `ctx.gate` so
-    /// the pool's timing stays serialized.
-    pub fn new(
-        jobs: usize,
-        mut factory: impl FnMut(&WorkerContext) -> Box<dyn Evaluator>,
-    ) -> EvaluatorPool {
-        let gate = MeasurementGate::new();
-        let workers = (0..jobs.max(1))
-            .map(|worker| {
-                factory(&WorkerContext {
-                    worker,
-                    gate: gate.clone(),
-                })
-            })
-            .collect();
+    /// Builds `jobs.max(1)` workers, one factory call each.
+    pub fn new(jobs: usize, factory: impl FnMut() -> Box<dyn Evaluator>) -> EvaluatorPool {
         EvaluatorPool {
-            workers,
+            workers: std::iter::repeat_with(factory).take(jobs.max(1)).collect(),
             tel: Telemetry::new(),
         }
     }
@@ -121,16 +89,25 @@ impl EvaluatorPool {
         self.workers.len()
     }
 
-    /// Evaluates every tree, returning costs index-aligned with the
-    /// input. Work is stolen candidate-by-candidate; results land in
-    /// their candidate's slot regardless of which worker produced them
-    /// or in what order they finished.
-    pub fn costs(&mut self, trees: &[FftTree]) -> Vec<Result<f64, SearchError>> {
+    /// Compiles every tree under `unroll_threshold` and prices it,
+    /// returning costs index-aligned with the input; a tree that does
+    /// not compile costs a [`SearchError::CompileFailed`]. Work is
+    /// stolen candidate-by-candidate; results land in their candidate's
+    /// slot regardless of which worker produced them or in what order
+    /// they finished.
+    pub fn costs(
+        &mut self,
+        trees: &[FftTree],
+        unroll_threshold: usize,
+    ) -> Vec<Result<f64, SearchError>> {
         if self.workers.len() == 1 || trees.len() <= 1 {
             self.tel
                 .add("search.worker.0.candidates", trees.len() as u64);
-            let w = &mut self.workers[0];
-            return trees.iter().map(|t| w.cost(t)).collect();
+            let w = &mut *self.workers[0];
+            return trees
+                .iter()
+                .map(|t| price(w, t, unroll_threshold))
+                .collect();
         }
         let next = AtomicUsize::new(0);
         let shares: Vec<(usize, WorkerResults)> = std::thread::scope(|scope| {
@@ -145,7 +122,7 @@ impl EvaluatorPool {
                         loop {
                             let i = next.fetch_add(1, Ordering::Relaxed);
                             let Some(tree) = trees.get(i) else { break };
-                            mine.push((i, w.cost(tree)));
+                            mine.push((i, price(&mut **w, tree, unroll_threshold)));
                         }
                         (wi, mine)
                     })
@@ -185,14 +162,14 @@ impl EvaluatorPool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{FaultyEvaluator, OpCountEvaluator, Search, SearchConfig, SizeResult};
+    use crate::{FaultyEvaluator, OpCountEvaluator, Plan, Search, SearchConfig};
     use spl_generator::fft::Rule;
 
     fn opcount_pool(jobs: usize) -> EvaluatorPool {
-        EvaluatorPool::new(jobs, |_| Box::new(OpCountEvaluator::default()))
+        EvaluatorPool::new(jobs, || Box::new(OpCountEvaluator))
     }
 
-    fn winners(pool: &mut EvaluatorPool) -> Vec<SizeResult> {
+    fn winners(pool: &mut EvaluatorPool) -> Vec<Plan> {
         Search::new(SearchConfig::default())
             .run(6, pool, &mut Telemetry::new())
             .unwrap()
@@ -207,10 +184,12 @@ mod tests {
             FftTree::leaf(4),
             FftTree::node(Rule::CooleyTukey, FftTree::leaf(2), FftTree::leaf(4)),
         ];
-        let mut serial = OpCountEvaluator::default();
-        let want: Vec<f64> = trees.iter().map(|t| serial.cost(t).unwrap()).collect();
+        let want: Vec<f64> = trees
+            .iter()
+            .map(|t| price(&mut OpCountEvaluator, t, 64).unwrap())
+            .collect();
         let mut pool = opcount_pool(4);
-        let got = pool.costs(&trees);
+        let got = pool.costs(&trees, 64);
         for (g, w) in got.iter().zip(&want) {
             assert_eq!(*g.as_ref().unwrap(), *w);
         }
@@ -218,7 +197,7 @@ mod tests {
 
     #[test]
     fn parallel_small_search_is_bit_identical_to_serial() {
-        let serial = winners(&mut EvaluatorPool::single(OpCountEvaluator::default()));
+        let serial = winners(&mut EvaluatorPool::single(OpCountEvaluator));
         for jobs in [1, 2, 4] {
             assert_eq!(serial, winners(&mut opcount_pool(jobs)));
         }
@@ -230,10 +209,10 @@ mod tests {
         // so the same candidates fault no matter how many workers raced.
         for seed in [3u64, 17, 99, 2026] {
             let mk = || -> Box<dyn Evaluator> {
-                Box::new(FaultyEvaluator::new(OpCountEvaluator::default(), seed, 0.3))
+                Box::new(FaultyEvaluator::new(OpCountEvaluator, seed, 0.3))
             };
-            let serial = winners(&mut EvaluatorPool::new(1, |_| mk()));
-            let parallel = winners(&mut EvaluatorPool::new(4, |_| mk()));
+            let serial = winners(&mut EvaluatorPool::new(1, mk));
+            let parallel = winners(&mut EvaluatorPool::new(4, mk));
             assert_eq!(serial, parallel);
         }
     }
@@ -242,8 +221,8 @@ mod tests {
     fn worker_candidate_counters_sum_to_batch_sizes() {
         let mut pool = opcount_pool(3);
         let trees: Vec<FftTree> = (1..=4).map(|k| FftTree::leaf(1 << k)).collect();
-        pool.costs(&trees);
-        pool.costs(&trees[..2]);
+        pool.costs(&trees, 64);
+        pool.costs(&trees[..2], 64);
         let tel = pool.drain_telemetry();
         let total: u64 = (0..3)
             .filter_map(|i| tel.counter(&format!("search.worker.{i}.candidates")))
@@ -253,17 +232,16 @@ mod tests {
 
     #[test]
     fn measurement_gate_is_exclusive() {
-        let gate = MeasurementGate::new();
-        let counter = Arc::new(AtomicUsize::new(0));
-        let max_seen = Arc::new(AtomicUsize::new(0));
+        // The timing lock is the one measurement gate: four threads that
+        // share nothing else still never hold it at once.
+        let counter = AtomicUsize::new(0);
+        let max_seen = AtomicUsize::new(0);
         std::thread::scope(|s| {
             for _ in 0..4 {
-                let gate = gate.clone();
-                let counter = Arc::clone(&counter);
-                let max_seen = Arc::clone(&max_seen);
+                let (counter, max_seen) = (&counter, &max_seen);
                 s.spawn(move || {
                     for _ in 0..50 {
-                        let _token = gate.acquire();
+                        let _timing = timing_lock();
                         let inside = counter.fetch_add(1, Ordering::SeqCst) + 1;
                         max_seen.fetch_max(inside, Ordering::SeqCst);
                         counter.fetch_sub(1, Ordering::SeqCst);
@@ -278,6 +256,6 @@ mod tests {
     fn zero_jobs_clamps_to_one_worker() {
         let mut pool = opcount_pool(0);
         assert_eq!(pool.jobs(), 1);
-        assert!(pool.costs(&[FftTree::leaf(2)])[0].is_ok());
+        assert!(pool.costs(&[FftTree::leaf(2)], 64)[0].is_ok());
     }
 }

@@ -57,9 +57,7 @@ use spl_generator::fft::FftTree;
 use spl_resilience::sealed::{unseal, write_sealed};
 use spl_telemetry::Telemetry;
 
-use crate::{
-    large_candidates, small_candidates, EvaluatorPool, Plan, SearchConfig, SearchError, SizeResult,
-};
+use crate::{large_candidates, small_candidates, EvaluatorPool, Plan, SearchConfig, SearchError};
 
 // ---------------------------------------------------------------------
 // Typed wisdom errors + the flat-format parser (the import path)
@@ -119,7 +117,7 @@ impl From<WisdomError> for SearchError {
 /// Serializes search winners to "wisdom" text — one `size: spec` line per
 /// entry — so a later session can reuse plans without re-searching
 /// (FFTW's save-a-plan workflow, paper Section 4.2).
-pub fn wisdom_to_string(results: &[SizeResult]) -> String {
+pub fn wisdom_to_string(results: &[Plan]) -> String {
     use std::fmt::Write as _;
     let mut out = String::new();
     for r in results {
@@ -136,7 +134,7 @@ pub fn wisdom_to_string(results: &[SizeResult]) -> String {
 ///
 /// Fails on malformed lines, bad specs, or a spec whose size disagrees
 /// with its label.
-pub fn wisdom_from_string(text: &str) -> Result<Vec<SizeResult>, WisdomError> {
+pub fn wisdom_from_string(text: &str) -> Result<Vec<Plan>, WisdomError> {
     let mut out = Vec::new();
     for (lineno, line) in text.lines().enumerate() {
         let err = |kind| WisdomError {
@@ -162,7 +160,7 @@ pub fn wisdom_from_string(text: &str) -> Result<Vec<SizeResult>, WisdomError> {
                 labelled: size,
             }));
         }
-        out.push(SizeResult { tree, cost: 0.0 });
+        out.push(Plan { tree, cost: 0.0 });
     }
     Ok(out)
 }
@@ -570,17 +568,10 @@ impl WisdomDb {
     ///
     /// [`SearchError::Wisdom`] on malformed text; I/O failures.
     pub fn import_flat(&mut self, text: &str, transform: &str) -> Result<usize, SearchError> {
-        let results = wisdom_from_string(text)?;
-        let count = results.len();
-        for r in &results {
-            self.record(
-                transform,
-                r.tree.size(),
-                &[Plan {
-                    tree: r.tree.clone(),
-                    cost: r.cost,
-                }],
-            )?;
+        let plans = wisdom_from_string(text)?;
+        let count = plans.len();
+        for p in &plans {
+            self.record(transform, p.tree.size(), std::slice::from_ref(p))?;
         }
         self.tel.add("wisdom.db.imported_entries", count as u64);
         Ok(count)
@@ -614,14 +605,8 @@ impl WisdomDb {
         }
         let mut sizes: Vec<usize> = per_size.keys().copied().collect();
         sizes.sort_unstable();
-        let results: Vec<SizeResult> = sizes
-            .into_iter()
-            .map(|n| SizeResult {
-                tree: per_size[&n].best().tree.clone(),
-                cost: per_size[&n].best().cost,
-            })
-            .collect();
-        wisdom_to_string(&results)
+        let best: Vec<Plan> = sizes.iter().map(|n| per_size[n].best().clone()).collect();
+        wisdom_to_string(&best)
     }
 
     /// All merged entries, in unspecified order.
@@ -654,7 +639,7 @@ impl WisdomDb {
 pub struct SearchOutcome {
     /// One winner per size `2^1 … min(config.leaf_max, 2^max_log)`,
     /// smallest first (the Equation-10 DP).
-    pub small: Vec<SizeResult>,
+    pub small: Vec<Plan>,
     /// The retained plans, best first, of each larger size up to
     /// `2^max_log`, smallest size first (the k-best right-most DP).
     pub large: Vec<Vec<Plan>>,
@@ -663,12 +648,9 @@ pub struct SearchOutcome {
 impl SearchOutcome {
     /// The best plan of every size searched, smallest first — what
     /// [`wisdom_to_string`] prints.
-    pub fn winners(&self) -> Vec<SizeResult> {
-        let large = self.large.iter().map(|plans| SizeResult {
-            tree: plans[0].tree.clone(),
-            cost: plans[0].cost,
-        });
-        self.small.iter().cloned().chain(large).collect()
+    pub fn winners(&self) -> Vec<Plan> {
+        let large = self.large.iter().map(|plans| &plans[0]);
+        self.small.iter().chain(large).cloned().collect()
     }
 }
 
@@ -746,17 +728,13 @@ impl Search {
         let small_max_k = self.config.leaf_max.trailing_zeros().min(max_log);
 
         tel.begin_span("search.small");
-        let mut small: Vec<SizeResult> = Vec::new();
+        let mut small: Vec<Plan> = Vec::new();
         for k in 1..=small_max_k {
             tel.begin_span(&format!("small 2^{k}"));
             let candidates = small_candidates(k, &self.config, &small);
             let plans = self.step(1usize << k, &candidates, 1, pool, tel, &transform);
             tel.end_span();
-            let best = plans?.swap_remove(0);
-            small.push(SizeResult {
-                tree: best.tree,
-                cost: best.cost,
-            });
+            small.push(plans?.swap_remove(0));
         }
         tel.end_span();
 
@@ -765,12 +743,8 @@ impl Search {
             tel.begin_span("search.large");
             // `kbest[k]` holds the retained plans of size `2^k`.
             let mut kbest: HashMap<u32, Vec<Plan>> = HashMap::new();
-            for (k, r) in (1..).zip(&small) {
-                let plan = Plan {
-                    tree: r.tree.clone(),
-                    cost: r.cost,
-                };
-                kbest.insert(k, vec![plan]);
+            for (k, best) in (1..).zip(&small) {
+                kbest.insert(k, vec![best.clone()]);
             }
             for k in (small_max_k + 1)..=max_log {
                 tel.begin_span(&format!("large 2^{k}"));
@@ -802,6 +776,7 @@ impl Search {
         tel: &mut Telemetry,
         transform: &str,
     ) -> Result<Vec<Plan>, SearchError> {
+        let unroll = self.config.unroll_threshold;
         let imported = match self.db.lookup(transform, n) {
             Some(e) if e.measured() => {
                 tel.add("wisdom.db.reused_sizes", 1);
@@ -811,13 +786,13 @@ impl Search {
             // An unmeasured flat import: trust the plan, measure only it.
             Some(e) => {
                 let trees: Vec<FftTree> = e.plans.into_iter().map(|p| p.tree).collect();
-                measure(&trees, pool, tel)
+                measure(&trees, unroll, pool, tel)
             }
             None => Vec::new(),
         };
         let mut plans = if imported.is_empty() {
             // Nothing imported, or every imported plan failed here.
-            measure(candidates, pool, tel)
+            measure(candidates, unroll, pool, tel)
         } else {
             tel.add("wisdom.db.imports_measured", 1);
             imported
@@ -833,11 +808,16 @@ impl Search {
     }
 }
 
-/// Measures every tree, returning surviving plans in candidate order.
-/// Failures are skipped and counted, successes counted under
-/// `search.plans_evaluated`.
-fn measure(trees: &[FftTree], pool: &mut EvaluatorPool, tel: &mut Telemetry) -> Vec<Plan> {
-    let costs = pool.costs(trees);
+/// Compiles (under `-B unroll`) and measures every tree, returning
+/// surviving plans in candidate order. Failures are skipped and
+/// counted, successes counted under `search.plans_evaluated`.
+fn measure(
+    trees: &[FftTree],
+    unroll: usize,
+    pool: &mut EvaluatorPool,
+    tel: &mut Telemetry,
+) -> Vec<Plan> {
+    let costs = pool.costs(trees, unroll);
     let mut plans = Vec::new();
     for (tree, cost) in trees.iter().zip(costs) {
         match cost {
@@ -857,7 +837,7 @@ fn measure(trees: &[FftTree], pool: &mut EvaluatorPool, tel: &mut Telemetry) -> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Evaluator, OpCountEvaluator};
+    use crate::{compile_unit_for_tree, CompiledUnit, Evaluator, OpCountEvaluator};
     use std::path::PathBuf;
 
     fn tmp_dir(name: &str) -> PathBuf {
@@ -867,7 +847,7 @@ mod tests {
     }
 
     fn opcount_pool() -> EvaluatorPool {
-        EvaluatorPool::single(OpCountEvaluator::default())
+        EvaluatorPool::single(OpCountEvaluator)
     }
 
     fn plan(spec: &str, cost: f64) -> Plan {
@@ -879,8 +859,7 @@ mod tests {
 
     #[test]
     fn a_failed_search_reports_the_faults_and_skips_that_explain_it() {
-        let eval =
-            crate::FaultyEvaluator::with_rates(OpCountEvaluator::default(), 1, 1.0, 0.0, 0.0);
+        let eval = crate::FaultyEvaluator::with_rates(OpCountEvaluator, 1, 1.0, 0.0, 0.0);
         let mut pool = EvaluatorPool::single(eval);
         let mut tel = Telemetry::new();
         let err = Search::new(SearchConfig::default())
@@ -1072,8 +1051,8 @@ mod tests {
     struct Scaled(OpCountEvaluator);
 
     impl Evaluator for Scaled {
-        fn cost(&mut self, tree: &FftTree) -> Result<f64, SearchError> {
-            Ok(self.0.cost(tree)? * 1e-9)
+        fn cost(&mut self, tree: &FftTree, unit: &CompiledUnit) -> Result<f64, SearchError> {
+            Ok(self.0.cost(tree, unit)? * 1e-9)
         }
 
         fn label(&self) -> &str {
@@ -1091,7 +1070,7 @@ mod tests {
             ..SearchConfig::default()
         };
         let pools: [fn() -> EvaluatorPool; 2] = [opcount_pool, || {
-            EvaluatorPool::single(Scaled(OpCountEvaluator::default()))
+            EvaluatorPool::single(Scaled(OpCountEvaluator))
         }];
         for order in [[0, 1], [1, 0]] {
             let mut search = Search::new(config.clone());
@@ -1102,9 +1081,9 @@ mod tests {
                 assert_eq!(tel.counter("wisdom.db.reused_sizes"), None, "{order:?}");
                 assert_eq!(tel.counter("wisdom.db.hits"), None, "{order:?}");
                 evaluated.push(tel.counter("search.plans_evaluated").unwrap());
-                let ops = OpCountEvaluator::default()
-                    .cost(&found.small[0].tree)
-                    .unwrap();
+                let tree = &found.small[0].tree;
+                let unit = compile_unit_for_tree(tree, config.unroll_threshold).unwrap();
+                let ops = OpCountEvaluator.cost(tree, &unit).unwrap();
                 let unit = [1.0, 1e-9][i];
                 assert_eq!(found.small[0].cost, ops * unit, "{order:?}");
             }

@@ -5,8 +5,8 @@
 //! anything else.
 
 use spl_search::{
-    Evaluator, EvaluatorPool, FaultyEvaluator, OpCountEvaluator, Search, SearchConfig, SearchError,
-    SearchOutcome,
+    compile_unit_for_tree, Evaluator, EvaluatorPool, FaultyEvaluator, OpCountEvaluator, Search,
+    SearchConfig, SearchError, SearchOutcome,
 };
 use spl_telemetry::Telemetry;
 
@@ -22,12 +22,11 @@ fn search(
 /// The op-count model behind an injector that faults each candidate
 /// with probability `rate`, the same candidates for the same `seed`.
 fn faulty(seed: u64, rate: f64) -> FaultyEvaluator<OpCountEvaluator> {
-    FaultyEvaluator::new(OpCountEvaluator::default(), seed, rate)
+    FaultyEvaluator::new(OpCountEvaluator, seed, rate)
 }
 
 #[test]
 fn search_to_1024_survives_injected_faults_at_several_seeds() {
-    let mut clean = OpCountEvaluator::default();
     let mut total_verification_skips = 0;
     for seed in [1u64, 7, 42, 1234] {
         let mut tel = Telemetry::new();
@@ -46,8 +45,16 @@ fn search_to_1024_survives_injected_faults_at_several_seeds() {
             .chain(large.iter().flatten().map(|p| (&p.tree, p.cost)));
         for (tree, cost) in kept {
             let d = tree.describe();
-            assert!(injector.cost(tree).is_ok(), "seed {seed}: {d} faults");
-            assert_eq!(cost, clean.cost(tree).unwrap(), "seed {seed}: {d}");
+            let unit = compile_unit_for_tree(tree, 64).unwrap();
+            assert!(
+                injector.cost(tree, &unit).is_ok(),
+                "seed {seed}: {d} faults"
+            );
+            assert_eq!(
+                cost,
+                OpCountEvaluator.cost(tree, &unit).unwrap(),
+                "seed {seed}: {d}"
+            );
         }
         total_verification_skips += tel
             .counter("search.skipped.verification_failed")
@@ -91,7 +98,7 @@ fn injected_faults_are_classified_in_telemetry() {
 fn exhausted_chain_skips_candidates_and_reports_no_candidates() {
     // Every evaluation fails: each candidate is skipped, and the search
     // ends with a structured NoCandidates error — not a panic.
-    let eval = FaultyEvaluator::with_rates(OpCountEvaluator::default(), 6, 1.0, 0.0, 0.0);
+    let eval = FaultyEvaluator::with_rates(OpCountEvaluator, 6, 1.0, 0.0, 0.0);
     let mut tel = Telemetry::new();
     let err = search(4, eval, &mut tel).unwrap_err();
     assert!(matches!(err, SearchError::NoCandidates { n: 2 }), "{err}");

@@ -25,7 +25,7 @@ fn pinned_candidates(max_k: u32) -> Vec<FftTree> {
         leaf_max: 1 << max_k,
         ..Default::default()
     };
-    let mut pool = EvaluatorPool::single(OpCountEvaluator::default());
+    let mut pool = EvaluatorPool::single(OpCountEvaluator);
     let best = Search::new(config)
         .run(max_k, &mut pool, &mut Telemetry::new())
         .expect("op-count search")
@@ -49,15 +49,14 @@ fn pinned_candidates(max_k: u32) -> Vec<FftTree> {
 /// returns the run's merged telemetry.
 fn run_pass(dir: &std::path::Path, trees: &[FftTree]) -> Telemetry {
     let cache = Arc::new(KernelCache::with_dir(dir).expect("open cache dir"));
-    let mut pool = EvaluatorPool::new(4, |ctx| {
+    let mut pool = EvaluatorPool::new(4, || {
         Box::new(
-            NativeEvaluator::new(64, Duration::from_millis(1))
+            NativeEvaluator::new(Duration::from_millis(1))
                 .with_verify(false)
-                .with_gate(ctx.gate.clone())
                 .with_kernel_cache(Arc::clone(&cache)),
         ) as Box<dyn Evaluator>
     });
-    for r in pool.costs(trees) {
+    for r in pool.costs(trees, 64) {
         r.expect("candidate evaluates");
     }
     let mut tel = pool.drain_telemetry();

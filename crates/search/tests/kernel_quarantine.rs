@@ -54,10 +54,11 @@ fn poisoned_cache_entry_is_quarantined_and_recompiled() {
     let (bytes, _) = scratch.lookup(wrong_key).expect("wrong kernel cached");
     cache.insert(&target_key, bytes.to_vec());
 
+    let unit = compile_unit_for_tree(&f8(), 64).expect("compile target unit");
     let mut eval =
-        NativeEvaluator::new(64, Duration::from_millis(1)).with_kernel_cache(Arc::clone(&cache));
+        NativeEvaluator::new(Duration::from_millis(1)).with_kernel_cache(Arc::clone(&cache));
     let err = eval
-        .cost(&f8())
+        .cost(&f8(), &unit)
         .expect_err("poisoned kernel must not verify");
     assert!(matches!(err, SearchError::VerificationFailed(_)), "{err}");
     assert!(
@@ -67,7 +68,7 @@ fn poisoned_cache_entry_is_quarantined_and_recompiled() {
 
     // The retry is a cache miss: the real kernel is compiled, verifies,
     // and is re-admitted.
-    let cost = eval.cost(&f8()).expect("retry recompiles cleanly");
+    let cost = eval.cost(&f8(), &unit).expect("retry recompiles cleanly");
     assert!(cost > 0.0);
     assert!(cache.lookup(&target_key).is_some(), "retry not re-cached");
     let tel = eval.drain_telemetry();
@@ -85,12 +86,15 @@ fn injected_miscompile_never_reaches_the_cache() {
     let cache = Arc::new(KernelCache::in_memory());
     let target_key = scratch_key(&f8());
 
+    let unit = compile_unit_for_tree(&f8(), 64).expect("compile target unit");
     let inner =
-        NativeEvaluator::new(64, Duration::from_millis(1)).with_kernel_cache(Arc::clone(&cache));
+        NativeEvaluator::new(Duration::from_millis(1)).with_kernel_cache(Arc::clone(&cache));
     // p_corrupt = 1: every evaluation is reported as a verification
     // failure before any kernel is built.
     let mut faulty = FaultyEvaluator::with_rates(inner, 5, 0.0, 0.0, 1.0);
-    let err = faulty.cost(&f8()).expect_err("corrupt fault must inject");
+    let err = faulty
+        .cost(&f8(), &unit)
+        .expect_err("corrupt fault must inject");
     assert!(matches!(err, SearchError::VerificationFailed(_)), "{err}");
     assert!(
         cache.lookup(&target_key).is_none(),
@@ -99,7 +103,7 @@ fn injected_miscompile_never_reaches_the_cache() {
 
     // The retry (injection off) is a cache miss and recompiles.
     let mut eval = faulty.into_inner();
-    eval.cost(&f8()).expect("clean retry");
+    eval.cost(&f8(), &unit).expect("clean retry");
     let tel = eval.drain_telemetry();
     assert_eq!(
         tel.counter("native.cc_invocations"),

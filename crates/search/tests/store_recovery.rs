@@ -37,7 +37,7 @@ fn search_in(
 
 /// The uninterrupted search that persists nothing.
 fn clean(config: &SearchConfig, max_log: u32) -> SearchOutcome {
-    let mut pool = EvaluatorPool::single(OpCountEvaluator::default());
+    let mut pool = EvaluatorPool::single(OpCountEvaluator);
     Search::new(config.clone())
         .run(max_log, &mut pool, &mut Telemetry::new())
         .unwrap()
@@ -132,7 +132,7 @@ fn kill_and_resume_under_injected_faults_matches_uninterrupted_run() {
     // same seed — and lands on the plans of the uninterrupted run at
     // that seed, because a fault belongs to a candidate, not to the
     // order in which the candidates were evaluated.
-    let faulty = || FaultyEvaluator::new(OpCountEvaluator::default(), 11, 0.25);
+    let faulty = || FaultyEvaluator::new(OpCountEvaluator, 11, 0.25);
     let config = SearchConfig::default();
     let uninterrupted = Search::new(config.clone())
         .run(

@@ -67,7 +67,7 @@ fn a_store_of_old_opcount_entries_is_remeasured_once_then_reused() {
         leaf_max: 8,
         ..SearchConfig::default()
     };
-    let mut pool = EvaluatorPool::single(OpCountEvaluator::default());
+    let mut pool = EvaluatorPool::single(OpCountEvaluator);
     let fresh = Search::new(config.clone())
         .run(4, &mut pool, &mut Telemetry::new())
         .unwrap();

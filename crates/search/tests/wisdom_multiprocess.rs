@@ -30,7 +30,7 @@ fn config() -> SearchConfig {
 
 /// The op-count search to `2^max_log` over `db`.
 fn search_into(db: WisdomDb, max_log: u32) -> SearchOutcome {
-    let mut pool = EvaluatorPool::single(OpCountEvaluator::default());
+    let mut pool = EvaluatorPool::single(OpCountEvaluator);
     Search::new(config())
         .with_store(db)
         .run(max_log, &mut pool, &mut Telemetry::new())

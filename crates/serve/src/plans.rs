@@ -925,7 +925,7 @@ mod tests {
         let s = store(None, false);
         // A wisdom file preferring a (ct 4 4) split for size 16.
         let tree = FftTree::node(Rule::CooleyTukey, FftTree::leaf(4), FftTree::leaf(4));
-        let wisdom = spl_search::wisdom_to_string(&[spl_search::SizeResult {
+        let wisdom = spl_search::wisdom_to_string(&[spl_search::Plan {
             tree: tree.clone(),
             cost: 1.0,
         }]);

@@ -28,7 +28,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // One driver for every search: this one is serial (a pool of one
     // evaluator), untraced (a throw-away telemetry sink) and keeps
     // nothing (the default in-memory store).
-    let mut pool = EvaluatorPool::single(NativeEvaluator::new(64, Duration::from_millis(10)));
+    let mut pool = EvaluatorPool::single(NativeEvaluator::new(Duration::from_millis(10)));
     let found = Search::new(SearchConfig::default()).run(6, &mut pool, &mut Telemetry::new())?;
 
     println!("\n{:<4} {:>12} {:<24} formula", "N", "pMFLOPS", "shape");

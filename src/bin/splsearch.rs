@@ -13,8 +13,8 @@
 //!
 //! Candidate evaluation is parallel (`--jobs`, defaulting to the
 //! machine's parallelism): compilation, `cc`, and verification fan out
-//! over a worker pool while wall-clock timing stays serialized behind a
-//! single measurement token, and results merge deterministically — the
+//! over a worker pool while wall-clock timing stays serialized behind
+//! one process-wide lock, and results merge deterministically — the
 //! winners are bit-identical to `--jobs 1` under any deterministic
 //! evaluator. Native kernel builds go through a content-addressed
 //! cache (in-memory by default; `--kernel-cache <dir>` persists it
@@ -28,7 +28,7 @@ use std::time::Duration;
 use spl::native::KernelCache;
 use spl::search::{
     Evaluator, EvaluatorPool, FaultyEvaluator, MeasuredEvaluator, NativeEvaluator,
-    OpCountEvaluator, Search, SearchConfig, WisdomDb, WorkerContext,
+    OpCountEvaluator, Search, SearchConfig, WisdomDb,
 };
 use spl::telemetry::cli::ReportOptions;
 use spl::telemetry::out;
@@ -184,27 +184,16 @@ fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
     Ok(Some(opts))
 }
 
-/// Builds one worker's evaluator. Measured evaluators adopt the
-/// worker's measurement gate so at most one kernel is ever being timed
-/// across the pool; native evaluators share the pool-wide kernel cache
-/// so identical generated C is compiled once.
-fn build_evaluator(
-    opts: &Options,
-    ctx: &WorkerContext,
-    cache: &Arc<KernelCache>,
-) -> Box<dyn Evaluator> {
+/// Builds one worker's evaluator. Native evaluators share the
+/// pool-wide kernel cache so identical generated C is compiled once.
+fn build_evaluator(opts: &Options, cache: &Arc<KernelCache>) -> Box<dyn Evaluator> {
     let base: Box<dyn Evaluator> = match opts.eval.as_str() {
-        "vm" => Box::new(
-            MeasuredEvaluator::new(opts.config.unroll_threshold, opts.min_time)
-                .with_verify(opts.verify)
-                .with_gate(ctx.gate.clone()),
-        ),
-        "opcount" => Box::new(OpCountEvaluator::default()),
+        "vm" => Box::new(MeasuredEvaluator::new(opts.min_time).with_verify(opts.verify)),
+        "opcount" => Box::new(OpCountEvaluator),
         _ => Box::new(
-            NativeEvaluator::new(opts.config.unroll_threshold, opts.min_time)
+            NativeEvaluator::new(opts.min_time)
                 .with_timeout(opts.eval_timeout)
                 .with_verify(opts.verify)
-                .with_gate(ctx.gate.clone())
                 .with_kernel_cache(Arc::clone(cache)),
         ),
     };
@@ -247,7 +236,7 @@ fn main() -> ExitCode {
     // so `--trace-chrome` renders the whole run as one flame chart.
     tel.begin_span("splsearch");
     tel.begin_span("build_pool");
-    let mut pool = EvaluatorPool::new(jobs, |ctx| build_evaluator(&opts, ctx, &cache));
+    let mut pool = EvaluatorPool::new(jobs, || build_evaluator(&opts, &cache));
     tel.end_span();
 
     let mut search = Search::new(opts.config.clone());

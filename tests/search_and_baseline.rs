@@ -14,7 +14,7 @@ use spl::vm::VmState;
 
 /// The deterministic op-count search to `2^max_log` over `search`'s store.
 fn opcount_search(mut search: Search, max_log: u32, tel: &mut Telemetry) -> SearchOutcome {
-    let mut pool = EvaluatorPool::single(OpCountEvaluator::default());
+    let mut pool = EvaluatorPool::single(OpCountEvaluator);
     search.run(max_log, &mut pool, tel).unwrap()
 }
 
