@@ -242,12 +242,6 @@ impl Compiler {
         &self.quarantined
     }
 
-    /// Access to the template table (e.g. to register search-produced
-    /// templates).
-    pub fn table_mut(&mut self) -> &mut TemplateTable {
-        &mut self.table
-    }
-
     /// Telemetry accumulated over all compilations so far: one span per
     /// paper phase (`parse`, `expand`, `unroll`, `intrinsics`,
     /// `typetrans`, `optimize`), aggregate work counters

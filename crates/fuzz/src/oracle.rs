@@ -315,10 +315,7 @@ impl Oracle {
         sum.wide_loops += forms.wide_loops;
         sum.lane_nests += forms.lane_nests;
         self.native_forms.set(sum);
-        let kernel = match spl_native::NativeKernel::compile_with(
-            unit,
-            &spl_native::BuildOptions::default(),
-        ) {
+        let kernel = match spl_native::NativeKernel::compile(unit) {
             Ok(k) => k,
             Err(e) => return bug(BugClass::NativeReject, format!("cc: {e}")),
         };

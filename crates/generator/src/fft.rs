@@ -279,15 +279,6 @@ fn parse_spec(tokens: &[String], pos: &mut usize) -> Result<FftTree, SpecError> 
     }
 }
 
-/// The 2-D DFT on an `rows × cols` grid (row-major data) as a single
-/// formula: the row–column algorithm is exactly the tensor product
-/// `DFT2D = F_rows ⊗ F_cols`, with each factor computed by its own
-/// factorization tree — the tensor algebra gives the 2-D transform for
-/// free, one of SPL's selling points.
-pub fn fft_2d(rows: &FftTree, cols: &FftTree) -> Formula {
-    Formula::tensor(vec![rows.to_formula(), cols.to_formula()])
-}
-
 /// The candidate `(r, s)` splits for a *right-most* factorization of
 /// `F_n` (the restriction the paper applies for large sizes: when
 /// `n = r·s`, only the second factor may be factored further), with the
@@ -415,7 +406,9 @@ mod tests {
         use spl_numeric::reference;
         let rows = ct_sequence(&[2, 2], Rule::CooleyTukey);
         let cols = ct_sequence(&[2, 4], Rule::CooleyTukey);
-        let f = fft_2d(&rows, &cols);
+        // The row–column algorithm is the tensor product F_rows ⊗ F_cols,
+        // each factor computed by its own factorization tree.
+        let f = Formula::tensor(vec![rows.to_formula(), cols.to_formula()]);
         assert_eq!((f.rows(), f.cols()), (32, 32));
         // Row-major 4x8 grid.
         let x: Vec<Complex> = (0..32)

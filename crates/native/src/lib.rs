@@ -11,7 +11,7 @@
 //! widest FMA-free vector ISA, `-mavx2 -mno-fma` where the CPU has it —
 //! the [`target`] module derives the line and explains why it is never
 //! `-march=native`), loaded with `dlopen`, and invoked
-//! through its `void name(double *restrict y, const double *restrict x)`
+//! through its `void spl_kernel(double *restrict y, const double *restrict x)`
 //! entry point. `cc` is handed code, not data: the twiddle tables are
 //! declared in the text ([`TableMode::Loaded`]) and copied in from the
 //! unit once the object is loaded, before the kernel can run.
@@ -19,10 +19,11 @@
 //! Because a timing search compiles and runs thousands of generated
 //! kernels, every external step is fault-contained:
 //!
-//! * `cc` runs under a configurable wall-clock timeout with bounded
-//!   retry + backoff ([`BuildOptions`]); a hung compiler is killed and
-//!   reported as [`NativeError::CompileTimeout`]. A `cc` that rejects the
-//!   ISA tokens is retried once at baseline and the process stays there.
+//! * `cc` runs under a 60-second wall-clock timeout, retried once after
+//!   a backoff when it hangs or cannot be spawned; a hung compiler is
+//!   killed and reported as [`NativeError::CompileTimeout`]. A `cc` that
+//!   rejects the ISA tokens is retried once at baseline and the process
+//!   stays there.
 //! * Temporary `.c`/`.so` artifacts are cleaned up on **every** path —
 //!   success (on kernel drop), compile failure, load failure, timeout —
 //!   via an RAII guard, and `cc` diagnostics are truncated to a sane
@@ -84,12 +85,23 @@ extern "C" {
 
 const RTLD_NOW: c_int = 2;
 
-/// The entry-point symbol used by [`NativeKernel::compile_cached`].
-/// Cached objects share one canonical name so byte-identical kernels
-/// from differently named units still hit; `dlopen`'s default local
-/// binding keeps the identically named symbols of concurrently loaded
-/// kernels isolated per handle.
-const CACHED_SYMBOL: &str = "spl_kernel";
+/// The entry-point symbol of every kernel. One canonical name keeps it
+/// out of the C text's cache key, so byte-identical kernels from
+/// differently named units still hit; `dlopen`'s default local binding
+/// keeps the identically named symbols of concurrently loaded kernels
+/// isolated per handle.
+const ENTRY: &str = "spl_kernel";
+
+/// Wall-clock budget for one `cc` invocation.
+const CC_TIMEOUT: Duration = Duration::from_secs(60);
+
+/// Retry policy for *transient* `cc` failures (spawn errors, timeouts).
+/// Deterministic compile errors are never retried.
+const CC_RETRY: RetryPolicy = RetryPolicy {
+    attempts: 2,
+    base_delay: Duration::from_millis(100),
+    max_delay: Duration::from_secs(1),
+};
 
 /// Longest `cc` stderr excerpt kept in an error value; full compiler
 /// diagnostics for machine-generated code can run to megabytes.
@@ -150,28 +162,11 @@ impl fmt::Display for NativeError {
 
 impl Error for NativeError {}
 
-/// How to run the host C compiler.
-#[derive(Debug, Clone)]
-pub struct BuildOptions {
-    /// Wall-clock budget for one `cc` invocation.
-    pub cc_timeout: Duration,
-    /// Retry policy for *transient* failures (spawn errors, timeouts).
-    /// Deterministic compile errors are never retried.
-    pub retry: RetryPolicy,
-}
-
-impl Default for BuildOptions {
-    fn default() -> Self {
-        BuildOptions {
-            cc_timeout: Duration::from_secs(60),
-            retry: RetryPolicy {
-                attempts: 2,
-                base_delay: Duration::from_millis(100),
-                max_delay: Duration::from_secs(1),
-            },
-        }
-    }
-}
+/// The parameter [`NativeKernel::compile_cached`] still takes. It holds
+/// nothing: every `cc` run is bounded by the same fixed timeout and
+/// retry policy.
+#[derive(Debug, Clone, Default)]
+pub struct BuildOptions;
 
 static COUNTER: AtomicU64 = AtomicU64::new(0);
 
@@ -211,12 +206,11 @@ impl TempArtifacts {
         }
     }
 
-    /// `dlopen`s the `.so` and resolves `name` in it.
-    fn load(mut self, name: &str) -> Result<Loaded, NativeError> {
+    /// `dlopen`s the `.so` and resolves [`ENTRY`] in it.
+    fn load(mut self) -> Result<Loaded, NativeError> {
         let so_c = CString::new(self.so_path.to_string_lossy().as_bytes())
             .map_err(|_| NativeError::Io("bad path".into()))?;
-        let name_c =
-            CString::new(name.as_bytes()).map_err(|_| NativeError::Io("bad name".into()))?;
+        let name_c = CString::new(ENTRY).map_err(|_| NativeError::Io("bad name".into()))?;
         // SAFETY: loading an object this crate built (directly or via the
         // kernel cache); symbol looked up by name.
         let (handle, sym) = unsafe {
@@ -230,7 +224,7 @@ impl TempArtifacts {
             let sym = dlsym(handle, name_c.as_ptr());
             if sym.is_null() {
                 dlclose(handle);
-                return Err(NativeError::LoadFailed(format!("symbol {name} not found")));
+                return Err(NativeError::LoadFailed(format!("symbol {ENTRY} not found")));
             }
             (handle, sym)
         };
@@ -274,17 +268,17 @@ impl Drop for Loaded {
     }
 }
 
-/// The C text of `unit` with entry point `name` — the one emit behind
-/// every build path. Tables are declared, not initialised: the loaded
+/// The C text of `unit` with entry point [`ENTRY`] — what every kernel
+/// is built from. Tables are declared, not initialised: the loaded
 /// object gets their values from [`fill_tables`].
-fn c_source(unit: &CompiledUnit, name: &str) -> Result<String, NativeError> {
+fn c_source(unit: &CompiledUnit) -> Result<String, NativeError> {
     if unit.program.complex {
         return Err(NativeError::Unsupported(
             "C output requires real-typed code (set #codetype real)".into(),
         ));
     }
     Ok(codegen::emit(
-        name,
+        ENTRY,
         &unit.program,
         &CodegenOptions {
             language: Language::C,
@@ -296,27 +290,27 @@ fn c_source(unit: &CompiledUnit, name: &str) -> Result<String, NativeError> {
     ))
 }
 
-/// Gives a freshly loaded object, built from `c_source(unit, name)`,
-/// its unit's table values: one call of the `<name>_tables` entry point
+/// Gives a freshly loaded object, built from `c_source(unit)`, its
+/// unit's table values: one call of the `spl_kernel_tables` entry point
 /// that text has when the unit has tables at all.
-fn fill_tables(lib: &Loaded, name: &str, unit: &CompiledUnit) -> Result<(), NativeError> {
+fn fill_tables(lib: &Loaded, unit: &CompiledUnit) -> Result<(), NativeError> {
     if unit.program.tables.is_empty() {
         return Ok(());
     }
     let values = codegen::table_values(&unit.program);
-    let filler = format!("{name}_tables");
+    let filler = format!("{ENTRY}_tables");
     let filler_c =
         CString::new(filler.as_bytes()).map_err(|_| NativeError::Io("bad name".into()))?;
     // SAFETY: the handle is a live `dlopen` of an object built from
-    // `c_source(unit, name)`, whose emitter gives `<name>_tables` the
+    // `c_source(unit)`, whose emitter gives `spl_kernel_tables` the
     // C ABI signature `void (const double *)` and has it read exactly
     // the words of `table_values` — one slice per table, in
     // `IProgram::tables` order — into statics private to this handle.
     // Nothing else can be inside the object yet: its entry point leaves
     // this module only in the kernel the caller builds after this.
     //
-    // That is also what keeps the kernel-cache key at "C text + build
-    // options + `cc` line": an object is a pure function of its text,
+    // That is also what keeps the kernel-cache key at "C text + `cc`
+    // line": an object is a pure function of its text,
     // every load goes through a temp `.so` of its own (own handle, own
     // statics) and is filled from its own unit here, so two units whose
     // text differs only in table *values* share one `cc` run and still
@@ -345,8 +339,8 @@ pub struct NativeKernel {
     /// Output length in `f64` words.
     pub n_out: usize,
     lib: Loaded,
-    /// The [`KernelCache`] key the object was filed under.
-    cache_key: Option<String>,
+    /// The [`KernelCache`] key of the object.
+    cache_key: String,
 }
 
 impl fmt::Debug for NativeKernel {
@@ -360,8 +354,8 @@ impl fmt::Debug for NativeKernel {
 }
 
 impl NativeKernel {
-    /// Emits C for the unit, compiles it with the host `cc` under the
-    /// default [`BuildOptions`], and loads the resulting shared object.
+    /// Emits C for the unit, compiles it with the host `cc`, and loads
+    /// the resulting shared object.
     ///
     /// # Errors
     ///
@@ -369,41 +363,24 @@ impl NativeKernel {
     /// code), when `cc` is unavailable, errors, or times out, or when
     /// the object cannot be loaded.
     pub fn compile(unit: &CompiledUnit) -> Result<NativeKernel, NativeError> {
-        Self::compile_with(unit, &BuildOptions::default())
+        Self::compile_for(unit, CcTarget::host())
     }
 
-    /// [`NativeKernel::compile`] with explicit compiler-run options.
-    ///
-    /// # Errors
-    ///
-    /// Same failure modes as [`NativeKernel::compile`].
-    pub fn compile_with(
-        unit: &CompiledUnit,
-        opts: &BuildOptions,
-    ) -> Result<NativeKernel, NativeError> {
-        Self::compile_for(unit, opts, CcTarget::host())
-    }
-
-    /// [`NativeKernel::compile_with`] for an explicit target line
+    /// [`NativeKernel::compile`] for an explicit target line
     /// (tests of the ISA fallback; everything else builds for the host).
     #[doc(hidden)]
     pub fn compile_for(
         unit: &CompiledUnit,
-        opts: &BuildOptions,
         target: &CcTarget,
     ) -> Result<NativeKernel, NativeError> {
-        let name = sanitize(&unit.name);
-        let c_src = c_source(unit, &name)?;
-        let lib = build_and_load(&std::env::temp_dir(), &name, &c_src, opts, target, &NEVER)?;
-        Self::from_loaded(lib, &name, unit)
+        Self::build(unit, &KernelCache::none(), target, &NEVER).map(|(k, _)| k)
     }
 
-    /// [`NativeKernel::compile_with`] through a content-addressed
-    /// [`KernelCache`]: the emitted C (with a canonical entry-point
-    /// name) is hashed together with the build options and the `cc`
+    /// [`NativeKernel::compile`] through a content-addressed
+    /// [`KernelCache`]: the emitted C is hashed together with the `cc`
     /// command line, and a hit loads the previously built shared object
     /// instead of invoking `cc`. Returns the kernel plus where it came
-    /// from ([`CacheOutcome`]).
+    /// from ([`CacheOutcome`]). `_opts` holds nothing.
     ///
     /// # Errors
     ///
@@ -411,10 +388,10 @@ impl NativeKernel {
     /// disk-cache entry is discarded and recompiled, never an error.
     pub fn compile_cached(
         unit: &CompiledUnit,
-        opts: &BuildOptions,
+        _opts: &BuildOptions,
         cache: &KernelCache,
     ) -> Result<(NativeKernel, CacheOutcome), NativeError> {
-        Self::compile_cached_unless(unit, opts, cache, &NEVER)
+        Self::build(unit, cache, CcTarget::host(), &NEVER)
     }
 
     /// [`NativeKernel::compile_cached`] for a caller that may stop
@@ -428,71 +405,79 @@ impl NativeKernel {
     /// As [`NativeKernel::compile_cached`].
     pub fn compile_cached_unless(
         unit: &CompiledUnit,
-        opts: &BuildOptions,
         cache: &KernelCache,
         called_off: &AtomicBool,
     ) -> Result<(NativeKernel, CacheOutcome), NativeError> {
-        let c_src = c_source(unit, CACHED_SYMBOL)?;
-        let target = CcTarget::host();
-        let line = target.command_line();
-        let mut key = KernelCache::key_for(&c_src, opts, line);
-        if let Some((bytes, outcome)) = cache.lookup(&key) {
+        Self::build(unit, cache, CcTarget::host(), called_off)
+    }
+
+    /// The one build behind every constructor: a hit in `cache` loads
+    /// the object filed under the key of the unit's C and `target`'s
+    /// line; a miss runs `cc` for `target` and, when the cache has a
+    /// directory, files the object.
+    fn build(
+        unit: &CompiledUnit,
+        cache: &KernelCache,
+        target: &CcTarget,
+        called_off: &AtomicBool,
+    ) -> Result<(NativeKernel, CacheOutcome), NativeError> {
+        let c_src = c_source(unit)?;
+        let key = KernelCache::key_for(&c_src, target.command_line());
+        let tmp_dir = std::env::temp_dir();
+        if let Some(object) = cache.lookup(&key) {
             // The bytes go to a fresh uniquely named temp `.so` (dlopen
             // works on files) and load like a freshly built object.
-            let tmp = TempArtifacts::new(&std::env::temp_dir(), &fresh_stem());
-            std::fs::write(&tmp.so_path, bytes.as_slice())
+            let tmp = TempArtifacts::new(&tmp_dir, &fresh_stem());
+            std::fs::write(&tmp.so_path, &object)
                 .map_err(|e| NativeError::Io(format!("writing {}: {e}", tmp.so_path.display())))?;
-            let mut kernel = Self::from_loaded(tmp.load(CACHED_SYMBOL)?, CACHED_SYMBOL, unit)?;
-            kernel.cache_key = Some(key);
-            return Ok((kernel, outcome));
+            let kernel = Self::from_loaded(tmp.load()?, unit, key)?;
+            return Ok((kernel, CacheOutcome::DiskHit));
         }
         let table_words: usize = unit.program.tables.iter().map(Vec::len).sum();
         let table_bytes = table_words * std::mem::size_of::<f64>();
-        let (tmp_dir, started) = (std::env::temp_dir(), Instant::now());
-        let built = build_and_load(&tmp_dir, CACHED_SYMBOL, &c_src, opts, target, called_off);
+        let started = Instant::now();
+        let built = build_and_load(&tmp_dir, &c_src, target, called_off, CC_TIMEOUT, &CC_RETRY);
         cache.count_cc_invocation(c_src.len(), table_bytes, started.elapsed());
         let lib = built?;
-        if target.command_line() != line {
-            // This build fell back to baseline: file it under the line
-            // that produced it.
-            key = KernelCache::key_for(&c_src, opts, target.command_line());
+        // Filed under the line that built it: baseline's, when this
+        // build fell back.
+        let key = KernelCache::key_for(&c_src, target.command_line());
+        if cache.dir.is_some() {
+            if let Ok(object) = std::fs::read(&lib.so_path) {
+                cache.insert(&key, &object);
+            }
         }
-        if let Ok(bytes) = std::fs::read(&lib.so_path) {
-            cache.insert(&key, bytes);
-        }
-        let mut kernel = Self::from_loaded(lib, CACHED_SYMBOL, unit)?;
-        kernel.cache_key = Some(key);
-        Ok((kernel, CacheOutcome::Miss))
+        Ok((Self::from_loaded(lib, unit, key)?, CacheOutcome::Miss))
     }
 
-    /// The [`KernelCache`] key a cached build filed its object under
-    /// (`None` for an uncached build) — for callers that must quarantine
-    /// ([`KernelCache::evict`]) a kernel whose *output* was found wrong
-    /// after compilation, which the input-addressed key cannot detect.
-    pub fn cache_key(&self) -> Option<&str> {
-        self.cache_key.as_deref()
+    /// The [`KernelCache`] key of the kernel's object — for callers that
+    /// must quarantine ([`KernelCache::evict`]) a kernel whose *output*
+    /// was found wrong after compilation, which the input-addressed key
+    /// cannot detect.
+    pub fn cache_key(&self) -> &str {
+        &self.cache_key
     }
 
     /// The one place a resolved symbol becomes a callable entry point,
     /// with its tables filled first: no kernel exists without them.
     fn from_loaded(
         lib: Loaded,
-        name: &str,
         unit: &CompiledUnit,
+        cache_key: String,
     ) -> Result<NativeKernel, NativeError> {
-        fill_tables(&lib, name, unit)?;
+        fill_tables(&lib, unit)?;
         // SAFETY: every object reaching here was built — just now, or
         // earlier into the kernel cache, whose key covers the C text —
-        // from `c_source(unit, name)`, and the emitter gives that
-        // entry point the C ABI signature
-        // `void name(double *restrict y, const double *restrict x)`.
+        // from `c_source(unit)`, and the emitter gives that entry point
+        // the C ABI signature
+        // `void spl_kernel(double *restrict y, const double *restrict x)`.
         let entry: extern "C" fn(*mut f64, *const f64) = unsafe { std::mem::transmute(lib.sym) };
         Ok(NativeKernel {
             entry,
             n_in: unit.program.n_in,
             n_out: unit.program.n_out,
             lib,
-            cache_key: None,
+            cache_key,
         })
     }
 
@@ -615,14 +600,16 @@ fn sandbox_to_native(e: SandboxError) -> NativeError {
 fn run_cc(
     c_path: &Path,
     so_path: &Path,
-    opts: &BuildOptions,
     target: &CcTarget,
     called_off: &AtomicBool,
+    timeout: Duration,
+    retry: &RetryPolicy,
 ) -> Result<(), NativeError> {
     let isa = target.isa();
-    match cc_once(c_path, so_path, opts, isa, called_off) {
+    let cc = |isa| cc_once(c_path, so_path, isa, called_off, timeout, retry);
+    match cc(isa) {
         Err(NativeError::CompileFailed(_)) if !isa.is_empty() => {
-            cc_once(c_path, so_path, opts, &[], called_off)?;
+            cc(&[])?;
             target.downgrade();
             Ok(())
         }
@@ -630,24 +617,26 @@ fn run_cc(
     }
 }
 
-/// Runs `cc` on the written source under the timeout/retry policy.
-/// Spawn failures and timeouts are retried with backoff (the machine
-/// may be briefly overloaded); compile *errors* are deterministic and
-/// fail immediately, and so does a build its caller called off.
+/// Runs `cc` on the written source under `timeout` per attempt and the
+/// `retry` policy. Spawn failures and timeouts are retried with backoff
+/// (the machine may be briefly overloaded); compile *errors* are
+/// deterministic and fail immediately, and so does a build its caller
+/// called off.
 fn cc_once(
     c_path: &Path,
     so_path: &Path,
-    opts: &BuildOptions,
     isa: &[&str],
     called_off: &AtomicBool,
+    timeout: Duration,
+    retry: &RetryPolicy,
 ) -> Result<(), NativeError> {
-    let attempts = opts.retry.attempts.max(1);
+    let attempts = retry.attempts.max(1);
     let mut last: Option<NativeError> = None;
     for attempt in 0..attempts {
         let mut cmd = Command::new("cc");
         cmd.args(target::CC_FLAGS).args(isa);
         cmd.arg("-o").arg(so_path).arg(c_path);
-        match run_command_unless(&mut cmd, opts.cc_timeout, called_off) {
+        match run_command_unless(&mut cmd, timeout, called_off) {
             Ok(out) if out.status.success() => return Ok(()),
             Ok(out) => {
                 // Deterministic diagnostic: retrying would reproduce it.
@@ -673,7 +662,7 @@ fn cc_once(
             }
         }
         if attempt + 1 < attempts {
-            let d = opts.retry.delay_after(attempt);
+            let d = retry.delay_after(attempt);
             if !d.is_zero() {
                 std::thread::sleep(d);
             }
@@ -682,22 +671,29 @@ fn cc_once(
     Err(last.unwrap_or_else(|| NativeError::Io("cc never ran".into())))
 }
 
-/// Shared cc + dlopen plumbing, with the `.c`/`.so` pair placed in
-/// `dir`. The temp artifacts are owned by an RAII guard until the very
-/// end, so every early return cleans up.
+/// The `cc` + dlopen step of [`NativeKernel::build`], with the `.c`/`.so`
+/// pair placed in `dir`. The temp artifacts are owned by an RAII guard
+/// until the very end, so every early return cleans up.
 fn build_and_load(
     dir: &Path,
-    name: &str,
     c_src: &str,
-    opts: &BuildOptions,
     target: &CcTarget,
     called_off: &AtomicBool,
+    timeout: Duration,
+    retry: &RetryPolicy,
 ) -> Result<Loaded, NativeError> {
     let tmp = TempArtifacts::new(dir, &fresh_stem());
     std::fs::write(&tmp.c_path, c_src)
         .map_err(|e| NativeError::Io(format!("writing {}: {e}", tmp.c_path.display())))?;
-    run_cc(&tmp.c_path, &tmp.so_path, opts, target, called_off)?;
-    tmp.load(name)
+    run_cc(
+        &tmp.c_path,
+        &tmp.so_path,
+        target,
+        called_off,
+        timeout,
+        retry,
+    )?;
+    tmp.load()
 }
 
 /// A collision-free temp-file stem: pid + counter + a timestamp
@@ -711,17 +707,6 @@ fn fresh_stem() -> String {
         .map(|d| d.subsec_nanos())
         .unwrap_or(0);
     format!("spl_native_{}_{}_{nonce}", std::process::id(), id)
-}
-
-fn sanitize(name: &str) -> String {
-    let mut s: String = name
-        .chars()
-        .map(|c| if c.is_ascii_alphanumeric() { c } else { '_' })
-        .collect();
-    if s.is_empty() || s.chars().next().unwrap().is_ascii_digit() {
-        s.insert(0, 's');
-    }
-    s
 }
 
 #[cfg(test)]
@@ -843,11 +828,11 @@ mod tests {
         let dir = artifact_dir("broken");
         let err = build_and_load(
             &dir,
-            "broken",
-            "void broken(double *y, const double *x) { this is not C; }",
-            &BuildOptions::default(),
+            "void spl_kernel(double *y, const double *x) { this is not C; }",
             CcTarget::host(),
             &NEVER,
+            CC_TIMEOUT,
+            &CC_RETRY,
         )
         .err()
         .unwrap();
@@ -870,17 +855,13 @@ mod tests {
         // A 0-budget build can never finish: the runner must kill cc,
         // classify the failure, and leave no artifacts behind.
         let dir = artifact_dir("slowbuild");
-        let opts = BuildOptions {
-            cc_timeout: Duration::from_millis(0),
-            retry: RetryPolicy::none(),
-        };
         let err = build_and_load(
             &dir,
-            "slowbuild",
-            "void slowbuild(double *y, const double *x) { y[0] = x[0]; }",
-            &opts,
+            "void spl_kernel(double *y, const double *x) { y[0] = x[0]; }",
             CcTarget::host(),
             &NEVER,
+            Duration::ZERO,
+            &RetryPolicy::none(),
         )
         .err()
         .unwrap();
@@ -897,11 +878,11 @@ mod tests {
         let dir = artifact_dir("calledoff");
         let err = build_and_load(
             &dir,
-            "calledoff",
-            "void calledoff(double *y, const double *x) { y[0] = x[0]; }",
-            &BuildOptions::default(),
+            "void spl_kernel(double *y, const double *x) { y[0] = x[0]; }",
             CcTarget::host(),
             &AtomicBool::new(true),
+            CC_TIMEOUT,
+            &CC_RETRY,
         )
         .err()
         .unwrap();
@@ -941,16 +922,26 @@ mod tests {
         assert_eq!(clip_stderr(b"short"), "short");
     }
 
+    /// An empty cache directory for one test.
+    fn cache_dir(test: &str) -> PathBuf {
+        let dir =
+            std::env::temp_dir().join(format!("spl_native_kcache_{}_{test}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
     #[test]
-    fn cached_compile_hits_memory_and_matches_cold_kernel() {
+    fn cached_compile_hits_disk_and_matches_cold_kernel() {
+        let dir = cache_dir("hit");
         let mut c = Compiler::new();
         let unit = c.compile_formula_str("(F 4)").unwrap();
-        let cache = KernelCache::in_memory();
-        let opts = BuildOptions::default();
+        let cache = KernelCache::with_dir(&dir).unwrap();
+        let opts = BuildOptions;
         let (k1, o1) = NativeKernel::compile_cached(&unit, &opts, &cache).unwrap();
         let (k2, o2) = NativeKernel::compile_cached(&unit, &opts, &cache).unwrap();
         assert_eq!(o1, CacheOutcome::Miss);
-        assert_eq!(o2, CacheOutcome::MemoryHit);
+        assert_eq!(o2, CacheOutcome::DiskHit);
+        assert_eq!(k1.cache_key(), k2.cache_key());
         let x: Vec<f64> = (0..k1.n_in).map(|i| (i as f64 * 0.41).sin()).collect();
         let mut y1 = vec![0.0; k1.n_out];
         let mut y2 = vec![0.0; k2.n_out];
@@ -959,14 +950,28 @@ mod tests {
         assert_eq!(y1, y2, "cached kernel differs from cold compile");
         let tel = cache.drain_telemetry();
         assert_eq!(tel.counter("native.cc_invocations"), Some(1));
-        assert_eq!(tel.counter("native.cache.memory_hits"), Some(1));
+        assert_eq!(tel.counter("native.cache.disk_hits"), Some(1));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_cache_without_a_directory_runs_cc_for_every_build() {
+        let unit = Compiler::new().compile_formula_str("(F 2)").unwrap();
+        let cache = KernelCache::none();
+        let (k1, o1) = NativeKernel::compile_cached(&unit, &BuildOptions, &cache).unwrap();
+        let (k2, o2) = NativeKernel::compile_cached(&unit, &BuildOptions, &cache).unwrap();
+        assert_eq!((o1, o2), (CacheOutcome::Miss, CacheOutcome::Miss));
+        assert_eq!(k1.cache_key(), k2.cache_key());
+        let tel = cache.drain_telemetry();
+        assert_eq!(tel.counter("native.cc_invocations"), Some(2));
+        assert_eq!(tel.counter("native.cache.disk_hits"), None);
     }
 
     #[test]
     fn one_build_counts_one_cc_invocation_and_its_wall_time() {
         let unit = Compiler::new().compile_formula_str("(F 8)").unwrap();
-        let cache = KernelCache::in_memory();
-        NativeKernel::compile_cached(&unit, &BuildOptions::default(), &cache).unwrap();
+        let cache = KernelCache::none();
+        NativeKernel::compile_cached(&unit, &BuildOptions, &cache).unwrap();
         let tel = cache.drain_telemetry();
         assert_eq!(tel.counter("native.cc_invocations"), Some(1));
         assert!(
@@ -977,12 +982,10 @@ mod tests {
 
     #[test]
     fn cached_compile_survives_a_fresh_disk_cache_instance() {
-        let dir =
-            std::env::temp_dir().join(format!("spl_native_kcache_{}_disk", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = cache_dir("disk");
         let mut c = Compiler::new();
         let unit = c.compile_formula_str("(F 2)").unwrap();
-        let opts = BuildOptions::default();
+        let opts = BuildOptions;
         {
             let cache = KernelCache::with_dir(&dir).unwrap();
             let (_k, o) = NativeKernel::compile_cached(&unit, &opts, &cache).unwrap();
@@ -1010,10 +1013,9 @@ mod tests {
         let u1 = c1.compile_formula_str("(F 2)").unwrap();
         let mut c2 = Compiler::new();
         let u2 = c2.compile_formula_str("(tensor (I 2) (F 2))").unwrap();
-        let cache = KernelCache::in_memory();
-        let opts = BuildOptions::default();
-        let (k1, _) = NativeKernel::compile_cached(&u1, &opts, &cache).unwrap();
-        let (k2, _) = NativeKernel::compile_cached(&u2, &opts, &cache).unwrap();
+        let cache = KernelCache::none();
+        let (k1, _) = NativeKernel::compile_cached(&u1, &BuildOptions, &cache).unwrap();
+        let (k2, _) = NativeKernel::compile_cached(&u2, &BuildOptions, &cache).unwrap();
         let x1 = [1.0, 0.0, 2.0, 0.0];
         let mut y1 = [0.0; 4];
         k1.run(&x1, &mut y1);
@@ -1022,12 +1024,5 @@ mod tests {
         let mut y2 = [0.0; 8];
         k2.run(&x2, &mut y2);
         assert_eq!(y2, [3.0, 0.0, -1.0, 0.0, 12.0, 0.0, -2.0, 0.0]);
-    }
-
-    #[test]
-    fn sanitize_names() {
-        assert_eq!(sanitize("fft16"), "fft16");
-        assert_eq!(sanitize("a-b c"), "a_b_c");
-        assert_eq!(sanitize("1abc"), "s1abc");
     }
 }

@@ -103,20 +103,6 @@ impl Complex {
     pub fn approx_eq(self, other: Complex, tol: f64) -> bool {
         (self.re - other.re).abs() <= tol && (self.im - other.im).abs() <= tol
     }
-
-    /// Multiplication by the imaginary unit `i`: `(a+bi) * i = -b + ai`.
-    ///
-    /// The SPL compiler's type-transformation phase exploits this to turn
-    /// complex multiplications by `±i` into a swap and a negation
-    /// (Section 3.3.3 of the paper).
-    pub fn mul_i(self) -> Self {
-        Complex::new(-self.im, self.re)
-    }
-
-    /// Multiplication by `-i`.
-    pub fn mul_neg_i(self) -> Self {
-        Complex::new(self.im, -self.re)
-    }
 }
 
 impl From<f64> for Complex {
@@ -238,8 +224,9 @@ mod tests {
     #[test]
     fn mul_i_is_rotation() {
         let z = Complex::new(3.0, 4.0);
-        assert_eq!(z.mul_i(), z * Complex::i());
-        assert_eq!(z.mul_neg_i(), z * -Complex::i());
+        // (a+bi) * i = -b + ai, and * -i = b - ai: a swap and a negation.
+        assert_eq!(z * Complex::i(), Complex::new(-4.0, 3.0));
+        assert_eq!(z * -Complex::i(), Complex::new(4.0, -3.0));
     }
 
     #[test]

@@ -407,23 +407,23 @@ impl Evaluator for MeasuredEvaluator {
 /// kernel executes and is timed in a forked sandbox (a crash or hang is
 /// a classified error, not a dead search), and every kernel's output is
 /// verified against the dense reference before its timing counts.
-/// Builds go through a content-addressed [`KernelCache`], in memory
-/// unless [`NativeEvaluator::with_kernel_cache`] hands in another.
+/// Builds go through [`KernelCache::none`] (every build runs `cc`)
+/// unless [`NativeEvaluator::with_kernel_cache`] hands in one with a
+/// directory.
 #[derive(Debug)]
 pub struct NativeEvaluator {
     /// Minimum total measurement time per candidate.
     pub min_time: Duration,
     verify: bool,
     eval_timeout: Duration,
-    build: BuildOptions,
     kernel_cache: Arc<KernelCache>,
     tel: Telemetry,
 }
 
 impl NativeEvaluator {
     /// A native evaluator with the given measurement budget,
-    /// verification on, a 30-second sandbox timeout per kernel and an
-    /// in-memory kernel cache of its own.
+    /// verification on, a 30-second sandbox timeout per kernel and no
+    /// kernel cache.
     pub fn new(min_time: Duration) -> Self {
         let mut tel = Telemetry::new();
         describe_policy(&mut tel, min_time);
@@ -431,8 +431,7 @@ impl NativeEvaluator {
             min_time,
             verify: true,
             eval_timeout: Duration::from_secs(30),
-            build: BuildOptions::default(),
-            kernel_cache: Arc::new(KernelCache::in_memory()),
+            kernel_cache: Arc::new(KernelCache::none()),
             tel,
         }
     }
@@ -443,20 +442,14 @@ impl NativeEvaluator {
         self
     }
 
-    /// Sets the `cc` invocation policy (timeout, retry).
-    pub fn with_build(mut self, build: BuildOptions) -> Self {
-        self.build = build;
-        self
-    }
-
     /// Enables or disables dense-reference verification.
     pub fn with_verify(mut self, verify: bool) -> Self {
         self.verify = verify;
         self
     }
 
-    /// Builds through `cache` instead: identical generated C under
-    /// identical build options reuses the shared object built before
+    /// Builds through `cache` instead: identical generated C under an
+    /// identical `cc` line reuses the shared object built before
     /// instead of invoking `cc` again. Share one cache (via `Arc`)
     /// across pool workers so concurrent evaluators deduplicate builds
     /// too.
@@ -471,7 +464,7 @@ impl Evaluator for NativeEvaluator {
         // The kernel carries the key it was filed under, so a failed
         // verification can quarantine the entry.
         let (kernel, outcome) =
-            spl_native::NativeKernel::compile_cached(unit, &self.build, &self.kernel_cache)
+            spl_native::NativeKernel::compile_cached(unit, &BuildOptions, &self.kernel_cache)
                 .map_err(native_err)?;
         if outcome != CacheOutcome::Miss {
             self.tel.add("search.kernel_cache_hits", 1);
@@ -487,10 +480,8 @@ impl Evaluator for NativeEvaluator {
                 // The cache key only covers what went *into* cc, so a
                 // kernel whose output is wrong must be expelled or every
                 // retry would be served the same bad object.
-                if let Some(k) = kernel.cache_key() {
-                    self.kernel_cache.evict(k);
-                    self.tel.add("search.kernels_quarantined", 1);
-                }
+                self.kernel_cache.evict(kernel.cache_key());
+                self.tel.add("search.kernels_quarantined", 1);
                 return Err(e);
             }
             self.tel.add("search.verifications", 1);
@@ -825,8 +816,10 @@ mod tests {
     fn shared_kernel_cache_deduplicates_cc_invocations() {
         // Two evaluators (as two pool workers would be) sharing one
         // content-addressed cache: the second build of the same tree is
-        // a memory hit, not a second `cc` run.
-        let cache = Arc::new(KernelCache::in_memory());
+        // a disk hit, not a second `cc` run.
+        let dir = std::env::temp_dir().join(format!("spl_search_kcache_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cache = Arc::new(KernelCache::with_dir(&dir).unwrap());
         let t = FftTree::node(Rule::CooleyTukey, FftTree::leaf(2), FftTree::leaf(2));
         let unit = compile_unit_for_tree(&t, 64).unwrap();
         let mut a =
@@ -839,8 +832,9 @@ mod tests {
         let mut tel = a.drain_telemetry();
         tel.merge(&b.drain_telemetry());
         assert_eq!(tel.counter("native.cc_invocations"), Some(1));
-        assert_eq!(tel.counter("native.cache.memory_hits"), Some(1));
+        assert_eq!(tel.counter("native.cache.disk_hits"), Some(1));
         assert_eq!(tel.counter("search.kernel_cache_hits"), Some(1));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -11,6 +11,7 @@
 //!   the wrapper-level guarantee that an injected miscompile never
 //!   touches the cache at all.
 
+use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -23,23 +24,26 @@ fn f8() -> FftTree {
     FftTree::node(Rule::CooleyTukey, FftTree::leaf(4), FftTree::leaf(2))
 }
 
-/// The key `tree`'s kernel is filed under, from a build into a scratch
-/// cache (so the cache under test sees no traffic).
+/// The key `tree`'s kernel is filed under, from a build through a cache
+/// that stores nothing (so the cache under test sees no traffic).
 fn scratch_key(tree: &FftTree) -> String {
     let unit = compile_unit_for_tree(tree, 64).expect("compile target unit");
-    let scratch = KernelCache::in_memory();
-    let (kernel, _) = NativeKernel::compile_cached(&unit, &BuildOptions::default(), &scratch)
+    let (kernel, _) = NativeKernel::compile_cached(&unit, &BuildOptions, &KernelCache::none())
         .expect("scratch build");
-    kernel
-        .cache_key()
-        .expect("cached build has a key")
-        .to_string()
+    kernel.cache_key().to_string()
+}
+
+/// An empty cache directory for one test, which removes it at its end.
+fn cache_dir(test: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("spl_quarantine_{}_{test}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
 }
 
 #[test]
 fn poisoned_cache_entry_is_quarantined_and_recompiled() {
-    let build = BuildOptions::default();
-    let cache = Arc::new(KernelCache::in_memory());
+    let (dir, scratch_dir) = (cache_dir("poisoned"), cache_dir("poisoned_scratch"));
+    let cache = Arc::new(KernelCache::with_dir(&dir).unwrap());
     let target_key = scratch_key(&f8());
 
     // Build a *different* kernel (the size-4 DFT, half the I/O width)
@@ -47,12 +51,13 @@ fn poisoned_cache_entry_is_quarantined_and_recompiled() {
     // only covers what goes into cc, so this models a miscompiled
     // entry: structurally a valid shared object, wrong answers.
     let wrong_unit = compile_unit_for_tree(&FftTree::leaf(4), 64).expect("compile wrong unit");
-    let scratch = KernelCache::in_memory();
-    let (wrong, _) =
-        NativeKernel::compile_cached(&wrong_unit, &build, &scratch).expect("build wrong kernel");
-    let wrong_key = wrong.cache_key().expect("cached build has a key");
-    let (bytes, _) = scratch.lookup(wrong_key).expect("wrong kernel cached");
-    cache.insert(&target_key, bytes.to_vec());
+    let scratch = KernelCache::with_dir(&scratch_dir).unwrap();
+    let (wrong, _) = NativeKernel::compile_cached(&wrong_unit, &BuildOptions, &scratch)
+        .expect("build wrong kernel");
+    let object = scratch
+        .lookup(wrong.cache_key())
+        .expect("wrong kernel cached");
+    cache.insert(&target_key, &object);
 
     let unit = compile_unit_for_tree(&f8(), 64).expect("compile target unit");
     let mut eval =
@@ -79,11 +84,14 @@ fn poisoned_cache_entry_is_quarantined_and_recompiled() {
         Some(1),
         "only the retry invokes cc; the poisoned entry was a hit"
     );
+    let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_dir_all(&scratch_dir);
 }
 
 #[test]
 fn injected_miscompile_never_reaches_the_cache() {
-    let cache = Arc::new(KernelCache::in_memory());
+    let dir = cache_dir("injected");
+    let cache = Arc::new(KernelCache::with_dir(&dir).unwrap());
     let target_key = scratch_key(&f8());
 
     let unit = compile_unit_for_tree(&f8(), 64).expect("compile target unit");
@@ -111,4 +119,5 @@ fn injected_miscompile_never_reaches_the_cache() {
         "retry must be a cache miss + recompile"
     );
     assert!(cache.lookup(&target_key).is_some());
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -51,13 +51,16 @@ use std::sync::{mpsc, Arc, Mutex, Weak};
 use std::time::{Duration, Instant};
 
 use spl_generator::fft::{ct_sequence, FftTree, Rule};
-use spl_native::{BuildOptions, CompiledUnit, KernelCache, NativeKernel};
+use spl_native::{CompiledUnit, KernelCache, NativeKernel};
 use spl_search::{compile_unit_for_tree, wisdom_from_string};
 use spl_telemetry::Telemetry;
 use spl_vm::{lower, VmProgram, VmState};
 
 use crate::chaos::ChaosInjector;
 use crate::protocol::Tier;
+
+/// Wall-clock budget for a kernel's sandboxed promotion run.
+const SANDBOX_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// Why the store could not serve a request. Maps onto the wire error
 /// classes (`u`/`c`/`i`).
@@ -199,10 +202,6 @@ pub struct PlanStoreOptions {
     /// Whether to compile native kernels at all (tests without a
     /// working `cc` can turn this off).
     pub native: bool,
-    /// Build options for `cc` runs.
-    pub build: BuildOptions,
-    /// Wall-clock budget for the sandboxed promotion run.
-    pub sandbox_timeout: Duration,
 }
 
 impl Default for PlanStoreOptions {
@@ -212,8 +211,6 @@ impl Default for PlanStoreOptions {
             unroll_threshold: 64,
             max_size: 1 << 16,
             native: true,
-            build: BuildOptions::default(),
-            sandbox_timeout: Duration::from_secs(10),
         }
     }
 }
@@ -222,8 +219,8 @@ impl Default for PlanStoreOptions {
 /// build reads, and where both sides count.
 struct Shared {
     opts: PlanStoreOptions,
-    /// Every kernel is built through it: the state directory's, or one
-    /// that lives and dies with the store.
+    /// Every kernel is built through it: the state directory's, or
+    /// without one a cache that stores nothing.
     kernels: KernelCache,
     tel: Mutex<Telemetry>,
     /// Held by the builder thread across each build it does.
@@ -267,9 +264,8 @@ impl Shared {
     /// deterministic probe. Failure of either step is a degradation,
     /// not an error: the plan serves on the VM tier.
     fn build_and_promote(&self, plan: &PlanEntry, unit: &CompiledUnit) -> NativeTier {
-        let build = &self.opts.build;
         let called_off = &self.builds_called_off;
-        let built = NativeKernel::compile_cached_unless(unit, build, &self.kernels, called_off);
+        let built = NativeKernel::compile_cached_unless(unit, &self.kernels, called_off);
         let Ok((kernel, _)) = built else {
             self.count("spld.native.compile_failures");
             return NativeTier::Missing;
@@ -282,8 +278,7 @@ impl Shared {
         let mut want = vec![0.0; plan.vm.n_out];
         plan.run_vm(&x, &mut want);
         let mut got = vec![0.0; plan.vm.n_out];
-        let timeout = self.opts.sandbox_timeout;
-        let ran = kernel.with(|k| k.run_sandboxed(&x, &mut got, timeout));
+        let ran = kernel.with(|k| k.run_sandboxed(&x, &mut got, SANDBOX_TIMEOUT));
         match ran {
             Ok(()) if same_bits(&got, &want) => {
                 self.count("spld.native.promoted");
@@ -310,11 +305,7 @@ impl Shared {
     fn quarantine(&self, kernel: &SharedKernel) {
         self.count("spld.quarantined");
         self.count("spld.degradations");
-        kernel.with(|k| {
-            if let Some(key) = k.cache_key() {
-                self.kernels.evict(key);
-            }
-        });
+        kernel.with(|k| self.kernels.evict(k.cache_key()));
     }
 }
 
@@ -368,7 +359,7 @@ impl PlanStore {
                 KernelCache::with_dir(&dir.join("kernels"))
                     .map_err(|e| ServeError::Internal(format!("kernel cache: {e}")))?
             }
-            None => KernelCache::in_memory(),
+            None => KernelCache::none(),
         };
         Ok(PlanStore {
             shared: Arc::new(Shared {
@@ -496,7 +487,7 @@ impl PlanStore {
     /// returns once the thread is between builds — so that a process
     /// that exits next leaves nothing of a build in its `TMPDIR`. A
     /// build past its `cc` is waited for: the promotion run is bounded
-    /// by [`PlanStoreOptions::sandbox_timeout`].
+    /// by a 10-second timeout.
     pub fn call_off_builds(&self) {
         // SeqCst: the builder reads the flag under `building`, or polls
         // it while it waits for `cc`; neither may see it late.

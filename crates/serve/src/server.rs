@@ -202,7 +202,6 @@ impl Server {
             unroll_threshold: config.unroll_threshold,
             max_size: config.max_size,
             native: config.native,
-            ..Default::default()
         })?;
         load_wisdom_sources(&config, &store)?;
         let chaos = config.chaos.map(ChaosInjector::new);

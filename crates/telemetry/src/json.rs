@@ -65,14 +65,6 @@ impl Json {
             _ => None,
         }
     }
-
-    /// The object's members, if it is an object.
-    pub fn as_obj(&self) -> Option<&[(String, Json)]> {
-        match self {
-            Json::Obj(pairs) => Some(pairs),
-            _ => None,
-        }
-    }
 }
 
 fn escape_into(s: &str, out: &mut String) {

@@ -609,16 +609,16 @@ mod tests {
     #[test]
     fn counters_with_prefix_selects_one_subsystem() {
         let mut tel = Telemetry::new();
-        tel.add("native.cache.memory_hits", 3);
+        tel.add("native.cache.disk_hits", 3);
         tel.add("search.plans_evaluated", 10);
-        tel.add("native.cache.disk_hits", 1);
+        tel.add("native.cache.quarantined", 1);
         tel.add("native.cc_invocations", 4);
         let cache: Vec<_> = tel.counters_with_prefix("native.cache.").collect();
         assert_eq!(
             cache,
             vec![
-                ("native.cache.memory_hits", 3),
-                ("native.cache.disk_hits", 1)
+                ("native.cache.disk_hits", 3),
+                ("native.cache.quarantined", 1)
             ]
         );
         assert_eq!(tel.counters_with_prefix("nope.").count(), 0);

@@ -6,7 +6,7 @@
 //! same by interval analysis of the `$in`/`$out` subscripts over the
 //! loop ranges.
 
-use spl_frontend::ast::{SizeProp, TBinOp, TExpr, TUnOp, TemplateStmt};
+use spl_frontend::ast::{TBinOp, TExpr, TUnOp, TemplateStmt};
 use spl_frontend::sexp::Sexp;
 
 use crate::expand::ExpandError;
@@ -324,17 +324,6 @@ fn range_of(
             "cannot bound expression {other} (size inference)"
         ))),
     }
-}
-
-/// Dedicated helper exposed for use by [`SizeProp`] consumers.
-///
-/// Equivalent to `shape_of(...).map(|s| match prop { ... })`.
-pub fn size_prop(sexp: &Sexp, prop: SizeProp, table: &TemplateTable) -> Result<usize, ExpandError> {
-    let (rows, cols) = shape_of(sexp, table)?;
-    Ok(match prop {
-        SizeProp::InSize => cols,
-        SizeProp::OutSize => rows,
-    })
 }
 
 #[cfg(test)]

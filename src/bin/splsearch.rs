@@ -16,9 +16,10 @@
 //! over a worker pool while wall-clock timing stays serialized behind
 //! one process-wide lock, and results merge deterministically — the
 //! winners are bit-identical to `--jobs 1` under any deterministic
-//! evaluator. Native kernel builds go through a content-addressed
-//! cache (in-memory by default; `--kernel-cache <dir>` persists it
-//! across runs) so identical generated C is compiled at most once.
+//! evaluator. With `--kernel-cache <dir>` native kernel builds go
+//! through a content-addressed cache in that directory (none by
+//! default), so identical generated C is compiled at most once, across
+//! runs too.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -49,20 +50,20 @@ usage: splsearch [options]
                      measure is skipped, never priced by another one
   --jobs <n>         parallel evaluation workers (default: the machine's
                      available parallelism); timing is always serialized
-                     behind a single measurement token, and winners are
+                     behind one process-wide lock, and winners are
                      bit-identical to --jobs 1 under deterministic
                      evaluators
   --kernel-cache <dir>
                      persist the content-addressed compiled-kernel cache
                      to <dir>, so a rerun reuses every shared object
                      whose generated C, build options, and cc version
-                     are unchanged (default: in-memory only)
+                     are unchanged (default: none)
   --min-time <ms>    measurement budget per candidate (default 10)
   --eval-timeout <s> sandbox timeout per candidate kernel (default 30)
   --no-verify        skip dense-reference verification of candidates
   --wisdom-db <dir>  crash-safe, mergeable wisdom database: reuse winners
                      recorded under the current configuration, evaluator,
-                     compiler and machine, append each size as it
+                     compiler and machine, file each size as it
                      finishes (a killed search resumes), share the store
                      safely with concurrent searches
   --faulty <seed>    inject deterministic faults in front of the
@@ -227,7 +228,7 @@ fn main() -> ExitCode {
             Ok(c) => Arc::new(c),
             Err(e) => return fail(&format!("opening kernel cache {}: {e}", dir.display())),
         },
-        None => Arc::new(KernelCache::in_memory()),
+        None => Arc::new(KernelCache::none()),
     };
 
     let mut tel = Telemetry::new();

@@ -251,11 +251,16 @@ fn benchmark_plans(sizes: impl Fn(usize) -> bool) -> Vec<(usize, spl::compiler::
 }
 
 /// `unit`'s kernel at the host line: `cc` runs once per plan and test
-/// process, and each call loads its own copy of the object.
+/// process, and each call loads its own copy of the object. The cache
+/// directory is emptied when the process first asks for a kernel.
 fn host_kernel(unit: &CompiledUnit) -> NativeKernel {
     static BUILT: OnceLock<KernelCache> = OnceLock::new();
-    let cache = BUILT.get_or_init(KernelCache::in_memory);
-    NativeKernel::compile_cached(unit, &BuildOptions::default(), cache)
+    let cache = BUILT.get_or_init(|| {
+        let dir = concat!(env!("CARGO_TARGET_TMPDIR"), "/codegen_native_kernels");
+        let _ = std::fs::remove_dir_all(dir);
+        KernelCache::with_dir(dir.as_ref()).unwrap()
+    });
+    NativeKernel::compile_cached(unit, &BuildOptions, cache)
         .unwrap()
         .0
 }
@@ -321,7 +326,7 @@ fn benchmark_plan_65536_on_the_host_target_line_matches_the_vm_bitwise() {
 fn looped_plans_at_the_baseline_line_match_the_vm_bitwise() {
     let baseline = CcTarget::with_isa_tokens(&[]);
     for (n, unit) in benchmark_plans(|n| n >= 128) {
-        let kernel = NativeKernel::compile_for(&unit, &BuildOptions::default(), &baseline).unwrap();
+        let kernel = NativeKernel::compile_for(&unit, &baseline).unwrap();
         assert_bitwise_vm(&format!("plan {n} at the baseline line"), &unit, &kernel);
     }
 }
@@ -399,14 +404,13 @@ fn isa_selection_is_total_and_never_admits_a_fused_multiply_add() {
 #[test]
 fn kernel_cache_key_separates_isa_levels() {
     let c = "void spl_kernel(double *restrict y, const double *restrict x) { y[0] = x[0]; }";
-    let opts = BuildOptions::default();
     let line = |avx, avx2| {
         CcTarget::with_isa_tokens(isa_tokens("x86_64", avx, avx2))
             .command_line()
             .to_string()
     };
     let keys = [line(true, true), line(true, false), line(false, false)]
-        .map(|l| KernelCache::key_for(c, &opts, &l));
+        .map(|l| KernelCache::key_for(c, &l));
     assert_ne!(keys[0], keys[1], "avx2 vs avx");
     assert_ne!(keys[1], keys[2], "avx vs baseline");
     assert_ne!(keys[0], keys[2], "avx2 vs baseline");
@@ -416,14 +420,13 @@ fn kernel_cache_key_separates_isa_levels() {
 fn cc_that_rejects_the_isa_tokens_falls_back_to_baseline_once() {
     let target = CcTarget::with_isa_tokens(&["-mno-such-isa"]);
     let (_, unit) = benchmark_plans(|n| n == 256).remove(0); // loop code
-    let opts = BuildOptions::default();
-    let first = NativeKernel::compile_for(&unit, &opts, &target).unwrap();
+    let first = NativeKernel::compile_for(&unit, &target).unwrap();
     assert_bitwise_vm("fallback build", &unit, &first);
     assert_eq!(target.fallbacks(), 1);
     assert!(!target.command_line().contains("-mno-such-isa"));
     // Downgraded for good: the next build starts at baseline, so there
     // is nothing to retry and nothing more to count.
-    let second = NativeKernel::compile_for(&unit, &opts, &target).unwrap();
+    let second = NativeKernel::compile_for(&unit, &target).unwrap();
     assert_bitwise_vm("build after the fallback", &unit, &second);
     let mut tel = Telemetry::new();
     target.report(&mut tel);
@@ -463,23 +466,24 @@ fn units_that_differ_only_in_table_values_share_one_cc_run() {
         panic!("two formulas, {} units", units.len());
     };
     assert_ne!(a.program.tables, b.program.tables, "different twiddles");
-    let opts = BuildOptions::default();
-    let cache = KernelCache::in_memory();
-    let (ka, _) = NativeKernel::compile_cached(a, &opts, &cache).unwrap();
-    let (kb, _) = NativeKernel::compile_cached(b, &opts, &cache).unwrap();
-    assert!(ka.cache_key().is_some());
+    let dir = std::env::temp_dir().join(format!("spl_table_values_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let cache = KernelCache::with_dir(&dir).unwrap();
+    let (ka, _) = NativeKernel::compile_cached(a, &BuildOptions, &cache).unwrap();
+    let (kb, _) = NativeKernel::compile_cached(b, &BuildOptions, &cache).unwrap();
     assert_eq!(ka.cache_key(), kb.cache_key(), "same text");
     // Both alive at once, and a second load of the first beside them.
-    let (ka2, _) = NativeKernel::compile_cached(a, &opts, &cache).unwrap();
+    let (ka2, _) = NativeKernel::compile_cached(a, &BuildOptions, &cache).unwrap();
     assert_bitwise_vm("(TW 8 2 1)", a, &ka);
     assert_bitwise_vm("(TW 8 2 3)", b, &kb);
     assert_bitwise_vm("(TW 8 2 1) again", a, &ka2);
     let tel = cache.drain_telemetry();
     assert_eq!(tel.counter("native.cc_invocations"), Some(1));
-    assert_eq!(tel.counter("native.cache.memory_hits"), Some(2));
+    assert_eq!(tel.counter("native.cache.disk_hits"), Some(2));
     // What cc was handed, and what it was spared: 8 complex twiddles.
     assert_eq!(tel.counter("native.table_bytes"), Some(8 * 2 * 8));
     assert!(tel.counter("native.c_bytes").unwrap() > 0);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// The sandboxed runs fork a process that already has the tables.
@@ -1413,7 +1417,7 @@ fn packer_fallbacks_compile_and_equal_the_vm_bitwise() {
         // offset/stride parameters.
         let kernel = NativeKernel::compile(unit).unwrap();
         assert_bitwise_vm(name, unit, &kernel);
-        let kernel = NativeKernel::compile_for(unit, &BuildOptions::default(), &baseline).unwrap();
+        let kernel = NativeKernel::compile_for(unit, &baseline).unwrap();
         assert_bitwise_vm(&format!("{name} at the baseline line"), unit, &kernel);
         if name == "wide_broadcast_load" {
             let broadcast = "(spl_v4d){x[0], x[1], x[0], x[1]}";
