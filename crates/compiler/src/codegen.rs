@@ -9,8 +9,10 @@
 //!
 //! Plain C (no peepholes, no offset/stride parameters) prints each run
 //! of arithmetic outside any loop on complex pairs, 2-lane GNU C vectors
-//! (the `pack` module), and so each innermost loop body that loads with a
-//! stride in its loop variable. An innermost loop of an even trip count
+//! (the `pack` module), and under `#if defined(__AVX__)` also two pairs
+//! per 32-byte vector where that takes fewer statements; and so, on
+//! pairs, each innermost loop body that loads with a stride in its loop
+//! variable. An innermost loop of an even trip count
 //! whose every subscript steps by one complex value per iteration (a
 //! load may also not step) prints wide, two iterations per 32-byte
 //! vector, under `#if defined(__AVX__)`, and as scalar statements under
@@ -104,6 +106,13 @@ pub struct EmitStats {
     /// leaf body, the rest of the body once per lane, beside their
     /// form without lanes.
     pub lane_nests: u64,
+    /// Statements on two complex pairs per 32-byte vector in the AVX
+    /// form of runs outside any loop: loads, stores, arithmetic, shuffles,
+    /// sign masks and builds of four lanes.
+    pub quad_stmts: u64,
+    /// The 128-bit half moves beside them: joins of two halves into one
+    /// 32-byte vector, and halves taken out of one.
+    pub quad_joins: u64,
 }
 
 impl EmitStats {
@@ -418,6 +427,8 @@ impl<'a> Emit<'a> {
                 self.stats.packed_loops += run.stats.packed_loops;
                 self.stats.wide_loops += run.stats.wide_loops;
                 self.stats.lane_nests += run.stats.lane_nests;
+                self.stats.quad_stmts += run.stats.quad_stmts;
+                self.stats.quad_joins += run.stats.quad_joins;
                 i = run.range.end;
                 continue;
             }
@@ -606,8 +617,8 @@ typedef long long spl_v2l __attribute__((vector_size(16)));
 
 ";
 
-/// The 32-byte types of a unit with wide loop bodies, which only an AVX
-/// build compiles.
+/// The 32-byte types of a unit with wide loop bodies or quads, which
+/// only an AVX build compiles.
 const WIDE_TYPES: &str = "\
 #if defined(__AVX__) && !defined(SPL_V4D)
 #define SPL_V4D
@@ -627,9 +638,10 @@ typedef long long spl_v4l __attribute__((vector_size(32)));
 /// Runs of arithmetic outside any loop, and the innermost loop bodies
 /// [`packed_runs`] picks, are printed on complex pairs or wide unless the
 /// options ask for the paper's peepholes or for offset/stride parameters;
-/// a unit with a packed run starts with the vector types. A wide loop or
-/// a lane nest is printed twice, under `#if defined(__AVX__)` and under
-/// `#else`, so that one text builds at every ISA level: without AVX, gcc
+/// a unit with a packed run starts with the vector types. A wide loop, a
+/// lane nest or a run on quads is printed twice, under
+/// `#if defined(__AVX__)` and under `#else`, so that one text builds at
+/// every ISA level: without AVX, gcc
 /// lowers 32-byte vectors element by element. The `$f` registers only one
 /// side names are declared under its condition, and so are a lane nest's
 /// lane loop variable and its temporaries' lane-1 copies (each behind
@@ -651,12 +663,15 @@ fn emit_c_runs(
     runs: &[PackedRun],
 ) -> (String, EmitStats) {
     let mut e = Emit::new(prog, opts);
+    // The packed runs' text is most of the unit's: room for it up front.
+    e.buf
+        .reserve(runs.iter().map(|r| r.text.len()).sum::<usize>() + 1024);
     if !runs.is_empty() {
         e.buf.push_str(PAIR_TYPES);
     }
     if runs
         .iter()
-        .any(|r| r.stats.wide_loops + r.stats.lane_nests > 0)
+        .any(|r| r.stats.wide_loops + r.stats.lane_nests + r.stats.quad_stmts > 0)
     {
         e.buf.push_str(WIDE_TYPES);
     }
@@ -750,7 +765,7 @@ fn emit_c_runs(
 }
 
 /// The runs of arithmetic that print on complex pairs: those outside any
-/// loop, and the innermost loop bodies that load with a stride in their
+/// loop (and on quads beside), and the innermost loop bodies that load with a stride in their
 /// loop variable (a coefficient other than 0 or 2: more than one complex
 /// value per iteration). And the loops whose bodies print wide: innermost
 /// loops of an even trip count whose every subscript steps by one complex
@@ -827,7 +842,8 @@ fn pair_and_wide_runs(prog: &IProgram, read_until: &[usize], names: &mut u32) ->
             };
             if let Some(wide) = offered {
                 let pad = "  ".repeat(open.len() + 1);
-                let run = pack::pack(prog, start..i, read_until, names, &pad, wide);
+                let quads = open.is_empty();
+                let run = pack::pack(prog, start..i, read_until, names, &pad, wide, quads);
                 out.extend(run.map(|mut r| {
                     if wide.is_some() {
                         r.range = start - 1..i + 1;
@@ -1062,6 +1078,7 @@ fn lane_nest(
         names,
         &pad,
         Some(wide),
+        false,
     )?;
     let mut e = Emit::new(prog, opts);
     (e.guarded, e.indent) = (Some(true), depth + 1);
@@ -1619,7 +1636,9 @@ mod tests {
                 scalar_stmts: 0,
                 packed_loops: 0,
                 wide_loops: 0,
-                lane_nests: 0
+                lane_nests: 0,
+                quad_stmts: 0,
+                quad_joins: 0,
             }
         );
     }

@@ -168,7 +168,8 @@ impl CompiledUnit {
     /// Like [`emit`](Self::emit), but records the `codegen` phase span
     /// and the `codegen.lines`, `codegen.paired_stmts`,
     /// `codegen.scalar_stmts`, `codegen.packed_loops`,
-    /// `codegen.wide_loops` and `codegen.lane_nests` counters into `tel`.
+    /// `codegen.wide_loops`, `codegen.lane_nests`, `codegen.quad_stmts`
+    /// and `codegen.quad_joins` counters into `tel`.
     pub fn emit_traced(&self, tel: &mut Telemetry) -> String {
         let sw = Stopwatch::start();
         let (out, stats) = codegen::emit_counted(&self.name, &self.program, &self.codegen);
@@ -179,6 +180,8 @@ impl CompiledUnit {
         tel.add("codegen.packed_loops", stats.packed_loops);
         tel.add("codegen.wide_loops", stats.wide_loops);
         tel.add("codegen.lane_nests", stats.lane_nests);
+        tel.add("codegen.quad_stmts", stats.quad_stmts);
+        tel.add("codegen.quad_joins", stats.quad_joins);
         out
     }
 

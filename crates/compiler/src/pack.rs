@@ -35,6 +35,22 @@
 //! every element of a per-lane temporary is written earlier in the
 //! iteration that reads it, no `$f` crosses from one block of the body to
 //! another) is `codegen`'s to prove.
+//!
+//! A run outside any loop also prints on *quads*, two 2-lane items per
+//! 32-byte vector, under `#if defined(__AVX__)` beside the pair form
+//! under `#else`, when that takes fewer statements (a half move counted
+//! twice). Loads of one array two doubles apart seed quads; an item whose
+//! operands are lanes 0–1 of quads (a build or literal matches any) pairs
+//! with an item alike that reads their lanes 2–3; stores two doubles
+//! apart pair what is left, top down. Sign masks and literals
+//! concatenate, a shuffle keeps each half's lanes `(i, j, i'+2, j'+2)`,
+//! `+` beside `-` is one blend of `l - r` and `l + r`; other operands are
+//! joined from 128-bit halves or a half is taken out (AVX1 moves only).
+//! Each lane is its 2-lane statement's IEEE operation on the same operand
+//! lanes, so the bits are the pair form's.
+//! Two quads may read each other (the first's lanes 0–1 read the
+//! second's, whose lanes 2–3 read the first's): then the pair form prints
+//! alone.
 
 use std::fmt::Write as _;
 use std::ops::Range;
@@ -88,6 +104,10 @@ impl PackedRun {
 /// anything falls back to scalars, a load steps by other than 0 or 2
 /// doubles, or a store's lanes 2–3 land on another store, and then
 /// `names` is as it was.
+///
+/// `quads`: a run outside any loop, which prints its items two per
+/// 32-byte vector under `#if defined(__AVX__)` beside the pair form under
+/// `#else` when that takes fewer statements.
 pub(crate) fn pack(
     prog: &IProgram,
     range: Range<usize>,
@@ -95,14 +115,20 @@ pub(crate) fn pack(
     names: &mut u32,
     pad: &str,
     wide: Option<Wide>,
+    quads: bool,
 ) -> Option<PackedRun> {
     let first = *names;
-    let packer = Packer::new(&prog.instrs[range.clone()], read_until, range.end, wide);
-    let run = packer?.print(range, names, pad);
+    let mut packer = Packer::new(&prog.instrs[range.clone()], read_until, range.end, wide)?;
+    packer.quads = quads;
+    let run = packer.print(range, names, pad);
     if run.is_none() && wide.is_some() {
         *names = first;
     }
-    run
+    let mut run = run?;
+    if quads {
+        packer.add_quads(&mut run, first, names, pad);
+    }
+    Some(run)
 }
 
 /// Two iterations of the loop over `var` per vector.
@@ -199,6 +225,13 @@ struct Packer {
     wide: Option<LoopVar>,
     /// Per temporary, how far on lane 1's copy starts (see [`Wide`]).
     copy: Vec<i64>,
+    /// Printing quads: per item a quad holds, the quad's number and the
+    /// item's first lane in it, once printed.
+    quad: Vec<(u32, u8)>,
+    /// Set when the run prints on quads too; then `order` holds the items
+    /// in the order the pair form printed them: operands first.
+    quads: bool,
+    order: Vec<u32>,
 }
 
 impl Packer {
@@ -421,7 +454,7 @@ impl Packer {
     /// Prints the roots in program order, each after what it reads, depth
     /// first on an explicit stack. `None` when the run is better left
     /// scalar, or (defensively) when items read each other in a circle.
-    fn print(mut self, range: Range<usize>, names: &mut u32, pad: &str) -> Option<PackedRun> {
+    fn print(&mut self, range: Range<usize>, names: &mut u32, pad: &str) -> Option<PackedRun> {
         self.name = vec![NONE; self.items.len()];
         let mut run = PackedRun::default();
         (run.range, run.text) = (range, String::with_capacity(40 * self.nodes.len()));
@@ -430,6 +463,9 @@ impl Packer {
             let mut stack = vec![(root, false)];
             while let Some((i, expanded)) = stack.pop() {
                 if expanded {
+                    if self.quads {
+                        self.order.push(i);
+                    }
                     self.name[i as usize] = *names;
                     let printed = self.statement(i, &mut run, pad);
                     *names += u32::from(printed);
@@ -440,13 +476,8 @@ impl Packer {
                 } else if self.name[i as usize] == NONE {
                     self.name[i as usize] = OPEN;
                     stack.push((i, true));
-                    let deps = match self.items[i as usize].1 {
-                        Op(_, _, l, r) | Lanes(l, r) => [l, r],
-                        Neg(_, c) | Shuffle(c, ..) => [c, NONE],
-                        Load(..) | Pending => [NONE, NONE],
-                    };
                     // Reversed, so that a left operand prints first.
-                    for d in deps.into_iter().rev().filter(|&d| d != NONE) {
+                    for d in self.reads(i).into_iter().rev().filter(|&d| d != NONE) {
                         match self.name[d as usize] {
                             OPEN => return None,
                             NONE => stack.push((d, false)),
@@ -474,22 +505,38 @@ impl Packer {
                     continue;
                 }
             }
-            let t = &mut run.text;
-            t.push_str(pad);
-            if let Some((kind, s)) = kind {
-                t.push_str(if paired { self.spelling().store } else { "" });
-                self.element(t, kind, s, idx);
-                t.push_str(" = ");
-            } else {
-                let _ = write!(t, "f{idx} = ");
-                run.live_out.push(idx as u32);
-            }
-            self.value(root, t);
-            t.push_str(";\n");
-            run.stats.count(!paired);
+            self.store(r, &mut run, pad);
         }
         let more = run.stats.paired_stmts > run.stats.scalar_stmts;
         (more || self.wide.is_some()).then_some(run)
+    }
+
+    /// Prints root `r`'s store, or its live-out `$f`'s assignment.
+    fn store(&self, r: usize, run: &mut PackedRun, pad: &str) {
+        let (kind, idx, root) = self.roots[r];
+        let paired = self.items[root as usize].0[1] != NONE;
+        let t = &mut run.text;
+        t.push_str(pad);
+        if let Some((kind, s)) = kind {
+            t.push_str(if paired { self.spelling().store } else { "" });
+            self.element(t, kind, s, idx);
+            t.push_str(" = ");
+        } else {
+            let _ = write!(t, "f{idx} = ");
+            run.live_out.push(idx as u32);
+        }
+        self.value(root, t);
+        t.push_str(";\n");
+        run.stats.count(!paired);
+    }
+
+    /// The items item `i` reads, `NONE` past the last.
+    fn reads(&self, i: u32) -> [u32; 2] {
+        match self.items[i as usize].1 {
+            Op(_, _, l, r) | Lanes(l, r) => [l, r],
+            Neg(_, c) | Shuffle(c, ..) => [c, NONE],
+            Load(..) | Pending => [NONE; 2],
+        }
     }
 
     /// Per root, the root a wide body merges its split store with (`NONE`:
@@ -669,7 +716,10 @@ impl Packer {
                 Ok(())
             }
             (Lanes(..), Lit(c)) => write!(t, "{c:?}"),
-            (Shuffle(h, lane, _), _) => write!(t, "v{}[{lane}]", self.name[h as usize]),
+            (Shuffle(h, lane, _), _) => match self.quad.get(h as usize) {
+                Some(&(q, at)) if q != NONE => write!(t, "v{q}[{}]", lane + at),
+                _ => write!(t, "v{}[{lane}]", self.name[h as usize]),
+            },
             _ => write!(t, "s{}", self.name[i as usize]),
         };
     }
@@ -704,6 +754,389 @@ impl Packer {
         t.push('[');
         write_affine(t, &self.terms[s as usize], c);
         t.push(']');
+    }
+}
+
+/// An operand a partner matches with any build or literal: the quad
+/// builds its four lanes.
+const WILD: u32 = u32::MAX - 2;
+
+/// Which 2-lane items share a 32-byte vector: per item, its partner
+/// (`NONE`: none) and whether it is lanes 2–3.
+struct Mates {
+    mate: Vec<u32>,
+    hi: Vec<bool>,
+}
+
+impl Mates {
+    fn pair(&mut self, a: u32, b: u32) {
+        (self.mate[a as usize], self.mate[b as usize]) = (b, a);
+        (self.hi[a as usize], self.hi[b as usize]) = (false, true);
+    }
+
+    /// The partner of `a` when `a` is lanes 0–1 of a quad.
+    fn lo(&self, a: u32) -> Option<u32> {
+        let m = *self.mate.get(a as usize)?;
+        (m != NONE && !self.hi[a as usize]).then_some(m)
+    }
+
+    /// The item that names `i`'s statement: lanes 0–1 of its quad, or `i`.
+    fn unit(&self, i: u32) -> u32 {
+        match self.mate[i as usize] {
+            m if m != NONE && self.hi[i as usize] => m,
+            _ => i,
+        }
+    }
+}
+
+/// The quad form as it prints: the next name, per unit 0 (not reached),
+/// 1 (printing what it reads) or 2 (printed), and the 4-lane values
+/// joined or built from two items, by the pair.
+struct QuadText<'m> {
+    mates: &'m Mates,
+    pad: &'m str,
+    next: u32,
+    run: PackedRun,
+    state: Vec<u8>,
+    made: MixMap<(u32, u32), u32>,
+}
+
+impl Packer {
+    /// Prints the run again on quads, names from `first` on as the pair
+    /// form's (one text or the other compiles), and keeps that text under
+    /// an AVX guard beside `run`'s when it takes fewer statements, a half
+    /// move counted twice: it adds a shuffle's latency where a 2-lane
+    /// statement adds none (2³'s quads, 49 statements of which 12 half
+    /// moves against 57, were no faster). Quads that read each other in a
+    /// circle leave `run` as it is.
+    fn add_quads(&mut self, run: &mut PackedRun, first: u32, names: &mut u32, pad: &str) {
+        let mates = self.mates();
+        let Some((mut quads, next)) = self.print_quads(&mates, first, pad) else {
+            return;
+        };
+        let s = quads.stats;
+        if s.paired_stmts + s.scalar_stmts + s.quad_stmts + 2 * s.quad_joins
+            < run.stats.paired_stmts + run.stats.scalar_stmts
+        {
+            let _ = write!(quads.text, "#else\n{}#endif\n", run.text);
+            (run.text, run.stats.quad_stmts, run.stats.quad_joins) =
+                (quads.text, s.quad_stmts, s.quad_joins);
+            *names = next.max(*names);
+        }
+    }
+
+    /// What a partner must share with 2-lane item `i` for the two to be
+    /// one statement; `None` for a scalar, a build or a literal.
+    fn class(&self, i: u32) -> Option<u8> {
+        let add_sub = |op| matches!(op, BinOp::Add | BinOp::Sub);
+        match self.items[i as usize] {
+            ([_, NONE], _) | (_, Lanes(..) | Pending) => None,
+            (_, Load(..)) => Some(0),
+            (_, Neg(..)) => Some(1),
+            (_, Shuffle(..)) => Some(2),
+            (_, Op(x, y, ..)) if add_sub(x) && add_sub(y) => Some(3),
+            (_, Op(x, ..)) => Some(4 + x as u8),
+        }
+    }
+
+    /// Pairs 2-lane items into quads: loads of one array two doubles
+    /// apart; then, operands before what reads them, an item whose every
+    /// operand is lanes 0–1 of a quad (or a build) with an item alike
+    /// that reads those quads' lanes 2–3 in the same places; then down
+    /// from two stores two doubles apart, operand by operand, for what is
+    /// left, and upward once more.
+    fn mates(&self) -> Mates {
+        let n = self.items.len();
+        let mut m = Mates {
+            mate: vec![NONE; n],
+            hi: vec![false; n],
+        };
+        let class: Vec<_> = (0..n as u32).map(|i| self.class(i)).collect();
+        let wild = |j: u32| match self.items.get(j as usize) {
+            Some((_, Lanes(..))) => WILD,
+            _ => j,
+        };
+        let ops: Vec<_> = (0..n as u32).map(|i| self.reads(i).map(wild)).collect();
+        // Per kind and operands, the first item alike in print order,
+        // chained to the next; the loads by array and subscript.
+        let (mut alike, mut next) = (MixMap::default(), vec![NONE; n]);
+        let (mut loads, mut at) = (Vec::new(), MixMap::default());
+        for &i in self.order.iter().rev() {
+            let i = i as usize;
+            match (self.items[i].1, class[i]) {
+                (Load(k, s, c), Some(_)) => {
+                    loads.push((c, i as u32));
+                    at.insert((k, s, c), i as u32);
+                }
+                (_, Some(c)) => next[i] = alike.insert((c, ops[i]), i as u32).unwrap_or(NONE),
+                _ => {}
+            }
+        }
+        loads.sort_unstable();
+        for (c, a) in loads {
+            let Load(k, s, _) = self.items[a as usize].1 else {
+                unreachable!("a load")
+            };
+            let free = |b: &&u32| m.mate[a as usize] == NONE && m.mate[**b as usize] == NONE;
+            if let Some(&b) = at.get(&(k, s, c + 2)).filter(free) {
+                m.pair(a, b);
+            }
+        }
+        let grow = |m: &mut Mates| {
+            for &a in &self.order {
+                let Some(c) = class[a as usize].filter(|&c| c > 0 && m.mate[a as usize] == NONE)
+                else {
+                    continue;
+                };
+                let [Some(x), Some(y)] =
+                    ops[a as usize].map(|o| if o >= WILD { Some(o) } else { m.lo(o) })
+                else {
+                    continue;
+                };
+                let Some(&b) = alike.get(&(c, [x, y])).filter(|_| x.min(y) < WILD) else {
+                    continue;
+                };
+                let mut chain = std::iter::successors(Some(b), |&b| {
+                    Some(next[b as usize]).filter(|&b| b != NONE)
+                });
+                if let Some(b) = chain.find(|&b| b != a && m.mate[b as usize] == NONE) {
+                    m.pair(a, b);
+                }
+            }
+        };
+        grow(&mut m);
+        let stored: MixMap<_, u32> = (self.roots.iter())
+            .filter(|r| self.items[r.2 as usize].0[1] != NONE)
+            .filter_map(|&(base, c, i)| base.map(|(k, s)| ((k, s, c), i)))
+            .collect();
+        let mut down = Vec::new();
+        for &(base, c, a) in &self.roots {
+            down.extend(
+                base.and_then(|(k, s)| stored.get(&(k, s, c + 2)))
+                    .map(|&b| (a, b)),
+            );
+            while let Some((a, b)) = down.pop() {
+                let free = |i: u32| i < WILD && m.mate[i as usize] == NONE;
+                if a == b || !free(a) || !free(b) || class[a as usize] != class[b as usize] {
+                    continue;
+                }
+                let fits = match self.items[a as usize].1 {
+                    Load(k, s, i) => self.items[b as usize].1 == Load(k, s, i + 2),
+                    _ => class[a as usize].is_some(),
+                };
+                if fits {
+                    m.pair(a, b);
+                    let (x, y) = (ops[a as usize], ops[b as usize]);
+                    down.extend([(x[0], y[0]), (x[1], y[1])]);
+                }
+            }
+        }
+        grow(&mut m);
+        m
+    }
+
+    /// The run on `mates`' quads from name `first` on, roots in order and
+    /// each after what it reads, as [`print`](Self::print) does, and the
+    /// next name; `None` when a quad reads itself through other quads.
+    fn print_quads(&mut self, mates: &Mates, first: u32, pad: &str) -> Option<(PackedRun, u32)> {
+        let n = self.items.len();
+        (self.name, self.quad) = (vec![NONE; n], vec![(NONE, 0); n]);
+        let (run, made) = (PackedRun::default(), MixMap::default());
+        let mut q = QuadText {
+            mates,
+            pad,
+            next: first,
+            run,
+            state: vec![0; n],
+            made,
+        };
+        // Room for the pair form's text too, which follows under `#else`.
+        q.run.text.reserve(80 * self.nodes.len());
+        q.run.text.push_str("#if defined(__AVX__)\n");
+        let at: MixMap<_, usize> = (self.roots.iter().enumerate())
+            .filter_map(|(r, &(base, c, _))| base.map(|(k, s)| ((k, s, c), r)))
+            .collect();
+        let mut done = vec![false; self.roots.len()];
+        for r in 0..self.roots.len() {
+            let (base, idx, root) = self.roots[r];
+            let mut stack = vec![(mates.unit(root), false)];
+            while let Some((u, expanded)) = stack.pop() {
+                if expanded {
+                    self.unit_statement(u, &mut q);
+                    q.state[u as usize] = 2;
+                    continue;
+                } else if q.state[u as usize] != 0 {
+                    continue;
+                }
+                q.state[u as usize] = 1;
+                stack.push((u, true));
+                let b = mates.mate[u as usize];
+                let [[l, r], [l2, r2]] =
+                    [u, b].map(|i| if i == NONE { [NONE; 2] } else { self.reads(i) });
+                for w in [l, r, l2, r2]
+                    .into_iter()
+                    .rev()
+                    .filter(|&d| d != NONE)
+                    .map(|d| mates.unit(d))
+                {
+                    match q.state[w as usize] {
+                        0 => stack.push((w, false)),
+                        1 => return None,
+                        _ => {}
+                    }
+                }
+            }
+            // Both halves of a quad in place: one 32-byte store.
+            let (quad, lane) = self.quad[root as usize];
+            let other = if lane == 0 { idx + 2 } else { idx - 2 };
+            let other = base.and_then(|(k, s)| at.get(&(k, s, other)));
+            match other.filter(|&&o| !done[r] && self.roots[o].2 == mates.mate[root as usize]) {
+                Some(&o) => {
+                    let ((kind, s), t) = (base.expect("a store"), &mut q.run.text);
+                    let _ = write!(t, "{pad}{}", WIDE.store);
+                    self.element(t, kind, s, idx.min(self.roots[o].1));
+                    let _ = writeln!(t, " = v{quad};");
+                    done[o] = true;
+                    q.run.stats.quad_stmts += 1;
+                }
+                None if !done[r] => {
+                    if self.items[root as usize].0[1] != NONE {
+                        self.half(root, &mut q);
+                    }
+                    self.store(r, &mut q.run, pad);
+                }
+                None => {}
+            }
+        }
+        Some((q.run, q.next))
+    }
+
+    /// Prints the statement of unit `u`: a quad's, or its item's as the
+    /// pair form prints it, after the 2-lane values it reads. A build or
+    /// literal is printed where a 2-lane statement first reads it.
+    fn unit_statement(&mut self, u: u32, q: &mut QuadText) {
+        let (b, ([_, lane1], recipe)) = (q.mates.mate[u as usize], self.items[u as usize]);
+        if b == NONE {
+            if lane1 != NONE && matches!(recipe, Lanes(..)) {
+                return;
+            }
+            for d in self
+                .reads(u)
+                .into_iter()
+                .filter(|&d| d != NONE && lane1 != NONE)
+            {
+                self.half(d, q);
+            }
+            self.name[u as usize] = q.next;
+            q.next += u32::from(self.statement(u, &mut q.run, q.pad));
+            return;
+        }
+        let ([l, r], [l2, r2]) = (self.reads(u), self.reads(b));
+        let (x, y) = (self.both(l, l2, q), self.both(r, r2, q));
+        let (t, v) = (&mut q.run.text, q.next);
+        let _ = write!(t, "{}{}{v} = ", q.pad, WIDE.decl);
+        let _ = match (recipe, self.items[b as usize].1) {
+            (Load(kind, s, c), _) => {
+                t.push_str(WIDE.load);
+                self.element(t, kind, s, c);
+                Ok(())
+            }
+            (Op(o0, o1, ..), Op(o2, o3, ..)) if [o1, o2, o3] == [o0; 3] => {
+                write!(t, "v{x} {} v{y}", bin_sym(o0))
+            }
+            // Each lane `l - r` or `l + r`: lanes 0–3 of one, 4–7 of the other.
+            (Op(o0, o1, ..), Op(o2, o3, ..)) => {
+                let [i, j, k, l] = [(o0, 0), (o1, 1), (o2, 2), (o3, 3)]
+                    .map(|(o, k)| k + 4 * usize::from(o == BinOp::Add));
+                write!(
+                    t,
+                    "__builtin_shufflevector(v{x} - v{y}, v{x} + v{y}, {i}, {j}, {k}, {l})"
+                )
+            }
+            (Neg(m0, _), Neg(m1, _)) => {
+                let [i, j, k, l] =
+                    [m0 & 1, m0 & 2, m1 & 1, m1 & 2].map(|m| if m != 0 { "SPL_SIGN" } else { "0" });
+                write!(
+                    t,
+                    "(spl_v4d)((spl_v4l)v{x} ^ (spl_v4l){{{i}, {j}, {k}, {l}}})"
+                )
+            }
+            (Shuffle(_, i, j), Shuffle(_, k, l)) => {
+                write!(
+                    t,
+                    "__builtin_shufflevector(v{x}, v{x}, {i}, {j}, {}, {})",
+                    k + 2,
+                    l + 2
+                )
+            }
+            _ => unreachable!("the halves of a quad are alike"),
+        };
+        t.push_str(";\n");
+        (self.quad[u as usize], self.quad[b as usize], q.next) = ((v, 0), (v, 2), v + 1);
+        q.run.stats.quad_stmts += 1;
+    }
+
+    /// The 2-lane value of vector item `i`: its statement's, lanes 2–3 or
+    /// 0–1 of its quad taken out, or its build printed now.
+    fn half(&mut self, i: u32, q: &mut QuadText) -> u32 {
+        if self.name[i as usize] == NONE {
+            let ((quad, lane), v) = (self.quad[i as usize], q.next);
+            (self.name[i as usize], q.next) = (v, v + 1);
+            if quad == NONE {
+                self.statement(i, &mut q.run, q.pad);
+            } else {
+                let shuffle = format!(
+                    "__builtin_shufflevector(v{quad}, v{quad}, {lane}, {})",
+                    lane + 1
+                );
+                let _ = writeln!(q.run.text, "{}spl_v2d v{v} = {shuffle};", q.pad);
+                q.run.stats.quad_joins += 1;
+            }
+        }
+        self.name[i as usize]
+    }
+
+    /// The 4-lane value of items `a` (lanes 0–1) and `b`: their quad, a
+    /// build of two builds or literals, or a join of 128-bit halves.
+    fn both(&mut self, a: u32, b: u32, q: &mut QuadText) -> u32 {
+        if a == NONE || q.mates.lo(a) == Some(b) {
+            return self.quad.get(a as usize).map_or(NONE, |h| h.0);
+        } else if let Some(&v) = q.made.get(&(a, b)) {
+            return v;
+        }
+        let lanes = match (self.items[a as usize].1, self.items[b as usize].1) {
+            (Lanes(l, r), Lanes(l2, r2)) => Some([l, r, l2, r2]),
+            _ => None,
+        };
+        // Else lanes `i, i+1` of `x` beside lanes `k, k+1` of `y`, whose
+        // lanes number from `w` on; a 2-lane value beside a half of a
+        // quad, that half taken out.
+        let [x, y, i, k, w] = match (self.quad[a as usize], self.quad[b as usize]) {
+            _ if lanes.is_some() => [NONE; 5],
+            ((x, i), (y, k)) if x != NONE && y != NONE => [x, y, i.into(), k.into(), 4],
+            _ => [self.half(a, q), self.half(b, q), 0, 0, 2],
+        };
+        let (t, v) = (&mut q.run.text, q.next);
+        let _ = write!(t, "{}{}{v} = ", q.pad, WIDE.decl);
+        if let Some(lanes) = lanes {
+            t.push_str(WIDE.build);
+            for (k, i) in lanes.into_iter().enumerate() {
+                t.push_str(if k > 0 { ", " } else { "" });
+                self.value(i, t);
+            }
+            t.push_str("};\n");
+            q.run.stats.quad_stmts += 1;
+        } else {
+            let (j, l, m) = (i + 1, w + k, w + k + 1);
+            let _ = writeln!(
+                t,
+                "__builtin_shufflevector(v{x}, v{y}, {i}, {j}, {l}, {m});"
+            );
+            q.run.stats.quad_joins += 1;
+        }
+        q.made.insert((a, b), v);
+        q.next = v + 1;
+        v
     }
 }
 
@@ -751,12 +1184,45 @@ mod tests {
             ..IProgram::empty()
         };
         let wide = wide.then_some(Wide { var: I0, copy: &[] });
-        let run = pack(&prog, 0..prog.instrs.len(), &[0; 4], &mut 0, "    ", wide)?;
+        let run = pack(
+            &prog,
+            0..prog.instrs.len(),
+            &[0; 4],
+            &mut 0,
+            "    ",
+            wide,
+            false,
+        )?;
         Some(run.text)
     }
 
     fn packed(instrs: Vec<Instr>) -> Option<String> {
         packed_as(instrs, false)
+    }
+
+    /// The run of all of `instrs` outside any loop, printed as
+    /// [`packed_as`] prints it, and its statements two items per 32-byte
+    /// vector (`None`: the pair form
+    /// alone), each a line without its indent.
+    fn quads(instrs: Vec<Instr>) -> (String, Option<Vec<String>>) {
+        let prog = IProgram {
+            instrs,
+            ..IProgram::empty()
+        };
+        let all = 0..prog.instrs.len();
+        let run = pack(&prog, all, &[0; 8], &mut 0, "    ", None, true).expect("a run");
+        let Some(rest) = run.text.strip_prefix("#if defined(__AVX__)\n") else {
+            return (run.text, None);
+        };
+        let (avx, pairs) = rest.split_once("#else\n").expect("an #else");
+        let pairs = pairs.strip_suffix("#endif\n").expect("an #endif");
+        let lines = avx.lines().map(|l| l.trim().to_string()).collect();
+        (pairs.to_string(), Some(lines))
+    }
+
+    /// `y[c..c+2] = x[a..a+2] op x[b..b+2]`, lane by lane.
+    fn pair(op: BinOp, c: i64, a: i64, b: i64) -> [Instr; 2] {
+        [0, 1].map(|k| bin(op, y(&[], c + k), x(&[], a + k), x(&[], b + k)))
     }
 
     #[test]
@@ -906,7 +1372,7 @@ mod tests {
             var: I0,
             copy: &[0, 16],
         };
-        let run = pack(&prog, 0..8, &[0; 4], &mut 0, "", Some(wide)).expect("a leaf");
+        let run = pack(&prog, 0..8, &[0; 4], &mut 0, "", Some(wide), false).expect("a leaf");
         let want = [
             "spl_v4d v0 = *(const spl_v4du *)&x[2*i0];",
             "spl_v4d v1 = *(const spl_v4du *)&x[2*i0+4];",
@@ -932,7 +1398,7 @@ mod tests {
                 instrs,
                 ..IProgram::empty()
             };
-            assert!(pack(&prog, 0..2, &[], &mut 0, "", Some(wide)).is_none());
+            assert!(pack(&prog, 0..2, &[], &mut 0, "", Some(wide), false).is_none());
         }
     }
 
@@ -957,5 +1423,151 @@ mod tests {
         ];
         assert!(packed_as(apart.clone(), false).is_some());
         assert_eq!(packed_as(apart, true), None);
+    }
+
+    #[test]
+    fn loads_two_doubles_apart_seed_quads_and_what_reads_them_alike_joins_them() {
+        use BinOp::{Add, Sub};
+        // y[0..4] = x[0..4] + x[4..8], y[4..8] = x[0..4] - x[4..8].
+        let run = [
+            pair(Add, 0, 0, 4),
+            pair(Add, 2, 2, 6),
+            pair(Sub, 4, 0, 4),
+            pair(Sub, 6, 2, 6),
+        ];
+        let (pairs, avx) = quads(run.concat());
+        assert_eq!(Some(pairs), packed(run.concat()));
+        let want = [
+            "spl_v4d v0 = *(const spl_v4du *)&x[0];",
+            "spl_v4d v1 = *(const spl_v4du *)&x[4];",
+            "spl_v4d v2 = v0 + v1;",
+            "*(spl_v4du *)&y[0] = v2;",
+            "spl_v4d v3 = v0 - v1;",
+            "*(spl_v4du *)&y[4] = v3;",
+        ];
+        assert_eq!(avx.expect("quads"), want);
+        // A `+` beside a `-`: one blend of four lanes.
+        let (_, avx) = quads([pair(Add, 0, 0, 4), pair(Sub, 2, 2, 6)].concat());
+        let blend = "spl_v4d v2 = __builtin_shufflevector(v0 - v1, v0 + v1, 4, 5, 2, 3);";
+        assert_eq!(avx.expect("quads")[2], blend);
+    }
+
+    #[test]
+    fn operands_from_halves_of_two_quads_are_joined() {
+        use BinOp::{Add, Mul};
+        // (x2 * x4, x6 * x0): lanes 2–3 of both quads, then 0–1 of both;
+        // beside it a sum of the quads, so that the joins pay.
+        let run = [
+            pair(Mul, 0, 2, 4),
+            pair(Mul, 2, 6, 0),
+            pair(Add, 4, 0, 4),
+            pair(Add, 6, 2, 6),
+        ];
+        let (_, avx) = quads(run.concat());
+        let want = [
+            "spl_v4d v0 = *(const spl_v4du *)&x[0];",
+            "spl_v4d v1 = *(const spl_v4du *)&x[4];",
+            "spl_v4d v2 = __builtin_shufflevector(v0, v1, 2, 3, 6, 7);",
+            "spl_v4d v3 = __builtin_shufflevector(v1, v0, 0, 1, 4, 5);",
+            "spl_v4d v4 = v2 * v3;",
+            "*(spl_v4du *)&y[0] = v4;",
+            "spl_v4d v5 = v0 + v1;",
+            "*(spl_v4du *)&y[4] = v5;",
+        ];
+        assert_eq!(avx.expect("quads"), want);
+    }
+
+    #[test]
+    fn an_odd_item_stays_on_pairs_and_reads_a_half_taken_out() {
+        use BinOp::Mul;
+        // A quad product, and (x3, x2) swapped: a 2-lane shuffle of the
+        // load's lanes 2–3, with no partner.
+        let swap = [copy(y(&[], 4), x(&[], 3)), copy(y(&[], 5), x(&[], 2))];
+        let (_, avx) = quads([&pair(Mul, 0, 0, 4)[..], &pair(Mul, 2, 2, 6), &swap].concat());
+        let want = [
+            "spl_v4d v0 = *(const spl_v4du *)&x[0];",
+            "spl_v4d v1 = *(const spl_v4du *)&x[4];",
+            "spl_v4d v2 = v0 * v1;",
+            "*(spl_v4du *)&y[0] = v2;",
+            "spl_v2d v3 = __builtin_shufflevector(v0, v0, 2, 3);",
+            "spl_v2d v4 = __builtin_shufflevector(v3, v3, 1, 0);",
+            "*(spl_v2du *)&y[4] = v4;",
+        ];
+        assert_eq!(avx.expect("quads"), want);
+    }
+
+    #[test]
+    fn a_quad_stored_to_pairs_not_two_doubles_apart_splits_its_store() {
+        use BinOp::{Add, Mul};
+        // The sums stored six doubles apart, the products in place.
+        let run = [
+            pair(Add, 0, 0, 4),
+            pair(Mul, 2, 0, 4),
+            pair(Mul, 4, 2, 6),
+            pair(Add, 6, 2, 6),
+        ];
+        let (_, avx) = quads(run.concat());
+        let want = [
+            "spl_v4d v0 = *(const spl_v4du *)&x[0];",
+            "spl_v4d v1 = *(const spl_v4du *)&x[4];",
+            "spl_v4d v2 = v0 + v1;",
+            "spl_v2d v3 = __builtin_shufflevector(v2, v2, 0, 1);",
+            "*(spl_v2du *)&y[0] = v3;",
+            "spl_v4d v4 = v0 * v1;",
+            "*(spl_v4du *)&y[2] = v4;",
+            "spl_v2d v5 = __builtin_shufflevector(v2, v2, 2, 3);",
+            "*(spl_v2du *)&y[6] = v5;",
+        ];
+        assert_eq!(avx.expect("quads"), want);
+    }
+
+    #[test]
+    fn a_run_whose_quads_take_no_fewer_statements_prints_pairs_alone() {
+        use BinOp::{Add, Mul};
+        // Each op reads both halves of one quad, and the two differ: every
+        // half is taken out, ten statements against eight.
+        let run = [pair(Add, 0, 0, 2), pair(Mul, 2, 4, 6)].concat();
+        let (pairs, avx) = quads(run.clone());
+        assert_eq!(avx, None);
+        assert_eq!(Some(pairs), packed(run));
+    }
+
+    #[test]
+    fn quads_that_read_each_other_in_a_circle_leave_the_pair_form_alone() {
+        use BinOp::Add;
+        let f = |k| Place::F(k);
+        let fv = |k| Value::f(k);
+        let lanes =
+            |dst: &dyn Fn(i64) -> Place, a: &dyn Fn(i64) -> Value, b: &dyn Fn(i64) -> Value| {
+                [0, 1].map(|k| bin(Add, dst(k), a(k), b(k)))
+            };
+        // d = x4 + x6, a = x0 + x2: no quad reads them bottom up. Stored
+        // beside them, b = d + x4 beside a and c = a + x6 beside d: the
+        // quad (a, b) reads (c, d), which reads it.
+        let run = [
+            lanes(&|k| f(k as u32), &|k| x(&[], 4 + k), &|k| x(&[], 6 + k)),
+            lanes(&|k| f(2 + k as u32), &|k| x(&[], k), &|k| x(&[], 2 + k)),
+            [copy(y(&[], 0), fv(2)), copy(y(&[], 1), fv(3))],
+            lanes(&|k| y(&[], 2 + k), &|k| fv(k as u32), &|k| x(&[], 4 + k)),
+            lanes(&|k| y(&[], 4 + k), &|k| fv(2 + k as u32), &|k| {
+                x(&[], 6 + k)
+            }),
+            [copy(y(&[], 6), fv(0)), copy(y(&[], 7), fv(1))],
+        ]
+        .concat();
+        let prog = IProgram {
+            instrs: run.clone(),
+            ..IProgram::empty()
+        };
+        let mut p = Packer::new(&prog.instrs, &[0; 4], run.len(), None).expect("a run");
+        p.quads = true;
+        p.print(0..run.len(), &mut 0, "").expect("pairs");
+        let m = p.mates();
+        let on = (0..m.mate.len())
+            .filter(|&i| m.mate[i] != NONE && !m.hi[i])
+            .filter(|&i| !matches!(p.items[i].1, Load(..)));
+        assert_eq!(on.count(), 2, "(a, b) and (c, d)");
+        assert!(p.print_quads(&m, 0, "").is_none(), "a circle printed");
+        assert_eq!(self::quads(run).1, None);
     }
 }

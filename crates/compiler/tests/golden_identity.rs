@@ -69,7 +69,7 @@ const GOLDEN: &[(&str, u64, u64, u64)] = &[
     (
         "plan16-B64",
         0x32dcadb206451795,
-        0xdbcf382dafde9a97,
+        0x61f3cbc12e5cdb92,
         0x0f6e8d5cb3936a1b,
     ),
     (
@@ -81,7 +81,7 @@ const GOLDEN: &[(&str, u64, u64, u64)] = &[
     (
         "plan32-B64",
         0x8014577c7bbf0579,
-        0xc98d97c8b80cbd13,
+        0x788e0a1846342953,
         0x183dfc4a534bc43e,
     ),
     (
@@ -93,7 +93,7 @@ const GOLDEN: &[(&str, u64, u64, u64)] = &[
     (
         "plan64-B64",
         0x76b9116d5e0733c7,
-        0x681230f467ce0f6c,
+        0x991c0311a2fe0386,
         0x5935d36f68c8bfbb,
     ),
     (
@@ -177,7 +177,7 @@ const GOLDEN: &[(&str, u64, u64, u64)] = &[
     (
         "2x32-B64",
         0x34b704530fa157dd,
-        0xd654f551ffa0ccaf,
+        0xbcb7da131f79e5c8,
         0x0a09d756712d3d23,
     ),
     (
@@ -201,7 +201,7 @@ const GOLDEN: &[(&str, u64, u64, u64)] = &[
     (
         "fft64_unrolled.spl",
         0x76b9116d5e0733c7,
-        0x681230f467ce0f6c,
+        0x991c0311a2fe0386,
         0x5935d36f68c8bfbb,
     ),
     (

@@ -73,32 +73,36 @@ impl<E: Evaluator> FaultyEvaluator<E> {
 }
 
 impl<E: Evaluator> Evaluator for FaultyEvaluator<E> {
+    /// The inner evaluator's price: the fault is rolled in
+    /// [`veto`](Evaluator::veto), which the search asks before it
+    /// compiles a candidate, so a candidate is rolled once.
     fn cost(&mut self, tree: &FftTree, unit: &CompiledUnit) -> Result<f64, SearchError> {
-        // One draw per candidate, windowed over the three classes, so
-        // the total fault rate is exactly the sum of the probabilities.
-        let roll = Rng::new(self.seed ^ fnv1a(tree.describe().as_bytes())).next_f64();
-        if roll < self.p_timeout {
-            self.tel.add("search.faults_injected.timeout", 1);
-            return Err(SearchError::Timeout(format!(
-                "injected timeout for {}",
-                tree.describe()
-            )));
-        }
-        if roll < self.p_timeout + self.p_crash {
-            self.tel.add("search.faults_injected.crash", 1);
-            return Err(SearchError::KernelCrashed(format!(
-                "injected crash for {}",
-                tree.describe()
-            )));
-        }
-        if roll < self.p_timeout + self.p_crash + self.p_corrupt {
-            self.tel.add("search.faults_injected.corrupt", 1);
-            return Err(SearchError::VerificationFailed(format!(
-                "injected corrupt result for {}",
-                tree.describe()
-            )));
-        }
         self.inner.cost(tree, unit)
+    }
+
+    /// One draw per candidate, windowed over the three classes, so the
+    /// total fault rate is exactly the sum of the probabilities.
+    fn veto(&mut self, tree: &FftTree) -> Option<SearchError> {
+        let what = tree.describe();
+        let roll = Rng::new(self.seed ^ fnv1a(what.as_bytes())).next_f64();
+        let (class, fault) = if roll < self.p_timeout {
+            (
+                "timeout",
+                SearchError::Timeout(format!("injected timeout for {what}")),
+            )
+        } else if roll < self.p_timeout + self.p_crash {
+            (
+                "crash",
+                SearchError::KernelCrashed(format!("injected crash for {what}")),
+            )
+        } else if roll < self.p_timeout + self.p_crash + self.p_corrupt {
+            let text = format!("injected corrupt result for {what}");
+            ("corrupt", SearchError::VerificationFailed(text))
+        } else {
+            return self.inner.veto(tree);
+        };
+        self.tel.add(&format!("search.faults_injected.{class}"), 1);
+        Some(fault)
     }
 
     fn label(&self) -> &str {
@@ -145,13 +149,26 @@ mod tests {
         compile_unit_for_tree(tree, 64).unwrap()
     }
 
+    /// `tree` priced as the search prices it: the veto first, then the
+    /// cost of `unit`.
+    fn price<E: Evaluator>(
+        e: &mut FaultyEvaluator<E>,
+        tree: &FftTree,
+        unit: &CompiledUnit,
+    ) -> Result<f64, SearchError> {
+        match e.veto(tree) {
+            Some(fault) => Err(fault),
+            None => e.cost(tree, unit),
+        }
+    }
+
     #[test]
     fn zero_rate_is_transparent() {
         let u = unit(&t4());
         let want = OpCountEvaluator.cost(&t4(), &u).unwrap();
         let mut faulty = FaultyEvaluator::new(OpCountEvaluator, 1, 0.0);
         for _ in 0..50 {
-            assert_eq!(faulty.cost(&t4(), &u).unwrap(), want);
+            assert_eq!(price(&mut faulty, &t4(), &u).unwrap(), want);
         }
     }
 
@@ -162,7 +179,7 @@ mod tests {
         let u = unit(&t4());
         for tree in many_trees().iter().take(20) {
             assert!(matches!(
-                faulty.cost(tree, &u),
+                price(&mut faulty, tree, &u),
                 Err(SearchError::Timeout(_))
             ));
         }
@@ -174,8 +191,8 @@ mod tests {
         let mut b = FaultyEvaluator::new(Unit, 99, 0.5);
         let u = unit(&t4());
         for tree in many_trees().iter().take(100) {
-            let ra = a.cost(tree, &u).map_err(|e| e.kind());
-            let rb = b.cost(tree, &u).map_err(|e| e.kind());
+            let ra = price(&mut a, tree, &u).map_err(|e| e.kind());
+            let rb = price(&mut b, tree, &u).map_err(|e| e.kind());
             assert_eq!(ra, rb);
         }
     }
@@ -185,9 +202,9 @@ mod tests {
         let mut faulty = FaultyEvaluator::new(Unit, 3, 0.5);
         let u = unit(&t4());
         for tree in many_trees().iter().take(40) {
-            let first = faulty.cost(tree, &u).map_err(|e| e.kind());
+            let first = price(&mut faulty, tree, &u).map_err(|e| e.kind());
             for _ in 0..5 {
-                assert_eq!(faulty.cost(tree, &u).map_err(|e| e.kind()), first);
+                assert_eq!(price(&mut faulty, tree, &u).map_err(|e| e.kind()), first);
             }
         }
     }
@@ -207,13 +224,13 @@ mod tests {
         let fwd: Vec<_> = trees
             .iter()
             .zip(&units)
-            .map(|(t, u)| forward.cost(t, u).map_err(|e| e.kind()))
+            .map(|(t, u)| price(&mut forward, t, u).map_err(|e| e.kind()))
             .collect();
         let mut bwd: Vec<_> = trees
             .iter()
             .zip(&units)
             .rev()
-            .map(|(t, u)| backward.cost(t, u).map_err(|e| e.kind()))
+            .map(|(t, u)| price(&mut backward, t, u).map_err(|e| e.kind()))
             .collect();
         bwd.reverse();
         assert_eq!(fwd, bwd);
@@ -227,7 +244,7 @@ mod tests {
         let u = unit(&t4());
         let outcomes = |seed: u64| -> Vec<bool> {
             let mut e = FaultyEvaluator::new(Unit, seed, 0.5);
-            trees.iter().map(|t| e.cost(t, &u).is_ok()).collect()
+            trees.iter().map(|t| price(&mut e, t, &u).is_ok()).collect()
         };
         // Equal seeds agree; some pair of distinct seeds must differ.
         assert_eq!(outcomes(7), outcomes(7));
@@ -248,7 +265,7 @@ mod tests {
         let trees = many_trees();
         assert!(trees.len() >= 300);
         for tree in &trees[..300] {
-            if let Err(e) = faulty.cost(tree, &u) {
+            if let Err(e) = price(&mut faulty, tree, &u) {
                 kinds.insert(e.kind());
             }
         }

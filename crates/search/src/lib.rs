@@ -310,6 +310,13 @@ pub trait Evaluator: Send {
     /// only that evaluator's costs.
     fn label(&self) -> &str;
 
+    /// The fault that stops `tree` before the search compiles it, if
+    /// any: the search asks first and compiles only a candidate no
+    /// evaluator refused. None by default; a fault injector rolls here.
+    fn veto(&mut self, _tree: &FftTree) -> Option<SearchError> {
+        None
+    }
+
     /// Takes whatever telemetry the evaluator accumulated (timer
     /// repetitions, cache hits, measurement policy), leaving it empty.
     /// Model evaluators keep no telemetry and return an empty set.
@@ -325,6 +332,10 @@ impl Evaluator for Box<dyn Evaluator> {
 
     fn label(&self) -> &str {
         (**self).label()
+    }
+
+    fn veto(&mut self, tree: &FftTree) -> Option<SearchError> {
+        (**self).veto(tree)
     }
 
     fn drain_telemetry(&mut self) -> Telemetry {

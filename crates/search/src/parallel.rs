@@ -40,12 +40,17 @@ pub(crate) fn timing_lock() -> MutexGuard<'static, ()> {
 /// A worker's share of a batch: `(candidate index, result)` pairs.
 type WorkerResults = Vec<(usize, Result<f64, SearchError>)>;
 
-/// Compiles `tree` under the search's `-B` and has `eval` price it.
+/// Compiles `tree` under the search's `-B` and has `eval` price it,
+/// unless `eval` vetoes it first (an injected fault): then nothing is
+/// compiled.
 fn price(
     eval: &mut dyn Evaluator,
     tree: &FftTree,
     unroll_threshold: usize,
 ) -> Result<f64, SearchError> {
+    if let Some(fault) = eval.veto(tree) {
+        return Err(fault);
+    }
     eval.cost(tree, &compile_unit_for_tree(tree, unroll_threshold)?)
 }
 
@@ -214,6 +219,29 @@ mod tests {
             let serial = winners(&mut EvaluatorPool::new(1, mk));
             let parallel = winners(&mut EvaluatorPool::new(4, mk));
             assert_eq!(serial, parallel);
+        }
+    }
+
+    #[test]
+    fn a_candidate_the_injector_faults_is_never_compiled() {
+        // (F 0) does not compile: priced past the injector's roll, it
+        // would cost a compile failure, not the injected fault.
+        let trees = vec![FftTree::leaf(0); 4];
+        assert!(matches!(
+            price(&mut OpCountEvaluator, &trees[0], 64),
+            Err(SearchError::CompileFailed(_))
+        ));
+        let mut pool = EvaluatorPool::new(2, || {
+            Box::new(FaultyEvaluator::new(OpCountEvaluator, 17, 1.0))
+        });
+        for got in pool.costs(&trees, 64) {
+            let injected = matches!(
+                got,
+                Err(SearchError::Timeout(_)
+                    | SearchError::KernelCrashed(_)
+                    | SearchError::VerificationFailed(_))
+            );
+            assert!(injected, "{got:?}");
         }
     }
 

@@ -97,12 +97,10 @@ fn injected_miscompile_never_reaches_the_cache() {
     let unit = compile_unit_for_tree(&f8(), 64).expect("compile target unit");
     let inner =
         NativeEvaluator::new(Duration::from_millis(1)).with_kernel_cache(Arc::clone(&cache));
-    // p_corrupt = 1: every evaluation is reported as a verification
-    // failure before any kernel is built.
+    // p_corrupt = 1: every candidate is reported as a verification
+    // failure by the veto the search asks before any kernel is built.
     let mut faulty = FaultyEvaluator::with_rates(inner, 5, 0.0, 0.0, 1.0);
-    let err = faulty
-        .cost(&f8(), &unit)
-        .expect_err("corrupt fault must inject");
+    let err = faulty.veto(&f8()).expect("corrupt fault must inject");
     assert!(matches!(err, SearchError::VerificationFailed(_)), "{err}");
     assert!(
         cache.lookup(&target_key).is_none(),

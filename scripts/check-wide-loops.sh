@@ -15,7 +15,12 @@
 #   preprocessor line, no 32-byte vector, no lane loop;
 # * the 2^12 plan's first stage is a lane nest that takes `i0` two trips
 #   at a time and loads `x[2*i0+...]` as `spl_v4du`;
-# * straight-line C (2..64 points) names no `__AVX__` at all.
+# * straight-line C of 16..64 points has one `#if defined(__AVX__)` guard
+#   (beside its types' preamble): a run of statements that names
+#   `spl_v4d` (two complex values per 32-byte vector), no loop in it, and
+#   an `#else` that names none, the pair form; of 2..8 points it names no
+#   `__AVX__` (its quads take no fewer statements, a half move counted
+#   twice, and the pair form prints alone).
 #
 #   bash scripts/check-wide-loops.sh [<splc>]
 #
@@ -80,9 +85,22 @@ for path in sorted(glob.glob(f"{sys.argv[1]}/plan*.c")):
     n = int(re.search(r"plan(\d+)\.c$", path).group(1))
     lines = open(path).read().split("\n")
     if n <= 64:
-        if any("__AVX__" in l for l in lines):
-            print(f"plan {n}: straight-line C names __AVX__")
+        guards = [at for at, l in enumerate(lines) if l == "#if defined(__AVX__)"]
+        for at in guards:
+            other, end = branches(lines, at)
+            avx = lines[at + 1:other or end]
+            plain = lines[other + 1:end] if other else []
+            if (not any("spl_v4d v" in l for l in avx) or not plain
+                    or any(l.startswith("#") or "for (" in l for l in avx + plain)
+                    or any("spl_v4d" in l for l in plain)):
+                print(f"plan {n}: the guard at line {at + 1} is not a run on spl_v4d beside one without")
+                bad += 1
+        preamble = "#if defined(__AVX__) && !defined(SPL_V4D)"
+        stray = [l for l in lines if "__AVX__" in l and l not in ("#if defined(__AVX__)", preamble)]
+        if stray or len(guards) != int(n >= 16):
+            print(f"plan {n}: {len(guards)} quad runs, {len(stray)} other __AVX__ lines")
             bad += 1
+        print(f"plan {n}: {len(guards)} quad runs")
         continue
     wide = nests = 0
     cond = []  # per open #if: [text, in #else, guards a lane nest]
@@ -140,4 +158,4 @@ for path in sorted(glob.glob(f"{sys.argv[1]}/plan*.c")):
     print(f"plan {n}: {wide} wide loops, {nests} lane nests")
 sys.exit(1 if bad else 0)
 EOF
-echo "check-wide-loops: every unit-stride innermost loop is guarded, each lane nest's #else is its loop without lanes, straight-line C names no __AVX__"
+echo "check-wide-loops: every unit-stride innermost loop is guarded, each lane nest's #else is its loop without lanes, straight-line C from 16 points is one run on spl_v4d beside its pair form"

@@ -583,7 +583,82 @@ fn straight_line_plans_print_no_scalar_fallback() {
             !c.contains("double f"),
             "plan {n} declares a scalar register"
         );
+        // From 2^4 up the runs print on quads under AVX, behind the 4-lane
+        // preamble; up to 2^3 their half moves, counted twice, leave the
+        // pair form alone.
         assert_eq!(c.matches("#ifndef SPL_V2D").count(), 1, "plan {n}");
+        let v4d = "#if defined(__AVX__) && !defined(SPL_V4D)";
+        let quads = *n >= 16;
+        assert_eq!(c.matches(v4d).count(), usize::from(quads), "plan {n}");
+        assert_eq!(stats.quad_stmts > 0, quads, "plan {n}: {stats:?}");
+    }
+    // The `(2x32)` probe, one dense block of 6377 pair statements: nearly
+    // all of it pairs into quads, with few half moves. Pairing upward in
+    // another order than the pair form printed took it to 5894 statements,
+    // 1823 of them half moves.
+    let mut compiler = Compiler::with_options(CompilerOptions {
+        unroll_threshold: Some(64),
+        language_override: Some(Language::C),
+        ..Default::default()
+    });
+    let probe = "(compose (tensor (F 2) (I 32)) (T 64 32) (tensor (I 2) (F 32)) (L 64 2))";
+    let (_, stats) = emit_stats(&compiler.compile_formula_str(probe).unwrap());
+    assert!(stats.quad_stmts > 3000, "{stats:?}");
+    assert!(stats.quad_joins < 100, "{stats:?}");
+}
+
+/// `len` doubles drawn from ±0, ±∞, NaN, subnormals, ±1e308 and [-1, 1).
+fn special(seed: u64, len: usize) -> Vec<f64> {
+    const VALUES: [f64; 10] = [
+        0.0,
+        -0.0,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        f64::NAN,
+        5e-324,
+        -2.2250738585072e-308,
+        1e308,
+        -1e308,
+        1.0,
+    ];
+    let lcg = seeded(seed, len);
+    lcg.iter()
+        .zip(seeded(seed ^ 0x9e37, len))
+        .map(|(&r, s)| match ((s + 1.0) * 8.0) as usize {
+            k @ 0..=9 => VALUES[k],
+            _ => r,
+        })
+        .collect()
+}
+
+/// The six straight-line plans at the host line (their quads) and at the
+/// baseline (the pair form an ISA fallback builds) equal the VM bit for
+/// bit on special values, any NaN equal to any NaN: the packer may trade
+/// the operands of `+` and `*`, which changes a NaN's payload only.
+#[test]
+fn straight_line_plans_equal_the_vm_on_special_values_at_both_lines() {
+    let baseline = CcTarget::with_isa_tokens(&[]);
+    for (n, unit) in benchmark_plans(|n| n <= 64) {
+        let vm = lower(&unit.program).unwrap();
+        let mut st = VmState::new(&vm);
+        let host = NativeKernel::compile(&unit).unwrap();
+        let base = NativeKernel::compile_for(&unit, &baseline).unwrap();
+        for (line, kernel) in [("host", &host), ("baseline", &base)] {
+            for seed in 0..200 {
+                let x = special(seed, kernel.n_in);
+                let mut y_native = vec![0.0; kernel.n_out];
+                let mut y_vm = vec![0.0; vm.n_out];
+                kernel.run(&x, &mut y_native);
+                vm.run(&x, &mut y_vm, &mut st);
+                let same =
+                    |(a, b): (&f64, &f64)| a.to_bits() == b.to_bits() || a.is_nan() && b.is_nan();
+                let diff = y_native.iter().zip(&y_vm).position(|p| !same(p));
+                assert_eq!(
+                    diff, None,
+                    "plan {n} at the {line} line, seed {seed}: {x:?}"
+                );
+            }
+        }
     }
 }
 
@@ -726,14 +801,15 @@ fn strided_bodies_print_on_pairs_and_unit_stride_bodies_wide() {
 /// The twelve plans in one file, as `spl-minifft`'s `codelets.c` holds
 /// its six: the preambles' guards admit the later units, and no unused
 /// declaration is left behind, in straight-line code or in loops, on
-/// either side of a wide loop's `#if`.
+/// either side of an `#if`: every plan from 2^4 up has one, around its
+/// quads (up to 64 points) or its wide loops and lane nests.
 #[test]
 fn packed_plans_compile_clean_under_wall_werror() {
     let text: String = benchmark_plans(|_| true)
         .iter()
         .map(|(n, unit)| {
             let c = spl::compiler::codegen::emit(&format!("plan{n}"), &unit.program, &unit.codegen);
-            assert_eq!(c.contains(AVX_GUARD), *n >= 128, "plan {n}");
+            assert_eq!(c.contains(AVX_GUARD), *n >= 16, "plan {n}");
             c
         })
         .collect();
@@ -847,6 +923,8 @@ enum Shape {
     Wide,
     /// A lane nest, beside the form without it.
     Lanes,
+    /// Outside any loop, two pairs per 32-byte vector beside the pair form.
+    Quads,
 }
 
 /// What the packer cannot pair, or must not: each case compiles clean
@@ -918,6 +996,9 @@ fn packer_fallbacks_compile_and_equal_the_vm_bitwise() {
             Shape::Scalar,
         ),
         (
+            // (x0/x2, x6/x4) stored two doubles apart: as one quad its
+            // operands are joined from the halves of two 32-byte loads,
+            // and with the half moves counted twice the pairs print alone.
             hand_unit(
                 "division",
                 vec![
@@ -1296,11 +1377,123 @@ fn packer_fallbacks_compile_and_equal_the_vm_bitwise() {
             Shape::Scalar,
         ),
     ];
+    // Runs outside any loop on quads: two pairs two doubles apart per
+    // 32-byte vector, what the pair form prints beside them.
+    let lanes = |op, c: i64, a: &dyn Fn(i64) -> Value, b: &dyn Fn(i64) -> Value| {
+        (0..2)
+            .map(|k| bin(op, y(c + k), a(k), b(k)))
+            .collect::<Vec<_>>()
+    };
+    let at = |c: i64| move |k| x(c + k);
+    let f = |k: u32| move |j: i64| Value::f(k + j as u32);
+    let to_f = |k: u32, a: &dyn Fn(i64) -> Value, b: &dyn Fn(i64) -> Value| {
+        (0..2u32)
+            .map(|j| bin(Add, Place::F(k + j), a(j.into()), b(j.into())))
+            .collect::<Vec<_>>()
+    };
+    let copies = |c: i64, k: u32| {
+        (0..2)
+            .map(|j| Instr::Un {
+                op: UnOp::Copy,
+                dst: y(c + j),
+                a: Value::f(k + j as u32),
+            })
+            .collect::<Vec<_>>()
+    };
+    let swap = [(4, 3), (5, 2)].map(|(c, a)| Instr::Un {
+        op: UnOp::Copy,
+        dst: y(c),
+        a: x(a),
+    });
+    let quad_cases = vec![
+        (
+            // (x2 * x4, x6 * x0): both operands joined from two quads'
+            // halves; beside it a sum of the quads, so that the joins pay.
+            hand_unit(
+                "quad_joins_halves_of_two_quads",
+                [
+                    lanes(Mul, 0, &at(2), &at(4)),
+                    lanes(Mul, 2, &at(6), &at(0)),
+                    lanes(Add, 4, &at(0), &at(4)),
+                    lanes(Add, 6, &at(2), &at(6)),
+                ]
+                .concat(),
+                8,
+            ),
+            Shape::Quads,
+        ),
+        (
+            // A product of quads, and (x3, x2) on pairs: lanes 2–3 taken out.
+            hand_unit(
+                "quad_half_taken_out_for_a_pair",
+                [
+                    lanes(Mul, 0, &at(0), &at(4)),
+                    lanes(Mul, 2, &at(2), &at(6)),
+                    swap.to_vec(),
+                ]
+                .concat(),
+                6,
+            ),
+            Shape::Quads,
+        ),
+        (
+            hand_unit(
+                "quad_add_beside_sub",
+                [lanes(Add, 0, &at(0), &at(4)), lanes(Sub, 2, &at(2), &at(6))].concat(),
+                4,
+            ),
+            Shape::Quads,
+        ),
+        (
+            // Sums stored six doubles apart: two 16-byte halves; the
+            // products between them in place.
+            hand_unit(
+                "quad_store_split",
+                [
+                    lanes(Add, 0, &at(0), &at(4)),
+                    lanes(Mul, 2, &at(0), &at(4)),
+                    lanes(Mul, 4, &at(2), &at(6)),
+                    lanes(Add, 6, &at(2), &at(6)),
+                ]
+                .concat(),
+                8,
+            ),
+            Shape::Quads,
+        ),
+        (
+            // Each op reads both halves of one quad: pairs take fewer
+            // statements, and print alone.
+            hand_unit(
+                "quads_no_shorter",
+                [lanes(Add, 0, &at(0), &at(2)), lanes(Mul, 2, &at(4), &at(6))].concat(),
+                4,
+            ),
+            Shape::Paired,
+        ),
+        (
+            // The quad (a, b) reads (c, d), which reads it: pairs alone.
+            hand_unit(
+                "quads_in_a_circle",
+                [
+                    to_f(0, &at(4), &at(6)),
+                    to_f(2, &at(0), &at(2)),
+                    copies(0, 2),
+                    lanes(Add, 2, &f(0), &at(4)),
+                    lanes(Add, 4, &f(2), &at(6)),
+                    copies(6, 0),
+                ]
+                .concat(),
+                8,
+            ),
+            Shape::Paired,
+        ),
+    ];
     let mut cases: Vec<(CompiledUnit, Shape, bool)> = cases
         .into_iter()
         .chain(loop_cases)
         .chain(wide_cases)
         .chain(nest_cases)
+        .chain(quad_cases)
         .map(|(u, s)| (u, s, true))
         .collect();
     // Compiled units: -O0 keeps the temporaries, which a run reads and
@@ -1349,6 +1542,7 @@ fn packer_fallbacks_compile_and_equal_the_vm_bitwise() {
         let got = match (stats.lane_nests, stats.wide_loops) {
             (1.., _) => Shape::Lanes,
             (_, 1..) => Shape::Wide,
+            _ if stats.quad_stmts > 0 => Shape::Quads,
             _ => match (stats.paired_stmts, stats.scalar_stmts) {
                 (0, _) => Shape::Scalar,
                 (_, 0) => Shape::Paired,
@@ -1419,6 +1613,23 @@ fn packer_fallbacks_compile_and_equal_the_vm_bitwise() {
         assert_bitwise_vm(name, unit, &kernel);
         let kernel = NativeKernel::compile_for(unit, &baseline).unwrap();
         assert_bitwise_vm(&format!("{name} at the baseline line"), unit, &kernel);
+        let quad_text = match name.as_str() {
+            "quad_joins_halves_of_two_quads" => "v2 = __builtin_shufflevector(v0, v1, 2, 3, 6, 7);",
+            "quad_half_taken_out_for_a_pair" => {
+                "spl_v2d v3 = __builtin_shufflevector(v0, v0, 2, 3);"
+            }
+            "quad_add_beside_sub" => "__builtin_shufflevector(v0 - v1, v0 + v1, 4, 5, 2, 3);",
+            "quad_store_split" => {
+                "v5 = __builtin_shufflevector(v2, v2, 2, 3);\n  *(spl_v2du *)&y[6] = v5;"
+            }
+            _ => "",
+        };
+        assert!(c.contains(quad_text), "{name}: no `{quad_text}`:\n{c}");
+        assert_eq!(
+            c.contains("#if defined(__AVX__)\n"),
+            matches!(got, Shape::Wide | Shape::Lanes | Shape::Quads),
+            "{name}"
+        );
         if name == "wide_broadcast_load" {
             let broadcast = "(spl_v4d){x[0], x[1], x[0], x[1]}";
             assert!(c.contains(broadcast), "{name}:\n{c}");
