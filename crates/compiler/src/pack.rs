@@ -808,21 +808,86 @@ impl Packer {
     /// move counted twice: it adds a shuffle's latency where a 2-lane
     /// statement adds none (2³'s quads, 49 statements of which 12 half
     /// moves against 57, were no faster). Quads that read each other in a
-    /// circle leave `run` as it is.
+    /// circle leave `run` as it is. A run whose quads cannot be shorter
+    /// by [`quad_floor`](Self::quad_floor) is not printed on quads at all.
     fn add_quads(&mut self, run: &mut PackedRun, first: u32, names: &mut u32, pad: &str) {
+        let pair = run.stats.paired_stmts + run.stats.scalar_stmts;
         let mates = self.mates();
+        let floor = self.quad_floor(&mates, pair);
+        // A debug build prints the quads anyway, to hold the floor to them.
+        if floor >= pair && !cfg!(debug_assertions) {
+            return;
+        }
         let Some((mut quads, next)) = self.print_quads(&mates, first, pad) else {
             return;
         };
         let s = quads.stats;
-        if s.paired_stmts + s.scalar_stmts + s.quad_stmts + 2 * s.quad_joins
-            < run.stats.paired_stmts + run.stats.scalar_stmts
-        {
+        let counted = s.paired_stmts + s.scalar_stmts + s.quad_stmts + 2 * s.quad_joins;
+        debug_assert!(
+            floor <= counted,
+            "quad floor {floor} above the {counted} counted"
+        );
+        if counted < pair {
             let _ = write!(quads.text, "#else\n{}#endif\n", run.text);
             (run.text, run.stats.quad_stmts, run.stats.quad_joins) =
                 (quads.text, s.quad_stmts, s.quad_joins);
             *names = next.max(*names);
         }
+    }
+
+    /// A floor under the statements the quad text on `mates` counts as
+    /// [`add_quads`](Self::add_quads) weighs them, from the pair form's
+    /// `pair`: every item prints there as in the pair form, except that a
+    /// quad prints two items in one statement, a 4-lane build of two
+    /// builds may stand for both, and at most half the stores of quad
+    /// items merge; each operand pair of a quad that is no quad and no two
+    /// builds is a join, and each quad a 2-lane statement reads alone a
+    /// half move, each counted twice.
+    fn quad_floor(&self, mates: &Mates, pair: u64) -> u64 {
+        let lanes = |i: u32| matches!(self.items[i as usize].1, Lanes(..));
+        let mated = |i: u32| i != NONE && mates.mate[i as usize] != NONE;
+        // Per item: bit 1, a quad's half read alone; bit 2, a build a
+        // 4-lane build reads.
+        let mut mark = vec![0u8; self.items.len()];
+        let (mut quads, mut builds, mut joins) = (0, Vec::new(), Vec::new());
+        for a in 0..self.items.len() as u32 {
+            let Some(b) = mates.lo(a) else {
+                if self.items[a as usize].0[1] != NONE && !mated(a) && !lanes(a) {
+                    for d in self.reads(a).into_iter().filter(|&d| mated(d)) {
+                        mark[d as usize] |= 1;
+                    }
+                }
+                continue;
+            };
+            quads += 1;
+            for (x, y) in self.reads(a).into_iter().zip(self.reads(b)) {
+                if x == NONE || mates.lo(x) == Some(y) {
+                    continue;
+                }
+                if lanes(x) && lanes(y) {
+                    builds.push((x, y));
+                    mark[x as usize] |= 2;
+                    mark[y as usize] |= 2;
+                } else {
+                    joins.push((x, y));
+                    for d in [x, y]
+                        .into_iter()
+                        .filter(|&d| mated(d) && !(mated(x) && mated(y)))
+                    {
+                        mark[d as usize] |= 1;
+                    }
+                }
+            }
+        }
+        fn distinct(v: &mut Vec<(u32, u32)>) -> u64 {
+            v.sort_unstable();
+            v.dedup();
+            v.len() as u64
+        }
+        let marked = |bit: u8| mark.iter().filter(|&&m| m & bit != 0).count() as u64;
+        let stores = self.roots.iter().filter(|r| mated(r.2)).count() as u64 / 2;
+        (pair + distinct(&mut builds) + 2 * (distinct(&mut joins) + marked(1)))
+            .saturating_sub(quads + marked(2) + stores)
     }
 
     /// What a partner must share with 2-lane item `i` for the two to be

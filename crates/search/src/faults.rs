@@ -15,7 +15,7 @@ use spl_generator::fft::FftTree;
 use spl_numeric::rng::Rng;
 use spl_telemetry::Telemetry;
 
-use crate::{Evaluator, SearchError};
+use crate::{Evaluator, Kept, SearchError};
 
 /// 64-bit FNV-1a, used to fold a candidate description into a seed.
 fn fnv1a(bytes: &[u8]) -> u64 {
@@ -78,6 +78,18 @@ impl<E: Evaluator> Evaluator for FaultyEvaluator<E> {
     /// compiles a candidate, so a candidate is rolled once.
     fn cost(&mut self, tree: &FftTree, unit: &CompiledUnit) -> Result<f64, SearchError> {
         self.inner.cost(tree, unit)
+    }
+
+    fn screen(
+        &mut self,
+        tree: &FftTree,
+        unit: &CompiledUnit,
+    ) -> Result<(f64, Option<Kept>), SearchError> {
+        self.inner.screen(tree, unit)
+    }
+
+    fn refine(&mut self, kept: Kept) -> Result<f64, SearchError> {
+        self.inner.refine(kept)
     }
 
     /// One draw per candidate, windowed over the three classes, so the

@@ -64,7 +64,21 @@
 //! kernels are ever timed at once whatever the factory built.
 //! Per-candidate results are merged back in candidate order — so with a
 //! deterministic evaluator the winners are bit-identical to the serial
-//! search at any job count. [`NativeEvaluator`] workers can share one
+//! search at any job count.
+//!
+//! A step with more candidates than it keeps is timed in two rounds.
+//! Every candidate is *screened* ([`Evaluator::screen`]): compiled,
+//! verified and timed for an eighth of the budget. Only the contenders
+//! — screens within 1.10× of the step's `keep`-th best — are *refined*
+//! ([`Evaluator::refine`]): timed again for the full budget by the
+//! worker that screened them, on the program or kernel they were
+//! screened with. The others come back [`Reading::Pruned`] and rank
+//! after every refined plan, so they are never kept: a short reading is
+//! noisier than a full one and would win on luck, and every plan filed
+//! in the store carries a full-budget cost. A step with no more
+//! candidates than `keep` is timed once, for the full budget, and
+//! evaluators with exact costs ([`OpCountEvaluator`]) have nothing to
+//! refine. [`NativeEvaluator`] workers can share one
 //! content-addressed compiled-kernel cache
 //! ([`NativeEvaluator::with_kernel_cache`]) so identical generated C is
 //! compiled by `cc` only once across the whole pool — and, with a disk
@@ -84,6 +98,7 @@
 //! assert_eq!(found.winners()[4].tree.size(), 32);
 //! ```
 
+use std::any::Any;
 use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
@@ -92,7 +107,7 @@ use std::time::Duration;
 
 use spl_compiler::{CompiledUnit, Compiler, CompilerOptions, OptLevel};
 use spl_generator::fft::{rightmost_splits, FftTree, Rule};
-use spl_native::{BuildOptions, CacheOutcome, KernelCache, NativeError};
+use spl_native::{BuildOptions, CacheOutcome, KernelCache, NativeError, NativeKernel};
 use spl_numeric::Complex;
 use spl_telemetry::Telemetry;
 use spl_vm::{describe_policy, lower, measure, VmProgram, VmState};
@@ -103,7 +118,7 @@ mod wisdom;
 
 pub use faults::FaultyEvaluator;
 use parallel::timing_lock;
-pub use parallel::EvaluatorPool;
+pub use parallel::{EvaluatorPool, Reading};
 pub use wisdom::{
     cc_fingerprint, cc_key, machine_fingerprint, transform_key, wisdom_from_string,
     wisdom_to_string, Search, SearchOutcome, WisdomDb, WisdomEntry, WisdomError, WisdomErrorKind,
@@ -310,6 +325,36 @@ pub trait Evaluator: Send {
     /// only that evaluator's costs.
     fn label(&self) -> &str;
 
+    /// A candidate's first reading in a race ([`EvaluatorPool::costs`]):
+    /// what [`cost`](Self::cost) reads, timed for an eighth of the
+    /// budget, and what to keep for [`refine`](Self::refine). `None`
+    /// kept means the reading is final and there is nothing to refine:
+    /// the default, for exact costs (models), which a race leaves as
+    /// they are.
+    ///
+    /// # Errors
+    ///
+    /// As [`cost`](Self::cost).
+    fn screen(
+        &mut self,
+        tree: &FftTree,
+        unit: &CompiledUnit,
+    ) -> Result<(f64, Option<Kept>), SearchError> {
+        Ok((self.cost(tree, unit)?, None))
+    }
+
+    /// Times again, for the full budget, the candidate this evaluator's
+    /// [`screen`](Self::screen) kept as `kept`: nothing is compiled,
+    /// lowered, built or verified twice. Only ever handed what `screen`
+    /// kept; by default that is nothing, so there is nothing to refine.
+    ///
+    /// # Errors
+    ///
+    /// May fail when the kept kernel cannot be run.
+    fn refine(&mut self, _kept: Kept) -> Result<f64, SearchError> {
+        Err(SearchError::Other("nothing to refine".into()))
+    }
+
     /// The fault that stops `tree` before the search compiles it, if
     /// any: the search asks first and compiles only a candidate no
     /// evaluator refused. None by default; a fault injector rolls here.
@@ -334,6 +379,18 @@ impl Evaluator for Box<dyn Evaluator> {
         (**self).label()
     }
 
+    fn screen(
+        &mut self,
+        tree: &FftTree,
+        unit: &CompiledUnit,
+    ) -> Result<(f64, Option<Kept>), SearchError> {
+        (**self).screen(tree, unit)
+    }
+
+    fn refine(&mut self, kept: Kept) -> Result<f64, SearchError> {
+        (**self).refine(kept)
+    }
+
     fn veto(&mut self, tree: &FftTree) -> Option<SearchError> {
         (**self).veto(tree)
     }
@@ -343,6 +400,16 @@ impl Evaluator for Box<dyn Evaluator> {
     }
 }
 
+/// What a screen keeps of a candidate for its refinement: the lowered
+/// program or the loaded kernel it timed. The pool worker that screened
+/// the candidate holds it until the batch ends and hands it back to the
+/// same evaluator, so it never leaves that worker's thread (a
+/// [`NativeKernel`] cannot).
+pub type Kept = Box<dyn Any>;
+
+/// A screen times a candidate for this share of the full budget.
+const SCREEN_SHARE: u32 = 8;
+
 /// Times each candidate on the VM (the paper's measured search).
 ///
 /// Before a candidate's timing is accepted, its output is verified
@@ -350,7 +417,8 @@ impl Evaluator for Box<dyn Evaluator> {
 /// [`MeasuredEvaluator::with_verify`]).
 #[derive(Debug)]
 pub struct MeasuredEvaluator {
-    /// Minimum total measurement time per candidate.
+    /// Measurement budget of each finalist (a screen times for an eighth
+    /// of it).
     pub min_time: Duration,
     verify: bool,
     tel: Telemetry,
@@ -373,10 +441,10 @@ impl MeasuredEvaluator {
         self.verify = verify;
         self
     }
-}
 
-impl Evaluator for MeasuredEvaluator {
-    fn cost(&mut self, tree: &FftTree, unit: &CompiledUnit) -> Result<f64, SearchError> {
+    /// The unit lowered to the VM program every timing of the candidate
+    /// runs, verified.
+    fn lowered(&mut self, tree: &FftTree, unit: &CompiledUnit) -> Result<VmProgram, SearchError> {
         let vm = lower_unit(unit)?;
         if self.verify && tree.size() <= VERIFY_MAX_SIZE {
             let x = verification_input(tree.size());
@@ -387,17 +455,46 @@ impl Evaluator for MeasuredEvaluator {
             verify_against_dense(tree, &spl_vm::convert::deinterleave(&y))?;
             self.tel.add("search.verifications", 1);
         }
-        let m = {
-            let _timing = timing_lock();
-            measure(&vm, self.min_time)
-        };
-        m.record(&mut self.tel, "timer");
         if let Some(rs) = vm.resolve_stats() {
             rs.record(&mut self.tel);
         } else {
             self.tel.add("vm.resolve_fallbacks", 1);
         }
-        Ok(m.secs_per_call)
+        Ok(vm)
+    }
+
+    /// Seconds per call of `vm`, timed for `budget` under the timing lock.
+    fn time(&mut self, vm: &VmProgram, budget: Duration) -> f64 {
+        let m = {
+            let _timing = timing_lock();
+            measure(vm, budget)
+        };
+        m.record(&mut self.tel, "timer");
+        m.secs_per_call
+    }
+}
+
+impl Evaluator for MeasuredEvaluator {
+    fn cost(&mut self, tree: &FftTree, unit: &CompiledUnit) -> Result<f64, SearchError> {
+        let vm = self.lowered(tree, unit)?;
+        Ok(self.time(&vm, self.min_time))
+    }
+
+    fn screen(
+        &mut self,
+        tree: &FftTree,
+        unit: &CompiledUnit,
+    ) -> Result<(f64, Option<Kept>), SearchError> {
+        let vm = self.lowered(tree, unit)?;
+        let cost = self.time(&vm, self.min_time / SCREEN_SHARE);
+        Ok((cost, Some(Box::new(vm))))
+    }
+
+    fn refine(&mut self, kept: Kept) -> Result<f64, SearchError> {
+        let vm = kept
+            .downcast::<VmProgram>()
+            .expect("a VM program, kept by screen");
+        Ok(self.time(&vm, self.min_time))
     }
 
     fn label(&self) -> &str {
@@ -423,7 +520,8 @@ impl Evaluator for MeasuredEvaluator {
 /// directory.
 #[derive(Debug)]
 pub struct NativeEvaluator {
-    /// Minimum total measurement time per candidate.
+    /// Measurement budget of each finalist (a screen times for an eighth
+    /// of it).
     pub min_time: Duration,
     verify: bool,
     eval_timeout: Duration,
@@ -468,14 +566,14 @@ impl NativeEvaluator {
         self.kernel_cache = cache;
         self
     }
-}
 
-impl Evaluator for NativeEvaluator {
-    fn cost(&mut self, tree: &FftTree, unit: &CompiledUnit) -> Result<f64, SearchError> {
+    /// The unit built (or loaded from the cache) into the kernel every
+    /// timing of the candidate runs, verified.
+    fn built(&mut self, tree: &FftTree, unit: &CompiledUnit) -> Result<NativeKernel, SearchError> {
         // The kernel carries the key it was filed under, so a failed
         // verification can quarantine the entry.
         let (kernel, outcome) =
-            spl_native::NativeKernel::compile_cached(unit, &BuildOptions, &self.kernel_cache)
+            NativeKernel::compile_cached(unit, &BuildOptions, &self.kernel_cache)
                 .map_err(native_err)?;
         if outcome != CacheOutcome::Miss {
             self.tel.add("search.kernel_cache_hits", 1);
@@ -497,14 +595,44 @@ impl Evaluator for NativeEvaluator {
             }
             self.tel.add("search.verifications", 1);
         }
+        Ok(kernel)
+    }
+
+    /// Seconds per call of `kernel`, timed for `budget` in its sandbox
+    /// under the timing lock.
+    fn time(&mut self, kernel: &NativeKernel, budget: Duration) -> Result<f64, SearchError> {
         let t = {
             let _timing = timing_lock();
             kernel
-                .measure_sandboxed(self.min_time, self.eval_timeout)
+                .measure_sandboxed(budget, self.eval_timeout)
                 .map_err(native_err)?
         };
         self.tel.add("search.native_measurements", 1);
         Ok(t)
+    }
+}
+
+impl Evaluator for NativeEvaluator {
+    fn cost(&mut self, tree: &FftTree, unit: &CompiledUnit) -> Result<f64, SearchError> {
+        let kernel = self.built(tree, unit)?;
+        self.time(&kernel, self.min_time)
+    }
+
+    fn screen(
+        &mut self,
+        tree: &FftTree,
+        unit: &CompiledUnit,
+    ) -> Result<(f64, Option<Kept>), SearchError> {
+        let kernel = self.built(tree, unit)?;
+        let cost = self.time(&kernel, self.min_time / SCREEN_SHARE)?;
+        Ok((cost, Some(Box::new(kernel))))
+    }
+
+    fn refine(&mut self, kept: Kept) -> Result<f64, SearchError> {
+        let kernel = kept
+            .downcast::<NativeKernel>()
+            .expect("a kernel, kept by screen");
+        self.time(&kernel, self.min_time)
     }
 
     fn label(&self) -> &str {
@@ -531,9 +659,9 @@ impl Evaluator for NativeEvaluator {
 pub fn compile_tree_native(
     tree: &FftTree,
     unroll_threshold: usize,
-) -> Result<spl_native::NativeKernel, SearchError> {
+) -> Result<NativeKernel, SearchError> {
     let unit = compile_unit_for_tree(tree, unroll_threshold)?;
-    spl_native::NativeKernel::compile(&unit).map_err(native_err)
+    NativeKernel::compile(&unit).map_err(native_err)
 }
 
 /// Compiles a factorization tree the way the search does: complex
@@ -550,6 +678,10 @@ pub fn compile_unit_for_tree(
     tree: &FftTree,
     unroll_threshold: usize,
 ) -> Result<CompiledUnit, SearchError> {
+    #[cfg(test)]
+    {
+        *COMPILES.lock().unwrap().entry(tree.describe()).or_default() += 1;
+    }
     compile_sexp_for_search(
         &tree.to_sexp(),
         unroll_threshold,
@@ -557,6 +689,12 @@ pub fn compile_unit_for_tree(
     )
     .map_err(|e| SearchError::CompileFailed(format!("compiling {}: {e}", tree.describe())))
 }
+
+/// How many times each tree was compiled, by description: the pool's
+/// tests hold a search to one compile per candidate.
+#[cfg(test)]
+pub(crate) static COMPILES: std::sync::Mutex<std::collections::BTreeMap<String, usize>> =
+    std::sync::Mutex::new(std::collections::BTreeMap::new());
 
 /// Deterministic model: the unit's dynamic operation count (loop
 /// bodies times their trip counts). Used by tests and as the "estimate"

@@ -57,7 +57,9 @@ use spl_generator::fft::FftTree;
 use spl_resilience::sealed::{unseal, write_sealed};
 use spl_telemetry::Telemetry;
 
-use crate::{large_candidates, small_candidates, EvaluatorPool, Plan, SearchConfig, SearchError};
+use crate::{
+    large_candidates, small_candidates, EvaluatorPool, Plan, Reading, SearchConfig, SearchError,
+};
 
 // ---------------------------------------------------------------------
 // Typed wisdom errors + the flat-format parser (the import path)
@@ -786,13 +788,13 @@ impl Search {
             // An unmeasured flat import: trust the plan, measure only it.
             Some(e) => {
                 let trees: Vec<FftTree> = e.plans.into_iter().map(|p| p.tree).collect();
-                measure(&trees, unroll, pool, tel)
+                measure(&trees, unroll, keep, pool, tel)
             }
             None => Vec::new(),
         };
         let mut plans = if imported.is_empty() {
             // Nothing imported, or every imported plan failed here.
-            measure(candidates, unroll, pool, tel)
+            measure(candidates, unroll, keep, pool, tel)
         } else {
             tel.add("wisdom.db.imports_measured", 1);
             imported
@@ -808,25 +810,30 @@ impl Search {
     }
 }
 
-/// Compiles (under `-B unroll`) and measures every tree, returning
-/// surviving plans in candidate order. Failures are skipped and
-/// counted, successes counted under `search.plans_evaluated`.
+/// Compiles (under `-B unroll`) and measures every tree for a step that
+/// keeps `keep` plans, returning the plans read in full in candidate
+/// order: a candidate a race pruned ranks after every one of them, so
+/// it is never kept. Failures are skipped and counted, successes
+/// counted under `search.plans_evaluated`.
 fn measure(
     trees: &[FftTree],
     unroll: usize,
+    keep: usize,
     pool: &mut EvaluatorPool,
     tel: &mut Telemetry,
 ) -> Vec<Plan> {
-    let costs = pool.costs(trees, unroll);
+    let costs = pool.costs(trees, unroll, keep);
     let mut plans = Vec::new();
-    for (tree, cost) in trees.iter().zip(costs) {
-        match cost {
-            Ok(cost) => {
+    for (tree, reading) in trees.iter().zip(costs) {
+        match reading {
+            Ok(reading) => {
                 tel.add("search.plans_evaluated", 1);
-                plans.push(Plan {
-                    tree: tree.clone(),
-                    cost,
-                });
+                if let Reading::Full(cost) = reading {
+                    plans.push(Plan {
+                        tree: tree.clone(),
+                        cost,
+                    });
+                }
             }
             Err(e) => tel.add(&format!("search.skipped.{}", e.kind()), 1),
         }

@@ -45,7 +45,9 @@ fn pinned_candidates(max_k: u32) -> Vec<FftTree> {
 }
 
 /// Evaluates every tree through a fresh 4-worker pool of native
-/// evaluators sharing a fresh disk-cache instance over `dir`, and
+/// evaluators sharing a fresh disk-cache instance over `dir`, as one
+/// batch that keeps 3 (a race: the contenders are timed again on the
+/// kernels they were screened with, so no tree is built twice), and
 /// returns the run's merged telemetry.
 fn run_pass(dir: &std::path::Path, trees: &[FftTree]) -> Telemetry {
     let cache = Arc::new(KernelCache::with_dir(dir).expect("open cache dir"));
@@ -56,7 +58,7 @@ fn run_pass(dir: &std::path::Path, trees: &[FftTree]) -> Telemetry {
                 .with_kernel_cache(Arc::clone(&cache)),
         ) as Box<dyn Evaluator>
     });
-    for r in pool.costs(trees, 64) {
+    for r in pool.costs(trees, 64, 3) {
         r.expect("candidate evaluates");
     }
     let mut tel = pool.drain_telemetry();

@@ -2,13 +2,14 @@
 # The perf gate: splbench at <base-ref> against the working tree, on this
 # machine, in one sitting.
 #   bash scripts/bench-compare.sh <base-ref>
-# Three result sets of three runs per workload (base, head, base again, so
-# that drift of the machine shows as a difference between the two base
-# sets), then the head set compared against each base set. Exit 1 iff a
-# row reads `regressed` or a comparison was refused; `unresolved` rows
-# (run-to-run spread wider than the bound) are printed and pass. A head
-# that brings a new VM backend is still compared (align_backend). Needs
-# `jq`.
+# Base and head take turns: one run of every workload per side per seed
+# (seeds 1-4), the side that goes first alternating from seed to seed, so
+# that drift of the machine lands on both sides alike. Each side's runs are
+# merged into one result set (merge_sets), and the head set is compared
+# against the base set. Exit 1 iff a row reads `regressed` or the
+# comparison was refused; `unresolved` rows (run-to-run spread wider than
+# the bound) are printed and pass. A head that brings a new VM backend is
+# still compared (align_backend). Needs `jq`.
 set -euo pipefail
 
 # Reads one `run.sh --compare` table on stdin and prints it. `run.sh`
@@ -45,6 +46,15 @@ align_backend() {
     echo "${base%.json}.$to.json"
 }
 
+# Prints one result set holding every run of the result sets named, in
+# their order, each workload's runs after one another; the environment is
+# the first set's (the compare checks that two sets share a machine, not
+# that their runs share a seed).
+merge_sets() {
+    jq -s '.[0] + {workloads: (reduce (.[].workloads | to_entries[]) as $w
+        ({}; .[$w.key] += $w.value))}' "$@"
+}
+
 # Sourced (tests/bench_compare.rs does): the functions, and nothing run.
 if [[ ${BASH_SOURCE[0]} != "$0" ]]; then
     return 0
@@ -63,14 +73,19 @@ git -C "$root" worktree add --detach "$tmp/base" "$1"
 # to its checkout: hence absolute paths. A failed operation is a non-zero
 # exit of its run, which `set -e` makes ours.
 unset CARGO_TARGET_DIR
-bash "$tmp/base/benchmark/run.sh" --runs 3 --out "$tmp/base-1.json"
-bash "$root/benchmark/run.sh" --runs 3 --out "$tmp/head.json"
-bash "$tmp/base/benchmark/run.sh" --runs 3 --out "$tmp/base-2.json"
-
-status=0
-for base in "$tmp/base-1.json" "$tmp/base-2.json"; do
-    base=$(align_backend "$base" "$tmp/head.json")
-    { bash "$root/benchmark/run.sh" --compare "$base" "$tmp/head.json" || true; } \
-        | verdict || status=1
+for seed in 1 2 3 4; do
+    order=("$tmp/base" "$root")
+    if [ $((seed % 2)) -eq 0 ]; then
+        order=("$root" "$tmp/base")
+    fi
+    for checkout in "${order[@]}"; do
+        side=head
+        [ "$checkout" = "$root" ] || side=base
+        bash "$checkout/benchmark/run.sh" --runs 1 --seed "$seed" --out "$tmp/$side-$seed.json"
+    done
 done
-exit $status
+merge_sets "$tmp"/base-?.json > "$tmp/base.json"
+merge_sets "$tmp"/head-?.json > "$tmp/head.json"
+
+base=$(align_backend "$tmp/base.json" "$tmp/head.json")
+{ bash "$root/benchmark/run.sh" --compare "$base" "$tmp/head.json" || true; } | verdict

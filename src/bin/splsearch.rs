@@ -58,7 +58,8 @@ usage: splsearch [options]
                      to <dir>, so a rerun reuses every shared object
                      whose generated C, build options, and cc version
                      are unchanged (default: none)
-  --min-time <ms>    measurement budget per candidate (default 10)
+  --min-time <ms>    measurement budget of each finalist (default 10); every
+                     candidate is first screened for an eighth of it
   --eval-timeout <s> sandbox timeout per candidate kernel (default 30)
   --no-verify        skip dense-reference verification of candidates
   --wisdom-db <dir>  crash-safe, mergeable wisdom database: reuse winners

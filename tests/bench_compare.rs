@@ -1,9 +1,10 @@
 //! The decisions `scripts/bench-compare.sh` takes — a `regressed` row
 //! fails, an `unresolved` row is shown and passes, a comparison that
 //! printed no verdict row fails — checked on canned `run.sh --compare`
-//! output, and which base set a head set is compared against, checked on
-//! hand-written result files; no benchmark runs. The script defines its
-//! functions and runs nothing when it is sourced.
+//! output, and which base set a head set is compared against and how one
+//! side's runs merge into one set, checked on hand-written result files;
+//! no benchmark runs. The script defines its functions and runs nothing
+//! when it is sourced.
 //!
 //! The tables are pasted from real `--compare` output (PR 20's own first
 //! base-vs-head run, one workload's ten rows each; the `regressed` row is
@@ -219,5 +220,52 @@ fn a_head_on_another_cpu_keeps_the_base_set_for_the_compare_to_refuse() {
     }
     let left: Vec<_> = std::fs::read_dir(&dir).expect("dir").collect();
     assert_eq!(left.len(), 4, "no copy was written");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn merged_sets_hold_every_run_of_each_set_in_order() {
+    let dir = fresh_dir("merge");
+    let set = |name: &str, seed: u64, runs: &[(&str, f64)]| -> PathBuf {
+        let workloads: Vec<String> = runs
+            .iter()
+            .map(|(w, v)| format!(r#""{w}":[{{"traced":false,"metrics":{{"vm_mflops":{v}}}}}]"#))
+            .collect();
+        let path = dir.join(format!("{name}.json"));
+        let text = format!(
+            r#"{{"environment":{{"git_commit":"{name}","seed":{seed},"nproc":2,"cpu_model":"cpu","bench_cpus":"1","simd_backend":"avx","cc_version":"cc 12.2.0"}},"workloads":{{{}}}}}"#,
+            workloads.join(",")
+        );
+        std::fs::write(&path, text).expect("write result set");
+        path
+    };
+    // One run per workload per set, as `run.sh --runs 1` writes them; the
+    // last set ran one workload only.
+    let sets = [
+        set("seed-1", 1, &[("search", 1.0), ("serve", 2.0)]),
+        set("seed-2", 2, &[("search", 3.0), ("serve", 4.0)]),
+        set("seed-3", 3, &[("search", 5.0)]),
+    ];
+    let names: Vec<String> = sets.iter().map(|p| format!("'{}'", p.display())).collect();
+    let (out, err, code) = sourced(&format!("merge_sets {}", names.join(" ")), "");
+    assert_eq!(code, 0, "{err}");
+    let merged = json::parse(&out).expect("merged set parses");
+    assert_eq!(
+        merged.get("environment"),
+        load(&sets[0]).get("environment"),
+        "the first set's environment"
+    );
+    let mflops = |w: &str| -> Vec<f64> {
+        let runs = merged.get("workloads").and_then(|ws| ws.get(w));
+        (runs.and_then(Json::as_arr).expect("a run list").iter())
+            .map(|r| r.get("metrics").and_then(|m| m.get("vm_mflops")))
+            .map(|v| v.and_then(Json::as_f64).expect("vm_mflops"))
+            .collect()
+    };
+    assert_eq!(mflops("search"), [1.0, 3.0, 5.0]);
+    assert_eq!(mflops("serve"), [2.0, 4.0]);
+    for set in &sets {
+        assert!(load(set).get("workloads").is_some(), "inputs untouched");
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
